@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ci
+.PHONY: all build vet test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ladder-smoke ci
 
 all: build
 
@@ -102,8 +102,15 @@ bench-smoke:
 	$(GO) run ./cmd/ecbench -exp range-json -quick -json .bench-smoke/range.json
 	rm -rf .bench-smoke
 
+# The ladder benchmark (benchmark/) is its own module compiled against this
+# tree's exported surface — shardfile.WriteStreamPaths/OpenStreamPaths/
+# PlanPatch, server.Open/NewGateway/Backend, ... Its harness tests run here
+# so a change that breaks that surface fails CI, not the perf gate.
+ladder-smoke:
+	cd benchmark && $(GO) test ./...
+
 # The allocation guards on the streaming hot paths (TestStreamSteadyStateAllocs,
 # TestDecodeStreamSteadyStateAllocs and the full-server
 # TestServerSteadyStateAllocs) run as part of `test`, so `ci` gates on the
 # encode, verified-decode and daemon PUT/GET paths staying allocation-free.
-ci: build vet test race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke
+ci: build vet test race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke ladder-smoke

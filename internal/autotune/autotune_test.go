@@ -176,6 +176,53 @@ func TestCompiledKernelsAgree(t *testing.T) {
 	}
 }
 
+// TestEverySpaceMemberCompiles pins the space/compiler contract on any
+// core count: whatever All, Random and Mutate can produce, Contains
+// admits and Compile accepts. MaxWorkers is set by hand so the
+// multi-core shape of the space is covered on a one-CPU box too.
+func TestEverySpaceMemberCompiles(t *testing.T) {
+	m, k, n := 16, 32, 512
+	for _, workers := range []int{1, 2, 4} {
+		s, err := NewSpace(m, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.MaxWorkers = workers
+		all := s.All()
+		if len(all) != s.Size() {
+			t.Errorf("MaxWorkers=%d: All()=%d Size()=%d", workers, len(all), s.Size())
+		}
+		for _, p := range all {
+			if !s.Contains(p) {
+				t.Fatalf("MaxWorkers=%d: grid point %v not in space", workers, p)
+			}
+			if _, err := Compile(m, k, n, p); err != nil {
+				t.Fatalf("MaxWorkers=%d: %v: %v", workers, p, err)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(workers)))
+		p := s.Default()
+		for trial := 0; trial < 200; trial++ {
+			for _, q := range []Params{s.Random(rng), s.Mutate(rng, p)} {
+				if !s.Contains(q) {
+					t.Fatalf("MaxWorkers=%d: sampled point %v not in space", workers, q)
+				}
+				if _, err := Compile(m, k, n, q); err != nil {
+					t.Fatalf("MaxWorkers=%d: %v: %v", workers, q, err)
+				}
+				p = q
+			}
+		}
+		bad := Params{BlockWords: n, Fanin: 1, RowsOuter: true, Parallel: te.ParallelBlocks, Workers: 2}
+		if s.Contains(bad) {
+			t.Errorf("MaxWorkers=%d: whole-row block-parallel point %v admitted", workers, bad)
+		}
+		if q := s.Nearest(bad); !s.Contains(q) {
+			t.Errorf("MaxWorkers=%d: Nearest(%v) = %v not in space", workers, bad, q)
+		}
+	}
+}
+
 func TestTunerStrategies(t *testing.T) {
 	m, k, n := 16, 32, 1024
 	for _, strat := range []Strategy{StrategyRandom, StrategyEvolutionary, StrategyGrid} {

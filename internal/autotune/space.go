@@ -64,6 +64,20 @@ func NewSpace(m, k, n int) (Space, error) {
 	return s, nil
 }
 
+// splitColumns reports whether a blockWords tile leaves a split column
+// axis. Block-parallel schedules run over that axis, so whole-row tiles
+// (BlockWords == N) are legal only serial or row-parallel — the one rule
+// All, Random, Mutate, Contains, Nearest and Size share with Compile.
+func (s Space) splitColumns(blockWords int) bool { return blockWords < s.N }
+
+// legalAxis degrades block-parallel to row-parallel on a whole-row tile.
+func (s Space) legalAxis(p Params) te.ParallelAxis {
+	if p.Parallel == te.ParallelBlocks && !s.splitColumns(p.BlockWords) {
+		return te.ParallelRows
+	}
+	return p.Parallel
+}
+
 // Contains reports whether p is a legal point of the space.
 func (s Space) Contains(p Params) bool {
 	okBlock := false
@@ -79,6 +93,9 @@ func (s Space) Contains(p Params) bool {
 		}
 	}
 	if p.Parallel == te.ParallelNone && p.Workers != 1 {
+		return false
+	}
+	if p.Parallel != s.legalAxis(p) {
 		return false
 	}
 	return okBlock && okFanin && p.Workers >= 1 && p.Workers <= s.MaxWorkers
@@ -113,6 +130,7 @@ func (s Space) Random(rng *rand.Rand) Params {
 				p.Workers = s.MaxWorkers
 			}
 		}
+		p.Parallel = s.legalAxis(p)
 	}
 	return p
 }
@@ -136,6 +154,7 @@ func (s Space) Mutate(rng *rand.Rand, p Params) Params {
 			q.Parallel, q.Workers = r.Parallel, r.Workers
 		}
 	}
+	q.Parallel = s.legalAxis(q)
 	return q
 }
 
@@ -175,9 +194,7 @@ func (s Space) Nearest(p Params) Params {
 	if s.MaxWorkers == 1 {
 		out.Parallel = te.ParallelNone
 	}
-	if out.Parallel == te.ParallelBlocks && out.BlockWords >= s.N {
-		out.Parallel = te.ParallelRows
-	}
+	out.Parallel = s.legalAxis(out)
 	if out.Parallel == te.ParallelNone {
 		out.Workers = 1
 	} else if out.Workers == 1 {
@@ -189,11 +206,14 @@ func (s Space) Nearest(p Params) Params {
 // Size returns the number of points in the space (for grid enumeration and
 // trial budgeting).
 func (s Space) Size() int {
-	par := 1
-	if s.MaxWorkers > 1 {
-		par = 1 + 2*(s.MaxWorkers-1)
+	perBlock := 0 // parallel-axis x workers choices, summed over tiles
+	for _, bw := range s.Blocks {
+		perBlock += 1 + (s.MaxWorkers - 1) // serial + row-parallel
+		if s.splitColumns(bw) {
+			perBlock += s.MaxWorkers - 1 // block-parallel
+		}
 	}
-	return len(s.Blocks) * len(s.Fanins) * 2 * 2 * par
+	return perBlock * len(s.Fanins) * 2 * 2
 }
 
 // All enumerates every point of the space (grid search).
@@ -205,9 +225,10 @@ func (s Space) All() []Params {
 				for _, st := range []bool{false, true} {
 					out = append(out, Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelNone, Workers: 1})
 					for w := 2; w <= s.MaxWorkers; w++ {
-						out = append(out,
-							Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelRows, Workers: w},
-							Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelBlocks, Workers: w})
+						out = append(out, Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelRows, Workers: w})
+						if s.splitColumns(bw) {
+							out = append(out, Params{BlockWords: bw, Fanin: f, RowsOuter: ro, Staged: st, Parallel: te.ParallelBlocks, Workers: w})
+						}
 					}
 				}
 			}

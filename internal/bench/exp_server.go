@@ -29,7 +29,7 @@ func init() {
 // directories destroyed (the latter is the r=2 worst case, reconstructing
 // every stripe), and GET again after a scrub sweep heals the damage. Unlike
 // E-CLUSTER this path pays for everything the paper's integration argument
-// is about: HTTP framing, shard files on disk, per-shard SHA-256
+// is about: HTTP framing, shard files on disk, per-unit CRC32C
 // verification, and the pipelined kernel.
 func runServer(w io.Writer, cfg Config) error {
 	const (

@@ -28,10 +28,6 @@ import (
 // cluster may heal and the write can be retried.
 var ErrWriteQuorum = errors.New("server: write quorum not reached")
 
-// gwStreamBuf matches the shardfile layer's stream buffer size so one
-// pipe handoff carries many units, not one syscall-sized dribble each.
-const gwStreamBuf = 1 << 20
-
 // rollbackTimeout bounds the cleanup work a failed or canceled PUT does
 // with a fresh context — the request's own context is typically already
 // dead by the time rollback runs.
@@ -361,7 +357,7 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	upErrs := make([]error, n)
 	for i := 0; i < n; i++ {
 		prs[i], pws[i] = io.Pipe()
-		bufs[i] = bufio.NewWriterSize(pws[i], gwStreamBuf)
+		bufs[i] = bufio.NewWriterSize(pws[i], shardfile.StreamBufSize)
 		summers[i] = shardfile.NewShardSummer(g.cfg.UnitSize)
 		writers[i] = io.MultiWriter(bufs[i], summers[i])
 	}
@@ -406,7 +402,7 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	// and the remote shard.write spans they merge back) sit inside it and
 	// the straggler member is the longest bar.
 	esp := obs.StartSpan(ctx, "gw.encode")
-	nRead, encErr := g.code.EncodeStream(bufio.NewReaderSize(encSrc, gwStreamBuf), writers, encOpts...)
+	nRead, encErr := g.code.EncodeStream(bufio.NewReaderSize(encSrc, shardfile.StreamBufSize), writers, encOpts...)
 	if encErr == nil && size > 0 && nRead != size {
 		encErr = fmt.Errorf("server: source is %d bytes, expected %d", nRead, size)
 	}
@@ -484,10 +480,8 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	if m.Stripes == 0 {
 		m.Stripes = 1
 	}
-	m.Checksums = make([]string, n)
 	m.StripeSums = make([][]uint32, n)
 	for i, s := range summers {
-		m.Checksums[i] = s.SumSHA256()
 		m.StripeSums[i] = s.StripeSums()
 	}
 	if err := m.Validate(); err != nil {
@@ -673,7 +667,7 @@ func (o *gatewayObject) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 	if err != nil {
 		return st, err
 	}
-	out := bufio.NewWriterSize(dst, gwStreamBuf)
+	out := bufio.NewWriterSize(dst, shardfile.StreamBufSize)
 	opts := []gemmec.StreamOption{
 		gemmec.WithStreamScheduler(o.g.sched),
 		gemmec.WithStreamStats(&st),
@@ -915,7 +909,7 @@ func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, l *sync.RWMut
 				return
 			}
 			o.closers[i] = rc
-			o.readers[i] = bufio.NewReaderSize(rc, gwStreamBuf)
+			o.readers[i] = bufio.NewReaderSize(rc, shardfile.StreamBufSize)
 		}(i, tr)
 	}
 	wg.Wait()
@@ -1564,7 +1558,7 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 				rc.Close()
 				continue
 			}
-			srcs = append(srcs, src{idx: i, rd: bufio.NewReaderSize(rc, gwStreamBuf), rc: rc})
+			srcs = append(srcs, src{idx: i, rd: bufio.NewReaderSize(rc, shardfile.StreamBufSize), rc: rc})
 		}
 	}
 	if len(srcs) < m.K {
@@ -1581,7 +1575,7 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 	for _, t := range targets {
 		pr, pw := io.Pipe()
 		prs[t], pws[t] = pr, pw
-		outs[t] = bufio.NewWriterSize(pw, gwStreamBuf)
+		outs[t] = bufio.NewWriterSize(pw, shardfile.StreamBufSize)
 		var upErr error
 		upErrs[t] = &upErr
 		wg.Add(1)

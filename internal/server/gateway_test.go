@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"gemmec/internal/peer"
+	"gemmec/internal/shardfile"
 )
 
 // testClusterSecret authenticates the test rigs' internal traffic.
@@ -217,9 +217,10 @@ func TestClusterDegradedReadDeadPeer(t *testing.T) {
 }
 
 // TestClusterRebuildNode wipes a peer and rebuilds it: every shard the
-// member held must come back byte-identical (verified against the
-// manifest's SHA-256), with canonical k× repair amplification, and the
-// repair counters must show up in /metricsz.
+// member held must come back byte-identical (every unit verified against
+// the manifest's stripe sums — the only checksums a gateway PUT records),
+// with canonical k× repair amplification, and the repair counters must
+// show up in /metricsz.
 func TestClusterRebuildNode(t *testing.T) {
 	metrics := NewMetrics(nil)
 	c := newHTTPCluster(t, 3, 2, 1, 1, 1024, Config{Logf: t.Logf, Metrics: metrics})
@@ -238,6 +239,11 @@ func TestClusterRebuildNode(t *testing.T) {
 	if err := c.stores[victim].WipeShards(); err != nil {
 		t.Fatal(err)
 	}
+	for name, want := range objs {
+		if got, _ := c.get(t, name); !bytes.Equal(got, want) {
+			t.Fatalf("%s: degraded read after the wipe returned wrong bytes", name)
+		}
+	}
 
 	st, err := c.gw.RebuildNode(context.Background(), victim)
 	if err != nil {
@@ -253,8 +259,8 @@ func TestClusterRebuildNode(t *testing.T) {
 		t.Fatalf("repair amplification = %v, want %v (k reads per shard rebuilt)", got, want)
 	}
 
-	// Every shard the victim should hold is back, byte-identical to the
-	// manifest's recorded checksum.
+	// Every shard the victim should hold is back, every unit matching the
+	// manifest's recorded stripe sum.
 	restored := 0
 	for name := range objs {
 		key := hex.EncodeToString([]byte(name))
@@ -262,6 +268,8 @@ func TestClusterRebuildNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := meta.Manifest
+		assertStripeSumsOnly(t, name, m)
 		for i, member := range meta.Placement {
 			if member != victim {
 				continue
@@ -270,11 +278,15 @@ func TestClusterRebuildNode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s shard %d not restored on member %d: %v", name, i, victim, err)
 			}
-			h := sha256.New()
-			io.Copy(h, rc) //nolint:errcheck
+			shard, err := io.ReadAll(rc)
 			rc.Close()
-			if got := hex.EncodeToString(h.Sum(nil)); got != meta.Manifest.Checksums[i] {
-				t.Fatalf("%s shard %d rebuilt with wrong bytes", name, i)
+			if err != nil || len(shard) != m.Stripes*m.UnitSize {
+				t.Fatalf("%s shard %d rebuilt as %d bytes (err %v), want %d", name, i, len(shard), err, m.Stripes*m.UnitSize)
+			}
+			for s := 0; s < m.Stripes; s++ {
+				if !shardfile.VerifyUnitSum(m, i, s, shard[s*m.UnitSize:(s+1)*m.UnitSize]) {
+					t.Fatalf("%s shard %d stripe %d rebuilt with wrong bytes", name, i, s)
+				}
 			}
 			restored++
 		}

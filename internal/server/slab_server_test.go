@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gemmec/internal/shardfile"
 )
 
 // newSlabStore opens a store with the small-object packing path enabled.
@@ -34,6 +36,19 @@ func newSlabStore(t *testing.T, threshold int64) *Store {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// assertStripeSumsOnly fails unless m is what every writer now commits:
+// a valid v2 manifest with per-unit CRC32C and no whole-shard SHA-256.
+func assertStripeSumsOnly(t *testing.T, what string, m shardfile.Manifest) {
+	t.Helper()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if m.Checksums != nil || !m.StripeVerified() {
+		t.Fatalf("%s: manifest has %d whole-shard checksums, stripe-verified=%v; want stripe sums only",
+			what, len(m.Checksums), m.StripeVerified())
+	}
 }
 
 // TestSlabPackUnpack is the packing path's end-to-end drill: concurrent
@@ -85,9 +100,11 @@ func TestSlabPackUnpack(t *testing.T) {
 		}
 		slabKeys[meta.Slab.Key] = true
 	}
-	if meta, _ := s.Stat("big"); meta.Slab != nil {
+	bigMeta, _ := s.Stat("big")
+	if bigMeta.Slab != nil {
 		t.Fatal("object over the threshold was packed")
 	}
+	assertStripeSumsOnly(t, "big", bigMeta.Manifest)
 
 	st := s.Stats()
 	if st.SlabPuts != int64(len(sizes)) {
@@ -123,6 +140,7 @@ func TestSlabPackUnpack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertStripeSumsOnly(t, "slab "+key, slabMeta.Manifest)
 		if err := os.Remove(s.shardPaths(key, slabMeta)[0]); err != nil {
 			t.Fatal(err)
 		}

@@ -147,7 +147,7 @@ type Stats struct {
 }
 
 // ObjectMeta is the per-object metadata persisted under meta/: the
-// shardfile manifest (geometry, size, per-shard SHA-256) plus where each
+// shardfile manifest (geometry, size, per-unit CRC32C) plus where each
 // shard lives.
 type ObjectMeta struct {
 	Name     string             `json:"name"`

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,6 +62,49 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	if perStripe := (g64 - g4) / 60; perStripe > 0.05 {
 		t.Errorf("steady-state GET allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)",
 			perStripe, g4, g64)
+	}
+}
+
+// TestGatewayBytesPerRequest: the gateway's per-request working set is a
+// handful of StreamBufSize buffers plus the stripe ring, not the ~7 MiB of
+// 1 MiB double buffers it once allocated fresh on every PUT and GET. Small
+// units keep the ring out of the picture, so the bound is the buffers'.
+func TestGatewayBytesPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	c := newFaultCluster(t, 6, 4, 2, 1, tunit)
+	payload := randBytes(21, 256<<10)
+	ctx := context.Background()
+	rd := bytes.NewReader(nil)
+	put := func() {
+		rd.Reset(payload)
+		if _, _, err := c.gw.Put(ctx, "bytes.bin", rd, int64(len(payload))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		o, err := c.gw.Open(ctx, "bytes.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		if _, err := o.Stream(discardWriter{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs, limit = 10, 2 << 20
+	for name, op := range map[string]func(){"PUT": put, "GET": get} {
+		put() // warm; GET needs the object
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > limit {
+			t.Errorf("gateway %s allocates %d KiB per request, want <= %d KiB", name, perOp>>10, limit>>10)
+		}
 	}
 }
 

@@ -45,9 +45,8 @@ type ShardWrite struct {
 type Patch struct {
 	// Manifest is the post-patch manifest: FileSize/Stripes grown for
 	// appends, StripeSums updated for every touched (shard, stripe) cell,
-	// and whole-shard Checksums dropped (the v2 read, scrub and repair
-	// paths use only stripe sums, and recomputing whole-shard SHA-256
-	// would cost the full-object pass the patch exists to avoid).
+	// and any whole-shard Checksums an older build recorded dropped (no
+	// v2 path reads them, and the patch has just made them wrong).
 	Manifest Manifest
 	// Writes are the shard-file writes, in apply order.
 	Writes []ShardWrite

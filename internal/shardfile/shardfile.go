@@ -23,13 +23,13 @@ import (
 // ManifestName is the metadata file written next to the shards.
 const ManifestName = "manifest.json"
 
-// ManifestV2 is the current manifest format: in addition to the v1
-// whole-shard SHA-256, it records a CRC32C per UnitSize unit of every
-// shard, computed during the (single) encode pass. Stripe sums are what
-// make reads single-pass and stripe-granular: a reader verifies each unit
-// as it decodes it instead of hashing whole shards up front, and a
-// scrubber localizes rot to the stripe instead of condemning the shard.
-// v1 manifests (Version 0, stripe sums absent) remain readable and
+// ManifestV2 is the current manifest format: it records a CRC32C per
+// UnitSize unit of every shard, computed during the (single) encode pass,
+// and nothing else about the shard bytes. Stripe sums are what make reads
+// single-pass and stripe-granular: a reader verifies each unit as it
+// decodes it instead of hashing whole shards up front, and a scrubber
+// localizes rot to the stripe instead of condemning the shard. v1
+// manifests (Version 0, whole-shard SHA-256 only) remain readable and
 // scrubable forever; all writers emit v2.
 const ManifestV2 = 2
 
@@ -46,9 +46,10 @@ type Manifest struct {
 	UnitSize int   `json:"unit_size"`
 	FileSize int64 `json:"file_size"`
 	Stripes  int   `json:"stripes"`
-	// Checksums holds the hex SHA-256 of each shard file, so scrubbing can
-	// tell *which* shard rotted (erasure codes alone only detect that
-	// something is inconsistent, not what).
+	// Checksums (v1) holds the hex SHA-256 of each shard file — the legacy
+	// format's only integrity record, still verified when a v1 manifest is
+	// opened or scrubbed. No writer emits it any more; v2 manifests from
+	// older builds may carry it and v2 code paths ignore it.
 	Checksums []string `json:"checksums,omitempty"`
 	// StripeSums (v2) holds the CRC32C of every UnitSize unit:
 	// StripeSums[shard][stripe] covers shard bytes
@@ -193,13 +194,11 @@ func Write(dir string, raw []byte, k, r, unitSize int) (Manifest, error) {
 		}
 	}
 	m.Version = ManifestV2
-	m.Checksums = make([]string, len(shards))
 	m.StripeSums = make([][]uint32, len(shards))
 	for i, sd := range shards {
 		if err := os.WriteFile(ShardPath(dir, i), sd, 0o644); err != nil {
 			return m, err
 		}
-		m.Checksums[i] = shardSum(sd)
 		m.StripeSums[i] = shardStripeSums(sd, unitSize)
 	}
 	return m, SaveManifest(dir, m)

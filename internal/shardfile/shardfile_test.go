@@ -260,28 +260,64 @@ func TestScrubTooMuchRot(t *testing.T) {
 	}
 }
 
+// TestManifestChecksums: the manifest a writer emits records exactly one
+// checksum per unit — no whole-shard digest — every unit on disk matches
+// its sum, a flipped byte fails exactly its own unit, and Validate rejects
+// a wrong-shaped sum table (and a wrong-length legacy checksum list).
 func TestManifestChecksums(t *testing.T) {
-	dir, _ := writeTestFile(t, tk*tunit)
+	dir, _ := writeTestFile(t, tk*tunit*2+5)
 	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Checksums) != tk+tr {
-		t.Fatalf("checksums=%d want %d", len(m.Checksums), tk+tr)
+	if m.Checksums != nil {
+		t.Fatalf("writer emitted %d whole-shard checksums; v2 records stripe sums only", len(m.Checksums))
 	}
-	for i, sum := range m.Checksums {
+	if len(m.StripeSums) != tk+tr {
+		t.Fatalf("stripe sums for %d shards, want %d", len(m.StripeSums), tk+tr)
+	}
+	verifyEveryUnit(t, dir, m)
+
+	data, err := os.ReadFile(ShardPath(dir, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[tunit+9] ^= 1 // shard 3, stripe 1
+	for s := 0; s < m.Stripes; s++ {
+		if ok := VerifyUnitSum(m, 3, s, data[s*tunit:(s+1)*tunit]); ok != (s != 1) {
+			t.Errorf("flipped byte in stripe 1: VerifyUnitSum(stripe %d) = %v", s, ok)
+		}
+	}
+
+	bad := m
+	bad.StripeSums = m.StripeSums[:2]
+	if err := bad.Validate(); err == nil {
+		t.Error("wrong stripe-sum shard count accepted")
+	}
+	bad = m
+	bad.Checksums = make([]string, 2)
+	if err := bad.Validate(); err == nil {
+		t.Error("wrong checksum count accepted")
+	}
+}
+
+// verifyEveryUnit fails unless every unit of every shard file under dir
+// matches m's recorded CRC32C.
+func verifyEveryUnit(t *testing.T, dir string, m Manifest) {
+	t.Helper()
+	for i := 0; i < m.K+m.R; i++ {
 		data, err := os.ReadFile(ShardPath(dir, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shardSum(data) != sum {
-			t.Errorf("shard %d checksum mismatch on clean set", i)
+		if len(data) != m.Stripes*m.UnitSize {
+			t.Fatalf("shard %d is %d bytes, want %d", i, len(data), m.Stripes*m.UnitSize)
 		}
-	}
-	bad := m
-	bad.Checksums = m.Checksums[:2]
-	if err := bad.Validate(); err == nil {
-		t.Error("wrong checksum count accepted")
+		for s := 0; s < m.Stripes; s++ {
+			if !VerifyUnitSum(m, i, s, data[s*m.UnitSize:(s+1)*m.UnitSize]) {
+				t.Errorf("shard %d stripe %d fails its stripe sum on a clean set", i, s)
+			}
+		}
 	}
 }
 

@@ -18,8 +18,13 @@ import (
 // mid-stream demotion (cause "stall") — the GET completes degraded
 // instead of hanging on the silent disk.
 //
-// Because the guard sits under bufio (streamBufSize refills), the
-// deadline and the extra copy are paid once per ~1MiB, not once per unit.
+// The guard sits under bufio, so its deadline covers one underlying read
+// as bufio issues it: one unit when units are at least StreamBufSize (the
+// default geometry — bufio passes those reads straight through, so
+// ShardReadTimeout is a per-unit deadline), one StreamBufSize refill
+// shared by several units when they are smaller. The private buffer and
+// its extra copy exist only on a guarded stream; with ShardReadTimeout
+// zero no guard is built and reads land directly in the stripe ring.
 // After a stall the pump stays blocked in the underlying read; it writes
 // only its private buffer, so the abandoned read races nothing. stop()
 // lets the pump exit once that read finally returns.

@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -32,7 +31,16 @@ import (
 // directories (distinct failure domains) while reusing this package's
 // manifest, verification and repair machinery.
 
-const streamBufSize = 1 << 20
+// StreamBufSize is the size of every bufio layer on the streaming paths,
+// here and in internal/server's gateway: half the default unit. The
+// pipeline moves whole units (shard side) and whole stripes (payload
+// side), and bufio passes any read or write at least as large as its
+// buffer straight through, so default-geometry I/O reaches the file,
+// socket or pipe uncopied — one syscall per unit — while the buffer still
+// coalesces small units (a 4 KiB-unit shard stream costs one syscall per
+// 16 units, not one each). The size of the I/O picks the path; nothing
+// else does.
+const StreamBufSize = gemmec.DefaultUnitSize / 2
 
 // Opts carries the cross-cutting knobs of the path-based streaming entry
 // points: request lifetime, filesystem seam, and the per-shard read
@@ -51,7 +59,7 @@ type Opts struct {
 	// during decode: a read that exceeds it demotes that shard (cause
 	// "stall") and the stream completes degraded instead of hanging on a
 	// device that stopped answering. Zero disables the guard (and its
-	// extra per-refill copy).
+	// extra per-read copy).
 	ShardReadTimeout time.Duration
 	// Sched, when non-nil, runs the encode/decode kernel stage on this
 	// shared worker pool (gemmec.WithStreamScheduler) instead of spawning
@@ -122,14 +130,12 @@ func (o Opts) ctxErr() error {
 }
 
 // Pools for the per-request streaming state whose size does not depend on
-// the object: 1 MiB bufio buffers (k+r+1 of them per request — by far the
-// largest per-request allocation) and SHA-256 digests. Pooling them turns
-// the request-setup cost from "allocate ~7 MiB" into a few pointer swaps
-// once the pools are warm.
+// the object: the bufio buffers (k+r+1 of them per request — the largest
+// per-request allocation). Pooling them turns the request-setup cost into
+// a few pointer swaps once the pools are warm.
 var (
-	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, streamBufSize) }}
-	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, streamBufSize) }}
-	sha256Pool    = sync.Pool{New: func() any { return sha256.New() }}
+	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, StreamBufSize) }}
+	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, StreamBufSize) }}
 )
 
 // eofReader is the parked source of pooled bufio.Readers: a pooled reader
@@ -160,59 +166,27 @@ func putBufReader(br *bufio.Reader) {
 	bufReaderPool.Put(br)
 }
 
-// stripeSummer accumulates the CRC32C of each UnitSize window of one shard
-// stream, folding the v2 manifest's stripe-sum computation into the encode
-// write path — the bytes are hashed as they stream past, no extra pass.
-// The pipeline writes whole units, but the summer handles arbitrary write
-// fragmentation anyway.
-type stripeSummer struct {
-	unit int
-	n    int    // bytes into the current unit
-	crc  uint32 // running CRC of the current unit
-	sums []uint32
-}
-
-func (w *stripeSummer) Write(p []byte) (int, error) {
-	total := len(p)
-	for len(p) > 0 {
-		take := w.unit - w.n
-		if take > len(p) {
-			take = len(p)
-		}
-		w.crc = crc32.Update(w.crc, castagnoli, p[:take])
-		w.n += take
-		p = p[take:]
-		if w.n == w.unit {
-			w.sums = append(w.sums, w.crc)
-			w.crc, w.n = 0, 0
-		}
-	}
-	return total, nil
-}
-
 // shardSink is one shard's write fan-out: the gathered equivalent of
-// io.MultiWriter(bufio, sha256, stripeSummer). Each pipeline write lands
-// in all three consumers from a single method body — no interface
-// dispatch loop, no per-call multiWriter allocation — and only the disk
-// write can fail (the hashing sinks are infallible by construction).
+// io.MultiWriter(bufio, ShardSummer). Each pipeline write lands in both
+// consumers from a single method body — no interface dispatch loop, no
+// per-call multiWriter allocation — and only the disk write can fail (the
+// summer is infallible by construction).
 type shardSink struct {
 	w   *bufio.Writer
-	sha hash.Hash
-	sum stripeSummer
+	sum ShardSummer
 }
 
 func (s *shardSink) Write(p []byte) (int, error) {
 	if _, err := s.w.Write(p); err != nil {
 		return 0, err
 	}
-	s.sha.Write(p) //nolint:errcheck // hash.Hash.Write never fails
-	s.sum.Write(p) //nolint:errcheck // stripeSummer.Write never fails
+	s.sum.Write(p) //nolint:errcheck // ShardSummer.Write never fails
 	return len(p), nil
 }
 
 // WriteStream encodes src (size bytes long) into a k+r shard set under
 // dir, streaming stripes through workers concurrent kernel runs, and
-// writes the manifest. Shard checksums are computed on the fly. Existing
+// writes the manifest. Stripe checksums are computed on the fly. Existing
 // shard files are overwritten.
 func WriteStream(dir string, src io.Reader, size int64, k, r, unitSize, workers int) (Manifest, gemmec.StreamStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -268,10 +242,6 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 			if sinks[i].w != nil {
 				putBufWriter(sinks[i].w)
 			}
-			if sinks[i].sha != nil {
-				sinks[i].sha.Reset()
-				sha256Pool.Put(sinks[i].sha)
-			}
 		}
 	}()
 	// Known size means known stripe count: size the per-shard stripe-sum
@@ -289,10 +259,8 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 		files[i] = f
 		sinks[i] = shardSink{
 			w:   getBufWriter(f),
-			sha: sha256Pool.Get().(hash.Hash),
-			sum: stripeSummer{unit: unitSize, sums: make([]uint32, 0, sumCap)},
+			sum: ShardSummer{unit: unitSize, sums: make([]uint32, 0, sumCap)},
 		}
-		sinks[i].sha.Reset()
 		writers[i] = &sinks[i]
 	}
 
@@ -333,7 +301,6 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 		m.Stripes = 1
 	}
 	m.Version = ManifestV2
-	m.Checksums = make([]string, k+r)
 	m.StripeSums = make([][]uint32, k+r)
 	for i := range files {
 		if err := sinks[i].w.Flush(); err != nil {
@@ -342,8 +309,7 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 		if err := files[i].Close(); err != nil {
 			return m, st, err
 		}
-		m.Checksums[i] = hex.EncodeToString(sinks[i].sha.Sum(nil))
-		m.StripeSums[i] = sinks[i].sum.sums
+		m.StripeSums[i] = sinks[i].sum.StripeSums()
 	}
 	if err := m.Validate(); err != nil {
 		return m, st, err
@@ -770,8 +736,9 @@ func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 		}
 		var rd io.Reader = f
 		if opt.ShardReadTimeout > 0 {
-			// The guard goes under bufio so its deadline and copy are paid
-			// once per streamBufSize refill, not once per unit.
+			// The guard goes under bufio, so small units share one deadline
+			// and one copy per StreamBufSize refill; unit-sized reads pass
+			// through bufio and are guarded one by one.
 			g := newStallGuard(f, i, opt.ShardReadTimeout)
 			sr.guards = append(sr.guards, g)
 			rd = g
@@ -809,7 +776,8 @@ func ReadStreamPaths(paths []string, m Manifest, dst io.Writer, workers int, opt
 // ReadStream decodes dir's shard set to dst, reconstructing lost or
 // corrupt data shards on the fly (without rewriting the damaged shard
 // files — use Repair or Scrub for that). Every present shard is verified
-// against the manifest's length and SHA-256 before decoding, so silent
+// against the manifest — length at open, then each unit's CRC32C inside
+// the decode (whole-shard SHA-256 up front for a v1 set) — so silent
 // corruption is reconstructed around instead of served; when too many
 // shards are damaged the error wraps gemmec.ErrTooFewShards (and
 // gemmec.ErrCorruptShard if checksum failures contributed). It returns the

@@ -104,10 +104,8 @@ func TestReadStreamShortRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip checksums and inflate the stripe count so the size/sum
-	// pre-verification cannot save us; the decoder itself must detect the
-	// short read.
-	m.Checksums = nil
+	// Inflate the stripe count so the open-time size check cannot save us;
+	// the read must fail rather than pad.
 	m.Stripes++
 	m.FileSize = int64(m.Stripes) * int64(m.K) * int64(m.UnitSize)
 	if err := SaveManifest(dir, m); err != nil {
@@ -300,20 +298,37 @@ func TestTooManyDemotionsFails(t *testing.T) {
 	}
 }
 
-// Legacy v1 manifests (whole-shard SHA-256, no stripe sums) must keep
-// working forever: the open pre-verifies (in parallel), catches rot before
-// the first byte, and the decode reconstructs; scrub heals them too.
-func TestV1ManifestBackCompat(t *testing.T) {
-	dir, raw := writeStreamTestFile(t, tk*tunit*2+9)
+// downgradeToV1 rewrites dir's manifest as a legacy v1 one: whole-shard
+// SHA-256 over the shard files as they are now, no stripe sums. No writer
+// produces these any more, so v1 fixtures build their own.
+func downgradeToV1(t *testing.T, dir string) Manifest {
+	t.Helper()
 	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Version = 0
 	m.StripeSums = nil
+	m.Checksums = make([]string, m.K+m.R)
+	for i := range m.Checksums {
+		data, err := os.ReadFile(ShardPath(dir, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Checksums[i] = shardSum(data)
+	}
 	if err := SaveManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// Legacy v1 manifests (whole-shard SHA-256, no stripe sums) must keep
+// working forever: the open pre-verifies (in parallel), catches rot before
+// the first byte, and the decode reconstructs; scrub heals them too.
+func TestV1ManifestBackCompat(t *testing.T) {
+	dir, raw := writeStreamTestFile(t, tk*tunit*2+9)
+	m := downgradeToV1(t, dir)
 	corruptShardByte(t, dir, 3, 7)
 	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
 	if err != nil {

@@ -1,9 +1,6 @@
 package shardfile
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"hash"
 	"hash/crc32"
 
 	"gemmec"
@@ -18,40 +15,45 @@ import (
 // byte-compatible with the ones WriteStreamPaths produces, so the
 // computations live here, next to the manifest format they define.
 
-// ShardSummer accumulates one shard stream's manifest checksums as the
-// bytes flow past: the whole-shard SHA-256 and the per-UnitSize CRC32C
-// stripe sums, handling arbitrary write fragmentation. It never fails, so
-// it composes into io.MultiWriter without disturbing the primary sink.
+// ShardSummer accumulates one shard stream's manifest checksums — the
+// CRC32C of each UnitSize window — as the bytes flow past: the stripe-sum
+// computation folded into the encode write path, no extra pass. The
+// pipeline writes whole units, but the summer handles arbitrary write
+// fragmentation anyway. It never fails, so it composes into
+// io.MultiWriter without disturbing the primary sink.
 type ShardSummer struct {
-	sha    hash.Hash
-	stripe stripeSummer
-	n      int64
+	unit int
+	n    int    // bytes into the current unit
+	crc  uint32 // running CRC of the current unit
+	sums []uint32
 }
 
 // NewShardSummer returns a summer for one shard of a unitSize-unit code.
-func NewShardSummer(unitSize int) *ShardSummer {
-	return &ShardSummer{sha: sha256.New(), stripe: stripeSummer{unit: unitSize}}
+func NewShardSummer(unitSize int) *ShardSummer { return &ShardSummer{unit: unitSize} }
+
+// Write folds p into the stripe sums.
+func (w *ShardSummer) Write(p []byte) (int, error) {
+	total := len(p)
+	for len(p) > 0 {
+		take := w.unit - w.n
+		if take > len(p) {
+			take = len(p)
+		}
+		w.crc = crc32.Update(w.crc, castagnoli, p[:take])
+		w.n += take
+		p = p[take:]
+		if w.n == w.unit {
+			w.sums = append(w.sums, w.crc)
+			w.crc, w.n = 0, 0
+		}
+	}
+	return total, nil
 }
-
-// Write folds p into both checksums.
-func (s *ShardSummer) Write(p []byte) (int, error) {
-	s.sha.Write(p)
-	s.stripe.Write(p) //nolint:errcheck // never fails
-	s.n += int64(len(p))
-	return len(p), nil
-}
-
-// Len returns the bytes written so far.
-func (s *ShardSummer) Len() int64 { return s.n }
-
-// SumSHA256 returns the shard's hex SHA-256 — the Manifest.Checksums
-// entry. Call after the final Write.
-func (s *ShardSummer) SumSHA256() string { return hex.EncodeToString(s.sha.Sum(nil)) }
 
 // StripeSums returns the per-unit CRC32C column — the Manifest.StripeSums
 // entry. Call after the final Write; partial trailing units (which a
 // well-formed shard stream never has) are not summed.
-func (s *ShardSummer) StripeSums() []uint32 { return s.stripe.sums }
+func (w *ShardSummer) StripeSums() []uint32 { return w.sums }
 
 // NewStripeVerifier returns the unit verifier enforcing m's stripe sums,
 // for decodes that read shards from sources OpenStreamPaths does not
