@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ladder-smoke ci
+.PHONY: all build vet test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ladder-smoke loc ci
 
 all: build
 
@@ -73,20 +73,19 @@ stress-range:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Machine-readable bench trajectory: clean vs degraded decode GB/s and
-# time-to-first-byte across object sizes (BENCH_decode.json), the serving
-# path's PUT/GET latency percentiles clean vs degraded through the full
-# daemon stack (BENCH_server.json), and the heavy-traffic open-loop run —
-# sustained RPS, small/large tails, shed count, goroutine bound
-# (BENCH_load.json), and the networked 3-peer cluster's gateway latency +
-# rebuild MB/s (BENCH_cluster.json). BENCH_ARGS="-quick" shrinks all four
-# for smoke runs.
+# Machine-readable bench trajectory: the serving path's PUT/GET latency
+# percentiles clean vs degraded through the full daemon stack
+# (BENCH_server.json), the heavy-traffic open-loop run — sustained RPS,
+# small/large tails, shed count, goroutine bound (BENCH_load.json), and
+# the networked 3-peer cluster's gateway latency + rebuild MB/s
+# (BENCH_cluster.json). BENCH_ARGS="-quick" shrinks all three for smoke
+# runs. Shard-set decode, range and patch numbers come from the ladder
+# (`bash benchmark/run.sh --trace 1`: shardfile.read_mbps, .range_ms,
+# .patch_ms).
 bench-json:
-	$(GO) run ./cmd/ecbench -exp decode-json -json BENCH_decode.json $(BENCH_ARGS)
 	$(GO) run ./cmd/ecbench -exp server-json -json BENCH_server.json $(BENCH_ARGS)
 	$(GO) run ./cmd/ecbench -exp load-json -json BENCH_load.json $(BENCH_ARGS)
 	$(GO) run ./cmd/ecbench -exp cluster-json -json BENCH_cluster.json $(BENCH_ARGS)
-	$(GO) run ./cmd/ecbench -exp range-json -json BENCH_range.json $(BENCH_ARGS)
 
 # Smoke pass over every bench-json experiment at the quick profile: the
 # gate is that each experiment RUNS to completion (including the tuner
@@ -95,19 +94,29 @@ bench-json:
 # paper-scale results from `make bench-json`.
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
-	$(GO) run ./cmd/ecbench -exp decode-json -quick -json .bench-smoke/decode.json
 	$(GO) run ./cmd/ecbench -exp server-json -quick -json .bench-smoke/server.json
 	$(GO) run ./cmd/ecbench -exp load-json -quick -json .bench-smoke/load.json
 	$(GO) run ./cmd/ecbench -exp cluster-json -quick -json .bench-smoke/cluster.json
-	$(GO) run ./cmd/ecbench -exp range-json -quick -json .bench-smoke/range.json
 	rm -rf .bench-smoke
 
 # The ladder benchmark (benchmark/) is its own module compiled against this
-# tree's exported surface — shardfile.WriteStreamPaths/OpenStreamPaths/
-# PlanPatch, server.Open/NewGateway/Backend, ... Its harness tests run here
-# so a change that breaks that surface fails CI, not the perf gate.
+# tree's exported surface — shardfile.WriteStreamPaths/OpenStreamPaths (+
+# StreamReader.Decode/DecodeRange)/ScrubPaths/PlanPatch/ApplyPatch/Opts/
+# Manifest, vfs.FS/File, peer.Transport/NewClient/NewRing/NewFaultTransport,
+# server.Open/NewGateway/OpenPeerStore/NewPeerAPI/NewLocalTransport,
+# server.Backend/ObjectStream/RangedStream/RangeOpener/Patcher,
+# server.Config/StoreConfig/GatewayConfig, server.NewHandler/
+# NewBackendHandler/NewMetrics. Its harness tests run here so a change that
+# breaks that surface fails CI, not the perf gate.
 ladder-smoke:
 	cd benchmark && $(GO) test ./...
+
+# Non-test Go source lines per package (benchmark/ excluded): the number a
+# PR claiming a simplification quotes before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # The allocation guards on the streaming hot paths (TestStreamSteadyStateAllocs,
 # TestDecodeStreamSteadyStateAllocs and the full-server

@@ -1,8 +1,9 @@
 // Command eccli erasure-codes files on disk through the public gemmec API
 // and the internal/shardfile shard-set layout: encode splits a file into k
-// data shards plus r parity shards, repair rebuilds missing shard files,
-// verify checks stripe consistency, and decode reassembles the file
-// (reconstructing on the fly if shards are missing).
+// data shards plus r parity shards, repair (or its synonym scrub) rebuilds
+// shard files that are missing or fail their manifest checksums, verify
+// checks stripe consistency, and decode reassembles the file
+// (reconstructing on the fly around missing or rotten shards).
 //
 // Usage:
 //
@@ -12,9 +13,11 @@
 //	eccli verify -dir shards/
 //	eccli decode -dir shards/ -out restored.bin
 //
-// encode and decode accept -stream-workers N to stream the file through
-// the pipelined engine with N concurrent kernel workers instead of
-// buffering it in memory (and print the pipeline's stall breakdown).
+// Every command streams: files of any size run through the pipelined
+// engine in bounded memory, every shard unit is checked against the
+// manifest's CRC32C as it is read, and encode/decode print the pipeline's
+// stall breakdown. -stream-workers N sizes the kernel worker pool (0, the
+// default, selects GOMAXPROCS capped at 8).
 //
 // eccli is also the client for the ecserver daemon (cmd/ecserver): put
 // uploads a file as a named object and get streams it back, reporting when
@@ -57,12 +60,10 @@ func main() {
 	switch os.Args[1] {
 	case "encode":
 		err = cmdEncode(os.Args[2:])
-	case "repair":
-		err = cmdRepair(os.Args[2:])
+	case "repair", "scrub":
+		err = cmdScrub(os.Args[1], os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "scrub":
-		err = cmdScrub(os.Args[2:])
 	case "decode":
 		err = cmdDecode(os.Args[2:])
 	case "put":
@@ -87,24 +88,31 @@ func usage() {
 	os.Exit(2)
 }
 
-func cmdScrub(args []string) error {
-	fs := flag.NewFlagSet("scrub", flag.ExitOnError)
+// cmdScrub implements both scrub and repair: every shard file that is
+// missing, truncated or fails its manifest checksum is rebuilt from the
+// survivors and rewritten.
+func cmdScrub(verb string, args []string) error {
+	fs := flag.NewFlagSet(verb, flag.ExitOnError)
 	dir := fs.String("dir", "", "shard directory")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dir == "" {
-		return fmt.Errorf("scrub: -dir required")
+		return fmt.Errorf("%s: -dir required", verb)
 	}
-	healed, err := shardfile.Scrub(*dir)
+	m, err := shardfile.LoadManifest(*dir)
+	if err != nil {
+		return err
+	}
+	healed, err := shardfile.ScrubPaths(shardfile.DirPaths(*dir, m.K+m.R), m, shardfile.Opts{})
 	if err != nil {
 		return err
 	}
 	if len(healed) == 0 {
-		fmt.Println("no corruption found")
+		fmt.Println("all shards present and intact; nothing to repair")
 		return nil
 	}
-	fmt.Printf("healed %d shard(s): %v\n", len(healed), healed)
+	fmt.Printf("repaired %d shard(s): %v\n", len(healed), healed)
 	return nil
 }
 
@@ -115,43 +123,36 @@ func cmdEncode(args []string) error {
 	k := fs.Int("k", 10, "data shards")
 	r := fs.Int("r", 4, "parity shards")
 	unit := fs.Int("unit", 128<<10, "unit size in bytes")
-	workers := fs.Int("stream-workers", 0,
-		"stream the file through N concurrent encode workers instead of buffering it in memory (0 = in-memory path)")
+	workers := fs.Int("stream-workers", 0, "concurrent encode workers (0 = GOMAXPROCS capped at 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" || *dir == "" {
 		return fmt.Errorf("encode: -in and -dir required")
 	}
-	if *workers > 0 {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			return err
-		}
-		m, st, err := shardfile.WriteStream(*dir, f, fi.Size(), *k, *r, *unit, *workers)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("encoded %d bytes into %d+%d shards x %d stripes under %s\n",
-			m.FileSize, m.K, m.R, m.Stripes, *dir)
-		printStats(st)
-		return nil
-	}
-	raw, err := os.ReadFile(*in)
+	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
-	m, err := shardfile.Write(*dir, raw, *k, *r, *unit)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(*dir, 0o755); err != nil {
+		return err
+	}
+	m, st, err := shardfile.WriteStreamPaths(shardfile.DirPaths(*dir, *k+*r), f, fi.Size(),
+		*k, *r, *unit, *workers, shardfile.Opts{})
+	if err != nil {
+		return err
+	}
+	if err := shardfile.SaveManifest(*dir, m); err != nil {
 		return err
 	}
 	fmt.Printf("encoded %d bytes into %d+%d shards x %d stripes under %s\n",
-		len(raw), m.K, m.R, m.Stripes, *dir)
+		m.FileSize, m.K, m.R, m.Stripes, *dir)
+	printStats(st)
 	return nil
 }
 
@@ -161,27 +162,6 @@ func cmdEncode(args []string) error {
 func printStats(st gemmec.StreamStats) {
 	fmt.Printf("pipeline: %d workers depth %d, %d stripes in %v (read stall %v, encode stall %v, write stall %v)\n",
 		st.Workers, st.Depth, st.Stripes, st.Elapsed, st.ReadStall, st.EncodeStall, st.WriteStall)
-}
-
-func cmdRepair(args []string) error {
-	fs := flag.NewFlagSet("repair", flag.ExitOnError)
-	dir := fs.String("dir", "", "shard directory")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("repair: -dir required")
-	}
-	rebuilt, err := shardfile.Repair(*dir)
-	if err != nil {
-		return err
-	}
-	if len(rebuilt) == 0 {
-		fmt.Println("all shards present; nothing to repair")
-		return nil
-	}
-	fmt.Printf("repaired %d shard(s): %v\n", len(rebuilt), rebuilt)
-	return nil
 }
 
 func cmdVerify(args []string) error {
@@ -208,45 +188,42 @@ func cmdDecode(args []string) error {
 	fs := flag.NewFlagSet("decode", flag.ExitOnError)
 	dir := fs.String("dir", "", "shard directory")
 	out := fs.String("out", "", "output file")
-	workers := fs.Int("stream-workers", 0,
-		"stream the shard set through N concurrent reconstruction workers instead of buffering it in memory (0 = in-memory path)")
+	workers := fs.Int("stream-workers", 0, "concurrent reconstruction workers (0 = GOMAXPROCS capped at 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *dir == "" || *out == "" {
 		return fmt.Errorf("decode: -dir and -out required")
 	}
-	if *workers > 0 {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		m, missing, st, err := shardfile.ReadStream(*dir, f, *workers)
-		if err != nil {
-			// The output file holds a partial, useless prefix; remove it so
-			// scripts cannot mistake it for a successful decode, and wrap the
-			// cause so errors.Is classification (ErrTooFewShards,
-			// ErrCorruptShard, ...) survives to the caller.
-			f.Close()
-			os.Remove(*out)
-			return fmt.Errorf("decode: stream decode of %s failed mid-file: %w", *dir, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("decoded %d bytes to %s (reconstructed from losses: %v)\n", m.FileSize, *out, missing)
-		printStats(st)
-		return nil
-	}
-	data, rebuilt, err := shardfile.Read(*dir)
+	m, err := shardfile.LoadManifest(*dir)
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	sr, err := shardfile.OpenStreamPaths(shardfile.DirPaths(*dir, m.K+m.R), m, shardfile.Opts{})
+	if err != nil {
+		return fmt.Errorf("decode: %w", err)
+	}
+	defer sr.Close()
+	f, err := os.Create(*out)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("decoded %d bytes to %s (reconstructed shards: %v)\n", len(data), *out, rebuilt)
+	defer f.Close()
+	st, err := sr.Decode(f, *workers)
+	if err != nil {
+		// The output file holds a partial, useless prefix; remove it so
+		// scripts cannot mistake it for a successful decode, and wrap the
+		// cause so errors.Is classification (ErrTooFewShards,
+		// ErrCorruptShard, ...) survives to the caller.
+		f.Close()
+		os.Remove(*out)
+		return fmt.Errorf("decode: stream decode of %s failed mid-file: %w", *dir, err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("decoded %d bytes to %s (reconstructed shards: %v)\n", m.FileSize, *out, sr.Unusable())
+	printStats(st)
 	return nil
 }
 

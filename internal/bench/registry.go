@@ -22,11 +22,9 @@ type Config struct {
 	LatencySamples int
 	// Seed for workload data and tuning.
 	Seed int64
-	// DecodeSizes are the object sizes (bytes) the decode-json experiment
-	// sweeps; empty selects 1 MiB / 64 MiB / 1 GiB.
-	DecodeSizes []int64
-	// JSONPath, when non-empty, makes JSON-emitting experiments (decode-json)
-	// also write their results to this file.
+	// JSONPath, when non-empty, makes the JSON-emitting experiments
+	// (server-json, load-json, cluster-json) also write their results to
+	// this file.
 	JSONPath string
 }
 
@@ -49,7 +47,6 @@ func QuickConfig() Config {
 		TuneTrials:     0,
 		LatencySamples: 50,
 		Seed:           1,
-		DecodeSizes:    []int64{1 << 20, 8 << 20, 32 << 20},
 	}
 }
 

@@ -91,14 +91,8 @@ var (
 	_ RangeOpener = (*Gateway)(nil)
 	_ Patcher     = (*Gateway)(nil)
 
-	_ ObjectStream = (*Object)(nil)
-	_ ObjectStream = (*gatewayObject)(nil)
 	_ RangedStream = (*Object)(nil)
-	_ RangedStream = (*gatewayObject)(nil)
 )
-
-// Name implements ObjectStream for the local store's Object.
-func (o *Object) Name() string { return o.Meta.Name }
 
 // Open adapts OpenObject to the Backend interface (the concrete *Object
 // return would otherwise become a non-nil interface on error).

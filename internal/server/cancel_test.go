@@ -75,7 +75,7 @@ func waitCounter(t *testing.T, what string, probe func() int64, want int64) {
 }
 
 func TestClientDisconnectMidPut(t *testing.T) {
-	s, m, ts := newMetricsServer(t)
+	s, m, ts := newMetricsServer(t, Config{})
 	const name = "half-upload"
 	key := objKey(name)
 
@@ -129,7 +129,7 @@ func TestClientDisconnectMidPut(t *testing.T) {
 }
 
 func TestClientDisconnectMidGet(t *testing.T) {
-	s, m, ts := newMetricsServer(t)
+	s, m, ts := newMetricsServer(t, Config{})
 	const name = "big-download"
 	key := objKey(name)
 	mustPut(t, s, name, randBytes(5, 8<<20))
@@ -206,7 +206,7 @@ func TestPutDeleteLockRace(t *testing.T) {
 }
 
 func TestMaxObjectSize413(t *testing.T) {
-	s, _, ts := newMetricsServer(t, WithMaxObjectSize(4096))
+	s, _, ts := newMetricsServer(t, Config{MaxObjectSize: 4096})
 	big := randBytes(3, 16384)
 
 	// Declared oversize: refused before any shard I/O.
@@ -275,7 +275,7 @@ func (r *trickleReader) Read(p []byte) (int, error) {
 }
 
 func TestRequestTimeout504(t *testing.T) {
-	s, m, ts := newMetricsServer(t, WithRequestTimeout(150*time.Millisecond))
+	s, m, ts := newMetricsServer(t, Config{RequestTimeout: 150 * time.Millisecond})
 	const name = "too-slow"
 
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/o/"+name,
@@ -389,5 +389,49 @@ func TestStoreOpsRefuseDeadContext(t *testing.T) {
 	// The object survives all of the refused operations.
 	if got, _ := mustGet(t, s, "exists"); len(got) != tk*tunit {
 		t.Fatalf("object damaged by refused ops: %d bytes", len(got))
+	}
+}
+
+// cancelOnWrite cancels a context the first time it is written to and
+// counts the bytes it was handed.
+type cancelOnWrite struct {
+	cancel context.CancelFunc
+	n      int
+}
+
+func (w *cancelOnWrite) Write(p []byte) (int, error) {
+	w.cancel()
+	w.n += len(p)
+	return len(p), nil
+}
+
+// A gateway GET observes its request context inside the decode, like a
+// Store GET: canceled mid-stream it stops between stripes with the
+// context's error instead of decoding the rest of the object for nobody,
+// and Close frees the key lock for the next writer.
+func TestGatewayGetCanceledMidStream(t *testing.T) {
+	c := newFaultCluster(t, 6, 4, 2, 1, tunit)
+	const name = "cancel-mid-get"
+	data := randBytes(31, 1<<20) // 512 stripes: far more than the pipeline holds in flight
+	if _, _, err := c.gw.Put(context.Background(), name, bytes.NewReader(data), int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o, err := c.gw.Open(ctx, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &cancelOnWrite{cancel: cancel}
+	_, err = o.Stream(sink)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Stream after mid-stream cancel = %v, want context.Canceled", err)
+	}
+	if sink.n >= len(data) {
+		t.Fatalf("canceled GET still streamed all %d bytes", sink.n)
+	}
+	o.Close()
+	if !c.gw.lockFor(objKey(name)).TryLock() {
+		t.Fatal("key lock still held after the canceled GET was closed")
 	}
 }

@@ -1,136 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
 )
-
-// TestDeprecatedHandlerOptionsByteIdentical pins the deprecation contract
-// for NewHandlerOptions: a server built through the legacy variadic
-// constructor must behave byte-for-byte like one built through the new
-// server.Config path — same bodies, same status codes, same degraded-read
-// reconstruction.
-func TestDeprecatedHandlerOptionsByteIdentical(t *testing.T) {
-	newPair := func() (old, niu *httptest.Server, olds, news *Store) {
-		olds, news = newTestStore(t), newTestStore(t)
-		m1, m2 := NewMetrics(nil), NewMetrics(nil)
-		olds.SetMetrics(m1)
-		news.SetMetrics(m2)
-		old = httptest.NewServer(NewHandlerOptions(olds, t.Logf,
-			WithMetrics(m1), WithMaxObjectSize(1<<20)))
-		niu = httptest.NewServer(NewHandler(news, Config{
-			Logf: t.Logf, Metrics: m2, MaxObjectSize: 1 << 20,
-		}))
-		t.Cleanup(old.Close)
-		t.Cleanup(niu.Close)
-		return
-	}
-	old, niu, olds, news := newPair()
-
-	do := func(srv *httptest.Server, method, path string, body []byte) (int, http.Header, []byte) {
-		t.Helper()
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, srv.URL+path, rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if body != nil {
-			req.ContentLength = int64(len(body))
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header, b
-	}
-
-	// The same traffic against both servers must produce identical
-	// results at every step.
-	payload := randBytes(7, 3*tk*tunit+17)
-	for _, step := range []struct {
-		method, path string
-		body         []byte
-	}{
-		{http.MethodPut, "/o/obj", payload},
-		{http.MethodGet, "/o/obj", nil},
-		{http.MethodGet, "/o/missing", nil},
-		{http.MethodGet, "/objects", nil},
-		{http.MethodPut, "/o/too-big", randBytes(8, 1<<20+1)},
-		{http.MethodDelete, "/o/obj", nil},
-		{http.MethodGet, "/o/obj", nil},
-	} {
-		s1, _, b1 := do(old, step.method, step.path, step.body)
-		s2, _, b2 := do(niu, step.method, step.path, step.body)
-		if s1 != s2 {
-			t.Fatalf("%s %s: legacy handler → %d, Config handler → %d", step.method, step.path, s1, s2)
-		}
-		if step.method == http.MethodGet && step.path == "/o/obj" && s1 == http.StatusOK {
-			if !bytes.Equal(b1, payload) || !bytes.Equal(b2, payload) {
-				t.Fatalf("GET bodies diverge from payload (legacy %d bytes, Config %d bytes)", len(b1), len(b2))
-			}
-		}
-		if step.path == "/objects" && !bytes.Equal(b1, b2) {
-			t.Fatalf("/objects listings differ:\nlegacy: %s\nConfig: %s", b1, b2)
-		}
-	}
-
-	// Degraded reads reconstruct identically through both constructors.
-	mustPut(t, olds, "deg", payload)
-	mustPut(t, news, "deg", payload)
-	for _, s := range []*Store{olds, news} {
-		meta, err := s.Stat("deg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.RemoveAll(s.nodeDir(meta.Placement[0])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s1, h1, b1 := func() (int, http.Header, []byte) {
-		resp, err := http.Get(old.URL + "/o/deg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, resp.Header, b
-	}()
-	s2, h2, b2 := func() (int, http.Header, []byte) {
-		resp, err := http.Get(niu.URL + "/o/deg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, resp.Header, b
-	}()
-	if s1 != http.StatusOK || s2 != http.StatusOK {
-		t.Fatalf("degraded GET status: legacy %d, Config %d", s1, s2)
-	}
-	if !bytes.Equal(b1, payload) || !bytes.Equal(b2, b1) {
-		t.Fatal("degraded GET bodies diverge between legacy and Config handlers")
-	}
-	if h1.Get("X-Gemmec-Degraded") != "true" || h2.Get("X-Gemmec-Degraded") != "true" {
-		t.Fatalf("degraded header: legacy %q, Config %q",
-			h1.Get("X-Gemmec-Degraded"), h2.Get("X-Gemmec-Degraded"))
-	}
-}
 
 // TestReservedSlabKeysHidden is the catalog-hygiene regression test: the
 // slab packer's reserved "slab_<n>" carrier objects must never leak into

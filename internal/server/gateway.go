@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,6 +19,7 @@ import (
 	"gemmec/internal/obs"
 	"gemmec/internal/peer"
 	"gemmec/internal/shardfile"
+	"gemmec/internal/tuned"
 )
 
 // ErrWriteQuorum reports a PUT that could not land k+q shard acks: the
@@ -27,6 +27,10 @@ import (
 // and the object remains whatever it was before. Clients see 503 — the
 // cluster may heal and the write can be retried.
 var ErrWriteQuorum = errors.New("server: write quorum not reached")
+
+// rebuildBufSize sizes rebuildObjectShards' bufio layers like the
+// shardfile engine's: small units coalesce, unit-sized I/O passes through.
+const rebuildBufSize = gemmec.DefaultUnitSize / 2
 
 // rollbackTimeout bounds the cleanup work a failed or canceled PUT does
 // with a fresh context — the request's own context is typically already
@@ -76,8 +80,11 @@ type GatewayConfig struct {
 // placement is deterministic and metadata is replicated to all members.
 type Gateway struct {
 	cfg    GatewayConfig
-	code   *gemmec.Code
 	quorum int // shard acks required: k + clamped q
+
+	// codes shares one compiled code and one stripe-buffer pool per stripe
+	// geometry across all requests (shardfile.Opts.Source), as in Store.
+	codes *tuned.Registry
 
 	sched    *gemmec.Scheduler
 	ownSched bool
@@ -85,15 +92,11 @@ type Gateway struct {
 	mu    sync.Mutex
 	locks map[string]*sync.RWMutex
 
-	puts, gets, degradedGets, deletes atomic.Int64
-	rangeGets, patches                atomic.Int64
-	bytesIn, bytesOut                 atomic.Int64
-	quorumFailures                    atomic.Int64
-	rebuilds, shardsRebuilt           atomic.Int64
-	repairBytesRead                   atomic.Int64
-	repairBytesWritten                atomic.Int64
-
-	metrics atomic.Pointer[Metrics]
+	traffic
+	quorumFailures          atomic.Int64
+	rebuilds, shardsRebuilt atomic.Int64
+	repairBytesRead         atomic.Int64
+	repairBytesWritten      atomic.Int64
 
 	closeOnce sync.Once
 }
@@ -106,8 +109,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.UnitSize == 0 {
 		cfg.UnitSize = gemmec.DefaultUnitSize
 	}
-	code, err := gemmec.New(cfg.K, cfg.R, gemmec.WithUnitSize(cfg.UnitSize))
-	if err != nil {
+	codes := tuned.NewRegistry(tuned.Config{})
+	if _, err := codes.Code(cfg.K, cfg.R, cfg.UnitSize); err != nil {
 		return nil, err
 	}
 	if cfg.Ring.Len() < cfg.K+cfg.R {
@@ -133,7 +136,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:    cfg,
-		code:   code,
+		codes:  codes,
 		quorum: cfg.K + cfg.WriteQuorum,
 		locks:  map[string]*sync.RWMutex{},
 	}
@@ -168,7 +171,13 @@ func (g *Gateway) SetMetrics(m *Metrics) {
 	m.RegisterGateway(g)
 }
 
-func (g *Gateway) m() *Metrics { return g.metrics.Load() }
+// streamOpts bundles the gateway's shared scheduler and code registry
+// with one request's context for the shardfile engine — the peer-side
+// twin of Store.fileOpts. The scheduler sizes the kernel pool, so engine
+// calls pass 0 for the per-call worker count.
+func (g *Gateway) streamOpts(ctx context.Context) shardfile.Opts {
+	return shardfile.Opts{Ctx: ctx, Sched: g.sched, Source: g.codes}
+}
 
 // lockFor returns key's gateway-local lock. Unlike Store the entries are
 // never retired: the gateway's map tracks keys this process served, and
@@ -317,11 +326,10 @@ func (g *Gateway) Put(ctx context.Context, name string, src io.Reader, size int6
 // fan-out, quorum accounting and the metadata commit. Factored out so
 // Patch can run a read-modify-write under one lock acquisition.
 func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error) {
-	var st gemmec.StreamStats
 	n := g.cfg.K + g.cfg.R
 	placement, err := g.cfg.Ring.Placement(key, n)
 	if err != nil {
-		return ObjectMeta{}, st, err
+		return ObjectMeta{}, gemmec.StreamStats{}, err
 	}
 	meta := ObjectMeta{Name: name, Gen: 1, Placement: placement}
 	// One synchronous span for the whole majority read; peer.Client
@@ -334,7 +342,7 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 		// Without a majority read the next generation cannot be computed
 		// safely — guessing Gen 1 here would let a stale higher-generation
 		// replica shadow this write forever. Fail; the client retries.
-		return ObjectMeta{}, st, fmt.Errorf("server: cannot establish current generation for %s: %w", name, oldErr)
+		return ObjectMeta{}, gemmec.StreamStats{}, fmt.Errorf("server: cannot establish current generation for %s: %w", name, oldErr)
 	}
 	hasOld := oldErr == nil
 	if hasOld {
@@ -345,100 +353,47 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	}
 	gen := uint64(meta.Gen)
 
-	// Shard fan-out: the encode pipeline writes each shard into a pipe; an
+	// Shard fan-out: the encode engine writes each shard into a pipe; an
 	// uploader goroutine per shard streams the pipe to the placed member.
 	// A failed uploader keeps draining its pipe so the encode — and with
 	// it the surviving shards — never blocks on the dead one.
-	prs := make([]*io.PipeReader, n)
 	pws := make([]*io.PipeWriter, n)
-	bufs := make([]*bufio.Writer, n)
-	summers := make([]*shardfile.ShardSummer, n)
-	writers := make([]io.Writer, n)
+	ws := make([]io.Writer, n)
 	upErrs := make([]error, n)
-	for i := 0; i < n; i++ {
-		prs[i], pws[i] = io.Pipe()
-		bufs[i] = bufio.NewWriterSize(pws[i], shardfile.StreamBufSize)
-		summers[i] = shardfile.NewShardSummer(g.cfg.UnitSize)
-		writers[i] = io.MultiWriter(bufs[i], summers[i])
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		pr, pw := io.Pipe()
+		pws[i], ws[i] = pw, pw
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := g.transport(placement[i]).PutShard(ctx, key, gen, i, -1, prs[i])
+			err := g.transport(placement[i]).PutShard(ctx, key, gen, i, -1, pr)
 			if err != nil {
 				upErrs[i] = err
 				// Drain to EOF (or pipe error) so the encoder's writes to
 				// this shard never block; the bytes go nowhere, the
 				// surviving k+r-1 uploads continue.
-				io.Copy(io.Discard, prs[i]) //nolint:errcheck
+				io.Copy(io.Discard, pr) //nolint:errcheck
 			}
-			prs[i].Close()
+			pr.Close()
 		}(i)
 	}
-
-	abort := func(encErr error) {
-		for i := range pws {
-			pws[i].CloseWithError(encErr)
-		}
-		wg.Wait()
-		g.rollbackShards(key, gen, placement, upErrs)
-	}
-
-	encSrc := src
-	if size == 0 {
-		// An empty object still gets one all-zero stripe, matching the
-		// shardfile layer's at-least-one-stripe invariant.
-		encSrc = bytes.NewReader(make([]byte, g.code.DataSize()))
-	}
-	encOpts := []gemmec.StreamOption{
-		gemmec.WithStreamScheduler(g.sched),
-		gemmec.WithStreamStats(&st),
-		gemmec.WithStreamContext(ctx),
-	}
 	// The span covers encode + shard upload: it closes only after every
-	// uploader is joined, so its children (per-peer peer.put_shard spans
-	// and the remote shard.write spans they merge back) sit inside it and
-	// the straggler member is the longest bar.
+	// uploader is joined, so its children (the engine's shardfile.encode,
+	// per-peer peer.put_shard spans and the remote shard.write spans they
+	// merge back) sit inside it and the straggler member is the longest bar.
 	esp := obs.StartSpan(ctx, "gw.encode")
-	nRead, encErr := g.code.EncodeStream(bufio.NewReaderSize(encSrc, shardfile.StreamBufSize), writers, encOpts...)
-	if encErr == nil && size > 0 && nRead != size {
-		encErr = fmt.Errorf("server: source is %d bytes, expected %d", nRead, size)
+	m, st, err := shardfile.WriteStreamTo(ws, src, size, g.cfg.K, g.cfg.R, g.cfg.UnitSize, 0, g.streamOpts(ctx))
+	for _, pw := range pws {
+		pw.CloseWithError(err) // nil: a clean EOF ends the upload body
 	}
-	if encErr == nil && st.Stripes == 0 {
-		// Unknown-size source that turned out empty: emit the all-zero
-		// stripe now (zero data implies zero parity for a linear code).
-		zero := make([]byte, g.cfg.UnitSize)
-		for i := range writers {
-			if _, err := writers[i].Write(zero); err != nil {
-				encErr = err
-				break
-			}
-		}
-	}
-	if encErr != nil {
-		abort(encErr) // joins the uploaders; the span may close after it
-		esp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
-		esp.End(encErr)
-		return ObjectMeta{}, st, encErr
-	}
-	// Flush errors land in their own slice: uploader goroutine i may still
-	// be running here and write upErrs[i] concurrently, so upErrs is only
-	// touched again after wg.Wait() establishes the happens-before edge.
-	flushErrs := make([]error, n)
-	for i := range bufs {
-		flushErrs[i] = bufs[i].Flush()
-		pws[i].Close()
-	}
-	wg.Wait()
+	wg.Wait() // also the happens-before edge for reading upErrs
 	esp.SetArg(st.Stripes)
 	esp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
-	esp.End(nil)
-	for i, e := range flushErrs {
-		if e != nil && upErrs[i] == nil {
-			upErrs[i] = e
-		}
+	esp.End(err)
+	if err != nil {
+		g.rollbackShards(key, gen, placement, upErrs)
+		return ObjectMeta{}, st, err
 	}
 
 	acks := 0
@@ -462,32 +417,6 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 		g.rollbackShards(key, gen, placement, upErrs)
 		return ObjectMeta{}, st, cerr
 	}
-
-	m := shardfile.Manifest{
-		Version:  shardfile.ManifestV2,
-		K:        g.cfg.K,
-		R:        g.cfg.R,
-		UnitSize: g.cfg.UnitSize,
-		FileSize: size,
-		Stripes:  int(st.Stripes),
-	}
-	if size < 0 {
-		m.FileSize = nRead
-	}
-	if size == 0 {
-		m.FileSize = 0
-	}
-	if m.Stripes == 0 {
-		m.Stripes = 1
-	}
-	m.StripeSums = make([][]uint32, n)
-	for i, s := range summers {
-		m.StripeSums[i] = s.StripeSums()
-	}
-	if err := m.Validate(); err != nil {
-		g.rollbackShards(key, gen, placement, upErrs)
-		return ObjectMeta{}, st, err
-	}
 	meta.Manifest = m
 
 	csp := obs.StartSpan(ctx, "meta.commit")
@@ -510,14 +439,7 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 		}
 		cancel()
 	}
-	g.puts.Add(1)
-	g.bytesIn.Add(m.FileSize)
-	mt := g.m()
-	mt.recordStream("put", st)
-	mt.recordObjectBytes("put", m.FileSize)
-	if mt != nil {
-		mt.bytesIn.Add(m.FileSize)
-	}
+	g.recordPut(st, m.FileSize)
 	return meta, st, nil
 }
 
@@ -594,205 +516,19 @@ func (g *Gateway) commitMeta(ctx context.Context, key string, meta ObjectMeta, o
 		ErrWriteQuorum, acks, len(members), firstErr)
 }
 
-// appendShard adds shard i to a sorted set of shard indices, once.
-func appendShard(set []int, i int) []int {
-	for _, v := range set {
-		if v == i {
-			return set
-		}
-	}
-	set = append(set, i)
-	sort.Ints(set)
-	return set
-}
-
-// gatewayObject is an opened cluster object mid-read — the remote
-// analogue of Object, implementing ObjectStream over per-peer shard
-// streams instead of local files.
-type gatewayObject struct {
-	g    *Gateway
-	meta ObjectMeta
-
-	readers  []io.Reader
-	closers  []io.ReadCloser
-	unusable []int
-	demoted  []gemmec.Demotion
-	openBad  int
-
-	// trace is the request trace captured at Open time; Stream has no
-	// context parameter, so the decode span records through it.
-	trace *obs.Trace
-
-	// Ranged reads: the per-peer streams start at stripe base and Stream
-	// serves only payload bytes [rangeOff, rangeOff+rangeLen). winSize is
-	// the decode length in payload bytes counted from stripe base.
-	ranged             bool
-	rangeOff, rangeLen int64
-	base               int64
-	winSize            int64
-
-	// quiet suppresses client-facing read metrics — set on the internal
-	// decode feeding a Patch read-modify-write, which is not a GET.
-	quiet bool
-
-	unlock sync.Once
-	lock   *sync.RWMutex // nil when the caller already holds the key lock
-}
-
-func (o *gatewayObject) Name() string { return o.meta.Name }
-func (o *gatewayObject) Size() int64  { return o.meta.Size() }
-
-func (o *gatewayObject) Degraded() bool { return len(o.unusable) > 0 }
-
-func (o *gatewayObject) Unusable() []int { return o.unusable }
-
-func (o *gatewayObject) Demoted() []gemmec.Demotion { return o.demoted }
-
-// Range reports the resolved byte window a ranged open serves — the
-// whole object for a plain Open.
-func (o *gatewayObject) Range() (off, length int64) {
-	if !o.ranged {
-		return 0, o.Size()
-	}
-	return o.rangeOff, o.rangeLen
-}
-
-// Stream decodes the object to dst, reconstructing the missing shards'
-// data and verifying every unit's stripe CRC inside the decode pass. A
-// shard whose remote stream dies or rots mid-body is demoted and
-// reconstructed around, exactly like a local shard file would be.
-func (o *gatewayObject) Stream(dst io.Writer) (gemmec.StreamStats, error) {
-	var st gemmec.StreamStats
-	code, err := o.meta.Manifest.Code()
-	if err != nil {
-		return st, err
-	}
-	out := bufio.NewWriterSize(dst, shardfile.StreamBufSize)
-	opts := []gemmec.StreamOption{
-		gemmec.WithStreamScheduler(o.g.sched),
-		gemmec.WithStreamStats(&st),
-	}
-	// A ranged open's peer streams begin at stripe base, so the decode is
-	// windowed: size counts from base, the verifier checks the pipeline's
-	// stripe i against manifest stripe base+i, and a WindowWriter trims
-	// the first stripe's prefix and stops the pipeline at the window's
-	// last byte (ErrWindowDone is the early-stop, not a failure).
-	var sink io.Writer = out
-	var win *shardfile.WindowWriter
-	size := o.meta.Manifest.FileSize
-	if o.ranged {
-		stripeBytes := int64(o.meta.Manifest.K) * int64(o.meta.Manifest.UnitSize)
-		win = shardfile.NewWindowWriter(out, o.rangeOff-o.base*stripeBytes, o.rangeLen)
-		sink = win
-		size = o.winSize
-	}
-	if o.meta.Manifest.StripeVerified() {
-		opts = append(opts, gemmec.WithStreamVerifier(shardfile.NewStripeVerifierAt(o.meta.Manifest, o.base)))
-	}
-	sp := o.trace.StartSpan("gw.decode")
-	err = code.DecodeStream(o.readers, sink, size, opts...)
-	if err != nil && errors.Is(err, shardfile.ErrWindowDone) {
-		err = nil
-	}
-	if err == nil && win != nil && win.Remaining() > 0 {
-		err = fmt.Errorf("server: range decode ended %d bytes short of [off=%d,len=%d)",
-			win.Remaining(), o.rangeOff, o.rangeLen)
-	}
-	sp.SetArg(st.Stripes)
-	sp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
-	sp.End(err)
-	for _, d := range st.Demoted {
-		d.Stripe += o.base // pipeline stripes → manifest stripes
-		o.demoted = append(o.demoted, d)
-		o.unusable = appendShard(o.unusable, d.Shard)
-	}
-	mt := o.g.m()
-	if !o.quiet {
-		mt.recordStream("get", st)
-	}
-	if len(st.Demoted) > 0 && o.openBad == 0 {
-		o.g.degradedGets.Add(1)
-		if mt != nil && !o.quiet {
-			mt.degradedGets.Inc()
-		}
-	}
-	if err != nil {
-		return st, err
-	}
-	if err := out.Flush(); err != nil {
-		return st, err
-	}
-	n := o.Size()
-	if o.ranged {
-		n = o.rangeLen
-	}
-	o.g.bytesOut.Add(n)
-	if !o.quiet {
-		mt.recordObjectBytes("get", n)
-	}
-	if mt != nil && !o.quiet {
-		mt.bytesOut.Add(n)
-		if o.ranged {
-			mt.recordRange(n)
-		}
-	}
-	return st, nil
-}
-
-func (o *gatewayObject) Close() error {
-	for i, c := range o.closers {
-		if c != nil {
-			c.Close()
-			o.closers[i] = nil
-		}
-	}
-	o.unlock.Do(func() {
-		if o.lock != nil {
-			o.lock.RUnlock()
-		}
-	})
-	return nil
-}
-
 // Open opens object name for a (possibly degraded) cluster read: the
 // shard streams are fetched from their placed members in parallel, and
 // any member that is down, missing the shard, or serving the wrong
 // length is marked unusable for reconstruction. If fewer than k streams
-// open, the error wraps gemmec.ErrTooFewShards.
+// open, the error wraps gemmec.ErrTooFewShards. The returned object is
+// the same *Object a Store hands out, over peer bodies instead of files:
+// every unit's stripe CRC is verified inside the decode pass, and a shard
+// whose remote stream dies or rots mid-body is demoted and reconstructed
+// around, exactly like a local shard file would be.
 func (g *Gateway) Open(ctx context.Context, name string) (ObjectStream, error) {
-	if err := validateName(name); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	key := objKey(name)
-	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.lockFor(key)
-	l.RLock()
-	lsp.End(nil)
-	msp := obs.StartSpan(ctx, "meta.read")
-	_, meta, err := g.readMetaRaw(ctx, key)
-	msp.End(nil)
-	if err != nil {
-		l.RUnlock()
-		return nil, err
-	}
-	if meta.Deleted {
-		l.RUnlock()
-		return nil, fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name)
-	}
-	want := int64(meta.Manifest.Stripes) * int64(meta.Manifest.UnitSize)
-	o, err := g.openShards(ctx, meta, l, 0, want)
+	o, err := g.open(ctx, name, false, 0, 0)
 	if err != nil {
 		return nil, err
-	}
-	g.gets.Add(1)
-	if o.openBad > 0 {
-		g.degradedGets.Add(1)
-		if mt := g.m(); mt != nil {
-			mt.degradedGets.Inc()
-		}
 	}
 	return o, nil
 }
@@ -805,6 +541,17 @@ func (g *Gateway) Open(ctx context.Context, name string) (ObjectStream, error) {
 // is a suffix request, length == -1 runs to the end, and an
 // unsatisfiable window fails with a *RangeError.
 func (g *Gateway) OpenRange(ctx context.Context, name string, off, length int64) (RangedStream, error) {
+	o, err := g.open(ctx, name, true, off, length)
+	if err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// open is Open and OpenRange: key lock (shared, held by the returned
+// object until Close), majority metadata read, then the shard streams
+// covering the whole object or the resolved window.
+func (g *Gateway) open(ctx context.Context, name string, ranged bool, off, length int64) (*Object, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
@@ -816,73 +563,58 @@ func (g *Gateway) OpenRange(ctx context.Context, name string, off, length int64)
 	l := g.lockFor(key)
 	l.RLock()
 	lsp.End(nil)
+	fail := func(err error) (*Object, error) {
+		l.RUnlock()
+		return nil, err
+	}
 	msp := obs.StartSpan(ctx, "meta.read")
 	_, meta, err := g.readMetaRaw(ctx, key)
 	msp.End(nil)
 	if err != nil {
-		l.RUnlock()
-		return nil, err
+		return fail(err)
 	}
 	if meta.Deleted {
-		l.RUnlock()
-		return nil, fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name)
+		return fail(fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name))
 	}
-	off, length, err = resolveRange(off, length, meta.Size())
-	if err != nil {
-		l.RUnlock()
-		return nil, err
-	}
-	m := meta.Manifest
-	stripeBytes := int64(m.K) * int64(m.UnitSize)
-	base := off / stripeBytes
-	last := (off + length - 1) / stripeBytes
-	o, err := g.openShards(ctx, meta, l, base*int64(m.UnitSize), (last-base+1)*int64(m.UnitSize))
-	if err != nil {
-		return nil, err
-	}
-	o.ranged, o.rangeOff, o.rangeLen = true, off, length
-	o.base = base
-	o.winSize = off + length - base*stripeBytes
-	g.gets.Add(1)
-	g.rangeGets.Add(1)
-	if o.openBad > 0 {
-		g.degradedGets.Add(1)
-		if mt := g.m(); mt != nil {
-			mt.degradedGets.Inc()
+	base, stripes := int64(0), int64(meta.Manifest.Stripes)
+	if ranged {
+		if off, length, err = resolveRange(off, length, meta.Size()); err != nil {
+			return fail(err)
 		}
+		stripeBytes := int64(meta.Manifest.K) * int64(meta.Manifest.UnitSize)
+		base = off / stripeBytes
+		stripes = (off+length-1)/stripeBytes - base + 1
+	}
+	sr, err := g.openShards(ctx, meta, base, stripes)
+	if err != nil {
+		return fail(err)
+	}
+	o := g.newObject(meta, sr, l, nil)
+	if ranged {
+		o.setRange(off, length)
 	}
 	return o, nil
 }
 
-// openShards fetches bytes [shardOff, shardOff+shardLen) of every shard
-// of meta from its placed member in parallel and assembles the
-// gatewayObject (shardOff 0 with shardLen covering the whole shard uses
-// the plain whole-shard transfer). Members that are down, missing the
-// shard, or serving the wrong length are marked unusable; if fewer than
-// k streams open the error wraps gemmec.ErrTooFewShards. l may be nil
-// when the caller already holds the key lock (Patch's internal decode);
-// otherwise it is the held read lock, released by Close or on error.
-func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, l *sync.RWMutex, shardOff, shardLen int64) (*gatewayObject, error) {
+// openShards fetches manifest stripes [base, base+stripes) of every shard
+// of meta from its placed member in parallel and hands the bodies to the
+// shardfile decode engine (the whole object uses the plain whole-shard
+// transfer). Members that are down, missing the shard, or serving the
+// wrong length are marked unusable; if fewer than k streams open the
+// error wraps gemmec.ErrTooFewShards.
+func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, base, stripes int64) (*shardfile.StreamReader, error) {
 	key := objKey(meta.Name)
-	n := meta.Manifest.K + meta.Manifest.R
-	full := shardOff == 0 && shardLen == int64(meta.Manifest.Stripes)*int64(meta.Manifest.UnitSize)
-	o := &gatewayObject{
-		g:       g,
-		meta:    meta,
-		readers: make([]io.Reader, n),
-		closers: make([]io.ReadCloser, n),
-		trace:   obs.TraceFromContext(ctx),
-		lock:    l,
-	}
+	m := meta.Manifest
+	shardOff, shardLen := base*int64(m.UnitSize), stripes*int64(m.UnitSize)
+	full := base == 0 && stripes == int64(m.Stripes)
+	bodies := make([]io.ReadCloser, m.K+m.R)
 	// Covers the parallel shard-stream opens; the per-peer get_shard
 	// child spans (joined by wg.Wait below) show who was slow to answer.
 	osp := obs.StartSpan(ctx, "gw.open")
 	var wg sync.WaitGroup
-	bad := make([]bool, n)
-	for i := 0; i < n; i++ {
+	for i := range bodies {
 		tr := g.transport(meta.Placement[i])
 		if tr == nil {
-			bad[i] = true
 			continue
 		}
 		wg.Add(1)
@@ -899,33 +631,18 @@ func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, l *sync.RWMut
 				rc, size, err = tr.GetShardRange(ctx, key, uint64(meta.Gen), i, shardOff, shardLen)
 			}
 			if err != nil {
-				bad[i] = true
 				return
 			}
 			if size >= 0 && size != shardLen {
-				// Truncated or stale shard: erased, not trusted.
-				rc.Close()
-				bad[i] = true
+				rc.Close() // truncated or stale shard: erased, not trusted
 				return
 			}
-			o.closers[i] = rc
-			o.readers[i] = bufio.NewReaderSize(rc, shardfile.StreamBufSize)
+			bodies[i] = rc
 		}(i, tr)
 	}
 	wg.Wait()
 	osp.End(nil)
-	for i := range bad {
-		if bad[i] {
-			o.unusable = appendShard(o.unusable, i)
-		}
-	}
-	o.openBad = len(o.unusable)
-	if usable := n - o.openBad; usable < meta.Manifest.K {
-		o.Close()
-		return nil, fmt.Errorf("server: only %d of %d shards reachable (missing %v), need k=%d: %w",
-			usable, n, o.unusable, meta.Manifest.K, gemmec.ErrTooFewShards)
-	}
-	return o, nil
+	return shardfile.OpenStreams(bodies, m, base, g.streamOpts(ctx))
 }
 
 // Patch splices data into object name at byte offset off (off == -1
@@ -958,13 +675,9 @@ func (g *Gateway) Patch(ctx context.Context, name string, data []byte, off int64
 	if old.Deleted {
 		return ObjectMeta{}, ps, fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name)
 	}
-	size := old.Size()
-	if off < 0 {
-		off = size // append
-	}
-	if off > size {
-		return ObjectMeta{}, ps, fmt.Errorf("server: patch at offset %d beyond object of %d bytes: %w",
-			off, size, &RangeError{Size: size})
+	off, newSize, err := patchWindow(old.Size(), off, len(data))
+	if err != nil {
+		return ObjectMeta{}, ps, err
 	}
 	ps.Offset = off
 	if len(data) == 0 {
@@ -972,29 +685,21 @@ func (g *Gateway) Patch(ctx context.Context, name string, data []byte, off int64
 		return old, ps, nil
 	}
 	ps.Fallback = "rmw"
-	newSize := size
-	if end := off + int64(len(data)); end > newSize {
-		newSize = end
-	}
 
-	// Decode the old payload through a pipe and splice data over bytes
-	// [off, off+len(data)) on the way into the re-encode. The producer
-	// opens its own shard streams lock-free — this goroutine holds the
-	// key lock already.
-	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		pw.CloseWithError(g.decodeInto(ctx, old, pw))
-	}()
-	src := io.MultiReader(
-		io.LimitReader(pr, off),
-		bytes.NewReader(data),
-		&skipReader{r: pr, skip: int64(len(data))},
-	)
+	// The producer opens its own shard streams without the key lock (this
+	// goroutine holds it already) and outside the client-read counters —
+	// the internal decode of a read-modify-write is not a GET.
+	src, stop := spliceOld(off, data, func(w io.Writer) error {
+		sr, err := g.openShards(ctx, old, 0, int64(old.Manifest.Stripes))
+		if err != nil {
+			return err
+		}
+		defer sr.Close()
+		_, err = sr.Decode(w, 0)
+		return err
+	})
 	meta, _, err := g.putLocked(ctx, key, name, src, newSize)
-	pr.Close()
-	<-done
+	stop()
 	if err != nil {
 		return ObjectMeta{}, ps, err
 	}
@@ -1003,20 +708,6 @@ func (g *Gateway) Patch(ctx context.Context, name string, data []byte, off int64
 		mt.recordPatch(ps)
 	}
 	return meta, ps, nil
-}
-
-// decodeInto streams meta's whole payload to dst without taking the key
-// lock or touching client-read metrics — the read half of Patch's
-// read-modify-write.
-func (g *Gateway) decodeInto(ctx context.Context, meta ObjectMeta, dst io.Writer) error {
-	o, err := g.openShards(ctx, meta, nil, 0, int64(meta.Manifest.Stripes)*int64(meta.Manifest.UnitSize))
-	if err != nil {
-		return err
-	}
-	defer o.Close()
-	o.quiet = true
-	_, err = o.Stream(dst)
-	return err
 }
 
 // Delete removes object name cluster-wide. The commit point is a
@@ -1558,7 +1249,7 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 				rc.Close()
 				continue
 			}
-			srcs = append(srcs, src{idx: i, rd: bufio.NewReaderSize(rc, shardfile.StreamBufSize), rc: rc})
+			srcs = append(srcs, src{idx: i, rd: bufio.NewReaderSize(rc, rebuildBufSize), rc: rc})
 		}
 	}
 	if len(srcs) < m.K {
@@ -1575,7 +1266,7 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 	for _, t := range targets {
 		pr, pw := io.Pipe()
 		prs[t], pws[t] = pr, pw
-		outs[t] = bufio.NewWriterSize(pw, shardfile.StreamBufSize)
+		outs[t] = bufio.NewWriterSize(pw, rebuildBufSize)
 		var upErr error
 		upErrs[t] = &upErr
 		wg.Add(1)

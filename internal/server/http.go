@@ -127,54 +127,6 @@ type Config struct {
 	RetryAfter int
 }
 
-// HandlerOption configures optional handler behavior for the deprecated
-// variadic constructor.
-//
-// Deprecated: populate Config and call NewHandler instead.
-type HandlerOption func(*handler)
-
-// WithMetrics wires the metrics bundle into the request path.
-//
-// Deprecated: set Config.Metrics.
-func WithMetrics(m *Metrics) HandlerOption {
-	return func(h *handler) { h.metrics = m }
-}
-
-// WithScrubber wires scrub-loop liveness into /healthz.
-//
-// Deprecated: set Config.Scrubber.
-func WithScrubber(sc *Scrubber) HandlerOption {
-	return func(h *handler) { h.scrubber = sc }
-}
-
-// WithAccessLog emits one structured JSON line per request to l.
-//
-// Deprecated: set Config.AccessLog.
-func WithAccessLog(l *obs.Logger) HandlerOption {
-	return func(h *handler) { h.accessLog = l }
-}
-
-// WithSlowRequestThreshold logs and counts requests slower than d.
-//
-// Deprecated: set Config.SlowRequestThreshold.
-func WithSlowRequestThreshold(d time.Duration) HandlerOption {
-	return func(h *handler) { h.slowReq = d }
-}
-
-// WithRequestTimeout bounds every request's context.
-//
-// Deprecated: set Config.RequestTimeout.
-func WithRequestTimeout(d time.Duration) HandlerOption {
-	return func(h *handler) { h.reqTimeout = d }
-}
-
-// WithMaxObjectSize rejects PUTs larger than n bytes with 413.
-//
-// Deprecated: set Config.MaxObjectSize.
-func WithMaxObjectSize(n int64) HandlerOption {
-	return func(h *handler) { h.maxObject = n }
-}
-
 // NewHandler serves store over HTTP. It is NewBackendHandler fixed to
 // the local single-node Store — the signature every pre-cluster caller
 // compiled against.
@@ -236,26 +188,6 @@ func NewBackendHandler(backend Backend, cfg Config) http.Handler {
 		mux.Handle("GET /tracez", h.tracer.Handler())
 	}
 	return mux
-}
-
-// NewHandlerOptions is the pre-Config variadic constructor, kept so
-// existing callers compile unchanged.
-//
-// Deprecated: populate Config and call NewHandler instead.
-func NewHandlerOptions(store *Store, logf Logf, opts ...HandlerOption) http.Handler {
-	h := &handler{}
-	for _, o := range opts {
-		o(h)
-	}
-	return NewHandler(store, Config{
-		Logf:                 logf,
-		Metrics:              h.metrics,
-		Scrubber:             h.scrubber,
-		AccessLog:            h.accessLog,
-		SlowRequestThreshold: h.slowReq,
-		RequestTimeout:       h.reqTimeout,
-		MaxObjectSize:        h.maxObject,
-	})
 }
 
 type handler struct {

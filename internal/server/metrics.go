@@ -27,7 +27,7 @@ var demotionCauses = []string{"crc", "truncation", "stall", "io"}
 // gauge and histogram the daemon records, pre-registered against one
 // obs.Registry so recording is lock-free atomic adds. Construct with
 // NewMetrics, hand the same instance to the Store (Store.SetMetrics) and
-// the handler (WithMetrics); a nil *Metrics disables recording everywhere
+// the handler (Config.Metrics); a nil *Metrics disables recording everywhere
 // without conditional wiring at call sites.
 type Metrics struct {
 	Registry *obs.Registry

@@ -21,13 +21,14 @@ import (
 )
 
 // newMetricsServer builds a store + handler pair with a fresh metrics
-// bundle wired through both.
-func newMetricsServer(t *testing.T, opts ...HandlerOption) (*Store, *Metrics, *httptest.Server) {
+// bundle wired through both; cfg supplies any other handler settings.
+func newMetricsServer(t *testing.T, cfg Config) (*Store, *Metrics, *httptest.Server) {
 	t.Helper()
 	s := newTestStore(t)
 	m := NewMetrics(nil)
 	s.SetMetrics(m)
-	ts := httptest.NewServer(NewHandlerOptions(s, t.Logf, append([]HandlerOption{WithMetrics(m)}, opts...)...))
+	cfg.Logf, cfg.Metrics = t.Logf, m
+	ts := httptest.NewServer(NewHandler(s, cfg))
 	t.Cleanup(ts.Close)
 	return s, m, ts
 }
@@ -77,7 +78,7 @@ var sampleLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z0-9_]+="
 // Every line of /metricsz must be a comment or a well-formed sample, and
 // the families the acceptance criteria name must all be present.
 func TestMetricszExposition(t *testing.T) {
-	s, _, ts := newMetricsServer(t)
+	s, _, ts := newMetricsServer(t, Config{})
 	client := ts.Client()
 
 	// PUT, clean GET, degraded GET (silent in-place rot -> mid-stream CRC
@@ -185,7 +186,7 @@ func TestMetricszExposition(t *testing.T) {
 // Counters must never decrease across scrapes, whatever traffic runs in
 // between.
 func TestMetricszMonotonic(t *testing.T) {
-	s, _, ts := newMetricsServer(t)
+	s, _, ts := newMetricsServer(t, Config{})
 	client := ts.Client()
 
 	isCounter := func(name string) bool { return strings.Contains(name, "_total") || strings.HasSuffix(name, "_count") }
@@ -235,7 +236,7 @@ func TestMetricszMonotonic(t *testing.T) {
 
 // Scrapes racing PUT/GET traffic (run under -race via make race-hot).
 func TestMetricszConcurrentScrape(t *testing.T) {
-	s, _, ts := newMetricsServer(t)
+	s, _, ts := newMetricsServer(t, Config{})
 	client := ts.Client()
 	data := randBytes(47, 2*tk*tunit)
 	mustPut(t, s, "race.bin", data)
@@ -289,7 +290,7 @@ func TestMetricszConcurrentScrape(t *testing.T) {
 // /healthz: bare 200 without a scrubber; JSON with last-scrub timestamp
 // when one is wired; 503 once the loop misses 3x its interval.
 func TestHealthz(t *testing.T) {
-	s, m, ts := newMetricsServer(t)
+	s, m, ts := newMetricsServer(t, Config{})
 	_ = m
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -366,7 +367,7 @@ func TestAccessLog(t *testing.T) {
 		return buf.Write(p)
 	})
 	s, _, ts := newMetricsServer(t,
-		WithAccessLog(obs.NewLogger(safe)), WithSlowRequestThreshold(time.Nanosecond))
+		Config{AccessLog: obs.NewLogger(safe), SlowRequestThreshold: time.Nanosecond})
 	client := ts.Client()
 
 	data := randBytes(51, 2*tk*tunit+7)
@@ -432,7 +433,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // StatAll returns every object's metadata in one pass, sorted, skipping
 // broken entries; /objects is built on it.
 func TestStatAll(t *testing.T) {
-	s, _, ts := newMetricsServer(t)
+	s, _, ts := newMetricsServer(t, Config{})
 	for _, name := range []string{"c.bin", "a.bin", "b.bin"} {
 		mustPut(t, s, name, randBytes(int64(len(name)), tk*tunit))
 	}

@@ -111,18 +111,8 @@ func (s *Store) OpenObjectRange(ctx context.Context, name string, off, length in
 		o.Close()
 		return nil, err
 	}
-	o.ranged, o.rangeOff, o.rangeLen = true, ro, rn
-	s.rangeGets.Add(1)
+	o.setRange(ro, rn)
 	return o, nil
-}
-
-// Range reports the byte window Stream will serve: the resolved request
-// window for ranged opens, the whole payload otherwise.
-func (o *Object) Range() (off, length int64) {
-	if !o.ranged {
-		return 0, o.Size()
-	}
-	return o.rangeOff, o.rangeLen
 }
 
 // PatchStats describes how a Patch landed.
@@ -206,17 +196,13 @@ func (s *Store) Patch(ctx context.Context, name string, data []byte, off int64) 
 	if old.Deleted {
 		return ObjectMeta{}, ps, ErrObjectNotFound
 	}
-	size := old.Size()
-	if off < 0 {
-		off = size // append
-	}
-	if off > size {
-		return ObjectMeta{}, ps, fmt.Errorf("server: patch offset %d beyond object size: %w",
-			off, &RangeError{Size: size})
+	off, newSize, err := patchWindow(old.Size(), off, len(data))
+	if err != nil {
+		return ObjectMeta{}, ps, err
 	}
 	ps.Offset = off
 	if len(data) == 0 {
-		ps.InPlace = true
+		ps.InPlace = true // nothing to write; the object is untouched
 		return old, ps, nil
 	}
 
@@ -252,7 +238,7 @@ func (s *Store) Patch(ctx context.Context, name string, data []byte, off int64) 
 	// Read-modify-write fallback: decode, splice, re-encode through the
 	// regular Put commit path (new generation; slab members are promoted
 	// out of — or repacked into — a slab by the same size rules as PUT).
-	meta, err := s.patchRMW(ctx, key, old, off, data)
+	meta, err := s.patchRMW(ctx, key, old, off, data, newSize)
 	if err != nil {
 		return ObjectMeta{}, ps, err
 	}
@@ -400,18 +386,50 @@ func (s *Store) replayJournal(key string) bool {
 	return true
 }
 
-// patchRMW is the read-modify-write fallback: stream the old payload
-// through a pipe, splice the patch bytes over [off, off+len(data)), and
-// re-encode the result via the regular Put commit path. The producer
-// decodes the old generation's shard files directly (the caller already
-// holds the object's exclusive lock; OpenObject would deadlock on it) or,
-// for slab members, the member window of the backing slab under its
-// shared lock (member → slab order, matching openSlabMember).
-func (s *Store) patchRMW(ctx context.Context, key string, old ObjectMeta, off int64, data []byte) (ObjectMeta, error) {
-	newSize := old.Size()
-	if end := off + int64(len(data)); end > newSize {
-		newSize = end
+// patchWindow resolves a patch of n bytes at off (off < 0 appends)
+// against an object of size bytes: the resolved offset and the post-patch
+// size (objects grow, never shrink). An offset past the end fails with a
+// *RangeError.
+func patchWindow(size, off int64, n int) (resolved, newSize int64, err error) {
+	if off < 0 {
+		off = size
 	}
+	if off > size {
+		return 0, 0, fmt.Errorf("server: patch at offset %d beyond object of %d bytes: %w",
+			off, size, &RangeError{Size: size})
+	}
+	return off, max(size, off+int64(n)), nil
+}
+
+// spliceOld is the read half of a read-modify-write patch: it returns a
+// reader of old[0:off] ++ data ++ old[off+len(data):], where old is the
+// payload decode streams — on its own goroutine, through a pipe, so the
+// caller's re-encode consumes it as it is produced. The caller must call
+// stop once the encode returns: it unblocks the producer if the encode
+// quit early and waits for it to finish.
+func spliceOld(off int64, data []byte, decode func(io.Writer) error) (src io.Reader, stop func()) {
+	pr, pw := io.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pw.CloseWithError(decode(pw))
+	}()
+	src = io.MultiReader(
+		io.LimitReader(pr, off),
+		bytes.NewReader(data),
+		&skipReader{r: pr, skip: int64(len(data))},
+	)
+	return src, func() { pr.Close(); <-done }
+}
+
+// patchRMW is the read-modify-write fallback: decode the old payload,
+// splice the patch bytes in, and re-encode the result via the regular Put
+// commit path. The producer decodes the old generation's shard files
+// directly (the caller already holds the object's exclusive lock;
+// OpenObject would deadlock on it) or, for slab members, the member window
+// of the backing slab under its shared lock (member → slab order, matching
+// openSlabMember).
+func (s *Store) patchRMW(ctx context.Context, key string, old ObjectMeta, off int64, data []byte, newSize int64) (ObjectMeta, error) {
 	meta := ObjectMeta{Name: old.Name, Gen: old.Gen + 1}
 	var oldPaths []string
 	if old.Slab == nil {
@@ -420,31 +438,15 @@ func (s *Store) patchRMW(ctx context.Context, key string, old ObjectMeta, off in
 			meta.Placement = old.Placement
 		}
 	}
-	pr, pw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var err error
+	src, stop := spliceOld(off, data, func(w io.Writer) error {
 		if old.Slab != nil {
-			err = s.decodeSlabMember(ctx, old, pw)
-		} else {
-			err = s.decodeOldGen(ctx, key, old, pw)
+			return s.decodeSlabMember(ctx, old, w)
 		}
-		pw.CloseWithError(err)
-	}()
-	// old[0:off] ++ data ++ old[off+len(data):] — exactly newSize bytes.
-	src := io.MultiReader(
-		io.LimitReader(pr, off),
-		bytes.NewReader(data),
-		&skipReader{r: pr, skip: int64(len(data))},
-	)
+		return s.decodeOldGen(ctx, key, old, w)
+	})
 	meta, _, err := s.putLocked(ctx, key, meta, oldPaths, src, newSize)
-	pr.Close() // stop the producer if the encode quit early
-	<-done
-	if err != nil {
-		return ObjectMeta{}, err
-	}
-	return meta, nil
+	stop()
+	return meta, err
 }
 
 // decodeOldGen streams the committed payload of a dedicated shard set.

@@ -236,14 +236,21 @@ type Store struct {
 
 	closeOnce sync.Once
 
+	traffic
+	scrubCycles, shardsHealed   atomic.Int64
+	scrubErrors, orphansRemoved atomic.Int64
+	slabPuts, slabFlushes       atomic.Int64
+	slabsReclaimed              atomic.Int64
+	patchFallbacks              atomic.Int64
+}
+
+// traffic is the client-traffic accounting Store and Gateway both keep
+// and an opened Object reports its read into: the /statusz counters and
+// the attached metrics bundle.
+type traffic struct {
 	puts, gets, degradedGets, deletes atomic.Int64
-	scrubCycles, shardsHealed         atomic.Int64
-	scrubErrors, orphansRemoved       atomic.Int64
-	bytesIn, bytesOut                 atomic.Int64
-	slabPuts, slabFlushes             atomic.Int64
-	slabsReclaimed                    atomic.Int64
 	rangeGets, patches                atomic.Int64
-	patchFallbacks                    atomic.Int64
+	bytesIn, bytesOut                 atomic.Int64
 
 	// metrics, when set, mirrors the counters above into the /metricsz
 	// registry and adds what flat counters cannot carry (stall and size
@@ -251,6 +258,23 @@ type Store struct {
 	// scheduler's OnWait hook, the slab writer) start in Open and may
 	// observe work before SetMetrics runs; nil disables recording.
 	metrics atomic.Pointer[Metrics]
+}
+
+// m returns the attached metrics bundle, nil until SetMetrics. Every
+// *Metrics method is nil-receiver safe; only direct counter field access
+// needs the nil check.
+func (t *traffic) m() *Metrics { return t.metrics.Load() }
+
+// recordPut accounts one committed object write of size bytes.
+func (t *traffic) recordPut(st gemmec.StreamStats, size int64) {
+	t.puts.Add(1)
+	t.bytesIn.Add(size)
+	mt := t.m()
+	mt.recordStream("put", st)
+	mt.recordObjectBytes("put", size)
+	if mt != nil {
+		mt.bytesIn.Add(size)
+	}
 }
 
 // SetMetrics attaches the observability bundle. Safe to call at any
@@ -261,11 +285,6 @@ func (s *Store) SetMetrics(m *Metrics) {
 	m.RegisterStore(s)
 	m.RegisterTuner(s)
 }
-
-// m returns the attached metrics bundle, nil until SetMetrics. Every
-// *Metrics method is nil-receiver safe; only direct counter field access
-// needs the nil check.
-func (s *Store) m() *Metrics { return s.metrics.Load() }
 
 // Open opens (creating if necessary) the store rooted at cfg.Root. The
 // store owns background machinery — the shared scheduler (unless
@@ -758,14 +777,7 @@ func (s *Store) putLocked(ctx context.Context, key string, meta ObjectMeta, oldP
 	// Best effort — anything a crash strands here is swept by the scrubber.
 	s.clearPatchJournal(key)
 	s.removeFiles(oldPaths)
-	s.puts.Add(1)
-	s.bytesIn.Add(m.FileSize)
-	mt := s.m()
-	mt.recordStream("put", st)
-	mt.recordObjectBytes("put", m.FileSize)
-	if mt != nil {
-		mt.bytesIn.Add(m.FileSize)
-	}
+	s.recordPut(st, m.FileSize)
 	return meta, st, nil
 }
 
@@ -792,7 +804,9 @@ func (s *Store) placementUsable(p []int) bool {
 	return true
 }
 
-// Object is an opened object ready to stream. Open-time checks (shard
+// Object is an opened object ready to stream — from a Store's shard files
+// or a Gateway's peer streams alike; what differs is only what the
+// shardfile.StreamReader underneath reads from. Open-time checks (shard
 // presence and length; whole-shard SHA-256 for legacy v1 manifests) have
 // already run, so Degraded/Unusable start populated before the first
 // payload byte — the HTTP layer turns them into response headers. For v2
@@ -803,7 +817,7 @@ func (s *Store) placementUsable(p []int) bool {
 type Object struct {
 	Meta ObjectMeta
 
-	s            *Store
+	t            *traffic // the backend's counters the read reports into
 	sr           *shardfile.StreamReader
 	openDegraded bool
 	unlock       sync.Once
@@ -813,16 +827,50 @@ type Object struct {
 	// member's window. Lock order is member → slab, matching the flusher
 	// (which takes no member locks) and the slab scrubber (slab only).
 	slabLock *sync.RWMutex
-	// ranged marks an OpenObjectRange open: Stream serves only payload
-	// window [rangeOff, rangeOff+rangeLen), decoding just the covering
-	// stripes (for slab members the window is additionally rebased by the
-	// member's offset inside the slab).
+	// ranged marks a ranged open: Stream serves only payload window
+	// [rangeOff, rangeOff+rangeLen), decoding just the covering stripes
+	// (for slab members the window is additionally rebased by the member's
+	// offset inside the slab).
 	ranged             bool
 	rangeOff, rangeLen int64
 }
 
+// newObject wraps an opened shard set as a readable object holding lock
+// (and slabLock, for packed members) shared until Close, and counts the
+// read — as degraded when the open already found shards to reconstruct
+// around.
+func (t *traffic) newObject(meta ObjectMeta, sr *shardfile.StreamReader, lock, slabLock *sync.RWMutex) *Object {
+	t.gets.Add(1)
+	if sr.Degraded() {
+		t.degradedGets.Add(1)
+		if mt := t.m(); mt != nil {
+			mt.degradedGets.Inc()
+		}
+	}
+	return &Object{Meta: meta, t: t, sr: sr, openDegraded: sr.Degraded(), lock: lock, slabLock: slabLock}
+}
+
+// setRange narrows o to payload window [off, off+length), already
+// resolved against the object's size.
+func (o *Object) setRange(off, length int64) {
+	o.ranged, o.rangeOff, o.rangeLen = true, off, length
+	o.t.rangeGets.Add(1)
+}
+
+// Name returns the object's client-visible name.
+func (o *Object) Name() string { return o.Meta.Name }
+
 // Size returns the object's payload size in bytes.
 func (o *Object) Size() int64 { return o.Meta.Size() }
+
+// Range reports the byte window Stream will serve: the resolved request
+// window for ranged opens, the whole payload otherwise.
+func (o *Object) Range() (off, length int64) {
+	if !o.ranged {
+		return 0, o.Size()
+	}
+	return o.rangeOff, o.rangeLen
+}
 
 // Degraded reports whether serving this object requires reconstruction.
 // After Stream it also covers shards demoted mid-decode.
@@ -840,7 +888,9 @@ func (o *Object) Demoted() []gemmec.Demotion { return o.sr.Demoted() }
 
 // Stream writes the object's payload to dst, reconstructing unusable
 // shards on the fly and (for v2 manifests) verifying every unit's stripe
-// checksum in the same pass. It may be called at most once.
+// checksum in the same pass, on the backend's shared scheduler (sr's Opts
+// carry it, so the per-call worker count is moot). It may be called at
+// most once.
 func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	var err error
@@ -850,29 +900,26 @@ func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 		if o.Meta.Slab != nil {
 			off += o.Meta.Slab.Offset
 		}
-		st, err = o.sr.DecodeRange(dst, o.s.cfg.Workers, off, o.rangeLen)
+		st, err = o.sr.DecodeRange(dst, 0, off, o.rangeLen)
 	case o.Meta.Slab != nil:
-		st, err = o.sr.DecodeRange(dst, o.s.cfg.Workers, o.Meta.Slab.Offset, o.Meta.Slab.Size)
+		st, err = o.sr.DecodeRange(dst, 0, o.Meta.Slab.Offset, o.Meta.Slab.Size)
 	default:
-		st, err = o.sr.Decode(dst, o.s.cfg.Workers)
+		st, err = o.sr.Decode(dst, 0)
 	}
-	mt := o.s.m()
+	mt := o.t.m()
 	mt.recordStream("get", st)
 	if len(o.sr.Demoted()) > 0 && !o.openDegraded {
 		// The open looked clean but the decode had to reconstruct around a
 		// mid-stream failure: that is a degraded read, even though we only
 		// learned it after the headers went out.
-		o.s.degradedGets.Add(1)
+		o.t.degradedGets.Add(1)
 		if mt != nil {
 			mt.degradedGets.Inc()
 		}
 	}
 	if err == nil {
-		n := o.Size()
-		if o.ranged {
-			n = o.rangeLen
-		}
-		o.s.bytesOut.Add(n)
+		_, n := o.Range()
+		o.t.bytesOut.Add(n)
 		mt.recordObjectBytes("get", n)
 		if mt != nil {
 			mt.bytesOut.Add(n)
@@ -884,7 +931,7 @@ func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 	return st, err
 }
 
-// Close releases the object's shard files and its read lock(s).
+// Close releases the object's shard sources and its read lock(s).
 func (o *Object) Close() error {
 	err := o.sr.Close()
 	o.unlock.Do(func() {
@@ -934,14 +981,7 @@ func (s *Store) OpenObject(ctx context.Context, name string) (*Object, error) {
 		l.RUnlock()
 		return nil, err
 	}
-	s.gets.Add(1)
-	if sr.Degraded() {
-		s.degradedGets.Add(1)
-		if mt := s.m(); mt != nil {
-			mt.degradedGets.Inc()
-		}
-	}
-	return &Object{Meta: meta, s: s, sr: sr, openDegraded: sr.Degraded(), lock: l}, nil
+	return s.newObject(meta, sr, l, nil), nil
 }
 
 // openSlabMember resolves a packed member's ref to its slab and opens the
@@ -967,14 +1007,7 @@ func (s *Store) openSlabMember(ctx context.Context, memberLock *sync.RWMutex, me
 	if err != nil {
 		return fail(err)
 	}
-	s.gets.Add(1)
-	if sr.Degraded() {
-		s.degradedGets.Add(1)
-		if mt := s.m(); mt != nil {
-			mt.degradedGets.Inc()
-		}
-	}
-	return &Object{Meta: meta, s: s, sr: sr, openDegraded: sr.Degraded(), lock: memberLock, slabLock: sl}, nil
+	return s.newObject(meta, sr, memberLock, sl), nil
 }
 
 // Get streams object name to dst, returning its metadata and the shard

@@ -53,7 +53,7 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatalf("put trace status=%d kept=%q, want 201/sampled", put.Status, put.Kept)
 	}
 	names := spanNames(put)
-	for _, n := range []string{"admit", "meta.read", "gw.encode", "meta.commit", "peer.put_shard"} {
+	for _, n := range []string{"admit", "meta.read", "gw.encode", "shardfile.encode", "meta.commit", "peer.put_shard"} {
 		if names[n] == 0 {
 			t.Fatalf("put trace missing %q span; have %v", n, names)
 		}
@@ -93,7 +93,7 @@ func TestClusterTracePropagation(t *testing.T) {
 
 	get := findTrace(t, rec, "get")
 	gnames := spanNames(get)
-	for _, n := range []string{"admit", "meta.read", "gw.open", "gw.decode", "peer.get_shard"} {
+	for _, n := range []string{"admit", "meta.read", "gw.open", "shardfile.decode", "peer.get_shard"} {
 		if gnames[n] == 0 {
 			t.Fatalf("get trace missing %q span; have %v", n, gnames)
 		}
@@ -122,7 +122,7 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatalf("/tracez?req= returned trace %+v, want id %s", detail.Trace, get.ID)
 	}
 	wf := strings.Join(detail.Waterfall, "\n")
-	for _, want := range []string{"gw.decode", "peer.get_shard", "m1"} {
+	for _, want := range []string{"shardfile.decode", "peer.get_shard", "m1"} {
 		if !strings.Contains(wf, want) {
 			t.Fatalf("waterfall missing %q:\n%s", want, wf)
 		}

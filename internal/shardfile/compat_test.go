@@ -44,7 +44,7 @@ func TestGoldenV2ManifestWithChecksums(t *testing.T) {
 
 	raw := goldenPayload()
 	dir := t.TempDir()
-	m, _, err := WriteStream(dir, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 2)
+	m, _, err := writeStreamDir(dir, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGoldenV2ManifestWithChecksums(t *testing.T) {
 	if err != nil || !bytes.Equal(got, raw) || !reflect.DeepEqual(bad, []int{1, 4}) {
 		t.Fatalf("degraded read under golden manifest: bad=%v err=%v", bad, err)
 	}
-	healed, err := Scrub(dir)
+	healed, err := scrubDir(dir)
 	if err != nil || !reflect.DeepEqual(healed, []int{1, 4}) {
 		t.Fatalf("scrub under golden manifest healed %v, err=%v", healed, err)
 	}
@@ -101,46 +101,39 @@ func TestGoldenV2ManifestWithChecksums(t *testing.T) {
 	}
 }
 
-// TestWritersEmitStripeSumsOnly: every writer in this package emits a v2
-// manifest without whole-shard checksums — in memory and as committed
-// JSON — and such a set survives a degraded read and a scrub.
+// TestWritersEmitStripeSumsOnly: the writer emits a v2 manifest without
+// whole-shard checksums — in memory and as committed JSON — and such a
+// set survives a degraded read and a scrub.
 func TestWritersEmitStripeSumsOnly(t *testing.T) {
-	for name, write := range map[string]func(*testing.T, int) (string, []byte){
-		"Write":       writeTestFile,
-		"WriteStream": writeStreamTestFile,
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir, raw := write(t, tk*tunit*3+77)
-			m, err := LoadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Version != ManifestV2 || !m.StripeVerified() || m.Checksums != nil {
-				t.Fatalf("manifest version=%d stripe-verified=%v checksums=%d; want v2, stripe sums only",
-					m.Version, m.StripeVerified(), len(m.Checksums))
-			}
-			onDisk, err := os.ReadFile(filepath.Join(dir, ManifestName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Contains(onDisk, []byte(`"checksums"`)) {
-				t.Error("committed manifest JSON carries a checksums field")
-			}
-			verifyEveryUnit(t, dir, m)
-
-			corruptShardByte(t, dir, 0, 3)
-			if err := os.Remove(ShardPath(dir, tk)); err != nil {
-				t.Fatal(err)
-			}
-			got, bad, err := readStreamBack(dir)
-			if err != nil || !bytes.Equal(got, raw) || !reflect.DeepEqual(bad, []int{0, tk}) {
-				t.Fatalf("degraded read: bad=%v err=%v", bad, err)
-			}
-			healed, err := Scrub(dir)
-			if err != nil || !reflect.DeepEqual(healed, []int{0, tk}) {
-				t.Fatalf("scrub healed %v, err=%v", healed, err)
-			}
-			verifyEveryUnit(t, dir, m)
-		})
+	dir, raw := writeStreamTestFile(t, tk*tunit*3+77)
+	m, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m.Version != ManifestV2 || !m.StripeVerified() || m.Checksums != nil {
+		t.Fatalf("manifest version=%d stripe-verified=%v checksums=%d; want v2, stripe sums only",
+			m.Version, m.StripeVerified(), len(m.Checksums))
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(onDisk, []byte(`"checksums"`)) {
+		t.Error("committed manifest JSON carries a checksums field")
+	}
+	verifyEveryUnit(t, dir, m)
+
+	corruptShardByte(t, dir, 0, 3)
+	if err := os.Remove(ShardPath(dir, tk)); err != nil {
+		t.Fatal(err)
+	}
+	got, bad, err := readStreamBack(dir)
+	if err != nil || !bytes.Equal(got, raw) || !reflect.DeepEqual(bad, []int{0, tk}) {
+		t.Fatalf("degraded read: bad=%v err=%v", bad, err)
+	}
+	healed, err := scrubDir(dir)
+	if err != nil || !reflect.DeepEqual(healed, []int{0, tk}) {
+		t.Fatalf("scrub healed %v, err=%v", healed, err)
+	}
+	verifyEveryUnit(t, dir, m)
 }

@@ -168,7 +168,7 @@ func TestOpenInjectedErrorDegradesRead(t *testing.T) {
 	ffs := faultfs.New(vfs.OS, 1,
 		faultfs.Rule{Op: faultfs.OpOpen, Pattern: "shard_002", Err: errors.New("disk gone")})
 	var out bytes.Buffer
-	degraded, _, err := ReadStreamPaths(paths, m, &out, 2, Opts{FS: ffs})
+	degraded, _, err := readStreamPaths(paths, m, &out, 2, Opts{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func FuzzLoadManifest(f *testing.F) {
 			return // rejected: fine
 		}
 		// Accepted manifests must be safe to use downstream.
-		if _, _, err := LoadShards(dir, m); err != nil {
+		if _, _, err := loadShardsPaths(DirPaths(dir, tk+tr), m, Opts{}); err != nil {
 			t.Fatalf("accepted manifest %+v breaks LoadShards: %v", m, err)
 		}
 	})

@@ -1,0 +1,49 @@
+package shardfile
+
+import (
+	"io"
+	"os"
+
+	"gemmec"
+)
+
+// The single-directory layout as eccli drives it — DirPaths + the path
+// entry points + the manifest file — so tests read like the CLI.
+
+func writeStreamDir(dir string, src io.Reader, size int64, k, r, unitSize, workers int) (Manifest, gemmec.StreamStats, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return Manifest{}, gemmec.StreamStats{}, err
+	}
+	m, st, err := WriteStreamPaths(DirPaths(dir, k+r), src, size, k, r, unitSize, workers, Opts{})
+	if err != nil {
+		return m, st, err
+	}
+	return m, st, SaveManifest(dir, m)
+}
+
+func readStreamPaths(paths []string, m Manifest, dst io.Writer, workers int, opt Opts) ([]int, gemmec.StreamStats, error) {
+	sr, err := OpenStreamPaths(paths, m, opt)
+	if err != nil {
+		return nil, gemmec.StreamStats{}, err
+	}
+	defer sr.Close()
+	st, err := sr.Decode(dst, workers)
+	return sr.Unusable(), st, err
+}
+
+func readStreamDir(dir string, dst io.Writer, workers int) (Manifest, []int, gemmec.StreamStats, error) {
+	m, err := LoadManifest(dir)
+	if err != nil {
+		return m, nil, gemmec.StreamStats{}, err
+	}
+	bad, st, err := readStreamPaths(DirPaths(dir, m.K+m.R), m, dst, workers, Opts{})
+	return m, bad, st, err
+}
+
+func scrubDir(dir string) ([]int, error) {
+	m, err := LoadManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	return ScrubPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+}

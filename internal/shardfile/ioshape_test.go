@@ -137,12 +137,12 @@ func TestUnitSizedIOBypassesBuffers(t *testing.T) {
 }
 
 // TestSmallUnitsStillCoalesced: at 4 KiB units the buffers earn their
-// keep — a shard costs about one syscall per StreamBufSize, not one per
+// keep — a shard costs about one syscall per streamBufSize, not one per
 // unit.
 func TestSmallUnitsStillCoalesced(t *testing.T) {
 	const unit, size = 4 << 10, 1 << 20
 	shardBytes := size / tk
-	limit := (shardBytes+StreamBufSize-1)/StreamBufSize + 1
+	limit := (shardBytes+streamBufSize-1)/streamBufSize + 1
 	fs, paths, _ := shapeRoundTrip(t, unit, size)
 	for _, p := range paths {
 		if n := len(fs.writes[p]); n > limit {

@@ -18,7 +18,7 @@ func decodeRangeBack(t *testing.T, dir string, off, length int64) ([]byte, gemme
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,24 +149,24 @@ func TestDecodeRangeStripeIO(t *testing.T) {
 	}
 }
 
-// TestWindowWriterEarlyStop: once the window is full, WindowWriter answers
-// ErrWindowDone so the decode pipeline stops feeding it instead of
+// TestWindowWriterEarlyStop: once the window is full, windowWriter answers
+// errWindowDone so the decode pipeline stops feeding it instead of
 // streaming the rest of the object.
 func TestWindowWriterEarlyStop(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWindowWriter(&buf, 3, 4)
+	w := &windowWriter{dst: &buf, skip: 3, n: 4}
 	n, err := w.Write([]byte("0123456")) // 3 skipped + all 4 window bytes
-	if n != 7 || !errors.Is(err, ErrWindowDone) {
-		t.Fatalf("Write = (%d, %v), want (7, ErrWindowDone)", n, err)
+	if n != 7 || !errors.Is(err, errWindowDone) {
+		t.Fatalf("Write = (%d, %v), want (7, errWindowDone)", n, err)
 	}
 	if buf.String() != "3456" {
 		t.Fatalf("window carried %q, want %q", buf.String(), "3456")
 	}
-	if w.Remaining() != 0 {
-		t.Fatalf("Remaining() = %d after window closed", w.Remaining())
+	if w.n != 0 {
+		t.Fatalf("%d window bytes outstanding after window closed", w.n)
 	}
-	if _, err := w.Write([]byte("x")); !errors.Is(err, ErrWindowDone) {
-		t.Fatalf("post-close Write err = %v, want ErrWindowDone", err)
+	if _, err := w.Write([]byte("x")); !errors.Is(err, errWindowDone) {
+		t.Fatalf("post-close Write err = %v, want errWindowDone", err)
 	}
 }
 
@@ -179,7 +179,7 @@ func patchReencodeCheck(t *testing.T, dir string, raw []byte, off int64, data []
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := shardPaths(dir, m)
+	paths := DirPaths(dir, m.K+m.R)
 	p, err := PlanPatch(paths, m, off, data, Opts{})
 	if err != nil {
 		t.Fatalf("PlanPatch(off=%d,len=%d): %v", off, len(data), err)
@@ -198,7 +198,7 @@ func patchReencodeCheck(t *testing.T, dir string, raw []byte, off int64, data []
 	}
 	copy(want[off:], data)
 	refDir := t.TempDir()
-	rm, _, err := WriteStream(refDir, bytes.NewReader(want), int64(len(want)), m.K, m.R, m.UnitSize, 2)
+	rm, _, err := writeStreamDir(refDir, bytes.NewReader(want), int64(len(want)), m.K, m.R, m.UnitSize, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPatchMatchesReencode(t *testing.T) {
 // plain errors.
 func TestPatchUnsupportedFallbacks(t *testing.T) {
 	dir, m, _ := slabTestSet(t, []int{100, 200})
-	if _, err := PlanPatch(shardPaths(dir, m), m, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
+	if _, err := PlanPatch(DirPaths(dir, m.K+m.R), m, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
 		t.Fatalf("slab PlanPatch err = %v, want ErrPatchUnsupported", err)
 	}
 
@@ -274,11 +274,11 @@ func TestPatchUnsupportedFallbacks(t *testing.T) {
 	v1.Version = 1
 	v1.StripeSums = nil
 	v1.Checksums = nil
-	if _, err := PlanPatch(shardPaths(dir2, m2), v1, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
+	if _, err := PlanPatch(DirPaths(dir2, m2.K+m2.R), v1, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
 		t.Fatalf("v1 PlanPatch err = %v, want ErrPatchUnsupported", err)
 	}
 
-	if _, err := PlanPatch(shardPaths(dir2, m2), m2, m2.FileSize+1, []byte("x"), Opts{}); err == nil {
+	if _, err := PlanPatch(DirPaths(dir2, m2.K+m2.R), m2, m2.FileSize+1, []byte("x"), Opts{}); err == nil {
 		t.Fatal("PlanPatch past EOF succeeded")
 	}
 }
@@ -303,7 +303,7 @@ func TestPatchRottenUnitUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A partial overwrite of stripe 0 needs the rotten old unit.
-	if _, err := PlanPatch(shardPaths(dir, m), m, 1, []byte("yz"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
+	if _, err := PlanPatch(DirPaths(dir, m.K+m.R), m, 1, []byte("yz"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
 		t.Fatalf("rotten-unit PlanPatch err = %v, want ErrPatchUnsupported", err)
 	}
 }

@@ -1,9 +1,12 @@
-// Package shardfile stores erasure-coded files as shard sets on disk: a
-// directory holding one file per unit ("what one storage node would hold")
-// plus a JSON manifest. It is the persistence layer behind cmd/eccli and a
-// worked example of integrating the gemmec API into a storage system the
-// way §5 of the paper prescribes (stripes are assembled contiguously, the
-// kernel sees zero-copy buffers).
+// Package shardfile stores erasure-coded payloads as shard sets: one
+// stream per unit ("what one storage node would hold") plus a JSON
+// manifest. It is the persistence layer behind cmd/eccli (one directory of
+// shard files), internal/server's Store (shard files spread over node
+// directories) and its cluster Gateway (shard streams to and from peers),
+// all through one streaming encode/decode engine (stream.go) — a worked
+// example of integrating the gemmec API into a storage system the way §5
+// of the paper prescribes (stripes are assembled contiguously, the kernel
+// sees zero-copy buffers).
 package shardfile
 
 import (
@@ -135,73 +138,25 @@ func shardSum(data []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// shardStripeSums computes the per-unit CRC32C column of one fully
-// assembled shard.
-func shardStripeSums(shard []byte, unitSize int) []uint32 {
-	sums := make([]uint32, len(shard)/unitSize)
-	for s := range sums {
-		sums[s] = crc32.Checksum(shard[s*unitSize:(s+1)*unitSize], castagnoli)
-	}
-	return sums
-}
-
 // ShardPath returns the path of shard i under dir.
 func ShardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_%03d", i))
 }
 
+// DirPaths expands the single-directory layout (n shards under dir, next
+// to the manifest Save/LoadManifest keep there) into the explicit
+// per-shard paths the path-based entry points take.
+func DirPaths(dir string, n int) []string {
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = ShardPath(dir, i)
+	}
+	return paths
+}
+
 // Code builds the gemmec code matching the manifest.
 func (m Manifest) Code() (*gemmec.Code, error) {
 	return gemmec.New(m.K, m.R, gemmec.WithUnitSize(m.UnitSize))
-}
-
-// Write encodes raw into a k+r shard set under dir and writes the manifest.
-// Existing shard files are overwritten.
-func Write(dir string, raw []byte, k, r, unitSize int) (Manifest, error) {
-	code, err := gemmec.New(k, r, gemmec.WithUnitSize(unitSize))
-	if err != nil {
-		return Manifest{}, err
-	}
-	stripeBytes := code.DataSize()
-	stripes := (len(raw) + stripeBytes - 1) / stripeBytes
-	if stripes == 0 {
-		stripes = 1
-	}
-	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: int64(len(raw)), Stripes: stripes}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return m, err
-	}
-
-	shards := make([][]byte, k+r)
-	for i := range shards {
-		shards[i] = make([]byte, 0, stripes*unitSize)
-	}
-	data := make([]byte, stripeBytes)
-	parity := make([]byte, code.ParitySize())
-	for s := 0; s < stripes; s++ {
-		clear(data)
-		if lo := s * stripeBytes; lo < len(raw) {
-			copy(data, raw[lo:])
-		}
-		if err := code.Encode(data, parity); err != nil {
-			return m, err
-		}
-		for i := 0; i < k; i++ {
-			shards[i] = append(shards[i], data[i*unitSize:(i+1)*unitSize]...)
-		}
-		for i := 0; i < r; i++ {
-			shards[k+i] = append(shards[k+i], parity[i*unitSize:(i+1)*unitSize]...)
-		}
-	}
-	m.Version = ManifestV2
-	m.StripeSums = make([][]uint32, len(shards))
-	for i, sd := range shards {
-		if err := os.WriteFile(ShardPath(dir, i), sd, 0o644); err != nil {
-			return m, err
-		}
-		m.StripeSums[i] = shardStripeSums(sd, unitSize)
-	}
-	return m, SaveManifest(dir, m)
 }
 
 // SaveManifest writes the manifest next to the shards.
@@ -226,22 +181,8 @@ func LoadManifest(dir string) (Manifest, error) {
 	return m, m.Validate()
 }
 
-// LoadShards reads every present shard; missing or wrong-size shard files
-// yield nil entries and are reported in missing.
-func LoadShards(dir string, m Manifest) (shards [][]byte, missing []int, err error) {
-	return loadShardsPaths(shardPaths(dir, m), m, Opts{})
-}
-
-// shardPaths expands the single-directory layout into explicit per-shard
-// paths for the path-based entry points.
-func shardPaths(dir string, m Manifest) []string {
-	paths := make([]string, m.K+m.R)
-	for i := range paths {
-		paths[i] = ShardPath(dir, i)
-	}
-	return paths
-}
-
+// loadShardsPaths reads every present shard whole; missing or wrong-size
+// shard files yield nil entries and are reported in missing.
 func loadShardsPaths(paths []string, m Manifest, opt Opts) (shards [][]byte, missing []int, err error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
@@ -267,61 +208,18 @@ func loadShardsPaths(paths []string, m Manifest, opt Opts) (shards [][]byte, mis
 	return shards, missing, nil
 }
 
-// Repair rebuilds every missing shard file in dir, returning the indices it
-// rebuilt (empty when nothing was missing).
-func Repair(dir string) ([]int, error) {
-	m, err := LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	shards, missing, err := LoadShards(dir, m)
-	if err != nil {
-		return nil, err
-	}
-	if len(missing) == 0 {
-		return nil, nil
-	}
-	code, err := m.Code()
-	if err != nil {
-		return nil, err
-	}
-	rebuilt := make(map[int][]byte, len(missing))
-	for _, i := range missing {
-		rebuilt[i] = make([]byte, 0, m.Stripes*m.UnitSize)
-	}
-	for s := 0; s < m.Stripes; s++ {
-		units := make([][]byte, m.K+m.R)
-		for i, sd := range shards {
-			if sd != nil {
-				units[i] = sd[s*m.UnitSize : (s+1)*m.UnitSize]
-			}
-		}
-		if err := code.Reconstruct(units); err != nil {
-			return nil, fmt.Errorf("shardfile: stripe %d: %w", s, err)
-		}
-		for _, i := range missing {
-			rebuilt[i] = append(rebuilt[i], units[i]...)
-		}
-	}
-	for _, i := range missing {
-		if err := os.WriteFile(ShardPath(dir, i), rebuilt[i], 0o644); err != nil {
-			return nil, err
-		}
-	}
-	return missing, nil
-}
-
 // ErrCorrupt reports a parity mismatch found by Verify.
 var ErrCorrupt = errors.New("shardfile: parity mismatch")
 
-// Verify checks that every stripe's parity matches its data. All shards
-// must be present.
+// Verify checks that every stripe's parity matches its data — an
+// end-to-end check of the code itself, independent of the manifest's
+// checksums. All shards must be present.
 func Verify(dir string) error {
 	m, err := LoadManifest(dir)
 	if err != nil {
 		return err
 	}
-	shards, missing, err := LoadShards(dir, m)
+	shards, missing, err := loadShardsPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		return err
 	}
@@ -352,26 +250,15 @@ func Verify(dir string) error {
 	return nil
 }
 
-// Scrub detects shard corruption by checksum and heals it: any shard that
-// does not match the manifest (per-stripe CRC32C for v2 manifests,
-// whole-shard SHA-256 for v1, plus any missing shard) is rebuilt from the
-// surviving shards and rewritten. It returns the shard indices that were
-// healed. Manifests written before checksums were recorded scrub nothing
-// silently rotten — they fall back to Repair semantics.
-func Scrub(dir string) ([]int, error) {
-	m, err := LoadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	return ScrubPaths(shardPaths(dir, m), m, Opts{})
-}
-
-// ScrubPaths is Scrub over an explicit shard-file path per unit (the
-// multi-node layout of internal/server, where one object's shards live in
-// different node directories). Healed shards are written via a temporary
-// file and renamed into place, so a concurrent reader never observes a
-// half-rebuilt shard. Checksum failures in the returned errors wrap
-// ecerr.ErrCorruptShard.
+// ScrubPaths detects shard corruption by checksum and heals it: any shard
+// file that does not match the manifest (per-stripe CRC32C for v2
+// manifests, whole-shard SHA-256 for v1, plus any missing or wrong-length
+// shard) is rebuilt from the surviving shards and rewritten; it returns
+// the shard indices that were healed. Healed shards are written via a
+// temporary file and renamed into place, so a concurrent reader never
+// observes a half-rebuilt shard. Checksum failures in the returned errors
+// wrap ecerr.ErrCorruptShard. v1 manifests written before checksums were
+// recorded can only have missing shards rebuilt.
 //
 // For v2 manifests damage is localized and healed at stripe granularity:
 // each present unit is checked against its CRC32C, only the stripes that
@@ -554,40 +441,4 @@ func sortInts(a []int) {
 			a[j-1], a[j] = a[j], a[j-1]
 		}
 	}
-}
-
-// Read reassembles the original file contents, reconstructing lost shards
-// in memory (without writing them back) when needed. It returns the file
-// bytes and the shard indices that had to be reconstructed.
-func Read(dir string) ([]byte, []int, error) {
-	m, err := LoadManifest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	shards, missing, err := LoadShards(dir, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	code, err := m.Code()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]byte, 0, m.FileSize)
-	for s := 0; s < m.Stripes; s++ {
-		units := make([][]byte, m.K+m.R)
-		for i, sd := range shards {
-			if sd != nil {
-				units[i] = sd[s*m.UnitSize : (s+1)*m.UnitSize]
-			}
-		}
-		if len(missing) > 0 {
-			if err := code.Reconstruct(units); err != nil {
-				return nil, missing, fmt.Errorf("shardfile: stripe %d: %w", s, err)
-			}
-		}
-		for i := 0; i < m.K; i++ {
-			out = append(out, units[i]...)
-		}
-	}
-	return out[:m.FileSize], missing, nil
 }

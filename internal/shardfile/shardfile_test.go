@@ -3,9 +3,9 @@ package shardfile
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -15,25 +15,10 @@ const (
 	tunit = 4096
 )
 
-func writeTestFile(t *testing.T, size int) (string, []byte) {
-	t.Helper()
-	dir := t.TempDir()
-	raw := make([]byte, size)
-	rand.New(rand.NewSource(int64(size))).Read(raw)
-	m, err := Write(dir, raw, tk, tr, tunit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return dir, raw
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	for _, size := range []int{0, 1, tunit - 1, tk * tunit, tk*tunit*3 + 17} {
-		dir, raw := writeTestFile(t, size)
-		got, rebuilt, err := Read(dir)
+		dir, raw := writeStreamTestFile(t, size)
+		got, rebuilt, err := readStreamBack(dir)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -47,14 +32,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestRepairAfterLosses(t *testing.T) {
-	dir, raw := writeTestFile(t, tk*tunit*2+100)
+	dir, raw := writeStreamTestFile(t, tk*tunit*2+100)
 	// Delete r shards (the max tolerated).
 	for _, i := range []int{1, 4} {
 		if err := os.Remove(ShardPath(dir, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rebuilt, err := Repair(dir)
+	rebuilt, err := scrubDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,35 +49,35 @@ func TestRepairAfterLosses(t *testing.T) {
 	if err := Verify(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Read(dir)
+	got, _, err := readStreamBack(dir)
 	if err != nil || !bytes.Equal(got, raw) {
 		t.Fatal("content wrong after repair")
 	}
 	// Second repair is a no-op.
-	rebuilt, err = Repair(dir)
+	rebuilt, err = scrubDir(dir)
 	if err != nil || rebuilt != nil {
 		t.Fatalf("no-op repair: %v %v", rebuilt, err)
 	}
 }
 
 func TestRepairTooManyLosses(t *testing.T) {
-	dir, _ := writeTestFile(t, tk*tunit)
+	dir, _ := writeStreamTestFile(t, tk*tunit)
 	for _, i := range []int{0, 1, 2} { // r+1 losses
 		if err := os.Remove(ShardPath(dir, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Repair(dir); err == nil {
+	if _, err := scrubDir(dir); err == nil {
 		t.Error("unrecoverable loss accepted")
 	}
 }
 
 func TestReadDegradedWithoutRepair(t *testing.T) {
-	dir, raw := writeTestFile(t, tk*tunit+5)
+	dir, raw := writeStreamTestFile(t, tk*tunit+5)
 	if err := os.Remove(ShardPath(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
-	got, rebuilt, err := Read(dir)
+	got, rebuilt, err := readStreamBack(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +94,7 @@ func TestReadDegradedWithoutRepair(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	dir, _ := writeTestFile(t, tk*tunit)
+	dir, _ := writeStreamTestFile(t, tk*tunit)
 	if err := Verify(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +120,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 }
 
 func TestTruncatedShardTreatedAsMissing(t *testing.T) {
-	dir, raw := writeTestFile(t, tk*tunit)
+	dir, raw := writeStreamTestFile(t, tk*tunit)
 	p := ShardPath(dir, 1)
 	data, err := os.ReadFile(p)
 	if err != nil {
@@ -148,21 +133,21 @@ func TestTruncatedShardTreatedAsMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missing, err := LoadShards(dir, m)
+	_, missing, err := loadShardsPaths(DirPaths(dir, tk+tr), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(missing) != 1 || missing[0] != 1 {
 		t.Fatalf("missing=%v", missing)
 	}
-	got, _, err := Read(dir)
+	got, _, err := readStreamBack(dir)
 	if err != nil || !bytes.Equal(got, raw) {
 		t.Fatal("read with truncated shard failed")
 	}
 }
 
 func TestScrubHealsCorruption(t *testing.T) {
-	dir, raw := writeTestFile(t, tk*tunit*2)
+	dir, raw := writeStreamTestFile(t, tk*tunit*2)
 	// Corrupt one shard in place (no size change) and delete another —
 	// scrub must heal both.
 	p := ShardPath(dir, 2)
@@ -177,7 +162,7 @@ func TestScrubHealsCorruption(t *testing.T) {
 	if err := os.Remove(ShardPath(dir, 5)); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := Scrub(dir)
+	healed, err := scrubDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +172,12 @@ func TestScrubHealsCorruption(t *testing.T) {
 	if err := Verify(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, rebuilt, err := Read(dir)
+	got, rebuilt, err := readStreamBack(dir)
 	if err != nil || len(rebuilt) != 0 || !bytes.Equal(got, raw) {
 		t.Fatal("content wrong after scrub")
 	}
 	// Clean set scrubs nothing.
-	healed, err = Scrub(dir)
+	healed, err = scrubDir(dir)
 	if err != nil || healed != nil {
 		t.Fatalf("clean scrub: %v %v", healed, err)
 	}
@@ -203,7 +188,7 @@ func TestScrubHealsCorruption(t *testing.T) {
 // stripe has more than r damaged cells. The v1 whole-shard scrub would
 // have declared this set unrecoverable.
 func TestScrubStripeGranular(t *testing.T) {
-	dir, raw := writeTestFile(t, tk*tunit*4) // 4 stripes
+	dir, raw := writeStreamTestFile(t, tk*tunit*4) // 4 stripes
 	// Four rotten shards (tr+2), each damaged in a different stripe, plus
 	// one missing shard. Per-stripe damage never exceeds r=2.
 	for i := 0; i < 4; i++ {
@@ -220,7 +205,7 @@ func TestScrubStripeGranular(t *testing.T) {
 	if err := os.Remove(ShardPath(dir, 5)); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := Scrub(dir)
+	healed, err := scrubDir(dir)
 	if err != nil {
 		t.Fatalf("stripe-granular scrub failed on per-stripe-recoverable rot: %v", err)
 	}
@@ -236,14 +221,14 @@ func TestScrubStripeGranular(t *testing.T) {
 	if err := Verify(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, rebuilt, err := Read(dir)
+	got, rebuilt, err := readStreamBack(dir)
 	if err != nil || len(rebuilt) != 0 || !bytes.Equal(got, raw) {
 		t.Fatalf("content wrong after stripe-granular scrub (rebuilt=%v err=%v)", rebuilt, err)
 	}
 }
 
 func TestScrubTooMuchRot(t *testing.T) {
-	dir, _ := writeTestFile(t, tk*tunit)
+	dir, _ := writeStreamTestFile(t, tk*tunit)
 	for _, i := range []int{0, 1, 2} { // r+1 corruptions
 		p := ShardPath(dir, i)
 		data, err := os.ReadFile(p)
@@ -255,7 +240,7 @@ func TestScrubTooMuchRot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Scrub(dir); err == nil {
+	if _, err := scrubDir(dir); err == nil {
 		t.Error("unrecoverable rot accepted")
 	}
 }
@@ -265,7 +250,7 @@ func TestScrubTooMuchRot(t *testing.T) {
 // its sum, a flipped byte fails exactly its own unit, and Validate rejects
 // a wrong-shaped sum table (and a wrong-length legacy checksum list).
 func TestManifestChecksums(t *testing.T) {
-	dir, _ := writeTestFile(t, tk*tunit*2+5)
+	dir, _ := writeStreamTestFile(t, tk*tunit*2+5)
 	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -342,17 +327,17 @@ func TestManifestValidation(t *testing.T) {
 	if _, err := LoadManifest(dir); err == nil {
 		t.Error("corrupt manifest accepted")
 	}
-	if _, _, err := LoadShards(dir, Manifest{}); err == nil {
+	if _, _, err := loadShardsPaths(DirPaths(dir, tk+tr), Manifest{}, Opts{}); err == nil {
 		t.Error("invalid manifest accepted by LoadShards")
 	}
 }
 
 func TestWriteValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Write(dir, []byte("x"), 0, 2, tunit); err == nil {
+	if _, _, err := writeStreamDir(dir, strings.NewReader("x"), 1, 0, 2, tunit, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Write(dir, []byte("x"), 4, 2, 100); err == nil {
+	if _, _, err := writeStreamDir(dir, strings.NewReader("x"), 1, 4, 2, 100, 0); err == nil {
 		t.Error("bad unit size accepted")
 	}
 }

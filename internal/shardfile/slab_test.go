@@ -26,7 +26,7 @@ func slabTestSet(t *testing.T, sizes []int) (string, Manifest, map[string][]byte
 		members[name] = b
 		payload = append(payload, b...)
 	}
-	m, _, err := WriteStream(dir, bytes.NewReader(payload), int64(len(payload)), tk, tr, tunit, 2)
+	m, _, err := writeStreamDir(dir, bytes.NewReader(payload), int64(len(payload)), tk, tr, tunit, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSlabMemberRoundTrip(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for _, e := range m.Slab {
-			sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+			sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestSlabMemberRoundTrip(t *testing.T) {
 	check()
 
 	// Scrub heals the losses; members read clean again.
-	healed, err := Scrub(dir)
+	healed, err := scrubDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDecodeRangeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStreamSchedulerOpt(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	bad, _, err := ReadStreamPaths(paths, m, &buf, 4, Opts{Sched: s})
+	bad, _, err := readStreamPaths(paths, m, &buf, 4, Opts{Sched: s})
 	if err != nil || len(bad) != 0 {
 		t.Fatalf("read back: bad=%v err=%v", bad, err)
 	}

@@ -19,9 +19,9 @@ import (
 // instead of hanging on the silent disk.
 //
 // The guard sits under bufio, so its deadline covers one underlying read
-// as bufio issues it: one unit when units are at least StreamBufSize (the
+// as bufio issues it: one unit when units are at least streamBufSize (the
 // default geometry — bufio passes those reads straight through, so
-// ShardReadTimeout is a per-unit deadline), one StreamBufSize refill
+// ShardReadTimeout is a per-unit deadline), one streamBufSize refill
 // shared by several units when they are smaller. The private buffer and
 // its extra copy exist only on a guarded stream; with ShardReadTimeout
 // zero no guard is built and reads land directly in the stripe ring.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -20,40 +19,42 @@ import (
 	"gemmec/internal/vfs"
 )
 
-// Streaming shard-set I/O: the same on-disk layout as Write/Read, produced
-// and consumed through the pipelined EncodeStream/DecodeStream API instead
-// of buffering the whole file in memory. This is the eccli -stream-workers
-// path and the read/write engine behind internal/server's object daemon.
-//
-// The path-based variants (WriteStreamPaths, OpenStreamPaths, ScrubPaths)
-// take an explicit shard-file path per unit instead of one directory, so a
-// caller can spread the k+r shards of one object across separate "node"
-// directories (distinct failure domains) while reusing this package's
-// manifest, verification and repair machinery.
+// The shard-stream engine: one encode core (WriteStreamTo) and one decode
+// core (OpenStreams + StreamReader) that run the pipelined
+// EncodeStream/DecodeStream API over per-shard io.Writers / io.ReadClosers
+// and own everything that is not "where the bytes live" — pooled bufio,
+// stripe sums, the at-least-one-stripe rule, size validation, manifest
+// assembly, per-unit verification, range windows, demotion bookkeeping.
+// Two instantiations feed it. WriteStreamPaths/OpenStreamPaths put a shard
+// file at an explicit path per unit (temp + rename; open + stat + seek), so
+// a caller can spread the k+r shards of one object across separate "node"
+// directories — eccli's single directory and internal/server's Store. The
+// cluster Gateway hands the cores its per-peer upload pipes and download
+// bodies directly. Both produce and accept the same manifests.
 
-// StreamBufSize is the size of every bufio layer on the streaming paths,
-// here and in internal/server's gateway: half the default unit. The
-// pipeline moves whole units (shard side) and whole stripes (payload
-// side), and bufio passes any read or write at least as large as its
-// buffer straight through, so default-geometry I/O reaches the file,
-// socket or pipe uncopied — one syscall per unit — while the buffer still
-// coalesces small units (a 4 KiB-unit shard stream costs one syscall per
-// 16 units, not one each). The size of the I/O picks the path; nothing
-// else does.
-const StreamBufSize = gemmec.DefaultUnitSize / 2
+// streamBufSize is the size of every bufio layer on the streaming paths:
+// half the default unit. The pipeline moves whole units (shard side) and
+// whole stripes (payload side), and bufio passes any read or write at
+// least as large as its buffer straight through, so default-geometry I/O
+// reaches the file, socket or pipe uncopied — one syscall per unit —
+// while the buffer still coalesces small units (a 4 KiB-unit shard stream
+// costs one syscall per 16 units, not one each). The size of the I/O
+// picks the path; nothing else does.
+const streamBufSize = gemmec.DefaultUnitSize / 2
 
-// Opts carries the cross-cutting knobs of the path-based streaming entry
-// points: request lifetime, filesystem seam, and the per-shard read
-// deadline. The zero value means "background context, real filesystem, no
-// deadline" — exactly the pre-Opts behavior.
+// Opts carries the cross-cutting knobs of the engine's entry points:
+// request lifetime, filesystem seam (file instantiation only), per-shard
+// read deadline, and the shared scheduler and code source. The zero value
+// means "background context, real filesystem, no deadline, per-call
+// workers and code".
 type Opts struct {
 	// Ctx bounds the operation: encode/decode pipelines observe it between
 	// stripes (see gemmec.WithStreamContext) and scrubbing checks it
 	// between stripe rebuilds. Nil means context.Background().
 	Ctx context.Context
-	// FS is the filesystem the shard files live on. Nil means the real
-	// one; tests substitute internal/faultfs to inject errors, torn
-	// writes, latency and stalls.
+	// FS is the filesystem the shard files live on, for the path-based
+	// entry points. Nil means the real one; tests substitute
+	// internal/faultfs to inject errors, torn writes, latency and stalls.
 	FS vfs.FS
 	// ShardReadTimeout, when positive, bounds every underlying shard read
 	// during decode: a read that exceeds it demotes that shard (cause
@@ -95,14 +96,15 @@ func (o Opts) code(k, r, unitSize int) (*gemmec.Code, error) {
 }
 
 // streamOpts translates the worker knob into stream options: the shared
-// scheduler when Opts carries one (legacy per-call worker pool otherwise),
-// plus the shared stripe pool when a Source supplies one.
+// scheduler when Opts carries one, otherwise a per-call pool of `workers`
+// kernel goroutines (0 leaves the library default, GOMAXPROCS capped at
+// 8) — plus the shared stripe pool when a Source supplies one.
 func (o Opts) streamOpts(k, r, unitSize, workers int) []gemmec.StreamOption {
-	opts := make([]gemmec.StreamOption, 0, 4)
+	opts := make([]gemmec.StreamOption, 0, 5)
 	if o.Sched != nil {
 		opts = append(opts, gemmec.WithStreamScheduler(o.Sched))
-	} else {
-		opts = append(opts, gemmec.WithStreamWorkers(workers)) //nolint:staticcheck // legacy path kept for scheduler-less callers
+	} else if workers > 0 {
+		opts = append(opts, gemmec.WithStreamWorkers(workers)) //nolint:staticcheck // scheduler-less callers (eccli) size a per-call pool
 	}
 	if o.Source != nil {
 		if p, err := o.Source.StreamPool(k, r, unitSize); err == nil && p != nil {
@@ -134,8 +136,8 @@ func (o Opts) ctxErr() error {
 // per-request allocation). Pooling them turns the request-setup cost into
 // a few pointer swaps once the pools are warm.
 var (
-	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, StreamBufSize) }}
-	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, StreamBufSize) }}
+	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, streamBufSize) }}
+	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, streamBufSize) }}
 )
 
 // eofReader is the parked source of pooled bufio.Readers: a pooled reader
@@ -167,83 +169,42 @@ func putBufReader(br *bufio.Reader) {
 }
 
 // shardSink is one shard's write fan-out: the gathered equivalent of
-// io.MultiWriter(bufio, ShardSummer). Each pipeline write lands in both
+// io.MultiWriter(bufio, shardSummer). Each pipeline write lands in both
 // consumers from a single method body — no interface dispatch loop, no
-// per-call multiWriter allocation — and only the disk write can fail (the
+// per-call multiWriter allocation — and only the sink write can fail (the
 // summer is infallible by construction).
 type shardSink struct {
 	w   *bufio.Writer
-	sum ShardSummer
+	sum shardSummer
 }
 
 func (s *shardSink) Write(p []byte) (int, error) {
 	if _, err := s.w.Write(p); err != nil {
 		return 0, err
 	}
-	s.sum.Write(p) //nolint:errcheck // ShardSummer.Write never fails
+	s.sum.add(p)
 	return len(p), nil
 }
 
-// WriteStream encodes src (size bytes long) into a k+r shard set under
-// dir, streaming stripes through workers concurrent kernel runs, and
-// writes the manifest. Stripe checksums are computed on the fly. Existing
-// shard files are overwritten.
-func WriteStream(dir string, src io.Reader, size int64, k, r, unitSize, workers int) (Manifest, gemmec.StreamStats, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}, gemmec.StreamStats{}, err
-	}
-	paths := make([]string, k+r)
-	for i := range paths {
-		paths[i] = ShardPath(dir, i)
-	}
-	m, st, err := WriteStreamPaths(paths, src, size, k, r, unitSize, workers, Opts{})
-	if err != nil {
-		return m, st, err
-	}
-	return m, st, SaveManifest(dir, m)
-}
-
-// WriteStreamPaths encodes src into k+r shard files at the given paths,
-// streaming stripes through workers concurrent kernel runs, and returns the
-// manifest describing the set (the caller persists it — SaveManifest for
-// the single-directory layout, or embedded in object metadata for a
-// multi-node layout). size is validated against the bytes actually read;
-// pass size < 0 when the source length is unknown up front (e.g. a chunked
-// HTTP upload). Each shard is written via a temporary file and renamed into
-// place on success, so concurrent readers never observe a half-written
-// shard. A canceled opt.Ctx (client disconnect, deadline, drain) aborts
-// the encode between stripes and removes every temporary file — a
-// canceled write leaves nothing behind.
-func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize, workers int, opt Opts) (Manifest, gemmec.StreamStats, error) {
+// WriteStreamTo is the encode core: it streams src through the pipelined
+// kernel into the k+r shard writers ws — files, pipes to peers, anything —
+// and returns the manifest describing the set. Each writer gets a pooled
+// bufio layer (flushed before return; closing or committing the sink is
+// the caller's job) and a stripe summer, so the manifest's CRC32C columns
+// come out of the single encode pass. size is validated against the bytes
+// actually read; pass size < 0 when the source length is unknown up front
+// (e.g. a chunked HTTP upload). An empty source still yields one all-zero
+// stripe. A canceled opt.Ctx aborts the encode between stripes.
+func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize, workers int, opt Opts) (Manifest, gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}
-	if len(paths) != k+r {
-		return m, st, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), k+r)
+	if len(ws) != k+r {
+		return m, st, fmt.Errorf("shardfile: %d shard writers for k+r=%d", len(ws), k+r)
 	}
 	code, err := opt.code(k, r, unitSize)
 	if err != nil {
 		return m, st, err
 	}
-	fsys := opt.fs()
-	files := make([]vfs.File, k+r)
-	sinks := make([]shardSink, k+r)
-	writers := make([]io.Writer, k+r)
-	committed := false
-	defer func() {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-				if !committed {
-					fsys.Remove(f.Name())
-				}
-			}
-		}
-		for i := range sinks {
-			if sinks[i].w != nil {
-				putBufWriter(sinks[i].w)
-			}
-		}
-	}()
 	// Known size means known stripe count: size the per-shard stripe-sum
 	// slices up front so the summers never grow mid-stream.
 	sumCap := 1
@@ -251,22 +212,23 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 		stripeBytes := int64(k) * int64(unitSize)
 		sumCap = int((size + stripeBytes - 1) / stripeBytes)
 	}
-	for i := range writers {
-		f, err := fsys.Create(paths[i] + ".tmp")
-		if err != nil {
-			return m, st, err
-		}
-		files[i] = f
+	sinks := make([]shardSink, k+r)
+	writers := make([]io.Writer, k+r)
+	for i, w := range ws {
 		sinks[i] = shardSink{
-			w:   getBufWriter(f),
-			sum: ShardSummer{unit: unitSize, sums: make([]uint32, 0, sumCap)},
+			w:   getBufWriter(w),
+			sum: shardSummer{unit: unitSize, sums: make([]uint32, 0, sumCap)},
 		}
 		writers[i] = &sinks[i]
 	}
+	defer func() {
+		for i := range sinks {
+			putBufWriter(sinks[i].w)
+		}
+	}()
 
-	// An empty file still gets one (all-zero) stripe, matching Write's
-	// at-least-one-stripe invariant, so append a zero stripe to the source
-	// when it is empty.
+	// An empty object still gets one (all-zero) stripe, so every shard set
+	// has at least one: feed a zero stripe when the source is known empty.
 	if size == 0 {
 		src = bytes.NewReader(make([]byte, code.DataSize()))
 	}
@@ -302,17 +264,59 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 	}
 	m.Version = ManifestV2
 	m.StripeSums = make([][]uint32, k+r)
-	for i := range files {
+	for i := range sinks {
 		if err := sinks[i].w.Flush(); err != nil {
 			return m, st, err
 		}
-		if err := files[i].Close(); err != nil {
+		m.StripeSums[i] = sinks[i].sum.sums
+	}
+	return m, st, m.Validate()
+}
+
+// WriteStreamPaths is the file instantiation of the encode core: it
+// encodes src into k+r shard files at the given paths and returns the
+// manifest describing the set (the caller persists it — SaveManifest for
+// the single-directory layout, or embedded in object metadata for a
+// multi-node layout). size and workers are WriteStreamTo's. Each shard is
+// written via a temporary file and renamed into place on success, so
+// concurrent readers never observe a half-written shard; on any failure
+// — a canceled opt.Ctx (client disconnect, deadline, drain) included —
+// every temporary file is removed: a failed write leaves nothing behind.
+func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize, workers int, opt Opts) (Manifest, gemmec.StreamStats, error) {
+	var st gemmec.StreamStats
+	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}
+	if len(paths) != k+r {
+		return m, st, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), k+r)
+	}
+	fsys := opt.fs()
+	files := make([]vfs.File, k+r)
+	ws := make([]io.Writer, k+r)
+	committed := false
+	defer func() {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+				if !committed {
+					fsys.Remove(f.Name())
+				}
+			}
+		}
+	}()
+	for i := range files {
+		f, err := fsys.Create(paths[i] + ".tmp")
+		if err != nil {
 			return m, st, err
 		}
-		m.StripeSums[i] = sinks[i].sum.StripeSums()
+		files[i], ws[i] = f, f
 	}
-	if err := m.Validate(); err != nil {
+	m, st, err := WriteStreamTo(ws, src, size, k, r, unitSize, workers, opt)
+	if err != nil {
 		return m, st, err
+	}
+	for _, f := range files {
+		if err := f.Close(); err != nil {
+			return m, st, err
+		}
 	}
 	for i := range files {
 		if err := fsys.Rename(paths[i]+".tmp", paths[i]); err != nil {
@@ -324,37 +328,36 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 	return m, st, nil
 }
 
-// StreamReader is an opened shard set ready to decode, produced by
-// OpenStreamPaths. For v2 (stripe-checksummed) manifests the open is O(1)
-// per shard — existence and length only, no content reads — and integrity
-// checking happens inside the decode pass itself: every unit is verified
-// against its CRC32C as it enters the stripe ring, and a shard that fails
-// mid-stream is demoted to erased and reconstructed around. For legacy v1
-// manifests the open still pre-verifies whole-shard SHA-256 (in parallel,
-// one goroutine per shard).
+// StreamReader is an opened shard set ready to decode — the decode core,
+// produced by OpenStreams or its file instantiation OpenStreamPaths. For
+// v2 (stripe-checksummed) manifests integrity checking happens inside the
+// decode pass itself: every unit is verified against its CRC32C as it
+// enters the stripe ring, and a shard that fails mid-stream is demoted to
+// erased and reconstructed around.
 //
 // Unusable()/Degraded() reflect what is known at the time of the call:
 // open-time failures immediately, mid-stream demotions once Decode has
 // run — internal/server uses the former for response headers and the
 // latter for response trailers.
 type StreamReader struct {
-	m        Manifest
-	opt      Opts
+	m   Manifest
+	opt Opts
+	// base is the manifest stripe every source is positioned at: 0 for a
+	// whole-shard open, the first covering stripe for sources opened over a
+	// byte window (ranged peer reads) or after seekToStripe.
+	base     int64
+	srcs     []io.ReadCloser // nil entries are unusable shards
 	readers  []io.Reader
 	bufrs    []*bufio.Reader // pooled; returned to bufReaderPool on Close
-	files    []vfs.File
 	guards   []*stallGuard
 	unusable []int
 	corrupt  []int
 	demoted  []gemmec.Demotion
 }
 
-// Manifest returns the manifest the reader was opened against.
-func (sr *StreamReader) Manifest() Manifest { return sr.m }
-
 // Unusable returns the shard indices that could not serve reads: missing
-// files, wrong-length (truncated) files, checksum mismatches, and — after
-// Decode — shards demoted mid-stream.
+// or unreachable sources, wrong-length (truncated) files, checksum
+// mismatches, and — after Decode — shards demoted mid-stream.
 func (sr *StreamReader) Unusable() []int { return sr.unusable }
 
 // Corrupt returns the subset of Unusable whose bytes were present but
@@ -371,27 +374,25 @@ func (sr *StreamReader) Demoted() []gemmec.Demotion { return sr.demoted }
 // losses immediately, mid-stream demotions once Decode has run.
 func (sr *StreamReader) Degraded() bool { return len(sr.unusable) > 0 }
 
-// Close releases the underlying shard files and lets any stall-guard pump
-// goroutines wind down. It is safe to call after a failed Decode and is
-// idempotent.
+// Close releases the underlying shard sources and lets any stall-guard
+// pump goroutines wind down. It is safe to call after a failed Decode and
+// is idempotent.
 func (sr *StreamReader) Close() error {
 	var first error
 	for _, g := range sr.guards {
-		if g != nil {
-			g.stop()
-		}
+		g.stop()
 	}
 	sr.guards = nil
 	for _, br := range sr.bufrs {
 		putBufReader(br)
 	}
 	sr.bufrs = nil
-	for i, f := range sr.files {
-		if f != nil {
-			if err := f.Close(); err != nil && first == nil {
+	for i, c := range sr.srcs {
+		if c != nil {
+			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}
-			sr.files[i] = nil
+			sr.srcs[i] = nil
 		}
 	}
 	return first
@@ -401,7 +402,7 @@ func (sr *StreamReader) Close() error {
 // as the decode pipeline gathers them. The clean path allocates nothing —
 // one table-driven CRC per unit, no hashing state — which is what keeps
 // steady-state DecodeStream inside the allocation guard. base offsets the
-// pipeline's stripe numbers into the manifest for range decodes that start
+// pipeline's stripe numbers into the manifest for decodes that start
 // mid-object (stripe 0 of the pipeline is manifest stripe base).
 type stripeVerifier struct {
 	sums [][]uint32
@@ -434,17 +435,17 @@ func (v *stripeVerifier) VerifyUnit(shard int, stripe int64, unit []byte) error 
 // demotes (cause "stall") any shard whose underlying read outlives the
 // deadline instead of letting it hang the stream.
 func (sr *StreamReader) Decode(dst io.Writer, workers int) (gemmec.StreamStats, error) {
-	return sr.decodeSize(dst, workers, sr.m.FileSize)
+	return sr.decodeFrom(dst, workers, sr.m.FileSize)
 }
 
 // DecodeRange streams only payload bytes [off, off+length) to dst — the
 // read path for ranged GETs and for one member of a packed (slab) shard
 // set, whose SlabEntry gives the window. The decode is stripe-seeking on
-// both ends: every usable shard file is positioned at the first stripe
-// the window touches (one Seek, no prefix reads) and the pipeline stops
-// at the last covering stripe, so the shard I/O is O(stripes covering the
-// range) regardless of where the window falls in the object. Like Decode
-// it may be called at most once.
+// both ends: every usable source is positioned at the first stripe the
+// window touches (one Seek, no prefix reads — or already opened there,
+// see OpenStreams) and the pipeline stops at the last covering stripe, so
+// the shard I/O is O(stripes covering the range) regardless of where the
+// window falls in the object. Like Decode it may be called at most once.
 //
 // The bounds check is deliberately written without computing off+length:
 // for adversarial values near MaxInt64 the sum wraps negative and would
@@ -458,60 +459,58 @@ func (sr *StreamReader) DecodeRange(dst io.Writer, workers int, off, length int6
 		return gemmec.StreamStats{}, nil
 	}
 	stripeBytes := int64(sr.m.K) * int64(sr.m.UnitSize)
-	base := off / stripeBytes
-	if err := sr.seekToStripe(base); err != nil {
-		return gemmec.StreamStats{}, err
+	if base := off / stripeBytes; base != sr.base {
+		if err := sr.seekToStripe(base); err != nil {
+			return gemmec.StreamStats{}, err
+		}
 	}
-	w := NewWindowWriter(dst, off-base*stripeBytes, length)
-	st, err := sr.decodeFrom(w, workers, base, off+length-base*stripeBytes)
-	if err != nil && errors.Is(err, ErrWindowDone) {
+	w := &windowWriter{dst: dst, skip: off - sr.base*stripeBytes, n: length}
+	st, err := sr.decodeFrom(w, workers, off+length-sr.base*stripeBytes)
+	if err != nil && errors.Is(err, errWindowDone) {
 		// The window closed before the pipeline drained its final stripes —
 		// the early-stop worked, the caller has every requested byte.
 		err = nil
 	}
-	if err == nil && w.Remaining() > 0 {
-		err = fmt.Errorf("shardfile: range decode ended %d bytes short of [off=%d,len=%d)", w.Remaining(), off, length)
+	if err == nil && w.n > 0 {
+		err = fmt.Errorf("shardfile: range decode ended %d bytes short of [off=%d,len=%d)", w.n, off, length)
 	}
 	return st, err
 }
 
-// seekToStripe positions every usable shard file at the start of manifest
-// stripe `base` (byte base*UnitSize of each shard file). It must run
-// before any decode reads: the pooled bufio layers and the stall-guard
-// pumps are both lazy, so repositioning the files underneath them is
-// safe. A shard whose Seek fails is dropped from the read set (decode
-// reconstructs around it) rather than served from the wrong offset.
+// seekToStripe positions every usable source at the start of manifest
+// stripe `base` (byte base*UnitSize of each shard). It must run before any
+// decode reads: the pooled bufio layers and the stall-guard pumps are both
+// lazy, so repositioning the sources underneath them is safe. A shard that
+// cannot seek (a peer body — those are opened at their window instead) or
+// whose Seek fails is dropped from the read set (decode reconstructs
+// around it) rather than served from the wrong offset.
 func (sr *StreamReader) seekToStripe(base int64) error {
-	if base == 0 {
-		return nil
-	}
 	target := base * int64(sr.m.UnitSize)
-	for i, f := range sr.files {
-		if f == nil {
+	for i, c := range sr.srcs {
+		if c == nil {
 			continue
 		}
-		if _, err := f.Seek(target, io.SeekStart); err != nil {
-			sr.readers[i] = nil
-			sr.unusable = appendShard(sr.unusable, i)
+		if s, ok := c.(io.Seeker); ok {
+			if _, err := s.Seek(target, io.SeekStart); err == nil {
+				continue
+			}
 		}
+		sr.readers[i] = nil
+		sr.unusable = appendShard(sr.unusable, i)
 	}
 	if usable := sr.m.K + sr.m.R - len(sr.unusable); usable < sr.m.K {
 		return fmt.Errorf("shardfile: only %d of %d shards seekable, need k=%d: %w",
 			usable, sr.m.K+sr.m.R, sr.m.K, gemmec.ErrTooFewShards)
 	}
+	sr.base = base
 	return nil
 }
 
-func (sr *StreamReader) decodeSize(dst io.Writer, workers int, size int64) (gemmec.StreamStats, error) {
-	return sr.decodeFrom(dst, workers, 0, size)
-}
-
 // decodeFrom runs the decode pipeline over `size` payload bytes starting
-// at manifest stripe `base` (the shard readers must already be positioned
-// there — see seekToStripe). Stripe numbers reported by the pipeline are
-// rebased into manifest coordinates for both verification and demotion
-// records.
-func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, base, size int64) (gemmec.StreamStats, error) {
+// at manifest stripe sr.base, where the sources are positioned. Stripe
+// numbers reported by the pipeline are rebased into manifest coordinates
+// for both verification and demotion records.
+func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, size int64) (gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	code, err := sr.opt.code(sr.m.K, sr.m.R, sr.m.UnitSize)
 	if err != nil {
@@ -522,7 +521,7 @@ func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, base, size int64)
 	opts := append(sr.opt.streamOpts(sr.m.K, sr.m.R, sr.m.UnitSize, workers),
 		gemmec.WithStreamStats(&st), gemmec.WithStreamContext(sr.opt.context()))
 	if sr.m.StripeVerified() {
-		opts = append(opts, gemmec.WithStreamVerifier(&stripeVerifier{sums: sr.m.StripeSums, base: base}))
+		opts = append(opts, gemmec.WithStreamVerifier(&stripeVerifier{sums: sr.m.StripeSums, base: sr.base}))
 	}
 	sp := obs.StartSpan(sr.opt.context(), "shardfile.decode")
 	err = code.DecodeStream(sr.readers, out, size, opts...)
@@ -530,7 +529,7 @@ func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, base, size int64)
 	sp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
 	sp.End(err)
 	for i := range st.Demoted {
-		st.Demoted[i].Stripe += base
+		st.Demoted[i].Stripe += sr.base
 	}
 	sr.recordDemotions(st.Demoted)
 	if err != nil {
@@ -539,37 +538,25 @@ func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, base, size int64)
 	return st, out.Flush()
 }
 
-// ErrWindowDone terminates a range decode the moment the window's last
-// byte has been written: WindowWriter returns it once the window closes,
+// errWindowDone terminates a range decode the moment the window's last
+// byte has been written: windowWriter returns it once the window closes,
 // the pipeline's write stage treats it like any write failure and stops,
 // and DecodeRange recognizes it as success. Without it a decode whose
-// size overshoots the window (a caller that did not trim size to the last
-// covering stripe) would stream — and reconstruct, and verify — every
-// byte to the end of the object just to discard it. Exported (with
-// WindowWriter) for callers that run DecodeStream over a window
-// themselves — the cluster gateway's ranged remote reads.
-var ErrWindowDone = errors.New("shardfile: range window complete")
+// size overshoots the window would stream — and reconstruct, and verify —
+// every byte to the end of the object just to discard it.
+var errWindowDone = errors.New("shardfile: range window complete")
 
-// WindowWriter passes through only bytes [skip, skip+length) of the
-// stream written to it, discarding bytes before the window and stopping
-// the producer (via ErrWindowDone) once the window is full.
-type WindowWriter struct {
+// windowWriter passes through only bytes [skip, skip+n) of the stream
+// written to it, discarding bytes before the window and stopping the
+// producer (via errWindowDone) once the window is full. n counts down: a
+// decode that ends cleanly with n > 0 came up short.
+type windowWriter struct {
 	dst  io.Writer
 	skip int64 // bytes still to discard before the window
 	n    int64 // window bytes still to pass through
 }
 
-// NewWindowWriter returns a writer forwarding bytes [skip, skip+length)
-// of whatever is written through it to dst.
-func NewWindowWriter(dst io.Writer, skip, length int64) *WindowWriter {
-	return &WindowWriter{dst: dst, skip: skip, n: length}
-}
-
-// Remaining reports how many window bytes have not yet been written — a
-// decode that ends cleanly with Remaining() > 0 came up short.
-func (w *WindowWriter) Remaining() int64 { return w.n }
-
-func (w *WindowWriter) Write(p []byte) (int, error) {
+func (w *windowWriter) Write(p []byte) (int, error) {
 	total := len(p)
 	if w.skip > 0 {
 		if int64(len(p)) <= w.skip {
@@ -592,7 +579,7 @@ func (w *WindowWriter) Write(p []byte) (int, error) {
 	if w.n == 0 {
 		// Window complete: accept the tail bytes of this write (they are
 		// legitimately discarded) but stop the producer.
-		return total, ErrWindowDone
+		return total, errWindowDone
 	}
 	return total, nil
 }
@@ -621,25 +608,89 @@ func appendShard(set []int, i int) []int {
 	return set
 }
 
-// OpenStreamPaths opens the shard files of one manifest. For v2
-// (stripe-checksummed) manifests the open is O(1) per shard: existence
-// and length are checked (a stat, no reads), and content verification is
-// deferred to Decode, which checks every unit's CRC32C inside the decode
-// pass itself — each shard byte is read exactly once, and the first
-// payload byte costs one stripe of I/O instead of a whole-object hashing
-// barrier. For legacy v1 manifests recording whole-shard checksums, each
-// present shard is still SHA-256-verified up front, in parallel (one
-// goroutine per shard).
+// OpenStreams is the decode core's constructor: it wraps one opened
+// source per shard of m — nil where the shard is missing or unreachable —
+// positioned at manifest stripe base (0 for whole shards; a ranged peer
+// read opens each body at the first stripe covering its window), and
+// takes ownership of them: they are closed by Close, or here on failure.
+// Each usable source gets a pooled bufio layer (over a stall guard when
+// opt.ShardReadTimeout is set); nothing is read until Decode, which
+// verifies every unit's CRC32C inside the decode pass itself. If fewer
+// than k sources are usable the returned error wraps
+// gemmec.ErrTooFewShards.
+//
+// opt is remembered by the returned reader: its Ctx, ShardReadTimeout,
+// Sched and Source govern the later Decode (see StreamReader.Decode).
+func OpenStreams(srcs []io.ReadCloser, m Manifest, base int64, opt Opts) (*StreamReader, error) {
+	sr := &StreamReader{m: m, opt: opt, base: base, srcs: srcs}
+	err := m.Validate()
+	if err == nil && len(srcs) != m.K+m.R {
+		err = fmt.Errorf("shardfile: %d shard sources for k+r=%d", len(srcs), m.K+m.R)
+	}
+	if err == nil {
+		err = sr.wire(nil)
+	}
+	if err != nil {
+		sr.Close()
+		return nil, err
+	}
+	return sr, nil
+}
+
+// wire builds the read stack over sr.srcs — stall guard, pooled bufio —
+// and the unusable/corrupt sets (corruptAt marks nil sources whose bytes
+// were present but failed an open-time check), and fails when fewer than
+// k shards remain.
+func (sr *StreamReader) wire(corruptAt []bool) error {
+	n := sr.m.K + sr.m.R
+	sr.readers = make([]io.Reader, n)
+	for i, c := range sr.srcs {
+		if c == nil {
+			sr.unusable = append(sr.unusable, i)
+			if corruptAt != nil && corruptAt[i] {
+				sr.corrupt = append(sr.corrupt, i)
+			}
+			continue
+		}
+		var rd io.Reader = c
+		if sr.opt.ShardReadTimeout > 0 {
+			// The guard goes under bufio, so small units share one deadline
+			// and one copy per streamBufSize refill; unit-sized reads pass
+			// through bufio and are guarded one by one.
+			g := newStallGuard(c, i, sr.opt.ShardReadTimeout)
+			sr.guards = append(sr.guards, g)
+			rd = g
+		}
+		br := getBufReader(rd)
+		sr.bufrs = append(sr.bufrs, br)
+		sr.readers[i] = br
+	}
+	if usable := n - len(sr.unusable); usable < sr.m.K {
+		if len(sr.corrupt) > 0 {
+			return fmt.Errorf("shardfile: shards %v failed verification (%w); only %d of %d usable, need k=%d: %w",
+				sr.corrupt, gemmec.ErrCorruptShard, usable, n, sr.m.K, gemmec.ErrTooFewShards)
+		}
+		return fmt.Errorf("shardfile: only %d of %d shards usable (missing %v), need k=%d: %w",
+			usable, n, sr.unusable, sr.m.K, gemmec.ErrTooFewShards)
+	}
+	return nil
+}
+
+// OpenStreamPaths is the file instantiation of the decode core: it opens
+// the shard files of one manifest. For v2 (stripe-checksummed) manifests
+// the open is O(1) per shard: existence and length are checked (a stat,
+// no reads), and content verification is deferred to Decode — each shard
+// byte is read exactly once, and the first payload byte costs one stripe
+// of I/O instead of a whole-object hashing barrier. For legacy v1
+// manifests recording whole-shard checksums, each present shard is still
+// SHA-256-verified up front, in parallel (one goroutine per shard).
 //
 // Shards that are missing, truncated, or (v1) checksum-corrupt are
 // treated as erased; if fewer than k usable shards remain the returned
 // error wraps gemmec.ErrTooFewShards (and gemmec.ErrCorruptShard when
 // verification failures contributed), so callers classify "disk lied" vs
-// "disk lost" with errors.Is.
-//
-// opt is remembered by the returned reader: its Ctx and ShardReadTimeout
-// govern the later Decode (see StreamReader.Decode), its FS is where the
-// shards are opened.
+// "disk lost" with errors.Is. opt is remembered as for OpenStreams; its
+// FS is where the shards are opened.
 func OpenStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error) {
 	sp := obs.StartSpan(opt.context(), "shardfile.open")
 	sr, err := openStreamPaths(paths, m, opt)
@@ -659,18 +710,13 @@ func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 		return nil, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), n)
 	}
 	fsys := opt.fs()
-	sr := &StreamReader{
-		m:       m,
-		opt:     opt,
-		readers: make([]io.Reader, n),
-		files:   make([]vfs.File, n),
-	}
+	sr := &StreamReader{m: m, opt: opt, srcs: make([]io.ReadCloser, n)}
 	want := int64(m.Stripes) * int64(m.UnitSize)
 	corruptAt := make([]bool, n)
 	for i, p := range paths {
 		f, err := fsys.Open(p)
 		if err != nil {
-			continue // missing: files[i] stays nil
+			continue // missing: srcs[i] stays nil
 		}
 		fi, err := f.Stat()
 		if err != nil {
@@ -683,7 +729,7 @@ func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 			corruptAt[i] = true
 			continue
 		}
-		sr.files[i] = f
+		sr.srcs[i] = f
 	}
 
 	// Legacy v1 manifests still pay the whole-shard SHA-256 pre-read; run
@@ -693,12 +739,12 @@ func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 		errs := make([]error, n)
 		bad := make([]bool, n)
 		var wg sync.WaitGroup
-		for i, f := range sr.files {
-			if f == nil {
+		for i, c := range sr.srcs {
+			if c == nil {
 				continue
 			}
 			wg.Add(1)
-			go func(i int, f vfs.File) {
+			go func(i int, f io.ReadSeeker) {
 				defer wg.Done()
 				h := sha256.New()
 				if _, err := io.Copy(h, f); err != nil {
@@ -710,89 +756,24 @@ func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 					return
 				}
 				_, errs[i] = f.Seek(0, io.SeekStart)
-			}(i, f)
+			}(i, c.(vfs.File))
 		}
 		wg.Wait()
-		for i := range sr.files {
+		for i := range sr.srcs {
 			if errs[i] != nil {
 				sr.Close()
 				return nil, errs[i]
 			}
 			if bad[i] {
-				sr.files[i].Close()
-				sr.files[i] = nil
+				sr.srcs[i].Close()
+				sr.srcs[i] = nil
 				corruptAt[i] = true
 			}
 		}
 	}
-
-	for i, f := range sr.files {
-		if f == nil {
-			sr.unusable = append(sr.unusable, i)
-			if corruptAt[i] {
-				sr.corrupt = append(sr.corrupt, i)
-			}
-			continue
-		}
-		var rd io.Reader = f
-		if opt.ShardReadTimeout > 0 {
-			// The guard goes under bufio, so small units share one deadline
-			// and one copy per StreamBufSize refill; unit-sized reads pass
-			// through bufio and are guarded one by one.
-			g := newStallGuard(f, i, opt.ShardReadTimeout)
-			sr.guards = append(sr.guards, g)
-			rd = g
-		}
-		br := getBufReader(rd)
-		sr.bufrs = append(sr.bufrs, br)
-		sr.readers[i] = br
-	}
-	if usable := n - len(sr.unusable); usable < m.K {
+	if err := sr.wire(corruptAt); err != nil {
 		sr.Close()
-		if len(sr.corrupt) > 0 {
-			return nil, fmt.Errorf("shardfile: shards %v failed verification (%w); only %d of %d usable, need k=%d: %w",
-				sr.corrupt, gemmec.ErrCorruptShard, usable, n, m.K, gemmec.ErrTooFewShards)
-		}
-		return nil, fmt.Errorf("shardfile: only %d of %d shards usable (missing %v), need k=%d: %w",
-			usable, n, sr.unusable, m.K, gemmec.ErrTooFewShards)
+		return nil, err
 	}
 	return sr, nil
-}
-
-// ReadStreamPaths decodes the shard files at paths to dst, verifying every
-// present shard against the manifest first (see OpenStreamPaths) and
-// reconstructing unusable shards' data on the fly. It returns the indices
-// of the shards it had to treat as erased and the pipeline stats.
-func ReadStreamPaths(paths []string, m Manifest, dst io.Writer, workers int, opt Opts) ([]int, gemmec.StreamStats, error) {
-	sr, err := OpenStreamPaths(paths, m, opt)
-	if err != nil {
-		return nil, gemmec.StreamStats{}, err
-	}
-	defer sr.Close()
-	st, err := sr.Decode(dst, workers)
-	return sr.Unusable(), st, err
-}
-
-// ReadStream decodes dir's shard set to dst, reconstructing lost or
-// corrupt data shards on the fly (without rewriting the damaged shard
-// files — use Repair or Scrub for that). Every present shard is verified
-// against the manifest — length at open, then each unit's CRC32C inside
-// the decode (whole-shard SHA-256 up front for a v1 set) — so silent
-// corruption is reconstructed around instead of served; when too many
-// shards are damaged the error wraps gemmec.ErrTooFewShards (and
-// gemmec.ErrCorruptShard if checksum failures contributed). It returns the
-// manifest, the indices of the shards treated as erased, and the pipeline
-// stats.
-func ReadStream(dir string, dst io.Writer, workers int) (Manifest, []int, gemmec.StreamStats, error) {
-	var st gemmec.StreamStats
-	m, err := LoadManifest(dir)
-	if err != nil {
-		return m, nil, st, err
-	}
-	paths := make([]string, m.K+m.R)
-	for i := range paths {
-		paths[i] = ShardPath(dir, i)
-	}
-	bad, st, err := ReadStreamPaths(paths, m, dst, workers, Opts{})
-	return m, bad, st, err
 }

@@ -10,14 +10,14 @@ import (
 	"gemmec"
 )
 
-// writeStreamTestFile encodes a random payload with WriteStream and returns
-// the shard directory and the payload.
+// writeStreamTestFile encodes a random payload into a fresh shard
+// directory and returns the directory and the payload.
 func writeStreamTestFile(t *testing.T, size int) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	raw := make([]byte, size)
 	rand.New(rand.NewSource(int64(size) + 7)).Read(raw)
-	m, _, err := WriteStream(dir, bytes.NewReader(raw), int64(size), tk, tr, tunit, 2)
+	m, _, err := writeStreamDir(dir, bytes.NewReader(raw), int64(size), tk, tr, tunit, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func writeStreamTestFile(t *testing.T, size int) (string, []byte) {
 
 func readStreamBack(dir string) ([]byte, []int, error) {
 	var buf bytes.Buffer
-	_, bad, _, err := ReadStream(dir, &buf, 2)
+	_, bad, _, err := readStreamDir(dir, &buf, 2)
 	return buf.Bytes(), bad, err
 }
 
@@ -196,7 +196,7 @@ func TestV2OpenSkipsPreRead(t *testing.T) {
 		t.Fatal("WriteStream did not emit a stripe-verified (v2) manifest")
 	}
 	corruptShardByte(t, dir, 2, int64(tunit)+13) // stripe 1 of shard 2
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMidStreamTruncationDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestTooManyDemotionsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err) // open is clean: corruption is in-place
 	}
@@ -330,7 +330,7 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	dir, raw := writeStreamTestFile(t, tk*tunit*2+9)
 	m := downgradeToV1(t, dir)
 	corruptShardByte(t, dir, 3, 7)
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	}
 
 	// v1 scrub: whole-shard granularity, heals in place.
-	healed, err := ScrubPaths(shardPaths(dir, m), m, Opts{})
+	healed, err := ScrubPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestOpenStreamPathsReportsBeforeDecode(t *testing.T) {
 	if err := os.Remove(ShardPath(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(shardPaths(dir, m), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
