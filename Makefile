@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ladder-smoke loc ci
+.PHONY: all build vet fmt test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ladder-smoke loc ci
 
 all: build
 
@@ -12,6 +12,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt must have nothing to say about the tree (benchmark/ is a separate
+# module, frozen to all but [benchmark] PRs).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^benchmark/'); \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -75,17 +81,16 @@ bench:
 
 # Machine-readable bench trajectory: the serving path's PUT/GET latency
 # percentiles clean vs degraded through the full daemon stack
-# (BENCH_server.json), the heavy-traffic open-loop run — sustained RPS,
-# small/large tails, shed count, goroutine bound (BENCH_load.json), and
-# the networked 3-peer cluster's gateway latency + rebuild MB/s
-# (BENCH_cluster.json). BENCH_ARGS="-quick" shrinks all three for smoke
-# runs. Shard-set decode, range and patch numbers come from the ladder
-# (`bash benchmark/run.sh --trace 1`: shardfile.read_mbps, .range_ms,
-# .patch_ms).
+# (BENCH_server.json) and the heavy-traffic open-loop run — sustained RPS,
+# small/large tails, shed count, goroutine bound (BENCH_load.json).
+# BENCH_ARGS="-quick" shrinks both for smoke runs. Shard-set decode, range
+# and patch numbers and the networked cluster's gateway latency, rebuild
+# MB/s and repair amplification come from the ladder (`bash
+# benchmark/run.sh --trace 1`: shardfile.read_mbps, .range_ms, .patch_ms,
+# gateway.put_mbps, .get_mbps, .rebuild_mbps, .repair_amplification).
 bench-json:
 	$(GO) run ./cmd/ecbench -exp server-json -json BENCH_server.json $(BENCH_ARGS)
 	$(GO) run ./cmd/ecbench -exp load-json -json BENCH_load.json $(BENCH_ARGS)
-	$(GO) run ./cmd/ecbench -exp cluster-json -json BENCH_cluster.json $(BENCH_ARGS)
 
 # Smoke pass over every bench-json experiment at the quick profile: the
 # gate is that each experiment RUNS to completion (including the tuner
@@ -96,7 +101,6 @@ bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
 	$(GO) run ./cmd/ecbench -exp server-json -quick -json .bench-smoke/server.json
 	$(GO) run ./cmd/ecbench -exp load-json -quick -json .bench-smoke/load.json
-	$(GO) run ./cmd/ecbench -exp cluster-json -quick -json .bench-smoke/cluster.json
 	rm -rf .bench-smoke
 
 # The ladder benchmark (benchmark/) is its own module compiled against this
@@ -122,4 +126,4 @@ loc:
 # TestDecodeStreamSteadyStateAllocs and the full-server
 # TestServerSteadyStateAllocs) run as part of `test`, so `ci` gates on the
 # encode, verified-decode and daemon PUT/GET paths staying allocation-free.
-ci: build vet test race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke ladder-smoke
+ci: build vet fmt test race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke ladder-smoke

@@ -388,32 +388,32 @@ func runLoadJSON(w io.Writer, cfg Config) error {
 	st := store.Stats()
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	rep := loadJSONReport{
-		Experiment:       "load-json",
-		K:                k,
-		R:                r,
-		UnitSize:         cfg.UnitSize,
-		SmallMaxBytes:    smallMax,
-		LargeObjectBytes: largeBytes,
-		DurationS:        elapsed.Seconds(),
-		OfferedRPS:       offeredRPS,
-		AchievedRPS:      float64(completed) / elapsed.Seconds(),
-		Completed:        completed,
-		ClientShed:       clientShed,
-		SmallGetP50Ms:    ms(Percentile(lats[0], 50)),
-		SmallGetP99Ms:    ms(Percentile(lats[0], 99)),
-		SmallGetP999Ms:   ms(Percentile(lats[0], 99.9)),
-		LargeGetP50Ms:    ms(Percentile(lats[1], 50)),
-		LargeGetP99Ms:    ms(Percentile(lats[1], 99)),
-		PutP50Ms:         ms(Percentile(lats[2], 50)),
-		PutP99Ms:         ms(Percentile(lats[2], 99)),
-		BurstClients:     burst,
-		BurstShed:        burstShed,
-		BurstP50Ms:       ms(Percentile(burstLats, 50)),
-		BurstP99Ms:       ms(Percentile(burstLats, 99)),
-		BurstP999Ms:      ms(Percentile(burstLats, 99.9)),
-		RequestsShed:     st.RequestsShed,
-		SlabPuts:         st.SlabPuts,
-		SlabFlushes:      st.SlabFlushes,
+		Experiment:          "load-json",
+		K:                   k,
+		R:                   r,
+		UnitSize:            cfg.UnitSize,
+		SmallMaxBytes:       smallMax,
+		LargeObjectBytes:    largeBytes,
+		DurationS:           elapsed.Seconds(),
+		OfferedRPS:          offeredRPS,
+		AchievedRPS:         float64(completed) / elapsed.Seconds(),
+		Completed:           completed,
+		ClientShed:          clientShed,
+		SmallGetP50Ms:       ms(Percentile(lats[0], 50)),
+		SmallGetP99Ms:       ms(Percentile(lats[0], 99)),
+		SmallGetP999Ms:      ms(Percentile(lats[0], 99.9)),
+		LargeGetP50Ms:       ms(Percentile(lats[1], 50)),
+		LargeGetP99Ms:       ms(Percentile(lats[1], 99)),
+		PutP50Ms:            ms(Percentile(lats[2], 50)),
+		PutP99Ms:            ms(Percentile(lats[2], 99)),
+		BurstClients:        burst,
+		BurstShed:           burstShed,
+		BurstP50Ms:          ms(Percentile(burstLats, 50)),
+		BurstP99Ms:          ms(Percentile(burstLats, 99)),
+		BurstP999Ms:         ms(Percentile(burstLats, 99.9)),
+		RequestsShed:        st.RequestsShed,
+		SlabPuts:            st.SlabPuts,
+		SlabFlushes:         st.SlabFlushes,
 		GoroutinePeak:       goroutinePeak,
 		ServerGoroutinePeak: serverPeak,
 		ClientGoroutinePeak: clientPeak,

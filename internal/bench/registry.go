@@ -23,7 +23,7 @@ type Config struct {
 	// Seed for workload data and tuning.
 	Seed int64
 	// JSONPath, when non-empty, makes the JSON-emitting experiments
-	// (server-json, load-json, cluster-json) also write their results to
+	// (server-json, load-json) also write their results to
 	// this file.
 	JSONPath string
 }

@@ -96,6 +96,10 @@ type Engine struct {
 
 	maxDecoders int // decoder-LRU bound; Options.MaxCachedDecoders or default
 
+	// recScratch pools reconstruct's contiguous kernel operands: one
+	// (k+r)*unitSize []byte per in-flight call.
+	recScratch sync.Pool
+
 	mu         sync.Mutex
 	decoders   map[string]*list.Element // pattern key -> LRU element (*decoderEntry)
 	decoderLRU *list.List               // front = most recently used
@@ -190,6 +194,10 @@ func New(k, r, unitSize int, opts Options) (*Engine, error) {
 		workers:  opts.Workers,
 	}
 	e.decoderLRU = list.New()
+	e.recScratch.New = func() any {
+		b := make([]byte, (k+r)*unitSize)
+		return &b
+	}
 	e.maxDecoders = opts.MaxCachedDecoders
 	if e.maxDecoders <= 0 {
 		e.maxDecoders = DefaultMaxCachedDecoders
@@ -499,9 +507,12 @@ func (e *Engine) Verify(data, parity []byte) (bool, error) {
 	return true, nil
 }
 
-// Reconstruct rebuilds every nil unit in place. units holds the k data
-// units followed by the r parity units; at least k must be non-nil with
-// the engine's unit size. Rebuilt units are freshly allocated.
+// Reconstruct rebuilds every lost unit in place. units holds the k data
+// units followed by the r parity units; at least k must be present with
+// the engine's unit size. A lost unit is any empty entry: nil is rebuilt
+// into a fresh allocation, a zero-length slice with unitSize capacity is
+// rebuilt into that capacity — how a stripe-by-stripe repair walk keeps
+// its memory at one stripe buffer.
 //
 // Reconstruction runs through the same compiled-GEMM machinery as encoding:
 // the decode bitmatrix (inverted survivor generator times the lost rows) is
@@ -524,7 +535,7 @@ func (e *Engine) reconstruct(units [][]byte, dataOnly bool) error {
 	}
 	var survivors, lost []int
 	for i, u := range units {
-		if u == nil {
+		if len(u) == 0 {
 			if !dataOnly || i < e.k {
 				lost = append(lost, i)
 			}
@@ -548,17 +559,20 @@ func (e *Engine) reconstruct(units [][]byte, dataOnly bool) error {
 		return err
 	}
 
-	// Gather survivors into a contiguous stripe (B operand).
-	in := make([]byte, e.k*e.unitSize)
+	// Gather survivors into a contiguous stripe (B operand); the kernel
+	// writes the lost units contiguously after it (len(lost) <= r here).
+	sp := e.recScratch.Get().(*[]byte)
+	defer e.recScratch.Put(sp)
+	in := (*sp)[:e.k*e.unitSize]
+	out := (*sp)[len(in) : len(in)+len(lost)*e.unitSize]
 	for i, s := range survivors {
 		gf.CopyRegion(in[i*e.unitSize:(i+1)*e.unitSize], units[s])
 	}
-	out := make([]byte, len(lost)*e.unitSize)
 	if err := dec.comp.Kernel.ExecBufs(dec.aBuf, te.Buffer(in), te.Buffer(out)); err != nil {
 		return err
 	}
 	for i, u := range lost {
-		units[u] = out[i*e.unitSize : (i+1)*e.unitSize]
+		units[u] = append(units[u][:0], out[i*e.unitSize:(i+1)*e.unitSize]...)
 	}
 	return nil
 }

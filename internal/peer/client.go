@@ -192,10 +192,11 @@ func (c *Client) Failures() int64 { return c.failures.Load() }
 // DownTransitions returns lifetime healthy→down transitions.
 func (c *Client) DownTransitions() int64 { return c.downs.Load() }
 
-// observe records one attempt's outcome locally and to the Observer.
-func (c *Client) observe(op string, code int, d time.Duration) {
+// observe records one attempt's outcome locally and to the Observer;
+// failed says whether it counts against the peer.
+func (c *Client) observe(op string, code int, d time.Duration, failed bool) {
 	c.requests.Add(1)
-	if code == 0 || code >= 500 {
+	if failed {
 		c.failures.Add(1)
 	}
 	if o := c.obsv.Load(); o != nil && o.OnRequest != nil {
@@ -237,12 +238,19 @@ func (c *Client) do(req *http.Request, op string) (*http.Response, error) {
 	start := time.Now()
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		c.markDown()
-		c.observe(op, 0, time.Since(start))
+		// A caller that hung up — a majority read returning with its
+		// stragglers in flight, a client disconnect — says nothing about the
+		// peer. Only cancellation is excused: an expired deadline (doRetry's
+		// per-attempt OpTimeout included) is the peer being too slow.
+		callerGone := errors.Is(req.Context().Err(), context.Canceled)
+		if !callerGone {
+			c.markDown()
+		}
+		c.observe(op, 0, time.Since(start), !callerGone)
 		sp.End(err)
 		return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.member.Addr, err)
 	}
-	c.observe(op, resp.StatusCode, time.Since(start))
+	c.observe(op, resp.StatusCode, time.Since(start), resp.StatusCode >= 500)
 	if tr != nil && op != opGetMeta {
 		tr.AddRemoteSpans(c.member.ID, sp, resp.Header.Get(obs.TraceSpansHeader))
 	}

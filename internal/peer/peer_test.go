@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -294,5 +296,45 @@ func TestFaultDelayHonorsContext(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("delay ignored the context")
+	}
+}
+
+// TestCanceledRequestIsNotAPeerFailure: a request that dies because its
+// caller gave up — the gateway's majority metadata read returning with
+// stragglers in flight — must not count against a live peer; a peer that
+// refuses the connection still does.
+func TestCanceledRequestIsNotAPeerFailure(t *testing.T) {
+	inHandler := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(inHandler)
+		<-r.Context().Done() // a live peer, mid-request when the caller hangs up
+	}))
+	defer srv.Close()
+	c := NewClient(Member{ID: 1, Addr: srv.URL}, ClientConfig{Secret: "s", OpTimeout: 5 * time.Second})
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-inHandler
+		cancel()
+	}()
+	if _, err := c.GetMeta(ctx, "6b"); err == nil {
+		t.Fatal("GetMeta survived its caller's cancellation")
+	}
+	if c.Failures() != 0 || !c.Healthy() || c.DownTransitions() != 0 {
+		t.Fatalf("caller's cancel counted against a live peer: failures=%d healthy=%v down_transitions=%d",
+			c.Failures(), c.Healthy(), c.DownTransitions())
+	}
+	if c.Requests() != 1 {
+		t.Fatalf("requests = %d, want the one canceled attempt", c.Requests())
+	}
+
+	srv.Close() // now the peer is really gone
+	if _, err := c.GetMeta(context.Background(), "6b"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("GetMeta against a closed peer = %v, want ErrUnavailable", err)
+	}
+	if c.Failures() == 0 || c.Healthy() || c.DownTransitions() != 1 {
+		t.Fatalf("refused connection not counted: failures=%d healthy=%v down_transitions=%d",
+			c.Failures(), c.Healthy(), c.DownTransitions())
 	}
 }

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,10 +27,6 @@ import (
 // and the object remains whatever it was before. Clients see 503 — the
 // cluster may heal and the write can be retried.
 var ErrWriteQuorum = errors.New("server: write quorum not reached")
-
-// rebuildBufSize sizes rebuildObjectShards' bufio layers like the
-// shardfile engine's: small units coalesce, unit-sized I/O passes through.
-const rebuildBufSize = gemmec.DefaultUnitSize / 2
 
 // rollbackTimeout bounds the cleanup work a failed or canceled PUT does
 // with a fresh context — the request's own context is typically already
@@ -353,41 +349,26 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	}
 	gen := uint64(meta.Gen)
 
-	// Shard fan-out: the encode engine writes each shard into a pipe; an
-	// uploader goroutine per shard streams the pipe to the placed member.
-	// A failed uploader keeps draining its pipe so the encode — and with
-	// it the surviving shards — never blocks on the dead one.
-	pws := make([]*io.PipeWriter, n)
-	ws := make([]io.Writer, n)
-	upErrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		pr, pw := io.Pipe()
-		pws[i], ws[i] = pw, pw
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := g.transport(placement[i]).PutShard(ctx, key, gen, i, -1, pr)
-			if err != nil {
-				upErrs[i] = err
-				// Drain to EOF (or pipe error) so the encoder's writes to
-				// this shard never block; the bytes go nowhere, the
-				// surviving k+r-1 uploads continue.
-				io.Copy(io.Discard, pr) //nolint:errcheck
-			}
-			pr.Close()
-		}(i)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
 	// The span covers encode + shard upload: it closes only after every
 	// uploader is joined, so its children (the engine's shardfile.encode,
 	// per-peer peer.put_shard spans and the remote shard.write spans they
 	// merge back) sit inside it and the straggler member is the longest bar.
 	esp := obs.StartSpan(ctx, "gw.encode")
-	m, st, err := shardfile.WriteStreamTo(ws, src, size, g.cfg.K, g.cfg.R, g.cfg.UnitSize, 0, g.streamOpts(ctx))
-	for _, pw := range pws {
-		pw.CloseWithError(err) // nil: a clean EOF ends the upload body
-	}
-	wg.Wait() // also the happens-before edge for reading upErrs
+	var m shardfile.Manifest
+	var st gemmec.StreamStats
+	upErrs, err := fanOut(n, all,
+		func(i int, body io.Reader) error {
+			return g.transport(placement[i]).PutShard(ctx, key, gen, i, -1, body)
+		},
+		func(ws []io.Writer) error {
+			var err error
+			m, st, err = shardfile.WriteStreamTo(ws, src, size, g.cfg.K, g.cfg.R, g.cfg.UnitSize, 0, g.streamOpts(ctx))
+			return err
+		})
 	esp.SetArg(st.Stripes)
 	esp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
 	esp.End(err)
@@ -441,6 +422,38 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	}
 	g.recordPut(st, m.FileSize)
 	return meta, st, nil
+}
+
+// fanOut is the gateway's shard fan-out, shared by PUT and rebuild: fill
+// writes shard i of n into ws[i] — a pipe, for each i in idx, nil for the
+// rest — while one uploader goroutine per pipe streams it to a member. A
+// failed uploader keeps draining its pipe so fill — and with it the other
+// shards — never blocks on the dead one. fill's error, or a clean EOF,
+// ends every upload body; fanOut returns once all uploaders have, with
+// each one's error and fill's.
+func fanOut(n int, idx []int, upload func(i int, body io.Reader) error, fill func(ws []io.Writer) error) ([]error, error) {
+	pws := make([]*io.PipeWriter, n)
+	ws := make([]io.Writer, n)
+	upErrs := make([]error, n)
+	var wg sync.WaitGroup
+	for _, i := range idx {
+		pr, pw := io.Pipe()
+		pws[i], ws[i] = pw, pw
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if upErrs[i] = upload(i, pr); upErrs[i] != nil {
+				io.Copy(io.Discard, pr) //nolint:errcheck // the bytes go nowhere
+			}
+			pr.Close()
+		}(i)
+	}
+	err := fill(ws)
+	for _, i := range idx {
+		pws[i].CloseWithError(err) // nil: a clean EOF ends the upload body
+	}
+	wg.Wait() // also the happens-before edge for reading upErrs
+	return upErrs, err
 }
 
 // rollbackShards deletes the shards of an abandoned generation from every
@@ -1017,14 +1030,15 @@ func (g *Gateway) StatusSnapshot() any {
 // back — the networked version of the local scrub-and-heal loop. The
 // sweep also retires delete tombstones once every member has
 // acknowledged them (see reapTombstone).
-func (g *Gateway) ScrubAll(ctx context.Context) ScrubReport {
+func (g *Gateway) ScrubAll(ctx context.Context) (rep ScrubReport) {
 	start := time.Now()
-	rep := ScrubReport{}
-	metas, err := g.catalog(ctx)
-	if err != nil {
-		rep.Errors = map[string]string{"<catalog>": err.Error()}
+	defer func() {
 		done := time.Now()
 		g.m().recordScrub(rep, done.Sub(start), done)
+	}()
+	metas, err := g.catalog(ctx)
+	if err != nil {
+		rep.record("<catalog>", nil, err)
 		return rep
 	}
 	for _, meta := range metas {
@@ -1032,11 +1046,9 @@ func (g *Gateway) ScrubAll(ctx context.Context) ScrubReport {
 			break
 		}
 		if meta.Deleted {
-			if _, err := g.reapTombstone(ctx, meta); err != nil {
-				if rep.Errors == nil {
-					rep.Errors = map[string]string{}
-				}
-				rep.Errors[meta.Name] = fmt.Sprintf("tombstone not reaped: %v", err)
+			if _, err := g.reapTombstone(ctx, meta); err != nil &&
+				rep.record(meta.Name, nil, fmt.Errorf("tombstone not reaped: %w", err)) {
+				break
 			}
 			continue
 		}
@@ -1045,23 +1057,10 @@ func (g *Gateway) ScrubAll(ctx context.Context) ScrubReport {
 		if len(targets) == 0 {
 			continue
 		}
-		if err := g.rebuildObjectShards(ctx, meta, targets); err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				break
-			}
-			if rep.Errors == nil {
-				rep.Errors = map[string]string{}
-			}
-			rep.Errors[meta.Name] = err.Error()
-			continue
+		if rep.record(meta.Name, targets, g.rebuildObjectShards(ctx, meta, targets)) {
+			break
 		}
-		if rep.Healed == nil {
-			rep.Healed = map[string][]int{}
-		}
-		rep.Healed[meta.Name] = targets
 	}
-	done := time.Now()
-	g.m().recordScrub(rep, done.Sub(start), done)
 	return rep
 }
 
@@ -1183,65 +1182,27 @@ func (g *Gateway) rebuildNode(ctx context.Context, id int) (RebuildStats, error)
 }
 
 // rebuildObjectShards reconstructs meta's shards at the target indices
-// from k surviving shards and streams each rebuilt shard to its placed
-// member. Survivor units are CRC-verified as they are read, so a rotten
-// survivor fails the rebuild loudly instead of poisoning the rebuilt
-// shard. Repair traffic (k units read per stripe, one unit written per
-// target) is accounted in the gateway's repair counters.
+// and streams each to its placed member: the peer instantiation of the
+// shardfile repair core. Exactly k survivor bodies are opened — the
+// canonical repair read cost — so a survivor unit failing its CRC32C, or
+// a survivor stream dying, leaves its stripe short and fails the rebuild
+// loudly instead of poisoning the rebuilt shard; nothing of a failed
+// rebuild stays on the targets.
 func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targets []int) error {
-	key := objKey(meta.Name)
+	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
 	n := m.K + m.R
-	unit := m.UnitSize
-	want := int64(m.Stripes) * int64(unit)
-	code, err := m.Code()
-	if err != nil {
-		return err
-	}
-	isTarget := make([]bool, n)
-	for _, t := range targets {
-		if t < 0 || t >= n {
-			return fmt.Errorf("server: rebuild target %d out of range", t)
-		}
-		isTarget[t] = true
-	}
-
-	// Open exactly k survivor streams — the canonical repair read cost.
+	want := int64(m.Stripes) * int64(m.UnitSize)
 	// Healthy members first so a flapping peer doesn't stall the rebuild.
-	type src struct {
-		idx int
-		rd  io.Reader
-		rc  io.ReadCloser
-	}
-	var srcs []src
-	defer func() {
-		for _, s := range srcs {
-			s.rc.Close()
-		}
-	}()
-	for pass := 0; pass < 2 && len(srcs) < m.K; pass++ {
-		for i := 0; i < n && len(srcs) < m.K; i++ {
-			if isTarget[i] {
-				continue
-			}
-			if pass == 0 && !g.healthy(meta.Placement[i]) {
-				continue
-			}
-			already := false
-			for _, s := range srcs {
-				if s.idx == i {
-					already = true
-					break
-				}
-			}
-			if already {
-				continue
-			}
+	bodies := make([]io.ReadCloser, n)
+	opened := 0
+	for pass := 0; pass < 2 && opened < m.K; pass++ {
+		for i := 0; i < n && opened < m.K; i++ {
 			tr := g.transport(meta.Placement[i])
-			if tr == nil {
+			if slices.Contains(targets, i) || bodies[i] != nil || tr == nil || (pass == 0 && !g.healthy(meta.Placement[i])) {
 				continue
 			}
-			rc, size, err := tr.GetShard(ctx, key, uint64(meta.Gen), i)
+			rc, size, err := tr.GetShard(ctx, key, gen, i)
 			if err != nil {
 				continue
 			}
@@ -1249,114 +1210,43 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 				rc.Close()
 				continue
 			}
-			srcs = append(srcs, src{idx: i, rd: bufio.NewReaderSize(rc, rebuildBufSize), rc: rc})
+			bodies[i] = rc
+			opened++
 		}
 	}
-	if len(srcs) < m.K {
-		return fmt.Errorf("server: only %d survivor shards reachable, need k=%d: %w",
-			len(srcs), m.K, gemmec.ErrTooFewShards)
+	sr, err := shardfile.OpenStreams(bodies, m, 0, g.streamOpts(ctx))
+	if err != nil {
+		return err
 	}
-
-	// Uploaders for the rebuilt shards, fed stripe by stripe.
-	prs := make(map[int]*io.PipeReader, len(targets))
-	pws := make(map[int]*io.PipeWriter, len(targets))
-	outs := make(map[int]*bufio.Writer, len(targets))
-	upErrs := make(map[int]*error, len(targets))
-	var wg sync.WaitGroup
-	for _, t := range targets {
-		pr, pw := io.Pipe()
-		prs[t], pws[t] = pr, pw
-		outs[t] = bufio.NewWriterSize(pw, rebuildBufSize)
-		var upErr error
-		upErrs[t] = &upErr
-		wg.Add(1)
-		go func(t int, pr *io.PipeReader, dst *error) {
-			defer wg.Done()
-			tr := g.transport(meta.Placement[t])
+	defer sr.Close()
+	upErrs, err := fanOut(n, targets,
+		func(t int, body io.Reader) error {
 			// The target is damaged by selection (missing or wrong length)
 			// and shard writes are first-writer-wins, so clear any remnant
 			// before streaming the replacement.
-			err := tr.DeleteShard(ctx, key, uint64(meta.Gen), t)
-			if err == nil {
-				err = tr.PutShard(ctx, key, uint64(meta.Gen), t, want, pr)
+			tr := g.transport(meta.Placement[t])
+			if err := tr.DeleteShard(ctx, key, gen, t); err != nil {
+				return err
 			}
-			if err != nil {
-				*dst = err
-				io.Copy(io.Discard, pr) //nolint:errcheck
-			}
-			pr.Close()
-		}(t, pr, &upErr)
-	}
-	finish := func(failErr error) {
+			return tr.PutShard(ctx, key, gen, t, want, body)
+		},
+		sr.RepairTo)
+	if err != nil {
+		// A target may have taken its last byte before the repair failed.
+		cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
+		defer cancel()
 		for _, t := range targets {
-			if failErr != nil {
-				pws[t].CloseWithError(failErr)
-			} else {
-				pws[t].Close()
-			}
+			g.transport(meta.Placement[t]).DeleteShard(cctx, key, gen, t) //nolint:errcheck
 		}
-		wg.Wait()
-	}
-
-	units := make([][]byte, n)
-	srcBufs := make(map[int][]byte, len(srcs))
-	for _, s := range srcs {
-		srcBufs[s.idx] = make([]byte, unit)
-	}
-	for stripe := 0; stripe < m.Stripes; stripe++ {
-		if err := ctx.Err(); err != nil {
-			finish(err)
-			return err
-		}
-		for i := range units {
-			units[i] = nil
-		}
-		for _, s := range srcs {
-			buf := srcBufs[s.idx]
-			if _, err := io.ReadFull(s.rd, buf); err != nil {
-				err = fmt.Errorf("server: survivor shard %d died at stripe %d: %w", s.idx, stripe, err)
-				finish(err)
-				return err
-			}
-			if m.StripeVerified() && !shardfile.VerifyUnitSum(m, s.idx, stripe, buf) {
-				err := fmt.Errorf("server: survivor shard %d stripe %d fails CRC32C: %w",
-					s.idx, stripe, gemmec.ErrCorruptShard)
-				finish(err)
-				return err
-			}
-			units[s.idx] = buf
-		}
-		if err := code.Reconstruct(units); err != nil {
-			finish(err)
-			return fmt.Errorf("server: stripe %d: %w", stripe, err)
-		}
-		for _, t := range targets {
-			if m.StripeVerified() && !shardfile.VerifyUnitSum(m, t, stripe, units[t]) {
-				err := fmt.Errorf("server: rebuilt shard %d stripe %d fails its manifest checksum (survivors inconsistent?): %w",
-					t, stripe, gemmec.ErrCorruptShard)
-				finish(err)
-				return err
-			}
-			if _, err := outs[t].Write(units[t]); err != nil {
-				finish(err)
-				return err
-			}
-		}
-		g.repairBytesRead.Add(int64(m.K) * int64(unit))
-		g.repairBytesWritten.Add(int64(len(targets)) * int64(unit))
+		return err
 	}
 	for _, t := range targets {
-		if err := outs[t].Flush(); err != nil {
-			finish(err)
-			return err
+		if upErrs[t] != nil {
+			return fmt.Errorf("server: pushing rebuilt shard %d to member %d: %w", t, meta.Placement[t], upErrs[t])
 		}
 	}
-	finish(nil)
-	for _, t := range targets {
-		if err := *upErrs[t]; err != nil {
-			return fmt.Errorf("server: pushing rebuilt shard %d to member %d: %w", t, meta.Placement[t], err)
-		}
-	}
+	g.repairBytesRead.Add(int64(m.K) * want)
+	g.repairBytesWritten.Add(int64(len(targets)) * want)
 	g.shardsRebuilt.Add(int64(len(targets)))
 	return nil
 }

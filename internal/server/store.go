@@ -1222,13 +1222,40 @@ func (r ScrubReport) ShardsHealed() int {
 // Clean reports a sweep that found nothing to heal and hit no errors.
 func (r ScrubReport) Clean() bool { return len(r.Healed) == 0 && len(r.Errors) == 0 }
 
+// record files one object's scrub outcome — the shards healed, or the
+// failure — and reports whether the sweep should stop: cancellation is not
+// a scrub error, the remaining objects wait for the next cycle.
+func (r *ScrubReport) record(name string, healed []int, err error) (stop bool) {
+	switch {
+	case err == nil:
+		if len(healed) > 0 {
+			if r.Healed == nil {
+				r.Healed = map[string][]int{}
+			}
+			r.Healed[name] = healed
+		}
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return true
+	default:
+		if r.Errors == nil {
+			r.Errors = map[string]string{}
+		}
+		r.Errors[name] = err.Error()
+	}
+	return false
+}
+
 // ScrubAll sweeps every object in the catalog once. It never fails as a
 // whole: per-object failures are collected in the report — except
 // cancellation: when ctx dies mid-sweep the remaining objects are left
 // for the next cycle rather than recorded as scrub errors.
-func (s *Store) ScrubAll(ctx context.Context) ScrubReport {
+func (s *Store) ScrubAll(ctx context.Context) (rep ScrubReport) {
 	start := time.Now()
-	rep := ScrubReport{}
+	defer func() {
+		s.scrubErrors.Add(int64(len(rep.Errors)))
+		done := time.Now()
+		s.m().recordScrub(rep, done.Sub(start), done)
+	}()
 	// Patch journals first: a stranded journal means some object's shard
 	// files may hold half-applied stripes whose sums the committed
 	// manifest does not describe; rolling it forward before the per-object
@@ -1236,10 +1263,7 @@ func (s *Store) ScrubAll(ctx context.Context) ScrubReport {
 	rep.PatchesRecovered = s.recoverPatches(ctx)
 	names, err := s.List()
 	if err != nil {
-		rep.Errors = map[string]string{"<catalog>": err.Error()}
-		s.scrubErrors.Add(1)
-		done := time.Now()
-		s.m().recordScrub(rep, done.Sub(start), done)
+		rep.record("<catalog>", nil, err)
 		return rep
 	}
 	for _, name := range names {
@@ -1248,22 +1272,8 @@ func (s *Store) ScrubAll(ctx context.Context) ScrubReport {
 		}
 		rep.Objects++
 		healed, err := s.ScrubObject(ctx, name)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				break
-			}
-			if rep.Errors == nil {
-				rep.Errors = map[string]string{}
-			}
-			rep.Errors[name] = err.Error()
-			s.scrubErrors.Add(1)
-			continue
-		}
-		if len(healed) > 0 {
-			if rep.Healed == nil {
-				rep.Healed = map[string][]int{}
-			}
-			rep.Healed[name] = healed
+		if rep.record(name, healed, err) {
+			break
 		}
 	}
 	// Slab pass: heal damaged slabs like any object, and reclaim the ones
@@ -1275,33 +1285,17 @@ func (s *Store) ScrubAll(ctx context.Context) ScrubReport {
 		}
 		rep.Objects++
 		healed, reclaimed, err := s.scrubSlab(ctx, key)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				break
-			}
-			if rep.Errors == nil {
-				rep.Errors = map[string]string{}
-			}
-			rep.Errors[key] = err.Error()
-			s.scrubErrors.Add(1)
-			continue
-		}
 		if reclaimed {
 			rep.SlabsReclaimed++
 		}
-		if len(healed) > 0 {
-			if rep.Healed == nil {
-				rep.Healed = map[string][]int{}
-			}
-			rep.Healed[key] = healed
+		if rep.record(key, healed, err) {
+			break
 		}
 	}
 	if ctx.Err() == nil {
 		rep.OrphansRemoved = s.sweepOrphans(ctx)
 	}
 	s.scrubCycles.Add(1)
-	done := time.Now()
-	s.m().recordScrub(rep, done.Sub(start), done)
 	return rep
 }
 

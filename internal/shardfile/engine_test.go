@@ -2,12 +2,17 @@ package shardfile
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"gemmec"
+	"gemmec/internal/vfs"
 )
 
 // shardSet is one instantiation of the shard-stream engine under test:
@@ -20,6 +25,12 @@ type shardSet interface {
 	shard(t *testing.T, i int) []byte
 	// lose makes shard i unavailable to later opens.
 	lose(i int)
+	// rot flips one byte of shard i inside the given stripe's unit.
+	rot(t *testing.T, i, stripe int)
+	// repair scans the set and rebuilds what carries damage, returning the
+	// healed shards. cancelMid cancels the context once the repair targets
+	// exist, before the first stripe is rebuilt.
+	repair(m Manifest, cancelMid bool) ([]int, error)
 }
 
 // fileSet is the file instantiation: WriteStreamPaths / OpenStreamPaths
@@ -41,6 +52,34 @@ func (s *fileSet) shard(t *testing.T, i int) []byte {
 	return b
 }
 func (s *fileSet) lose(i int) { os.Remove(s.paths[i]) }
+func (s *fileSet) rot(t *testing.T, i, stripe int) {
+	b := s.shard(t, i)
+	b[stripe*tunit+7] ^= 0x5A
+	if err := os.WriteFile(s.paths[i], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+func (s *fileSet) repair(m Manifest, cancelMid bool) ([]int, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opt := Opts{Ctx: ctx}
+	if cancelMid {
+		opt.FS = cancelOnCreate{vfs.OS, cancel}
+	}
+	return ScrubPaths(s.paths, m, opt)
+}
+
+// cancelOnCreate cancels a context the moment a repair creates its first
+// temporary file — after the scan, before any stripe is rebuilt.
+type cancelOnCreate struct {
+	vfs.FS
+	cancel context.CancelFunc
+}
+
+func (c cancelOnCreate) Create(name string) (vfs.File, error) {
+	c.cancel()
+	return c.FS.Create(name)
+}
 
 // streamSet is the pre-opened-stream instantiation the cluster gateway
 // uses: WriteStreamTo into plain writers, OpenStreams over non-seekable
@@ -67,6 +106,47 @@ func (s *streamSet) open(m Manifest, base, stripes int64) (*StreamReader, error)
 }
 func (s *streamSet) shard(_ *testing.T, i int) []byte { return s.bufs[i].Bytes() }
 func (s *streamSet) lose(i int)                       { s.bufs[i] = nil }
+func (s *streamSet) rot(_ *testing.T, i, stripe int)  { s.bufs[i].Bytes()[stripe*tunit+7] ^= 0x5A }
+func (s *streamSet) repair(m Manifest, cancelMid bool) ([]int, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	open := func() (*StreamReader, error) {
+		srcs := make([]io.ReadCloser, tk+tr)
+		for i, b := range s.bufs {
+			if b != nil {
+				srcs[i] = io.NopCloser(bytes.NewReader(b.Bytes()))
+			}
+		}
+		return OpenStreams(srcs, m, 0, Opts{Ctx: ctx})
+	}
+	sr, err := open()
+	if err != nil {
+		return nil, err
+	}
+	damaged, err := sr.Scan()
+	if err != nil || len(damaged) == 0 {
+		return nil, err
+	}
+	if sr, err = open(); err != nil {
+		return nil, err
+	}
+	rebuilt := make([]*bytes.Buffer, tk+tr)
+	ws := make([]io.Writer, tk+tr)
+	for _, i := range damaged {
+		rebuilt[i] = new(bytes.Buffer)
+		ws[i] = rebuilt[i]
+	}
+	if cancelMid {
+		cancel()
+	}
+	if err := sr.RepairTo(ws); err != nil {
+		return nil, err
+	}
+	for _, i := range damaged {
+		s.bufs[i] = rebuilt[i] // the commit
+	}
+	return damaged, nil
+}
 
 // eachInstantiation runs f once per engine instantiation, each on a
 // fresh empty shard set.
@@ -196,4 +276,102 @@ func TestEngineRangeWindows(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEngineRepair pins the repair core's contract once, over both
+// instantiations: damage is found per (shard, stripe) cell, at most r
+// cells of a stripe may be bad, healed shards come back byte-identical,
+// and a repair that fails or is canceled commits nothing.
+func TestEngineRepair(t *testing.T) {
+	type cell struct{ shard, stripe int }
+	cases := []struct {
+		name   string
+		lose   []int
+		rot    []cell
+		v1     bool  // downgrade the manifest to whole-shard SHA-256 first
+		tamper []int // shards whose manifest checksum is falsified
+		cancel bool
+		healed []int
+		errs   []error
+	}{
+		{name: "clean"},
+		{name: "missing shard", lose: []int{1}, healed: []int{1}},
+		{name: "one rotten cell", rot: []cell{{4, 2}}, healed: []int{4}},
+		{name: "more than r shards rotten in distinct stripes", lose: []int{5},
+			rot: []cell{{0, 0}, {1, 1}, {2, 2}, {3, 3}}, healed: []int{0, 1, 2, 3, 5}},
+		{name: "r+1 cells of one stripe", lose: []int{0}, rot: []cell{{2, 1}, {3, 1}},
+			errs: []error{gemmec.ErrTooFewShards, gemmec.ErrCorruptShard}},
+		{name: "r+1 shards missing", lose: []int{0, 1, 2}, errs: []error{gemmec.ErrTooFewShards}},
+		{name: "cancel mid-repair", lose: []int{3}, cancel: true, errs: []error{context.Canceled}},
+		{name: "v1 healed through the open-time pre-verify", v1: true, lose: []int{0}, rot: []cell{{3, 1}}, healed: []int{0, 3}},
+		{name: "rebuilt unit fails its manifest sum", lose: []int{2}, tamper: []int{2}, errs: []error{gemmec.ErrCorruptShard}},
+		{name: "v1 rebuilt shard fails its SHA-256", v1: true, lose: []int{2}, tamper: []int{2}, errs: []error{gemmec.ErrCorruptShard}},
+	}
+	raw := make([]byte, 4*tk*tunit-9) // 4 stripes
+	for i := range raw {
+		raw[i] = byte(i*31 + i>>8)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eachInstantiation(t, func(t *testing.T, s shardSet) {
+				m, err := s.write(bytes.NewReader(raw), int64(len(raw)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				orig := make([][]byte, tk+tr)
+				for i := range orig {
+					orig[i] = append([]byte(nil), s.shard(t, i)...)
+				}
+				if c.v1 {
+					if _, ok := s.(*fileSet); !ok {
+						t.Skip("v1 sets exist only as files")
+					}
+					m.Version, m.StripeSums = 0, nil
+					m.Checksums = make([]string, tk+tr)
+					for i := range orig {
+						m.Checksums[i] = shardSum(orig[i])
+					}
+				}
+				for _, i := range c.tamper {
+					if c.v1 {
+						m.Checksums[i] = shardSum(nil)
+					} else {
+						m.StripeSums[i][1] ^= 1
+					}
+				}
+				for _, r := range c.rot {
+					s.rot(t, r.shard, r.stripe)
+				}
+				for _, i := range c.lose {
+					s.lose(i)
+				}
+				healed, err := s.repair(m, c.cancel)
+				for _, want := range c.errs {
+					if !errors.Is(err, want) {
+						t.Errorf("repair error = %v, want it to wrap %v", err, want)
+					}
+				}
+				if c.errs != nil {
+					if fs, ok := s.(*fileSet); ok { // nothing committed, nothing left behind
+						ents, _ := os.ReadDir(filepath.Dir(fs.paths[0]))
+						if len(ents) != tk+tr-len(c.lose) {
+							t.Errorf("failed repair left %d files in the set's directory, want the %d it found", len(ents), tk+tr-len(c.lose))
+						}
+					}
+					return
+				}
+				if err != nil || !reflect.DeepEqual(healed, c.healed) {
+					t.Fatalf("healed %v (err %v), want %v", healed, err, c.healed)
+				}
+				for i := range orig {
+					if !bytes.Equal(s.shard(t, i), orig[i]) {
+						t.Errorf("shard %d is not byte-identical to the original after repair", i)
+					}
+				}
+				if again, err := s.repair(m, false); err != nil || again != nil {
+					t.Errorf("second repair healed %v (err %v), want a clean no-op", again, err)
+				}
+			})
+		})
+	}
 }

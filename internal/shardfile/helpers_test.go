@@ -1,6 +1,8 @@
 package shardfile
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"os"
 
@@ -46,4 +48,10 @@ func scrubDir(dir string) ([]int, error) {
 		return nil, err
 	}
 	return ScrubPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+}
+
+// shardSum is the hex SHA-256 legacy v1 manifests record per shard.
+func shardSum(data []byte) string {
+	s := sha256.Sum256(data)
+	return hex.EncodeToString(s[:])
 }

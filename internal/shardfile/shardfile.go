@@ -10,17 +10,11 @@
 package shardfile
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-
-	"gemmec"
-	"gemmec/internal/ecerr"
 )
 
 // ManifestName is the metadata file written next to the shards.
@@ -133,11 +127,6 @@ func (m Manifest) Validate() error {
 	return nil
 }
 
-func shardSum(data []byte) string {
-	s := sha256.Sum256(data)
-	return hex.EncodeToString(s[:])
-}
-
 // ShardPath returns the path of shard i under dir.
 func ShardPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard_%03d", i))
@@ -152,11 +141,6 @@ func DirPaths(dir string, n int) []string {
 		paths[i] = ShardPath(dir, i)
 	}
 	return paths
-}
-
-// Code builds the gemmec code matching the manifest.
-func (m Manifest) Code() (*gemmec.Code, error) {
-	return gemmec.New(m.K, m.R, gemmec.WithUnitSize(m.UnitSize))
 }
 
 // SaveManifest writes the manifest next to the shards.
@@ -179,266 +163,4 @@ func LoadManifest(dir string) (Manifest, error) {
 		return m, fmt.Errorf("shardfile: corrupt manifest: %w", err)
 	}
 	return m, m.Validate()
-}
-
-// loadShardsPaths reads every present shard whole; missing or wrong-size
-// shard files yield nil entries and are reported in missing.
-func loadShardsPaths(paths []string, m Manifest, opt Opts) (shards [][]byte, missing []int, err error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := m.K + m.R
-	if len(paths) != n {
-		return nil, nil, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), n)
-	}
-	fsys := opt.fs()
-	shards = make([][]byte, n)
-	want := m.Stripes * m.UnitSize
-	for i := 0; i < n; i++ {
-		if err := opt.ctxErr(); err != nil {
-			return nil, nil, err
-		}
-		data, err := fsys.ReadFile(paths[i])
-		if err != nil || len(data) != want {
-			missing = append(missing, i)
-			continue
-		}
-		shards[i] = data
-	}
-	return shards, missing, nil
-}
-
-// ErrCorrupt reports a parity mismatch found by Verify.
-var ErrCorrupt = errors.New("shardfile: parity mismatch")
-
-// Verify checks that every stripe's parity matches its data — an
-// end-to-end check of the code itself, independent of the manifest's
-// checksums. All shards must be present.
-func Verify(dir string) error {
-	m, err := LoadManifest(dir)
-	if err != nil {
-		return err
-	}
-	shards, missing, err := loadShardsPaths(DirPaths(dir, m.K+m.R), m, Opts{})
-	if err != nil {
-		return err
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("shardfile: missing shards %v (repair first)", missing)
-	}
-	code, err := m.Code()
-	if err != nil {
-		return err
-	}
-	data := make([]byte, code.DataSize())
-	parity := make([]byte, code.ParitySize())
-	for s := 0; s < m.Stripes; s++ {
-		for i := 0; i < m.K; i++ {
-			copy(data[i*m.UnitSize:], shards[i][s*m.UnitSize:(s+1)*m.UnitSize])
-		}
-		for i := 0; i < m.R; i++ {
-			copy(parity[i*m.UnitSize:], shards[m.K+i][s*m.UnitSize:(s+1)*m.UnitSize])
-		}
-		ok, err := code.Verify(data, parity)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("stripe %d: %w", s, ErrCorrupt)
-		}
-	}
-	return nil
-}
-
-// ScrubPaths detects shard corruption by checksum and heals it: any shard
-// file that does not match the manifest (per-stripe CRC32C for v2
-// manifests, whole-shard SHA-256 for v1, plus any missing or wrong-length
-// shard) is rebuilt from the surviving shards and rewritten; it returns
-// the shard indices that were healed. Healed shards are written via a
-// temporary file and renamed into place, so a concurrent reader never
-// observes a half-rebuilt shard. Checksum failures in the returned errors
-// wrap ecerr.ErrCorruptShard. v1 manifests written before checksums were
-// recorded can only have missing shards rebuilt.
-//
-// For v2 manifests damage is localized and healed at stripe granularity:
-// each present unit is checked against its CRC32C, only the stripes that
-// actually rotted pay reconstruction, and — because the ≤ r erasure budget
-// applies per stripe rather than per shard — a set where more than r
-// shards each carry some rot still heals as long as no single stripe lost
-// more than r units. v1 manifests keep the whole-shard SHA-256 semantics.
-//
-// A canceled opt.Ctx stops the scrub between shard loads and between
-// stripe rebuilds; because each heal is temp-file + rename, a canceled
-// scrub leaves every shard either untouched or fully healed, never torn.
-func ScrubPaths(paths []string, m Manifest, opt Opts) ([]int, error) {
-	shards, missing, err := loadShardsPaths(paths, m, opt)
-	if err != nil {
-		return nil, err
-	}
-	if m.StripeVerified() {
-		return scrubStripes(paths, m, shards, missing, opt)
-	}
-	bad := map[int]bool{}
-	for _, i := range missing {
-		bad[i] = true
-	}
-	if m.Checksums != nil {
-		for i, sd := range shards {
-			if sd != nil && shardSum(sd) != m.Checksums[i] {
-				bad[i] = true
-				shards[i] = nil // treat as erased for reconstruction
-			}
-		}
-	}
-	if len(bad) == 0 {
-		return nil, nil
-	}
-	code, err := m.Code()
-	if err != nil {
-		return nil, err
-	}
-	var healed []int
-	for i := range bad {
-		healed = append(healed, i)
-	}
-	sortInts(healed)
-	rebuilt := make(map[int][]byte, len(healed))
-	for _, i := range healed {
-		rebuilt[i] = make([]byte, 0, m.Stripes*m.UnitSize)
-	}
-	for s := 0; s < m.Stripes; s++ {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		units := make([][]byte, m.K+m.R)
-		for i, sd := range shards {
-			if sd != nil {
-				units[i] = sd[s*m.UnitSize : (s+1)*m.UnitSize]
-			}
-		}
-		if err := code.Reconstruct(units); err != nil {
-			return nil, fmt.Errorf("shardfile: stripe %d (%d shards unusable %v): %w", s, len(healed), healed, err)
-		}
-		for _, i := range healed {
-			rebuilt[i] = append(rebuilt[i], units[i]...)
-		}
-	}
-	fsys := opt.fs()
-	for _, i := range healed {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		if m.Checksums != nil && shardSum(rebuilt[i]) != m.Checksums[i] {
-			return nil, fmt.Errorf("shardfile: rebuilt shard %d fails its manifest checksum (manifest corrupt?): %w",
-				i, ecerr.ErrCorruptShard)
-		}
-		tmp := paths[i] + ".tmp"
-		if err := fsys.WriteFile(tmp, rebuilt[i], 0o644); err != nil {
-			return nil, err
-		}
-		if err := fsys.Rename(tmp, paths[i]); err != nil {
-			fsys.Remove(tmp)
-			return nil, err
-		}
-	}
-	return healed, nil
-}
-
-// scrubStripes is the v2 scrub: locate damage per (shard, stripe) cell by
-// CRC32C, reconstruct only the damaged stripes, and rewrite only the
-// shards that carried damage (temp-file + rename, like the v1 path).
-func scrubStripes(paths []string, m Manifest, shards [][]byte, missing []int, opt Opts) ([]int, error) {
-	// damaged[i] is the per-stripe damage mask of shard i; nil means the
-	// shard is wholly clean. Missing shards get an all-damaged mask and a
-	// zeroed buffer to rebuild into.
-	damaged := make([][]bool, m.K+m.R)
-	touched := map[int]bool{}
-	for _, i := range missing {
-		shards[i] = make([]byte, m.Stripes*m.UnitSize)
-		damaged[i] = make([]bool, m.Stripes)
-		for s := range damaged[i] {
-			damaged[i][s] = true
-		}
-		touched[i] = true
-	}
-	for i, sd := range shards {
-		if touched[i] {
-			continue
-		}
-		for s := 0; s < m.Stripes; s++ {
-			if crc32.Checksum(sd[s*m.UnitSize:(s+1)*m.UnitSize], castagnoli) != m.StripeSums[i][s] {
-				if damaged[i] == nil {
-					damaged[i] = make([]bool, m.Stripes)
-				}
-				damaged[i][s] = true
-				touched[i] = true
-			}
-		}
-	}
-	if len(touched) == 0 {
-		return nil, nil
-	}
-	code, err := m.Code()
-	if err != nil {
-		return nil, err
-	}
-	units := make([][]byte, m.K+m.R)
-	for s := 0; s < m.Stripes; s++ {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		stripeBad := false
-		for i := range shards {
-			if damaged[i] != nil && damaged[i][s] {
-				units[i] = nil
-				stripeBad = true
-			} else {
-				units[i] = shards[i][s*m.UnitSize : (s+1)*m.UnitSize]
-			}
-		}
-		if !stripeBad {
-			continue
-		}
-		if err := code.Reconstruct(units); err != nil {
-			return nil, fmt.Errorf("shardfile: stripe %d: %w", s, err)
-		}
-		for i := range shards {
-			if damaged[i] == nil || !damaged[i][s] {
-				continue
-			}
-			if crc32.Checksum(units[i], castagnoli) != m.StripeSums[i][s] {
-				return nil, fmt.Errorf("shardfile: rebuilt shard %d stripe %d fails its manifest checksum (manifest corrupt?): %w",
-					i, s, ecerr.ErrCorruptShard)
-			}
-			copy(shards[i][s*m.UnitSize:(s+1)*m.UnitSize], units[i])
-		}
-	}
-	var healed []int
-	for i := range touched {
-		healed = append(healed, i)
-	}
-	sortInts(healed)
-	fsys := opt.fs()
-	for _, i := range healed {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		tmp := paths[i] + ".tmp"
-		if err := fsys.WriteFile(tmp, shards[i], 0o644); err != nil {
-			return nil, err
-		}
-		if err := fsys.Rename(tmp, paths[i]); err != nil {
-			fsys.Remove(tmp)
-			return nil, err
-		}
-	}
-	return healed, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

@@ -133,11 +133,12 @@ func TestTruncatedShardTreatedAsMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, missing, err := loadShardsPaths(DirPaths(dir, tk+tr), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, tk+tr), m, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 1 || missing[0] != 1 {
+	sr.Close()
+	if missing := sr.Unusable(); len(missing) != 1 || missing[0] != 1 {
 		t.Fatalf("missing=%v", missing)
 	}
 	got, _, err := readStreamBack(dir)
@@ -327,8 +328,8 @@ func TestManifestValidation(t *testing.T) {
 	if _, err := LoadManifest(dir); err == nil {
 		t.Error("corrupt manifest accepted")
 	}
-	if _, _, err := loadShardsPaths(DirPaths(dir, tk+tr), Manifest{}, Opts{}); err == nil {
-		t.Error("invalid manifest accepted by LoadShards")
+	if _, err := ScrubPaths(DirPaths(dir, tk+tr), Manifest{}, Opts{}); err == nil {
+		t.Error("invalid manifest accepted by ScrubPaths")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sort"
 	"sync"
 	"time"
 
@@ -19,15 +20,18 @@ import (
 	"gemmec/internal/vfs"
 )
 
-// The shard-stream engine: one encode core (WriteStreamTo) and one decode
-// core (OpenStreams + StreamReader) that run the pipelined
-// EncodeStream/DecodeStream API over per-shard io.Writers / io.ReadClosers
-// and own everything that is not "where the bytes live" — pooled bufio,
-// stripe sums, the at-least-one-stripe rule, size validation, manifest
-// assembly, per-unit verification, range windows, demotion bookkeeping.
-// Two instantiations feed it. WriteStreamPaths/OpenStreamPaths put a shard
-// file at an explicit path per unit (temp + rename; open + stat + seek), so
-// a caller can spread the k+r shards of one object across separate "node"
+// The shard-stream engine: one encode core (WriteStreamTo), one decode core
+// (OpenStreams + StreamReader.Decode) and one repair core (a stripe walk
+// over a StreamReader with three clients: Scan, RepairTo, Verify — see
+// repair.go). The first two run the pipelined EncodeStream/DecodeStream
+// API over per-shard io.Writers / io.ReadClosers; together they own
+// everything that is not "where the bytes live" — pooled bufio, stripe
+// sums, the at-least-one-stripe rule, size validation, manifest assembly,
+// per-unit verification, range windows, demotion bookkeeping, the ≤ r
+// erasures-per-stripe repair contract. Two instantiations feed it.
+// WriteStreamPaths/OpenStreamPaths/ScrubPaths put a shard file at an
+// explicit path per unit (temp + rename; open + stat + seek), so a caller
+// can spread the k+r shards of one object across separate "node"
 // directories — eccli's single directory and internal/server's Store. The
 // cluster Gateway hands the cores its per-peer upload pipes and download
 // bodies directly. Both produce and accept the same manifests.
@@ -112,6 +116,19 @@ func (o Opts) streamOpts(k, r, unitSize, workers int) []gemmec.StreamOption {
 		}
 	}
 	return opts
+}
+
+// stripeBuf returns one (k+r)*unitSize stripe buffer for a repair walk —
+// from the shared pool when a Source supplies one — and its release.
+func (o Opts) stripeBuf(k, r, unitSize int) ([]byte, func()) {
+	if o.Source != nil {
+		if p, err := o.Source.StreamPool(k, r, unitSize); err == nil && p != nil {
+			if b, err := p.Get(); err == nil {
+				return b.Raw(), func() { p.Put(b) } //nolint:errcheck // same pool, same geometry
+			}
+		}
+	}
+	return make([]byte, (k+r)*unitSize), func() {}
 }
 
 func (o Opts) context() context.Context {
@@ -288,44 +305,16 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 	if len(paths) != k+r {
 		return m, st, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), k+r)
 	}
-	fsys := opt.fs()
-	files := make([]vfs.File, k+r)
-	ws := make([]io.Writer, k+r)
-	committed := false
-	defer func() {
-		for _, f := range files {
-			if f != nil {
-				f.Close()
-				if !committed {
-					fsys.Remove(f.Name())
-				}
-			}
-		}
-	}()
-	for i := range files {
-		f, err := fsys.Create(paths[i] + ".tmp")
-		if err != nil {
-			return m, st, err
-		}
-		files[i], ws[i] = f, f
+	all := make([]int, k+r)
+	for i := range all {
+		all[i] = i
 	}
-	m, st, err := WriteStreamTo(ws, src, size, k, r, unitSize, workers, opt)
-	if err != nil {
-		return m, st, err
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			return m, st, err
-		}
-	}
-	for i := range files {
-		if err := fsys.Rename(paths[i]+".tmp", paths[i]); err != nil {
-			return m, st, err
-		}
-		files[i] = nil
-	}
-	committed = true
-	return m, st, nil
+	err := writeShardFiles(opt.fs(), paths, all, func(ws []io.Writer) error {
+		var err error
+		m, st, err = WriteStreamTo(ws, src, size, k, r, unitSize, workers, opt)
+		return err
+	})
+	return m, st, err
 }
 
 // StreamReader is an opened shard set ready to decode — the decode core,
@@ -604,7 +593,7 @@ func appendShard(set []int, i int) []int {
 		}
 	}
 	set = append(set, i)
-	sortInts(set)
+	sort.Ints(set)
 	return set
 }
 
@@ -666,12 +655,7 @@ func (sr *StreamReader) wire(corruptAt []bool) error {
 		sr.readers[i] = br
 	}
 	if usable := n - len(sr.unusable); usable < sr.m.K {
-		if len(sr.corrupt) > 0 {
-			return fmt.Errorf("shardfile: shards %v failed verification (%w); only %d of %d usable, need k=%d: %w",
-				sr.corrupt, gemmec.ErrCorruptShard, usable, n, sr.m.K, gemmec.ErrTooFewShards)
-		}
-		return fmt.Errorf("shardfile: only %d of %d shards usable (missing %v), need k=%d: %w",
-			usable, n, sr.unusable, sr.m.K, gemmec.ErrTooFewShards)
+		return sr.tooFew(usable)
 	}
 	return nil
 }

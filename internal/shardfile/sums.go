@@ -33,9 +33,8 @@ func (w *shardSummer) add(p []byte) {
 	}
 }
 
-// VerifyUnitSum checks one unit against m's recorded CRC32C — the
-// building block repair paths use when reading survivor shards unit by
-// unit outside a decode pipeline.
+// VerifyUnitSum checks one unit against m's recorded CRC32C — what the
+// repair walk applies to every unit it reads and every unit it rebuilds.
 func VerifyUnitSum(m Manifest, shard int, stripe int, unit []byte) bool {
 	return crc32.Checksum(unit, castagnoli) == m.StripeSums[shard][stripe]
 }
