@@ -51,12 +51,14 @@ stress-load:
 # cleanly across a partition fired mid-PUT (no committed metadata, no
 # orphaned shards), slow/torn peers demoted mid-stream, degraded reads
 # over real peer HTTP, and rebuild-to-empty-node byte-identity — plus the
-# admission-control 429 guarantee in gateway mode. Fault injection is
-# deterministic (FaultTransport rules, seeded payloads), so a failure
-# here replays locally byte for byte.
+# admission-control 429 guarantee in gateway mode, and the seeded trace
+# replays (internal/trace: put/get/range/delete under member churn on the
+# Gateway and on the Store, every read checked against a shadow copy).
+# Fault injection is deterministic (FaultTransport rules, seeded
+# payloads), so a failure here replays locally byte for byte.
 stress-cluster:
-	$(GO) test -race -count=2 -run 'TestCluster|TestQuorum|TestTorn|TestGateway|TestPeerAPIAuth|TestFault|TestPlacement|TestDelete|TestReadMeta|TestPutShard' \
-		./internal/server ./internal/peer
+	$(GO) test -race -count=2 -run 'TestCluster|TestQuorum|TestTorn|TestGateway|TestPeerAPIAuth|TestFault|TestPlacement|TestDelete|TestReadMeta|TestPutShard|TestReplay' \
+		./internal/server ./internal/peer ./internal/trace
 
 # Observability drill under -race: the flight recorder's concurrent
 # scrape-vs-finish paths, tail-retention and wire round-trip properties,

@@ -4,8 +4,8 @@ package gemmec
 // against: the encode/reconstruct entry points plus the geometry accessors
 // needed to size buffers. *Code satisfies it, and so can any alternative
 // coder (a baseline, a mock, a remote proxy), which lets integration layers
-// such as internal/cluster and internal/device accept "anything that
-// erasure-codes" instead of this package's concrete type.
+// such as internal/device accept "anything that erasure-codes" instead of
+// this package's concrete type.
 type Codec interface {
 	// K returns the number of data units per stripe.
 	K() int

@@ -361,6 +361,18 @@ func runLRC(w io.Writer, cfg Config) error {
 	t2 := NewTable("LRC single-failure repair", "metric", "value")
 	t2.AddF("local repair throughput (GB/s of repaired data)", mRepair.GBps())
 	t2.AddF("units read", len(plan.Reads))
+	// A failed member holds any of the n positions with equal likelihood;
+	// RS reads k units whichever it is.
+	planned := 0
+	for idx := 0; idx < lc.N(); idx++ {
+		p, err := lc.PlanRepair(idx)
+		if err != nil {
+			return err
+		}
+		planned += len(p.Reads)
+	}
+	t2.AddF(fmt.Sprintf("mean repair reads per unit over all %d positions, lrc(12,2,2) vs rs(12,4)", lc.N()),
+		fmt.Sprintf("%.2f vs %d", float64(planned)/float64(lc.N()), k))
 	if err := t.Fprint(w); err != nil {
 		return err
 	}

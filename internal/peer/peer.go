@@ -137,8 +137,8 @@ func (r *Ring) Member(id int) (Member, bool) {
 // Placement maps an object key to the member IDs holding its n shards:
 // shard i lands on the (h+i)'th member of the sorted ring, where h hashes
 // the key. Consecutive shards of one object land on distinct members (the
-// failure-domain invariant internal/cluster's rotating placement
-// established locally), and the hashed start spreads different objects'
+// failure-domain invariant Store's rotating placement keeps across node
+// directories), and the hashed start spreads different objects'
 // load across the fleet. n must not exceed the membership size — a stripe
 // cannot put two shards in one failure domain.
 func (r *Ring) Placement(key string, n int) ([]int, error) {

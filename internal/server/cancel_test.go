@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -27,9 +28,9 @@ import (
 // within d (the canceled request must have released it).
 func lockFreeWithin(t *testing.T, s *Store, key string, d time.Duration) {
 	t.Helper()
-	got := make(chan *sync.RWMutex, 1)
+	got := make(chan *keyLock, 1)
 	go func() {
-		l := s.lockExclusive(key)
+		l := s.lockKey(key)
 		got <- l
 	}()
 	select {
@@ -160,8 +161,8 @@ func TestClientDisconnectMidGet(t *testing.T) {
 }
 
 // Put/Delete storms on one key must neither deadlock, corrupt the object,
-// nor grow the lock map: dropLock retires entries and the revalidating
-// acquire loops make lock identity safe under -race.
+// nor grow the lock map: keyLocks retires an entry with its last holder,
+// and lock identity stays safe under -race.
 func TestPutDeleteLockRace(t *testing.T) {
 	s := newTestStore(t)
 	const name = "contended"
@@ -202,6 +203,41 @@ func TestPutDeleteLockRace(t *testing.T) {
 	}
 	if left := keyFiles(t, s, key); len(left) > 0 {
 		t.Fatalf("files left after delete: %v", left)
+	}
+}
+
+// The key-lock table tracks requests in flight, not names ever asked
+// for: a scan of client-chosen missing names, then a put+delete churn,
+// leaves both backends' tables the size they started — zero.
+func TestLockTableDoesNotGrow(t *testing.T) {
+	ctx := context.Background()
+	store := newTestStore(t)
+	gw := newFaultCluster(t, 3, 2, 1, 1, 1024).gw
+	for bname, tc := range map[string]struct {
+		b     Backend
+		table *keyLocks
+	}{"store": {store, &store.keyLocks}, "gateway": {gw, &gw.keyLocks}} {
+		for i := 0; i < 1000; i++ {
+			if _, err := tc.b.Open(ctx, fmt.Sprintf("missing-%d", i)); !errors.Is(err, ErrObjectNotFound) {
+				t.Fatalf("%s: open of a missing name = %v", bname, err)
+			}
+		}
+		body := randBytes(12, 3000)
+		for i := 0; i < 100; i++ {
+			name := fmt.Sprintf("churn-%d", i)
+			if _, _, err := tc.b.Put(ctx, name, bytes.NewReader(body), int64(len(body))); err != nil {
+				t.Fatalf("%s: put %s: %v", bname, name, err)
+			}
+			if err := tc.b.Delete(ctx, name); err != nil {
+				t.Fatalf("%s: delete %s: %v", bname, name, err)
+			}
+		}
+		tc.table.mu.Lock()
+		n := len(tc.table.locks)
+		tc.table.mu.Unlock()
+		if n != 0 {
+			t.Errorf("%s: lock table holds %d entries with no request in flight, want 0", bname, n)
+		}
 	}
 }
 
@@ -431,7 +467,10 @@ func TestGatewayGetCanceledMidStream(t *testing.T) {
 		t.Fatalf("canceled GET still streamed all %d bytes", sink.n)
 	}
 	o.Close()
-	if !c.gw.lockFor(objKey(name)).TryLock() {
+	c.gw.mu.Lock()
+	held := len(c.gw.locks)
+	c.gw.mu.Unlock()
+	if held != 0 {
 		t.Fatal("key lock still held after the canceled GET was closed")
 	}
 }

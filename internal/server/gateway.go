@@ -85,8 +85,7 @@ type Gateway struct {
 	sched    *gemmec.Scheduler
 	ownSched bool
 
-	mu    sync.Mutex
-	locks map[string]*sync.RWMutex
+	keyLocks // per-object locks, local to this gateway process
 
 	traffic
 	quorumFailures          atomic.Int64
@@ -134,7 +133,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cfg:    cfg,
 		codes:  codes,
 		quorum: cfg.K + cfg.WriteQuorum,
-		locks:  map[string]*sync.RWMutex{},
 	}
 	g.sched = cfg.Sched
 	if g.sched == nil {
@@ -173,21 +171,6 @@ func (g *Gateway) SetMetrics(m *Metrics) {
 // calls pass 0 for the per-call worker count.
 func (g *Gateway) streamOpts(ctx context.Context) shardfile.Opts {
 	return shardfile.Opts{Ctx: ctx, Sched: g.sched, Source: g.codes}
-}
-
-// lockFor returns key's gateway-local lock. Unlike Store the entries are
-// never retired: the gateway's map tracks keys this process served, and
-// correctness only needs mutual exclusion per key within one gateway
-// (cross-gateway coordination is by generation numbers, not locks).
-func (g *Gateway) lockFor(key string) *sync.RWMutex {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	l, ok := g.locks[key]
-	if !ok {
-		l = &sync.RWMutex{}
-		g.locks[key] = l
-	}
-	return l
 }
 
 func (g *Gateway) transport(id int) peer.Transport { return g.cfg.Transports[id] }
@@ -311,8 +294,7 @@ func (g *Gateway) Put(ctx context.Context, name string, src io.Reader, size int6
 	}
 	key := objKey(name)
 	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.lockFor(key)
-	l.Lock()
+	l := g.lockKey(key)
 	lsp.End(nil)
 	defer l.Unlock()
 	return g.putLocked(ctx, key, name, src, size)
@@ -573,8 +555,7 @@ func (g *Gateway) open(ctx context.Context, name string, ranged bool, off, lengt
 	}
 	key := objKey(name)
 	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.lockFor(key)
-	l.RLock()
+	l := g.rlockKey(key)
 	lsp.End(nil)
 	fail := func(err error) (*Object, error) {
 		l.RUnlock()
@@ -675,8 +656,7 @@ func (g *Gateway) Patch(ctx context.Context, name string, data []byte, off int64
 	}
 	key := objKey(name)
 	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.lockFor(key)
-	l.Lock()
+	l := g.lockKey(key)
 	lsp.End(nil)
 	defer l.Unlock()
 	msp := obs.StartSpan(ctx, "meta.read")
@@ -742,8 +722,7 @@ func (g *Gateway) Delete(ctx context.Context, name string) error {
 		return err
 	}
 	key := objKey(name)
-	l := g.lockFor(key)
-	l.Lock()
+	l := g.lockKey(key)
 	defer l.Unlock()
 	oldRaw, old, err := g.readMetaRaw(ctx, key)
 	if err != nil {

@@ -659,9 +659,9 @@ func TestPeerAPIAuth(t *testing.T) {
 	}
 }
 
-// faultCluster is the deterministic in-process rig: every member is a
-// PeerStore behind a FaultTransport-wrapped local transport, so
-// partition and torn-transfer scenarios replay identically under -race.
+// faultCluster is the deterministic in-process rig (a LocalCluster under
+// the tests' short field names): partition and torn-transfer scenarios
+// replay identically under -race.
 type faultCluster struct {
 	gw     *Gateway
 	stores []*PeerStore
@@ -670,33 +670,14 @@ type faultCluster struct {
 
 func newFaultCluster(t *testing.T, n, k, r, q, unit int) *faultCluster {
 	t.Helper()
-	c := &faultCluster{}
-	members := make([]peer.Member, n)
-	transports := map[int]peer.Transport{}
-	for i := 0; i < n; i++ {
-		ps, err := OpenPeerStore(filepath.Join(t.TempDir(), fmt.Sprintf("peer%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.stores = append(c.stores, ps)
-		ft := peer.NewFaultTransport(NewLocalTransport(ps))
-		c.faults = append(c.faults, ft)
-		transports[i] = ft
-		members[i] = peer.Member{ID: i, Addr: fmt.Sprintf("http://member-%d", i)}
-	}
-	ring, err := peer.NewRing(members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.gw, err = NewGateway(GatewayConfig{
-		Ring: ring, Transports: transports, SelfID: 0,
+	lc, err := NewLocalCluster(t.TempDir(), n, GatewayConfig{
 		K: k, R: r, UnitSize: unit, Workers: 2, WriteQuorum: q, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.gw.Close)
-	return c
+	t.Cleanup(lc.Close)
+	return &faultCluster{gw: lc.Gateway, stores: lc.Stores, faults: lc.Faults}
 }
 
 // assertNoTrace asserts a failed write left nothing anywhere: no
@@ -920,30 +901,14 @@ func TestTornUploadAbortsAtomically(t *testing.T) {
 // the only slot, the next streaming request is shed with 429 and a
 // Retry-After header while /healthz keeps answering.
 func TestGatewayAdmissionShedding(t *testing.T) {
-	c := &httpCluster{}
-	members := make([]peer.Member, 3)
-	transports := map[int]peer.Transport{}
-	for i := 0; i < 3; i++ {
-		ps, err := OpenPeerStore(filepath.Join(t.TempDir(), fmt.Sprintf("peer%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.stores = append(c.stores, ps)
-		transports[i] = NewLocalTransport(ps)
-		members[i] = peer.Member{ID: i, Addr: fmt.Sprintf("http://member-%d", i)}
-	}
-	ring, err := peer.NewRing(members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.gw, err = NewGateway(GatewayConfig{
-		Ring: ring, Transports: transports, SelfID: 0,
+	lc, err := NewLocalCluster(t.TempDir(), 3, GatewayConfig{
 		K: 2, R: 1, UnitSize: 1024, Workers: 2, MaxStreams: 1, WriteQuorum: 1, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.gw.Close)
+	t.Cleanup(lc.Close)
+	c := &httpCluster{gw: lc.Gateway, stores: lc.Stores}
 	c.api = httptest.NewServer(NewBackendHandler(c.gw, Config{Logf: t.Logf, RetryAfter: 7}))
 	t.Cleanup(c.api.Close)
 

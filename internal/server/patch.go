@@ -183,7 +183,7 @@ func (s *Store) Patch(ctx context.Context, name string, data []byte, off int64) 
 	}
 	key := objKey(name)
 	lsp := obs.StartSpan(ctx, "store.lock")
-	l := s.lockExclusive(key)
+	l := s.lockKey(key)
 	lsp.End(nil)
 	defer l.Unlock()
 	if err := s.ensureDirs(); err != nil {
@@ -348,7 +348,7 @@ func (s *Store) recoverPatches(ctx context.Context) int {
 		if ctx.Err() != nil {
 			break
 		}
-		l := s.lockExclusive(key)
+		l := s.lockKey(key)
 		if s.replayJournal(key) {
 			replayed++
 		}
@@ -463,7 +463,7 @@ func (s *Store) decodeOldGen(ctx context.Context, key string, meta ObjectMeta, d
 // decodeSlabMember streams a packed member's payload window out of its
 // backing slab, holding the slab's shared lock for the duration.
 func (s *Store) decodeSlabMember(ctx context.Context, meta ObjectMeta, dst io.Writer) error {
-	sl := s.lockShared(meta.Slab.Key)
+	sl := s.rlockKey(meta.Slab.Key)
 	defer sl.RUnlock()
 	slabMeta, err := s.loadMeta(meta.Slab.Key)
 	if err != nil {

@@ -186,7 +186,7 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 	// data. The pin makes scrubSlab skip the slab until every batch member
 	// has settled.
 	s.pinSlab(key)
-	l := s.lockExclusive(key)
+	l := s.lockKey(key)
 	err := func() error {
 		defer l.Unlock()
 		if err := s.ensureDirs(); err != nil {
@@ -381,12 +381,11 @@ func (s *Store) scrubSlab(ctx context.Context, key string) (healed []int, reclai
 		// whole slab; the next sweep sees it settled.
 		return nil, false, nil
 	}
-	l := s.lockExclusive(key)
+	l := s.lockKey(key)
 	defer l.Unlock()
 	meta, err := s.loadMeta(key)
 	if err != nil {
 		if errors.Is(err, ErrObjectNotFound) {
-			s.dropLock(key, l)
 			return nil, false, nil
 		}
 		return nil, false, err
@@ -411,7 +410,6 @@ func (s *Store) scrubSlab(ctx context.Context, key string) (healed []int, reclai
 		}
 		s.dropMetaCache(key)
 		s.removeFiles(s.shardPaths(key, meta))
-		s.dropLock(key, l)
 		s.slabsReclaimed.Add(1)
 		if mt := s.m(); mt != nil {
 			mt.slabsReclaimed.Inc()

@@ -2,7 +2,7 @@
 // cmd/ecserver: a stdlib-only HTTP object store that chunks uploads into
 // stripes, encodes them through the pipelined streaming engine, and spreads
 // the k+r shards of every object across N local "node" directories
-// (distinct failure domains, internal/cluster-style rotating placement).
+// (distinct failure domains, rotating placement).
 // Reads verify every shard against its manifest checksum and reconstruct
 // transparently when shards are missing or rotten; a background scrubber
 // walks the manifests on a jittered interval and heals damage in place.
@@ -216,9 +216,10 @@ type Store struct {
 	slab    *slabWriter
 	slabSeq atomic.Int64
 
-	mu    sync.Mutex
-	rot   int // rotating placement offset, cluster-style
-	locks map[string]*sync.RWMutex
+	// keyLocks is the per-object lock table; its mu also guards the small
+	// state below (rot, metaCache, pendingSlabs).
+	keyLocks
+	rot int // rotating placement offset
 	// metaCache holds parsed object metadata keyed by store key, validated
 	// against the meta file's (size, mtime) on every hit, so steady-state
 	// GETs skip the per-request ReadFile + JSON parse (whose allocations
@@ -305,7 +306,7 @@ func Open(cfg StoreConfig) (*Store, error) {
 		}
 	}
 	s := &Store{
-		cfg: cfg, locks: map[string]*sync.RWMutex{},
+		cfg:          cfg,
 		pendingSlabs: map[string]struct{}{},
 		metaCache:    map[string]metaCacheEntry{},
 	}
@@ -446,68 +447,6 @@ func validateName(name string) error {
 		return fmt.Errorf("%w: %q (must be 1..%d bytes)", ErrBadObjectName, name, maxNameLen)
 	}
 	return nil
-}
-
-// lockFor returns the per-object lock, creating it on first use. Deleting
-// an object drops its entry (see dropLock), so the map tracks the live
-// catalog instead of growing with every name ever stored; callers must
-// therefore acquire through lockExclusive/lockShared, which revalidate
-// that the mutex they blocked on is still the key's current one.
-func (s *Store) lockFor(key string) *sync.RWMutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.locks[key]
-	if !ok {
-		l = &sync.RWMutex{}
-		s.locks[key] = l
-	}
-	return l
-}
-
-// lockExclusive write-locks key's per-object lock. Because Delete removes
-// lock entries, a goroutine can block on a mutex that is retired by the
-// time it acquires it (a later Put created a fresh one); acquiring without
-// revalidating would let two writers hold "the" object lock at once. The
-// loop re-checks map identity after every acquisition and retries on the
-// replacement, so exactly one current lock exists per key.
-func (s *Store) lockExclusive(key string) *sync.RWMutex {
-	for {
-		l := s.lockFor(key)
-		l.Lock()
-		s.mu.Lock()
-		cur := s.locks[key]
-		s.mu.Unlock()
-		if cur == l {
-			return l
-		}
-		l.Unlock()
-	}
-}
-
-// lockShared is lockExclusive for readers.
-func (s *Store) lockShared(key string) *sync.RWMutex {
-	for {
-		l := s.lockFor(key)
-		l.RLock()
-		s.mu.Lock()
-		cur := s.locks[key]
-		s.mu.Unlock()
-		if cur == l {
-			return l
-		}
-		l.RUnlock()
-	}
-}
-
-// dropLock retires key's lock entry. The caller must hold l exclusively:
-// any goroutine still blocked on l will acquire it after our unlock, fail
-// the identity revalidation, and retry on a fresh entry.
-func (s *Store) dropLock(key string, l *sync.RWMutex) {
-	s.mu.Lock()
-	if s.locks[key] == l {
-		delete(s.locks, key)
-	}
-	s.mu.Unlock()
 }
 
 // fileOpts bundles the store's filesystem seam and shard-read deadline
@@ -657,8 +596,8 @@ func (s *Store) saveMeta(key string, meta ObjectMeta) error {
 }
 
 // placement picks the k+r node directories for a new object by rotating
-// round-robin (the internal/cluster policy): consecutive objects start at
-// consecutive nodes, every shard of one object lands in a distinct node.
+// round-robin: consecutive objects start at consecutive nodes, every shard
+// of one object lands in a distinct node.
 func (s *Store) placement() []int {
 	s.mu.Lock()
 	rot := s.rot
@@ -694,7 +633,7 @@ func (s *Store) Put(ctx context.Context, name string, src io.Reader, size int64)
 	}
 	key := objKey(name)
 	lsp := obs.StartSpan(ctx, "store.lock")
-	l := s.lockExclusive(key)
+	l := s.lockKey(key)
 	lsp.End(nil)
 	defer l.Unlock()
 	if err := s.ensureDirs(); err != nil {
@@ -821,12 +760,12 @@ type Object struct {
 	sr           *shardfile.StreamReader
 	openDegraded bool
 	unlock       sync.Once
-	lock         *sync.RWMutex
+	lock         *keyLock
 	// slabLock is held (shared) when the object is a packed slab member:
 	// sr then reads the slab's shard set and Stream decodes only the
 	// member's window. Lock order is member → slab, matching the flusher
 	// (which takes no member locks) and the slab scrubber (slab only).
-	slabLock *sync.RWMutex
+	slabLock *keyLock
 	// ranged marks a ranged open: Stream serves only payload window
 	// [rangeOff, rangeOff+rangeLen), decoding just the covering stripes
 	// (for slab members the window is additionally rebased by the member's
@@ -839,7 +778,7 @@ type Object struct {
 // (and slabLock, for packed members) shared until Close, and counts the
 // read — as degraded when the open already found shards to reconstruct
 // around.
-func (t *traffic) newObject(meta ObjectMeta, sr *shardfile.StreamReader, lock, slabLock *sync.RWMutex) *Object {
+func (t *traffic) newObject(meta ObjectMeta, sr *shardfile.StreamReader, lock, slabLock *keyLock) *Object {
 	t.gets.Add(1)
 	if sr.Degraded() {
 		t.degradedGets.Add(1)
@@ -966,7 +905,7 @@ func (s *Store) OpenObject(ctx context.Context, name string) (*Object, error) {
 	}
 	key := objKey(name)
 	lsp := obs.StartSpan(ctx, "store.lock")
-	l := s.lockShared(key)
+	l := s.rlockKey(key)
 	lsp.End(nil)
 	meta, err := s.loadMeta(key)
 	if err != nil {
@@ -988,8 +927,8 @@ func (s *Store) OpenObject(ctx context.Context, name string) (*Object, error) {
 // slab's shard set for a windowed decode. memberLock is the member's
 // shared lock, already held; the slab's shared lock is taken second
 // (member → slab order) and both are released by Object.Close.
-func (s *Store) openSlabMember(ctx context.Context, memberLock *sync.RWMutex, meta ObjectMeta) (*Object, error) {
-	sl := s.lockShared(meta.Slab.Key)
+func (s *Store) openSlabMember(ctx context.Context, memberLock *keyLock, meta ObjectMeta) (*Object, error) {
+	sl := s.rlockKey(meta.Slab.Key)
 	fail := func(err error) (*Object, error) {
 		sl.RUnlock()
 		memberLock.RUnlock()
@@ -1030,7 +969,7 @@ func (s *Store) Stat(name string) (ObjectMeta, error) {
 		return ObjectMeta{}, err
 	}
 	key := objKey(name)
-	l := s.lockShared(key)
+	l := s.rlockKey(key)
 	defer l.RUnlock()
 	return s.loadMeta(key)
 }
@@ -1038,9 +977,7 @@ func (s *Store) Stat(name string) (ObjectMeta, error) {
 // Delete removes object name's shards and metadata. It also clears
 // objects whose metadata no longer parses or validates — the one state Put
 // refuses to touch — by sweeping every node directory for the key's shard
-// files, so broken objects have an exit that does not leak disk. A
-// successful delete also retires the object's lock entry, so the lock map
-// tracks the live catalog instead of every name ever stored.
+// files, so broken objects have an exit that does not leak disk.
 func (s *Store) Delete(ctx context.Context, name string) error {
 	if err := validateName(name); err != nil {
 		return err
@@ -1049,7 +986,7 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 		return err
 	}
 	key := objKey(name)
-	l := s.lockExclusive(key)
+	l := s.lockKey(key)
 	defer l.Unlock()
 	meta, err := s.loadMeta(key)
 	switch {
@@ -1061,9 +998,6 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 		s.clearPatchJournal(key)
 		s.removeFiles(s.shardPaths(key, meta)) // best effort; scrub sweeps strays
 	case errors.Is(err, ErrObjectNotFound):
-		// Nothing stored under this name; retire the lock entry this very
-		// call materialized so failed deletes don't grow the map.
-		s.dropLock(key, l)
 		return err
 	default:
 		// Metadata too broken to locate the shards precisely: drop it and
@@ -1075,7 +1009,6 @@ func (s *Store) Delete(ctx context.Context, name string) error {
 		s.clearPatchJournal(key)
 		s.removeKeyShards(key)
 	}
-	s.dropLock(key, l)
 	s.deletes.Add(1)
 	return nil
 }
@@ -1140,7 +1073,7 @@ func (s *Store) StatAll() ([]ObjectMeta, error) {
 		if _, err := hex.DecodeString(key); err != nil {
 			continue
 		}
-		l := s.lockShared(key)
+		l := s.rlockKey(key)
 		meta, err := s.loadMeta(key)
 		l.RUnlock()
 		if err != nil {
@@ -1166,7 +1099,7 @@ func (s *Store) ScrubObject(ctx context.Context, name string) ([]int, error) {
 		return nil, err
 	}
 	key := objKey(name)
-	l := s.lockExclusive(key)
+	l := s.lockKey(key)
 	defer l.Unlock()
 	meta, err := s.loadMeta(key)
 	if err != nil {
@@ -1326,7 +1259,7 @@ func (s *Store) sweepOrphans(ctx context.Context) int {
 		if ctx.Err() != nil {
 			break
 		}
-		l := s.lockExclusive(key)
+		l := s.lockKey(key)
 		meta, err := s.loadMeta(key)
 		if err == nil || errors.Is(err, ErrObjectNotFound) {
 			current := map[string]bool{}
@@ -1340,11 +1273,6 @@ func (s *Store) sweepOrphans(ctx context.Context) int {
 				if !current[p] && fsys.Remove(p) == nil {
 					removed++
 				}
-			}
-			if errors.Is(err, ErrObjectNotFound) {
-				// No object, no files left: retire the lock entry the sweep
-				// itself materialized.
-				s.dropLock(key, l)
 			}
 		}
 		l.Unlock()
