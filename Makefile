@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench bench-json bench-smoke ladder-smoke loc ci
+.PHONY: all build vet fmt test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench bench-json bench-smoke ladder-smoke loc ci
 
 all: build
 
@@ -68,15 +68,31 @@ stress-obs:
 	$(GO) test -race -count=2 -run 'Trace|Tracez|Span|Waterfall|Retention|RingEviction|PeerMetrics|WireRoundTrip|NilSafety' \
 		./internal/obs ./internal/server ./internal/peer
 
-# Range/patch drill under -race: stripe-seeking DecodeRange at every
-# boundary class (healthy, degraded, slab members, adversarial bounds),
-# the HTTP Range surface (206/200/416 taxonomy), and the PATCH commit
-# protocol — in-place XOR parity updates crosschecked byte-identical
-# against full re-encodes, crash-injected journal replay, stale-journal
-# discard, and the cluster's read-modify-write fallback.
+# Range/patch drill under -race: the read plan — random geometries,
+# windows and faults against the payload, its I/O shape through a counting
+# filesystem, the gateway's per-member fetch counts — windowed decodes at
+# every boundary class (healthy, degraded, slab members, adversarial
+# bounds), the HTTP Range surface (206/200/416 taxonomy), and the PATCH
+# commit protocol — in-place XOR parity updates crosschecked
+# byte-identical against full re-encodes, crash-injected journal replay,
+# stale-journal discard, and the cluster's read-modify-write fallback.
 stress-range:
-	$(GO) test -race -count=2 -run 'Range|Patch|WindowWriter' \
+	$(GO) test -race -count=2 -run 'Range|Patch|ReadPlan' \
 		./internal/shardfile ./internal/server
+
+# Every fuzz target of the root package (codec and stream round trips),
+# internal/shardfile (manifest parser, read plan) and internal/server
+# (Range header parser) for FUZZTIME each, seed corpus first: a parser or
+# a planner that a few seconds of mutation can break does not get past CI.
+# `go test -fuzz` takes one target per run, hence the loop.
+FUZZTIME ?= 3s
+fuzz-smoke:
+	@for pkg in . ./internal/shardfile ./internal/server; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
@@ -128,4 +144,4 @@ loc:
 # TestDecodeStreamSteadyStateAllocs and the full-server
 # TestServerSteadyStateAllocs) run as part of `test`, so `ci` gates on the
 # encode, verified-decode and daemon PUT/GET paths staying allocation-free.
-ci: build vet fmt test race-hot stress-fault stress-load stress-cluster stress-obs stress-range bench-smoke ladder-smoke
+ci: build vet fmt test race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench-smoke ladder-smoke

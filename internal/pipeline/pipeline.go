@@ -21,13 +21,17 @@
 // exactly: shard output is byte-identical either way), and Workers == 1
 // keeps the fully serial, goroutine-free baseline loop.
 //
-// Decode runs the same ring in reverse: the reader gathers k+r shard
-// units per stripe (nil readers mark losses), optionally verifying each
+// Decode runs the same ring in reverse, over a read plan (Plan, Shards):
+// per stripe the reader gathers the units the plan names — for a clean
+// read, the data units inside the requested window and nothing else —
+// opening each shard the first time it is read, optionally verifying each
 // unit against a per-stripe checksum as it lands (Config.Verify) and
-// demoting shards that fail — checksum mismatch, truncation, read error —
-// to erased mid-stream instead of failing the read; workers reconstruct
-// missing data units, and the in-order writer emits the data stripe to
-// dst.
+// demoting shards that fail — open error, checksum mismatch, truncation,
+// read error — to erased mid-stream instead of failing the read; a
+// demotion widens the plan to the k cheapest survivors, workers
+// reconstruct the missing data units the window needs, and the in-order
+// writer emits the window's share of the stripe to dst. A window of at
+// most one stripe skips the ring: it decodes on the caller's goroutine.
 //
 // Backpressure falls out of the ring: at most Depth stripes are in flight,
 // so every channel send below is non-blocking by construction (each
@@ -159,14 +163,13 @@ type Stats struct {
 // task bound to the slot. Carrying the stripe state in the slot (instead
 // of a per-stripe job struct captured by a fresh closure) is what keeps
 // the pipelined paths allocation-free per stripe: the reader writes
-// seq/n/rebuild before submitting s.run, and the channel/scheduler
+// seq/rebuild before submitting s.run, and the channel/scheduler
 // handoffs order those writes against the task and the in-order writer.
 type slot struct {
 	buf  *stripe.Buffer
 	work [][]byte
 
 	seq     int64
-	n       int    // payload bytes this stripe carries
 	rebuild bool   // decode: some data unit of this stripe is missing
 	run     func() // kernel task; built once per run at ring setup
 }
@@ -361,7 +364,7 @@ func encodePipelined(c Codec, src io.Reader, shards []io.Writer, cfg Config, st 
 	results := make(chan *slot, cfg.Depth)
 	f := newFailer()
 	// One encode task per ring slot, built before traffic: the reader only
-	// stamps seq/n and submits, so steady-state stripes allocate nothing.
+	// stamps seq and submits, so steady-state stripes allocate nothing.
 	for _, s := range slots {
 		s := s
 		s.run = func() {
@@ -426,7 +429,7 @@ func encodePipelined(c Codec, src io.Reader, shards []io.Writer, cfg Config, st 
 				f.fail(fmt.Errorf("gemmec: read source: %w", err))
 				return
 			}
-			s.seq, s.n = seq, n
+			s.seq = seq
 			q.Submit(s.run)
 			if n < stripeBytes {
 				return
@@ -485,65 +488,222 @@ func writeStripe(shards []io.Writer, raw []byte, k, r, unit int) error {
 	return nil
 }
 
-// Decode streams the shard readers through the codec into dst, emitting
-// exactly size payload bytes. nil readers mark lost shards; lost data
-// shards are reconstructed. The caller validates reader count and survivor
-// count; geometry is rechecked here.
-func Decode(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Config) (Stats, error) {
+// Plan is the read set of one decode: which units of which shards a clean
+// decode reads to emit payload bytes [Off, Off+Len). Unit u of the payload
+// lives in stripe u/k on data shard u%k, so a window touches each data
+// shard over one contiguous stripe interval (possibly empty) and touches
+// parity not at all: a clean read moves the bytes it returns and nothing
+// else. The demoter widens the plan when a planned unit faults — see
+// Shards.
+type Plan struct {
+	// Off and Len are the payload window.
+	Off, Len int64
+	// Base and End bound the stripes the decode walks: [Base, End) are the
+	// stripes covering the window, in manifest (whole-object) numbering.
+	Base, End int64
+	// From and To hold one stripe interval per shard, k+r of each: the
+	// decode reads shard i's units of stripes [From[i], To[i]). Equal
+	// bounds mean the shard is not read. Both nil is the full plan: every
+	// shard, every stripe of [Base, End).
+	From, To []int64
+}
+
+// Interval returns the stripes [from, to) the plan reads of shard i.
+func (p Plan) Interval(i int) (from, to int64) {
+	if p.From == nil {
+		return p.Base, p.End
+	}
+	return p.From[i], p.To[i]
+}
+
+// NewPlan plans a clean read of payload window [off, off+length) from a
+// (k, r, unit) shard set: exactly the data units the window overlaps. The
+// caller has checked the window against the payload's size.
+func NewPlan(k, r, unit int, off, length int64) Plan {
+	n := k + r
+	iv := make([]int64, 2*n)
+	p := Plan{Off: off, Len: length, From: iv[:n:n], To: iv[n:]}
+	if length <= 0 {
+		return p
+	}
+	stripeBytes := int64(k) * int64(unit)
+	p.Base, p.End = off/stripeBytes, (off+length-1)/stripeBytes+1
+	for i := range p.From {
+		p.From[i], p.To[i] = p.span(i, k, unit)
+	}
+	return p
+}
+
+// span returns the stripes in which shard i holds a unit of the window:
+// all of [Base, End) for a data shard, less the first stripe when the
+// window starts past the shard's unit there and the last when it ends
+// before it. Parity holds none.
+func (p *Plan) span(i, k, unit int) (from, to int64) {
+	if i >= k || p.Len <= 0 {
+		return p.Base, p.Base
+	}
+	first, last := p.Off/int64(unit), (p.Off+p.Len-1)/int64(unit) // the window's units, payload order
+	from, to = p.Base, p.End
+	if int64(i) < first%int64(k) {
+		from++
+	}
+	if int64(i) > last%int64(k) {
+		to--
+	}
+	if from >= to {
+		return p.Base, p.Base
+	}
+	return from, to
+}
+
+// FullPlan plans a read of every unit of every shard, data and parity,
+// over the first stripes stripes of a set holding a payload of size
+// bytes: the read set of a repair walk and of a caller who hands
+// DecodeStream its own open streams.
+func FullPlan(size, stripes int64) Plan { return Plan{Len: size, End: stripes} }
+
+// Shards is the input side of one decode: the plan, what is already known
+// lost, and how to reach a shard. Decode opens a shard the first time the
+// plan reads it, so a shard the plan never reads costs nothing.
+//
+// A fault on a planned unit — open error, read error, short read, failed
+// verification — demotes that shard and escalates the plan: from that
+// stripe on it reads the k cheapest survivors (data shards first, then
+// parity), which is enough to reconstruct whatever the faulty shard was
+// to supply; stripes already emitted stand. When Lost already names a
+// shard the window needs, the plan starts out escalated the same way.
+type Shards struct {
+	Plan Plan
+	// Lost marks shards known unusable before the decode starts (k+r
+	// entries, or nil for none): never opened, never read.
+	Lost []bool
+	// Open returns shard i positioned at the first byte of its unit of
+	// stripe from, good for reading up to stripe to. Decode calls it when
+	// it first reads the shard, and again only if escalation moves the
+	// shard's interval away from where its reader stands.
+	Open func(shard int, from, to int64) (io.Reader, error)
+}
+
+// Readers is the Shards of a caller who holds one open stream per shard,
+// each at its first byte, over a payload of size bytes: nil readers are
+// lost, and the plan is the full one — every stream handed in is read and
+// checked, stripe by stripe.
+func Readers(c Codec, readers []io.Reader, size int64) Shards {
+	var lost []bool
+	for i, rd := range readers {
+		if rd == nil {
+			if lost == nil {
+				lost = make([]bool, len(readers))
+			}
+			lost[i] = true
+		}
+	}
+	stripeBytes := int64(c.K()) * int64(c.UnitSize())
+	return Shards{
+		Plan: FullPlan(size, (size+stripeBytes-1)/stripeBytes),
+		Lost: lost,
+		Open: func(i int, _, _ int64) (io.Reader, error) { return readers[i], nil },
+	}
+}
+
+// Decode streams payload window [Plan.Off, Plan.Off+Plan.Len) of the
+// shard set to dst, reading the units in.Plan names and reconstructing
+// around lost and faulty shards. The caller validates survivor count;
+// geometry is rechecked here. A window of at most one stripe, and any
+// run without a scheduler, decodes serially on the caller's goroutine.
+func Decode(c Codec, in Shards, dst io.Writer, cfg Config) (Stats, error) {
 	var st Stats
 	cfg, err := norm(c, cfg)
 	if err != nil {
 		return st, err
 	}
-	if len(shards) != c.K()+c.R() {
-		return st, fmt.Errorf("pipeline: %d shard readers, want k+r=%d", len(shards), c.K()+c.R())
+	n := c.K() + c.R()
+	if (in.Plan.From != nil && (len(in.Plan.From) != n || len(in.Plan.To) != n)) || (in.Lost != nil && len(in.Lost) != n) {
+		return st, fmt.Errorf("pipeline: read plan is not for k+r=%d shards", n)
 	}
-	if size < 0 {
-		return st, fmt.Errorf("pipeline: negative stream size %d", size)
+	if in.Plan.Off < 0 || in.Plan.Len < 0 {
+		return st, fmt.Errorf("pipeline: negative window [off=%d,len=%d)", in.Plan.Off, in.Plan.Len)
 	}
 	if cfg.Ctx.Err() != nil {
 		return st, ctxErr(cfg.Ctx)
 	}
-	cfg, stopSched := ensureSched(cfg)
+	serial := in.Plan.End-in.Plan.Base <= 1
+	stopSched := func() {}
+	if !serial {
+		cfg, stopSched = ensureSched(cfg)
+	}
 	defer stopSched()
 	st.Workers, st.Depth = cfg.Workers, cfg.Depth
 	if cfg.Sched != nil {
 		st.Workers = cfg.Sched.Workers()
 	}
 	start := time.Now()
-	if cfg.Sched == nil {
-		err = decodeSerial(c, shards, dst, size, cfg, &st)
-	} else {
-		err = decodePipelined(c, shards, dst, size, cfg, &st)
+	d, err := newDemoter(c, in, cfg.Verify)
+	if err == nil {
+		if serial || cfg.Sched == nil {
+			err = decodeSerial(c, d, dst, cfg, &st)
+		} else {
+			err = decodePipelined(c, d, dst, cfg, &st)
+		}
 	}
 	st.Elapsed = time.Since(start)
 	return st, err
 }
 
-// demoter owns the decode reader stage's view of the shard streams: which
-// are still trusted, which were demoted mid-stream, and whether enough
-// survive to cover k. A shard that fails — unit checksum mismatch,
-// truncation, read error — is demoted to erased from that stripe on: its
-// units are reconstructed for the rest of the stream instead of failing
-// the read. Exactly one goroutine (the reader stage) uses a demoter, so it
-// needs no locking; the pipeline's final wgRead.Wait() establishes
-// happens-before for the demotions it records.
+// input is the demoter's view of one shard.
+type input struct {
+	lost bool
+	// from and to are the stripes the decode reads of this shard: the
+	// plan's interval, widened by escalation.
+	from, to int64
+	// need is the subset of those the window itself wants: this data
+	// shard's units inside [Off, Off+Len). Empty for parity.
+	needFrom, needTo int64
+	// rd, when non-nil, stands at the start of stripe pos and is good up
+	// to stripe lim.
+	rd       io.Reader
+	pos, lim int64
+}
+
+// demoter owns the decode reader stage's view of the shard set: the
+// plan, which shards are open, which are lost or were demoted mid-stream,
+// and whether enough survive to cover k. A shard that fails — open error,
+// unit checksum mismatch, truncation, read error — is demoted to erased
+// from that stripe on: its units are reconstructed for the rest of the
+// stream instead of failing the read. Exactly one goroutine (the reader
+// stage) uses a demoter, so it needs no locking; the pipeline's final
+// wgRead.Wait() establishes happens-before for the demotions it records.
 type demoter struct {
-	shards  []io.Reader
+	plan    Plan
+	in      []input
+	open    func(shard int, from, to int64) (io.Reader, error)
 	k, unit int
 	verify  UnitVerifier
 	alive   int
 	demoted []ecerr.Demotion
 }
 
-func newDemoter(shards []io.Reader, k, unit int, verify UnitVerifier) *demoter {
-	d := &demoter{shards: append([]io.Reader(nil), shards...), k: k, unit: unit, verify: verify}
-	for _, rd := range d.shards {
-		if rd != nil {
+func newDemoter(c Codec, s Shards, verify UnitVerifier) (*demoter, error) {
+	k, unit := c.K(), c.UnitSize()
+	d := &demoter{plan: s.Plan, in: make([]input, k+c.R()), open: s.Open, k: k, unit: unit, verify: verify}
+	degraded := false
+	for i := range d.in {
+		in := &d.in[i]
+		in.from, in.to = s.Plan.Interval(i)
+		in.needFrom, in.needTo = s.Plan.span(i, k, unit)
+		if in.lost = s.Lost != nil && s.Lost[i]; in.lost {
+			degraded = degraded || in.needFrom < in.needTo
+		} else {
 			d.alive++
 		}
 	}
-	return d
+	if d.alive < k {
+		return nil, fmt.Errorf("gemmec: only %d of %d shards usable (need k=%d): %w", d.alive, len(d.in), k, ecerr.ErrTooFewShards)
+	}
+	if degraded {
+		d.widen(s.Plan.Base) // the window needs a shard that is already gone
+	}
+	return d, nil
 }
 
 // demote marks shard i erased from stripe on. It returns nil while enough
@@ -551,98 +711,145 @@ func newDemoter(shards []io.Reader, k, unit int, verify UnitVerifier) *demoter {
 // Demotion (hence ErrShardDemoted and the cause) and ErrTooFewShards —
 // once the survivor count drops below k.
 func (d *demoter) demote(i int, stripe int64, cause error) error {
-	d.shards[i] = nil
+	d.in[i].lost, d.in[i].rd = true, nil
 	d.alive--
 	d.demoted = append(d.demoted, ecerr.Demotion{Shard: i, Stripe: stripe, Cause: cause})
 	if d.alive < d.k {
 		return fmt.Errorf("gemmec: only %d of %d shard streams still usable (need k=%d): %w: %w",
-			d.alive, len(d.shards), d.k, d.demoted[len(d.demoted)-1], ecerr.ErrTooFewShards)
+			d.alive, len(d.in), d.k, d.demoted[len(d.demoted)-1], ecerr.ErrTooFewShards)
 	}
 	return nil
 }
 
-// fillSlot reads one stripe's worth of units from the trusted shard
-// streams into the slot, verifying each unit as it lands and demoting
-// shards that fail instead of failing the stream. It reports whether the
-// stripe needs reconstruction (some data unit is missing); err is non-nil
-// only when demotions leave fewer than k usable shards.
+// widen puts the k cheapest survivors — data shards first, then parity,
+// in index order — in the read set from stripe to the end of the window:
+// enough to reconstruct whatever a lost or demoted shard was to supply,
+// and no more. It reports whether that added a shard to this stripe.
+func (d *demoter) widen(stripe int64) bool {
+	added := false
+	n := 0
+	for i := range d.in {
+		in := &d.in[i]
+		if in.lost {
+			continue
+		}
+		if n++; n > d.k {
+			break
+		}
+		if stripe < in.from || stripe >= in.to {
+			in.from, added = stripe, true
+		}
+		in.to = d.plan.End
+	}
+	return added
+}
+
+// readUnit reads and verifies shard i's unit of stripe into u, opening or
+// repositioning the shard first when its reader does not stand there. A
+// non-nil return is the cause the shard is demoted for.
+func (d *demoter) readUnit(i int, stripe int64, u []byte, stall *time.Duration) error {
+	in := &d.in[i]
+	t0 := time.Now()
+	var err error
+	if in.rd == nil || in.pos != stripe || in.lim <= stripe {
+		if in.rd, err = d.open(i, stripe, in.to); err != nil {
+			*stall += time.Since(t0)
+			return fmt.Errorf("gemmec: open shard %d at stripe %d: %w", i, stripe, err)
+		}
+		in.pos, in.lim = stripe, in.to
+	}
+	_, err = io.ReadFull(in.rd, u)
+	*stall += time.Since(t0)
+	if err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("gemmec: shard %d truncated at stripe %d: %w (%w)", i, stripe, ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
+		}
+		return fmt.Errorf("gemmec: read shard %d: %w", i, err)
+	}
+	in.pos++
+	if d.verify != nil {
+		return d.verify.VerifyUnit(i, stripe, u)
+	}
+	return nil
+}
+
+// fillSlot reads the units the plan names for one stripe into the slot,
+// verifying each as it lands and demoting shards that fail instead of
+// failing the stream; a demotion widens the plan, and the stripe is
+// rescanned for the units that adds. s.work[i] is left nil for a unit
+// that was not read — lost, demoted, or simply not planned. It reports
+// whether the stripe needs reconstruction (a data unit the window wants
+// is missing); err is non-nil only when demotions leave fewer than k
+// usable shards.
 func (d *demoter) fillSlot(s *slot, stripe int64, stall *time.Duration) (rebuild bool, err error) {
 	raw := s.buf.Raw()
-	for i, rd := range d.shards {
-		if rd == nil {
-			s.work[i] = nil
-			continue
-		}
-		u := raw[i*d.unit : (i+1)*d.unit]
-		t0 := time.Now()
-		_, rerr := io.ReadFull(rd, u)
-		*stall += time.Since(t0)
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				rerr = fmt.Errorf("gemmec: shard %d truncated at stripe %d: %w (%w)", i, stripe, ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
-			} else {
-				rerr = fmt.Errorf("gemmec: read shard %d: %w", i, rerr)
-			}
-			s.work[i] = nil
-			if err := d.demote(i, stripe, rerr); err != nil {
-				return false, err
-			}
-			continue
-		}
-		if d.verify != nil {
-			if verr := d.verify.VerifyUnit(i, stripe, u); verr != nil {
-				s.work[i] = nil
-				if err := d.demote(i, stripe, verr); err != nil {
-					return false, err
-				}
+	clear(s.work)
+	for rescan := true; rescan; {
+		rescan = false
+		for i := range d.in {
+			in := &d.in[i]
+			if s.work[i] != nil || in.lost || stripe < in.from || stripe >= in.to {
 				continue
 			}
+			u := raw[i*d.unit : (i+1)*d.unit]
+			cause := d.readUnit(i, stripe, u, stall)
+			if cause == nil {
+				s.work[i] = u
+				continue
+			}
+			if err := d.demote(i, stripe, cause); err != nil {
+				return false, err
+			}
+			if d.widen(stripe) {
+				rescan = true
+			}
 		}
-		s.work[i] = u
 	}
 	for i := 0; i < d.k; i++ {
-		if s.work[i] == nil {
+		if in := &d.in[i]; s.work[i] == nil && in.needFrom <= stripe && stripe < in.needTo {
 			return true, nil
 		}
 	}
 	return false, nil
 }
 
-// emitStripe writes the data units of one decoded stripe to dst, trimming
-// the final stripe to the remaining payload length.
-func emitStripe(dst io.Writer, work [][]byte, k, unit int, n int64) error {
-	emitted := int64(0)
-	for i := 0; i < k && emitted < n; i++ {
-		take := int64(unit)
-		if emitted+take > n {
-			take = n - emitted
+// emit writes the window's share of one decoded stripe to dst: the data
+// units from the window's first byte in this stripe to its last. Every
+// unit it touches was read or reconstructed (fillSlot's rebuild rule).
+func (p *Plan) emit(dst io.Writer, work [][]byte, stripe int64, k, unit int) (int64, error) {
+	stripeBytes := int64(k) * int64(unit)
+	lo := max(p.Off-stripe*stripeBytes, 0)
+	hi := min(p.Off+p.Len-stripe*stripeBytes, stripeBytes)
+	for at := lo; at < hi; {
+		i := at / int64(unit)
+		a := at - i*int64(unit)
+		b := min(hi-i*int64(unit), int64(unit))
+		if _, err := dst.Write(work[i][a:b]); err != nil {
+			return at - lo, fmt.Errorf("gemmec: write output: %w", err)
 		}
-		if _, err := dst.Write(work[i][:take]); err != nil {
-			return fmt.Errorf("gemmec: write output: %w", err)
-		}
-		emitted += take
+		at += b - a
 	}
-	return nil
+	return hi - lo, nil
 }
 
-func decodeSerial(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Config, st *Stats) error {
+func decodeSerial(c Codec, d *demoter, dst io.Writer, cfg Config, st *Stats) error {
 	k, r, unit := c.K(), c.R(), c.UnitSize()
-	stripeBytes := int64(k * unit)
+	defer func() { st.Demoted = d.demoted }()
+	if d.plan.Len == 0 {
+		return nil
+	}
 	buf, err := cfg.Pool.Get()
 	if err != nil {
 		return err
 	}
 	defer cfg.Pool.Put(buf) //nolint:errcheck // geometry matches by construction
 	s := &slot{buf: buf, work: make([][]byte, k+r)}
-	d := newDemoter(shards, k, unit, cfg.Verify)
-	defer func() { st.Demoted = d.demoted }()
 
-	remaining := size
-	for remaining > 0 {
+	for stripe := d.plan.Base; stripe < d.plan.End; stripe++ {
 		if cfg.Ctx.Err() != nil {
 			return ctxErr(cfg.Ctx)
 		}
-		rebuild, err := d.fillSlot(s, st.Stripes, &st.ReadStall)
+		rebuild, err := d.fillSlot(s, stripe, &st.ReadStall)
 		if err != nil {
 			return err
 		}
@@ -653,31 +860,21 @@ func decodeSerial(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Co
 			}
 			st.EncodeStall += time.Since(t0)
 		}
-		n := stripeBytes
-		if remaining < n {
-			n = remaining
-		}
 		t1 := time.Now()
-		werr := emitStripe(dst, s.work, k, unit, n)
+		n, werr := d.plan.emit(dst, s.work, stripe, k, unit)
 		st.WriteStall += time.Since(t1)
 		if werr != nil {
 			return werr
 		}
 		st.Stripes++
 		st.BytesOut += n
-		remaining -= n
 	}
 	st.BytesIn = st.BytesOut
 	return nil
 }
 
-func decodePipelined(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg Config, st *Stats) error {
-	k, _, unit := c.K(), c.R(), c.UnitSize()
-	stripeBytes := int64(k * unit)
-	if size == 0 {
-		return nil
-	}
-	stripes := (size + stripeBytes - 1) / stripeBytes
+func decodePipelined(c Codec, d *demoter, dst io.Writer, cfg Config, st *Stats) error {
+	k, unit := c.K(), c.UnitSize()
 	slots, release, err := ring(c, cfg)
 	if err != nil {
 		return err
@@ -716,12 +913,11 @@ func decodePipelined(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg
 	q := cfg.Sched.NewQueue()
 	defer q.Close()
 
-	// Reader: gathers k+r units per stripe (sequential: shard readers are
-	// streams and must be consumed in stripe order). It owns the demoter —
-	// verification happens here, as units enter the ring, so a shard that
-	// fails its checksum mid-stream is erased for this and all later
-	// stripes while earlier (verified) stripes stand.
-	d := newDemoter(shards, k, unit, cfg.Verify)
+	// Reader: gathers the planned units of each stripe (sequential: shard
+	// readers are streams and must be consumed in stripe order). It owns
+	// the demoter — verification happens here, as units enter the ring, so
+	// a shard that fails its checksum mid-stream is erased for this and all
+	// later stripes while earlier (verified) stripes stand.
 	var readStall time.Duration
 	var wgRead sync.WaitGroup
 	wgRead.Add(1)
@@ -730,32 +926,26 @@ func decodePipelined(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg
 		defer close(results)
 		defer q.Wait() // every submitted task finishes before results closes
 		pprof.SetGoroutineLabels(readLabelCtx)
-		remaining := size
-		for seq := int64(0); seq < stripes; seq++ {
+		for stripe := d.plan.Base; stripe < d.plan.End; stripe++ {
 			var s *slot
 			select {
 			case s = <-free:
 			case <-f.done:
 				return
 			}
-			rebuild, err := d.fillSlot(s, seq, &readStall)
+			rebuild, err := d.fillSlot(s, stripe, &readStall)
 			if err != nil {
 				f.fail(err)
 				return
 			}
-			n := stripeBytes
-			if remaining < n {
-				n = remaining
-			}
-			remaining -= n
-			s.seq, s.n, s.rebuild = seq, int(n), rebuild
+			s.seq, s.rebuild = stripe, rebuild
 			q.Submit(s.run)
 		}
 	}()
 
 	// In-order writer.
 	pending := make(map[int64]*slot, cfg.Depth)
-	var next int64
+	next := d.plan.Base
 	for {
 		t0 := time.Now()
 		s, ok := <-results
@@ -773,13 +963,13 @@ func decodePipelined(c Codec, shards []io.Reader, dst io.Writer, size int64, cfg
 			next++
 			if !f.failed() {
 				t1 := time.Now()
-				werr := emitStripe(dst, ss.work, k, unit, int64(ss.n))
+				n, werr := d.plan.emit(dst, ss.work, ss.seq, k, unit)
 				st.WriteStall += time.Since(t1)
 				if werr != nil {
 					f.fail(werr)
 				} else {
 					st.Stripes++
-					st.BytesOut += int64(ss.n)
+					st.BytesOut += n
 				}
 			}
 			free <- ss

@@ -162,7 +162,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		readers[2] = nil // lost data shard: every stripe reconstructs
 		readers[6] = nil // lost parity shard: irrelevant to decode
 		var out bytes.Buffer
-		st, err := Decode(c, readers, &out, n, Config{Workers: workers, Depth: 2 * workers})
+		st, err := Decode(c, Readers(c, readers, n), &out, Config{Workers: workers, Depth: 2 * workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestDecodeTruncated(t *testing.T) {
 			readers[i] = bytes.NewReader(nil)
 		}
 		var out bytes.Buffer
-		if _, err := Decode(c, readers, &out, 10, Config{Workers: workers, Depth: workers}); err == nil {
+		if _, err := Decode(c, Readers(c, readers, 10), &out, Config{Workers: workers, Depth: workers}); err == nil {
 			t.Errorf("workers=%d: truncated shard streams accepted", workers)
 		}
 	}
@@ -307,7 +307,7 @@ func TestConcurrentStreams(t *testing.T) {
 			}
 			readers[g%c.k] = nil
 			var out bytes.Buffer
-			if _, err := Decode(c, readers, &out, n, Config{Workers: 3, Depth: 6, Pool: pool}); err != nil {
+			if _, err := Decode(c, Readers(c, readers, n), &out, Config{Workers: 3, Depth: 6, Pool: pool}); err != nil {
 				errs <- err
 				return
 			}

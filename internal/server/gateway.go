@@ -342,9 +342,19 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	esp := obs.StartSpan(ctx, "gw.encode")
 	var m shardfile.Manifest
 	var st gemmec.StreamStats
+	// A declared size fixes every shard's length — stripes × UnitSize, an
+	// empty object still getting its one stripe — so peers are sent a
+	// Content-Length: one body, not a chunk stream flushed every 32 KiB,
+	// and a torn upload is a short one. Only an unknown-size source
+	// streams chunked.
+	shardLen := int64(-1)
+	if size >= 0 {
+		stripeBytes := int64(g.cfg.K) * int64(g.cfg.UnitSize)
+		shardLen = max((size+stripeBytes-1)/stripeBytes, 1) * int64(g.cfg.UnitSize)
+	}
 	upErrs, err := fanOut(n, all,
 		func(i int, body io.Reader) error {
-			return g.transport(placement[i]).PutShard(ctx, key, gen, i, -1, body)
+			return g.transport(placement[i]).PutShard(ctx, key, gen, i, shardLen, body)
 		},
 		func(ws []io.Writer) error {
 			var err error
@@ -391,15 +401,23 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	}
 
 	// Committed. The previous generation's shards are garbage now; clean
-	// them best-effort with a fresh context (repair sweeps catch strays).
-	// A tombstone predecessor has no shards, only a generation number.
+	// them best-effort with a fresh context (repair sweeps catch strays),
+	// all members at once — this is on the ack path — and joined before
+	// returning, so a finished Put leaves no stray behind it. A tombstone
+	// predecessor has no shards, only a generation number.
 	if hasOld && !old.Deleted {
 		cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
+		var wg sync.WaitGroup
 		for i, member := range old.Placement {
 			if tr := g.transport(member); tr != nil {
-				tr.DeleteShard(cctx, key, uint64(old.Gen), i) //nolint:errcheck
+				wg.Add(1)
+				go func(i int, tr peer.Transport) {
+					defer wg.Done()
+					tr.DeleteShard(cctx, key, uint64(old.Gen), i) //nolint:errcheck
+				}(i, tr)
 			}
 		}
+		wg.Wait()
 		cancel()
 	}
 	g.recordPut(st, m.FileSize)
@@ -570,16 +588,12 @@ func (g *Gateway) open(ctx context.Context, name string, ranged bool, off, lengt
 	if meta.Deleted {
 		return fail(fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name))
 	}
-	base, stripes := int64(0), int64(meta.Manifest.Stripes)
-	if ranged {
-		if off, length, err = resolveRange(off, length, meta.Size()); err != nil {
-			return fail(err)
-		}
-		stripeBytes := int64(meta.Manifest.K) * int64(meta.Manifest.UnitSize)
-		base = off / stripeBytes
-		stripes = (off+length-1)/stripeBytes - base + 1
+	if !ranged {
+		off, length = 0, meta.Size()
+	} else if off, length, err = resolveRange(off, length, meta.Size()); err != nil {
+		return fail(err)
 	}
-	sr, err := g.openShards(ctx, meta, base, stripes)
+	sr, err := g.openShards(ctx, meta, off, length)
 	if err != nil {
 		return fail(err)
 	}
@@ -590,53 +604,75 @@ func (g *Gateway) open(ctx context.Context, name string, ranged bool, off, lengt
 	return o, nil
 }
 
-// openShards fetches manifest stripes [base, base+stripes) of every shard
-// of meta from its placed member in parallel and hands the bodies to the
-// shardfile decode engine (the whole object uses the plain whole-shard
-// transfer). Members that are down, missing the shard, or serving the
-// wrong length are marked unusable; if fewer than k streams open the
-// error wraps gemmec.ErrTooFewShards.
-func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, base, stripes int64) (*shardfile.StreamReader, error) {
-	key := objKey(meta.Name)
+// openShards opens payload bytes [off, off+length) of meta for decoding:
+// the peer instantiation of the shardfile read plan. Every placed member
+// is asked in parallel — for the stripes of its shard the plan reads (one
+// GetShardRange, or the plain whole-shard transfer), or, when the plan
+// reads nothing of it, for the shard's length only (StatShard: no bytes)
+// — so all k+r are probed and only the window's data units cross the
+// wire. Members that are down, missing the shard, or serving the wrong
+// length are marked lost; if fewer than k are usable the error wraps
+// gemmec.ErrTooFewShards. A shard the probe only statted is fetched later,
+// from the stripe where a fault escalated the plan, by the same fetch.
+func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, off, length int64) (*shardfile.StreamReader, error) {
+	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
-	shardOff, shardLen := base*int64(m.UnitSize), stripes*int64(m.UnitSize)
-	full := base == 0 && stripes == int64(m.Stripes)
-	bodies := make([]io.ReadCloser, m.K+m.R)
-	// Covers the parallel shard-stream opens; the per-peer get_shard
-	// child spans (joined by wg.Wait below) show who was slow to answer.
+	plan, err := shardfile.PlanRead(m, off, length)
+	if err != nil {
+		return nil, err
+	}
+	n, unit := m.K+m.R, int64(m.UnitSize)
+	fetch := func(i int, from, to int64) (io.ReadCloser, error) {
+		tr := g.transport(meta.Placement[i])
+		if tr == nil {
+			return nil, fmt.Errorf("server: no transport for member %d", meta.Placement[i])
+		}
+		var (
+			rc   io.ReadCloser
+			size int64
+			err  error
+			want = (to - from) * unit
+		)
+		if from == 0 && to == int64(m.Stripes) {
+			rc, size, err = tr.GetShard(ctx, key, gen, i)
+		} else {
+			rc, size, err = tr.GetShardRange(ctx, key, gen, i, from*unit, want)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if size >= 0 && size != want {
+			rc.Close() // truncated or stale shard: erased, not trusted
+			return nil, fmt.Errorf("server: member %d serves %d bytes of shard %d, want %d", meta.Placement[i], size, i, want)
+		}
+		return rc, nil
+	}
+	bodies := make([]io.ReadCloser, n)
+	lost := make([]bool, n)
+	// Covers the parallel probe; the per-peer get_shard / stat_shard child
+	// spans (joined by wg.Wait below) show who was slow to answer.
 	osp := obs.StartSpan(ctx, "gw.open")
 	var wg sync.WaitGroup
 	for i := range bodies {
-		tr := g.transport(meta.Placement[i])
-		if tr == nil {
-			continue
-		}
 		wg.Add(1)
-		go func(i int, tr peer.Transport) {
+		go func(i int) {
 			defer wg.Done()
-			var (
-				rc   io.ReadCloser
-				size int64
-				err  error
-			)
-			if full {
-				rc, size, err = tr.GetShard(ctx, key, uint64(meta.Gen), i)
-			} else {
-				rc, size, err = tr.GetShardRange(ctx, key, uint64(meta.Gen), i, shardOff, shardLen)
-			}
-			if err != nil {
+			if from, to := plan.Interval(i); from < to {
+				var err error
+				bodies[i], err = fetch(i, from, to)
+				lost[i] = err != nil
 				return
 			}
-			if size >= 0 && size != shardLen {
-				rc.Close() // truncated or stale shard: erased, not trusted
-				return
+			lost[i] = true
+			if tr := g.transport(meta.Placement[i]); tr != nil {
+				size, err := tr.StatShard(ctx, key, gen, i)
+				lost[i] = err != nil || size != int64(m.Stripes)*unit
 			}
-			bodies[i] = rc
-		}(i, tr)
+		}(i)
 	}
 	wg.Wait()
 	osp.End(nil)
-	return shardfile.OpenStreams(bodies, m, base, g.streamOpts(ctx))
+	return shardfile.OpenStreams(m, plan, bodies, lost, fetch, g.streamOpts(ctx))
 }
 
 // Patch splices data into object name at byte offset off (off == -1
@@ -683,7 +719,7 @@ func (g *Gateway) Patch(ctx context.Context, name string, data []byte, off int64
 	// goroutine holds it already) and outside the client-read counters —
 	// the internal decode of a read-modify-write is not a GET.
 	src, stop := spliceOld(off, data, func(w io.Writer) error {
-		sr, err := g.openShards(ctx, old, 0, int64(old.Manifest.Stripes))
+		sr, err := g.openShards(ctx, old, 0, old.Size())
 		if err != nil {
 			return err
 		}
@@ -1193,7 +1229,11 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 			opened++
 		}
 	}
-	sr, err := shardfile.OpenStreams(bodies, m, 0, g.streamOpts(ctx))
+	lost := make([]bool, n)
+	for i, rc := range bodies {
+		lost[i] = rc == nil
+	}
+	sr, err := shardfile.OpenStreams(m, shardfile.FullPlan(m), bodies, lost, nil, g.streamOpts(ctx))
 	if err != nil {
 		return err
 	}

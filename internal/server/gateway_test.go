@@ -982,3 +982,92 @@ func TestGatewayStatusSnapshot(t *testing.T) {
 		t.Fatalf("snapshot = %+v", st)
 	}
 }
+
+// TestGatewayReadPlan: a cluster GET moves only what it returns. Counted
+// at the transports: a clean tail-range GET fetches bytes from one member
+// and only stats the other k+r-1; a clean whole GET pulls the k data
+// bodies and stats the r parity shards; and a planned member dying
+// mid-body still yields byte-identical data, with the demotion reported
+// in the X-Gemmec-Degraded trailer (the header, sent before the fault,
+// says clean).
+func TestGatewayReadPlan(t *testing.T) {
+	const k, r, unit = 4, 2, 1024
+	c := newFaultCluster(t, k+r, k, r, 1, unit)
+	want := randBytes(90, 40*k*unit-300)
+	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(want), int64(len(want))); err != nil {
+		t.Fatal(err)
+	}
+	// delta runs get and reports the shard fetches it made, how many
+	// members they went to, and the shard stats.
+	delta := func(get func()) (gets, getMembers, stats int) {
+		before := make([][2]int, len(c.faults))
+		for i, f := range c.faults {
+			before[i] = [2]int{f.Calls(peer.OpGetShard), f.Calls(peer.OpStatShard)}
+		}
+		get()
+		for i, f := range c.faults {
+			if n := f.Calls(peer.OpGetShard) - before[i][0]; n > 0 {
+				gets += n
+				getMembers++
+			}
+			stats += f.Calls(peer.OpStatShard) - before[i][1]
+		}
+		return gets, getMembers, stats
+	}
+
+	gets, members, stats := delta(func() {
+		o, err := c.gw.OpenRange(context.Background(), "obj", -1, 100) // the final 100 bytes: one unit
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		var buf bytes.Buffer
+		if _, err := o.Stream(&buf); err != nil || !bytes.Equal(buf.Bytes(), want[len(want)-100:]) {
+			t.Fatalf("tail-range GET: %d bytes, err=%v", buf.Len(), err)
+		}
+	})
+	if gets != 1 || members != 1 || stats != k+r-1 {
+		t.Errorf("clean tail-range GET: %d shard fetches from %d members and %d stats, want 1 from 1 and %d", gets, members, stats, k+r-1)
+	}
+
+	gets, members, stats = delta(func() {
+		o, err := c.gw.Open(context.Background(), "obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		var buf bytes.Buffer
+		if _, err := o.Stream(&buf); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("whole GET: %d bytes, err=%v", buf.Len(), err)
+		}
+	})
+	if gets != k || members != k || stats != r {
+		t.Errorf("clean whole GET: %d shard fetches from %d members and %d stats, want k=%d from %d and r=%d", gets, members, stats, k, k, r)
+	}
+
+	_, meta, err := c.gw.readMetaRaw(context.Background(), objKey("obj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.faults[meta.Placement[1]].AddRule(peer.FaultRule{Op: peer.OpGetShard, TornAfter: 5 * unit})
+	ts := httptest.NewServer(NewBackendHandler(c.gw, Config{Logf: t.Logf}))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/o/obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if got := resp.Header.Get("X-Gemmec-Degraded"); got != "false" {
+		t.Errorf("header X-Gemmec-Degraded = %q, want false: the member died after the headers", got)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("GET with a planned member dying mid-body: %d bytes, err=%v", len(body), err)
+	}
+	if got := resp.Trailer.Get("X-Gemmec-Degraded"); got != "true" {
+		t.Errorf("trailer X-Gemmec-Degraded = %q, want true", got)
+	}
+	if got := resp.Trailer.Get("X-Gemmec-Reconstructed"); got != "1" {
+		t.Errorf("trailer X-Gemmec-Reconstructed = %q, want \"1\"", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -609,7 +610,15 @@ func parseRangeHeader(v string) (off, length int64, ok bool) {
 	if err != nil || b < a {
 		return 0, 0, false
 	}
-	return a, b - a + 1, true
+	// b-a+1 bytes, saturated: "bytes=0-9223372036854775807" names 2^63 of
+	// them, one more than an int64 holds, and must not wrap negative into
+	// the "to the end" convention. No object is that long; resolveRange
+	// clamps the length to the object either way.
+	n := b - a
+	if n < math.MaxInt64 {
+		n++
+	}
+	return a, n, true
 }
 
 // openForGet opens the object, honoring a well-formed single bytes Range

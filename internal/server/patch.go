@@ -18,11 +18,11 @@ import (
 
 // Ranged reads and stripe-granular small writes.
 //
-// OpenObjectRange serves an HTTP Range request by decoding only the
-// stripes covering the window (shardfile.StreamReader.DecodeRange seeks
-// every shard reader to the first covering stripe), so a 64 KiB tail read
-// of a gigabyte object costs a handful of stripes of shard I/O, not the
-// whole object.
+// OpenObjectRange serves an HTTP Range request by reading only the data
+// units inside the window (shardfile.OpenRangePaths plans them and seeks
+// each shard file it reads to its first), so a 64 KiB tail read of a
+// gigabyte object costs 64 KiB of shard I/O, not the whole object and not
+// its parity.
 //
 // Patch is the write-side dual: a small overwrite or append re-encodes
 // only the touched stripes, XOR-patching their parity units from the data
@@ -95,24 +95,15 @@ func resolveRange(off, length, size int64) (int64, int64, error) {
 }
 
 // OpenObjectRange opens byte window [off, off+length) of object name for
-// streaming: Stream then decodes only the stripes covering the window.
-// off == -1 selects the final length bytes, length == -1 everything from
-// off to the end (the two open-ended Range header forms). An
-// unsatisfiable window fails with a *RangeError wrapping
-// ErrRangeNotSatisfiable. Everything else matches OpenObject: shared
-// lock until Close, degraded opens transparent, slab members resolved.
+// streaming: the shard set is opened over the window, so Stream reads
+// only the data units inside it. off == -1 selects the final length
+// bytes, length == -1 everything from off to the end (the two open-ended
+// Range header forms). An unsatisfiable window fails with a *RangeError
+// wrapping ErrRangeNotSatisfiable. Everything else matches OpenObject:
+// shared lock until Close, degraded opens transparent, slab members
+// resolved.
 func (s *Store) OpenObjectRange(ctx context.Context, name string, off, length int64) (*Object, error) {
-	o, err := s.OpenObject(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	ro, rn, err := resolveRange(off, length, o.Size())
-	if err != nil {
-		o.Close()
-		return nil, err
-	}
-	o.setRange(ro, rn)
-	return o, nil
+	return s.openObject(ctx, name, true, off, length)
 }
 
 // PatchStats describes how a Patch landed.
@@ -469,12 +460,13 @@ func (s *Store) decodeSlabMember(ctx context.Context, meta ObjectMeta, dst io.Wr
 	if err != nil {
 		return err
 	}
-	sr, err := shardfile.OpenStreamPaths(s.shardPaths(meta.Slab.Key, slabMeta), slabMeta.Manifest, s.fileOpts(ctx))
+	sr, err := shardfile.OpenRangePaths(s.shardPaths(meta.Slab.Key, slabMeta), slabMeta.Manifest,
+		meta.Slab.Offset, meta.Slab.Size, s.fileOpts(ctx))
 	if err != nil {
 		return err
 	}
 	defer sr.Close()
-	_, err = sr.DecodeRange(dst, s.cfg.Workers, meta.Slab.Offset, meta.Slab.Size)
+	_, err = sr.Decode(dst, s.cfg.Workers)
 	return err
 }
 

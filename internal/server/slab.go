@@ -28,9 +28,9 @@ import (
 // Durability is preserved: a small PUT blocks until the batch containing
 // its bytes is fully committed (shards written + slab metadata renamed
 // into place), then records itself as a window into the slab via
-// ObjectMeta.Slab. Reads resolve the ref and decode only the member's
-// byte range (shardfile.DecodeRange), so a member GET costs a prefix of
-// the slab's stripes, not the whole slab.
+// ObjectMeta.Slab. Reads resolve the ref and open the slab over the
+// member's byte range only (shardfile.OpenRangePaths), so a member GET
+// reads the data units the member lives in, not the slab.
 //
 // Slabs are immutable: every flush allocates a fresh "slab_<n>" key
 // (non-hex, so slabs never appear in the object catalog). Deleting or

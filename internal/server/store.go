@@ -762,14 +762,12 @@ type Object struct {
 	unlock       sync.Once
 	lock         *keyLock
 	// slabLock is held (shared) when the object is a packed slab member:
-	// sr then reads the slab's shard set and Stream decodes only the
-	// member's window. Lock order is member → slab, matching the flusher
-	// (which takes no member locks) and the slab scrubber (slab only).
+	// sr then reads the slab's shard set, opened over the member's window
+	// of it. Lock order is member → slab, matching the flusher (which
+	// takes no member locks) and the slab scrubber (slab only).
 	slabLock *keyLock
-	// ranged marks a ranged open: Stream serves only payload window
-	// [rangeOff, rangeOff+rangeLen), decoding just the covering stripes
-	// (for slab members the window is additionally rebased by the member's
-	// offset inside the slab).
+	// ranged marks a ranged open: sr was opened over payload window
+	// [rangeOff, rangeOff+rangeLen) only.
 	ranged             bool
 	rangeOff, rangeLen int64
 }
@@ -825,26 +823,14 @@ func (o *Object) Unusable() []int { return o.sr.Unusable() }
 // stripe checksum, truncated, or errored. Populated by Stream.
 func (o *Object) Demoted() []gemmec.Demotion { return o.sr.Demoted() }
 
-// Stream writes the object's payload to dst, reconstructing unusable
-// shards on the fly and (for v2 manifests) verifying every unit's stripe
-// checksum in the same pass, on the backend's shared scheduler (sr's Opts
-// carry it, so the per-call worker count is moot). It may be called at
-// most once.
+// Stream writes the window the object was opened over — the payload, or
+// a ranged open's part of it — to dst, reconstructing unusable shards on
+// the fly and (for v2 manifests) verifying every unit's stripe checksum
+// in the same pass, on the backend's shared scheduler (sr's Opts carry
+// it, so the per-call worker count is moot). It may be called at most
+// once.
 func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
-	var st gemmec.StreamStats
-	var err error
-	switch {
-	case o.ranged:
-		off := o.rangeOff
-		if o.Meta.Slab != nil {
-			off += o.Meta.Slab.Offset
-		}
-		st, err = o.sr.DecodeRange(dst, 0, off, o.rangeLen)
-	case o.Meta.Slab != nil:
-		st, err = o.sr.DecodeRange(dst, 0, o.Meta.Slab.Offset, o.Meta.Slab.Size)
-	default:
-		st, err = o.sr.Decode(dst, 0)
-	}
+	st, err := o.sr.Decode(dst, 0)
 	mt := o.t.m()
 	mt.recordStream("get", st)
 	if len(o.sr.Demoted()) > 0 && !o.openDegraded {
@@ -884,10 +870,11 @@ func (o *Object) Close() error {
 
 // OpenObject opens object name for reading. For v2 (stripe-checksummed)
 // manifests the open costs one stat per shard — no shard bytes are read
-// until Stream, which verifies each unit inside the decode pass, so the
-// first payload byte is one stripe of I/O away. Legacy v1 manifests are
-// still whole-shard SHA-256 verified here (in parallel across shards).
-// Missing or corrupt shards are noted for degraded decoding; if too few
+// until Stream, which reads only the data units it returns and verifies
+// each inside the decode pass, so the first payload byte is one unit of
+// I/O away. Legacy v1 manifests are still whole-shard SHA-256 verified
+// here (in parallel across shards). Missing or corrupt shards — all k+r
+// are probed, read or not — are noted for degraded decoding; if too few
 // survive, the error wraps gemmec.ErrTooFewShards (and
 // gemmec.ErrCorruptShard when checksum failures contributed). The object
 // holds a shared lock until Close, so a concurrent scrub cannot rewrite
@@ -897,6 +884,14 @@ func (o *Object) Close() error {
 // stripes, so a dead request stops decoding, releases the lock on Close,
 // and frees the pipeline workers.
 func (s *Store) OpenObject(ctx context.Context, name string) (*Object, error) {
+	return s.openObject(ctx, name, false, 0, 0)
+}
+
+// openObject is OpenObject and OpenObjectRange: key lock (shared, held by
+// the returned object until Close), metadata, the window — resolved
+// before any shard is touched, so only the files it reads stay open —
+// then the shard set, the object's own or its slab's.
+func (s *Store) openObject(ctx context.Context, name string, ranged bool, off, length int64) (*Object, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
@@ -907,27 +902,43 @@ func (s *Store) OpenObject(ctx context.Context, name string) (*Object, error) {
 	lsp := obs.StartSpan(ctx, "store.lock")
 	l := s.rlockKey(key)
 	lsp.End(nil)
+	fail := func(err error) (*Object, error) {
+		l.RUnlock()
+		return nil, err
+	}
 	meta, err := s.loadMeta(key)
 	if err != nil {
-		l.RUnlock()
-		return nil, err
+		return fail(err)
 	}
+	if !ranged {
+		off, length = 0, meta.Size()
+	} else if off, length, err = resolveRange(off, length, meta.Size()); err != nil {
+		return fail(err)
+	}
+	var o *Object
 	if meta.Slab != nil {
-		return s.openSlabMember(ctx, l, meta)
+		if o, err = s.openSlabMember(ctx, l, meta, off, length); err != nil {
+			return nil, err // openSlabMember released l
+		}
+	} else {
+		sr, oerr := shardfile.OpenRangePaths(s.shardPaths(key, meta), meta.Manifest, off, length, s.fileOpts(ctx))
+		if oerr != nil {
+			return fail(oerr)
+		}
+		o = s.newObject(meta, sr, l, nil)
 	}
-	sr, err := shardfile.OpenStreamPaths(s.shardPaths(key, meta), meta.Manifest, s.fileOpts(ctx))
-	if err != nil {
-		l.RUnlock()
-		return nil, err
+	if ranged {
+		o.setRange(off, length)
 	}
-	return s.newObject(meta, sr, l, nil), nil
+	return o, nil
 }
 
 // openSlabMember resolves a packed member's ref to its slab and opens the
-// slab's shard set for a windowed decode. memberLock is the member's
-// shared lock, already held; the slab's shared lock is taken second
-// (member → slab order) and both are released by Object.Close.
-func (s *Store) openSlabMember(ctx context.Context, memberLock *keyLock, meta ObjectMeta) (*Object, error) {
+// slab's shard set over bytes [off, off+length) of the member. memberLock
+// is the member's shared lock, already held; the slab's shared lock is
+// taken second (member → slab order) and both are released by
+// Object.Close, or here on failure.
+func (s *Store) openSlabMember(ctx context.Context, memberLock *keyLock, meta ObjectMeta, off, length int64) (*Object, error) {
 	sl := s.rlockKey(meta.Slab.Key)
 	fail := func(err error) (*Object, error) {
 		sl.RUnlock()
@@ -942,7 +953,8 @@ func (s *Store) openSlabMember(ctx context.Context, memberLock *keyLock, meta Ob
 		return fail(fmt.Errorf("server: %s: slab window [%d,+%d) exceeds slab %s payload of %d bytes",
 			meta.Name, meta.Slab.Offset, meta.Slab.Size, meta.Slab.Key, slabMeta.Manifest.FileSize))
 	}
-	sr, err := shardfile.OpenStreamPaths(s.shardPaths(meta.Slab.Key, slabMeta), slabMeta.Manifest, s.fileOpts(ctx))
+	sr, err := shardfile.OpenRangePaths(s.shardPaths(meta.Slab.Key, slabMeta), slabMeta.Manifest,
+		meta.Slab.Offset+off, length, s.fileOpts(ctx))
 	if err != nil {
 		return fail(err)
 	}

@@ -20,8 +20,8 @@ import (
 // them back from.
 type shardSet interface {
 	write(src io.Reader, size int64) (Manifest, error)
-	// open returns a reader over manifest stripes [base, base+stripes).
-	open(m Manifest, base, stripes int64) (*StreamReader, error)
+	// open returns a reader over payload bytes [off, off+n).
+	open(m Manifest, off, n int64) (*StreamReader, error)
 	shard(t *testing.T, i int) []byte
 	// lose makes shard i unavailable to later opens.
 	lose(i int)
@@ -33,16 +33,16 @@ type shardSet interface {
 	repair(m Manifest, cancelMid bool) ([]int, error)
 }
 
-// fileSet is the file instantiation: WriteStreamPaths / OpenStreamPaths
-// over one directory (the reader seeks to its window itself).
+// fileSet is the file instantiation: WriteStreamPaths / OpenRangePaths
+// over one directory.
 type fileSet struct{ paths []string }
 
 func (s *fileSet) write(src io.Reader, size int64) (Manifest, error) {
 	m, _, err := WriteStreamPaths(s.paths, src, size, tk, tr, tunit, 2, Opts{})
 	return m, err
 }
-func (s *fileSet) open(m Manifest, _, _ int64) (*StreamReader, error) {
-	return OpenStreamPaths(s.paths, m, Opts{})
+func (s *fileSet) open(m Manifest, off, n int64) (*StreamReader, error) {
+	return OpenRangePaths(s.paths, m, off, n, Opts{})
 }
 func (s *fileSet) shard(t *testing.T, i int) []byte {
 	b, err := os.ReadFile(s.paths[i])
@@ -83,8 +83,34 @@ func (c cancelOnCreate) Create(name string) (vfs.File, error) {
 
 // streamSet is the pre-opened-stream instantiation the cluster gateway
 // uses: WriteStreamTo into plain writers, OpenStreams over non-seekable
-// bodies already cut to the window (as a peer's ranged shard GET is).
-type streamSet struct{ bufs []*bytes.Buffer }
+// bodies cut to the plan's intervals (as a peer's ranged shard GET is),
+// the planned ones opened up front and the rest on demand. short cuts
+// that many bytes off the end of every body handed out.
+type streamSet struct {
+	bufs  []*bytes.Buffer
+	short int
+}
+
+// body is shard i's stripes [from, to) as a peer would serve them.
+func (s *streamSet) body(i int, from, to int64) (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(s.bufs[i].Bytes()[from*tunit : to*tunit-int64(s.short)])), nil
+}
+
+// openPlan probes the set as the gateway does: a body per planned shard,
+// presence only for the rest.
+func (s *streamSet) openPlan(m Manifest, plan ReadPlan, opt Opts) (*StreamReader, error) {
+	srcs := make([]io.ReadCloser, tk+tr)
+	lost := make([]bool, tk+tr)
+	for i, b := range s.bufs {
+		if lost[i] = b == nil; lost[i] {
+			continue
+		}
+		if from, to := plan.Interval(i); from < to {
+			srcs[i], _ = s.body(i, from, to)
+		}
+	}
+	return OpenStreams(m, plan, srcs, lost, s.body, opt)
+}
 
 func (s *streamSet) write(src io.Reader, size int64) (Manifest, error) {
 	ws := make([]io.Writer, tk+tr)
@@ -95,14 +121,12 @@ func (s *streamSet) write(src io.Reader, size int64) (Manifest, error) {
 	m, _, err := WriteStreamTo(ws, src, size, tk, tr, tunit, 2, Opts{})
 	return m, err
 }
-func (s *streamSet) open(m Manifest, base, stripes int64) (*StreamReader, error) {
-	srcs := make([]io.ReadCloser, tk+tr)
-	for i, b := range s.bufs {
-		if b != nil {
-			srcs[i] = io.NopCloser(bytes.NewReader(b.Bytes()[base*tunit : (base+stripes)*tunit]))
-		}
+func (s *streamSet) open(m Manifest, off, n int64) (*StreamReader, error) {
+	plan, err := PlanRead(m, off, n)
+	if err != nil {
+		return nil, err
 	}
-	return OpenStreams(srcs, m, base, Opts{})
+	return s.openPlan(m, plan, Opts{})
 }
 func (s *streamSet) shard(_ *testing.T, i int) []byte { return s.bufs[i].Bytes() }
 func (s *streamSet) lose(i int)                       { s.bufs[i] = nil }
@@ -110,15 +134,7 @@ func (s *streamSet) rot(_ *testing.T, i, stripe int)  { s.bufs[i].Bytes()[stripe
 func (s *streamSet) repair(m Manifest, cancelMid bool) ([]int, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	open := func() (*StreamReader, error) {
-		srcs := make([]io.ReadCloser, tk+tr)
-		for i, b := range s.bufs {
-			if b != nil {
-				srcs[i] = io.NopCloser(bytes.NewReader(b.Bytes()))
-			}
-		}
-		return OpenStreams(srcs, m, 0, Opts{Ctx: ctx})
-	}
+	open := func() (*StreamReader, error) { return s.openPlan(m, FullPlan(m), Opts{Ctx: ctx}) }
 	sr, err := open()
 	if err != nil {
 		return nil, err
@@ -210,7 +226,7 @@ func TestEngineEmptyObject(t *testing.T) {
 						t.Fatalf("shard %d of an empty object is not one zero unit", i)
 					}
 				}
-				sr, err := s.open(m, 0, 1)
+				sr, err := s.open(m, 0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,10 +240,11 @@ func TestEngineEmptyObject(t *testing.T) {
 	}
 }
 
-// TestEngineRangeWindows: DecodeRange serves exactly the window — prefix
-// of the first covering stripe trimmed, pipeline stopped at the last —
-// clean and reconstructing around a lost shard, whether the sources seek
-// to the window (files) or were opened at it (streams).
+// TestEngineRangeWindows: a reader opened over a window serves exactly the
+// window — prefix of the first covering stripe trimmed, pipeline stopped
+// at the last — clean and reconstructing around a lost shard, whether the
+// sources seek to their intervals (files) or were fetched cut to them
+// (streams).
 func TestEngineRangeWindows(t *testing.T) {
 	const stripeBytes = tk * tunit
 	raw := goldenPayload() // 2 full stripes + 1234 bytes
@@ -246,13 +263,12 @@ func TestEngineRangeWindows(t *testing.T) {
 				s.lose(lost)
 			}
 			for _, w := range windows {
-				base := w.off / stripeBytes
-				sr, err := s.open(m, base, (w.off+w.n-1)/stripeBytes-base+1)
+				sr, err := s.open(m, w.off, w.n)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var out bytes.Buffer
-				_, err = sr.DecodeRange(&out, 2, w.off, w.n)
+				_, err = sr.Decode(&out, 2)
 				sr.Close()
 				if err != nil || !bytes.Equal(out.Bytes(), raw[w.off:w.off+w.n]) {
 					t.Fatalf("lost=%d window [%d,+%d): %d bytes back, err=%v", lost, w.off, w.n, out.Len(), err)
@@ -263,15 +279,16 @@ func TestEngineRangeWindows(t *testing.T) {
 			}
 		}
 		// A window the sources do not cover comes up short — reported, not
-		// served as a silent prefix. Streams are handed one stripe too
-		// few; files are immune (they hold the whole shard).
+		// served as a silent prefix. Stream bodies arrive one byte short;
+		// files are immune (they hold the whole shard).
 		if ss, ok := s.(*streamSet); ok {
-			sr, err := ss.open(m, 0, 1)
+			ss.short = 1
+			sr, err := ss.open(m, 0, stripeBytes+1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sr.Close()
-			if _, err := sr.DecodeRange(io.Discard, 2, 0, stripeBytes+1); err == nil {
+			if _, err := sr.Decode(io.Discard, 2); err == nil {
 				t.Fatal("range decode over truncated sources reported success")
 			}
 		}

@@ -3,6 +3,7 @@ package shardfile
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -113,16 +114,21 @@ func shapeRoundTrip(t *testing.T, unit, size int) (*shapeFS, []string, *firstWri
 
 // TestUnitSizedIOBypassesBuffers: at the default 128 KiB unit no bufio
 // layer copies payload — every shard-file write and read is exactly one
-// unit — and the first decoded byte leaves after one stripe of shard
-// reads instead of waiting for an output buffer to fill.
+// unit, and a clean decode reads the data shards only — and the first
+// decoded byte leaves after one stripe of shard reads instead of waiting
+// for an output buffer to fill.
 func TestUnitSizedIOBypassesBuffers(t *testing.T) {
 	const unit, size = 128 << 10, 8 << 20
 	stripes := size / (tk * unit)
 	fs, paths, dst := shapeRoundTrip(t, unit, size)
-	for _, p := range paths {
+	for i, p := range paths {
 		for op, calls := range map[string][]int{"write": fs.writes[p], "read": fs.reads[p]} {
-			if len(calls) != stripes {
-				t.Errorf("%s: %d %ss for %d stripes", filepath.Base(p), len(calls), op, stripes)
+			want := stripes
+			if op == "read" && i >= tk {
+				want = 0 // parity: written, never read by a clean decode
+			}
+			if len(calls) != want {
+				t.Errorf("%s: %d %ss for %d stripes, want %d", filepath.Base(p), len(calls), op, stripes, want)
 			}
 			for _, n := range calls {
 				if n != unit {
@@ -151,5 +157,82 @@ func TestSmallUnitsStillCoalesced(t *testing.T) {
 		if n := len(fs.reads[p]); n > limit {
 			t.Errorf("%s: %d reads for %d bytes; want <= %d", filepath.Base(p), n, shardBytes, limit)
 		}
+	}
+}
+
+// TestReadPlanIOShape: a decode reads what it returns. Through a counting
+// filesystem: a clean window inside one unit reads one shard file and at
+// most that unit; a clean whole-object read never reads a parity file; a
+// unit in the window that fails its checksum costs at most k more units
+// of its stripe (the k cheapest survivors), and so does one the open-time
+// probe already found missing.
+func TestReadPlanIOShape(t *testing.T) {
+	const stripes = 8
+	raw := make([]byte, stripes*tk*tunit)
+	rand.New(rand.NewSource(5)).Read(raw)
+	paths := DirPaths(t.TempDir(), tk+tr)
+	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 1, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// read decodes [off, off+n) through a fresh counting filesystem.
+	read := func(off, n int64) (*shapeFS, *StreamReader) {
+		t.Helper()
+		fs := newShapeFS()
+		sr, err := OpenRangePaths(paths, m, off, n, Opts{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sr.Close()
+		var out bytes.Buffer
+		if _, err := sr.Decode(&out, 2); err != nil || !bytes.Equal(out.Bytes(), raw[off:off+n]) {
+			t.Fatalf("[%d,+%d): %d bytes back, err=%v", off, n, out.Len(), err)
+		}
+		return fs, sr
+	}
+	// A window inside shard 2's unit of stripe 3.
+	off, n := int64(3*tk*tunit+2*tunit+5), int64(100)
+
+	fs, _ := read(off, n)
+	if len(fs.reads) != 1 || len(fs.reads[paths[2]]) == 0 || fs.bytesRead() > tunit {
+		t.Errorf("clean one-unit window read %d bytes from %d files (%v), want at most one unit of shard 2 only",
+			fs.bytesRead(), len(fs.reads), fs.reads)
+	}
+
+	fs, _ = read(0, int64(len(raw)))
+	for _, p := range paths[tk:] {
+		if len(fs.reads[p]) > 0 {
+			t.Errorf("clean whole-object read touched parity file %s", filepath.Base(p))
+		}
+	}
+	if fs.bytesRead() != int64(len(raw)) {
+		t.Errorf("clean whole-object read moved %d shard bytes for a %d-byte payload", fs.bytesRead(), len(raw))
+	}
+
+	b, err := os.ReadFile(paths[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[3*tunit+9] ^= 0x10
+	if err := os.WriteFile(paths[2], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, sr := read(off, n)
+	if dems := sr.Demoted(); len(dems) != 1 || dems[0].Shard != 2 || dems[0].Stripe != 3 {
+		t.Errorf("rotten unit in the window: demotions %+v, want shard 2 at stripe 3", dems)
+	}
+	if got := fs.bytesRead(); got > (1+tk)*tunit {
+		t.Errorf("a fault inside the window read %d bytes, want at most the faulty unit plus k=%d more (%d)", got, tk, (1+tk)*tunit)
+	}
+
+	if err := os.Remove(paths[2]); err != nil {
+		t.Fatal(err)
+	}
+	fs, sr = read(off, n)
+	if got := sr.Unusable(); len(got) != 1 || got[0] != 2 || len(sr.Demoted()) != 0 {
+		t.Errorf("missing shard: Unusable=%v Demoted=%v, want [2] and none", got, sr.Demoted())
+	}
+	if got := fs.bytesRead(); got != tk*tunit {
+		t.Errorf("a window on a missing shard read %d bytes, want exactly k=%d units (%d)", got, tk, tk*tunit)
 	}
 }

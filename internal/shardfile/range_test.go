@@ -149,27 +149,6 @@ func TestDecodeRangeStripeIO(t *testing.T) {
 	}
 }
 
-// TestWindowWriterEarlyStop: once the window is full, windowWriter answers
-// errWindowDone so the decode pipeline stops feeding it instead of
-// streaming the rest of the object.
-func TestWindowWriterEarlyStop(t *testing.T) {
-	var buf bytes.Buffer
-	w := &windowWriter{dst: &buf, skip: 3, n: 4}
-	n, err := w.Write([]byte("0123456")) // 3 skipped + all 4 window bytes
-	if n != 7 || !errors.Is(err, errWindowDone) {
-		t.Fatalf("Write = (%d, %v), want (7, errWindowDone)", n, err)
-	}
-	if buf.String() != "3456" {
-		t.Fatalf("window carried %q, want %q", buf.String(), "3456")
-	}
-	if w.n != 0 {
-		t.Fatalf("%d window bytes outstanding after window closed", w.n)
-	}
-	if _, err := w.Write([]byte("x")); !errors.Is(err, errWindowDone) {
-		t.Fatalf("post-close Write err = %v, want errWindowDone", err)
-	}
-}
-
 // patchReencodeCheck applies data at off via PlanPatch/ApplyPatch and
 // fails unless every shard file and the full decoded payload are
 // byte-identical to a from-scratch encode of the spliced payload.

@@ -14,7 +14,8 @@ import (
 	"gemmec/internal/vfs"
 )
 
-// walk is the repair core: it visits every stripe of the set in order.
+// walk is the repair core: it visits every stripe of the set in order,
+// reading every shard the open-time probe found usable — the full plan.
 // Per stripe it reads one unit from each usable source into a stripe
 // buffer (pooled when opt.Source is set), checks it against the manifest's
 // CRC32C, and hands visit the k+r cells: cells[i] is shard i's unit, a
@@ -30,6 +31,18 @@ func (sr *StreamReader) walk(visit func(stripe int, raw []byte, cells [][]byte) 
 	raw, release := sr.opt.stripeBuf(m.K, m.R, unit)
 	defer release()
 	cells := make([][]byte, m.K+m.R)
+	readers := make([]io.Reader, m.K+m.R)
+	for i := range readers {
+		if sr.lost[i] {
+			continue
+		}
+		rd, err := sr.source(i, 0, int64(m.Stripes))
+		if err != nil {
+			sr.unusable = appendShard(sr.unusable, i) // present at the probe, gone now
+			continue
+		}
+		readers[i] = rd
+	}
 	for s := 0; s < m.Stripes; s++ {
 		if err := sr.opt.ctxErr(); err != nil {
 			return err
@@ -38,11 +51,11 @@ func (sr *StreamReader) walk(visit func(stripe int, raw []byte, cells [][]byte) 
 		for i := range cells {
 			cell := raw[i*unit : (i+1)*unit]
 			cells[i] = cell[:0]
-			if sr.readers[i] == nil {
+			if readers[i] == nil {
 				continue
 			}
-			if _, err := io.ReadFull(sr.readers[i], cell); err != nil {
-				sr.readers[i] = nil
+			if _, err := io.ReadFull(readers[i], cell); err != nil {
+				readers[i] = nil
 				sr.unusable = appendShard(sr.unusable, i)
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 					sr.corrupt = appendShard(sr.corrupt, i) // shorter than the manifest promises
@@ -180,7 +193,7 @@ func Verify(dir string) error {
 	if err != nil {
 		return err
 	}
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := openFullPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 	if err != nil {
 		return err
 	}
@@ -226,7 +239,7 @@ func ScrubPaths(paths []string, m Manifest, opt Opts) ([]int, error) {
 	// Scrub reads are unguarded: a disk that answers late is slow, not
 	// damaged (see ecerr.ErrShardStall), and must not be rewritten.
 	opt.ShardReadTimeout = 0
-	sr, err := OpenStreamPaths(paths, m, opt)
+	sr, err := openFullPaths(paths, m, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +248,7 @@ func ScrubPaths(paths []string, m Manifest, opt Opts) ([]int, error) {
 	if err != nil || len(damaged) == 0 {
 		return nil, err
 	}
-	if sr, err = OpenStreamPaths(paths, m, opt); err != nil {
+	if sr, err = openFullPaths(paths, m, opt); err != nil {
 		return nil, err
 	}
 	defer sr.Close()

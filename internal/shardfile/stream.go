@@ -17,24 +17,27 @@ import (
 	"gemmec"
 	"gemmec/internal/ecerr"
 	"gemmec/internal/obs"
+	"gemmec/internal/pipeline"
 	"gemmec/internal/vfs"
 )
 
 // The shard-stream engine: one encode core (WriteStreamTo), one decode core
 // (OpenStreams + StreamReader.Decode) and one repair core (a stripe walk
 // over a StreamReader with three clients: Scan, RepairTo, Verify — see
-// repair.go). The first two run the pipelined EncodeStream/DecodeStream
-// API over per-shard io.Writers / io.ReadClosers; together they own
+// repair.go). The first two run the pipelined EncodeStream/DecodeShards
+// API over per-shard io.Writers / a read plan; together they own
 // everything that is not "where the bytes live" — pooled bufio, stripe
 // sums, the at-least-one-stripe rule, size validation, manifest assembly,
-// per-unit verification, range windows, demotion bookkeeping, the ≤ r
-// erasures-per-stripe repair contract. Two instantiations feed it.
-// WriteStreamPaths/OpenStreamPaths/ScrubPaths put a shard file at an
-// explicit path per unit (temp + rename; open + stat + seek), so a caller
-// can spread the k+r shards of one object across separate "node"
-// directories — eccli's single directory and internal/server's Store. The
-// cluster Gateway hands the cores its per-peer upload pipes and download
-// bodies directly. Both produce and accept the same manifests.
+// the read plan (which units a window needs, what a fault adds), per-unit
+// verification, demotion bookkeeping, the ≤ r erasures-per-stripe repair
+// contract. Two instantiations feed it. WriteStreamPaths/OpenRangePaths/
+// ScrubPaths put a shard file at an explicit path per unit (temp +
+// rename; open + stat, seek where the plan reads), so a caller can spread
+// the k+r shards of one object across separate "node" directories —
+// eccli's single directory and internal/server's Store. The cluster
+// Gateway hands the cores its per-peer upload pipes, and a probe of its
+// peers plus a way to fetch a shard interval. Both produce and accept the
+// same manifests.
 
 // streamBufSize is the size of every bufio layer on the streaming paths:
 // half the default unit. The pipeline moves whole units (shard side) and
@@ -317,31 +320,78 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 	return m, st, err
 }
 
+// ReadPlan is the read set of one decode — which stripes of which shards
+// it reads; see pipeline.Plan.
+type ReadPlan = pipeline.Plan
+
+// PlanRead plans a clean read of payload bytes [off, off+length) of m:
+// each data shard's units inside the window, no parity. An instantiation
+// that must fetch before it can probe (a peer body) opens exactly the
+// intervals the plan names and hands them to OpenStreams.
+//
+// The bounds check is deliberately written without computing off+length:
+// for adversarial values near MaxInt64 the sum wraps negative and would
+// pass a naive `off+length > FileSize` comparison.
+func PlanRead(m Manifest, off, length int64) (ReadPlan, error) {
+	if m.K <= 0 || m.R <= 0 || m.UnitSize <= 0 {
+		return ReadPlan{}, fmt.Errorf("shardfile: invalid manifest %+v", m)
+	}
+	if off < 0 || length < 0 || off > m.FileSize || length > m.FileSize-off {
+		return ReadPlan{}, fmt.Errorf("shardfile: range [off=%d,len=%d) outside payload of %d bytes",
+			off, length, m.FileSize)
+	}
+	return pipeline.NewPlan(m.K, m.R, m.UnitSize, off, length), nil
+}
+
+// FullPlan is the plan of a repair walk: every stripe of every shard, data
+// and parity alike.
+func FullPlan(m Manifest) ReadPlan { return pipeline.FullPlan(m.FileSize, int64(m.Stripes)) }
+
+// ShardOpener is an instantiation's half of the read plan: it opens shard
+// i of the set positioned at the first byte of stripe from, to be read up
+// to stripe to. The decode core calls it when a plan — or its escalation
+// after a fault — first reads a shard that the open did not already hand
+// over, so a shard no plan reads is never opened.
+type ShardOpener func(shard int, from, to int64) (io.ReadCloser, error)
+
 // StreamReader is an opened shard set ready to decode — the decode core,
-// produced by OpenStreams or its file instantiation OpenStreamPaths. For
-// v2 (stripe-checksummed) manifests integrity checking happens inside the
-// decode pass itself: every unit is verified against its CRC32C as it
-// enters the stripe ring, and a shard that fails mid-stream is demoted to
-// erased and reconstructed around.
+// produced by OpenStreams or its file instantiations OpenStreamPaths and
+// OpenRangePaths. It holds a read plan, not k+r streams: a clean decode
+// opens, reads and checksums only the data units inside its window, and
+// the first fault on one of them — open error, short read, stall, CRC
+// mismatch — brings in the rest of the stripe and the parity, demotes the
+// faulty shard and reconstructs around it (pipeline.Shards). For v2
+// (stripe-checksummed) manifests every unit that is read is verified
+// against its CRC32C as it enters the stripe ring, so every byte returned
+// has been checked.
 //
 // Unusable()/Degraded() reflect what is known at the time of the call:
-// open-time failures immediately, mid-stream demotions once Decode has
-// run — internal/server uses the former for response headers and the
-// latter for response trailers.
+// what the open-time probe of all k+r shards found, immediately, and
+// mid-stream demotions once Decode has run — internal/server uses the
+// former for response headers and the latter for response trailers.
 type StreamReader struct {
-	m   Manifest
-	opt Opts
-	// base is the manifest stripe every source is positioned at: 0 for a
-	// whole-shard open, the first covering stripe for sources opened over a
-	// byte window (ranged peer reads) or after seekToStripe.
-	base     int64
-	srcs     []io.ReadCloser // nil entries are unusable shards
-	readers  []io.Reader
-	bufrs    []*bufio.Reader // pooled; returned to bufReaderPool on Close
-	guards   []*stallGuard
+	m    Manifest
+	opt  Opts
+	plan ReadPlan
+	open ShardOpener
+	srcs []shardSrc
+	// lost marks the shards the open-time probe found unusable.
+	lost     []bool
 	unusable []int
 	corrupt  []int
 	demoted  []gemmec.Demotion
+}
+
+// shardSrc is one shard's read stack: the open source, the stripes it was
+// opened for, and the layers Decode reads it through.
+type shardSrc struct {
+	c io.ReadCloser // nil while the shard is not open
+	// from and to are the stripes c was opened to serve; from is -1 once
+	// reading has begun and c's position is the reader's business.
+	from, to int64
+	lim      io.LimitedReader // stops bufio reading ahead past stripe to
+	br       *bufio.Reader    // pooled
+	guard    *stallGuard
 }
 
 // Unusable returns the shard indices that could not serve reads: missing
@@ -368,158 +418,112 @@ func (sr *StreamReader) Degraded() bool { return len(sr.unusable) > 0 }
 // is idempotent.
 func (sr *StreamReader) Close() error {
 	var first error
-	for _, g := range sr.guards {
-		g.stop()
-	}
-	sr.guards = nil
-	for _, br := range sr.bufrs {
-		putBufReader(br)
-	}
-	sr.bufrs = nil
-	for i, c := range sr.srcs {
-		if c != nil {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
-			sr.srcs[i] = nil
+	for i := range sr.srcs {
+		if err := sr.drop(i); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
 }
 
-// stripeVerifier checks units against the manifest's CRC32C stripe sums
-// as the decode pipeline gathers them. The clean path allocates nothing —
-// one table-driven CRC per unit, no hashing state — which is what keeps
-// steady-state DecodeStream inside the allocation guard. base offsets the
-// pipeline's stripe numbers into the manifest for decodes that start
-// mid-object (stripe 0 of the pipeline is manifest stripe base).
-type stripeVerifier struct {
-	sums [][]uint32
-	base int64
+// drop closes shard i's source, if open, and returns its read stack.
+func (sr *StreamReader) drop(i int) error {
+	s := &sr.srcs[i]
+	if s.guard != nil {
+		s.guard.stop()
+		s.guard = nil
+	}
+	if s.br != nil {
+		putBufReader(s.br)
+		s.br = nil
+	}
+	if s.c == nil {
+		return nil
+	}
+	err := s.c.Close()
+	s.c = nil
+	return err
 }
 
-func (v *stripeVerifier) VerifyUnit(shard int, stripe int64, unit []byte) error {
-	stripe += v.base
-	if stripe >= int64(len(v.sums[shard])) {
-		return fmt.Errorf("shardfile: shard %d stripe %d beyond manifest's %d stripes: %w (%w)",
-			shard, stripe, len(v.sums[shard]), ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
+// source returns shard i ready to read from stripe from up to stripe to:
+// the source the open handed over when it stands exactly there, a fresh
+// one from the instantiation's opener otherwise. Each gets a pooled bufio
+// layer over a stall guard when opt.ShardReadTimeout is set — the guard
+// goes under bufio, so small units share one deadline and one copy per
+// streamBufSize refill, and unit-sized reads pass through bufio and are
+// guarded one by one.
+func (sr *StreamReader) source(i int, from, to int64) (io.Reader, error) {
+	s := &sr.srcs[i]
+	if s.c == nil || s.from != from || s.to < to {
+		sr.drop(i) //nolint:errcheck // a source nothing was read from
+		if sr.open == nil {
+			return nil, fmt.Errorf("shardfile: shard %d is not open at stripe %d", i, from)
+		}
+		c, err := sr.open(i, from, to)
+		if err != nil {
+			return nil, err
+		}
+		s.c = c
 	}
-	if crc32.Checksum(unit, castagnoli) != v.sums[shard][stripe] {
+	s.from = -1
+	var rd io.Reader = s.c
+	if sr.opt.ShardReadTimeout > 0 {
+		s.guard = newStallGuard(rd, i, sr.opt.ShardReadTimeout)
+		rd = s.guard
+	}
+	s.lim = io.LimitedReader{R: rd, N: (to - from) * int64(sr.m.UnitSize)}
+	s.br = getBufReader(&s.lim)
+	return s.br, nil
+}
+
+// VerifyUnit checks a unit against the manifest's CRC32C stripe sums as
+// the decode pipeline gathers it (gemmec.UnitVerifier). The clean path
+// allocates nothing — one table-driven CRC per unit, no hashing state —
+// which is what keeps steady-state decoding inside the allocation guard.
+func (sr *StreamReader) VerifyUnit(shard int, stripe int64, unit []byte) error {
+	sums := sr.m.StripeSums[shard]
+	if stripe >= int64(len(sums)) {
+		return fmt.Errorf("shardfile: shard %d stripe %d beyond manifest's %d stripes: %w (%w)",
+			shard, stripe, len(sums), ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
+	}
+	if crc32.Checksum(unit, castagnoli) != sums[stripe] {
 		return fmt.Errorf("shardfile: shard %d stripe %d fails CRC32C: %w", shard, stripe, ecerr.ErrCorruptShard)
 	}
 	return nil
 }
 
-// Decode streams the object's payload to dst through workers concurrent
-// reconstruction workers, rebuilding the unusable shards' data units on
-// the fly. For v2 manifests every unit is verified against its stripe
-// checksum as it is read — the single pass both checks and decodes — and a
-// shard that fails mid-stream (mismatch, truncation, read error) is
-// demoted to erased and reconstructed around for the remaining stripes;
-// see Demoted. It may be called at most once; Close must still be called
-// after.
+// Decode streams the payload window the reader was opened for to dst,
+// rebuilding the unusable shards' data units on the fly; a window longer
+// than one stripe runs through workers concurrent reconstruction workers.
+// For v2 manifests every unit is verified against its stripe checksum as
+// it is read — the single pass both checks and decodes — and a shard that
+// fails mid-stream (mismatch, truncation, read error) is demoted to
+// erased and reconstructed around for the remaining stripes; see Demoted.
+// It may be called at most once; Close must still be called after.
 //
 // The decode observes the Opts the reader was opened with: a canceled
 // Ctx stops the pipeline between stripes, and a positive ShardReadTimeout
 // demotes (cause "stall") any shard whose underlying read outlives the
 // deadline instead of letting it hang the stream.
 func (sr *StreamReader) Decode(dst io.Writer, workers int) (gemmec.StreamStats, error) {
-	return sr.decodeFrom(dst, workers, sr.m.FileSize)
-}
-
-// DecodeRange streams only payload bytes [off, off+length) to dst — the
-// read path for ranged GETs and for one member of a packed (slab) shard
-// set, whose SlabEntry gives the window. The decode is stripe-seeking on
-// both ends: every usable source is positioned at the first stripe the
-// window touches (one Seek, no prefix reads — or already opened there,
-// see OpenStreams) and the pipeline stops at the last covering stripe, so
-// the shard I/O is O(stripes covering the range) regardless of where the
-// window falls in the object. Like Decode it may be called at most once.
-//
-// The bounds check is deliberately written without computing off+length:
-// for adversarial values near MaxInt64 the sum wraps negative and would
-// pass a naive `off+length > FileSize` comparison.
-func (sr *StreamReader) DecodeRange(dst io.Writer, workers int, off, length int64) (gemmec.StreamStats, error) {
-	if off < 0 || length < 0 || off > sr.m.FileSize || length > sr.m.FileSize-off {
-		return gemmec.StreamStats{}, fmt.Errorf("shardfile: range [off=%d,len=%d) outside payload of %d bytes",
-			off, length, sr.m.FileSize)
-	}
-	if length == 0 {
-		return gemmec.StreamStats{}, nil
-	}
-	stripeBytes := int64(sr.m.K) * int64(sr.m.UnitSize)
-	if base := off / stripeBytes; base != sr.base {
-		if err := sr.seekToStripe(base); err != nil {
-			return gemmec.StreamStats{}, err
-		}
-	}
-	w := &windowWriter{dst: dst, skip: off - sr.base*stripeBytes, n: length}
-	st, err := sr.decodeFrom(w, workers, off+length-sr.base*stripeBytes)
-	if err != nil && errors.Is(err, errWindowDone) {
-		// The window closed before the pipeline drained its final stripes —
-		// the early-stop worked, the caller has every requested byte.
-		err = nil
-	}
-	if err == nil && w.n > 0 {
-		err = fmt.Errorf("shardfile: range decode ended %d bytes short of [off=%d,len=%d)", w.n, off, length)
-	}
-	return st, err
-}
-
-// seekToStripe positions every usable source at the start of manifest
-// stripe `base` (byte base*UnitSize of each shard). It must run before any
-// decode reads: the pooled bufio layers and the stall-guard pumps are both
-// lazy, so repositioning the sources underneath them is safe. A shard that
-// cannot seek (a peer body — those are opened at their window instead) or
-// whose Seek fails is dropped from the read set (decode reconstructs
-// around it) rather than served from the wrong offset.
-func (sr *StreamReader) seekToStripe(base int64) error {
-	target := base * int64(sr.m.UnitSize)
-	for i, c := range sr.srcs {
-		if c == nil {
-			continue
-		}
-		if s, ok := c.(io.Seeker); ok {
-			if _, err := s.Seek(target, io.SeekStart); err == nil {
-				continue
-			}
-		}
-		sr.readers[i] = nil
-		sr.unusable = appendShard(sr.unusable, i)
-	}
-	if usable := sr.m.K + sr.m.R - len(sr.unusable); usable < sr.m.K {
-		return fmt.Errorf("shardfile: only %d of %d shards seekable, need k=%d: %w",
-			usable, sr.m.K+sr.m.R, sr.m.K, gemmec.ErrTooFewShards)
-	}
-	sr.base = base
-	return nil
-}
-
-// decodeFrom runs the decode pipeline over `size` payload bytes starting
-// at manifest stripe sr.base, where the sources are positioned. Stripe
-// numbers reported by the pipeline are rebased into manifest coordinates
-// for both verification and demotion records.
-func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, size int64) (gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
-	code, err := sr.opt.code(sr.m.K, sr.m.R, sr.m.UnitSize)
+	m := sr.m
+	code, err := sr.opt.code(m.K, m.R, m.UnitSize)
 	if err != nil {
 		return st, err
 	}
 	out := getBufWriter(dst)
 	defer putBufWriter(out)
-	opts := append(sr.opt.streamOpts(sr.m.K, sr.m.R, sr.m.UnitSize, workers),
+	opts := append(sr.opt.streamOpts(m.K, m.R, m.UnitSize, workers),
 		gemmec.WithStreamStats(&st), gemmec.WithStreamContext(sr.opt.context()))
-	if sr.m.StripeVerified() {
-		opts = append(opts, gemmec.WithStreamVerifier(&stripeVerifier{sums: sr.m.StripeSums, base: sr.base}))
+	if m.StripeVerified() {
+		opts = append(opts, gemmec.WithStreamVerifier(sr))
 	}
 	sp := obs.StartSpan(sr.opt.context(), "shardfile.decode")
-	err = code.DecodeStream(sr.readers, out, size, opts...)
+	err = code.DecodeShards(pipeline.Shards{Plan: sr.plan, Lost: sr.lost, Open: sr.source}, out, opts...)
 	sp.SetArg(st.Stripes)
 	sp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
 	sp.End(err)
-	for i := range st.Demoted {
-		st.Demoted[i].Stripe += sr.base
-	}
 	sr.recordDemotions(st.Demoted)
 	if err != nil {
 		return st, err
@@ -527,50 +531,20 @@ func (sr *StreamReader) decodeFrom(dst io.Writer, workers int, size int64) (gemm
 	return st, out.Flush()
 }
 
-// errWindowDone terminates a range decode the moment the window's last
-// byte has been written: windowWriter returns it once the window closes,
-// the pipeline's write stage treats it like any write failure and stops,
-// and DecodeRange recognizes it as success. Without it a decode whose
-// size overshoots the window would stream — and reconstruct, and verify —
-// every byte to the end of the object just to discard it.
-var errWindowDone = errors.New("shardfile: range window complete")
-
-// windowWriter passes through only bytes [skip, skip+n) of the stream
-// written to it, discarding bytes before the window and stopping the
-// producer (via errWindowDone) once the window is full. n counts down: a
-// decode that ends cleanly with n > 0 came up short.
-type windowWriter struct {
-	dst  io.Writer
-	skip int64 // bytes still to discard before the window
-	n    int64 // window bytes still to pass through
-}
-
-func (w *windowWriter) Write(p []byte) (int, error) {
-	total := len(p)
-	if w.skip > 0 {
-		if int64(len(p)) <= w.skip {
-			w.skip -= int64(len(p))
-			return total, nil
+// DecodeRange is Decode over payload bytes [off, off+length) instead of
+// the window the reader was opened for: the plan is drawn again, and a
+// source the open positioned for the old one is reopened where the new
+// one needs it. A caller that knows its window up front opens with it
+// (OpenRangePaths, or PlanRead + OpenStreams) and calls Decode.
+func (sr *StreamReader) DecodeRange(dst io.Writer, workers int, off, length int64) (gemmec.StreamStats, error) {
+	if off != sr.plan.Off || length != sr.plan.Len {
+		plan, err := PlanRead(sr.m, off, length)
+		if err != nil {
+			return gemmec.StreamStats{}, err
 		}
-		p = p[w.skip:]
-		w.skip = 0
+		sr.plan = plan
 	}
-	if w.n > 0 && len(p) > 0 {
-		take := int64(len(p))
-		if take > w.n {
-			take = w.n
-		}
-		if _, err := w.dst.Write(p[:take]); err != nil {
-			return 0, err
-		}
-		w.n -= take
-	}
-	if w.n == 0 {
-		// Window complete: accept the tail bytes of this write (they are
-		// legitimately discarded) but stop the producer.
-		return total, errWindowDone
-	}
-	return total, nil
+	return sr.Decode(dst, workers)
 }
 
 // recordDemotions folds mid-stream demotions into the reader's unusable
@@ -597,77 +571,80 @@ func appendShard(set []int, i int) []int {
 	return set
 }
 
-// OpenStreams is the decode core's constructor: it wraps one opened
-// source per shard of m — nil where the shard is missing or unreachable —
-// positioned at manifest stripe base (0 for whole shards; a ranged peer
-// read opens each body at the first stripe covering its window), and
-// takes ownership of them: they are closed by Close, or here on failure.
-// Each usable source gets a pooled bufio layer (over a stall guard when
-// opt.ShardReadTimeout is set); nothing is read until Decode, which
-// verifies every unit's CRC32C inside the decode pass itself. If fewer
-// than k sources are usable the returned error wraps
-// gemmec.ErrTooFewShards.
+// OpenStreams is the decode core's constructor. The caller has probed all
+// k+r shards of m and says what it found: srcs[i], when non-nil, is shard
+// i already open at the interval plan gives it (ownership passes to the
+// reader: closed by Close, or here on failure); lost[i] marks a shard that
+// is missing, unreachable or the wrong length; a shard that is neither is
+// present and unopened, and open (which may be nil when every shard a
+// decode could want is in srcs) fetches it if a fault escalates the plan.
+// Nothing is read until Decode, which verifies every unit's CRC32C inside
+// the decode pass itself. If fewer than k shards are usable the returned
+// error wraps gemmec.ErrTooFewShards.
 //
 // opt is remembered by the returned reader: its Ctx, ShardReadTimeout,
 // Sched and Source govern the later Decode (see StreamReader.Decode).
-func OpenStreams(srcs []io.ReadCloser, m Manifest, base int64, opt Opts) (*StreamReader, error) {
-	sr := &StreamReader{m: m, opt: opt, base: base, srcs: srcs}
+func OpenStreams(m Manifest, plan ReadPlan, srcs []io.ReadCloser, lost []bool, open ShardOpener, opt Opts) (*StreamReader, error) {
 	err := m.Validate()
-	if err == nil && len(srcs) != m.K+m.R {
-		err = fmt.Errorf("shardfile: %d shard sources for k+r=%d", len(srcs), m.K+m.R)
-	}
-	if err == nil {
-		err = sr.wire(nil)
+	if err == nil && (len(srcs) != m.K+m.R || len(lost) != m.K+m.R) {
+		err = fmt.Errorf("shardfile: %d shard sources, %d probe results for k+r=%d", len(srcs), len(lost), m.K+m.R)
 	}
 	if err != nil {
-		sr.Close()
+		closeAll(srcs)
 		return nil, err
 	}
-	return sr, nil
+	return newStreamReader(m, plan, srcs, lost, nil, open, opt)
 }
 
-// wire builds the read stack over sr.srcs — stall guard, pooled bufio —
-// and the unusable/corrupt sets (corruptAt marks nil sources whose bytes
-// were present but failed an open-time check), and fails when fewer than
-// k shards remain.
-func (sr *StreamReader) wire(corruptAt []bool) error {
-	n := sr.m.K + sr.m.R
-	sr.readers = make([]io.Reader, n)
-	for i, c := range sr.srcs {
-		if c == nil {
+// newStreamReader assembles a reader from a probe's findings (corruptAt
+// marks lost shards whose bytes were present but failed an open-time
+// check) and fails when fewer than k shards remain.
+func newStreamReader(m Manifest, plan ReadPlan, srcs []io.ReadCloser, lost, corruptAt []bool, open ShardOpener, opt Opts) (*StreamReader, error) {
+	sr := &StreamReader{m: m, opt: opt, plan: plan, open: open, srcs: make([]shardSrc, len(srcs)), lost: lost}
+	for i, c := range srcs {
+		s := &sr.srcs[i]
+		s.c = c
+		s.from, s.to = plan.Interval(i)
+		if lost[i] {
 			sr.unusable = append(sr.unusable, i)
 			if corruptAt != nil && corruptAt[i] {
 				sr.corrupt = append(sr.corrupt, i)
 			}
-			continue
 		}
-		var rd io.Reader = c
-		if sr.opt.ShardReadTimeout > 0 {
-			// The guard goes under bufio, so small units share one deadline
-			// and one copy per streamBufSize refill; unit-sized reads pass
-			// through bufio and are guarded one by one.
-			g := newStallGuard(c, i, sr.opt.ShardReadTimeout)
-			sr.guards = append(sr.guards, g)
-			rd = g
-		}
-		br := getBufReader(rd)
-		sr.bufrs = append(sr.bufrs, br)
-		sr.readers[i] = br
 	}
-	if usable := n - len(sr.unusable); usable < sr.m.K {
-		return sr.tooFew(usable)
+	if usable := len(srcs) - len(sr.unusable); usable < m.K {
+		sr.Close()
+		return nil, sr.tooFew(usable)
 	}
-	return nil
+	return sr, nil
 }
 
-// OpenStreamPaths is the file instantiation of the decode core: it opens
-// the shard files of one manifest. For v2 (stripe-checksummed) manifests
-// the open is O(1) per shard: existence and length are checked (a stat,
-// no reads), and content verification is deferred to Decode — each shard
-// byte is read exactly once, and the first payload byte costs one stripe
-// of I/O instead of a whole-object hashing barrier. For legacy v1
-// manifests recording whole-shard checksums, each present shard is still
-// SHA-256-verified up front, in parallel (one goroutine per shard).
+func closeAll(srcs []io.ReadCloser) {
+	for _, c := range srcs {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
+// OpenStreamPaths is OpenRangePaths over the whole payload.
+func OpenStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error) {
+	return OpenRangePaths(paths, m, 0, m.FileSize, opt)
+}
+
+// OpenRangePaths is the file instantiation of the decode core: it opens
+// the shard files of one manifest to read payload bytes [off, off+length)
+// — the whole object, a ranged GET's window, or one member of a packed
+// (slab) shard set, whose SlabEntry gives the window. Every one of the
+// k+r files is probed for existence and length (an open and a stat, no
+// reads); the ones the window's plan reads stay open, seeked to the first
+// stripe it reads of them, and the rest are closed again, to be reopened
+// only if a fault escalates the plan. Content verification is deferred to
+// Decode — each byte is read exactly once, and the first payload byte
+// costs the window's first units of I/O instead of a whole-object hashing
+// barrier. For legacy v1 manifests recording whole-shard checksums, each
+// present shard is still SHA-256-verified up front, in parallel (one
+// goroutine per shard).
 //
 // Shards that are missing, truncated, or (v1) checksum-corrupt are
 // treated as erased; if fewer than k usable shards remain the returned
@@ -675,17 +652,31 @@ func (sr *StreamReader) wire(corruptAt []bool) error {
 // verification failures contributed), so callers classify "disk lied" vs
 // "disk lost" with errors.Is. opt is remembered as for OpenStreams; its
 // FS is where the shards are opened.
-func OpenStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error) {
-	sp := obs.StartSpan(opt.context(), "shardfile.open")
-	sr, err := openStreamPaths(paths, m, opt)
-	sp.End(err)
-	return sr, err
-}
-
-func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error) {
+func OpenRangePaths(paths []string, m Manifest, off, length int64, opt Opts) (*StreamReader, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	plan, err := PlanRead(m, off, length)
+	if err != nil {
+		return nil, err
+	}
+	return openPaths(paths, m, plan, opt)
+}
+
+// openFullPaths opens the shard files of one manifest for a repair walk:
+// OpenRangePaths under the full plan, so every usable file stays open.
+func openFullPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return openPaths(paths, m, FullPlan(m), opt)
+}
+
+// openPaths probes the k+r shard files of a validated manifest and opens
+// the ones plan reads.
+func openPaths(paths []string, m Manifest, plan ReadPlan, opt Opts) (sr *StreamReader, err error) {
+	sp := obs.StartSpan(opt.context(), "shardfile.open")
+	defer func() { sp.End(err) }()
 	if err := opt.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -694,70 +685,107 @@ func openStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 		return nil, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), n)
 	}
 	fsys := opt.fs()
-	sr := &StreamReader{m: m, opt: opt, srcs: make([]io.ReadCloser, n)}
-	want := int64(m.Stripes) * int64(m.UnitSize)
-	corruptAt := make([]bool, n)
-	for i, p := range paths {
-		f, err := fsys.Open(p)
+	unit := int64(m.UnitSize)
+	openAt := func(i int, from int64) (vfs.File, error) {
+		f, err := fsys.Open(paths[i])
 		if err != nil {
-			continue // missing: srcs[i] stays nil
+			return nil, err
+		}
+		if from > 0 {
+			if _, err := f.Seek(from*unit, io.SeekStart); err != nil {
+				f.Close()
+				return nil, err
+			}
+		}
+		return f, nil
+	}
+	open := func(i int, from, _ int64) (io.ReadCloser, error) {
+		f, err := openAt(i, from)
+		if err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
+	// Legacy v1 manifests still pay the whole-shard SHA-256 pre-read, on
+	// every present shard, planned or not.
+	v1 := !m.StripeVerified() && m.Checksums != nil
+	want := int64(m.Stripes) * unit
+	srcs := make([]io.ReadCloser, n)
+	flags := make([]bool, 2*n)
+	lost, corruptAt := flags[:n:n], flags[n:]
+	for i := range paths {
+		from, to := plan.Interval(i)
+		if v1 {
+			from = 0 // hashed whole first; verifyV1 seeks it to its interval after
+		}
+		f, err := openAt(i, from)
+		if err != nil {
+			lost[i] = true // missing
+			continue
 		}
 		fi, err := f.Stat()
 		if err != nil {
 			f.Close()
-			sr.Close()
+			closeAll(srcs)
 			return nil, err
 		}
-		if fi.Size() != want {
+		switch {
+		case fi.Size() != want:
+			lost[i], corruptAt[i] = true, true
 			f.Close()
-			corruptAt[i] = true
+		case v1 || from < to:
+			srcs[i] = f
+		default:
+			f.Close() // present; nothing planned to read from it
+		}
+	}
+	if v1 {
+		if err := verifyV1(srcs, m, plan, lost, corruptAt); err != nil {
+			closeAll(srcs)
+			return nil, err
+		}
+	}
+	return newStreamReader(m, plan, srcs, lost, corruptAt, open, opt)
+}
+
+// verifyV1 is the open-time integrity pass of a legacy v1 manifest: every
+// open shard file is hashed whole and compared with the manifest's
+// SHA-256, concurrently, so the open costs one shard's scan time, not k+r
+// of them. A shard that fails is closed and marked lost and corrupt; one
+// that passes is rewound to where the plan reads it, or closed when the
+// plan does not.
+func verifyV1(srcs []io.ReadCloser, m Manifest, plan ReadPlan, lost, corruptAt []bool) error {
+	errs := make([]error, len(srcs))
+	var wg sync.WaitGroup
+	for i, c := range srcs {
+		if c == nil {
 			continue
 		}
-		sr.srcs[i] = f
+		wg.Add(1)
+		// Each goroutine owns only its slot of errs/lost/corruptAt.
+		go func(i int, f io.ReadSeeker) {
+			defer wg.Done()
+			h := sha256.New()
+			if _, errs[i] = io.Copy(h, f); errs[i] != nil {
+				return
+			}
+			if hex.EncodeToString(h.Sum(nil)) != m.Checksums[i] {
+				lost[i], corruptAt[i] = true, true
+				return
+			}
+			from, _ := plan.Interval(i)
+			_, errs[i] = f.Seek(from*int64(m.UnitSize), io.SeekStart)
+		}(i, c.(vfs.File))
 	}
-
-	// Legacy v1 manifests still pay the whole-shard SHA-256 pre-read; run
-	// the shards concurrently so the open costs one shard's scan time, not
-	// k+r of them. Each goroutine owns only its slot of errs/bad.
-	if !m.StripeVerified() && m.Checksums != nil {
-		errs := make([]error, n)
-		bad := make([]bool, n)
-		var wg sync.WaitGroup
-		for i, c := range sr.srcs {
-			if c == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, f io.ReadSeeker) {
-				defer wg.Done()
-				h := sha256.New()
-				if _, err := io.Copy(h, f); err != nil {
-					errs[i] = err
-					return
-				}
-				if hex.EncodeToString(h.Sum(nil)) != m.Checksums[i] {
-					bad[i] = true
-					return
-				}
-				_, errs[i] = f.Seek(0, io.SeekStart)
-			}(i, c.(vfs.File))
+	wg.Wait()
+	for i, c := range srcs {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		wg.Wait()
-		for i := range sr.srcs {
-			if errs[i] != nil {
-				sr.Close()
-				return nil, errs[i]
-			}
-			if bad[i] {
-				sr.srcs[i].Close()
-				sr.srcs[i] = nil
-				corruptAt[i] = true
-			}
+		if from, to := plan.Interval(i); c != nil && (lost[i] || from == to) {
+			c.Close()
+			srcs[i] = nil
 		}
 	}
-	if err := sr.wire(corruptAt); err != nil {
-		sr.Close()
-		return nil, err
-	}
-	return sr, nil
+	return nil
 }

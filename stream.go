@@ -249,11 +249,23 @@ func (c *Code) DecodeStream(shards []io.Reader, dst io.Writer, size int64, opts 
 	if size < 0 {
 		return fmt.Errorf("gemmec: negative stream size %d", size)
 	}
+	return c.DecodeShards(pipeline.Readers(c, shards, size), dst, opts...)
+}
+
+// DecodeShards is DecodeStream over a read plan: instead of k+r open
+// streams read end to end, in names the units a clean decode of one
+// payload window reads, says which shards are already known lost, and
+// opens a shard only when the plan first reads it (see pipeline.Shards
+// for the plan and how a fault widens it). It is the entry point of this
+// module's own storage layers — internal/shardfile builds the plan from a
+// manifest and a byte range — and DecodeStream is the special case "every
+// stream handed in, every stripe". The same StreamOptions apply.
+func (c *Code) DecodeShards(in pipeline.Shards, dst io.Writer, opts ...StreamOption) error {
 	cfg, err := c.streamConfig(opts)
 	if err != nil {
 		return err
 	}
-	st, err := pipeline.Decode(c, shards, dst, size, cfg.pipeline())
+	st, err := pipeline.Decode(c, in, dst, cfg.pipeline())
 	if cfg.stats != nil {
 		*cfg.stats = st
 	}
