@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench bench-json bench-smoke ladder-smoke loc ci
+.PHONY: all build vet fmt nodeprecated test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench bench-json bench-smoke ladder-smoke loc ci
 
 all: build
 
@@ -19,6 +19,13 @@ fmt:
 	@out=$$(gofmt -l . | grep -v '^benchmark/'); \
 		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
+# No shims for users that do not exist: a non-test source file outside the
+# frozen benchmark/ module may not carry a `// Deprecated:` marker — what is
+# deprecated here is deleted, with its compat test, in the same PR.
+nodeprecated:
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '^[[:space:]]*// Deprecated:' . || true); \
+		if [ -n "$$out" ]; then echo "deprecated API left in the tree:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -26,10 +33,13 @@ race:
 	$(GO) test -race ./...
 
 # The packages with real lock/goroutine traffic (the daemon's concurrent
-# PUT/GET/scrub paths and the streaming pipeline) get a -race pass on every
-# CI run; `make race` remains the full-tree version.
+# PUT/GET/scrub paths, the stripe loop and the scheduler it queues on, and
+# the root package's stream tests, which drive that loop through the public
+# API in both modes) get a -race pass on every CI run; `make race` remains
+# the full-tree version.
 race-hot:
-	$(GO) test -race ./internal/server ./internal/pipeline ./internal/tuned
+	$(GO) test -race ./internal/server ./internal/pipeline ./internal/sched ./internal/tuned
+	$(GO) test -race -run 'Stream|Scheduler' .
 
 # Short seeded fault/cancellation stress: the faultfs-driven tests (injected
 # errors, stalls, torn writes), the client-disconnect/timeout e2e tests and
@@ -144,4 +154,4 @@ loc:
 # TestDecodeStreamSteadyStateAllocs and the full-server
 # TestServerSteadyStateAllocs) run as part of `test`, so `ci` gates on the
 # encode, verified-decode and daemon PUT/GET paths staying allocation-free.
-ci: build vet fmt test race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench-smoke ladder-smoke
+ci: build vet fmt nodeprecated test race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench-smoke ladder-smoke

@@ -116,9 +116,10 @@ func BenchmarkEncodeStream(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(payload)))
+			mode := gemmec.StreamWorkers(b, workers)
 			for i := 0; i < b.N; i++ {
 				if _, err := code.EncodeStream(bytes.NewReader(payload), writers,
-					gemmec.WithStreamWorkers(workers), gemmec.WithStreamPool(pool)); err != nil {
+					mode, gemmec.WithStreamPool(pool)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,13 +155,14 @@ func BenchmarkDecodeStream(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(n)
+			mode := gemmec.StreamWorkers(b, workers)
 			for i := 0; i < b.N; i++ {
 				for j := range readers {
 					readers[j] = bytes.NewReader(sinks[j].Bytes())
 				}
 				readers[0] = nil
 				if err := code.DecodeStream(readers, io.Discard, n,
-					gemmec.WithStreamWorkers(workers), gemmec.WithStreamPool(pool)); err != nil {
+					mode, gemmec.WithStreamPool(pool)); err != nil {
 					b.Fatal(err)
 				}
 			}

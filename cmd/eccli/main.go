@@ -16,8 +16,9 @@
 // Every command streams: files of any size run through the pipelined
 // engine in bounded memory, every shard unit is checked against the
 // manifest's CRC32C as it is read, and encode/decode print the pipeline's
-// stall breakdown. -stream-workers N sizes the kernel worker pool (0, the
-// default, selects GOMAXPROCS capped at 8).
+// stall breakdown. encode and decode run their kernel stage on one
+// gemmec.NewScheduler pool per process; -stream-workers N sizes it (0, the
+// default, is NewScheduler's default).
 //
 // eccli is also the client for the ecserver daemon (cmd/ecserver): put
 // uploads a file as a named object and get streams it back, reporting when
@@ -123,7 +124,7 @@ func cmdEncode(args []string) error {
 	k := fs.Int("k", 10, "data shards")
 	r := fs.Int("r", 4, "parity shards")
 	unit := fs.Int("unit", 128<<10, "unit size in bytes")
-	workers := fs.Int("stream-workers", 0, "concurrent encode workers (0 = GOMAXPROCS capped at 8)")
+	workers := fs.Int("stream-workers", 0, "size of the encode worker pool (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -142,8 +143,10 @@ func cmdEncode(args []string) error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
+	sched := gemmec.NewScheduler(gemmec.SchedulerConfig{Workers: *workers})
+	defer sched.Close()
 	m, st, err := shardfile.WriteStreamPaths(shardfile.DirPaths(*dir, *k+*r), f, fi.Size(),
-		*k, *r, *unit, *workers, shardfile.Opts{})
+		*k, *r, *unit, 0, shardfile.Opts{Sched: sched})
 	if err != nil {
 		return err
 	}
@@ -156,9 +159,10 @@ func cmdEncode(args []string) error {
 	return nil
 }
 
-// printStats summarizes a streaming run's pipeline statistics: where the
-// time went (kernel vs I/O) tells the operator whether more -stream-workers
-// would help.
+// printStats summarizes a streaming run's pipeline statistics: how it ran
+// (pool size and ring depth, or 1/1 for a run short enough to stay on the
+// caller's goroutine) and where the time went — kernel vs I/O tells the
+// operator whether more -stream-workers would help.
 func printStats(st gemmec.StreamStats) {
 	fmt.Printf("pipeline: %d workers depth %d, %d stripes in %v (read stall %v, encode stall %v, write stall %v)\n",
 		st.Workers, st.Depth, st.Stripes, st.Elapsed, st.ReadStall, st.EncodeStall, st.WriteStall)
@@ -188,7 +192,7 @@ func cmdDecode(args []string) error {
 	fs := flag.NewFlagSet("decode", flag.ExitOnError)
 	dir := fs.String("dir", "", "shard directory")
 	out := fs.String("out", "", "output file")
-	workers := fs.Int("stream-workers", 0, "concurrent reconstruction workers (0 = GOMAXPROCS capped at 8)")
+	workers := fs.Int("stream-workers", 0, "size of the reconstruction worker pool (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -199,7 +203,9 @@ func cmdDecode(args []string) error {
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
-	sr, err := shardfile.OpenStreamPaths(shardfile.DirPaths(*dir, m.K+m.R), m, shardfile.Opts{})
+	sched := gemmec.NewScheduler(gemmec.SchedulerConfig{Workers: *workers})
+	defer sched.Close()
+	sr, err := shardfile.OpenStreamPaths(shardfile.DirPaths(*dir, m.K+m.R), m, shardfile.Opts{Sched: sched})
 	if err != nil {
 		return fmt.Errorf("decode: %w", err)
 	}
@@ -209,7 +215,7 @@ func cmdDecode(args []string) error {
 		return err
 	}
 	defer f.Close()
-	st, err := sr.Decode(f, *workers)
+	st, err := sr.Decode(f, 0)
 	if err != nil {
 		// The output file holds a partial, useless prefix; remove it so
 		// scripts cannot mistake it for a successful decode, and wrap the

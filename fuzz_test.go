@@ -101,7 +101,8 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			sinks[i] = &bytes.Buffer{}
 			writers[i] = sinks[i]
 		}
-		n, err := code.EncodeStream(bytes.NewReader(data), writers, gemmec.WithStreamWorkers(w))
+		mode := gemmec.StreamWorkers(t, w)
+		n, err := code.EncodeStream(bytes.NewReader(data), writers, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			}
 		}
 		var out bytes.Buffer
-		if err := code.DecodeStream(readers, &out, n, gemmec.WithStreamWorkers(w)); err != nil {
+		if err := code.DecodeStream(readers, &out, n, mode); err != nil {
 			t.Fatalf("decode (mask %b, workers %d): %v", eraseMask, w, err)
 		}
 		if !bytes.Equal(out.Bytes(), data) {
@@ -171,7 +172,7 @@ func FuzzVerifiedDecode(f *testing.F) {
 			sinks[i] = &bytes.Buffer{}
 			writers[i] = sinks[i]
 		}
-		n, err := code.EncodeStream(bytes.NewReader(data), writers, gemmec.WithStreamWorkers(1))
+		n, err := code.EncodeStream(bytes.NewReader(data), writers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func FuzzVerifiedDecode(f *testing.F) {
 		var out bytes.Buffer
 		var st gemmec.StreamStats
 		err = code.DecodeStream(readers, &out, n,
-			gemmec.WithStreamWorkers(w), gemmec.WithStreamStats(&st),
+			gemmec.StreamWorkers(t, w), gemmec.WithStreamStats(&st),
 			gemmec.WithStreamVerifier(&unitCRCVerifier{tab: tab, sums: sums}))
 		if err != nil {
 			t.Fatalf("verified decode (shard %d, off %d, workers %d): %v", target, at, w, err)

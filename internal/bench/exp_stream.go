@@ -17,10 +17,11 @@ func init() {
 	})
 }
 
-// runStream measures EncodeStream and degraded DecodeStream throughput for
-// worker counts 1 (the serial baseline), 2, 4 and 8, over an in-memory
-// source large enough to amortize pipeline spin-up. The decode side loses
-// one data shard so every stripe pays a reconstruction.
+// runStream measures EncodeStream and degraded DecodeStream throughput
+// inline (the "1" row: no scheduler, every stage on the caller's
+// goroutine) and on a NewScheduler pool of 2, 4 and 8 workers, over an
+// in-memory source large enough to amortize pipeline spin-up. The decode
+// side loses one data shard so every stripe pays a reconstruction.
 func runStream(w io.Writer, cfg Config) error {
 	k, r := 10, 4
 	code, err := gemmec.New(k, r, gemmec.WithUnitSize(cfg.UnitSize))
@@ -41,7 +42,7 @@ func runStream(w io.Writer, cfg Config) error {
 		sinks[i] = &bytes.Buffer{}
 		writers[i] = sinks[i]
 	}
-	n, err := code.EncodeStream(bytes.NewReader(payload), writers, gemmec.WithStreamWorkers(1))
+	n, err := code.EncodeStream(bytes.NewReader(payload), writers)
 	if err != nil {
 		return err
 	}
@@ -51,12 +52,17 @@ func runStream(w io.Writer, cfg Config) error {
 	var base float64
 	for _, workers := range []int{1, 2, 4, 8} {
 		var st gemmec.StreamStats
+		opts := []gemmec.StreamOption{gemmec.WithStreamPool(pool)}
+		if workers > 1 {
+			sched := gemmec.NewScheduler(gemmec.SchedulerConfig{Workers: workers})
+			defer sched.Close()
+			opts = append(opts, gemmec.WithStreamScheduler(sched))
+		}
 		enc, err := Measure("encode", len(payload), cfg.MinTime, func() error {
 			for i := range writers {
 				writers[i] = io.Discard
 			}
-			_, err := code.EncodeStream(bytes.NewReader(payload), writers,
-				gemmec.WithStreamWorkers(workers), gemmec.WithStreamPool(pool), gemmec.WithStreamStats(&st))
+			_, err := code.EncodeStream(bytes.NewReader(payload), writers, append(opts, gemmec.WithStreamStats(&st))...)
 			return err
 		})
 		if err != nil {
@@ -68,8 +74,7 @@ func runStream(w io.Writer, cfg Config) error {
 				readers[i] = bytes.NewReader(sinks[i].Bytes())
 			}
 			readers[0] = nil // degraded read: reconstruct every stripe
-			return code.DecodeStream(readers, io.Discard, n,
-				gemmec.WithStreamWorkers(workers), gemmec.WithStreamPool(pool))
+			return code.DecodeStream(readers, io.Discard, n, opts...)
 		})
 		if err != nil {
 			return err
@@ -79,7 +84,7 @@ func runStream(w io.Writer, cfg Config) error {
 		}
 		speed := "-"
 		if workers > 1 && base > 0 {
-			speed = fmt.Sprintf("%.2fx vs serial", enc.GBps()/base)
+			speed = fmt.Sprintf("%.2fx vs inline", enc.GBps()/base)
 		}
 		t.AddF(fmt.Sprintf("%d", workers),
 			fmt.Sprintf("%.2f (%s)", enc.GBps(), speed),

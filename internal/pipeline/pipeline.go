@@ -1,43 +1,47 @@
-// Package pipeline is the concurrent streaming engine behind the public
+// Package pipeline is the streaming engine behind the public
 // EncodeStream/DecodeStream API. The paper's §5 argument is that an EC
 // library wins or loses on integration: the compiled kernel is only as
-// fast as the path that feeds it contiguous stripes. A serial stream loop
-// leaves the kernel idle behind I/O on multicore, so this package overlaps
-// three stages over a bounded ring of stripe buffers drawn from a
-// stripe.Pool:
+// fast as the path that feeds it contiguous stripes. There is one such
+// path here — run — and every stripe of every stream crosses it: a ring
+// of stripe buffers drawn from a stripe.Pool, and three stages per stripe,
+// supplied by the direction (see stages):
 //
-//	reader  — fills the data half of a free ring slot from src
-//	workers — run the compiled kernel on up to Workers stripes at once
-//	writer  — scatters finished stripes to the k+r shard writers,
-//	          strictly in stripe order (sequence-numbered reordering)
+//	fill   — load a free ring slot from the input side, in stripe order
+//	kernel — run the compiled kernel on the slot
+//	drain  — write the finished slot to the output side, strictly in
+//	         stripe order
 //
-// The kernel stage no longer owns its goroutines. Each stripe is
-// submitted as a task to an internal/sched scheduler — a bounded worker
-// pool with per-stream FIFO queues and fair round-robin dispatch — so a
-// server shares ONE pool across every concurrent stream instead of
-// spawning (and tearing down) a goroutine set per request. Config.Sched
-// selects the shared pool; without one, Workers > 1 builds a private
-// per-call scheduler (the legacy WithStreamWorkers behavior, preserved
-// exactly: shard output is byte-identical either way), and Workers == 1
-// keeps the fully serial, goroutine-free baseline loop.
-//
-// Decode runs the same ring in reverse, over a read plan (Plan, Shards):
-// per stripe the reader gathers the units the plan names — for a clean
-// read, the data units inside the requested window and nothing else —
-// opening each shard the first time it is read, optionally verifying each
-// unit against a per-stripe checksum as it lands (Config.Verify) and
+// Encode instantiates it with "read the source and pad / Encode / scatter
+// to the k+r shard writers". Decode runs the same ring in reverse, over a
+// read plan (Plan, Shards): fill gathers the units the plan names — for a
+// clean read, the data units inside the requested window and nothing else
+// — opening each shard the first time it is read, optionally verifying
+// each unit against a per-stripe checksum as it lands (Config.Verify) and
 // demoting shards that fail — open error, checksum mismatch, truncation,
 // read error — to erased mid-stream instead of failing the read; a
-// demotion widens the plan to the k cheapest survivors, workers
-// reconstruct the missing data units the window needs, and the in-order
-// writer emits the window's share of the stripe to dst. A window of at
-// most one stripe skips the ring: it decodes on the caller's goroutine.
+// demotion widens the plan to the k cheapest survivors, kernel
+// reconstructs the missing data units the window needs, and drain emits
+// the window's share of the stripe to dst.
 //
-// Backpressure falls out of the ring: at most Depth stripes are in flight,
-// so every channel send below is non-blocking by construction (each
-// channel's capacity is Depth) and the only blocking points are ring
-// acquisition, source reads, kernel runs and sink writes — exactly the
-// quantities Stats reports.
+// Workers are a process resource, so the kernel stage owns none. It has
+// two modes, chosen from what the call can observe. Handed a scheduler
+// (Config.Sched — a bounded internal/sched pool with per-stream FIFO
+// queues and fair round-robin dispatch, shared by every stream of the
+// process), the run is queued: a reader goroutine fills slots and submits
+// each to the pool, the caller's goroutine reorders finished slots by
+// sequence number and drains them, and the ring (two slots per pool
+// worker) bounds what is in flight. Handed none — or decoding a window of
+// at most one stripe, where there is nothing to overlap — the run is
+// inline: the same loop over a ring of one slot, every stage on the
+// caller's goroutine, no goroutine started. Shard output is byte-identical
+// either way; inline is the reference the tests compare the pool against.
+//
+// Backpressure falls out of the ring: every slot is always handed on —
+// filled, coded, drained, freed — even after a failure, so every channel
+// send below is non-blocking by construction (each channel's capacity is
+// the ring's size) and the only blocking points are ring acquisition,
+// source reads, kernel runs and sink writes — exactly the quantities Stats
+// reports.
 package pipeline
 
 import (
@@ -47,6 +51,7 @@ import (
 	"io"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gemmec/internal/ecerr"
@@ -86,21 +91,15 @@ type UnitVerifier interface {
 	VerifyUnit(shard int, stripe int64, unit []byte) error
 }
 
-// Config sizes one pipeline run.
+// Config is what one pipeline run is handed.
 type Config struct {
-	// Workers is the number of concurrent kernel goroutines; 1 selects a
-	// fully serial loop with no goroutines at all (the baseline path).
-	// Ignored when Sched is set — the shared pool's size governs.
-	Workers int
 	// Sched, when non-nil, is the shared scheduler the kernel stage
-	// submits stripe tasks to. The run creates one stream queue on it and
-	// closes that queue before returning; the scheduler itself is a
-	// server-lifetime resource the caller owns. When nil and Workers > 1,
-	// a private scheduler is built for the call and torn down after — the
-	// legacy per-call pool.
+	// submits stripe tasks to: the run creates one stream queue on it,
+	// closes that queue before returning, and sizes its ring at two slots
+	// per pool worker. The scheduler itself is a process-lifetime resource
+	// the caller owns. When nil the run is inline: one slot, every stage on
+	// the caller's goroutine.
 	Sched *sched.Scheduler
-	// Depth is the ring size: the maximum number of stripes in flight.
-	Depth int
 	// Pool supplies the ring's stripe buffers. Its geometry must be
 	// (k+r) x UnitSize — one buffer holds a full stripe, data then parity.
 	// When nil, a private pool is created for the run. Sharing one pool
@@ -111,19 +110,18 @@ type Config struct {
 	// gathers it (encode ignores it). Failing units demote their shard —
 	// see Stats.Demoted — instead of failing the stream.
 	Verify UnitVerifier
-	// Ctx cancels the run: the stages observe it between stripes (the
-	// serial paths check it per iteration; the pipelined paths latch it
-	// into the failure broadcast), so a canceled stream stops encoding,
-	// stops writing, releases its ring and returns an error wrapping
-	// context.Cause within one stripe's worth of work. Nil means
-	// context.Background() — never canceled.
+	// Ctx cancels the run: no stripe is started once it is dead, and a
+	// queued run also latches it into the failure flag every stage checks,
+	// so a canceled stream stops encoding, stops writing, releases its ring
+	// and returns an error wrapping context.Cause within one stripe's worth
+	// of work. Nil means context.Background() — never canceled.
 	Ctx context.Context
 }
 
 // Stats reports what one pipeline run did and where it waited. The stall
 // times attribute the bottleneck: a stream dominated by ReadStall or
 // WriteStall is I/O-bound; one dominated by EncodeStall is compute-bound
-// and benefits from more workers.
+// and benefits from a larger pool.
 type Stats struct {
 	// Stripes is the number of full stripes pushed through the kernel.
 	Stripes int64
@@ -133,15 +131,16 @@ type Stats struct {
 	// BytesOut is the number of bytes written to the sink side: shard
 	// writers for encode, dst for decode.
 	BytesOut int64
-	// Workers and Depth echo the effective pipeline shape.
+	// Workers and Depth say how the run ran: the scheduler's pool size and
+	// the ring's slot count for a queued run, 1 and 1 for an inline one.
 	Workers int
 	Depth   int
 	// ReadStall is time blocked reading the input side (src for encode,
 	// shard readers for decode) — input I/O bound.
 	ReadStall time.Duration
 	// EncodeStall is time the in-order writer waited for the next stripe
-	// to come out of the kernel stage (on the serial path: kernel time
-	// itself) — compute bound.
+	// to come out of the kernel stage (inline: kernel time itself) —
+	// compute bound.
 	EncodeStall time.Duration
 	// WriteStall is time blocked writing the output side — output I/O
 	// bound.
@@ -158,20 +157,37 @@ type Stats struct {
 }
 
 // slot is one ring entry: a pooled stripe buffer, the per-slot unit
-// pointer table decode workers hand to ReconstructData, the metadata of
-// the stripe currently occupying the slot, and one preallocated kernel
-// task bound to the slot. Carrying the stripe state in the slot (instead
-// of a per-stripe job struct captured by a fresh closure) is what keeps
-// the pipelined paths allocation-free per stripe: the reader writes
-// seq/rebuild before submitting s.run, and the channel/scheduler
-// handoffs order those writes against the task and the in-order writer.
+// pointer table decode hands to ReconstructData, the metadata of the
+// stripe currently occupying the slot, and (queued runs) one preallocated
+// kernel task bound to the slot. Carrying the stripe state in the slot
+// (instead of a per-stripe job struct captured by a fresh closure) is what
+// keeps a run allocation-free per stripe: the reader writes seq/rebuild
+// before handing the slot on, and the channel/scheduler hand-offs order
+// those writes against the kernel and the in-order writer.
 type slot struct {
 	buf  *stripe.Buffer
 	work [][]byte
 
 	seq     int64
 	rebuild bool   // decode: some data unit of this stripe is missing
-	run     func() // kernel task; built once per run at ring setup
+	coded   bool   // out of the kernel stage, waiting its turn to drain
+	run     func() // queued kernel task; built once per run at ring setup
+}
+
+// stages are the three things done to every stripe; Encode and Decode
+// each supply one set, and run is the loop around them.
+type stages interface {
+	// fill loads stripe seq from the input side into s, adding the time it
+	// spent blocked there to *stall. Stripes are filled in order, one at a
+	// time. last marks the stream's final stripe; io.EOF (the value
+	// itself) says the stream ended before stripe seq and s holds nothing.
+	fill(s *slot, seq int64, stall *time.Duration) (last bool, err error)
+	// kernel runs the codec on a filled slot. Queued runs call it from pool
+	// workers, several slots at once, finishing in any order.
+	kernel(s *slot) error
+	// drain writes a coded slot to the output side and returns how many
+	// bytes that was. Stripes are drained in order, one at a time.
+	drain(s *slot) (int64, error)
 }
 
 // ctxErr wraps a context's cancellation cause into the stream error the
@@ -185,15 +201,6 @@ func ctxErr(ctx context.Context) error {
 func norm(c Codec, cfg Config) (Config, error) {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
-	}
-	if cfg.Workers < 1 {
-		return cfg, fmt.Errorf("pipeline: workers must be >= 1, have %d", cfg.Workers)
-	}
-	if cfg.Depth < 1 {
-		return cfg, fmt.Errorf("pipeline: depth must be >= 1, have %d", cfg.Depth)
-	}
-	if cfg.Depth < cfg.Workers {
-		cfg.Depth = cfg.Workers
 	}
 	total, unit := c.K()+c.R(), c.UnitSize()
 	if cfg.Pool == nil {
@@ -209,283 +216,265 @@ func norm(c Codec, cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// ensureSched attaches a scheduler when the pipelined path needs one:
-// legacy Workers > 1 calls without a shared pool get a private per-call
-// scheduler, torn down by the returned stop func. Serial (Workers == 1,
-// no Sched) runs stay scheduler-free.
-func ensureSched(cfg Config) (Config, func()) {
-	if cfg.Sched != nil || cfg.Workers == 1 {
-		return cfg, func() {}
-	}
-	s := sched.New(sched.Config{Workers: cfg.Workers})
-	cfg.Sched = s
-	return cfg, s.Close
-}
-
-// ring draws Depth slots from the pool. release returns them.
-func ring(c Codec, cfg Config) ([]*slot, func(), error) {
-	slots := make([]*slot, cfg.Depth)
-	for i := range slots {
-		b, err := cfg.Pool.Get()
-		if err != nil {
-			for _, s := range slots[:i] {
-				cfg.Pool.Put(s.buf) //nolint:errcheck // geometry matches by construction
-			}
-			return nil, nil, err
-		}
-		slots[i] = &slot{buf: b, work: make([][]byte, c.K()+c.R())}
-	}
-	release := func() {
-		for _, s := range slots {
-			cfg.Pool.Put(s.buf) //nolint:errcheck // geometry matches by construction
-		}
-	}
-	return slots, release, nil
-}
-
-// failer latches the first error and broadcasts cancellation.
+// failer latches the first error of a run. Every stage checks it and,
+// once it is set, passes its slot on untouched, so the ring drains.
 type failer struct {
 	once sync.Once
 	err  error
-	done chan struct{}
+	set  atomic.Bool // stored after err is written: a true load may read err
 }
-
-func newFailer() *failer { return &failer{done: make(chan struct{})} }
 
 func (f *failer) fail(err error) {
 	f.once.Do(func() {
 		f.err = err
-		close(f.done)
+		f.set.Store(true)
 	})
 }
 
-func (f *failer) failed() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
+func (f *failer) failed() bool { return f.set.Load() }
+
+// loop is the state of one run: the ring and where each stage stands.
+type loop struct {
+	sg  stages
+	ctx context.Context
+	st  Stats // as the stages add it up: ReadStall is the reader's field, the rest the writer's
+	f   failer
+
+	// ring: slot seq mod len(slots) holds stripe seq. free carries one
+	// token per slot that is empty — never used, or drained — and because
+	// stripes drain in order, a token in hand means the slot the next
+	// stripe maps to is one of them.
+	slots []slot
+	free  chan struct{}
+
+	// Queued runs only: the stream's queue on the scheduler, and the slots
+	// coming out of the kernel stage, in completion order.
+	q     *sched.Queue
+	coded chan *slot
+
+	next int64 // in-order writer: the stripe to drain next
+}
+
+func (l *loop) at(seq int64) *slot { return &l.slots[seq%int64(len(l.slots))] }
+
+// run is the stripe loop: stripes first, first+1, … flow through sg's
+// three stages over a ring of pooled buffers until fill reports the last
+// one, a stage fails, or cfg.Ctx dies. Inline, the ring is one slot and
+// the caller's goroutine does everything; queued, the ring is two slots
+// per pool worker, a reader goroutine fills and submits, pool workers run
+// the kernel, and the caller's goroutine drains in stripe order — the same
+// read, kernel and deliver steps either way.
+func run(c Codec, cfg Config, first int64, inline bool, sg stages) (Stats, error) {
+	workers, depth := 1, 1
+	if !inline {
+		workers = cfg.Sched.Workers()
+		depth = 2 * workers
 	}
+	l := &loop{sg: sg, ctx: cfg.Ctx, st: Stats{Workers: workers, Depth: depth}, next: first,
+		slots: make([]slot, depth), free: make(chan struct{}, depth)}
+	defer func() {
+		for i := range l.slots {
+			if b := l.slots[i].buf; b != nil {
+				cfg.Pool.Put(b) //nolint:errcheck // geometry matches by construction
+			}
+		}
+	}()
+	n := c.K() + c.R()
+	work := make([][]byte, depth*n)
+	for i := range l.slots {
+		b, err := cfg.Pool.Get()
+		if err != nil {
+			return l.st, err
+		}
+		l.slots[i].buf, l.slots[i].work = b, work[i*n:(i+1)*n:(i+1)*n]
+		l.free <- struct{}{}
+	}
+	if inline {
+		l.read(first)
+	} else {
+		l.q = cfg.Sched.NewQueue()
+		defer l.q.Close()
+		l.coded = make(chan *slot, depth)
+		// One kernel task per slot, built before traffic: steady-state
+		// stripes submit a prebuilt closure and allocate nothing.
+		for i := range l.slots {
+			s := &l.slots[i]
+			s.run = func() {
+				l.kernel(s)
+				l.coded <- s // cap == ring size: never blocks a pool worker
+			}
+		}
+		// A dying context latches into the failure flag at once, not at the
+		// reader's next stripe: kernels and writes already in flight are
+		// skipped. AfterFunc costs nothing on the clean path (no goroutine
+		// until cancellation).
+		stop := context.AfterFunc(cfg.Ctx, func() { l.f.fail(ctxErr(cfg.Ctx)) })
+		defer stop()
+		go func() {
+			// Closing coded is the reader's last act and publishes all it
+			// wrote (ReadStall, the stages' own state) to the writer below.
+			defer close(l.coded)
+			defer l.q.Wait() // every submitted task finishes before coded closes
+			// Label context precomputed at package init: attaching it is a
+			// pointer store, keeping the per-call reader allocation-free.
+			pprof.SetGoroutineLabels(readLabelCtx)
+			l.read(first)
+		}()
+		for {
+			t0 := time.Now()
+			s, ok := <-l.coded
+			l.st.EncodeStall += time.Since(t0)
+			if !ok {
+				break
+			}
+			l.deliver(s)
+		}
+	}
+	if l.f.failed() {
+		return l.st, l.f.err
+	}
+	return l.st, nil
+}
+
+// read is the reader stage: sequential by nature (sources are streams and
+// must be consumed in stripe order). It takes a free slot, fills it and
+// hands it to the kernel stage — a task on the scheduler's queue, or, for
+// an inline run, right here, followed by the in-order writer's turn.
+func (l *loop) read(first int64) {
+	for seq := first; ; seq++ {
+		<-l.free
+		if l.ctx.Err() != nil {
+			l.f.fail(ctxErr(l.ctx))
+		}
+		if l.f.failed() {
+			return
+		}
+		s := l.at(seq)
+		last, err := l.sg.fill(s, seq, &l.st.ReadStall)
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			l.f.fail(err)
+			return
+		}
+		s.seq = seq
+		if l.q != nil {
+			l.q.Submit(s.run)
+		} else {
+			t0 := time.Now()
+			l.kernel(s)
+			l.st.EncodeStall += time.Since(t0)
+			l.deliver(s)
+		}
+		if last {
+			return
+		}
+	}
+}
+
+// kernel is the kernel stage for one filled slot.
+func (l *loop) kernel(s *slot) {
+	if l.f.failed() {
+		return
+	}
+	if err := l.sg.kernel(s); err != nil {
+		l.f.fail(err)
+	}
+}
+
+// deliver is the in-order writer: it takes one slot out of the kernel
+// stage and drains every stripe that is now next in line, so output is
+// byte-identical whatever order the pool finished them in. One goroutine
+// calls it, and only it touches coded: the slot stripe next maps to is
+// coded exactly when it holds stripe next, because the reader cannot reuse
+// it before that stripe has drained. A drained slot goes back to the
+// reader — after a failure too, undrained, which is what lets a reader
+// waiting on the ring see the failure.
+func (l *loop) deliver(s *slot) {
+	s.coded = true
+	for s = l.at(l.next); s.coded; s = l.at(l.next) {
+		s.coded = false
+		l.next++
+		if !l.f.failed() {
+			t0 := time.Now()
+			n, err := l.sg.drain(s)
+			l.st.WriteStall += time.Since(t0)
+			if err != nil {
+				l.f.fail(err)
+			} else {
+				l.st.Stripes++
+				l.st.BytesOut += n
+			}
+		}
+		l.free <- struct{}{} // cap == ring size: never blocks
+	}
+}
+
+// encoder is Encode's set of stages: read the source and pad, Encode,
+// scatter the stripe to the shard writers.
+type encoder struct {
+	c      Codec
+	src    io.Reader
+	shards []io.Writer
+	total  int64 // payload bytes read so far; the reader stage's
+}
+
+func (e *encoder) fill(s *slot, _ int64, stall *time.Duration) (bool, error) {
+	data := s.buf.Raw()[:e.c.K()*e.c.UnitSize()]
+	t0 := time.Now()
+	n, err := io.ReadFull(e.src, data)
+	*stall += time.Since(t0)
+	e.total += int64(n)
+	switch {
+	case errors.Is(err, io.EOF):
+		return false, io.EOF // clean end on a stripe boundary
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		clear(data[n:])
+		return true, nil // the padded final stripe consumed the EOF
+	case err != nil:
+		return false, fmt.Errorf("gemmec: read source: %w", err)
+	}
+	return false, nil
+}
+
+func (e *encoder) kernel(s *slot) error {
+	raw, split := s.buf.Raw(), e.c.K()*e.c.UnitSize()
+	return e.c.Encode(raw[:split], raw[split:split+e.c.R()*e.c.UnitSize()])
+}
+
+func (e *encoder) drain(s *slot) (int64, error) {
+	raw, unit := s.buf.Raw(), e.c.UnitSize()
+	for i, w := range e.shards {
+		if _, err := w.Write(raw[i*unit : (i+1)*unit]); err != nil {
+			return 0, fmt.Errorf("gemmec: write shard %d: %w", i, err)
+		}
+	}
+	return int64(len(e.shards) * unit), nil
 }
 
 // Encode streams src through the codec into the k+r shard writers and
 // returns the payload byte count. The caller must have validated shards
 // (length k+r, no nils); this is rechecked cheaply here because the bench
-// harness calls the package directly.
+// harness calls the package directly. It runs queued on cfg.Sched when
+// there is one, inline otherwise.
 func Encode(c Codec, src io.Reader, shards []io.Writer, cfg Config) (int64, Stats, error) {
-	var st Stats
 	cfg, err := norm(c, cfg)
 	if err != nil {
-		return 0, st, err
+		return 0, Stats{}, err
 	}
 	if len(shards) != c.K()+c.R() {
-		return 0, st, fmt.Errorf("pipeline: %d shard writers, want k+r=%d", len(shards), c.K()+c.R())
+		return 0, Stats{}, fmt.Errorf("pipeline: %d shard writers, want k+r=%d", len(shards), c.K()+c.R())
 	}
 	if cfg.Ctx.Err() != nil {
-		return 0, st, ctxErr(cfg.Ctx)
-	}
-	cfg, stopSched := ensureSched(cfg)
-	defer stopSched()
-	st.Workers, st.Depth = cfg.Workers, cfg.Depth
-	if cfg.Sched != nil {
-		st.Workers = cfg.Sched.Workers()
+		return 0, Stats{}, ctxErr(cfg.Ctx)
 	}
 	start := time.Now()
-	var total int64
-	if cfg.Sched == nil {
-		total, err = encodeSerial(c, src, shards, cfg, &st)
-	} else {
-		total, err = encodePipelined(c, src, shards, cfg, &st)
-	}
+	e := &encoder{c: c, src: src, shards: shards}
+	st, err := run(c, cfg, 0, cfg.Sched == nil, e)
+	st.BytesIn = e.total
 	st.Elapsed = time.Since(start)
-	return total, st, err
-}
-
-func encodeSerial(c Codec, src io.Reader, shards []io.Writer, cfg Config, st *Stats) (int64, error) {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	buf, err := cfg.Pool.Get()
-	if err != nil {
-		return 0, err
-	}
-	defer cfg.Pool.Put(buf) //nolint:errcheck // geometry matches by construction
-	raw := buf.Raw()
-	data, parity := raw[:k*unit], raw[k*unit:(k+r)*unit]
-
-	var total int64
-	for {
-		if cfg.Ctx.Err() != nil {
-			return total, ctxErr(cfg.Ctx)
-		}
-		t0 := time.Now()
-		n, err := io.ReadFull(src, data)
-		st.ReadStall += time.Since(t0)
-		total += int64(n)
-		if errors.Is(err, io.EOF) {
-			break // clean end on a stripe boundary
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			clear(data[n:])
-			err = nil
-		}
-		if err != nil {
-			return total, fmt.Errorf("gemmec: read source: %w", err)
-		}
-		t1 := time.Now()
-		if err := c.Encode(data, parity); err != nil {
-			return total, err
-		}
-		st.EncodeStall += time.Since(t1)
-		t2 := time.Now()
-		werr := writeStripe(shards, raw, k, r, unit)
-		st.WriteStall += time.Since(t2)
-		if werr != nil {
-			return total, werr
-		}
-		st.Stripes++
-		st.BytesOut += int64((k + r) * unit)
-		if n < len(data) {
-			break // padded final stripe consumed the EOF
-		}
-	}
-	st.BytesIn = total
-	return total, nil
-}
-
-func encodePipelined(c Codec, src io.Reader, shards []io.Writer, cfg Config, st *Stats) (int64, error) {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	stripeBytes := k * unit
-	slots, release, err := ring(c, cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-
-	free := make(chan *slot, cfg.Depth)
-	results := make(chan *slot, cfg.Depth)
-	f := newFailer()
-	// One encode task per ring slot, built before traffic: the reader only
-	// stamps seq and submits, so steady-state stripes allocate nothing.
-	for _, s := range slots {
-		s := s
-		s.run = func() {
-			if f.failed() {
-				return // drain without encoding
-			}
-			raw := s.buf.Raw()
-			if err := c.Encode(raw[:stripeBytes], raw[stripeBytes:(k+r)*unit]); err != nil {
-				f.fail(err)
-				return
-			}
-			results <- s
-		}
-		free <- s
-	}
-	// Cancellation rides the existing failure broadcast: the moment the
-	// context dies, every stage sees f.done and drains. AfterFunc costs
-	// nothing on the clean path (no goroutine until cancellation).
-	stop := context.AfterFunc(cfg.Ctx, func() { f.fail(ctxErr(cfg.Ctx)) })
-	defer stop()
-
-	// Kernel stage: one stream queue on the scheduler (shared or per-call;
-	// see ensureSched). At most Depth stripes are in flight — ring slots
-	// bound the submissions — so the results send inside a task never
-	// blocks a pool worker.
-	q := cfg.Sched.NewQueue()
-	defer q.Close()
-
-	// Reader: sequential by nature (src is a stream); owns total/readStall
-	// until the final wait establishes happens-before.
-	var total int64
-	var readStall time.Duration
-	var wgRead sync.WaitGroup
-	wgRead.Add(1)
-	go func() {
-		defer wgRead.Done()
-		defer close(results)
-		defer q.Wait() // every submitted task finishes before results closes
-		// Label context precomputed at package init: attaching it is a
-		// pointer store, keeping the per-call reader allocation-free.
-		pprof.SetGoroutineLabels(readLabelCtx)
-		for seq := int64(0); ; seq++ {
-			var s *slot
-			select {
-			case s = <-free:
-			case <-f.done:
-				return
-			}
-			data := s.buf.Raw()[:stripeBytes]
-			t0 := time.Now()
-			n, err := io.ReadFull(src, data)
-			readStall += time.Since(t0)
-			total += int64(n)
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				clear(data[n:])
-				err = nil
-			}
-			if err != nil {
-				f.fail(fmt.Errorf("gemmec: read source: %w", err))
-				return
-			}
-			s.seq = seq
-			q.Submit(s.run)
-			if n < stripeBytes {
-				return
-			}
-		}
-	}()
-
-	// In-order writer (this goroutine): reorder by sequence number so shard
-	// output is byte-identical to the serial path regardless of worker
-	// completion order.
-	pending := make(map[int64]*slot, cfg.Depth)
-	var next int64
-	for {
-		t0 := time.Now()
-		s, ok := <-results
-		st.EncodeStall += time.Since(t0)
-		if !ok {
-			break
-		}
-		pending[s.seq] = s
-		for {
-			ss, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !f.failed() {
-				t1 := time.Now()
-				werr := writeStripe(shards, ss.buf.Raw(), k, r, unit)
-				st.WriteStall += time.Since(t1)
-				if werr != nil {
-					f.fail(werr)
-				} else {
-					st.Stripes++
-					st.BytesOut += int64((k + r) * unit)
-				}
-			}
-			free <- ss // cap == Depth: never blocks
-		}
-	}
-	wgRead.Wait()
-	st.ReadStall = readStall
-	st.BytesIn = total
-	return total, f.err
-}
-
-// writeStripe scatters the k data units and r parity units of one raw
-// stripe buffer to the shard writers.
-func writeStripe(shards []io.Writer, raw []byte, k, r, unit int) error {
-	for i := 0; i < k+r; i++ {
-		if _, err := shards[i].Write(raw[i*unit : (i+1)*unit]); err != nil {
-			return fmt.Errorf("gemmec: write shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return e.total, st, err
 }
 
 // Plan is the read set of one decode: which units of which shards a clean
@@ -609,8 +598,8 @@ func Readers(c Codec, readers []io.Reader, size int64) Shards {
 // Decode streams payload window [Plan.Off, Plan.Off+Plan.Len) of the
 // shard set to dst, reading the units in.Plan names and reconstructing
 // around lost and faulty shards. The caller validates survivor count;
-// geometry is rechecked here. A window of at most one stripe, and any
-// run without a scheduler, decodes serially on the caller's goroutine.
+// geometry is rechecked here. It runs queued on cfg.Sched when there is
+// one and the window is longer than a stripe, inline otherwise.
 func Decode(c Codec, in Shards, dst io.Writer, cfg Config) (Stats, error) {
 	var st Stats
 	cfg, err := norm(c, cfg)
@@ -627,24 +616,13 @@ func Decode(c Codec, in Shards, dst io.Writer, cfg Config) (Stats, error) {
 	if cfg.Ctx.Err() != nil {
 		return st, ctxErr(cfg.Ctx)
 	}
-	serial := in.Plan.End-in.Plan.Base <= 1
-	stopSched := func() {}
-	if !serial {
-		cfg, stopSched = ensureSched(cfg)
-	}
-	defer stopSched()
-	st.Workers, st.Depth = cfg.Workers, cfg.Depth
-	if cfg.Sched != nil {
-		st.Workers = cfg.Sched.Workers()
-	}
 	start := time.Now()
-	d, err := newDemoter(c, in, cfg.Verify)
-	if err == nil {
-		if serial || cfg.Sched == nil {
-			err = decodeSerial(c, d, dst, cfg, &st)
-		} else {
-			err = decodePipelined(c, d, dst, cfg, &st)
-		}
+	d, err := newDemoter(c, in, dst, cfg.Verify)
+	if err == nil && in.Plan.Len > 0 {
+		inline := cfg.Sched == nil || in.Plan.End-in.Plan.Base <= 1
+		st, err = run(c, cfg, in.Plan.Base, inline, d)
+		st.Demoted = d.demoted
+		st.BytesIn = st.BytesOut
 	}
 	st.Elapsed = time.Since(start)
 	return st, err
@@ -665,15 +643,20 @@ type input struct {
 	pos, lim int64
 }
 
-// demoter owns the decode reader stage's view of the shard set: the
-// plan, which shards are open, which are lost or were demoted mid-stream,
-// and whether enough survive to cover k. A shard that fails — open error,
-// unit checksum mismatch, truncation, read error — is demoted to erased
-// from that stripe on: its units are reconstructed for the rest of the
-// stream instead of failing the read. Exactly one goroutine (the reader
-// stage) uses a demoter, so it needs no locking; the pipeline's final
-// wgRead.Wait() establishes happens-before for the demotions it records.
+// demoter is Decode's set of stages — gather the planned units,
+// ReconstructData when one the window wants is missing, emit the window's
+// share — and, for the first of them, the reader stage's view of the shard
+// set: the plan, which shards are open, which are lost or were demoted
+// mid-stream, and whether enough survive to cover k. A shard that fails —
+// open error, unit checksum mismatch, truncation, read error — is demoted
+// to erased from that stripe on: its units are reconstructed for the rest
+// of the stream instead of failing the read. Everything fill mutates is
+// the reader stage's alone (kernel and drain read only what never changes),
+// so a demoter needs no locking; the end of the run establishes
+// happens-before for the demotions it records.
 type demoter struct {
+	c       Codec
+	dst     io.Writer
 	plan    Plan
 	in      []input
 	open    func(shard int, from, to int64) (io.Reader, error)
@@ -683,9 +666,9 @@ type demoter struct {
 	demoted []ecerr.Demotion
 }
 
-func newDemoter(c Codec, s Shards, verify UnitVerifier) (*demoter, error) {
+func newDemoter(c Codec, s Shards, dst io.Writer, verify UnitVerifier) (*demoter, error) {
 	k, unit := c.K(), c.UnitSize()
-	d := &demoter{plan: s.Plan, in: make([]input, k+c.R()), open: s.Open, k: k, unit: unit, verify: verify}
+	d := &demoter{c: c, dst: dst, plan: s.Plan, in: make([]input, k+c.R()), open: s.Open, k: k, unit: unit, verify: verify}
 	degraded := false
 	for i := range d.in {
 		in := &d.in[i]
@@ -773,15 +756,15 @@ func (d *demoter) readUnit(i int, stripe int64, u []byte, stall *time.Duration) 
 	return nil
 }
 
-// fillSlot reads the units the plan names for one stripe into the slot,
+// fill reads the units the plan names for one stripe into the slot,
 // verifying each as it lands and demoting shards that fail instead of
 // failing the stream; a demotion widens the plan, and the stripe is
 // rescanned for the units that adds. s.work[i] is left nil for a unit
-// that was not read — lost, demoted, or simply not planned. It reports
-// whether the stripe needs reconstruction (a data unit the window wants
-// is missing); err is non-nil only when demotions leave fewer than k
-// usable shards.
-func (d *demoter) fillSlot(s *slot, stripe int64, stall *time.Duration) (rebuild bool, err error) {
+// that was not read — lost, demoted, or simply not planned — and
+// s.rebuild says whether the stripe needs reconstruction (a data unit the
+// window wants is missing). err is non-nil only when demotions leave
+// fewer than k usable shards.
+func (d *demoter) fill(s *slot, stripe int64, stall *time.Duration) (last bool, err error) {
 	raw := s.buf.Raw()
 	clear(s.work)
 	for rescan := true; rescan; {
@@ -805,17 +788,32 @@ func (d *demoter) fillSlot(s *slot, stripe int64, stall *time.Duration) (rebuild
 			}
 		}
 	}
+	s.rebuild = false
 	for i := 0; i < d.k; i++ {
 		if in := &d.in[i]; s.work[i] == nil && in.needFrom <= stripe && stripe < in.needTo {
-			return true, nil
+			s.rebuild = true
+			break
 		}
 	}
-	return false, nil
+	return stripe+1 >= d.plan.End, nil
+}
+
+// kernel reconstructs the stripe's missing data units. Only stripes with
+// one the window wants pay for it; the rest pass straight through.
+func (d *demoter) kernel(s *slot) error {
+	if !s.rebuild {
+		return nil
+	}
+	return d.c.ReconstructData(s.work)
+}
+
+func (d *demoter) drain(s *slot) (int64, error) {
+	return d.plan.emit(d.dst, s.work, s.seq, d.k, d.unit)
 }
 
 // emit writes the window's share of one decoded stripe to dst: the data
 // units from the window's first byte in this stripe to its last. Every
-// unit it touches was read or reconstructed (fillSlot's rebuild rule).
+// unit it touches was read or reconstructed (fill's rebuild rule).
 func (p *Plan) emit(dst io.Writer, work [][]byte, stripe int64, k, unit int) (int64, error) {
 	stripeBytes := int64(k) * int64(unit)
 	lo := max(p.Off-stripe*stripeBytes, 0)
@@ -830,154 +828,4 @@ func (p *Plan) emit(dst io.Writer, work [][]byte, stripe int64, k, unit int) (in
 		at += b - a
 	}
 	return hi - lo, nil
-}
-
-func decodeSerial(c Codec, d *demoter, dst io.Writer, cfg Config, st *Stats) error {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	defer func() { st.Demoted = d.demoted }()
-	if d.plan.Len == 0 {
-		return nil
-	}
-	buf, err := cfg.Pool.Get()
-	if err != nil {
-		return err
-	}
-	defer cfg.Pool.Put(buf) //nolint:errcheck // geometry matches by construction
-	s := &slot{buf: buf, work: make([][]byte, k+r)}
-
-	for stripe := d.plan.Base; stripe < d.plan.End; stripe++ {
-		if cfg.Ctx.Err() != nil {
-			return ctxErr(cfg.Ctx)
-		}
-		rebuild, err := d.fillSlot(s, stripe, &st.ReadStall)
-		if err != nil {
-			return err
-		}
-		if rebuild {
-			t0 := time.Now()
-			if err := c.ReconstructData(s.work); err != nil {
-				return err
-			}
-			st.EncodeStall += time.Since(t0)
-		}
-		t1 := time.Now()
-		n, werr := d.plan.emit(dst, s.work, stripe, k, unit)
-		st.WriteStall += time.Since(t1)
-		if werr != nil {
-			return werr
-		}
-		st.Stripes++
-		st.BytesOut += n
-	}
-	st.BytesIn = st.BytesOut
-	return nil
-}
-
-func decodePipelined(c Codec, d *demoter, dst io.Writer, cfg Config, st *Stats) error {
-	k, unit := c.K(), c.UnitSize()
-	slots, release, err := ring(c, cfg)
-	if err != nil {
-		return err
-	}
-	defer release()
-
-	free := make(chan *slot, cfg.Depth)
-	results := make(chan *slot, cfg.Depth)
-	f := newFailer()
-	// One reconstruction task per ring slot, built before traffic (see the
-	// encode path): steady-state stripes submit a prebuilt closure.
-	for _, s := range slots {
-		s := s
-		s.run = func() {
-			if f.failed() {
-				return
-			}
-			if s.rebuild {
-				if err := c.ReconstructData(s.work); err != nil {
-					f.fail(err)
-					return
-				}
-			}
-			results <- s
-		}
-		free <- s
-	}
-	// Cancellation latches into the failure broadcast exactly as a stage
-	// error would; the ring drains and Decode returns ctxErr.
-	stop := context.AfterFunc(cfg.Ctx, func() { f.fail(ctxErr(cfg.Ctx)) })
-	defer stop()
-
-	// Reconstruction stage: one stream queue on the scheduler. Only
-	// stripes with missing data units pay the kernel; surviving-stripe
-	// tasks pass straight through to the in-order writer.
-	q := cfg.Sched.NewQueue()
-	defer q.Close()
-
-	// Reader: gathers the planned units of each stripe (sequential: shard
-	// readers are streams and must be consumed in stripe order). It owns
-	// the demoter — verification happens here, as units enter the ring, so
-	// a shard that fails its checksum mid-stream is erased for this and all
-	// later stripes while earlier (verified) stripes stand.
-	var readStall time.Duration
-	var wgRead sync.WaitGroup
-	wgRead.Add(1)
-	go func() {
-		defer wgRead.Done()
-		defer close(results)
-		defer q.Wait() // every submitted task finishes before results closes
-		pprof.SetGoroutineLabels(readLabelCtx)
-		for stripe := d.plan.Base; stripe < d.plan.End; stripe++ {
-			var s *slot
-			select {
-			case s = <-free:
-			case <-f.done:
-				return
-			}
-			rebuild, err := d.fillSlot(s, stripe, &readStall)
-			if err != nil {
-				f.fail(err)
-				return
-			}
-			s.seq, s.rebuild = stripe, rebuild
-			q.Submit(s.run)
-		}
-	}()
-
-	// In-order writer.
-	pending := make(map[int64]*slot, cfg.Depth)
-	next := d.plan.Base
-	for {
-		t0 := time.Now()
-		s, ok := <-results
-		st.EncodeStall += time.Since(t0)
-		if !ok {
-			break
-		}
-		pending[s.seq] = s
-		for {
-			ss, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if !f.failed() {
-				t1 := time.Now()
-				n, werr := d.plan.emit(dst, ss.work, ss.seq, k, unit)
-				st.WriteStall += time.Since(t1)
-				if werr != nil {
-					f.fail(werr)
-				} else {
-					st.Stripes++
-					st.BytesOut += n
-				}
-			}
-			free <- ss
-		}
-	}
-	wgRead.Wait()
-	st.ReadStall = readStall
-	st.Demoted = d.demoted
-	st.BytesIn = st.BytesOut
-	return f.err
 }

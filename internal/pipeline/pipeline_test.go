@@ -10,8 +10,21 @@ import (
 	"testing"
 	"time"
 
+	"gemmec/internal/sched"
 	"gemmec/internal/stripe"
 )
+
+// withWorkers is how these tests pick a run's mode by worker count: n == 1
+// is the inline path (no scheduler), n > 1 a scheduler of n workers that
+// t.Cleanup closes.
+func withWorkers(t *testing.T, n int) Config {
+	if n == 1 {
+		return Config{}
+	}
+	s := sched.New(sched.Config{Workers: n})
+	t.Cleanup(s.Close)
+	return Config{Sched: s}
+}
 
 // xorCodec is a trivial erasure code for exercising the pipeline without
 // the real engine: parity unit j is the XOR of all data units, rotated
@@ -113,20 +126,20 @@ func payload(seed int64, size int) []byte {
 }
 
 // TestEncodeOrderIdentical: with jittered encode latency and many workers,
-// shard output must be byte-identical to the serial path — the in-order
-// writer reorders by sequence number.
+// shard output must be byte-identical to the inline path — the in-order
+// writer drains by sequence number.
 func TestEncodeOrderIdentical(t *testing.T) {
 	c := newXorCodec(4, 2, 64)
 	src := payload(7, 23*c.k*c.unit+17) // 24 stripes, padded tail
 	serialSinks, serialWriters := sinkSet(6)
-	nSerial, _, err := Encode(c, bytes.NewReader(src), serialWriters, Config{Workers: 1, Depth: 1})
+	nSerial, _, err := Encode(c, bytes.NewReader(src), serialWriters, withWorkers(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c.jitter = 200 * time.Microsecond
 	pipeSinks, pipeWriters := sinkSet(6)
-	nPipe, st, err := Encode(c, bytes.NewReader(src), pipeWriters, Config{Workers: 6, Depth: 12})
+	nPipe, st, err := Encode(c, bytes.NewReader(src), pipeWriters, withWorkers(t, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +162,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 	c := newXorCodec(5, 2, 32)
 	src := payload(9, 11*c.k*c.unit+5)
 	sinks, writers := sinkSet(7)
-	n, _, err := Encode(c, bytes.NewReader(src), writers, Config{Workers: 2, Depth: 4})
+	n, _, err := Encode(c, bytes.NewReader(src), writers, withWorkers(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +175,7 @@ func TestDecodeRoundTrip(t *testing.T) {
 		readers[2] = nil // lost data shard: every stripe reconstructs
 		readers[6] = nil // lost parity shard: irrelevant to decode
 		var out bytes.Buffer
-		st, err := Decode(c, Readers(c, readers, n), &out, Config{Workers: workers, Depth: 2 * workers})
+		st, err := Decode(c, Readers(c, readers, n), &out, withWorkers(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +206,7 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // (not hang) at every worker count, and the ring must drain cleanly.
 func TestEncodeFailurePaths(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		cfg := Config{Workers: workers, Depth: 2 * workers}
+		cfg := withWorkers(t, workers)
 		c := newXorCodec(3, 1, 16)
 		stripeBytes := c.k * c.unit
 
@@ -229,36 +242,31 @@ func TestDecodeTruncated(t *testing.T) {
 			readers[i] = bytes.NewReader(nil)
 		}
 		var out bytes.Buffer
-		if _, err := Decode(c, Readers(c, readers, 10), &out, Config{Workers: workers, Depth: workers}); err == nil {
+		if _, err := Decode(c, Readers(c, readers, 10), &out, withWorkers(t, workers)); err == nil {
 			t.Errorf("workers=%d: truncated shard streams accepted", workers)
 		}
 	}
 }
 
-// TestConfigValidation: bad workers/depth/pool geometry are rejected.
+// TestConfigValidation: a wrong pool geometry and a short writer slice are
+// rejected.
 func TestConfigValidation(t *testing.T) {
 	c := newXorCodec(3, 1, 16)
 	_, writers := sinkSet(4)
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Workers: 0, Depth: 1}); err == nil {
-		t.Error("workers=0 accepted")
-	}
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Workers: 1, Depth: 0}); err == nil {
-		t.Error("depth=0 accepted")
-	}
 	wrong, err := stripe.NewPool(c.k, c.unit) // data-only geometry: too small
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Workers: 1, Depth: 1, Pool: wrong}); err == nil {
+	if _, _, err := Encode(c, bytes.NewReader(nil), writers, Config{Pool: wrong}); err == nil {
 		t.Error("wrong pool geometry accepted")
 	}
-	if _, _, err := Encode(c, bytes.NewReader(nil), writers[:3], Config{Workers: 1, Depth: 1}); err == nil {
+	if _, _, err := Encode(c, bytes.NewReader(nil), writers[:3], Config{}); err == nil {
 		t.Error("short writer slice accepted")
 	}
 }
 
 // TestPoolReuse: repeated runs over a shared pool must not grow it beyond
-// the ring depth — the allocation-free steady state.
+// the ring (two slots per pool worker) — the allocation-free steady state.
 func TestPoolReuse(t *testing.T) {
 	c := newXorCodec(4, 2, 64)
 	pool, err := stripe.NewPool(c.k+c.r, c.unit)
@@ -266,20 +274,22 @@ func TestPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := payload(3, 10*c.k*c.unit)
-	cfg := Config{Workers: 3, Depth: 4, Pool: pool}
+	cfg := withWorkers(t, 3)
+	cfg.Pool = pool
 	for i := 0; i < 5; i++ {
 		_, writers := sinkSet(6)
 		if _, _, err := Encode(c, bytes.NewReader(src), writers, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := pool.Allocated(); got > cfg.Depth {
-		t.Fatalf("pool allocated %d buffers across runs, want <= depth %d", got, cfg.Depth)
+	if got, ring := pool.Allocated(), 2*cfg.Sched.Workers(); got > ring {
+		t.Fatalf("pool allocated %d buffers across runs, want <= the ring's %d", got, ring)
 	}
 }
 
-// TestConcurrentStreams: many goroutines stream through one codec and one
-// shared pool at once; run under -race this is the pipeline stress test.
+// TestConcurrentStreams: many goroutines stream through one codec, one
+// shared pool and one scheduler at once; run under -race this is the
+// pipeline stress test.
 func TestConcurrentStreams(t *testing.T) {
 	c := newXorCodec(4, 2, 64)
 	c.jitter = 50 * time.Microsecond
@@ -287,6 +297,8 @@ func TestConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := withWorkers(t, 3)
+	cfg.Pool = pool
 	const streams = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, streams)
@@ -296,7 +308,7 @@ func TestConcurrentStreams(t *testing.T) {
 			defer wg.Done()
 			src := payload(int64(g), (5+g)*c.k*c.unit+g*13)
 			sinks, writers := sinkSet(6)
-			n, _, err := Encode(c, bytes.NewReader(src), writers, Config{Workers: 3, Depth: 6, Pool: pool})
+			n, _, err := Encode(c, bytes.NewReader(src), writers, cfg)
 			if err != nil {
 				errs <- err
 				return
@@ -307,7 +319,7 @@ func TestConcurrentStreams(t *testing.T) {
 			}
 			readers[g%c.k] = nil
 			var out bytes.Buffer
-			if _, err := Decode(c, Readers(c, readers, n), &out, Config{Workers: 3, Depth: 6, Pool: pool}); err != nil {
+			if _, err := Decode(c, Readers(c, readers, n), &out, cfg); err != nil {
 				errs <- err
 				return
 			}

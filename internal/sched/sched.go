@@ -46,7 +46,7 @@ var ErrOverloaded = errors.New("sched: scheduler at admission limit")
 // Config sizes a scheduler.
 type Config struct {
 	// Workers is the number of pool goroutines executing stripe tasks.
-	// 0 selects GOMAXPROCS.
+	// 0 selects GOMAXPROCS capped at 8.
 	Workers int
 	// MaxStreams bounds how many streams may be admitted concurrently
 	// (Admit slots). 0 disables admission control: Admit always succeeds.
@@ -104,7 +104,7 @@ type Scheduler struct {
 // New builds the scheduler and starts its worker pool.
 func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
 	s := &Scheduler{cfg: cfg, lastBusy: time.Now()}
 	s.work = sync.NewCond(&s.mu)

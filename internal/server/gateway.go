@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -49,7 +48,7 @@ type GatewayConfig struct {
 	// UnitSize is the shard unit size (0 selects gemmec.DefaultUnitSize).
 	UnitSize int
 	// Workers sizes the shared encode/decode scheduler when Sched is nil
-	// (0 selects GOMAXPROCS capped at 8).
+	// (0 selects gemmec.NewScheduler's default).
 	Workers int
 	// MaxStreams bounds concurrently admitted streaming requests (0
 	// disables shedding) — the same admission contract Store has.
@@ -122,12 +121,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	if cfg.WriteQuorum > cfg.R {
 		cfg.WriteQuorum = cfg.R
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers > 8 {
-			cfg.Workers = 8
-		}
 	}
 	g := &Gateway{
 		cfg:    cfg,
@@ -358,7 +351,7 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 		},
 		func(ws []io.Writer) error {
 			var err error
-			m, st, err = shardfile.WriteStreamTo(ws, src, size, g.cfg.K, g.cfg.R, g.cfg.UnitSize, 0, g.streamOpts(ctx))
+			m, st, err = shardfile.WriteStreamTo(ws, src, size, g.cfg.K, g.cfg.R, g.cfg.UnitSize, g.streamOpts(ctx))
 			return err
 		})
 	esp.SetArg(st.Stripes)

@@ -447,7 +447,7 @@ func (s *Store) decodeOldGen(ctx context.Context, key string, meta ObjectMeta, d
 		return err
 	}
 	defer sr.Close()
-	_, err = sr.Decode(dst, s.cfg.Workers)
+	_, err = sr.Decode(dst, 0)
 	return err
 }
 
@@ -466,7 +466,7 @@ func (s *Store) decodeSlabMember(ctx context.Context, meta ObjectMeta, dst io.Wr
 		return err
 	}
 	defer sr.Close()
-	_, err = sr.Decode(dst, s.cfg.Workers)
+	_, err = sr.Decode(dst, 0)
 	return err
 }
 

@@ -195,7 +195,7 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 		meta := ObjectMeta{Name: key, Gen: 1, Placement: s.placement()}
 		paths := s.shardPaths(key, meta)
 		m, _, err := shardfile.WriteStreamPaths(paths, bytes.NewReader(payload), int64(len(payload)),
-			s.cfg.K, s.cfg.R, s.cfg.UnitSize, s.cfg.Workers, s.fileOpts(context.Background()))
+			s.cfg.K, s.cfg.R, s.cfg.UnitSize, 0, s.fileOpts(context.Background()))
 		if err != nil {
 			s.removeFiles(paths)
 			return err

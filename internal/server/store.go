@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -61,8 +60,7 @@ type StoreConfig struct {
 	UnitSize int
 	// Workers sizes the store's shared encode/decode scheduler: the ONE
 	// bounded pool of kernel goroutines every request's stripe work runs
-	// on (0 selects GOMAXPROCS capped at 8). Before the scheduler existed
-	// this was a per-request worker count; it is now a process resource.
+	// on (0 selects gemmec.NewScheduler's default).
 	Workers int
 	// MaxStreams bounds how many streaming requests may run concurrently:
 	// past it, admission fails with gemmec.ErrOverloaded and the HTTP
@@ -298,12 +296,6 @@ func Open(cfg StoreConfig) (*Store, error) {
 	if cfg.Nodes < cfg.K+cfg.R {
 		return nil, fmt.Errorf("server: %d node dirs cannot hold k+r=%d shards in distinct failure domains",
 			cfg.Nodes, cfg.K+cfg.R)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers > 8 {
-			cfg.Workers = 8
-		}
 	}
 	s := &Store{
 		cfg:          cfg,
@@ -691,7 +683,7 @@ func (s *Store) putLocked(ctx context.Context, key string, meta ObjectMeta, oldP
 	}
 	paths := s.shardPaths(key, meta)
 	m, st, err := shardfile.WriteStreamPaths(paths, src, size,
-		s.cfg.K, s.cfg.R, s.cfg.UnitSize, s.cfg.Workers, s.fileOpts(ctx))
+		s.cfg.K, s.cfg.R, s.cfg.UnitSize, 0, s.fileOpts(ctx))
 	if err != nil {
 		s.removeFiles(paths)
 		return ObjectMeta{}, st, err
@@ -827,8 +819,7 @@ func (o *Object) Demoted() []gemmec.Demotion { return o.sr.Demoted() }
 // a ranged open's part of it — to dst, reconstructing unusable shards on
 // the fly and (for v2 manifests) verifying every unit's stripe checksum
 // in the same pass, on the backend's shared scheduler (sr's Opts carry
-// it, so the per-call worker count is moot). It may be called at most
-// once.
+// it). It may be called at most once.
 func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 	st, err := o.sr.Decode(dst, 0)
 	mt := o.t.m()

@@ -145,7 +145,7 @@ func TestRepairBytesPerObject(t *testing.T) {
 	paths := shardfile.DirPaths(t.TempDir(), 6)
 	opt := shardfile.Opts{Source: tuned.NewRegistry(tuned.Config{})}
 	m, _, err := shardfile.WriteStreamPaths(paths, bytes.NewReader(payload), int64(len(payload)),
-		4, 2, gemmec.DefaultUnitSize, 2, opt)
+		4, 2, gemmec.DefaultUnitSize, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

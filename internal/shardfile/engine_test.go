@@ -38,11 +38,11 @@ type shardSet interface {
 type fileSet struct{ paths []string }
 
 func (s *fileSet) write(src io.Reader, size int64) (Manifest, error) {
-	m, _, err := WriteStreamPaths(s.paths, src, size, tk, tr, tunit, 2, Opts{})
+	m, _, err := WriteStreamPaths(s.paths, src, size, tk, tr, tunit, 0, withWorkers(Opts{}, 2))
 	return m, err
 }
 func (s *fileSet) open(m Manifest, off, n int64) (*StreamReader, error) {
-	return OpenRangePaths(s.paths, m, off, n, Opts{})
+	return OpenRangePaths(s.paths, m, off, n, withWorkers(Opts{}, 2))
 }
 func (s *fileSet) shard(t *testing.T, i int) []byte {
 	b, err := os.ReadFile(s.paths[i])
@@ -118,7 +118,7 @@ func (s *streamSet) write(src io.Reader, size int64) (Manifest, error) {
 		s.bufs[i] = new(bytes.Buffer)
 		ws[i] = s.bufs[i]
 	}
-	m, _, err := WriteStreamTo(ws, src, size, tk, tr, tunit, 2, Opts{})
+	m, _, err := WriteStreamTo(ws, src, size, tk, tr, tunit, Opts{})
 	return m, err
 }
 func (s *streamSet) open(m Manifest, off, n int64) (*StreamReader, error) {
@@ -232,7 +232,7 @@ func TestEngineEmptyObject(t *testing.T) {
 				}
 				defer sr.Close()
 				var out bytes.Buffer
-				if _, err := sr.Decode(&out, 2); err != nil || out.Len() != 0 {
+				if _, err := sr.Decode(&out, 0); err != nil || out.Len() != 0 {
 					t.Fatalf("decode of empty object: %d bytes, err=%v", out.Len(), err)
 				}
 			})
@@ -268,7 +268,7 @@ func TestEngineRangeWindows(t *testing.T) {
 					t.Fatal(err)
 				}
 				var out bytes.Buffer
-				_, err = sr.Decode(&out, 2)
+				_, err = sr.Decode(&out, 0)
 				sr.Close()
 				if err != nil || !bytes.Equal(out.Bytes(), raw[w.off:w.off+w.n]) {
 					t.Fatalf("lost=%d window [%d,+%d): %d bytes back, err=%v", lost, w.off, w.n, out.Len(), err)
@@ -288,7 +288,7 @@ func TestEngineRangeWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sr.Close()
-			if _, err := sr.Decode(io.Discard, 2); err == nil {
+			if _, err := sr.Decode(io.Discard, 0); err == nil {
 				t.Fatal("range decode over truncated sources reported success")
 			}
 		}

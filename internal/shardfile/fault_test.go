@@ -41,7 +41,7 @@ func writeFaultObject(t *testing.T, paths []string, stripes int) (Manifest, []by
 		data[i] = byte(i * 7)
 	}
 	m, _, err := WriteStreamPaths(paths, bytes.NewReader(data), int64(len(data)),
-		fk, fr, funit, 1, Opts{})
+		fk, fr, funit, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestWriteStreamPathsCanceledLeavesNoTemps(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			src := &cancelingReader{trigger: 4 * fk * funit, cancel: cancel}
-			_, _, err := WriteStreamPaths(paths, src, -1, fk, fr, funit, workers,
-				Opts{Ctx: ctx})
+			_, _, err := WriteStreamPaths(paths, src, -1, fk, fr, funit, 0,
+				withWorkers(Opts{Ctx: ctx}, workers))
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -100,10 +100,10 @@ func TestDecodeStalledShardDemoted(t *testing.T) {
 				faultfs.Rule{Op: faultfs.OpRead, Pattern: "shard_000", Stall: true})
 			t.Cleanup(ffs.ReleaseStalls)
 
-			sr, err := OpenStreamPaths(paths, m, Opts{
+			sr, err := OpenStreamPaths(paths, m, withWorkers(Opts{
 				FS:               ffs,
 				ShardReadTimeout: 50 * time.Millisecond,
-			})
+			}, workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestDecodeStalledShardDemoted(t *testing.T) {
 
 			var out bytes.Buffer
 			start := time.Now()
-			if _, err := sr.Decode(&out, workers); err != nil {
+			if _, err := sr.Decode(&out, 0); err != nil {
 				t.Fatalf("decode with stalled shard: %v", err)
 			}
 			if d := time.Since(start); d > 5*time.Second {
@@ -150,7 +150,7 @@ func TestStallDemotionIsNotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if _, err := sr.Decode(bytes.NewBuffer(nil), 1); err != nil {
+	if _, err := sr.Decode(bytes.NewBuffer(nil), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := sr.Unusable(); len(got) != 1 || got[0] != 1 {
@@ -202,7 +202,7 @@ func TestWriteStreamPathsTornWriteAborts(t *testing.T) {
 		faultfs.Rule{Op: faultfs.OpWrite, Pattern: "shard_001.tmp", TornAfter: funit})
 	data := make([]byte, 4*fk*funit)
 	_, _, err := WriteStreamPaths(paths, bytes.NewReader(data), int64(len(data)),
-		fk, fr, funit, 1, Opts{FS: ffs})
+		fk, fr, funit, 0, Opts{FS: ffs})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("torn write err = %v, want ErrInjected", err)
 	}

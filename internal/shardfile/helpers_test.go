@@ -12,11 +12,25 @@ import (
 // The single-directory layout as eccli drives it — DirPaths + the path
 // entry points + the manifest file — so tests read like the CLI.
 
+// testSched is the one pool behind every test stream that asks for more
+// than one worker, as a process has one.
+var testSched = gemmec.NewScheduler(gemmec.SchedulerConfig{Workers: 2})
+
+// withWorkers is how these tests pick a stream's mode by worker count, the
+// entry points ignoring theirs: 1 or less is the inline path, more runs
+// the kernel stage on testSched.
+func withWorkers(opt Opts, workers int) Opts {
+	if workers > 1 {
+		opt.Sched = testSched
+	}
+	return opt
+}
+
 func writeStreamDir(dir string, src io.Reader, size int64, k, r, unitSize, workers int) (Manifest, gemmec.StreamStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Manifest{}, gemmec.StreamStats{}, err
 	}
-	m, st, err := WriteStreamPaths(DirPaths(dir, k+r), src, size, k, r, unitSize, workers, Opts{})
+	m, st, err := WriteStreamPaths(DirPaths(dir, k+r), src, size, k, r, unitSize, 0, withWorkers(Opts{}, workers))
 	if err != nil {
 		return m, st, err
 	}
@@ -24,12 +38,12 @@ func writeStreamDir(dir string, src io.Reader, size int64, k, r, unitSize, worke
 }
 
 func readStreamPaths(paths []string, m Manifest, dst io.Writer, workers int, opt Opts) ([]int, gemmec.StreamStats, error) {
-	sr, err := OpenStreamPaths(paths, m, opt)
+	sr, err := OpenStreamPaths(paths, m, withWorkers(opt, workers))
 	if err != nil {
 		return nil, gemmec.StreamStats{}, err
 	}
 	defer sr.Close()
-	st, err := sr.Decode(dst, workers)
+	st, err := sr.Decode(dst, 0)
 	return sr.Unusable(), st, err
 }
 

@@ -93,7 +93,7 @@ func shapeRoundTrip(t *testing.T, unit, size int) (*shapeFS, []string, *firstWri
 	}
 	fs := newShapeFS()
 	opt := Opts{FS: fs}
-	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(size), tk, tr, unit, 1, opt)
+	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(size), tk, tr, unit, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func shapeRoundTrip(t *testing.T, unit, size int) (*shapeFS, []string, *firstWri
 	}
 	defer sr.Close()
 	dst := &firstWriteProbe{fs: fs}
-	if _, err := sr.Decode(dst, 1); err != nil {
+	if _, err := sr.Decode(dst, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst.Bytes(), raw) {
@@ -171,7 +171,7 @@ func TestReadPlanIOShape(t *testing.T) {
 	raw := make([]byte, stripes*tk*tunit)
 	rand.New(rand.NewSource(5)).Read(raw)
 	paths := DirPaths(t.TempDir(), tk+tr)
-	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 1, Opts{})
+	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 0, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,13 @@ func TestReadPlanIOShape(t *testing.T) {
 	read := func(off, n int64) (*shapeFS, *StreamReader) {
 		t.Helper()
 		fs := newShapeFS()
-		sr, err := OpenRangePaths(paths, m, off, n, Opts{FS: fs})
+		sr, err := OpenRangePaths(paths, m, off, n, withWorkers(Opts{FS: fs}, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sr.Close()
 		var out bytes.Buffer
-		if _, err := sr.Decode(&out, 2); err != nil || !bytes.Equal(out.Bytes(), raw[off:off+n]) {
+		if _, err := sr.Decode(&out, 0); err != nil || !bytes.Equal(out.Bytes(), raw[off:off+n]) {
 			t.Fatalf("[%d,+%d): %d bytes back, err=%v", off, n, out.Len(), err)
 		}
 		return fs, sr

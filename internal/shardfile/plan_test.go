@@ -152,7 +152,7 @@ func TestReadPlanProperty(t *testing.T) {
 
 		dir := t.TempDir()
 		paths := DirPaths(dir, k+r)
-		m, _, err := WriteStreamPaths(paths, bytes.NewReader(payload), int64(size), k, r, unit, 1, Opts{})
+		m, _, err := WriteStreamPaths(paths, bytes.NewReader(payload), int64(size), k, r, unit, 0, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,12 +181,13 @@ func TestReadPlanProperty(t *testing.T) {
 		}
 		desc := fmt.Sprintf("trial %d: k=%d r=%d unit=%d size=%d window [%d,+%d) faults %+v", trial, k, r, unit, size, off, n, faults)
 
-		sr, err := OpenRangePaths(paths, m, int64(off), int64(n), Opts{FS: faultfs.New(vfs.OS, int64(trial), rules...)})
+		sr, err := OpenRangePaths(paths, m, int64(off), int64(n),
+			withWorkers(Opts{FS: faultfs.New(vfs.OS, int64(trial), rules...)}, 1+rng.Intn(2)))
 		if err != nil {
 			t.Fatalf("%s: open: %v", desc, err)
 		}
 		var out bytes.Buffer
-		_, err = sr.Decode(&out, 1+rng.Intn(2))
+		_, err = sr.Decode(&out, 0)
 		sr.Close()
 		if err != nil || !bytes.Equal(out.Bytes(), payload[off:off+n]) {
 			t.Fatalf("%s: %d bytes back, err=%v", desc, out.Len(), err)

@@ -18,13 +18,13 @@ func decodeRangeBack(t *testing.T, dir string, off, length int64) ([]byte, gemme
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sr.Close()
 	var buf bytes.Buffer
-	st, err := sr.DecodeRange(&buf, 2, off, length)
+	st, err := sr.DecodeRange(&buf, 0, off, length)
 	return buf.Bytes(), st, err
 }
 

@@ -49,12 +49,12 @@ func TestSlabMemberRoundTrip(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for _, e := range m.Slab {
-			sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+			sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if _, err := sr.DecodeRange(&buf, 2, e.Offset, e.Size); err != nil {
+			if _, err := sr.DecodeRange(&buf, 0, e.Offset, e.Size); err != nil {
 				sr.Close()
 				t.Fatalf("member %q: %v", e.Name, err)
 			}
@@ -141,7 +141,7 @@ func TestDecodeRangeBounds(t *testing.T) {
 	}
 	defer sr.Close()
 	var buf bytes.Buffer
-	if _, err := sr.DecodeRange(&buf, 1, 50, 51); err == nil {
+	if _, err := sr.DecodeRange(&buf, 0, 50, 51); err == nil {
 		t.Fatal("out-of-range window decoded")
 	}
 }
@@ -158,19 +158,19 @@ func TestStreamSchedulerOpt(t *testing.T) {
 	for i := range paths {
 		paths[i] = ShardPath(dir, i)
 	}
-	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 4, Opts{Sched: s})
+	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 0, Opts{Sched: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	bad, _, err := readStreamPaths(paths, m, &buf, 4, Opts{Sched: s})
+	bad, _, err := readStreamPaths(paths, m, &buf, 0, Opts{Sched: s})
 	if err != nil || len(bad) != 0 {
 		t.Fatalf("read back: bad=%v err=%v", bad, err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
 		t.Fatal("scheduler-driven stream round-trip mismatch")
 	}
-	if _, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 4,
+	if _, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 0,
 		Opts{Sched: nil}); err != nil {
 		t.Fatal(err)
 	}

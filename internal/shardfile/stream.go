@@ -52,8 +52,8 @@ const streamBufSize = gemmec.DefaultUnitSize / 2
 // Opts carries the cross-cutting knobs of the engine's entry points:
 // request lifetime, filesystem seam (file instantiation only), per-shard
 // read deadline, and the shared scheduler and code source. The zero value
-// means "background context, real filesystem, no deadline, per-call
-// workers and code".
+// means "background context, real filesystem, no deadline, inline kernel,
+// per-call code".
 type Opts struct {
 	// Ctx bounds the operation: encode/decode pipelines observe it between
 	// stripes (see gemmec.WithStreamContext) and scrubbing checks it
@@ -70,10 +70,10 @@ type Opts struct {
 	// extra per-read copy).
 	ShardReadTimeout time.Duration
 	// Sched, when non-nil, runs the encode/decode kernel stage on this
-	// shared worker pool (gemmec.WithStreamScheduler) instead of spawning
-	// a per-call pool sized by the workers argument. This is how a server
-	// multiplexes every request's stripe work onto one bounded goroutine
-	// set; the workers argument is ignored when Sched is set.
+	// shared worker pool (gemmec.WithStreamScheduler), overlapped with the
+	// shard I/O. This is how a server multiplexes every request's stripe
+	// work onto one bounded goroutine set. Without it a call runs inline
+	// on the caller's goroutine.
 	Sched *gemmec.Scheduler
 	// Source, when non-nil, supplies shared per-geometry coding state: the
 	// compiled *gemmec.Code and the stripe-buffer pool for (k, r, unitSize).
@@ -102,16 +102,13 @@ func (o Opts) code(k, r, unitSize int) (*gemmec.Code, error) {
 	return gemmec.New(k, r, gemmec.WithUnitSize(unitSize))
 }
 
-// streamOpts translates the worker knob into stream options: the shared
-// scheduler when Opts carries one, otherwise a per-call pool of `workers`
-// kernel goroutines (0 leaves the library default, GOMAXPROCS capped at
-// 8) — plus the shared stripe pool when a Source supplies one.
-func (o Opts) streamOpts(k, r, unitSize, workers int) []gemmec.StreamOption {
+// streamOpts translates Opts into stream options: the shared scheduler
+// when Opts carries one, and the shared stripe pool when a Source supplies
+// one.
+func (o Opts) streamOpts(k, r, unitSize int) []gemmec.StreamOption {
 	opts := make([]gemmec.StreamOption, 0, 5)
 	if o.Sched != nil {
 		opts = append(opts, gemmec.WithStreamScheduler(o.Sched))
-	} else if workers > 0 {
-		opts = append(opts, gemmec.WithStreamWorkers(workers)) //nolint:staticcheck // scheduler-less callers (eccli) size a per-call pool
 	}
 	if o.Source != nil {
 		if p, err := o.Source.StreamPool(k, r, unitSize); err == nil && p != nil {
@@ -206,8 +203,8 @@ func (s *shardSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// WriteStreamTo is the encode core: it streams src through the pipelined
-// kernel into the k+r shard writers ws — files, pipes to peers, anything —
+// WriteStreamTo is the encode core: it streams src through the stripe
+// loop into the k+r shard writers ws — files, pipes to peers, anything —
 // and returns the manifest describing the set. Each writer gets a pooled
 // bufio layer (flushed before return; closing or committing the sink is
 // the caller's job) and a stripe summer, so the manifest's CRC32C columns
@@ -215,7 +212,7 @@ func (s *shardSink) Write(p []byte) (int, error) {
 // actually read; pass size < 0 when the source length is unknown up front
 // (e.g. a chunked HTTP upload). An empty source still yields one all-zero
 // stripe. A canceled opt.Ctx aborts the encode between stripes.
-func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize, workers int, opt Opts) (Manifest, gemmec.StreamStats, error) {
+func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize int, opt Opts) (Manifest, gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}
 	if len(ws) != k+r {
@@ -252,7 +249,7 @@ func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize, wo
 	if size == 0 {
 		src = bytes.NewReader(make([]byte, code.DataSize()))
 	}
-	encOpts := append(opt.streamOpts(k, r, unitSize, workers),
+	encOpts := append(opt.streamOpts(k, r, unitSize),
 		gemmec.WithStreamStats(&st), gemmec.WithStreamContext(opt.context()))
 	in := getBufReader(src)
 	sp := obs.StartSpan(opt.context(), "shardfile.encode")
@@ -297,12 +294,17 @@ func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize, wo
 // encodes src into k+r shard files at the given paths and returns the
 // manifest describing the set (the caller persists it — SaveManifest for
 // the single-directory layout, or embedded in object metadata for a
-// multi-node layout). size and workers are WriteStreamTo's. Each shard is
-// written via a temporary file and renamed into place on success, so
-// concurrent readers never observe a half-written shard; on any failure
-// — a canceled opt.Ctx (client disconnect, deadline, drain) included —
-// every temporary file is removed: a failed write leaves nothing behind.
-func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize, workers int, opt Opts) (Manifest, gemmec.StreamStats, error) {
+// multi-node layout). size is WriteStreamTo's. Each shard is written via
+// a temporary file and renamed into place on success, so concurrent
+// readers never observe a half-written shard; on any failure — a canceled
+// opt.Ctx (client disconnect, deadline, drain) included — every temporary
+// file is removed: a failed write leaves nothing behind.
+//
+// The int after unitSize is ignored. It was a per-call worker count; the
+// frozen benchmark/ladder.go still passes one here and to
+// StreamReader.Decode and DecodeRange, and the next [benchmark] PR drops
+// all three (ROADMAP item 4). Workers come from opt.Sched.
+func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize, _ int, opt Opts) (Manifest, gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}
 	if len(paths) != k+r {
@@ -314,7 +316,7 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 	}
 	err := writeShardFiles(opt.fs(), paths, all, func(ws []io.Writer) error {
 		var err error
-		m, st, err = WriteStreamTo(ws, src, size, k, r, unitSize, workers, opt)
+		m, st, err = WriteStreamTo(ws, src, size, k, r, unitSize, opt)
 		return err
 	})
 	return m, st, err
@@ -493,19 +495,19 @@ func (sr *StreamReader) VerifyUnit(shard int, stripe int64, unit []byte) error {
 }
 
 // Decode streams the payload window the reader was opened for to dst,
-// rebuilding the unusable shards' data units on the fly; a window longer
-// than one stripe runs through workers concurrent reconstruction workers.
-// For v2 manifests every unit is verified against its stripe checksum as
-// it is read — the single pass both checks and decodes — and a shard that
-// fails mid-stream (mismatch, truncation, read error) is demoted to
-// erased and reconstructed around for the remaining stripes; see Demoted.
-// It may be called at most once; Close must still be called after.
+// rebuilding the unusable shards' data units on the fly (its int argument
+// is ignored — see WriteStreamPaths). For v2 manifests every unit is
+// verified against its stripe checksum as it is read — the single pass
+// both checks and decodes — and a shard that fails mid-stream (mismatch,
+// truncation, read error) is demoted to erased and reconstructed around
+// for the remaining stripes; see Demoted. It may be called at most once;
+// Close must still be called after.
 //
 // The decode observes the Opts the reader was opened with: a canceled
 // Ctx stops the pipeline between stripes, and a positive ShardReadTimeout
 // demotes (cause "stall") any shard whose underlying read outlives the
 // deadline instead of letting it hang the stream.
-func (sr *StreamReader) Decode(dst io.Writer, workers int) (gemmec.StreamStats, error) {
+func (sr *StreamReader) Decode(dst io.Writer, _ int) (gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	m := sr.m
 	code, err := sr.opt.code(m.K, m.R, m.UnitSize)
@@ -514,7 +516,7 @@ func (sr *StreamReader) Decode(dst io.Writer, workers int) (gemmec.StreamStats, 
 	}
 	out := getBufWriter(dst)
 	defer putBufWriter(out)
-	opts := append(sr.opt.streamOpts(m.K, m.R, m.UnitSize, workers),
+	opts := append(sr.opt.streamOpts(m.K, m.R, m.UnitSize),
 		gemmec.WithStreamStats(&st), gemmec.WithStreamContext(sr.opt.context()))
 	if m.StripeVerified() {
 		opts = append(opts, gemmec.WithStreamVerifier(sr))
@@ -536,7 +538,7 @@ func (sr *StreamReader) Decode(dst io.Writer, workers int) (gemmec.StreamStats, 
 // source the open positioned for the old one is reopened where the new
 // one needs it. A caller that knows its window up front opens with it
 // (OpenRangePaths, or PlanRead + OpenStreams) and calls Decode.
-func (sr *StreamReader) DecodeRange(dst io.Writer, workers int, off, length int64) (gemmec.StreamStats, error) {
+func (sr *StreamReader) DecodeRange(dst io.Writer, _ int, off, length int64) (gemmec.StreamStats, error) {
 	if off != sr.plan.Off || length != sr.plan.Len {
 		plan, err := PlanRead(sr.m, off, length)
 		if err != nil {
@@ -544,7 +546,7 @@ func (sr *StreamReader) DecodeRange(dst io.Writer, workers int, off, length int6
 		}
 		sr.plan = plan
 	}
-	return sr.Decode(dst, workers)
+	return sr.Decode(dst, 0)
 }
 
 // recordDemotions folds mid-stream demotions into the reader's unusable

@@ -196,7 +196,7 @@ func TestV2OpenSkipsPreRead(t *testing.T) {
 		t.Fatal("WriteStream did not emit a stripe-verified (v2) manifest")
 	}
 	corruptShardByte(t, dir, 2, int64(tunit)+13) // stripe 1 of shard 2
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestV2OpenSkipsPreRead(t *testing.T) {
 		t.Fatal("v2 open saw in-place corruption: shard content was pre-read")
 	}
 	var buf bytes.Buffer
-	if _, err := sr.Decode(&buf, 2); err != nil {
+	if _, err := sr.Decode(&buf, 0); err != nil {
 		t.Fatalf("decode with one rotten shard: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
@@ -238,7 +238,7 @@ func TestMidStreamTruncationDemotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestMidStreamTruncationDemotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := sr.Decode(&buf, 2); err != nil {
+	if _, err := sr.Decode(&buf, 0); err != nil {
 		t.Fatalf("decode with mid-stream truncation: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
@@ -278,13 +278,13 @@ func TestTooManyDemotionsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
 		t.Fatal(err) // open is clean: corruption is in-place
 	}
 	defer sr.Close()
 	var buf bytes.Buffer
-	_, err = sr.Decode(&buf, 2)
+	_, err = sr.Decode(&buf, 0)
 	if err == nil {
 		t.Fatal("decode succeeded with fewer than k trusted shards")
 	}
@@ -330,7 +330,7 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	dir, raw := writeStreamTestFile(t, tk*tunit*2+9)
 	m := downgradeToV1(t, dir)
 	corruptShardByte(t, dir, 3, 7)
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestV1ManifestBackCompat(t *testing.T) {
 		t.Fatalf("Corrupt = %v, want [3]", c)
 	}
 	var buf bytes.Buffer
-	if _, err := sr.Decode(&buf, 2); err != nil {
+	if _, err := sr.Decode(&buf, 0); err != nil {
 		sr.Close()
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestOpenStreamPathsReportsBeforeDecode(t *testing.T) {
 	if err := os.Remove(ShardPath(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, Opts{})
+	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestOpenStreamPathsReportsBeforeDecode(t *testing.T) {
 		t.Fatalf("Corrupt = %v, want none (shard was removed, not rotted)", sr.Corrupt())
 	}
 	var buf bytes.Buffer
-	if _, err := sr.Decode(&buf, 2); err != nil {
+	if _, err := sr.Decode(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {

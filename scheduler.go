@@ -16,11 +16,10 @@ import (
 // not a per-request detail.
 //
 // Construct one per process (or per store) with NewScheduler, pass it to
-// streams with WithStreamScheduler, and Close it on shutdown. Without a
-// Scheduler, each stream call builds a private per-call pool — correct,
-// but it pays goroutine setup/teardown per request and lets concurrent
-// requests oversubscribe the CPU. Shard output is byte-identical either
-// way.
+// streams with WithStreamScheduler, and Close it on shutdown. It is the
+// only source of stream workers: a stream call without a Scheduler runs
+// inline on the caller's goroutine, one stripe at a time. Shard output is
+// byte-identical either way.
 type Scheduler struct {
 	s *sched.Scheduler
 }
@@ -34,7 +33,8 @@ var ErrOverloaded = sched.ErrOverloaded
 type SchedulerConfig struct {
 	// Workers is the pool size: how many stripes are encoded or
 	// reconstructed concurrently across ALL streams sharing the pool.
-	// 0 selects GOMAXPROCS.
+	// 0 selects the default, GOMAXPROCS capped at 8: the one pool-size
+	// default of the module — Store, Gateway and eccli pass their 0 here.
 	Workers int
 	// MaxStreams bounds how many streams may hold an admission slot at
 	// once (see Admit). 0 disables admission control. Streams do not need
@@ -46,7 +46,8 @@ type SchedulerConfig struct {
 	OnWait func(time.Duration)
 }
 
-// NewScheduler builds a shared pool and starts its workers.
+// NewScheduler builds a shared pool and starts its workers: cfg.Workers of
+// them, or GOMAXPROCS capped at 8 when that is 0.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	return &Scheduler{s: sched.New(sched.Config{
 		Workers:    cfg.Workers,
@@ -92,10 +93,10 @@ func (s *Scheduler) Shed() int64 { return s.s.Shed() }
 func (s *Scheduler) IdleFor() time.Duration { return s.s.IdleFor() }
 
 // WithStreamScheduler runs the stream's kernel stage on the shared pool
-// instead of a private per-call one. The stream creates one FIFO queue on
-// the pool and closes it before returning; WithStreamWorkers is ignored
-// in its presence (pool size governs), WithStreamDepth still sizes the
-// stream's stripe ring (in-flight bound).
+// instead of inline on the caller's goroutine, overlapped with a reader
+// and an in-order writer. The stream creates one FIFO queue on the pool
+// and closes it before returning; its stripe ring (the in-flight bound) is
+// two buffers per pool worker.
 func WithStreamScheduler(s *Scheduler) StreamOption {
 	return func(c *streamConfig) error {
 		if s == nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // encodeShards encodes src and returns the shard bytes, for comparing the
-// scheduler path against the serial baseline.
+// scheduler path against the inline baseline.
 func encodeShards(t *testing.T, c *Code, src []byte, opts ...StreamOption) [][]byte {
 	t.Helper()
 	sinks := make([]*bytes.Buffer, c.K()+c.R())
@@ -29,24 +29,49 @@ func encodeShards(t *testing.T, c *Code, src []byte, opts ...StreamOption) [][]b
 	return out
 }
 
-// TestSchedulerRoundTrip: streams on a shared scheduler round-trip through
-// losses and produce shard output byte-identical to the serial path.
+// TestSchedulerRoundTrip: parallelism is a scheduling concern, never a
+// codec concern. Against the inline path (no scheduler), pools of 1, 2 and
+// 4 workers produce byte-identical shards and the same stripe count at
+// every size class, round-trip through losses, and decode the same
+// plaintext from the same losses.
 func TestSchedulerRoundTrip(t *testing.T) {
 	c := newSmall(t, 4, 2)
-	s := NewScheduler(SchedulerConfig{Workers: 4})
-	defer s.Close()
 	stripe := c.DataSize()
-	for _, size := range []int{0, 1, c.UnitSize(), stripe - 1, stripe, stripe + 1, 3*stripe + 1234} {
-		streamRoundTrip(t, c, size, nil, WithStreamScheduler(s))
-		streamRoundTrip(t, c, size, []int{0, 5}, WithStreamScheduler(s))
-
-		src := make([]byte, size)
-		rand.New(rand.NewSource(int64(size))).Read(src)
-		serial := encodeShards(t, c, src, WithStreamWorkers(1))
-		shared := encodeShards(t, c, src, WithStreamScheduler(s))
-		for i := range serial {
-			if !bytes.Equal(serial[i], shared[i]) {
-				t.Fatalf("size=%d: shard %d differs between serial and scheduler paths", size, i)
+	sizes := []int{0, 1, c.UnitSize(), c.UnitSize() + 3, stripe - 1, stripe, stripe + 1, 3*stripe + 1234, 5*stripe + 91}
+	for _, workers := range []int{1, 2, 4} {
+		s := NewScheduler(SchedulerConfig{Workers: workers})
+		t.Cleanup(s.Close)
+		for _, size := range sizes {
+			src := make([]byte, size)
+			rand.New(rand.NewSource(int64(size) + 1)).Read(src)
+			var inlineSt, poolSt StreamStats
+			inline := encodeShards(t, c, src, WithStreamStats(&inlineSt))
+			pooled := encodeShards(t, c, src, WithStreamScheduler(s), WithStreamStats(&poolSt))
+			for i := range inline {
+				if !bytes.Equal(inline[i], pooled[i]) {
+					t.Fatalf("workers=%d size=%d: shard %d differs between inline and scheduler paths", workers, size, i)
+				}
+			}
+			if inlineSt.Stripes != poolSt.Stripes {
+				t.Fatalf("workers=%d size=%d: %d stripes inline, %d on the scheduler", workers, size, inlineSt.Stripes, poolSt.Stripes)
+			}
+			for _, lose := range [][]int{nil, {0}, {1, 5}} {
+				for _, opts := range [][]StreamOption{nil, {WithStreamScheduler(s)}} {
+					readers := make([]io.Reader, len(inline))
+					for i := range inline {
+						readers[i] = bytes.NewReader(inline[i])
+					}
+					for _, i := range lose {
+						readers[i] = nil
+					}
+					var out bytes.Buffer
+					if err := c.DecodeStream(readers, &out, int64(size), opts...); err != nil {
+						t.Fatalf("workers=%d size=%d lose=%v scheduler=%v: %v", workers, size, lose, opts != nil, err)
+					}
+					if !bytes.Equal(out.Bytes(), src) {
+						t.Fatalf("workers=%d size=%d lose=%v scheduler=%v: decode output differs from source", workers, size, lose, opts != nil)
+					}
+				}
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"gemmec/internal/pipeline"
 	"gemmec/internal/stripe"
@@ -12,13 +11,15 @@ import (
 
 // Streaming interface: encode an arbitrary-length stream into k+r shard
 // streams and read it back, reconstructing from parity when data shard
-// streams are missing. Stripes flow through a pipelined engine
-// (internal/pipeline): a bounded ring of pooled stripe buffers is filled
-// by a reader stage, encoded (or reconstructed) by a configurable number
-// of concurrent kernel workers, and drained by an in-order writer, so the
-// compiled kernel (§5's integration argument) is never idle behind serial
-// I/O. Shard output is byte-identical regardless of worker count: the
-// writer reorders stripes by sequence number.
+// streams are missing. Stripes flow through one loop (internal/pipeline):
+// a bounded ring of pooled stripe buffers is filled by a reader stage,
+// encoded (or reconstructed) by the kernel stage, and drained by an
+// in-order writer. Handed a Scheduler (WithStreamScheduler) the kernel
+// stage runs on that shared pool and the stages overlap, so the compiled
+// kernel (§5's integration argument) is never idle behind serial I/O;
+// without one the call runs inline on the caller's goroutine. Shard
+// output is byte-identical either way: the writer drains stripes in
+// sequence order.
 
 // StreamStats reports what one stream call did and where it waited; see
 // the field docs for how to read the stall times. Request it with
@@ -33,13 +34,11 @@ type UnitVerifier = pipeline.UnitVerifier
 
 // streamConfig collects StreamOption state.
 type streamConfig struct {
-	workers int
-	depth   int
-	sched   *Scheduler
-	pool    *StripePool
-	stats   *StreamStats
-	verify  UnitVerifier
-	ctx     context.Context
+	sched  *Scheduler
+	pool   *StripePool
+	stats  *StreamStats
+	verify UnitVerifier
+	ctx    context.Context
 }
 
 var errNilScheduler = fmt.Errorf("gemmec: stream scheduler is nil")
@@ -47,45 +46,6 @@ var errNilScheduler = fmt.Errorf("gemmec: stream scheduler is nil")
 // StreamOption configures EncodeStream and DecodeStream. The zero-option
 // call form uses the defaults documented on each option.
 type StreamOption func(*streamConfig) error
-
-// WithStreamWorkers sets how many stripes are encoded (or reconstructed)
-// concurrently. 1 selects the serial path (no goroutines). The default is
-// GOMAXPROCS capped at 8.
-//
-// Deprecated: worker count is a process resource, not a stream detail.
-// With n > 1 the stream builds a private per-call scheduler (a pool that
-// lives and dies with the call) — exactly the setup/teardown cost and
-// CPU oversubscription WithStreamScheduler exists to amortize. Share one
-// NewScheduler pool across streams instead; WithStreamWorkers is ignored
-// when a scheduler is attached. Zero-option calls and n == 1 (the serial
-// path) behave byte-identically to previous releases and stay supported.
-func WithStreamWorkers(n int) StreamOption {
-	return func(c *streamConfig) error {
-		if n < 1 {
-			return fmt.Errorf("gemmec: stream workers must be >= 1, have %d", n)
-		}
-		c.workers = n
-		return nil
-	}
-}
-
-// WithStreamDepth sets the pipeline depth: the maximum number of stripe
-// buffers in flight between the reader and the in-order writer. It is
-// clamped up to the worker count. The default is twice the worker count.
-//
-// Deprecated: depth still works — it bounds the stream's stripe ring
-// under WithStreamScheduler too — but tuning it per call predates the
-// shared-scheduler API and the default is right in practice. Kept as a
-// compatibility shim alongside WithStreamWorkers.
-func WithStreamDepth(n int) StreamOption {
-	return func(c *streamConfig) error {
-		if n < 1 {
-			return fmt.Errorf("gemmec: stream depth must be >= 1, have %d", n)
-		}
-		c.depth = n
-		return nil
-	}
-}
 
 // WithStreamPool supplies the stripe-buffer pool the pipeline draws its
 // ring from. The pool must come from NewStreamPool (geometry (k+r) x
@@ -165,20 +125,11 @@ func (c *Code) streamConfig(opts []StreamOption) (streamConfig, error) {
 			return cfg, err
 		}
 	}
-	if cfg.workers == 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-		if cfg.workers > 8 {
-			cfg.workers = 8
-		}
-	}
-	if cfg.depth == 0 {
-		cfg.depth = 2 * cfg.workers
-	}
 	return cfg, nil
 }
 
 func (cfg streamConfig) pipeline() pipeline.Config {
-	pc := pipeline.Config{Workers: cfg.workers, Depth: cfg.depth, Pool: cfg.pool, Verify: cfg.verify, Ctx: cfg.ctx}
+	pc := pipeline.Config{Pool: cfg.pool, Verify: cfg.verify, Ctx: cfg.ctx}
 	if cfg.sched != nil {
 		pc.Sched = cfg.sched.s
 	}
@@ -190,10 +141,12 @@ func (cfg streamConfig) pipeline() pipeline.Config {
 // writers, none nil. The final stripe is zero-padded; callers must record
 // the true length (the returned byte count) to trim on decode.
 //
-// With the default options encoding is pipelined across GOMAXPROCS (up to
-// 8) kernel workers; shard output is byte-identical to the serial path.
-// Tune with WithStreamWorkers, WithStreamDepth, WithStreamPool, and
-// observe the pipeline with WithStreamStats.
+// With no options the call runs inline: every stripe is read, encoded and
+// written on the caller's goroutine. WithStreamScheduler runs the kernel
+// on a shared worker pool and overlaps it with the I/O on either side;
+// shard output is byte-identical to the inline path. Share ring buffers
+// across calls with WithStreamPool, bound the call with WithStreamContext,
+// and observe it with WithStreamStats.
 func (c *Code) EncodeStream(src io.Reader, shards []io.Writer, opts ...StreamOption) (int64, error) {
 	k, r := c.K(), c.R()
 	if len(shards) != k+r {
@@ -229,8 +182,8 @@ func (c *Code) EncodeStream(src io.Reader, shards []io.Writer, opts ...StreamOpt
 // StreamStats.Demoted; the stream fails (wrapping ErrShardDemoted and
 // ErrTooFewShards) only when fewer than k trusted streams remain.
 //
-// Decoding runs through the same pipeline as encoding (see EncodeStream);
-// the same StreamOptions apply.
+// Decoding runs through the same loop as encoding (see EncodeStream); the
+// same StreamOptions apply.
 func (c *Code) DecodeStream(shards []io.Reader, dst io.Writer, size int64, opts ...StreamOption) error {
 	k, r := c.K(), c.R()
 	if len(shards) != k+r {

@@ -74,7 +74,7 @@ func TestEncodeStreamCanceledMidStream(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			_, err := c.EncodeStream(src, sinks,
-				WithStreamContext(ctx), WithStreamWorkers(workers))
+				WithStreamContext(ctx), StreamWorkers(t, workers))
 			done <- err
 		}()
 		<-src.progressed

@@ -80,7 +80,7 @@ func TestStreamPipelinedRoundTrip(t *testing.T) {
 	}
 	stripe := c.DataSize()
 	for _, workers := range []int{2, 4} {
-		opts := []StreamOption{WithStreamWorkers(workers), WithStreamPool(pool)}
+		opts := []StreamOption{StreamWorkers(t, workers), WithStreamPool(pool)}
 		for _, size := range []int{0, 1, stripe - 1, stripe, 5*stripe + 1234} {
 			streamRoundTrip(t, c, size, nil, opts...)
 		}
@@ -104,7 +104,7 @@ func TestStreamOrderIdentical(t *testing.T) {
 			sinks[i] = &bytes.Buffer{}
 			writers[i] = sinks[i]
 		}
-		n, err := c.EncodeStream(bytes.NewReader(src), writers, WithStreamWorkers(workers))
+		n, err := c.EncodeStream(bytes.NewReader(src), writers, StreamWorkers(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestStreamStats(t *testing.T) {
 		writers[i] = sinks[i]
 	}
 	var st StreamStats
-	n, err := c.EncodeStream(bytes.NewReader(src), writers, WithStreamWorkers(3), WithStreamStats(&st))
+	n, err := c.EncodeStream(bytes.NewReader(src), writers, StreamWorkers(t, 3), WithStreamStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,32 @@ func TestStreamStats(t *testing.T) {
 	readers[2] = nil
 	var dst bytes.Buffer
 	var decSt StreamStats
-	if err := c.DecodeStream(readers, &dst, n, WithStreamWorkers(2), WithStreamStats(&decSt)); err != nil {
+	if err := c.DecodeStream(readers, &dst, n, StreamWorkers(t, 2), WithStreamStats(&decSt)); err != nil {
 		t.Fatal(err)
 	}
 	if decSt.Stripes != 8 || decSt.BytesOut != n || decSt.Workers != 2 || decSt.Elapsed <= 0 {
 		t.Fatalf("decode stats not populated: %+v", decSt)
+	}
+
+	// Workers/Depth say how the run ran, not what pool was on offer: a
+	// stream handed no scheduler, and a one-stripe decode handed one, both
+	// ran inline on the caller — 1 and 1.
+	if _, err := c.EncodeStream(bytes.NewReader(src), writers, WithStreamStats(&st)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers != 1 || st.Depth != 1 || st.Stripes != 8 {
+		t.Fatalf("inline encode stats: %+v", st)
+	}
+	one := c.DataSize() - 7
+	shards, _ := encodeToShards(t, c, src[:one])
+	for i := range readers {
+		readers[i] = bytes.NewReader(shards[i])
+	}
+	if err := c.DecodeStream(readers, io.Discard, int64(one), StreamWorkers(t, 2), WithStreamStats(&decSt)); err != nil {
+		t.Fatal(err)
+	}
+	if decSt.Workers != 1 || decSt.Depth != 1 || decSt.Stripes != 1 {
+		t.Fatalf("one-stripe decode on a scheduler should run inline: %+v", decSt)
 	}
 }
 
@@ -176,12 +197,6 @@ func TestStreamOptionValidation(t *testing.T) {
 	writers := make([]io.Writer, 6)
 	for i := range writers {
 		writers[i] = io.Discard
-	}
-	if _, err := c.EncodeStream(bytes.NewReader(nil), writers, WithStreamWorkers(0)); err == nil {
-		t.Error("workers=0 accepted")
-	}
-	if _, err := c.EncodeStream(bytes.NewReader(nil), writers, WithStreamDepth(-1)); err == nil {
-		t.Error("negative depth accepted")
 	}
 	if _, err := c.EncodeStream(bytes.NewReader(nil), writers, WithStreamPool(nil)); err == nil {
 		t.Error("nil pool accepted")
@@ -199,8 +214,11 @@ func TestStreamOptionValidation(t *testing.T) {
 
 // TestStreamSteadyStateAllocs: with a shared stream pool, streaming holds
 // zero per-stripe allocations — the per-call cost is constant pipeline
-// setup, independent of how many stripes flow through. This is the probe
-// for the old bug where EncodeStream allocated data+parity every call.
+// setup, independent of how many stripes flow through — inline and queued
+// on a scheduler alike (workers 1 and 2; the ring, the queue and the
+// reader goroutine are per-call, so only the inline constant is pinned).
+// This is the probe for the old bug where EncodeStream allocated
+// data+parity every call.
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -217,21 +235,25 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	small := make([]byte, 4*c.DataSize())
 	large := make([]byte, 64*c.DataSize())
 	rd := bytes.NewReader(nil)
-	run := func(payload []byte) float64 {
-		return testing.AllocsPerRun(20, func() {
-			rd.Reset(payload)
-			if _, err := c.EncodeStream(rd, writers, WithStreamWorkers(1), WithStreamPool(pool)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	run(small) // warm the stripe pool and kernel scratch pool
-	a4, a64 := run(small), run(large)
-	if perStripe := (a64 - a4) / 60; perStripe > 0.05 {
-		t.Fatalf("steady-state streaming allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)", perStripe, a4, a64)
-	}
-	if a4 > 8 {
-		t.Fatalf("per-call setup allocates %.0f, want a small constant", a4)
+	for _, workers := range []int{1, 2} {
+		opts := []StreamOption{StreamWorkers(t, workers), WithStreamPool(pool)}
+		run := func(payload []byte) float64 {
+			return testing.AllocsPerRun(20, func() {
+				rd.Reset(payload)
+				if _, err := c.EncodeStream(rd, writers, opts...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		run(small) // warm the stripe pool and kernel scratch pool
+		a4, a64 := run(small), run(large)
+		if perStripe := (a64 - a4) / 60; perStripe > 0.05 {
+			t.Fatalf("workers=%d: steady-state streaming allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)",
+				workers, perStripe, a4, a64)
+		}
+		if workers == 1 && a4 > 8 {
+			t.Fatalf("per-call setup allocates %.0f, want a small constant", a4)
+		}
 	}
 }
 
@@ -246,7 +268,7 @@ func encodeToShards(t *testing.T, c *Code, src []byte) ([][]byte, [][]uint32) {
 		sinks[i] = &bytes.Buffer{}
 		writers[i] = sinks[i]
 	}
-	if _, err := c.EncodeStream(bytes.NewReader(src), writers, WithStreamWorkers(1)); err != nil {
+	if _, err := c.EncodeStream(bytes.NewReader(src), writers); err != nil {
 		t.Fatal(err)
 	}
 	tab := crc32.MakeTable(crc32.Castagnoli)
@@ -311,7 +333,7 @@ func TestDecodeStreamSinglePass(t *testing.T) {
 	var out bytes.Buffer
 	var st StreamStats
 	err := c.DecodeStream(readers, &out, int64(len(src)),
-		WithStreamWorkers(2), WithStreamVerifier(newCRCVerifier(sums)), WithStreamStats(&st))
+		StreamWorkers(t, 2), WithStreamVerifier(newCRCVerifier(sums)), WithStreamStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +374,11 @@ func TestDecodeStreamTTFB(t *testing.T) {
 			}
 		}}
 		err := c.DecodeStream(readers, probe, int64(len(src)),
-			WithStreamWorkers(workers), WithStreamDepth(2), WithStreamVerifier(newCRCVerifier(sums)))
+			StreamWorkers(t, workers), WithStreamVerifier(newCRCVerifier(sums)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The pipeline may run ahead by its depth plus in-flight workers;
+		// The pipeline may run ahead by its ring (two slots per worker);
 		// anything O(a few stripes) passes, a whole-object pre-read (64
 		// stripes here) fails.
 		budget := int64(8 * len(shards) * c.UnitSize())
@@ -399,7 +421,7 @@ func TestStreamVerifierDemotion(t *testing.T) {
 	var out bytes.Buffer
 	var st StreamStats
 	err := c.DecodeStream(readers, &out, int64(len(src)),
-		WithStreamWorkers(2), WithStreamVerifier(newCRCVerifier(sums)), WithStreamStats(&st))
+		StreamWorkers(t, 2), WithStreamVerifier(newCRCVerifier(sums)), WithStreamStats(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +441,8 @@ func TestStreamVerifierDemotion(t *testing.T) {
 
 // TestDecodeStreamSteadyStateAllocs is the decode-side twin of
 // TestStreamSteadyStateAllocs: with a shared pool, steady-state verified
-// decoding (CRC per unit included) holds zero per-stripe allocations.
+// decoding (CRC per unit included) holds zero per-stripe allocations,
+// inline and queued alike.
 func TestDecodeStreamSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -443,27 +466,29 @@ func TestDecodeStreamSteadyStateAllocs(t *testing.T) {
 		readers[i] = raw[i]
 	}
 	smallV, largeV := newCRCVerifier(smallSums), newCRCVerifier(largeSums)
-	run := func(shards [][]byte, size int64, v *crcVerifier) float64 {
-		return testing.AllocsPerRun(20, func() {
-			for i := range raw {
-				raw[i].Reset(shards[i])
-			}
-			err := c.DecodeStream(readers, io.Discard, size,
-				WithStreamWorkers(1), WithStreamPool(pool), WithStreamVerifier(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	run(smallShards, int64(len(smallSrc)), smallV) // warm pools
-	a4 := run(smallShards, int64(len(smallSrc)), smallV)
-	a64 := run(largeShards, int64(len(largeSrc)), largeV)
-	if perStripe := (a64 - a4) / 60; perStripe > 0.05 {
-		t.Fatalf("steady-state verified decode allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)",
-			perStripe, a4, a64)
-	}
-	if a4 > 8 {
-		t.Fatalf("per-call decode setup allocates %.0f, want a small constant", a4)
+	for _, workers := range []int{1, 2} {
+		mode := StreamWorkers(t, workers)
+		run := func(shards [][]byte, size int64, v *crcVerifier) float64 {
+			opts := []StreamOption{mode, WithStreamPool(pool), WithStreamVerifier(v)}
+			return testing.AllocsPerRun(20, func() {
+				for i := range raw {
+					raw[i].Reset(shards[i])
+				}
+				if err := c.DecodeStream(readers, io.Discard, size, opts...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		run(smallShards, int64(len(smallSrc)), smallV) // warm pools
+		a4 := run(smallShards, int64(len(smallSrc)), smallV)
+		a64 := run(largeShards, int64(len(largeSrc)), largeV)
+		if perStripe := (a64 - a4) / 60; perStripe > 0.05 {
+			t.Fatalf("workers=%d: steady-state verified decode allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)",
+				workers, perStripe, a4, a64)
+		}
+		if workers == 1 && a4 > 8 {
+			t.Fatalf("per-call decode setup allocates %.0f, want a small constant", a4)
+		}
 	}
 }
 
@@ -481,6 +506,7 @@ func TestStreamConcurrent(t *testing.T) {
 	for g := 0; g < streams; g++ {
 		go func(g int) {
 			errs <- func() error {
+				mode := StreamWorkers(t, 2+g%3)
 				size := (3+g)*c.DataSize() + 13*g
 				src := make([]byte, size)
 				rand.New(rand.NewSource(int64(g))).Read(src)
@@ -491,7 +517,7 @@ func TestStreamConcurrent(t *testing.T) {
 					writers[i] = sinks[i]
 				}
 				n, err := c.EncodeStream(bytes.NewReader(src), writers,
-					WithStreamWorkers(2+g%3), WithStreamPool(pool))
+					mode, WithStreamPool(pool))
 				if err != nil {
 					return err
 				}
@@ -502,7 +528,7 @@ func TestStreamConcurrent(t *testing.T) {
 				readers[g%4] = nil
 				var out bytes.Buffer
 				if err := c.DecodeStream(readers, &out, n,
-					WithStreamWorkers(2), WithStreamPool(pool)); err != nil {
+					mode, WithStreamPool(pool)); err != nil {
 					return err
 				}
 				if !bytes.Equal(out.Bytes(), src) {
