@@ -1,9 +1,9 @@
 // Command ecserver is the networked erasure-coded object daemon: an HTTP
-// object store that stripes every uploaded object across N local "node"
-// directories (distinct failure domains) through the gemmec streaming
-// pipeline, serves reads with transparent degraded-read reconstruction
-// when shards are missing or corrupt, and runs a background scrubber that
-// heals damage on a jittered interval.
+// object store that stripes every uploaded object across distinct failure
+// domains through the gemmec streaming pipeline, serves reads with
+// transparent degraded-read reconstruction when shards are missing or
+// corrupt, and runs a background scrubber that heals damage on a jittered
+// interval.
 //
 // Start a 6-node store and exercise a failure:
 //
@@ -14,10 +14,10 @@
 //	                                            # degraded read, bytes intact
 //	curl -X POST http://localhost:8080/scrub    # or wait for the scrubber
 //
-// Endpoints: PUT/GET/HEAD/DELETE /o/<name>, GET /objects, POST /scrub,
-// GET /statusz, GET /healthz (503 when the scrub loop is wedged),
-// GET /metricsz (Prometheus text format). SIGINT/SIGTERM drain in-flight
-// requests and the in-flight scrub sweep before exiting.
+// Endpoints: PUT/GET/HEAD/PATCH/DELETE /o/<name>, GET /objects, POST
+// /scrub, GET /statusz, GET /healthz (503 when the scrub loop is wedged),
+// GET /metricsz (Prometheus text format), GET /tracez. SIGINT/SIGTERM
+// drain in-flight requests and the in-flight scrub sweep before exiting.
 //
 // Cluster mode (-peers or -peers-file) turns N ecserver processes into
 // one erasure-coded cluster of real networked peers: every process
@@ -28,7 +28,12 @@
 // quorum and are abandoned cleanly otherwise; reads fetch surviving
 // shards from live peers and reconstruct transparently; a lost member is
 // restored with -rebuild-node (or POST /rebuild/{id}). A three-peer
-// walkthrough lives in the README's Cluster section.
+// walkthrough lives in the README's Cluster section. Both modes run the
+// same serving path; they differ in the backend behind it and the
+// /internal/ mount. A flag only one mode honours (-nodes, -slab-*,
+// -shard-read-timeout, -tune-*, -decoder-cache for a single node;
+// -peer-id, -cluster-secret, -write-quorum, -rebuild-node for a cluster)
+// set explicitly in the other mode is an error (exit 2).
 //
 // Observability: every request gets an X-Gemmec-Request-Id and a JSON
 // access-log line on stderr (silence with -access-log=false or redirect
@@ -43,6 +48,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,18 +58,38 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"gemmec"
 	"gemmec/internal/obs"
+	"gemmec/internal/peer"
 	"gemmec/internal/server"
 )
 
+// backend is what the serving path needs of a Store or a Gateway.
+type backend interface {
+	server.Backend
+	SetMetrics(*server.Metrics)
+	Counters() server.Stats
+	Close()
+}
+
+// clusterOnly maps every flag only one mode honours to whether that mode
+// is cluster mode.
+var clusterOnly = map[string]bool{
+	"peer-id": true, "cluster-secret": true, "write-quorum": true, "rebuild-node": true,
+	"nodes": false, "slab-threshold": false, "slab-window": false, "slab-max-bytes": false,
+	"shard-read-timeout": false, "tune-cache": false, "tune-trials": false, "tune-idle": false,
+	"decoder-cache": false,
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	root := flag.String("root", "ecserver-data", "storage root (node directories + metadata live here)")
+	root := flag.String("root", "ecserver-data", "storage root (node directories + metadata, or this member's shard store, live here)")
 	nodes := flag.Int("nodes", 6, "number of node directories (failure domains), >= k+r")
 	k := flag.Int("k", 4, "data shards per stripe")
 	r := flag.Int("r", 2, "parity shards per stripe")
@@ -125,62 +151,108 @@ func main() {
 		"rebuild every shard this member id should hold, print the stats, and exit (cluster mode only; runs as a coordinator over HTTP — -root is not used)")
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	if *peers != "" || *peersFile != "" {
-		clusterMain(logger, clusterOpts{
-			addr: *addr, root: *root, k: *k, r: *r, unit: *unit,
-			workers: *workers, maxQueue: *maxQueue,
-			peers: *peers, peersFile: *peersFile, peerID: *peerID,
-			secret: *clusterSecret, writeQuorum: *writeQuorum, rebuildNode: *rebuildNode,
-			scrubEvery: *scrubEvery, drain: *drain, debugAddr: *debugAddr,
-			slowReq: *slowReq, accessLog: *accessLog, accessLogFile: *accessLogFile,
-			reqTimeout: *reqTimeout, maxObject: *maxObject,
-			traceSample: *traceSample, traceRing: *traceRing,
-			readHeaderTimeout: *readHeaderTimeout, idleTimeout: *idleTimeout, writeTimeout: *writeTimeout,
-		})
-		return
-	}
-	store, err := server.Open(server.StoreConfig{
-		Root:             *root,
-		Nodes:            *nodes,
-		K:                *k,
-		R:                *r,
-		UnitSize:         *unit,
-		Workers:          *workers,
-		MaxStreams:       *maxQueue,
-		SlabThreshold:    *slabThreshold,
-		SlabWindow:       *slabWindow,
-		SlabMaxBytes:     *slabMaxBytes,
-		ShardReadTimeout: *shardReadTimeout,
-		DecoderCache:     *decoderCache,
-		TuneCache:        *tuneCache,
-		TuneTrials:       *tuneTrials,
-		TuneIdle:         *tuneIdle,
+	cluster := *peers != "" || *peersFile != ""
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if only, ok := clusterOnly[f.Name]; ok && only != cluster {
+			ignored = append(ignored, "-"+f.Name)
+		}
 	})
-	if err != nil {
-		logger.Fatalf("ecserver: %v", err)
+	if len(ignored) > 0 {
+		mode := "single-node mode"
+		if cluster {
+			mode = "cluster mode (-peers/-peers-file)"
+		}
+		sort.Strings(ignored)
+		fmt.Fprintf(os.Stderr, "ecserver: %s not honoured in %s\n", strings.Join(ignored, ", "), mode)
+		os.Exit(2)
 	}
-	defer store.Close()
-	if *tuneTrials > 0 {
-		logger.Printf("ecserver: serving-loop autotuner on (trials=%d, cache=%q)", *tuneTrials, *tuneCache)
+
+	logger := log.New(os.Stderr, "", log.LstdFlags)
+	var (
+		b       backend
+		ps      *server.PeerStore // cluster mode: this member's shard store
+		peerAPI http.Handler      // cluster mode: its /internal/ API
+		labels  = []obs.Label{obs.L("mode", "single")}
+	)
+	if cluster {
+		ring, err := loadRing(*peers, *peersFile, *peerID)
+		if err != nil {
+			logger.Fatalf("ecserver: %v", err)
+		}
+		if *clusterSecret == "" {
+			logger.Printf("ecserver: WARNING: cluster mode without -cluster-secret — the internal peer API is unauthenticated")
+		}
+		// A one-shot rebuild (-rebuild-node) is a coordinator, not a member:
+		// it owns no shard data, so every member — including the one named
+		// by -peer-id — is reached over HTTP and -root is never opened. A
+		// serving process short-circuits its own member through the local
+		// store.
+		transports := make(map[int]peer.Transport, ring.Len())
+		if *rebuildNode < 0 {
+			if ps, err = server.OpenPeerStore(*root); err != nil {
+				logger.Fatalf("ecserver: %v", err)
+			}
+			transports[*peerID] = server.NewLocalTransport(ps)
+			peerAPI = server.NewPeerAPI(ps, *clusterSecret, logger.Printf)
+		}
+		for _, m := range ring.Members() {
+			if transports[m.ID] == nil {
+				c := peer.NewClient(m, peer.ClientConfig{Secret: *clusterSecret})
+				defer c.Close()
+				transports[m.ID] = c
+			}
+		}
+		gw, err := server.NewGateway(server.GatewayConfig{
+			Ring: ring, Transports: transports, SelfID: *peerID,
+			K: *k, R: *r, UnitSize: *unit, Workers: *workers, MaxStreams: *maxQueue,
+			WriteQuorum: *writeQuorum, Logf: logger.Printf,
+		})
+		if err != nil {
+			logger.Fatalf("ecserver: %v", err)
+		}
+		if *rebuildNode >= 0 {
+			rebuild(logger, gw, *rebuildNode, ring.Len())
+			gw.Close()
+			return
+		}
+		b = gw
+		labels = []obs.Label{obs.L("mode", "cluster"), obs.L("member", strconv.Itoa(*peerID))}
+		logger.Printf("ecserver: cluster member %d (of %d) gateway on %s (k=%d r=%d unit=%d, write quorum k+%d)",
+			*peerID, ring.Len(), *addr, *k, *r, *unit, *writeQuorum)
+	} else {
+		store, err := server.Open(server.StoreConfig{
+			Root: *root, Nodes: *nodes, K: *k, R: *r, UnitSize: *unit,
+			Workers: *workers, MaxStreams: *maxQueue,
+			SlabThreshold: *slabThreshold, SlabWindow: *slabWindow, SlabMaxBytes: *slabMaxBytes,
+			ShardReadTimeout: *shardReadTimeout, DecoderCache: *decoderCache,
+			TuneCache: *tuneCache, TuneTrials: *tuneTrials, TuneIdle: *tuneIdle,
+		})
+		if err != nil {
+			logger.Fatalf("ecserver: %v", err)
+		}
+		b = store
+		if *tuneTrials > 0 {
+			logger.Printf("ecserver: serving-loop autotuner on (trials=%d, cache=%q)", *tuneTrials, *tuneCache)
+		}
+		logger.Printf("ecserver: serving %s on %s (k=%d r=%d unit=%d, %d node dirs)",
+			*root, *addr, *k, *r, *unit, *nodes)
 	}
+	defer b.Close()
+
 	metrics := server.NewMetrics(nil)
-	store.SetMetrics(metrics)
-	obs.RegisterBuildInfo(metrics.Registry,
-		obs.L("mode", "single"),
-		obs.L("k", strconv.Itoa(*k)), obs.L("r", strconv.Itoa(*r)),
-		obs.L("unit", strconv.Itoa(*unit)))
+	b.SetMetrics(metrics)
+	obs.RegisterBuildInfo(metrics.Registry, append(labels,
+		obs.L("k", strconv.Itoa(*k)), obs.L("r", strconv.Itoa(*r)), obs.L("unit", strconv.Itoa(*unit)))...)
 	tracer := obs.NewRecorder(obs.RecorderConfig{
 		Capacity:    *traceRing,
 		SampleEvery: *traceSample,
 		Slow:        *slowReq,
 	})
-	logger.Printf("ecserver: serving %s on %s (k=%d r=%d unit=%d, %d node dirs)",
-		*root, *addr, *k, *r, *unit, *nodes)
 
 	var scrubber *server.Scrubber
 	if *scrubEvery > 0 {
-		scrubber = server.StartScrubber(store, *scrubEvery, logger.Printf)
+		scrubber = server.StartScrubber(b, *scrubEvery, logger.Printf)
 		logger.Printf("ecserver: background scrubber every ~%v (jittered)", *scrubEvery)
 	}
 
@@ -226,6 +298,15 @@ func main() {
 		}()
 	}
 
+	// One listener: the client object API, and in cluster mode the peer API
+	// under /internal/ (other members' shard traffic).
+	handler := server.NewBackendHandler(b, hcfg)
+	if peerAPI != nil {
+		mux := http.NewServeMux()
+		mux.Handle("/internal/", peerAPI)
+		mux.Handle("/", handler)
+		handler = mux
+	}
 	// baseCtx is the ancestor of every request context; canceling it at
 	// drain-deadline time makes still-running pipelines stop between
 	// stripes instead of racing srv.Close's connection teardown.
@@ -233,7 +314,7 @@ func main() {
 	defer cancelBase()
 	srv := &http.Server{
 		Addr:    *addr,
-		Handler: server.NewHandler(store, hcfg),
+		Handler: handler,
 		// Slowloris guard: a connection that trickles its headers cannot
 		// pin a goroutine forever. WriteTimeout defaults to 0 because it
 		// would cap whole streaming GETs regardless of progress; the
@@ -271,7 +352,56 @@ func main() {
 	if scrubber != nil {
 		scrubber.Stop()
 	}
-	st := store.Stats()
-	fmt.Fprintf(os.Stderr, "ecserver: exiting — %d objects, %d puts, %d gets (%d degraded), %d shards healed\n",
-		st.Objects, st.Puts, st.Gets, st.DegradedGets, st.ShardsHealed)
+	// Counters, not Stats: counting objects would list the catalog, across
+	// peers that may be shutting down too.
+	st := b.Counters()
+	line := fmt.Sprintf("%d puts, %d gets (%d degraded), %d shards healed",
+		st.Puts, st.Gets, st.DegradedGets, st.ShardsHealed)
+	if ps != nil {
+		pst := ps.Stats()
+		line += fmt.Sprintf("; member %d: %d quorum failures, %d shard puts, %d shard gets",
+			*peerID, st.QuorumFailures, pst.ShardPuts, pst.ShardGets)
+	}
+	fmt.Fprintf(os.Stderr, "ecserver: exiting — %s\n", line)
+}
+
+// loadRing builds the ring from -peers-file, or else -peers, and checks
+// that self is in it.
+func loadRing(peers, peersFile string, self int) (*peer.Ring, error) {
+	members, err := peer.ParseMembers(peers)
+	if peersFile != "" {
+		members, err = peer.LoadMembers(peersFile)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ring, err := peer.NewRing(members)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := ring.Member(self); !ok {
+		return nil, fmt.Errorf("-peer-id %d is not in the membership (have %d members)", self, ring.Len())
+	}
+	return ring, nil
+}
+
+// rebuild is -rebuild-node: reconstruct every shard member id should hold,
+// push them to its current address, print the stats and exit non-zero if
+// any object was left unrepaired.
+func rebuild(logger *log.Logger, gw *server.Gateway, id, members int) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	logger.Printf("ecserver: rebuilding member %d across %d members...", id, members)
+	st, err := gw.RebuildNode(ctx, id)
+	if err != nil {
+		logger.Fatalf("ecserver: rebuild: %v", err)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	enc.Encode(st) //nolint:errcheck
+	logger.Printf("ecserver: rebuilt %d shard(s) across %d object(s): %d bytes read, %d written (amplification %.2f)",
+		st.ShardsRebuilt, st.Objects, st.BytesRead, st.BytesWritten, st.Amplification())
+	if len(st.Errors) > 0 {
+		logger.Fatalf("ecserver: rebuild left %d object(s) unrepaired", len(st.Errors))
+	}
 }

@@ -132,7 +132,10 @@ type Client struct {
 	downs    atomic.Int64
 }
 
-var _ Transport = (*Client)(nil)
+var (
+	_ Transport = (*Client)(nil)
+	_ Replacer  = (*Client)(nil)
+)
 
 // NewClient builds a Transport for one member.
 func NewClient(m Member, cfg ClientConfig) *Client {
@@ -331,7 +334,17 @@ func isRetryable(err error) bool {
 // one-shot stream fed by the encode pipeline, and the gateway owns the
 // quorum decision for failed shards.
 func (c *Client) PutShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.shardURL(key, gen, idx), body)
+	return c.putShard(ctx, c.shardURL(key, gen, idx), size, body)
+}
+
+// ReplaceShard implements Replacer: PutShard's request with ?replace=1,
+// which the peer commits by rename instead of first-writer-wins.
+func (c *Client) ReplaceShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error {
+	return c.putShard(ctx, c.shardURL(key, gen, idx)+"?replace=1", size, body)
+}
+
+func (c *Client) putShard(ctx context.Context, target string, size int64, body io.Reader) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, target, body)
 	if err != nil {
 		return err
 	}

@@ -78,7 +78,10 @@ type FaultTransport struct {
 	calls       map[FaultOp]int
 }
 
-var _ Transport = (*FaultTransport)(nil)
+var (
+	_ Transport = (*FaultTransport)(nil)
+	_ Replacer  = (*FaultTransport)(nil)
+)
 
 // NewFaultTransport wraps inner.
 func NewFaultTransport(inner Transport) *FaultTransport {
@@ -191,6 +194,24 @@ func (f *FaultTransport) PutShard(ctx context.Context, key string, gen uint64, i
 		return f.inner.PutShard(ctx, key, gen, idx, size, &tornReader{r: body, remain: torn})
 	}
 	return f.inner.PutShard(ctx, key, gen, idx, size, body)
+}
+
+// ReplaceShard implements Replacer over an inner transport that does,
+// sharing put-shard fault rules with PutShard: a rule on OpPutShard fires
+// for repair uploads too.
+func (f *FaultTransport) ReplaceShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error {
+	inner, ok := f.inner.(Replacer)
+	if !ok {
+		return fmt.Errorf("peer: wrapped transport cannot replace shards")
+	}
+	torn, err := f.gate(ctx, OpPutShard, key)
+	if err != nil {
+		return err
+	}
+	if torn > 0 {
+		body = &tornReader{r: body, remain: torn}
+	}
+	return inner.ReplaceShard(ctx, key, gen, idx, size, body)
 }
 
 func (f *FaultTransport) GetShard(ctx context.Context, key string, gen uint64, idx int) (io.ReadCloser, int64, error) {

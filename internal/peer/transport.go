@@ -46,8 +46,8 @@ type Transport interface {
 	// the peer — a torn upload leaves nothing behind — and first-writer-
 	// wins: if the (key, gen, idx) shard already exists the call fails
 	// with ErrShardExists instead of overwriting, so two writers racing
-	// the same generation cannot mix bodies. Repair paths that replace a
-	// damaged shard delete it first.
+	// the same generation cannot mix bodies. Repairs, which must overwrite
+	// a damaged shard, use Replacer instead.
 	PutShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error
 	// GetShard opens one shard for reading. The caller must close the
 	// returned reader. size is the shard's on-disk length.
@@ -76,4 +76,14 @@ type Transport interface {
 	ListMeta(ctx context.Context) ([]string, error)
 	// Ping checks liveness and secret agreement.
 	Ping(ctx context.Context) error
+}
+
+// Replacer is the optional Transport method repairs write through.
+// ReplaceShard stores body as shard (key, gen, idx) whether or not the peer
+// already holds one: the body streams to a temporary file that is renamed
+// over the old shard only once it is whole, so until then readers keep the
+// old shard — and every stripe of it that still verifies — and a torn or
+// canceled replace leaves it exactly as it was.
+type Replacer interface {
+	ReplaceShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Backend is the object surface the HTTP layer serves: the local Store
-// and the cluster Gateway both implement it, so one handler — with its
-// admission control, instrumentation, and error taxonomy — fronts either
-// a single node's disks or a ring of networked peers.
+// and the cluster Gateway both implement it through the object front they
+// embed, so one handler — with its admission control, instrumentation,
+// and error taxonomy — fronts either a single node's disks or a ring of
+// networked peers.
 type Backend interface {
 	// Scheduler exposes the backend's shared encode/decode pool; the
 	// handler's admission gate rides its Admit/Release slots.
@@ -20,14 +21,15 @@ type Backend interface {
 	Put(ctx context.Context, name string, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error)
 	// Open opens object name for reading (possibly degraded).
 	Open(ctx context.Context, name string) (ObjectStream, error)
+	RangeOpener
+	Patcher
 	// Delete removes object name.
 	Delete(ctx context.Context, name string) error
 	// StatAll lists every object's metadata.
 	StatAll() ([]ObjectMeta, error)
 	// ScrubAll sweeps the catalog once, healing what it can.
 	ScrubAll(ctx context.Context) ScrubReport
-	// StatusSnapshot returns the backend's /statusz document. The shape is
-	// backend-specific (Stats for Store, GatewayStats for Gateway).
+	// StatusSnapshot returns the backend's /statusz document, a Stats.
 	StatusSnapshot() any
 }
 
@@ -64,54 +66,27 @@ type RangedStream interface {
 	Range() (off, length int64)
 }
 
-// RangeOpener is implemented by backends that can open a byte window of
-// an object without decoding the rest; the handler honors HTTP Range
-// requests when it sees one. off == -1 requests the final length bytes
-// (suffix range); length == -1 requests from off to the end. An
-// unsatisfiable window fails with a *RangeError (HTTP 416).
+// RangeOpener opens a byte window of an object without decoding the rest;
+// the handler serves HTTP Range requests through it. off == -1 requests
+// the final length bytes (suffix range); length == -1 requests from off
+// to the end. An unsatisfiable window fails with a *RangeError (HTTP
+// 416).
 type RangeOpener interface {
 	OpenRange(ctx context.Context, name string, off, length int64) (RangedStream, error)
 }
 
-// Patcher is implemented by backends that can splice bytes into a stored
-// object; the handler mounts PATCH /o/{name} when it sees one. off == -1
-// appends. The backend decides per object whether the write lands
-// stripe-granularly in place or as a read-modify-write (PatchStats says
-// which).
+// Patcher splices bytes into a stored object; the handler serves PATCH
+// /o/{name} through it. off == -1 appends. The backend decides per object
+// whether the write lands stripe-granularly in place or as a
+// read-modify-write (PatchStats says which).
 type Patcher interface {
 	Patch(ctx context.Context, name string, data []byte, off int64) (ObjectMeta, PatchStats, error)
 }
 
 var (
-	_ Backend     = (*Store)(nil)
-	_ Backend     = (*Gateway)(nil)
-	_ Rebuilder   = (*Gateway)(nil)
-	_ RangeOpener = (*Store)(nil)
-	_ Patcher     = (*Store)(nil)
-	_ RangeOpener = (*Gateway)(nil)
-	_ Patcher     = (*Gateway)(nil)
+	_ Backend   = (*Store)(nil)
+	_ Backend   = (*Gateway)(nil)
+	_ Rebuilder = (*Gateway)(nil)
 
 	_ RangedStream = (*Object)(nil)
 )
-
-// Open adapts OpenObject to the Backend interface (the concrete *Object
-// return would otherwise become a non-nil interface on error).
-func (s *Store) Open(ctx context.Context, name string) (ObjectStream, error) {
-	o, err := s.OpenObject(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// OpenRange adapts OpenObjectRange to the RangeOpener interface.
-func (s *Store) OpenRange(ctx context.Context, name string, off, length int64) (RangedStream, error) {
-	o, err := s.OpenObjectRange(ctx, name, off, length)
-	if err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// StatusSnapshot implements Backend for /statusz.
-func (s *Store) StatusSnapshot() any { return s.Stats() }

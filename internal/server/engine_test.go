@@ -5,14 +5,16 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"gemmec"
 	"gemmec/internal/peer"
 	"gemmec/internal/vfs"
 )
@@ -137,30 +139,36 @@ func (tr hookTransport) PutShard(ctx context.Context, key string, gen uint64, id
 	return tr.Transport.PutShard(ctx, key, gen, idx, size, body)
 }
 
-// TestBackendsShareRepair: Store's scrub and Gateway's rebuild are two
-// instantiations of one shardfile repair core, so both bring a lost shard
-// back byte-identical, refuse to push anything rebuilt from a unit that
-// fails its checksum, and leave nothing behind when canceled mid-repair.
-// They differ only in how damage is found: a Store scrub reads every unit
-// (a rotten cell is healed), a Gateway sweep stats its peers and reads
-// exactly k survivors (a rotten survivor fails the rebuild).
+func (tr hookTransport) ReplaceShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error {
+	tr.h.fire()
+	return tr.Transport.(peer.Replacer).ReplaceShard(ctx, key, gen, idx, size, body)
+}
+
+// TestBackendsShareRepair: Store's and Gateway's scrubs are two
+// instantiations of one shardfile repair core — scan every unit of all
+// k+r shards, then repair the damaged ones — so both bring a lost shard
+// back byte-identical, heal a rotten one alongside it, and, canceled
+// mid-repair, leave every shard as the sweep found it: nothing new where a
+// lost one was, and each rotten one still holding the stripes where it
+// verifies, so even more than r of them, rotten in different stripes, are
+// healed by the next sweep.
 func TestBackendsShareRepair(t *testing.T) {
 	const name = "obj"
 	key := objKey(name)
 	payload := randBytes(78, 5*4*tunit+123)
 	cases := []struct {
 		name   string
-		lose   int
-		rot    int // shard with one flipped byte in stripe 2; -1 = none
+		lose   int   // shard removed; -1 = none
+		rot    []int // shards with one flipped byte, the i'th in stripe 2+i
 		cancel bool
 		healed map[string][]int // by backend; nil = the sweep heals nothing
-		failed map[string]error // by backend; what the reported failure names
 	}{
-		{name: "missing shard", lose: 1, rot: -1,
+		{name: "missing shard", lose: 1,
 			healed: map[string][]int{"store": {1}, "gateway": {1}}},
-		{name: "rot in a survivor", lose: 5, rot: 0,
-			healed: map[string][]int{"store": {0, 5}}, failed: map[string]error{"gateway": gemmec.ErrCorruptShard}},
-		{name: "cancel mid-repair", lose: 3, rot: -1, cancel: true},
+		{name: "rot in a survivor", lose: 5, rot: []int{0},
+			healed: map[string][]int{"store": {0, 5}, "gateway": {0, 5}}},
+		{name: "cancel mid-repair", lose: 3, cancel: true},
+		{name: "cancel mid-repair of more than r rotten shards", lose: -1, rot: []int{0, 1, 4}, cancel: true},
 	}
 	for _, c := range cases {
 		for _, bname := range []string{"store", "gateway"} {
@@ -202,15 +210,19 @@ func TestBackendsShareRepair(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if c.rot >= 0 {
-					rotten := append([]byte(nil), orig[c.rot]...)
-					rotten[2*tunit+7] ^= 0x5A
-					if err := os.WriteFile(shards[c.rot], rotten, 0o644); err != nil {
+				found := append([][]byte(nil), orig...) // what the sweep finds
+				for i, s := range c.rot {
+					found[s] = append([]byte(nil), orig[s]...)
+					found[s][(2+i)*tunit+7] ^= 0x5A
+					if err := os.WriteFile(shards[s], found[s], 0o644); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := os.Remove(shards[c.lose]); err != nil {
-					t.Fatal(err)
+				if c.lose >= 0 {
+					found[c.lose] = nil
+					if err := os.Remove(shards[c.lose]); err != nil {
+						t.Fatal(err)
+					}
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -222,22 +234,145 @@ func TestBackendsShareRepair(t *testing.T) {
 				if !reflect.DeepEqual(rep.Healed[name], c.healed[bname]) {
 					t.Fatalf("healed %v (errors %v), want %v", rep.Healed[name], rep.Errors, c.healed[bname])
 				}
-				if want := c.failed[bname]; (want == nil) != (rep.Errors[name] == "") || (want != nil && !strings.Contains(rep.Errors[name], want.Error())) {
-					t.Fatalf("reported failure %q, want one naming %v", rep.Errors[name], want)
+				if msg := rep.Errors[name]; msg != "" {
+					t.Fatalf("reported failure %q, want none", msg)
 				}
-				if c.healed[bname] != nil {
+				if c.cancel {
+					// Every shard is as the sweep found it — no rebuilt shard,
+					// whole or partial, where the lost one was, no temporary
+					// file beside any — so the next sweep heals all of it.
 					for i, p := range shards {
-						if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, orig[i]) {
-							t.Errorf("shard %d is not byte-identical to the original after repair (err %v)", i, err)
+						got, err := os.ReadFile(p)
+						if found[i] == nil && !errors.Is(err, os.ErrNotExist) {
+							t.Errorf("lost shard %d is back after a repair that did not complete (err %v)", i, err)
+						}
+						if found[i] != nil && (err != nil || !bytes.Equal(got, found[i])) {
+							t.Errorf("shard %d changed under a repair that did not complete (err %v)", i, err)
+						}
+						if left, _ := filepath.Glob(p + ".tmp*"); len(left) > 0 {
+							t.Errorf("a repair that did not complete left %v behind", left)
 						}
 					}
-					return
+					damaged := slices.Clone(c.rot)
+					if c.lose >= 0 {
+						damaged = append(damaged, c.lose)
+					}
+					slices.Sort(damaged)
+					if rep := b.ScrubAll(context.Background()); !reflect.DeepEqual(rep.Healed[name], damaged) {
+						t.Fatalf("next sweep healed %v (errors %v), want %v", rep.Healed[name], rep.Errors, damaged)
+					}
 				}
-				// Nothing healed: no rebuilt shard, whole or partial, where the lost one was.
-				if left, _ := filepath.Glob(shards[c.lose] + "*"); len(left) > 0 {
-					t.Errorf("a repair that did not complete left %v behind", left)
+				for i, p := range shards {
+					if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, orig[i]) {
+						t.Errorf("shard %d is not byte-identical to the original after repair (err %v)", i, err)
+					}
+				}
+				o, err := b.Open(context.Background(), name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer o.Close()
+				var got bytes.Buffer
+				if _, err := o.Stream(&got); err != nil || !bytes.Equal(got.Bytes(), payload) {
+					t.Errorf("read after repair: %d bytes, err %v", got.Len(), err)
 				}
 			})
 		}
+	}
+}
+
+// TestBackendsShareFront: Store and Gateway serve one object front, so the
+// same request sequence — put, get, range get, read-modify-write patch,
+// delete, get after delete — returns the same bytes and errors from
+// either, leaves the same shared /statusz counters, and registers the same
+// shared /metricsz families.
+func TestBackendsShareFront(t *testing.T) {
+	ctx := context.Background()
+	// Packed into a slab, a Store object is patched by read-modify-write,
+	// as every Gateway object is.
+	store, err := Open(StoreConfig{Root: t.TempDir(), Nodes: 6, K: 4, R: 2, UnitSize: tunit, Workers: 2, SlabThreshold: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	payload := randBytes(79, 3*4*tunit+77)
+	splice := randBytes(80, 300)
+	const spliceAt = 1000
+	want := append([]byte(nil), payload...)
+	copy(want[spliceAt:], splice)
+
+	type shared struct{ puts, gets, rangeGets, patches, deletes, bytesIn, bytesOut int64 }
+	stats := map[string]shared{}
+	families := map[string]map[string]bool{}
+	for _, c := range []struct {
+		name string
+		b    interface {
+			Backend
+			SetMetrics(*Metrics)
+			Stats() Stats
+		}
+	}{{"store", store}, {"gateway", newFaultCluster(t, 6, 4, 2, 1, tunit).gw}} {
+		m := NewMetrics(nil)
+		c.b.SetMetrics(m)
+		ts := httptest.NewServer(NewBackendHandler(c.b, Config{Metrics: m}))
+		defer ts.Close()
+		read := func(o ObjectStream, err error) []byte {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: open: %v", c.name, err)
+			}
+			defer o.Close()
+			var got bytes.Buffer
+			if _, err := o.Stream(&got); err != nil {
+				t.Fatalf("%s: stream: %v", c.name, err)
+			}
+			return got.Bytes()
+		}
+
+		if _, _, err := c.b.Put(ctx, "obj", bytes.NewReader(payload), int64(len(payload))); err != nil {
+			t.Fatalf("%s: put: %v", c.name, err)
+		}
+		if got := read(c.b.Open(ctx, "obj")); !bytes.Equal(got, payload) {
+			t.Fatalf("%s: get returned %d bytes, not the payload", c.name, len(got))
+		}
+		if got := read(c.b.OpenRange(ctx, "obj", 700, 500)); !bytes.Equal(got, payload[700:1200]) {
+			t.Fatalf("%s: range get returned the wrong bytes", c.name)
+		}
+		if _, ps, err := c.b.Patch(ctx, "obj", splice, spliceAt); err != nil || ps.InPlace || ps.Fallback == "" {
+			t.Fatalf("%s: patch = %+v, %v; want a read-modify-write", c.name, ps, err)
+		}
+		if got := read(c.b.Open(ctx, "obj")); !bytes.Equal(got, want) {
+			t.Fatalf("%s: get after patch returned the wrong bytes", c.name)
+		}
+		if err := c.b.Delete(ctx, "obj"); err != nil {
+			t.Fatalf("%s: delete: %v", c.name, err)
+		}
+		if _, err := c.b.Open(ctx, "obj"); !errors.Is(err, ErrObjectNotFound) {
+			t.Fatalf("%s: get after delete = %v, want ErrObjectNotFound", c.name, err)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/o/obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: GET after delete over HTTP = %s, want 404", c.name, resp.Status)
+		}
+
+		st := c.b.Stats()
+		stats[c.name] = shared{st.Puts, st.Gets, st.RangeGets, st.Patches, st.Deletes, st.BytesIn, st.BytesOut}
+		families[c.name] = map[string]bool{}
+		for sample := range scrape(t, ts) {
+			fam, _, _ := strings.Cut(sample, "{")
+			if fam == "gemmec_objects" || strings.HasPrefix(fam, "gemmec_sched_") || strings.HasPrefix(fam, "gemmec_tuner_shape_") {
+				families[c.name][fam] = true
+			}
+		}
+	}
+	if stats["store"] != stats["gateway"] {
+		t.Errorf("shared counters differ:\n store   %+v\n gateway %+v", stats["store"], stats["gateway"])
+	}
+	if !reflect.DeepEqual(families["store"], families["gateway"]) || !families["gateway"]["gemmec_tuner_shape_requests_total"] {
+		t.Errorf("shared /metricsz families differ or lack the shape table:\n store   %v\n gateway %v", families["store"], families["gateway"])
 	}
 }

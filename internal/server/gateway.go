@@ -65,47 +65,33 @@ type GatewayConfig struct {
 	Logf Logf
 }
 
-// Gateway is the cluster-facing object backend: it accepts the same
-// client PUT/GET/DELETE surface as Store but fans every object's k+r
-// shards out to the ring's members over peer transports. Writes are
-// quorum-committed (k+q acks, abandoned otherwise), reads fetch
-// surviving shards from live peers and reconstruct through the shared
-// scheduler pipeline, and RebuildNode restores everything a lost member
-// held. One Gateway serves one process; any member can run one, since
-// placement is deterministic and metadata is replicated to all members.
+// Gateway is the cluster backend: the same object front as Store, with
+// every object's k+r shards fanned out to the ring's members over peer
+// transports. Writes are quorum-committed (k+q acks, abandoned
+// otherwise), reads fetch surviving shards from live peers and
+// reconstruct through the shared scheduler pipeline, and RebuildNode
+// restores everything a lost member held. One Gateway serves one process;
+// any member can run one, since placement is deterministic and metadata
+// is replicated to all members.
 type Gateway struct {
+	front
 	cfg    GatewayConfig
 	quorum int // shard acks required: k + clamped q
 
-	// codes shares one compiled code and one stripe-buffer pool per stripe
-	// geometry across all requests (shardfile.Opts.Source), as in Store.
-	codes *tuned.Registry
-
-	sched    *gemmec.Scheduler
-	ownSched bool
-
-	keyLocks // per-object locks, local to this gateway process
-
-	traffic
 	quorumFailures          atomic.Int64
 	rebuilds, shardsRebuilt atomic.Int64
 	repairBytesRead         atomic.Int64
 	repairBytesWritten      atomic.Int64
-
-	closeOnce sync.Once
 }
 
-// NewGateway builds a gateway over cfg's ring and transports.
+// NewGateway builds a gateway over cfg's ring and transports. Pair it
+// with Close.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Ring == nil {
 		return nil, fmt.Errorf("server: gateway needs a ring")
 	}
 	if cfg.UnitSize == 0 {
 		cfg.UnitSize = gemmec.DefaultUnitSize
-	}
-	codes := tuned.NewRegistry(tuned.Config{})
-	if _, err := codes.Code(cfg.K, cfg.R, cfg.UnitSize); err != nil {
-		return nil, err
 	}
 	if cfg.Ring.Len() < cfg.K+cfg.R {
 		return nil, fmt.Errorf("server: %d members cannot hold k+r=%d shards in distinct failure domains",
@@ -116,52 +102,26 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			return nil, fmt.Errorf("server: no transport for member %d", m.ID)
 		}
 	}
-	if cfg.WriteQuorum < 0 {
-		cfg.WriteQuorum = 0
-	}
-	if cfg.WriteQuorum > cfg.R {
-		cfg.WriteQuorum = cfg.R
-	}
-	g := &Gateway{
-		cfg:    cfg,
-		codes:  codes,
-		quorum: cfg.K + cfg.WriteQuorum,
-	}
-	g.sched = cfg.Sched
-	if g.sched == nil {
-		g.sched = gemmec.NewScheduler(gemmec.SchedulerConfig{
-			Workers:    cfg.Workers,
-			MaxStreams: cfg.MaxStreams,
-			OnWait:     func(d time.Duration) { g.m().ObserveSchedWait(d) },
-		})
-		g.ownSched = true
+	cfg.WriteQuorum = min(max(cfg.WriteQuorum, 0), cfg.R)
+	g := &Gateway{cfg: cfg, quorum: cfg.K + cfg.WriteQuorum}
+	if err := g.start(g, cfg.K, cfg.R, cfg.UnitSize, cfg.Sched, cfg.Workers, cfg.MaxStreams, tuned.Config{}); err != nil {
+		g.Close()
+		return nil, err
 	}
 	return g, nil
 }
 
-// Close stops the gateway's scheduler when it owns one. Idempotent.
-func (g *Gateway) Close() {
-	g.closeOnce.Do(func() {
-		if g.ownSched && g.sched != nil {
-			g.sched.Close()
-		}
-	})
-}
-
-// Scheduler returns the gateway's shared encode/decode pool — the HTTP
-// layer's admission gate, exactly as for Store.
-func (g *Gateway) Scheduler() *gemmec.Scheduler { return g.sched }
-
-// SetMetrics attaches the observability bundle.
+// SetMetrics attaches the observability bundle: the families every
+// backend registers, plus the cluster's repair, rebuild, quorum and
+// per-peer series.
 func (g *Gateway) SetMetrics(m *Metrics) {
-	g.metrics.Store(m)
-	m.RegisterGateway(g)
+	g.front.SetMetrics(m)
+	m.registerCluster(g)
 }
 
 // streamOpts bundles the gateway's shared scheduler and code registry
 // with one request's context for the shardfile engine — the peer-side
-// twin of Store.fileOpts. The scheduler sizes the kernel pool, so engine
-// calls pass 0 for the per-call worker count.
+// twin of Store.fileOpts.
 func (g *Gateway) streamOpts(ctx context.Context) shardfile.Opts {
 	return shardfile.Opts{Ctx: ctx, Sched: g.sched, Source: g.codes}
 }
@@ -175,6 +135,15 @@ func (g *Gateway) healthy(id int) bool {
 		return hc.Healthy()
 	}
 	return true
+}
+
+// every returns the shard indices 0..n-1.
+func every(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }
 
 // parseMetaReplica decodes and sanity-checks one member's metadata
@@ -271,63 +240,115 @@ func (g *Gateway) readMetaRaw(ctx context.Context, key string) ([]byte, ObjectMe
 	return bestRaw, bestMeta, nil
 }
 
-// Put streams src into the cluster as object name: the body is encoded
-// once through the shared scheduler while k+r uploader goroutines stream
-// each shard to its placed member. The write commits — metadata is
-// broadcast and acknowledged by a member majority — only when at least
-// k+WriteQuorum shard uploads acked; otherwise the generation is
-// abandoned: acked shards are deleted and no metadata changes, so a
-// failed PUT leaves the object exactly as it was.
-func (g *Gateway) Put(ctx context.Context, name string, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error) {
-	if err := validateName(name); err != nil {
-		return ObjectMeta{}, gemmec.StreamStats{}, err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return ObjectMeta{}, gemmec.StreamStats{}, err
-	}
-	key := objKey(name)
-	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.lockKey(key)
-	lsp.End(nil)
-	defer l.Unlock()
-	return g.putLocked(ctx, key, name, src, size)
+// current implements storage: a majority read of the metadata replicas.
+func (g *Gateway) current(ctx context.Context, key string) (ObjectMeta, error) {
+	// One synchronous span for the whole majority read; peer.Client
+	// deliberately records nothing for get_meta (its straggler goroutines
+	// outlive this call — see readMetaRaw).
+	sp := obs.StartSpan(ctx, "meta.read")
+	_, meta, err := g.readMetaRaw(ctx, key)
+	sp.End(nil)
+	return meta, err
 }
 
-// putLocked is Put after the key lock: generation discovery, encode
-// fan-out, quorum accounting and the metadata commit. Factored out so
-// Patch can run a read-modify-write under one lock acquisition.
-func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error) {
+// broadcastMeta is the commit point of every cluster write: doc goes to
+// every ring member at once and commits once a majority acked it. Short
+// of a majority the write is unwound — members that took doc get prev
+// back (or, when prev.Gen == 0, lose the key) — and the error wraps
+// ErrWriteQuorum, so no committed state changes.
+func (g *Gateway) broadcastMeta(ctx context.Context, key string, doc, prev ObjectMeta) error {
+	raw, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	members := g.cfg.Ring.Members()
+	ackErrs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func(i, id int) {
+			defer wg.Done()
+			ackErrs[i] = g.transport(id).PutMeta(ctx, key, raw)
+		}(i, m.ID)
+	}
+	wg.Wait()
+	acks := 0
+	var firstErr error
+	for _, e := range ackErrs {
+		if e == nil {
+			acks++
+		} else if firstErr == nil {
+			firstErr = e
+		}
+	}
+	if acks > len(members)/2 {
+		return nil
+	}
+	var prevRaw []byte
+	if prev.Gen > 0 {
+		prevRaw, _ = json.MarshalIndent(prev, "", "  ")
+	}
+	cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
+	defer cancel()
+	for i, m := range members {
+		if ackErrs[i] != nil {
+			continue
+		}
+		if tr := g.transport(m.ID); prevRaw != nil {
+			tr.PutMeta(cctx, key, prevRaw) //nolint:errcheck
+		} else {
+			tr.DeleteObject(cctx, key) //nolint:errcheck
+		}
+	}
+	return fmt.Errorf("%w: generation %d of %s acknowledged by %d of %d members (need majority): %v",
+		ErrWriteQuorum, doc.Gen, doc.Name, acks, len(members), firstErr)
+}
+
+// dropShards deletes shards idx of generation gen of key from the members
+// placement names — every delete at once, under a fresh bounded context
+// (the request's is often dead by now), joined before returning so a
+// finished request leaves no stray behind it. It is how every abandoned,
+// superseded or deleted generation goes; failures are logged, and the
+// tombstone reaper collects what is missed.
+func (g *Gateway) dropShards(key string, gen uint64, placement []int, idx []int) {
+	ctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, i := range idx {
+		tr := g.transport(placement[i])
+		if tr == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, tr peer.Transport) {
+			defer wg.Done()
+			if err := tr.DeleteShard(ctx, key, gen, i); err != nil {
+				g.cfg.Logf.printf("ecserver: dropping %s.g%d shard %d on member %d failed: %v",
+					key, gen, i, placement[i], err)
+			}
+		}(i, tr)
+	}
+	wg.Wait()
+}
+
+// commit implements storage: the body is encoded once through the shared
+// scheduler while k+r uploader goroutines stream each shard to its placed
+// member. The write commits — metadata broadcast and acknowledged by a
+// member majority — only when at least k+WriteQuorum shard uploads
+// acked; otherwise the generation is abandoned: acked shards are deleted
+// and no metadata changes, so a failed PUT leaves the object exactly as
+// it was. The generation is one past prev's, tombstones included, so
+// delete/recreate keeps counting upward and no old replica can outrank a
+// newly committed generation.
+func (g *Gateway) commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error) {
 	n := g.cfg.K + g.cfg.R
 	placement, err := g.cfg.Ring.Placement(key, n)
 	if err != nil {
 		return ObjectMeta{}, gemmec.StreamStats{}, err
 	}
-	meta := ObjectMeta{Name: name, Gen: 1, Placement: placement}
-	// One synchronous span for the whole majority read; peer.Client
-	// deliberately records nothing for get_meta (its straggler goroutines
-	// outlive this call — see readMetaRaw).
-	msp := obs.StartSpan(ctx, "meta.read")
-	oldRaw, old, oldErr := g.readMetaRaw(ctx, key)
-	msp.End(nil)
-	if oldErr != nil && !errors.Is(oldErr, ErrObjectNotFound) {
-		// Without a majority read the next generation cannot be computed
-		// safely — guessing Gen 1 here would let a stale higher-generation
-		// replica shadow this write forever. Fail; the client retries.
-		return ObjectMeta{}, gemmec.StreamStats{}, fmt.Errorf("server: cannot establish current generation for %s: %w", name, oldErr)
-	}
-	hasOld := oldErr == nil
-	if hasOld {
-		// Monotonic over everything ever seen, tombstones included:
-		// delete/recreate keeps counting upward, so no old replica can
-		// outrank a newly committed generation.
-		meta.Gen = old.Gen + 1
-	}
+	meta := ObjectMeta{Name: name, Gen: prev.Gen + 1, Placement: placement}
 	gen := uint64(meta.Gen)
 
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
 	// The span covers encode + shard upload: it closes only after every
 	// uploader is joined, so its children (the engine's shardfile.encode,
 	// per-peer peer.put_shard spans and the remote shard.write spans they
@@ -345,7 +366,7 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 		stripeBytes := int64(g.cfg.K) * int64(g.cfg.UnitSize)
 		shardLen = max((size+stripeBytes-1)/stripeBytes, 1) * int64(g.cfg.UnitSize)
 	}
-	upErrs, err := fanOut(n, all,
+	upErrs, err := fanOut(n, every(n),
 		func(i int, body io.Reader) error {
 			return g.transport(placement[i]).PutShard(ctx, key, gen, i, shardLen, body)
 		},
@@ -357,67 +378,49 @@ func (g *Gateway) putLocked(ctx context.Context, key, name string, src io.Reader
 	esp.SetArg(st.Stripes)
 	esp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
 	esp.End(err)
-	if err != nil {
-		g.rollbackShards(key, gen, placement, upErrs)
-		return ObjectMeta{}, st, err
-	}
 
-	acks := 0
+	var acked []int
 	var firstUpErr error
-	for _, e := range upErrs {
+	for i, e := range upErrs {
 		if e == nil {
-			acks++
+			acked = append(acked, i)
 		} else if firstUpErr == nil {
 			firstUpErr = e
 		}
 	}
-	if acks < g.quorum {
-		g.rollbackShards(key, gen, placement, upErrs)
+	if err == nil && len(acked) < g.quorum {
 		g.quorumFailures.Add(1)
-		return ObjectMeta{}, st, fmt.Errorf("%w: %d of %d shard acks (need %d): %v",
-			ErrWriteQuorum, acks, n, g.quorum, firstUpErr)
+		err = fmt.Errorf("%w: %d of %d shard acks (need %d): %v",
+			ErrWriteQuorum, len(acked), n, g.quorum, firstUpErr)
 	}
-	if cerr := ctxErr(ctx); cerr != nil {
+	if err == nil {
 		// Dead between the final shard ack and the commit: honor the
 		// canceled-Put-leaves-no-trace contract.
-		g.rollbackShards(key, gen, placement, upErrs)
-		return ObjectMeta{}, st, cerr
+		err = ctxErr(ctx)
 	}
-	meta.Manifest = m
-
-	csp := obs.StartSpan(ctx, "meta.commit")
-	err = g.commitMeta(ctx, key, meta, oldRaw, hasOld, placement, upErrs)
-	csp.End(err)
+	if err == nil {
+		meta.Manifest = m
+		csp := obs.StartSpan(ctx, "meta.commit")
+		err = g.broadcastMeta(ctx, key, meta, prev)
+		csp.End(err)
+		if err != nil {
+			g.quorumFailures.Add(1)
+		}
+	}
 	if err != nil {
-		g.quorumFailures.Add(1)
+		g.dropShards(key, gen, placement, acked)
 		return ObjectMeta{}, st, err
 	}
-
-	// Committed. The previous generation's shards are garbage now; clean
-	// them best-effort with a fresh context (repair sweeps catch strays),
-	// all members at once — this is on the ack path — and joined before
-	// returning, so a finished Put leaves no stray behind it. A tombstone
-	// predecessor has no shards, only a generation number.
-	if hasOld && !old.Deleted {
-		cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
-		var wg sync.WaitGroup
-		for i, member := range old.Placement {
-			if tr := g.transport(member); tr != nil {
-				wg.Add(1)
-				go func(i int, tr peer.Transport) {
-					defer wg.Done()
-					tr.DeleteShard(cctx, key, uint64(old.Gen), i) //nolint:errcheck
-				}(i, tr)
-			}
-		}
-		wg.Wait()
-		cancel()
+	// Committed. The previous generation's shards are garbage now (a
+	// tombstone predecessor has none, only a generation number).
+	if prev.Gen > 0 && !prev.Deleted {
+		g.dropShards(key, uint64(prev.Gen), prev.Placement, every(len(prev.Placement)))
 	}
 	g.recordPut(st, m.FileSize)
 	return meta, st, nil
 }
 
-// fanOut is the gateway's shard fan-out, shared by PUT and rebuild: fill
+// fanOut is the gateway's shard fan-out, shared by PUT and repair: fill
 // writes shard i of n into ws[i] — a pipe, for each i in idx, nil for the
 // rest — while one uploader goroutine per pipe streams it to a member. A
 // failed uploader keeps draining its pipe so fill — and with it the other
@@ -449,157 +452,20 @@ func fanOut(n int, idx []int, upload func(i int, body io.Reader) error, fill fun
 	return upErrs, err
 }
 
-// rollbackShards deletes the shards of an abandoned generation from every
-// member that acked one, under a fresh bounded context (the request's is
-// usually already dead when rollback runs).
-func (g *Gateway) rollbackShards(key string, gen uint64, placement []int, upErrs []error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
-	defer cancel()
-	for i, member := range placement {
-		if upErrs[i] != nil {
-			continue // nothing landed there
-		}
-		if err := g.transport(member).DeleteShard(ctx, key, gen, i); err != nil {
-			g.cfg.Logf.printf("ecserver: rollback of %s.g%d shard %d on member %d failed: %v",
-				key, gen, i, member, err)
-		}
+// openWindow implements storage: the read plan of the window over the
+// object's peer shards.
+func (g *Gateway) openWindow(ctx context.Context, _ string, meta ObjectMeta, off, n int64) (*shardfile.StreamReader, *keyLock, error) {
+	plan, err := shardfile.PlanRead(meta.Manifest, off, n)
+	if err != nil {
+		return nil, nil, err
 	}
+	sr, err := g.openShards(ctx, meta, plan)
+	return sr, nil, err
 }
 
-// commitMeta broadcasts the new metadata to every ring member and
-// requires a majority of acks — the commit point of a cluster write. On
-// a failed commit the write is unwound: the new generation's shards are
-// deleted, and members that already took the new metadata are restored
-// to the previous document (or cleared entirely for a fresh object), so
-// no committed state changes.
-func (g *Gateway) commitMeta(ctx context.Context, key string, meta ObjectMeta, oldRaw []byte, hasOld bool, placement []int, upErrs []error) error {
-	raw, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		g.rollbackShards(key, uint64(meta.Gen), placement, upErrs)
-		return err
-	}
-	members := g.cfg.Ring.Members()
-	ackErrs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i, id int) {
-			defer wg.Done()
-			ackErrs[i] = g.transport(id).PutMeta(ctx, key, raw)
-		}(i, m.ID)
-	}
-	wg.Wait()
-	acks := 0
-	var firstErr error
-	for _, e := range ackErrs {
-		if e == nil {
-			acks++
-		} else if firstErr == nil {
-			firstErr = e
-		}
-	}
-	if acks > len(members)/2 {
-		return nil
-	}
-	// Commit failed: unwind. Members that took the new document get the
-	// old one back (fresh objects get cleared), then the new generation's
-	// shards go.
-	cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
-	defer cancel()
-	for i, m := range members {
-		if ackErrs[i] != nil {
-			continue
-		}
-		tr := g.transport(m.ID)
-		if hasOld {
-			tr.PutMeta(cctx, key, oldRaw) //nolint:errcheck
-		} else {
-			tr.DeleteObject(cctx, key) //nolint:errcheck
-		}
-	}
-	g.rollbackShards(key, uint64(meta.Gen), placement, upErrs)
-	return fmt.Errorf("%w: metadata acknowledged by %d of %d members (need majority): %v",
-		ErrWriteQuorum, acks, len(members), firstErr)
-}
-
-// Open opens object name for a (possibly degraded) cluster read: the
-// shard streams are fetched from their placed members in parallel, and
-// any member that is down, missing the shard, or serving the wrong
-// length is marked unusable for reconstruction. If fewer than k streams
-// open, the error wraps gemmec.ErrTooFewShards. The returned object is
-// the same *Object a Store hands out, over peer bodies instead of files:
-// every unit's stripe CRC is verified inside the decode pass, and a shard
-// whose remote stream dies or rots mid-body is demoted and reconstructed
-// around, exactly like a local shard file would be.
-func (g *Gateway) Open(ctx context.Context, name string) (ObjectStream, error) {
-	o, err := g.open(ctx, name, false, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// OpenRange opens bytes [off, off+length) of object name for a cluster
-// read, fetching from each placed member only the byte window of its
-// shard that covers the range — shard I/O and wire traffic are both
-// O(stripes covering the range), not O(object). The off/length
-// conventions and error contract match Store.OpenObjectRange: off == -1
-// is a suffix request, length == -1 runs to the end, and an
-// unsatisfiable window fails with a *RangeError.
-func (g *Gateway) OpenRange(ctx context.Context, name string, off, length int64) (RangedStream, error) {
-	o, err := g.open(ctx, name, true, off, length)
-	if err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// open is Open and OpenRange: key lock (shared, held by the returned
-// object until Close), majority metadata read, then the shard streams
-// covering the whole object or the resolved window.
-func (g *Gateway) open(ctx context.Context, name string, ranged bool, off, length int64) (*Object, error) {
-	if err := validateName(name); err != nil {
-		return nil, err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	key := objKey(name)
-	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.rlockKey(key)
-	lsp.End(nil)
-	fail := func(err error) (*Object, error) {
-		l.RUnlock()
-		return nil, err
-	}
-	msp := obs.StartSpan(ctx, "meta.read")
-	_, meta, err := g.readMetaRaw(ctx, key)
-	msp.End(nil)
-	if err != nil {
-		return fail(err)
-	}
-	if meta.Deleted {
-		return fail(fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name))
-	}
-	if !ranged {
-		off, length = 0, meta.Size()
-	} else if off, length, err = resolveRange(off, length, meta.Size()); err != nil {
-		return fail(err)
-	}
-	sr, err := g.openShards(ctx, meta, off, length)
-	if err != nil {
-		return fail(err)
-	}
-	o := g.newObject(meta, sr, l, nil)
-	if ranged {
-		o.setRange(off, length)
-	}
-	return o, nil
-}
-
-// openShards opens payload bytes [off, off+length) of meta for decoding:
-// the peer instantiation of the shardfile read plan. Every placed member
-// is asked in parallel — for the stripes of its shard the plan reads (one
+// openShards opens meta's shards for the reads plan makes: the peer
+// instantiation of the shardfile read plan. Every placed member is asked
+// in parallel — for the stripes of its shard the plan reads (one
 // GetShardRange, or the plain whole-shard transfer), or, when the plan
 // reads nothing of it, for the shard's length only (StatShard: no bytes)
 // — so all k+r are probed and only the window's data units cross the
@@ -607,13 +473,9 @@ func (g *Gateway) open(ctx context.Context, name string, ranged bool, off, lengt
 // length are marked lost; if fewer than k are usable the error wraps
 // gemmec.ErrTooFewShards. A shard the probe only statted is fetched later,
 // from the stripe where a fault escalated the plan, by the same fetch.
-func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, off, length int64) (*shardfile.StreamReader, error) {
+func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, plan shardfile.ReadPlan) (*shardfile.StreamReader, error) {
 	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
-	plan, err := shardfile.PlanRead(m, off, length)
-	if err != nil {
-		return nil, err
-	}
 	n, unit := m.K+m.R, int64(m.UnitSize)
 	fetch := func(i int, from, to int64) (io.ReadCloser, error) {
 		tr := g.transport(meta.Placement[i])
@@ -668,146 +530,37 @@ func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, off, length i
 	return shardfile.OpenStreams(m, plan, bodies, lost, fetch, g.streamOpts(ctx))
 }
 
-// Patch splices data into object name at byte offset off (off == -1
-// appends), as a cluster-wide read-modify-write: the old payload is
-// decoded from the ring, spliced, and re-encoded through the normal
-// quorum-committed Put under one key lock. Unlike Store there is no
-// XOR-patched in-place path — cluster shards are first-writer-wins per
-// generation, so an in-place overwrite would break the torn-upload
-// atomicity contract; PatchStats reports the rmw fallback instead.
-func (g *Gateway) Patch(ctx context.Context, name string, data []byte, off int64) (ObjectMeta, PatchStats, error) {
-	var ps PatchStats
-	if err := validateName(name); err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	key := objKey(name)
-	lsp := obs.StartSpan(ctx, "store.lock")
-	l := g.lockKey(key)
-	lsp.End(nil)
-	defer l.Unlock()
-	msp := obs.StartSpan(ctx, "meta.read")
-	_, old, err := g.readMetaRaw(ctx, key)
-	msp.End(nil)
-	if err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	if old.Deleted {
-		return ObjectMeta{}, ps, fmt.Errorf("%w: %s (deleted)", ErrObjectNotFound, name)
-	}
-	off, newSize, err := patchWindow(old.Size(), off, len(data))
-	if err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	ps.Offset = off
-	if len(data) == 0 {
-		ps.InPlace = true // nothing to write; the object is untouched
-		return old, ps, nil
-	}
-	ps.Fallback = "rmw"
-
-	// The producer opens its own shard streams without the key lock (this
-	// goroutine holds it already) and outside the client-read counters —
-	// the internal decode of a read-modify-write is not a GET.
-	src, stop := spliceOld(off, data, func(w io.Writer) error {
-		sr, err := g.openShards(ctx, old, 0, old.Size())
-		if err != nil {
-			return err
-		}
-		defer sr.Close()
-		_, err = sr.Decode(w, 0)
-		return err
-	})
-	meta, _, err := g.putLocked(ctx, key, name, src, newSize)
-	stop()
-	if err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	g.patches.Add(1)
-	if mt := g.m(); mt != nil {
-		mt.recordPatch(ps)
-	}
-	return meta, ps, nil
+// patchInPlace implements storage by declining: cluster shards are
+// first-writer-wins per generation, so an in-place overwrite would break
+// the torn-upload atomicity contract. The front read-modify-writes
+// instead, through the normal quorum-committed commit.
+func (g *Gateway) patchInPlace(context.Context, string, ObjectMeta, int64, []byte) (ObjectMeta, PatchStats, error) {
+	return ObjectMeta{}, PatchStats{Fallback: "rmw"}, nil
 }
 
-// Delete removes object name cluster-wide. The commit point is a
-// tombstone: a metadata document at Gen = old.Gen+1 with the Deleted
-// flag, broadcast like any write and requiring a member majority — NOT
-// the removal of metadata. Removing replicas outright would let a member
-// partitioned during the delete resurrect the object when it returns
-// (its surviving replica would be the highest generation anywhere), and
-// a recreate would restart at Gen 1 underneath that stale replica.
-// With a tombstone the generation counter stays monotonic, the stale
-// replica is outranked forever, and the scrub sweep reaps the tombstone
-// once every member has acknowledged it. Shards of the deleted
-// generation are reclaimed best-effort here and by scrub afterwards.
-func (g *Gateway) Delete(ctx context.Context, name string) error {
-	if err := validateName(name); err != nil {
-		return err
-	}
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
-	key := objKey(name)
-	l := g.lockKey(key)
-	defer l.Unlock()
-	oldRaw, old, err := g.readMetaRaw(ctx, key)
+// remove implements storage. The commit point is a tombstone: a metadata
+// document at Gen = old.Gen+1 with the Deleted flag, broadcast like any
+// write and requiring a member majority — NOT the removal of metadata.
+// Removing replicas outright would let a member partitioned during the
+// delete resurrect the object when it returns (its surviving replica
+// would be the highest generation anywhere), and a recreate would restart
+// at Gen 1 underneath that stale replica. With a tombstone the generation
+// counter stays monotonic, the stale replica is outranked forever, and
+// the scrub sweep reaps the tombstone once every member has acknowledged
+// it. Shards of the deleted generation are reclaimed here, best effort,
+// and by the reaper afterwards.
+func (g *Gateway) remove(ctx context.Context, key, name string) error {
+	old, err := g.current(ctx, key)
 	if err != nil {
 		return err
 	}
 	if old.Deleted {
 		return fmt.Errorf("%w: %s (already deleted)", ErrObjectNotFound, name)
 	}
-	tomb := ObjectMeta{Name: name, Gen: old.Gen + 1, Deleted: true}
-	raw, err := json.MarshalIndent(tomb, "", "  ")
-	if err != nil {
+	if err := g.broadcastMeta(ctx, key, ObjectMeta{Name: name, Gen: old.Gen + 1, Deleted: true}, old); err != nil {
 		return err
 	}
-	members := g.cfg.Ring.Members()
-	ackErrs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i, id int) {
-			defer wg.Done()
-			ackErrs[i] = g.transport(id).PutMeta(ctx, key, raw)
-		}(i, m.ID)
-	}
-	wg.Wait()
-	acks := 0
-	var firstErr error
-	for _, e := range ackErrs {
-		if e == nil {
-			acks++
-		} else if firstErr == nil {
-			firstErr = e
-		}
-	}
-	if acks <= len(members)/2 {
-		// Unwind members that already took the tombstone so a failed delete
-		// does not leave the object half-visible.
-		cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
-		defer cancel()
-		for i, m := range members {
-			if ackErrs[i] == nil {
-				g.transport(m.ID).PutMeta(cctx, key, oldRaw) //nolint:errcheck
-			}
-		}
-		return fmt.Errorf("%w: delete acknowledged by %d of %d members (need majority): %v",
-			ErrWriteQuorum, acks, len(members), firstErr)
-	}
-	// Committed. Reclaim the deleted generation's shards best-effort with
-	// a fresh context; the tombstone reaper catches anything missed.
-	cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
-	defer cancel()
-	for i, member := range old.Placement {
-		if tr := g.transport(member); tr != nil {
-			tr.DeleteShard(cctx, key, uint64(old.Gen), i) //nolint:errcheck
-		}
-	}
-	g.deletes.Add(1)
+	g.dropShards(key, uint64(old.Gen), old.Placement, every(len(old.Placement)))
 	return nil
 }
 
@@ -927,35 +680,17 @@ func (g *Gateway) StatAll() ([]ObjectMeta, error) {
 	return metas, nil
 }
 
-// GatewayStats is the gateway's /statusz document.
-type GatewayStats struct {
-	Objects             int     `json:"objects"`
-	Members             int     `json:"members"`
-	SelfID              int     `json:"self_id"`
-	WriteQuorum         int     `json:"write_quorum"`
-	Puts                int64   `json:"puts"`
-	Gets                int64   `json:"gets"`
-	RangeGets           int64   `json:"range_gets"`
-	Patches             int64   `json:"patches"`
-	DegradedGets        int64   `json:"degraded_gets"`
-	Deletes             int64   `json:"deletes"`
-	QuorumFailures      int64   `json:"quorum_failures"`
-	Rebuilds            int64   `json:"rebuilds"`
-	ShardsRebuilt       int64   `json:"shards_rebuilt"`
-	RepairBytesRead     int64   `json:"repair_bytes_read"`
-	RepairBytesWritten  int64   `json:"repair_bytes_written"`
-	RepairAmplification float64 `json:"repair_amplification"`
-	RequestsShed        int64   `json:"requests_shed"`
-	SchedQueue          int     `json:"sched_queue_depth"`
-	BytesIn             int64   `json:"bytes_in"`
-	BytesOut            int64   `json:"bytes_out"`
-	UnitSize            int     `json:"unit_size"`
-	DataShards          int     `json:"k"`
-	ParityShards        int     `json:"r"`
-	StreamWorkers       int     `json:"stream_workers"`
-	// Peers carries one row per HTTP peer transport — health and coarse
-	// traffic counters as seen from this gateway.
-	Peers []PeerStatus `json:"peers,omitempty"`
+// List implements storage: the names of the live objects, sorted.
+func (g *Gateway) List() ([]string, error) {
+	metas, err := g.StatAll()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(metas))
+	for i, m := range metas {
+		names[i] = m.Name
+	}
+	return names, nil
 }
 
 // PeerStatus is one peer's health and traffic as observed by this
@@ -969,10 +704,10 @@ type PeerStatus struct {
 	DownTransitions int64  `json:"down_transitions"`
 }
 
-// RepairAmplification returns cumulative repair-traffic amplification:
-// bytes read from survivors per byte of shard rebuilt. The canonical EC
-// repair cost — k units read for every unit restored when rebuilding one
-// shard — makes k the expected steady-state value.
+// RepairAmplification returns the cumulative repair-traffic amplification
+// of node rebuilds: bytes read from survivors per byte of shard rebuilt.
+// The canonical EC repair cost — k units read for every unit restored
+// when rebuilding one shard — makes it k.
 func (g *Gateway) RepairAmplification() float64 {
 	w := g.repairBytesWritten.Load()
 	if w == 0 {
@@ -981,12 +716,9 @@ func (g *Gateway) RepairAmplification() float64 {
 	return float64(g.repairBytesRead.Load()) / float64(w)
 }
 
-// StatusSnapshot implements Backend for /statusz.
-func (g *Gateway) StatusSnapshot() any {
-	objects := 0
-	if metas, err := g.StatAll(); err == nil {
-		objects = len(metas)
-	}
+// describe implements storage: membership, quorum, repair traffic and one
+// row per HTTP peer.
+func (g *Gateway) describe(st *Stats) {
 	var peers []PeerStatus
 	for id, tr := range g.cfg.Transports {
 		c, ok := tr.(*peer.Client)
@@ -1003,47 +735,26 @@ func (g *Gateway) StatusSnapshot() any {
 		})
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Member < peers[j].Member })
-	return GatewayStats{
-		Objects:             objects,
+	st.ClusterStats = &ClusterStats{
 		Members:             g.cfg.Ring.Len(),
 		SelfID:              g.cfg.SelfID,
 		WriteQuorum:         g.cfg.WriteQuorum,
-		Puts:                g.puts.Load(),
-		Gets:                g.gets.Load(),
-		RangeGets:           g.rangeGets.Load(),
-		Patches:             g.patches.Load(),
-		DegradedGets:        g.degradedGets.Load(),
-		Deletes:             g.deletes.Load(),
 		QuorumFailures:      g.quorumFailures.Load(),
 		Rebuilds:            g.rebuilds.Load(),
 		ShardsRebuilt:       g.shardsRebuilt.Load(),
 		RepairBytesRead:     g.repairBytesRead.Load(),
 		RepairBytesWritten:  g.repairBytesWritten.Load(),
 		RepairAmplification: g.RepairAmplification(),
-		RequestsShed:        g.sched.Shed(),
-		SchedQueue:          g.sched.QueueDepth(),
-		BytesIn:             g.bytesIn.Load(),
-		BytesOut:            g.bytesOut.Load(),
-		UnitSize:            g.cfg.UnitSize,
-		DataShards:          g.cfg.K,
-		ParityShards:        g.cfg.R,
-		StreamWorkers:       g.sched.Workers(),
 		Peers:               peers,
 	}
 }
 
-// ScrubAll sweeps the cluster catalog once from this gateway: every
-// object's shards are stat-checked on their placed members, and any
-// missing or wrong-length shard is rebuilt from k survivors and pushed
-// back — the networked version of the local scrub-and-heal loop. The
-// sweep also retires delete tombstones once every member has
+// sweep implements storage: every object's shards are read whole from
+// their members and checked unit by unit, damaged ones rebuilt and pushed
+// back (scrubObject) — the networked version of the local scrub-and-heal
+// loop. The sweep also retires delete tombstones once every member has
 // acknowledged them (see reapTombstone).
-func (g *Gateway) ScrubAll(ctx context.Context) (rep ScrubReport) {
-	start := time.Now()
-	defer func() {
-		done := time.Now()
-		g.m().recordScrub(rep, done.Sub(start), done)
-	}()
+func (g *Gateway) sweep(ctx context.Context) (rep ScrubReport) {
 	metas, err := g.catalog(ctx)
 	if err != nil {
 		rep.record("<catalog>", nil, err)
@@ -1061,35 +772,58 @@ func (g *Gateway) ScrubAll(ctx context.Context) (rep ScrubReport) {
 			continue
 		}
 		rep.Objects++
-		targets := g.damagedShards(ctx, meta)
-		if len(targets) == 0 {
-			continue
+		healed, err := g.scrubObject(ctx, meta)
+		if err != nil && ctx.Err() != nil {
+			// Every fetch fails once ctx is dead: the sweep was cut short,
+			// the object is not damaged.
+			err = ctxErr(ctx)
 		}
-		if rep.record(meta.Name, targets, g.rebuildObjectShards(ctx, meta, targets)) {
+		if rep.record(meta.Name, healed, err) {
 			break
 		}
 	}
 	return rep
 }
 
-// damagedShards stats every shard of meta on its placed member and
-// returns the indices that are missing or the wrong length.
-func (g *Gateway) damagedShards(ctx context.Context, meta ObjectMeta) []int {
-	want := int64(meta.Manifest.Stripes) * int64(meta.Manifest.UnitSize)
-	var targets []int
-	for i, member := range meta.Placement {
-		tr := g.transport(member)
-		if tr == nil {
-			continue // unknown member: nothing to push a repair to
-		}
-		size, err := tr.StatShard(ctx, objKey(meta.Name), uint64(meta.Gen), i)
-		if errors.Is(err, peer.ErrShardNotFound) || (err == nil && size != want) {
-			targets = append(targets, i)
-		}
-		// An unreachable member is not "damaged": pushing a rebuilt shard
-		// there would fail too. RebuildNode handles replaced members.
+// scrubObject is the peer instantiation of shardfile.ScrubPaths: all k+r
+// shards are read whole from their members and checked unit by unit
+// (OpenStreams under the full plan → Scan), and only a damaged set is
+// opened again and repaired (RepairTo) onto the damaged shards — missing,
+// wrong-length or CRC-failing ones. A member that cannot be reached is
+// not damaged: a rebuilt shard could not be pushed there either, and
+// RebuildNode restores replaced members. Returns the shards healed.
+func (g *Gateway) scrubObject(ctx context.Context, meta ObjectMeta) ([]int, error) {
+	plan := shardfile.FullPlan(meta.Manifest)
+	sr, err := g.openShards(ctx, meta, plan)
+	if err != nil {
+		return nil, err
 	}
-	return targets
+	damaged, err := sr.Scan()
+	sr.Close()
+	if err != nil {
+		return nil, err
+	}
+	key, gen := objKey(meta.Name), uint64(meta.Gen)
+	var targets []int
+	for _, i := range damaged {
+		if tr := g.transport(meta.Placement[i]); tr != nil {
+			if _, err := tr.StatShard(ctx, key, gen, i); err == nil || errors.Is(err, peer.ErrShardNotFound) {
+				targets = append(targets, i)
+			}
+		}
+	}
+	if len(targets) == 0 {
+		return nil, nil
+	}
+	if sr, err = g.openShards(ctx, meta, plan); err != nil {
+		return nil, err
+	}
+	defer sr.Close()
+	if err := g.repairShards(ctx, meta, targets, sr); err != nil {
+		return nil, err
+	}
+	g.shardsHealed.Add(int64(len(targets)))
+	return targets, nil
 }
 
 // RebuildStats accounts one RebuildNode run.
@@ -1190,12 +924,12 @@ func (g *Gateway) rebuildNode(ctx context.Context, id int) (RebuildStats, error)
 }
 
 // rebuildObjectShards reconstructs meta's shards at the target indices
-// and streams each to its placed member: the peer instantiation of the
-// shardfile repair core. Exactly k survivor bodies are opened — the
-// canonical repair read cost — so a survivor unit failing its CRC32C, or
-// a survivor stream dying, leaves its stripe short and fails the rebuild
-// loudly instead of poisoning the rebuilt shard; nothing of a failed
-// rebuild stays on the targets.
+// from exactly k survivor bodies — the canonical repair read cost — pushes
+// each to its placed member, and accounts the traffic in the repair_*
+// counters, which therefore describe node rebuilds only (sweep heals count
+// in shards_healed). A survivor unit failing its CRC32C,
+// or a survivor stream dying, leaves its stripe short and fails the
+// rebuild loudly instead of poisoning the rebuilt shard.
 func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targets []int) error {
 	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
@@ -1231,25 +965,38 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 		return err
 	}
 	defer sr.Close()
-	upErrs, err := fanOut(n, targets,
+	if err := g.repairShards(ctx, meta, targets, sr); err != nil {
+		return err
+	}
+	g.repairBytesRead.Add(int64(m.K) * want)
+	g.repairBytesWritten.Add(int64(len(targets)) * want)
+	g.shardsRebuilt.Add(int64(len(targets)))
+	return nil
+}
+
+// repairShards streams sr's repair of meta's target shards to their
+// members — the peer instantiation of the shardfile repair core, RepairTo
+// into the pipes of fanOut. Every target is written through
+// peer.Replacer, which swaps the rebuilt shard in only once it is whole:
+// a failed or canceled repair leaves each target as it found it — a
+// rotten shard still serving every stripe where it verifies — as
+// ScrubPaths' temp files and renames leave a node's. Over a transport
+// without Replacer only a shard the member lacks can be written
+// (PutShard is first-writer-wins); nothing is ever deleted first.
+func (g *Gateway) repairShards(ctx context.Context, meta ObjectMeta, targets []int, sr *shardfile.StreamReader) error {
+	key, gen := objKey(meta.Name), uint64(meta.Gen)
+	m := meta.Manifest
+	want := int64(m.Stripes) * int64(m.UnitSize)
+	upErrs, err := fanOut(m.K+m.R, targets,
 		func(t int, body io.Reader) error {
-			// The target is damaged by selection (missing or wrong length)
-			// and shard writes are first-writer-wins, so clear any remnant
-			// before streaming the replacement.
 			tr := g.transport(meta.Placement[t])
-			if err := tr.DeleteShard(ctx, key, gen, t); err != nil {
-				return err
+			if r, ok := tr.(peer.Replacer); ok {
+				return r.ReplaceShard(ctx, key, gen, t, want, body)
 			}
 			return tr.PutShard(ctx, key, gen, t, want, body)
 		},
 		sr.RepairTo)
 	if err != nil {
-		// A target may have taken its last byte before the repair failed.
-		cctx, cancel := context.WithTimeout(context.Background(), rollbackTimeout)
-		defer cancel()
-		for _, t := range targets {
-			g.transport(meta.Placement[t]).DeleteShard(cctx, key, gen, t) //nolint:errcheck
-		}
 		return err
 	}
 	for _, t := range targets {
@@ -1257,8 +1004,5 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 			return fmt.Errorf("server: pushing rebuilt shard %d to member %d: %w", t, meta.Placement[t], upErrs[t])
 		}
 	}
-	g.repairBytesRead.Add(int64(m.K) * want)
-	g.repairBytesWritten.Add(int64(len(targets)) * want)
-	g.shardsRebuilt.Add(int64(len(targets)))
 	return nil
 }

@@ -623,12 +623,71 @@ func TestPutShardFirstWriterWins(t *testing.T) {
 	if err := cl.PutShard(ctx, "6f", 1, 0, -1, strings.NewReader("third writer")); !errors.Is(err, peer.ErrShardExists) {
 		t.Fatalf("HTTP second write = %v, want ErrShardExists", err)
 	}
-	// Deleting first (the repair path) makes the slot writable again.
+	// Deleting first makes the slot writable again.
 	if err := cl.DeleteShard(ctx, "6f", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.PutShard(ctx, "6f", 1, 0, -1, bytes.NewReader(first)); err != nil {
 		t.Fatalf("write after delete = %v", err)
+	}
+}
+
+// TestReplaceShardKeepsOldUntilWhole pins the repair write contract
+// (peer.Replacer), locally and over the wire: a replace that dies
+// mid-body leaves the old shard exactly as it was and no temporary file,
+// and only a whole body takes its place.
+func TestReplaceShardKeepsOldUntilWhole(t *testing.T) {
+	ps, err := OpenPeerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewPeerAPI(ps, testClusterSecret, t.Logf))
+	defer srv.Close()
+	cl := peer.NewClient(peer.Member{ID: 0, Addr: srv.URL}, peer.ClientConfig{Secret: testClusterSecret})
+	defer cl.Close()
+	ctx := context.Background()
+	old := []byte("old shard body, rotten in one unit")
+	if _, err := ps.PutShard("6f", 1, 0, bytes.NewReader(old)); err != nil {
+		t.Fatal(err)
+	}
+	shard := func() []byte {
+		t.Helper()
+		rc, _, err := ps.GetShard("6f", 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		b, _ := io.ReadAll(rc)
+		return b
+	}
+	for tname, tr := range map[string]peer.Transport{"local": NewLocalTransport(ps), "http": cl} {
+		r := tr.(peer.Replacer)
+		torn := peer.NewFaultTransport(tr)
+		torn.AddRule(peer.FaultRule{Op: peer.OpPutShard, TornAfter: 5})
+		body := []byte(tname + " replacement body")
+		if err := torn.ReplaceShard(ctx, "6f", 1, 0, int64(len(body)), bytes.NewReader(body)); err == nil {
+			t.Fatalf("%s: torn replace succeeded", tname)
+		}
+		if got := shard(); !bytes.Equal(got, old) {
+			t.Fatalf("%s: torn replace changed the shard to %q", tname, got)
+		}
+		// Over HTTP the peer notices the cut body after the client returned.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			left, _ := filepath.Glob(ps.shardPath("6f", 1, 0) + ".tmp*")
+			if len(left) == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: torn replace left %v behind", tname, left)
+			}
+		}
+		if err := r.ReplaceShard(ctx, "6f", 1, 0, int64(len(body)), bytes.NewReader(body)); err != nil {
+			t.Fatalf("%s: replace = %v", tname, err)
+		}
+		if got := shard(); !bytes.Equal(got, body) {
+			t.Fatalf("%s: replace left %q", tname, got)
+		}
+		old = body
 	}
 }
 
@@ -974,7 +1033,7 @@ func TestGatewayAdmissionShedding(t *testing.T) {
 func TestGatewayStatusSnapshot(t *testing.T) {
 	c := newHTTPCluster(t, 3, 2, 1, 1, 1024, Config{Logf: t.Logf})
 	c.put(t, "obj", randBytes(100, 10_000))
-	st, ok := c.gw.StatusSnapshot().(GatewayStats)
+	st, ok := c.gw.StatusSnapshot().(Stats)
 	if !ok {
 		t.Fatalf("StatusSnapshot returned %T", c.gw.StatusSnapshot())
 	}

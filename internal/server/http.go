@@ -171,9 +171,7 @@ func NewBackendHandler(backend Backend, cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /o/{name...}", h.wrap("put", true, h.put))
 	mux.HandleFunc("GET /o/{name...}", h.wrap("get", true, h.get))
-	if _, ok := backend.(Patcher); ok {
-		mux.HandleFunc("PATCH /o/{name...}", h.wrap("patch", true, h.patch))
-	}
+	mux.HandleFunc("PATCH /o/{name...}", h.wrap("patch", true, h.patch))
 	mux.HandleFunc("DELETE /o/{name...}", h.wrap("delete", false, h.delete))
 	mux.HandleFunc("GET /objects", h.wrap("list", false, h.list))
 	mux.HandleFunc("POST /scrub", h.wrap("scrub", false, h.scrub))
@@ -622,20 +620,17 @@ func parseRangeHeader(v string) (off, length int64, ok bool) {
 }
 
 // openForGet opens the object, honoring a well-formed single bytes Range
-// header when the backend can seek. ranged reports whether the response
-// must be a 206. A nil stream with handled == true means the response
-// (416 or an error) was already written.
+// header. ranged reports whether the response must be a 206. A nil
+// stream with handled == true means the response (416 or an error) was
+// already written.
 func (h *handler) openForGet(w http.ResponseWriter, r *http.Request, name string) (o ObjectStream, ranged bool, handled bool) {
 	hv := r.Header.Get("Range")
-	ro, seekable := h.store.(RangeOpener)
-	if seekable {
-		w.Header().Set("Accept-Ranges", "bytes")
-	}
+	w.Header().Set("Accept-Ranges", "bytes")
 	// HEAD ignores Range (RFC 9110 allows it; our HEAD describes the
 	// whole object). Anything unparseable falls through to a full 200.
-	if hv != "" && seekable && r.Method != http.MethodHead {
+	if hv != "" && r.Method != http.MethodHead {
 		if off, length, ok := parseRangeHeader(hv); ok {
-			rs, err := ro.OpenRange(r.Context(), name, off, length)
+			rs, err := h.store.OpenRange(r.Context(), name, off, length)
 			var re *RangeError
 			switch {
 			case errors.As(err, &re):
@@ -781,11 +776,6 @@ func parsePatchOffset(r *http.Request) (int64, error) {
 var ErrBadPatchRange = errors.New("server: bad patch range")
 
 func (h *handler) patch(w http.ResponseWriter, r *http.Request) {
-	p, ok := h.store.(Patcher)
-	if !ok { // route is only mounted for Patcher backends; belt and braces
-		http.Error(w, "backend cannot patch objects", http.StatusNotImplemented)
-		return
-	}
 	name := r.PathValue("name")
 	off, err := parsePatchOffset(r)
 	if err != nil {
@@ -805,7 +795,7 @@ func (h *handler) patch(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, r, err)
 		return
 	}
-	meta, ps, err := p.Patch(r.Context(), name, data, off)
+	meta, ps, err := h.store.Patch(r.Context(), name, data, off)
 	if err != nil {
 		h.fail(w, r, err)
 		return

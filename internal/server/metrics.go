@@ -26,7 +26,7 @@ var demotionCauses = []string{"crc", "truncation", "stall", "io"}
 // Metrics is the serving path's instrumentation bundle: every counter,
 // gauge and histogram the daemon records, pre-registered against one
 // obs.Registry so recording is lock-free atomic adds. Construct with
-// NewMetrics, hand the same instance to the Store (Store.SetMetrics) and
+// NewMetrics, hand the same instance to the backend (SetMetrics) and
 // the handler (Config.Metrics); a nil *Metrics disables recording everywhere
 // without conditional wiring at call sites.
 type Metrics struct {
@@ -183,18 +183,23 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// RegisterStore adds scrape-time gauges backed by st (object count,
-// scheduler occupancy). Call once per store.
-func (m *Metrics) RegisterStore(st *Store) {
+// register adds the scrape-time families every backend has: the object
+// count, scheduler occupancy, the code registry's per-shape hot-shape
+// table (gemmec_tuner_shape_requests_total, _generation, _predicted_gbps,
+// _measured_gbps — one labeled series per geometry, appearing as shapes
+// do) and, when a background tuner runs, its cumulative totals (skipped
+// otherwise, so scrapes don't advertise a loop that isn't running).
+// Called once per backend, by SetMetrics.
+func (m *Metrics) register(f *front) {
 	if m == nil {
 		return
 	}
 	m.Registry.GaugeFunc("gemmec_objects", "Objects in the catalog.",
 		func() float64 {
-			names, _ := st.List()
+			names, _ := f.b.List()
 			return float64(len(names))
 		})
-	sc := st.Scheduler()
+	sc := f.sched
 	m.Registry.GaugeFunc("gemmec_sched_queue_depth",
 		"Stripe tasks queued in the shared scheduler right now.",
 		func() float64 { return float64(sc.QueueDepth()) })
@@ -204,21 +209,8 @@ func (m *Metrics) RegisterStore(st *Store) {
 	m.Registry.GaugeFunc("gemmec_sched_workers",
 		"Workers in the shared encode/decode pool.",
 		func() float64 { return float64(sc.Workers()) })
-}
-
-// RegisterTuner adds the background autotuner's scrape-time families: the
-// cumulative totals below plus, via the code registry's own attachment,
-// the per-shape hot-shape table (gemmec_tuner_shape_requests_total,
-// _generation, _predicted_gbps, _measured_gbps — one labeled series per
-// geometry, appearing as shapes do). Called by Store.SetMetrics; the
-// totals are skipped when the tuner is off (TuneTrials == 0) so scrapes
-// don't advertise a loop that isn't running.
-func (m *Metrics) RegisterTuner(st *Store) {
-	if m == nil {
-		return
-	}
-	st.Codes().AttachObs(m.Registry)
-	t := st.Tuner()
+	f.codes.AttachObs(m.Registry)
+	t := f.tuner
 	if t == nil {
 		return
 	}
@@ -239,48 +231,33 @@ func (m *Metrics) RegisterTuner(st *Store) {
 		func() float64 { return float64(t.SkippedBusy()) })
 }
 
-// RegisterGateway adds scrape-time families backed by g: cluster repair
+// registerCluster adds the families only a cluster has: node-rebuild
 // traffic (bytes read from survivors, bytes of shard rebuilt, and their
-// ratio — the repair amplification, k in the canonical single-shard
-// case), rebuild runs, quorum failures, and scheduler occupancy. Call
-// once per gateway (Gateway.SetMetrics does).
-func (m *Metrics) RegisterGateway(g *Gateway) {
+// ratio — the repair amplification, k), rebuild runs, quorum failures, and
+// the per-peer transport series. Shards a scrub sweep heals are counted by
+// gemmec_scrub_shards_healed_total, as on a single node.
+func (m *Metrics) registerCluster(g *Gateway) {
 	if m == nil {
 		return
 	}
 	m.Registry.CounterFunc("gemmec_repair_bytes_read_total",
-		"Survivor shard bytes read by repair and rebuild.",
+		"Survivor shard bytes read by node rebuilds.",
 		func() float64 { return float64(g.repairBytesRead.Load()) })
 	m.Registry.CounterFunc("gemmec_repair_bytes_written_total",
-		"Rebuilt shard bytes written by repair and rebuild.",
+		"Rebuilt shard bytes written by node rebuilds.",
 		func() float64 { return float64(g.repairBytesWritten.Load()) })
 	m.Registry.GaugeFunc("gemmec_repair_amplification",
-		"Cumulative repair traffic amplification: survivor bytes read per byte rebuilt.",
+		"Cumulative node-rebuild traffic amplification: survivor bytes read per byte rebuilt (k).",
 		g.RepairAmplification)
 	m.Registry.CounterFunc("gemmec_rebuild_runs_total",
 		"Completed RebuildNode runs.",
 		func() float64 { return float64(g.rebuilds.Load()) })
 	m.Registry.CounterFunc("gemmec_rebuild_shards_total",
-		"Shards rebuilt by repair sweeps and node rebuilds.",
+		"Shards rebuilt by node rebuilds.",
 		func() float64 { return float64(g.shardsRebuilt.Load()) })
 	m.Registry.CounterFunc("gemmec_quorum_failures_total",
 		"Writes abandoned for missing their shard-ack or metadata quorum.",
 		func() float64 { return float64(g.quorumFailures.Load()) })
-	m.Registry.GaugeFunc("gemmec_objects", "Objects in the catalog.",
-		func() float64 {
-			metas, _ := g.StatAll()
-			return float64(len(metas))
-		})
-	sc := g.Scheduler()
-	m.Registry.GaugeFunc("gemmec_sched_queue_depth",
-		"Stripe tasks queued in the shared scheduler right now.",
-		func() float64 { return float64(sc.QueueDepth()) })
-	m.Registry.GaugeFunc("gemmec_sched_admitted",
-		"Streaming requests currently holding an admission slot.",
-		func() float64 { return float64(sc.Admitted()) })
-	m.Registry.GaugeFunc("gemmec_sched_workers",
-		"Workers in the shared encode/decode pool.",
-		func() float64 { return float64(sc.Workers()) })
 
 	// Peer transport observability: each HTTP peer client feeds the
 	// member-labeled request counter and latency histogram plus the

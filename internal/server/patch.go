@@ -18,16 +18,15 @@ import (
 
 // Ranged reads and stripe-granular small writes.
 //
-// OpenObjectRange serves an HTTP Range request by reading only the data
-// units inside the window (shardfile.OpenRangePaths plans them and seeks
-// each shard file it reads to its first), so a 64 KiB tail read of a
+// OpenRange serves an HTTP Range request by reading only the data units
+// inside the window (the shardfile read plan), so a 64 KiB tail read of a
 // gigabyte object costs 64 KiB of shard I/O, not the whole object and not
 // its parity.
 //
-// Patch is the write-side dual: a small overwrite or append re-encodes
-// only the touched stripes, XOR-patching their parity units from the data
-// delta (shardfile.PlanPatch / core.Engine.UpdateParity) instead of
-// re-encoding the object. The commit protocol keeps the object
+// Patch is the write-side dual. On a Store a small overwrite or append
+// re-encodes only the touched stripes, XOR-patching their parity units
+// from the data delta (shardfile.PlanPatch / core.Engine.UpdateParity)
+// instead of re-encoding the object. The commit protocol keeps the object
 // crash-atomic without a new shard generation:
 //
 //  1. plan     — pure read: verified old units -> writes + new manifest
@@ -45,9 +44,10 @@ import (
 // object (overwritten, deleted, repacked) is discarded instead.
 //
 // Shard sets that cannot be patched in place — packed slab members,
-// legacy v1 manifests, sets with unreadable or rotten units — fall back
-// to a full read-modify-write through the regular Put commit path (new
-// generation, metadata rename, old shards removed after commit).
+// legacy v1 manifests, sets with unreadable or rotten units, and every
+// cluster object — fall back to the front's read-modify-write through the
+// regular commit (new generation, metadata commit, old shards removed
+// after it).
 
 // ErrRangeNotSatisfiable reports a requested byte range no part of which
 // exists — the HTTP layer's 416.
@@ -94,18 +94,6 @@ func resolveRange(off, length, size int64) (int64, int64, error) {
 	}
 }
 
-// OpenObjectRange opens byte window [off, off+length) of object name for
-// streaming: the shard set is opened over the window, so Stream reads
-// only the data units inside it. off == -1 selects the final length
-// bytes, length == -1 everything from off to the end (the two open-ended
-// Range header forms). An unsatisfiable window fails with a *RangeError
-// wrapping ErrRangeNotSatisfiable. Everything else matches OpenObject:
-// shared lock until Close, degraded opens transparent, slab members
-// resolved.
-func (s *Store) OpenObjectRange(ctx context.Context, name string, off, length int64) (*Object, error) {
-	return s.openObject(ctx, name, true, off, length)
-}
-
 // PatchStats describes how a Patch landed.
 type PatchStats struct {
 	// Offset is the resolved payload offset the patch was applied at
@@ -120,8 +108,9 @@ type PatchStats struct {
 	DataBytes      int64 `json:"data_bytes,omitempty"`
 	ParityBytes    int64 `json:"parity_bytes,omitempty"`
 	// Fallback names why the patch fell back to read-modify-write:
-	// "slab" (packed member) or "unsupported" (v1 manifest, degraded or
-	// rotten units). Empty when InPlace.
+	// "slab" (packed member), "unsupported" (v1 manifest), "degraded"
+	// (unreadable or rotten units) or "rmw" (a cluster object, never
+	// patched in place). Empty when InPlace.
 	Fallback string `json:"fallback,omitempty"`
 }
 
@@ -155,90 +144,33 @@ func (s *Store) clearPatchJournal(key string) {
 	os.Remove(s.patchJournalPath(key) + ".tmp")
 }
 
-// Patch splices data into object name at payload byte off; off == -1
-// appends. The object may grow (never shrink). When the shard set
-// supports it the write is stripe-granular and in place — only the
-// touched data units and their XOR-patched parity units are rewritten,
-// journaled first so a crash mid-apply rolls forward — otherwise
-// (slab members, v1 manifests, degraded sets) it degrades to a full
-// read-modify-write overwrite. Either way the metadata rename is the
-// commit point: concurrent readers and crashes see the whole old object
-// or the whole new one, never a splice in progress.
-func (s *Store) Patch(ctx context.Context, name string, data []byte, off int64) (ObjectMeta, PatchStats, error) {
-	var ps PatchStats
-	if err := validateName(name); err != nil {
-		return ObjectMeta{}, ps, err
+// patchInPlace implements storage: a dedicated v2 shard set is patched
+// stripe-granularly in place — only the touched data units and their
+// XOR-patched parity units are rewritten, journaled first so a crash
+// mid-apply rolls forward, and the metadata rename commits. Slab members
+// and sets PlanPatch refuses (v1 manifests, unreadable or rotten units)
+// are declined for the read-modify-write.
+func (s *Store) patchInPlace(ctx context.Context, key string, old ObjectMeta, off int64, data []byte) (ObjectMeta, PatchStats, error) {
+	if old.Slab != nil {
+		return ObjectMeta{}, PatchStats{Fallback: "slab"}, nil
 	}
-	if err := ctxErr(ctx); err != nil {
-		return ObjectMeta{}, ps, err
+	paths := s.shardPaths(key, old)
+	psp := obs.StartSpan(ctx, "patch.plan")
+	plan, err := shardfile.PlanPatch(paths, old.Manifest, off, data, s.fileOpts(ctx))
+	psp.End(err)
+	if errors.Is(err, shardfile.ErrPatchUnsupported) {
+		return ObjectMeta{}, PatchStats{Fallback: fallbackReason(err)}, nil
 	}
-	key := objKey(name)
-	lsp := obs.StartSpan(ctx, "store.lock")
-	l := s.lockKey(key)
-	lsp.End(nil)
-	defer l.Unlock()
-	if err := s.ensureDirs(); err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	old, err := s.loadMeta(key)
 	if err != nil {
-		return ObjectMeta{}, ps, err
+		return ObjectMeta{}, PatchStats{}, err
 	}
-	if old.Deleted {
-		return ObjectMeta{}, ps, ErrObjectNotFound
+	meta := old
+	meta.Manifest = plan.Manifest
+	if err := s.commitPatch(ctx, key, meta, paths, plan); err != nil {
+		return ObjectMeta{}, PatchStats{}, err
 	}
-	off, newSize, err := patchWindow(old.Size(), off, len(data))
-	if err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	ps.Offset = off
-	if len(data) == 0 {
-		ps.InPlace = true // nothing to write; the object is untouched
-		return old, ps, nil
-	}
-
-	if old.Slab == nil {
-		paths := s.shardPaths(key, old)
-		psp := obs.StartSpan(ctx, "patch.plan")
-		plan, perr := shardfile.PlanPatch(paths, old.Manifest, off, data, s.fileOpts(ctx))
-		psp.End(perr)
-		if perr == nil {
-			meta := old
-			meta.Manifest = plan.Manifest
-			if err := s.commitPatch(ctx, key, meta, paths, plan); err != nil {
-				return ObjectMeta{}, ps, err
-			}
-			ps.InPlace = true
-			ps.TouchedStripes = plan.TouchedStripes
-			ps.DataBytes, ps.ParityBytes = plan.DataBytes, plan.ParityBytes
-			s.patches.Add(1)
-			s.bytesIn.Add(int64(len(data)))
-			if mt := s.m(); mt != nil {
-				mt.recordPatch(ps)
-				mt.bytesIn.Add(int64(len(data)))
-			}
-			return meta, ps, nil
-		}
-		if !errors.Is(perr, shardfile.ErrPatchUnsupported) {
-			return ObjectMeta{}, ps, perr
-		}
-		ps.Fallback = fallbackReason(perr)
-	} else {
-		ps.Fallback = "slab"
-	}
-	// Read-modify-write fallback: decode, splice, re-encode through the
-	// regular Put commit path (new generation; slab members are promoted
-	// out of — or repacked into — a slab by the same size rules as PUT).
-	meta, err := s.patchRMW(ctx, key, old, off, data, newSize)
-	if err != nil {
-		return ObjectMeta{}, ps, err
-	}
-	s.patches.Add(1)
-	s.patchFallbacks.Add(1)
-	if mt := s.m(); mt != nil {
-		mt.recordPatch(ps)
-	}
-	return meta, ps, nil
+	return meta, PatchStats{InPlace: true, TouchedStripes: plan.TouchedStripes,
+		DataBytes: plan.DataBytes, ParityBytes: plan.ParityBytes}, nil
 }
 
 // fallbackReason classifies why PlanPatch refused, for the fallback label.
@@ -411,63 +343,6 @@ func spliceOld(off int64, data []byte, decode func(io.Writer) error) (src io.Rea
 		&skipReader{r: pr, skip: int64(len(data))},
 	)
 	return src, func() { pr.Close(); <-done }
-}
-
-// patchRMW is the read-modify-write fallback: decode the old payload,
-// splice the patch bytes in, and re-encode the result via the regular Put
-// commit path. The producer decodes the old generation's shard files
-// directly (the caller already holds the object's exclusive lock;
-// OpenObject would deadlock on it) or, for slab members, the member window
-// of the backing slab under its shared lock (member → slab order, matching
-// openSlabMember).
-func (s *Store) patchRMW(ctx context.Context, key string, old ObjectMeta, off int64, data []byte, newSize int64) (ObjectMeta, error) {
-	meta := ObjectMeta{Name: old.Name, Gen: old.Gen + 1}
-	var oldPaths []string
-	if old.Slab == nil {
-		oldPaths = s.shardPaths(key, old)
-		if s.placementUsable(old.Placement) {
-			meta.Placement = old.Placement
-		}
-	}
-	src, stop := spliceOld(off, data, func(w io.Writer) error {
-		if old.Slab != nil {
-			return s.decodeSlabMember(ctx, old, w)
-		}
-		return s.decodeOldGen(ctx, key, old, w)
-	})
-	meta, _, err := s.putLocked(ctx, key, meta, oldPaths, src, newSize)
-	stop()
-	return meta, err
-}
-
-// decodeOldGen streams the committed payload of a dedicated shard set.
-func (s *Store) decodeOldGen(ctx context.Context, key string, meta ObjectMeta, dst io.Writer) error {
-	sr, err := shardfile.OpenStreamPaths(s.shardPaths(key, meta), meta.Manifest, s.fileOpts(ctx))
-	if err != nil {
-		return err
-	}
-	defer sr.Close()
-	_, err = sr.Decode(dst, 0)
-	return err
-}
-
-// decodeSlabMember streams a packed member's payload window out of its
-// backing slab, holding the slab's shared lock for the duration.
-func (s *Store) decodeSlabMember(ctx context.Context, meta ObjectMeta, dst io.Writer) error {
-	sl := s.rlockKey(meta.Slab.Key)
-	defer sl.RUnlock()
-	slabMeta, err := s.loadMeta(meta.Slab.Key)
-	if err != nil {
-		return err
-	}
-	sr, err := shardfile.OpenRangePaths(s.shardPaths(meta.Slab.Key, slabMeta), slabMeta.Manifest,
-		meta.Slab.Offset, meta.Slab.Size, s.fileOpts(ctx))
-	if err != nil {
-		return err
-	}
-	defer sr.Close()
-	_, err = sr.Decode(dst, 0)
-	return err
 }
 
 // skipReader discards the first skip bytes of r — the old bytes the patch

@@ -17,7 +17,7 @@ import (
 // NewPeerAPI serves ps over the internal shard-transfer API — the wire
 // every peer.Client speaks:
 //
-//	PUT    /internal/shard/{key}/{gen}/{idx}   store one shard (atomic)
+//	PUT    /internal/shard/{key}/{gen}/{idx}   store one shard (atomic; ?replace=1 overwrites)
 //	GET    /internal/shard/{key}/{gen}/{idx}   stream one shard (Range → 206 window)
 //	HEAD   /internal/shard/{key}/{gen}/{idx}   size only (X-Gemmec-Shard-Size)
 //	DELETE /internal/shard/{key}/{gen}/{idx}   drop one shard generation
@@ -133,7 +133,12 @@ func (a *peerAPI) putShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	done := remoteSpan(w, r, "shard.write")
-	_, err := a.ps.PutShard(key, gen, idx, r.Body)
+	var err error
+	if r.URL.RawQuery == "replace=1" {
+		_, err = a.ps.ReplaceShard(key, gen, idx, r.Body)
+	} else {
+		_, err = a.ps.PutShard(key, gen, idx, r.Body)
+	}
 	done(err)
 	if err != nil {
 		// A torn upload (body error) aborted atomically; the sender is

@@ -97,6 +97,18 @@ func syncDir(dir string) error {
 // sets instead of interleaving bytes in one file. Each upload streams
 // into its own unique temp file for the same reason.
 func (ps *PeerStore) PutShard(key string, gen uint64, idx int, body io.Reader) (int64, error) {
+	return ps.putShard(key, gen, idx, body, false)
+}
+
+// ReplaceShard is PutShard without first-writer-wins: the finished temp
+// file is renamed over whatever shard (key, gen, idx) is there, so the old
+// one stays readable until the new one is whole and durable, and a torn
+// body leaves it untouched. It is how repairs write (peer.Replacer).
+func (ps *PeerStore) ReplaceShard(key string, gen uint64, idx int, body io.Reader) (int64, error) {
+	return ps.putShard(key, gen, idx, body, true)
+}
+
+func (ps *PeerStore) putShard(key string, gen uint64, idx int, body io.Reader, replace bool) (int64, error) {
 	if err := validPeerKey(key); err != nil {
 		return 0, err
 	}
@@ -107,7 +119,7 @@ func (ps *PeerStore) PutShard(key string, gen uint64, idx int, body io.Reader) (
 		return 0, err
 	}
 	dst := ps.shardPath(key, gen, idx)
-	if _, err := os.Lstat(dst); err == nil {
+	if _, err := os.Lstat(dst); err == nil && !replace {
 		// Cheap early reject before streaming the body; the Link below is
 		// the authoritative race-free check.
 		return 0, fmt.Errorf("%w: %s gen %d shard %d", peer.ErrShardExists, key, gen, idx)
@@ -124,7 +136,11 @@ func (ps *PeerStore) PutShard(key string, gen uint64, idx int, body io.Reader) (
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
+	switch {
+	case err != nil:
+	case replace:
+		err = os.Rename(tmp, dst)
+	default:
 		// Link, not rename: fails with EEXIST if a concurrent writer got
 		// there first, which is exactly the first-writer-wins contract.
 		if err = os.Link(tmp, dst); errors.Is(err, os.ErrExist) {
@@ -374,6 +390,14 @@ func (t localTransport) PutShard(ctx context.Context, key string, gen uint64, id
 		return err
 	}
 	_, err := t.ps.PutShard(key, gen, idx, body)
+	return err
+}
+
+func (t localTransport) ReplaceShard(ctx context.Context, key string, gen uint64, idx int, size int64, body io.Reader) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	_, err := t.ps.ReplaceShard(key, gen, idx, body)
 	return err
 }
 

@@ -463,7 +463,7 @@ func TestClusterRangeAndPatch(t *testing.T) {
 		t.Fatalf("cluster ranged GET after patch: %s", resp.Status)
 	}
 
-	st, ok := c.gw.StatusSnapshot().(GatewayStats)
+	st, ok := c.gw.StatusSnapshot().(Stats)
 	if !ok {
 		t.Fatalf("StatusSnapshot type %T", c.gw.StatusSnapshot())
 	}

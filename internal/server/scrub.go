@@ -34,8 +34,8 @@ type Scrubber struct {
 
 // StartScrubber launches the background scrub loop over any Backend —
 // the local Store's verify-and-heal sweep, or the Gateway's cluster-wide
-// stat-and-rebuild sweep. interval must be positive; each sleep is drawn
-// uniformly from [interval/2, 3*interval/2).
+// one, which verifies every peer's shards the same way. interval must be
+// positive; each sleep is drawn uniformly from [interval/2, 3*interval/2).
 func StartScrubber(store Backend, interval time.Duration, logf Logf) *Scrubber {
 	sc := &Scrubber{
 		store:    store,

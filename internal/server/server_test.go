@@ -543,7 +543,7 @@ func TestMidStreamTruncationDuringGet(t *testing.T) {
 	}
 	paths := s.shardPaths(objKey("trunc.bin"), meta)
 
-	o, err := s.OpenObject(context.Background(), "trunc.bin")
+	o, err := s.Open(context.Background(), "trunc.bin")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gemmec/internal/shardfile"
@@ -71,10 +72,11 @@ type slabReq struct {
 // slabWriter is the store's group-commit engine: one goroutine, one
 // in-flight batch.
 type slabWriter struct {
-	s    *Store
-	ch   chan *slabReq
-	quit chan struct{}
-	done chan struct{}
+	s        *Store
+	ch       chan *slabReq
+	quit     chan struct{}
+	quitOnce sync.Once
+	done     chan struct{}
 }
 
 func startSlabWriter(s *Store) *slabWriter {
@@ -89,8 +91,9 @@ func startSlabWriter(s *Store) *slabWriter {
 }
 
 // stop flushes any pending batch and waits for the loop to exit.
+// Idempotent.
 func (w *slabWriter) stop() {
-	close(w.quit)
+	w.quitOnce.Do(func() { close(w.quit) })
 	<-w.done
 }
 

@@ -188,7 +188,7 @@ func TestClusterPeerMetrics(t *testing.T) {
 		t.Fatalf("down transition for member 2 not recorded:\n%s", body)
 	}
 
-	gst, ok := c.gw.StatusSnapshot().(GatewayStats)
+	gst, ok := c.gw.StatusSnapshot().(Stats)
 	if !ok {
 		t.Fatalf("StatusSnapshot: %T", c.gw.StatusSnapshot())
 	}
