@@ -79,17 +79,31 @@ func MulAddRegion(t *MulTable, dst, src []byte) {
 	}
 }
 
-// XorRegion sets dst[i] ^= src[i] for every byte, processing eight bytes per
-// step through uint64 words. dst and src must have the same length.
+// The XOR kernels below walk the buffers in 32-byte steps (16 for the
+// eight-source kernel, whose operands outnumber the registers). Each step
+// takes one 3-index sub-slice per operand, x[i:i+32:i+32]; its length is a
+// constant the compiler can see, so the word loads and stores through
+// constant offsets inside the step carry no bounds check. The sources are
+// resliced to len(dst) once up front, which leaves one check per step.
+// Plain Go with no pointer casts: the same code on every GOARCH, and on
+// amd64/arm64 each binary.LittleEndian word access is a single move.
+
+// XorRegion sets dst[i] ^= src[i] for every byte. dst and src must have the
+// same length.
 func XorRegion(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf: XorRegion length mismatch")
 	}
 	n := len(dst)
+	src = src[:n]
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:]) ^ binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], v)
+	for ; i+32 <= n; i += 32 {
+		d := dst[i : i+32 : i+32]
+		s := src[i : i+32 : i+32]
+		putXor(d[0:], le.Uint64(s[0:]))
+		putXor(d[8:], le.Uint64(s[8:]))
+		putXor(d[16:], le.Uint64(s[16:]))
+		putXor(d[24:], le.Uint64(s[24:]))
 	}
 	for ; i < n; i++ {
 		dst[i] ^= src[i]
@@ -105,12 +119,16 @@ func XorRegion2(dst, a, b []byte) {
 		panic("gf: XorRegion2 length mismatch")
 	}
 	n := len(dst)
+	a, b = a[:n], b[:n]
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:]) ^
-			binary.LittleEndian.Uint64(a[i:]) ^
-			binary.LittleEndian.Uint64(b[i:])
-		binary.LittleEndian.PutUint64(dst[i:], v)
+	for ; i+32 <= n; i += 32 {
+		d := dst[i : i+32 : i+32]
+		x := a[i : i+32 : i+32]
+		y := b[i : i+32 : i+32]
+		putXor(d[0:], le.Uint64(x[0:])^le.Uint64(y[0:]))
+		putXor(d[8:], le.Uint64(x[8:])^le.Uint64(y[8:]))
+		putXor(d[16:], le.Uint64(x[16:])^le.Uint64(y[16:]))
+		putXor(d[24:], le.Uint64(x[24:])^le.Uint64(y[24:]))
 	}
 	for ; i < n; i++ {
 		dst[i] ^= a[i] ^ b[i]
@@ -123,14 +141,18 @@ func XorRegion4(dst, a, b, c, d []byte) {
 		panic("gf: XorRegion4 length mismatch")
 	}
 	n := len(dst)
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:]) ^
-			binary.LittleEndian.Uint64(a[i:]) ^
-			binary.LittleEndian.Uint64(b[i:]) ^
-			binary.LittleEndian.Uint64(c[i:]) ^
-			binary.LittleEndian.Uint64(d[i:])
-		binary.LittleEndian.PutUint64(dst[i:], v)
+	for ; i+32 <= n; i += 32 {
+		o := dst[i : i+32 : i+32]
+		w := a[i : i+32 : i+32]
+		x := b[i : i+32 : i+32]
+		y := c[i : i+32 : i+32]
+		z := d[i : i+32 : i+32]
+		putXor(o[0:], le.Uint64(w[0:])^le.Uint64(x[0:])^le.Uint64(y[0:])^le.Uint64(z[0:]))
+		putXor(o[8:], le.Uint64(w[8:])^le.Uint64(x[8:])^le.Uint64(y[8:])^le.Uint64(z[8:]))
+		putXor(o[16:], le.Uint64(w[16:])^le.Uint64(x[16:])^le.Uint64(y[16:])^le.Uint64(z[16:]))
+		putXor(o[24:], le.Uint64(w[24:])^le.Uint64(x[24:])^le.Uint64(y[24:])^le.Uint64(z[24:]))
 	}
 	for ; i < n; i++ {
 		dst[i] ^= a[i] ^ b[i] ^ c[i] ^ d[i]
@@ -147,38 +169,54 @@ func XorRegion8(dst []byte, srcs *[8][]byte) {
 			panic("gf: XorRegion8 length mismatch")
 		}
 	}
+	s0, s1, s2, s3 := srcs[0][:n], srcs[1][:n], srcs[2][:n], srcs[3][:n]
+	s4, s5, s6, s7 := srcs[4][:n], srcs[5][:n], srcs[6][:n], srcs[7][:n]
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:])
-		v ^= binary.LittleEndian.Uint64(srcs[0][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[1][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[2][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[3][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[4][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[5][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[6][i:])
-		v ^= binary.LittleEndian.Uint64(srcs[7][i:])
-		binary.LittleEndian.PutUint64(dst[i:], v)
+	for ; i+16 <= n; i += 16 {
+		o := dst[i : i+16 : i+16]
+		x0, x1, x2, x3 := s0[i:i+16:i+16], s1[i:i+16:i+16], s2[i:i+16:i+16], s3[i:i+16:i+16]
+		x4, x5, x6, x7 := s4[i:i+16:i+16], s5[i:i+16:i+16], s6[i:i+16:i+16], s7[i:i+16:i+16]
+		putXor(o[0:], le.Uint64(x0[0:])^le.Uint64(x1[0:])^le.Uint64(x2[0:])^le.Uint64(x3[0:])^
+			le.Uint64(x4[0:])^le.Uint64(x5[0:])^le.Uint64(x6[0:])^le.Uint64(x7[0:]))
+		putXor(o[8:], le.Uint64(x0[8:])^le.Uint64(x1[8:])^le.Uint64(x2[8:])^le.Uint64(x3[8:])^
+			le.Uint64(x4[8:])^le.Uint64(x5[8:])^le.Uint64(x6[8:])^le.Uint64(x7[8:]))
 	}
 	for ; i < n; i++ {
-		dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ srcs[2][i] ^ srcs[3][i] ^
-			srcs[4][i] ^ srcs[5][i] ^ srcs[6][i] ^ srcs[7][i]
+		dst[i] ^= s0[i] ^ s1[i] ^ s2[i] ^ s3[i] ^ s4[i] ^ s5[i] ^ s6[i] ^ s7[i]
 	}
 }
 
-// XorRegions sets dst[i] ^= xor of srcs[j][i] over all sources, dispatching
-// to the widest fused kernel available and falling back pairwise. All
-// sources must have the destination's length.
-func XorRegions(dst []byte, srcs ...[]byte) {
-	i := 0
-	for ; i+4 <= len(srcs); i += 4 {
-		XorRegion4(dst, srcs[i], srcs[i+1], srcs[i+2], srcs[i+3])
-	}
-	for ; i+2 <= len(srcs); i += 2 {
-		XorRegion2(dst, srcs[i], srcs[i+1])
-	}
-	for ; i < len(srcs); i++ {
-		XorRegion(dst, srcs[i])
+// le is the byte order the XOR kernels load and store words in. XOR is
+// bytewise, so any order gives the same bytes; little-endian is the one
+// amd64 and arm64 fold into a single move.
+var le = binary.LittleEndian
+
+// putXor XORs v into the first eight bytes of b.
+func putXor(b []byte, v uint64) {
+	le.PutUint64(b, le.Uint64(b)^v)
+}
+
+// XorRegions sets dst[i] ^= xor of srcs[j][i] over all sources in passes of
+// at most fanin sources, each pass dispatched to the widest fused kernel
+// (8, 4, 2 or 1 sources) that fits. fanin < 1 is treated as 1. All sources
+// must have the destination's length.
+func XorRegions(dst []byte, srcs [][]byte, fanin int) {
+	for len(srcs) > 0 {
+		n := min(fanin, len(srcs))
+		switch {
+		case n >= 8:
+			XorRegion8(dst, (*[8][]byte)(srcs[:8]))
+			srcs = srcs[8:]
+		case n >= 4:
+			XorRegion4(dst, srcs[0], srcs[1], srcs[2], srcs[3])
+			srcs = srcs[4:]
+		case n >= 2:
+			XorRegion2(dst, srcs[0], srcs[1])
+			srcs = srcs[2:]
+		default:
+			XorRegion(dst, srcs[0])
+			srcs = srcs[1:]
+		}
 	}
 }
 

@@ -81,66 +81,99 @@ func TestMulRegionAndMulAddRegion(t *testing.T) {
 	}
 }
 
+// xorRef is the byte-at-a-time reference the fused kernels are checked
+// against: dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ ...
+func xorRef(dst []byte, srcs ...[]byte) {
+	for _, s := range srcs {
+		for i := range dst {
+			dst[i] ^= s[i]
+		}
+	}
+}
+
+// offsetBytes returns n random bytes starting at byte off of a larger
+// buffer, so a kernel sees an operand that is not word aligned.
+func offsetBytes(rng *rand.Rand, n, off int) []byte {
+	return randBytes(rng, n+off+7)[off : off+n]
+}
+
+// checkXorFamily runs XorRegion/2/4/8, and XorRegions over numSrc sources
+// at fanin, on n-byte operands cut at offsets off..off+7 (mod 8) of larger
+// buffers, and compares each against xorRef.
+func checkXorFamily(t *testing.T, rng *rand.Rand, n, off, numSrc, fanin int) {
+	t.Helper()
+	srcs := make([][]byte, max(numSrc, 8))
+	for j := range srcs {
+		srcs[j] = offsetBytes(rng, n, (off+j)%8)
+	}
+	base := offsetBytes(rng, n, off)
+	for _, kc := range []struct {
+		name  string
+		width int
+		run   func(dst []byte)
+	}{
+		{"XorRegion", 1, func(dst []byte) { XorRegion(dst, srcs[0]) }},
+		{"XorRegion2", 2, func(dst []byte) { XorRegion2(dst, srcs[0], srcs[1]) }},
+		{"XorRegion4", 4, func(dst []byte) { XorRegion4(dst, srcs[0], srcs[1], srcs[2], srcs[3]) }},
+		{"XorRegion8", 8, func(dst []byte) { XorRegion8(dst, (*[8][]byte)(srcs[:8])) }},
+		{"XorRegions", numSrc, func(dst []byte) { XorRegions(dst, srcs[:numSrc], fanin) }},
+	} {
+		want := append([]byte(nil), base...)
+		xorRef(want, srcs[:kc.width]...)
+		got := append(make([]byte, off), base...)[off:]
+		kc.run(got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d off=%d %s wrong", n, off, kc.name)
+		}
+	}
+}
+
 func TestXorRegionVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 5, 8, 15, 16, 17, 8192} {
-		a := randBytes(rng, n)
-		b := randBytes(rng, n)
-		c := randBytes(rng, n)
-		d := randBytes(rng, n)
-		base := randBytes(rng, n)
-
-		want := make([]byte, n)
-		for i := 0; i < n; i++ {
-			want[i] = base[i] ^ a[i]
-		}
-		got := append([]byte(nil), base...)
-		XorRegion(got, a)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d XorRegion wrong", n)
-		}
-
-		for i := 0; i < n; i++ {
-			want[i] = base[i] ^ a[i] ^ b[i]
-		}
-		got = append([]byte(nil), base...)
-		XorRegion2(got, a, b)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d XorRegion2 wrong", n)
-		}
-
-		for i := 0; i < n; i++ {
-			want[i] = base[i] ^ a[i] ^ b[i] ^ c[i] ^ d[i]
-		}
-		got = append([]byte(nil), base...)
-		XorRegion4(got, a, b, c, d)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d XorRegion4 wrong", n)
+	// The 32-byte step (16 for XorRegion8): lengths below, at and either
+	// side of one and two steps, a tail of every class, and operands cut
+	// at offsets 0-7 of a larger buffer.
+	lengths := []int{0, 1, 5, 8, 15, 16, 17, 31, 32, 33, 47, 48, 63, 64, 65, 4099, 8192}
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			checkXorFamily(t, rng, n, off, 11, 8)
 		}
 	}
 }
 
 func TestXorRegionsFusion(t *testing.T) {
-	// XorRegions must equal sequential XorRegion for any source count,
-	// exercising the 4-wide, 2-wide and single-source tails.
+	// XorRegions must equal the byte-wise reference for any source count
+	// and fan-in, exercising every fused width and the narrower tails.
 	rng := rand.New(rand.NewSource(3))
 	n := 129
-	for numSrc := 0; numSrc <= 11; numSrc++ {
-		srcs := make([][]byte, numSrc)
-		for i := range srcs {
-			srcs[i] = randBytes(rng, n)
-		}
-		base := randBytes(rng, n)
-		want := append([]byte(nil), base...)
-		for _, s := range srcs {
-			XorRegion(want, s)
-		}
-		got := append([]byte(nil), base...)
-		XorRegions(got, srcs...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("numSrc=%d XorRegions != sequential", numSrc)
+	for _, fanin := range []int{0, 1, 2, 3, 4, 5, 8, 16} {
+		for numSrc := 0; numSrc <= 19; numSrc++ {
+			srcs := make([][]byte, numSrc)
+			for i := range srcs {
+				srcs[i] = randBytes(rng, n)
+			}
+			base := randBytes(rng, n)
+			want := append([]byte(nil), base...)
+			xorRef(want, srcs...)
+			got := append([]byte(nil), base...)
+			XorRegions(got, srcs, fanin)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("fanin=%d numSrc=%d XorRegions != reference", fanin, numSrc)
+			}
 		}
 	}
+}
+
+// FuzzXorRegions checks the whole fused family against the byte-wise
+// reference on fuzzed lengths, source counts, fan-ins and operand offsets.
+func FuzzXorRegions(f *testing.F) {
+	f.Add(uint16(0), uint8(1), uint8(1), uint8(0), int64(1))
+	f.Add(uint16(33), uint8(5), uint8(4), uint8(3), int64(2))
+	f.Add(uint16(4099), uint8(12), uint8(8), uint8(7), int64(3))
+	f.Fuzz(func(t *testing.T, length uint16, count, fanin, offset uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		checkXorFamily(t, rng, int(length%8192), int(offset%8), 1+int(count%12), int(fanin))
+	})
 }
 
 func TestRegionLengthMismatchPanics(t *testing.T) {
@@ -151,6 +184,7 @@ func TestRegionLengthMismatchPanics(t *testing.T) {
 		"XorRegion":    func() { XorRegion(a, b) },
 		"XorRegion2":   func() { XorRegion2(a, a, b) },
 		"XorRegion4":   func() { XorRegion4(a, a, a, a, b) },
+		"XorRegion8":   func() { XorRegion8(a, &[8][]byte{a, a, a, a, a, a, a, b}) },
 		"MulRegion":    func() { MulRegion(tbl, a, b) },
 		"MulAddRegion": func() { MulAddRegion(tbl, a, b) },
 		"CopyRegion":   func() { CopyRegion(a, b) },
@@ -175,25 +209,36 @@ func TestCopyRegion(t *testing.T) {
 	}
 }
 
-func BenchmarkXorRegion(b *testing.B) {
-	dst := make([]byte, 128<<10)
-	src := make([]byte, 128<<10)
-	b.SetBytes(int64(len(dst)))
+// benchXor times one fused kernel over width sources of 128 KiB each,
+// counting source bytes.
+func benchXor(b *testing.B, width int, run func(dst []byte, srcs [][]byte)) {
+	n := 128 << 10
+	dst := make([]byte, n)
+	srcs := make([][]byte, width)
+	for i := range srcs {
+		srcs[i] = make([]byte, n)
+	}
+	b.SetBytes(int64(width * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		XorRegion(dst, src)
+		run(dst, srcs)
 	}
 }
 
+func BenchmarkXorRegion(b *testing.B) {
+	benchXor(b, 1, func(dst []byte, s [][]byte) { XorRegion(dst, s[0]) })
+}
+
+func BenchmarkXorRegion2(b *testing.B) {
+	benchXor(b, 2, func(dst []byte, s [][]byte) { XorRegion2(dst, s[0], s[1]) })
+}
+
 func BenchmarkXorRegion4(b *testing.B) {
-	n := 128 << 10
-	dst := make([]byte, n)
-	srcs := [][]byte{make([]byte, n), make([]byte, n), make([]byte, n), make([]byte, n)}
-	b.SetBytes(int64(4 * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		XorRegion4(dst, srcs[0], srcs[1], srcs[2], srcs[3])
-	}
+	benchXor(b, 4, func(dst []byte, s [][]byte) { XorRegion4(dst, s[0], s[1], s[2], s[3]) })
+}
+
+func BenchmarkXorRegion8(b *testing.B) {
+	benchXor(b, 8, func(dst []byte, s [][]byte) { XorRegion8(dst, (*[8][]byte)(s)) })
 }
 
 func BenchmarkMulAddRegion(b *testing.B) {

@@ -99,14 +99,18 @@ func (c *Coder) CodingMatrix() *matrix.Matrix { return c.coding.Clone() }
 // dotProd1/2/4 update one, two or four destination strips from a single
 // source strip: dst[n][i] ^= tbl[n].Mul(src[i]). Reading the source once
 // per group instead of once per parity is ISA-L's gf_Nvect_mad structure.
+// Each destination is resliced to len(src) once, so the per-byte stores
+// carry no bounds check.
 
 func dotProd1(t0 gf.NibbleTable, d0, src []byte) {
+	d0 = d0[:len(src)]
 	for i, b := range src {
 		d0[i] ^= t0.Lo[b&0xf] ^ t0.Hi[b>>4]
 	}
 }
 
 func dotProd2(t0, t1 gf.NibbleTable, d0, d1, src []byte) {
+	d0, d1 = d0[:len(src)], d1[:len(src)]
 	for i, b := range src {
 		lo, hi := b&0xf, b>>4
 		d0[i] ^= t0.Lo[lo] ^ t0.Hi[hi]
@@ -115,6 +119,7 @@ func dotProd2(t0, t1 gf.NibbleTable, d0, d1, src []byte) {
 }
 
 func dotProd4(t0, t1, t2, t3 gf.NibbleTable, d0, d1, d2, d3, src []byte) {
+	d0, d1, d2, d3 = d0[:len(src)], d1[:len(src)], d2[:len(src)], d3[:len(src)]
 	for i, b := range src {
 		lo, hi := b&0xf, b>>4
 		d0[i] ^= t0.Lo[lo] ^ t0.Hi[hi]

@@ -253,7 +253,7 @@ func (c *Coder) RepairSingle(shards [][]byte, idx int) error {
 		for i, rd := range plan.Reads {
 			srcs[i] = shards[rd]
 		}
-		gf.XorRegions(out, srcs...)
+		gf.XorRegions(out, srcs, 4)
 	} else {
 		// Global parity: recompute its coding row from the data units. The
 		// combination happens in the bitmatrix plane domain, matching how

@@ -163,7 +163,7 @@ func (k *Kernel) tile(ar execArgs, st *execState, row, blk int) {
 		acc = st.scratch[:end-off]
 	}
 	gf.CopyRegion(acc, srcs[0])
-	xorGrouped(acc, srcs[1:], cfg.Fanin)
+	gf.XorRegions(acc, srcs[1:], cfg.Fanin)
 	if st.scratch != nil {
 		gf.CopyRegion(dst, acc)
 	}
@@ -187,33 +187,6 @@ func maskRows(a Buffer, m, k int) ([][]int, error) {
 		rows[i] = ones
 	}
 	return rows, nil
-}
-
-// xorGrouped XORs the sources into dst in passes of at most fanin sources,
-// dispatching to the widest fused kernel for each pass.
-func xorGrouped(dst []byte, srcs [][]byte, fanin int) {
-	for len(srcs) > 0 {
-		n := fanin
-		if n > len(srcs) {
-			n = len(srcs)
-		}
-		switch {
-		case n >= 8:
-			var g [8][]byte
-			copy(g[:], srcs[:8])
-			gf.XorRegion8(dst, &g)
-			srcs = srcs[8:]
-		case n >= 4:
-			gf.XorRegion4(dst, srcs[0], srcs[1], srcs[2], srcs[3])
-			srcs = srcs[4:]
-		case n >= 2:
-			gf.XorRegion2(dst, srcs[0], srcs[1])
-			srcs = srcs[2:]
-		default:
-			gf.XorRegion(dst, srcs[0])
-			srcs = srcs[1:]
-		}
-	}
 }
 
 // parallelRanges splits [0, n) into near-equal contiguous ranges across
