@@ -92,13 +92,14 @@ stress-range:
 
 # Every fuzz target of the root package (codec and stream round trips),
 # internal/gf (the fused XOR kernels against a byte-wise reference),
-# internal/shardfile (manifest parser, read plan) and internal/server
-# (Range header parser) for FUZZTIME each, seed corpus first: a kernel, a
-# parser or a planner that a few seconds of mutation can break does not get
-# past CI. `go test -fuzz` takes one target per run, hence the loop.
+# internal/shardfile (manifest parser, read plan), internal/server (Range
+# and PATCH positioning header parsers) and internal/obs (trace wire
+# headers) for FUZZTIME each, seed corpus first: a kernel, a parser or a
+# planner that a few seconds of mutation can break does not get past CI.
+# `go test -fuzz` takes one target per run, hence the loop.
 FUZZTIME ?= 3s
 fuzz-smoke:
-	@for pkg in . ./internal/gf ./internal/shardfile ./internal/server; do \
+	@for pkg in . ./internal/gf ./internal/shardfile ./internal/server ./internal/obs; do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$f ($(FUZZTIME))"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -253,9 +253,9 @@ func EncodeRemoteSpan(name string, start time.Time, dur time.Duration, failed bo
 // AddRemoteSpans parses a TraceSpansHeader value and merges its spans
 // into t as remote children of parent, attributed to member. Remote
 // starts are wall-clock (cross-process — the only clock that travels);
-// they are re-anchored against this trace's wall start and clamped into
-// the parent span, so modest clock skew cannot fling a bar off the
-// waterfall.
+// they are re-anchored against this trace's wall start, and a start that
+// clock skew puts before the trace is floored at offset zero. Nothing
+// else is adjusted: a skewed span may still end past its parent.
 func (t *Trace) AddRemoteSpans(member int, parent Span, wire string) {
 	if t == nil || wire == "" {
 		return
@@ -439,7 +439,7 @@ func (t *Trace) snapshot(status int, dur time.Duration, kept string) *TraceRecor
 	for i := 0; i < n; i++ {
 		s := &t.spans[i]
 		d := s.dur
-		if d == 0 {
+		if d == 0 && !s.remote {
 			d = int64(dur) - s.start // never ended: extend to trace end
 		}
 		rec.Spans = append(rec.Spans, SpanRecord{

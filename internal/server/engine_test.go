@@ -283,9 +283,10 @@ func TestBackendsShareRepair(t *testing.T) {
 
 // TestBackendsShareFront: Store and Gateway serve one object front, so the
 // same request sequence — put, get, range get, read-modify-write patch,
-// delete, get after delete — returns the same bytes and errors from
+// delete, get after delete, scrub — returns the same bytes and errors from
 // either, leaves the same shared /statusz counters, and registers the same
-// shared /metricsz families.
+// shared /metricsz families; and on each backend every counter both
+// documents report reads the same in both.
 func TestBackendsShareFront(t *testing.T) {
 	ctx := context.Background()
 	// Packed into a slab, a Store object is patched by read-modify-write,
@@ -358,11 +359,36 @@ func TestBackendsShareFront(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s: GET after delete over HTTP = %s, want 404", c.name, resp.Status)
 		}
+		c.b.ScrubAll(ctx)
 
 		st := c.b.Stats()
 		stats[c.name] = shared{st.Puts, st.Gets, st.RangeGets, st.Patches, st.Deletes, st.BytesIn, st.BytesOut}
+		samples := scrape(t, ts)
+		same := map[string]int64{
+			"gemmec_bytes_in_total":            st.BytesIn,
+			"gemmec_bytes_out_total":           st.BytesOut,
+			"gemmec_degraded_gets_total":       st.DegradedGets,
+			"gemmec_range_gets_total":          st.RangeGets,
+			"gemmec_patches_total":             st.Patches,
+			"gemmec_patch_fallbacks_total":     st.PatchFallbacks,
+			"gemmec_scrub_cycles_total":        st.ScrubCycles,
+			"gemmec_scrub_shards_healed_total": st.ShardsHealed,
+			"gemmec_scrub_errors_total":        st.ScrubErrors,
+			"gemmec_http_requests_shed_total":  st.RequestsShed,
+		}
+		if c.name == "store" {
+			same["gemmec_slab_puts_total"] = st.SlabPuts
+			same["gemmec_slab_flushes_total"] = st.SlabFlushes
+			same["gemmec_slabs_reclaimed_total"] = st.SlabsReclaimed
+			same["gemmec_scrub_orphans_removed_total"] = st.OrphansRemoved
+		}
+		for fam, want := range same {
+			if got, ok := samples[fam]; !ok || got != float64(want) {
+				t.Errorf("%s: /metricsz %s = %v (present %v), /statusz says %d", c.name, fam, got, ok, want)
+			}
+		}
 		families[c.name] = map[string]bool{}
-		for sample := range scrape(t, ts) {
+		for sample := range samples {
 			fam, _, _ := strings.Cut(sample, "{")
 			if fam == "gemmec_objects" || strings.HasPrefix(fam, "gemmec_sched_") || strings.HasPrefix(fam, "gemmec_tuner_shape_") {
 				families[c.name][fam] = true

@@ -149,7 +149,7 @@ type front struct {
 	keyLocks
 
 	// Client traffic, the /statusz counters an opened Object reports its
-	// read into.
+	// read into. /metricsz reads the same atomics (Metrics.register).
 	puts, gets, degradedGets, deletes atomic.Int64
 	rangeGets, patches                atomic.Int64
 	patchFallbacks                    atomic.Int64
@@ -157,11 +157,10 @@ type front struct {
 	scrubCycles, shardsHealed         atomic.Int64
 	scrubErrors                       atomic.Int64
 
-	// metrics, when set, mirrors the counters above into the /metricsz
-	// registry and adds what flat counters cannot carry (stall and size
-	// histograms, demotion causes). Atomic because background readers (the
-	// scheduler's OnWait hook, the slab writer) start before SetMetrics
-	// runs; nil disables recording.
+	// metrics, when set, records what flat counters cannot carry (stall
+	// and size histograms, demotion causes, sweep timing). Atomic because
+	// background readers (the scheduler's OnWait hook, the slab writer)
+	// start before SetMetrics runs; nil disables recording.
 	metrics atomic.Pointer[Metrics]
 }
 
@@ -223,8 +222,9 @@ func (f *front) m() *Metrics { return f.metrics.Load() }
 
 // SetMetrics attaches the observability bundle and registers the
 // scrape-time families every backend has. Safe to call at any point
-// relative to serving traffic; work recorded before attachment is simply
-// not mirrored into the registry.
+// relative to serving traffic: the counter families read the /statusz
+// atomics, so they include work done before attachment; histograms start
+// empty.
 func (f *front) SetMetrics(m *Metrics) {
 	f.metrics.Store(m)
 	m.register(f)
@@ -237,9 +237,6 @@ func (f *front) recordPut(st gemmec.StreamStats, size int64) {
 	mt := f.m()
 	mt.recordStream("put", st)
 	mt.recordObjectBytes("put", size)
-	if mt != nil {
-		mt.bytesIn.Add(size)
-	}
 }
 
 // lock is every request's prologue: validate the name, refuse a dead
@@ -277,11 +274,12 @@ func (f *front) live(ctx context.Context, key, name string) (ObjectMeta, error) 
 // stat of each file, or of each member's copy — but reads no payload:
 // Stream reads only the data units it returns and verifies each inside
 // the decode pass, so the first payload byte is one unit of I/O away.
-// Missing, wrong-length or (legacy v1) checksum-corrupt shards are noted
-// for degraded decoding; if too few survive, the error wraps
-// gemmec.ErrTooFewShards (and gemmec.ErrCorruptShard when checksum
-// failures contributed). The object holds a shared lock until Close, so a
-// scrub or write in this process cannot rewrite shards mid-stream.
+// Missing or wrong-length shards are noted for degraded decoding; if too
+// few survive, the error wraps gemmec.ErrTooFewShards (and
+// gemmec.ErrCorruptShard when truncation contributed). Metadata that does
+// not validate — a manifest of any version but v2 included — fails the
+// open. The object holds a shared lock until Close, so a scrub or write
+// in this process cannot rewrite shards mid-stream.
 //
 // ctx is remembered by the object: the later Stream observes it between
 // stripes, so a dead request stops decoding, releases the lock on Close,
@@ -400,11 +398,11 @@ func (f *front) Put(ctx context.Context, name string, src io.Reader, size int64)
 
 // Patch splices data into object name at payload byte off; off == -1
 // appends. The object may grow (never shrink). Where the backend can, the
-// write is stripe-granular and in place (a Store's dedicated v2 shard
-// set: only the touched data units and their XOR-patched parity units are
-// rewritten, journaled first); otherwise — slab members, v1 manifests,
-// degraded sets, every cluster object — it is a read-modify-write through
-// the regular commit, and PatchStats says which. Either way concurrent
+// write is stripe-granular and in place (a Store's dedicated shard set:
+// only the touched data units and their XOR-patched parity units are
+// rewritten, journaled first); otherwise — slab members, degraded sets,
+// every cluster object — it is a read-modify-write through the regular
+// commit, and PatchStats says which. Either way concurrent
 // readers and crashes see the whole old object or the whole new one.
 func (f *front) Patch(ctx context.Context, name string, data []byte, off int64) (ObjectMeta, PatchStats, error) {
 	key, l, err := f.lock(ctx, name, true)
@@ -431,9 +429,6 @@ func (f *front) Patch(ctx context.Context, name string, data []byte, off int64) 
 		return ObjectMeta{}, ps, err
 	case ps.InPlace:
 		f.bytesIn.Add(int64(len(data)))
-		if mt := f.m(); mt != nil {
-			mt.bytesIn.Add(int64(len(data)))
-		}
 	default:
 		// Read-modify-write: decode the old payload, splice the patch in
 		// and re-encode it as the next generation. The decode opens the
@@ -487,7 +482,7 @@ func (f *front) ScrubAll(ctx context.Context) ScrubReport {
 	f.scrubCycles.Add(1)
 	f.scrubErrors.Add(int64(len(rep.Errors)))
 	done := time.Now()
-	f.m().recordScrub(rep, done.Sub(start), done)
+	f.m().recordScrub(done.Sub(start), done)
 	return rep
 }
 
@@ -651,13 +646,12 @@ func (f *front) StatusSnapshot() any { return f.Stats() }
 // Object is an opened object ready to stream — from a Store's shard files
 // or a Gateway's peer streams alike; what differs is only what the
 // shardfile.StreamReader underneath reads from. Open-time checks (shard
-// presence and length; whole-shard SHA-256 for legacy v1 manifests) have
-// already run, so Degraded/Unusable start populated before the first
-// payload byte — the HTTP layer turns them into response headers. For v2
-// manifests content verification happens inside Stream itself, per unit,
-// so a shard can additionally be demoted mid-stream; Demoted and the
-// post-Stream Unusable report those, and the HTTP layer turns them into
-// response trailers. Close must be called exactly once.
+// presence and length) have already run, so Degraded/Unusable start
+// populated before the first payload byte — the HTTP layer turns them
+// into response headers. Content verification happens inside Stream
+// itself, per unit, so a shard can additionally be demoted mid-stream;
+// Demoted and the post-Stream Unusable report those, and the HTTP layer
+// turns them into response trailers. Close must be called exactly once.
 type Object struct {
 	Meta ObjectMeta
 
@@ -685,9 +679,6 @@ func (f *front) newObject(meta ObjectMeta, sr *shardfile.StreamReader, lock, sla
 	f.gets.Add(1)
 	if sr.Degraded() {
 		f.degradedGets.Add(1)
-		if mt := f.m(); mt != nil {
-			mt.degradedGets.Inc()
-		}
 	}
 	return &Object{Meta: meta, f: f, sr: sr, openDegraded: sr.Degraded(), lock: lock, slabLock: slabLock}
 }
@@ -730,9 +721,9 @@ func (o *Object) Demoted() []gemmec.Demotion { return o.sr.Demoted() }
 
 // Stream writes the window the object was opened over — the payload, or
 // a ranged open's part of it — to dst, reconstructing unusable shards on
-// the fly and (for v2 manifests) verifying every unit's stripe checksum
-// in the same pass, on the backend's shared scheduler (sr's Opts carry
-// it). It may be called at most once.
+// the fly and verifying every unit's stripe checksum in the same pass, on
+// the backend's shared scheduler (sr's Opts carry it). It may be called
+// at most once.
 func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 	st, err := o.sr.Decode(dst, 0)
 	mt := o.f.m()
@@ -742,19 +733,13 @@ func (o *Object) Stream(dst io.Writer) (gemmec.StreamStats, error) {
 		// mid-stream failure: that is a degraded read, even though we only
 		// learned it after the headers went out.
 		o.f.degradedGets.Add(1)
-		if mt != nil {
-			mt.degradedGets.Inc()
-		}
 	}
 	if err == nil {
 		_, n := o.Range()
 		o.f.bytesOut.Add(n)
 		mt.recordObjectBytes("get", n)
-		if mt != nil {
-			mt.bytesOut.Add(n)
-			if o.ranged {
-				mt.recordRange(n)
-			}
+		if mt != nil && o.ranged {
+			mt.rangeBytes.Add(n)
 		}
 	}
 	return st, err

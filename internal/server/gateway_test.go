@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"gemmec/internal/peer"
-	"gemmec/internal/shardfile"
 )
 
 // testClusterSecret authenticates the test rigs' internal traffic.
@@ -283,7 +282,7 @@ func TestClusterRebuildNode(t *testing.T) {
 				t.Fatalf("%s shard %d rebuilt as %d bytes (err %v), want %d", name, i, len(shard), err, m.Stripes*m.UnitSize)
 			}
 			for s := 0; s < m.Stripes; s++ {
-				if !shardfile.VerifyUnitSum(m, i, s, shard[s*m.UnitSize:(s+1)*m.UnitSize]) {
+				if m.VerifyUnit(i, int64(s), shard[s*m.UnitSize:(s+1)*m.UnitSize]) != nil {
 					t.Fatalf("%s shard %d stripe %d rebuilt with wrong bytes", name, i, s)
 				}
 			}
@@ -972,8 +971,9 @@ func TestGatewayAdmissionShedding(t *testing.T) {
 	t.Cleanup(c.api.Close)
 
 	// Park a PUT in the only admission slot: its body never finishes until
-	// we close the pipe.
+	// we close the pipe (also on failure, so the server's Close can drain).
 	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -986,9 +986,17 @@ func TestGatewayAdmissionShedding(t *testing.T) {
 		done <- err
 	}()
 	<-started
-	pw.Write(randBytes(90, 4096)) // ensure the handler has admitted and is reading
-
+	pw.Write(randBytes(90, 4096))
+	// The bytes reaching the server do not mean its handler has been
+	// admitted yet; probing before it is would race the PUT for the slot.
 	deadline := time.Now().Add(5 * time.Second)
+	for c.gw.Scheduler().Admitted() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("parked PUT never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	for {
 		resp, err := http.Get(c.api.URL + "/o/other")
 		if err != nil {

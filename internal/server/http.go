@@ -50,10 +50,10 @@ const statusClientClosedRequest = 499
 //	X-Gemmec-Reconstructed: 0 5
 //
 // The headers carry what was known at open time (missing shards, wrong
-// lengths, v1 checksum failures). With v2 manifests verification runs
-// inside the decode itself, so a shard can also be demoted after the
-// headers are gone; GET bodies therefore stream chunked (object size in
-// X-Gemmec-Size; HEAD still reports Content-Length) and the same two
+// lengths). Checksum verification runs inside the decode itself, so a
+// shard can also be demoted after the headers are gone; GET bodies
+// therefore stream chunked (object size in X-Gemmec-Size; HEAD still
+// reports Content-Length) and the same two
 // fields are repeated as HTTP trailers with the final post-stream truth,
 // alongside the stream's pipeline accounting (X-Gemmec-Stripes and the
 // X-Gemmec-Stall-* durations) for `eccli get -v`. Clients that care
@@ -393,9 +393,6 @@ func (h *handler) wrap(op string, gated bool, fn http.HandlerFunc) http.HandlerF
 			asp.End(err)
 			if err != nil {
 				iw.Header().Set("Retry-After", strconv.Itoa(h.retryAfter))
-				if h.metrics != nil {
-					h.metrics.requestsShed.Inc()
-				}
 				// The admission error's detail (admitted-stream and queue
 				// counts) is server-internal state — operators read it off
 				// /statusz and /metricsz; clients get a stable, opaque

@@ -2,6 +2,7 @@ package server
 
 import (
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"gemmec"
@@ -25,51 +26,40 @@ var demotionCauses = []string{"crc", "truncation", "stall", "io"}
 
 // Metrics is the serving path's instrumentation bundle: every counter,
 // gauge and histogram the daemon records, pre-registered against one
-// obs.Registry so recording is lock-free atomic adds. Construct with
-// NewMetrics, hand the same instance to the backend (SetMetrics) and
-// the handler (Config.Metrics); a nil *Metrics disables recording everywhere
-// without conditional wiring at call sites.
+// obs.Registry so recording is lock-free atomic adds. A quantity /statusz
+// also reports (bytes in and out, degraded and ranged gets, patches,
+// scrub, slab and shed counts) has no field here: its family is a
+// CounterFunc over the backend's own atomic, registered by SetMetrics, so
+// the two documents read one counter. Construct with NewMetrics, hand the
+// same instance to the backend (SetMetrics) and the handler
+// (Config.Metrics); a nil *Metrics disables recording everywhere without
+// conditional wiring at call sites.
 type Metrics struct {
 	Registry *obs.Registry
 
 	reqDuration map[string]*obs.Histogram // by op, seconds
 	getTTFB     *obs.Histogram
 	inFlight    *obs.Gauge
-	bytesIn     *obs.Counter
-	bytesOut    *obs.Counter
 	objectBytes map[string]*obs.Histogram // by op (put/get), bytes
 
 	stall   map[[2]string]*obs.Histogram // by {op, stage}, seconds
 	stripes map[string]*obs.Counter      // by op
 
-	demotions    map[string]*obs.Counter // by cause
-	degradedGets *obs.Counter
+	demotions map[string]*obs.Counter // by cause
 
-	scrubCycles  *obs.Counter
-	scrubDur     *obs.Histogram
-	scrubHealed  *obs.Counter
-	scrubOrphans *obs.Counter
-	scrubErrors  *obs.Counter
-	scrubLast    *obs.Gauge // unix seconds
+	scrubDur  *obs.Histogram
+	scrubLast *obs.Gauge // unix seconds
 
 	slowRequests     *obs.Counter
 	requestsCanceled *obs.Counter
 	requestsTimeout  *obs.Counter
 
-	requestsShed *obs.Counter
-	schedWait    *obs.Histogram
+	schedWait *obs.Histogram
 
-	slabPuts       *obs.Counter
-	slabFlushes    *obs.Counter
-	slabsReclaimed *obs.Counter
-
-	rangeGets  *obs.Counter
 	rangeBytes *obs.Counter
 
-	patches        *obs.Counter
-	patchFallbacks *obs.Counter
-	patchStripes   *obs.Counter
-	patchBytes     map[string]*obs.Counter // by kind (data/parity)
+	patchStripes *obs.Counter
+	patchBytes   map[string]*obs.Counter // by kind (data/parity)
 }
 
 // NewMetrics registers the daemon's metric families on reg (a fresh
@@ -96,10 +86,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		"Time from GET dispatch to the first payload byte.", obs.LatencyBuckets)
 	m.inFlight = reg.Gauge("gemmec_http_requests_in_flight",
 		"HTTP requests currently being served.")
-	m.bytesIn = reg.Counter("gemmec_bytes_in_total",
-		"Object payload bytes accepted by PUT.")
-	m.bytesOut = reg.Counter("gemmec_bytes_out_total",
-		"Object payload bytes served by GET.")
 	for _, op := range []string{"put", "get"} {
 		m.objectBytes[op] = reg.Histogram("gemmec_object_bytes",
 			"Object payload size per streaming request.", obs.SizeBuckets, obs.L("op", op))
@@ -117,18 +103,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		m.demotions[cause] = reg.Counter("gemmec_demotions_total",
 			"Mid-stream shard demotions by cause.", obs.L("cause", cause))
 	}
-	m.degradedGets = reg.Counter("gemmec_degraded_gets_total",
-		"GETs that required reconstruction (at open or mid-stream).")
 
-	m.scrubCycles = reg.Counter("gemmec_scrub_cycles_total", "Completed scrub sweeps.")
 	m.scrubDur = reg.Histogram("gemmec_scrub_cycle_duration_seconds",
 		"Wall time of one whole-catalog scrub sweep.", obs.LatencyBuckets)
-	m.scrubHealed = reg.Counter("gemmec_scrub_shards_healed_total",
-		"Shards rebuilt in place by scrub.")
-	m.scrubOrphans = reg.Counter("gemmec_scrub_orphans_removed_total",
-		"Stale shard/temp files reclaimed by scrub.")
-	m.scrubErrors = reg.Counter("gemmec_scrub_errors_total",
-		"Per-object scrub failures (objects still needing attention).")
 	m.scrubLast = reg.Gauge("gemmec_scrub_last_completed_timestamp_seconds",
 		"Unix time the last scrub sweep completed (0 until the first).")
 
@@ -139,21 +116,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.requestsTimeout = reg.Counter("gemmec_http_requests_timeout_total",
 		"Requests killed by the -request-timeout deadline.")
 
-	m.requestsShed = reg.Counter("gemmec_http_requests_shed_total",
-		"Requests rejected by admission control (429 + Retry-After).")
 	m.schedWait = reg.Histogram("gemmec_sched_wait_seconds",
 		"Time stripe tasks spent queued in the shared scheduler before a worker picked them up.",
 		obs.LatencyBuckets)
 
-	m.rangeGets = reg.Counter("gemmec_range_gets_total",
-		"GETs served as ranged reads (decoding only the covering stripes).")
 	m.rangeBytes = reg.Counter("gemmec_range_bytes_total",
 		"Payload bytes served by ranged GETs.")
 
-	m.patches = reg.Counter("gemmec_patches_total",
-		"PATCH requests committed (in place or via read-modify-write).")
-	m.patchFallbacks = reg.Counter("gemmec_patch_fallbacks_total",
-		"PATCHes that fell back to a full read-modify-write (slab members, v1 manifests, degraded sets).")
 	m.patchStripes = reg.Counter("gemmec_patch_stripes_total",
 		"Stripes rewritten in place by PATCH.")
 	m.patchBytes = map[string]*obs.Counter{}
@@ -162,13 +131,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Shard bytes written in place by PATCH, by kind (parity bytes are XOR-patched, not re-encoded).",
 			obs.L("kind", kind))
 	}
-
-	m.slabPuts = reg.Counter("gemmec_slab_puts_total",
-		"PUTs served by the small-object packing fast path.")
-	m.slabFlushes = reg.Counter("gemmec_slab_flushes_total",
-		"Slab batches committed by the group-commit writer.")
-	m.slabsReclaimed = reg.Counter("gemmec_slabs_reclaimed_total",
-		"Dead slabs (no live members) reclaimed by scrub.")
 
 	reg.CounterFunc("gemmec_decoder_cache_hits_total",
 		"Compiled-decoder cache hits across all engines.",
@@ -183,23 +145,47 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// register adds the scrape-time families every backend has: the object
-// count, scheduler occupancy, the code registry's per-shape hot-shape
-// table (gemmec_tuner_shape_requests_total, _generation, _predicted_gbps,
-// _measured_gbps — one labeled series per geometry, appearing as shapes
-// do) and, when a background tuner runs, its cumulative totals (skipped
-// otherwise, so scrapes don't advertise a loop that isn't running).
-// Called once per backend, by SetMetrics.
+// load reads an atomic counter at scrape time.
+func load(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
+
+// register adds the scrape-time families every backend has: the front's
+// /statusz counters, the object count, scheduler occupancy, the code
+// registry's per-shape hot-shape table (gemmec_tuner_shape_requests_total,
+// _generation, _predicted_gbps, _measured_gbps — one labeled series per
+// geometry, appearing as shapes do) and, when a background tuner runs,
+// its cumulative totals (skipped otherwise, so scrapes don't advertise a
+// loop that isn't running). Called once per backend, by SetMetrics.
 func (m *Metrics) register(f *front) {
 	if m == nil {
 		return
 	}
+	m.Registry.CounterFunc("gemmec_bytes_in_total", "Object payload bytes accepted by PUT.", load(&f.bytesIn))
+	m.Registry.CounterFunc("gemmec_bytes_out_total", "Object payload bytes served by GET.", load(&f.bytesOut))
+	m.Registry.CounterFunc("gemmec_degraded_gets_total",
+		"GETs that required reconstruction (at open or mid-stream).", load(&f.degradedGets))
+	m.Registry.CounterFunc("gemmec_range_gets_total",
+		"Ranged reads opened (a GET with a satisfiable Range, or OpenRange), whether or not the stream completed.",
+		load(&f.rangeGets))
+	m.Registry.CounterFunc("gemmec_patches_total",
+		"PATCH requests committed (in place or via read-modify-write).", load(&f.patches))
+	m.Registry.CounterFunc("gemmec_patch_fallbacks_total",
+		"PATCHes that fell back to a full read-modify-write (slab members, degraded sets, cluster objects).",
+		load(&f.patchFallbacks))
+	m.Registry.CounterFunc("gemmec_scrub_cycles_total", "Completed scrub sweeps.", load(&f.scrubCycles))
+	m.Registry.CounterFunc("gemmec_scrub_shards_healed_total",
+		"Shards rebuilt in place by scrub (sweeps and single-object scrubs).", load(&f.shardsHealed))
+	m.Registry.CounterFunc("gemmec_scrub_errors_total",
+		"Per-object scrub failures and patch journals that failed to replay (objects still needing attention).",
+		load(&f.scrubErrors))
+	sc := f.sched
+	m.Registry.CounterFunc("gemmec_http_requests_shed_total",
+		"Requests rejected by admission control (429 + Retry-After).",
+		func() float64 { return float64(sc.Shed()) })
 	m.Registry.GaugeFunc("gemmec_objects", "Objects in the catalog.",
 		func() float64 {
 			names, _ := f.b.List()
 			return float64(len(names))
 		})
-	sc := f.sched
 	m.Registry.GaugeFunc("gemmec_sched_queue_depth",
 		"Stripe tasks queued in the shared scheduler right now.",
 		func() float64 { return float64(sc.QueueDepth()) })
@@ -231,6 +217,22 @@ func (m *Metrics) register(f *front) {
 		func() float64 { return float64(t.SkippedBusy()) })
 }
 
+// registerStore adds the families only a single node has: slab packing
+// and orphan reclamation.
+func (m *Metrics) registerStore(s *Store) {
+	if m == nil {
+		return
+	}
+	m.Registry.CounterFunc("gemmec_slab_puts_total",
+		"PUTs served by the small-object packing fast path.", load(&s.slabPuts))
+	m.Registry.CounterFunc("gemmec_slab_flushes_total",
+		"Slab batches committed by the group-commit writer.", load(&s.slabFlushes))
+	m.Registry.CounterFunc("gemmec_slabs_reclaimed_total",
+		"Dead slabs (no live members) reclaimed by scrub.", load(&s.slabsReclaimed))
+	m.Registry.CounterFunc("gemmec_scrub_orphans_removed_total",
+		"Stale shard/temp files reclaimed by scrub.", load(&s.orphansRemoved))
+}
+
 // registerCluster adds the families only a cluster has: node-rebuild
 // traffic (bytes read from survivors, bytes of shard rebuilt, and their
 // ratio — the repair amplification, k), rebuild runs, quorum failures, and
@@ -241,23 +243,16 @@ func (m *Metrics) registerCluster(g *Gateway) {
 		return
 	}
 	m.Registry.CounterFunc("gemmec_repair_bytes_read_total",
-		"Survivor shard bytes read by node rebuilds.",
-		func() float64 { return float64(g.repairBytesRead.Load()) })
+		"Survivor shard bytes read by node rebuilds.", load(&g.repairBytesRead))
 	m.Registry.CounterFunc("gemmec_repair_bytes_written_total",
-		"Rebuilt shard bytes written by node rebuilds.",
-		func() float64 { return float64(g.repairBytesWritten.Load()) })
+		"Rebuilt shard bytes written by node rebuilds.", load(&g.repairBytesWritten))
 	m.Registry.GaugeFunc("gemmec_repair_amplification",
 		"Cumulative node-rebuild traffic amplification: survivor bytes read per byte rebuilt (k).",
 		g.RepairAmplification)
-	m.Registry.CounterFunc("gemmec_rebuild_runs_total",
-		"Completed RebuildNode runs.",
-		func() float64 { return float64(g.rebuilds.Load()) })
-	m.Registry.CounterFunc("gemmec_rebuild_shards_total",
-		"Shards rebuilt by node rebuilds.",
-		func() float64 { return float64(g.shardsRebuilt.Load()) })
+	m.Registry.CounterFunc("gemmec_rebuild_runs_total", "Completed RebuildNode runs.", load(&g.rebuilds))
+	m.Registry.CounterFunc("gemmec_rebuild_shards_total", "Shards rebuilt by node rebuilds.", load(&g.shardsRebuilt))
 	m.Registry.CounterFunc("gemmec_quorum_failures_total",
-		"Writes abandoned for missing their shard-ack or metadata quorum.",
-		func() float64 { return float64(g.quorumFailures.Load()) })
+		"Writes abandoned for missing their shard-ack or metadata quorum.", load(&g.quorumFailures))
 
 	// Peer transport observability: each HTTP peer client feeds the
 	// member-labeled request counter and latency histogram plus the
@@ -390,23 +385,9 @@ func (m *Metrics) recordObjectBytes(op string, n int64) {
 	}
 }
 
-// recordRange records one completed ranged GET of n payload bytes.
-func (m *Metrics) recordRange(n int64) {
-	if m == nil {
-		return
-	}
-	m.rangeGets.Inc()
-	m.rangeBytes.Add(n)
-}
-
-// recordPatch folds one committed PATCH into the patch metrics.
+// recordPatch folds one in-place PATCH into the patch write-set metrics.
 func (m *Metrics) recordPatch(ps PatchStats) {
 	if m == nil {
-		return
-	}
-	m.patches.Inc()
-	if ps.Fallback != "" {
-		m.patchFallbacks.Inc()
 		return
 	}
 	m.patchStripes.Add(int64(ps.TouchedStripes))
@@ -414,15 +395,11 @@ func (m *Metrics) recordPatch(ps PatchStats) {
 	m.patchBytes["parity"].Add(ps.ParityBytes)
 }
 
-// recordScrub folds one completed sweep into the scrub metrics.
-func (m *Metrics) recordScrub(rep ScrubReport, dur time.Duration, done time.Time) {
+// recordScrub folds one completed sweep into the sweep timing metrics.
+func (m *Metrics) recordScrub(dur time.Duration, done time.Time) {
 	if m == nil {
 		return
 	}
-	m.scrubCycles.Inc()
 	m.scrubDur.Observe(int64(dur))
-	m.scrubHealed.Add(int64(rep.ShardsHealed()))
-	m.scrubOrphans.Add(int64(rep.OrphansRemoved))
-	m.scrubErrors.Add(int64(len(rep.Errors)))
 	m.scrubLast.Set(done.Unix())
 }

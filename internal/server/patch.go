@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"gemmec/internal/ecerr"
 	"gemmec/internal/obs"
 	"gemmec/internal/shardfile"
 )
@@ -43,9 +42,9 @@ import (
 // Journals are generation-guarded: one that no longer matches the live
 // object (overwritten, deleted, repacked) is discarded instead.
 //
-// Shard sets that cannot be patched in place — packed slab members,
-// legacy v1 manifests, sets with unreadable or rotten units, and every
-// cluster object — fall back to the front's read-modify-write through the
+// Shard sets that cannot be patched in place — packed slab members, sets
+// with missing, short or rotten units, and every cluster object — fall
+// back to the front's read-modify-write through the
 // regular commit (new generation, metadata commit, old shards removed
 // after it).
 
@@ -108,9 +107,9 @@ type PatchStats struct {
 	DataBytes      int64 `json:"data_bytes,omitempty"`
 	ParityBytes    int64 `json:"parity_bytes,omitempty"`
 	// Fallback names why the patch fell back to read-modify-write:
-	// "slab" (packed member), "unsupported" (v1 manifest), "degraded"
-	// (unreadable or rotten units) or "rmw" (a cluster object, never
-	// patched in place). Empty when InPlace.
+	// "slab" (packed member), "degraded" (a missing, short or rotten unit
+	// the patch needed) or "rmw" (a cluster object, never patched in
+	// place). Empty when InPlace.
 	Fallback string `json:"fallback,omitempty"`
 }
 
@@ -144,12 +143,12 @@ func (s *Store) clearPatchJournal(key string) {
 	os.Remove(s.patchJournalPath(key) + ".tmp")
 }
 
-// patchInPlace implements storage: a dedicated v2 shard set is patched
+// patchInPlace implements storage: a dedicated shard set is patched
 // stripe-granularly in place — only the touched data units and their
 // XOR-patched parity units are rewritten, journaled first so a crash
 // mid-apply rolls forward, and the metadata rename commits. Slab members
-// and sets PlanPatch refuses (v1 manifests, unreadable or rotten units)
-// are declined for the read-modify-write.
+// and sets PlanPatch refuses (missing, short or rotten units) are
+// declined for the read-modify-write.
 func (s *Store) patchInPlace(ctx context.Context, key string, old ObjectMeta, off int64, data []byte) (ObjectMeta, PatchStats, error) {
 	if old.Slab != nil {
 		return ObjectMeta{}, PatchStats{Fallback: "slab"}, nil
@@ -159,7 +158,7 @@ func (s *Store) patchInPlace(ctx context.Context, key string, old ObjectMeta, of
 	plan, err := shardfile.PlanPatch(paths, old.Manifest, off, data, s.fileOpts(ctx))
 	psp.End(err)
 	if errors.Is(err, shardfile.ErrPatchUnsupported) {
-		return ObjectMeta{}, PatchStats{Fallback: fallbackReason(err)}, nil
+		return ObjectMeta{}, PatchStats{Fallback: "degraded"}, nil
 	}
 	if err != nil {
 		return ObjectMeta{}, PatchStats{}, err
@@ -171,14 +170,6 @@ func (s *Store) patchInPlace(ctx context.Context, key string, old ObjectMeta, of
 	}
 	return meta, PatchStats{InPlace: true, TouchedStripes: plan.TouchedStripes,
 		DataBytes: plan.DataBytes, ParityBytes: plan.ParityBytes}, nil
-}
-
-// fallbackReason classifies why PlanPatch refused, for the fallback label.
-func fallbackReason(err error) string {
-	if errors.Is(err, ecerr.ErrCorruptShard) || errors.Is(err, ecerr.ErrShardTruncated) {
-		return "degraded"
-	}
-	return "unsupported"
 }
 
 // applyOpts is fileOpts without the request context: once a patch is

@@ -308,26 +308,44 @@ func TestHTTPPatchErrors(t *testing.T) {
 	}
 }
 
-// TestPatchSlabMemberFallsBack: a PATCH of a packed member cannot land in
-// place (the slab is shared); it falls back to read-modify-write, promotes
-// the member out, and the spliced bytes read back exactly.
+// TestPatchSlabMemberFallsBack: a PATCH that cannot land in place falls
+// back to read-modify-write under the label that says why — a packed
+// member, whose slab is shared ("slab"), or a dedicated set missing or
+// cutting short a unit the patch needs ("degraded") — and the spliced
+// bytes read back exactly.
 func TestPatchSlabMemberFallsBack(t *testing.T) {
-	s := newSlabStore(t, 2048)
-	data := randBytes(19, 700)
-	mustPut(t, s, "small", data)
-
-	splice := []byte("spliced-over")
-	_, ps, err := s.Patch(context.Background(), "small", splice, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.InPlace || ps.Fallback != "slab" {
-		t.Fatalf("slab patch stats = %+v, want fallback=slab", ps)
-	}
-	copy(data[100:], splice)
-	got, _ := mustGet(t, s, "small")
-	if !bytes.Equal(got, data) {
-		t.Fatal("slab-member patch content mismatch")
+	for _, tc := range []struct {
+		name   string
+		size   int
+		damage func(path string) error // applied to the last parity shard
+		want   string
+	}{
+		{"slab member", 700, nil, "slab"},
+		{"missing parity shard", 2*tk*tunit + 50, os.Remove, "degraded"},
+		{"truncated parity shard", 2*tk*tunit + 50, func(p string) error { return os.Truncate(p, tunit/2) }, "degraded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSlabStore(t, 2048)
+			data := randBytes(19, tc.size)
+			meta := mustPut(t, s, "obj", data)
+			if tc.damage != nil {
+				if err := tc.damage(s.shardPaths(objKey("obj"), meta)[tk+tr-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			splice := []byte("spliced-over")
+			_, ps, err := s.Patch(context.Background(), "obj", splice, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps.InPlace || ps.Fallback != tc.want {
+				t.Fatalf("patch stats = %+v, want fallback=%s", ps, tc.want)
+			}
+			copy(data[100:], splice)
+			if got, _ := mustGet(t, s, "obj"); !bytes.Equal(got, data) {
+				t.Fatal("fallback patch content mismatch")
+			}
+		})
 	}
 }
 

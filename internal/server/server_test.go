@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -260,6 +261,47 @@ func TestPutRefusesCorruptMetaDeleteClears(t *testing.T) {
 	for _, p := range paths {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("shard %s survived delete of corrupt-meta object", p)
+		}
+	}
+}
+
+// A v1-format manifest in an object's metadata fails closed: GET names the
+// version and serves nothing, PUT refuses to overwrite what it cannot
+// place, and DELETE clears the metadata and every shard file — the same
+// exit any metadata that does not validate has.
+func TestStoreRefusesV1Metadata(t *testing.T) {
+	s := newTestStore(t)
+	data := randBytes(72, 2*tk*tunit)
+	meta := mustPut(t, s, "obj", data)
+	paths := s.shardPaths(objKey("obj"), meta)
+	v1 := meta
+	v1.Manifest.Version, v1.Manifest.StripeSums = 0, nil
+	raw, err := json.Marshal(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.metaPath(objKey("obj")), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if _, _, err := s.Get(context.Background(), "obj", &out); err == nil ||
+		!strings.Contains(err.Error(), "manifest version 0: only v2 manifests are readable") || out.Len() != 0 {
+		t.Fatalf("Get under v1 metadata: %d bytes, err=%v; want nothing and the version named", out.Len(), err)
+	}
+	if _, _, err := s.Put(context.Background(), "obj", bytes.NewReader(data), int64(len(data))); err == nil ||
+		!strings.Contains(err.Error(), "cannot establish current generation") {
+		t.Fatalf("Put over v1 metadata: err=%v, want a refusal", err)
+	}
+	if err := s.Delete(context.Background(), "obj"); err != nil {
+		t.Fatalf("Delete of v1 object: %v", err)
+	}
+	if _, err := os.Stat(s.metaPath(objKey("obj"))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("v1 metadata survived delete: %v", err)
+	}
+	for _, p := range paths {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("shard %s survived delete of v1 object", p)
 		}
 	}
 }

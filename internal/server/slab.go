@@ -220,9 +220,6 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 	}()
 	if err == nil {
 		s.slabFlushes.Add(1)
-		if mt := s.m(); mt != nil {
-			mt.slabFlushes.Inc()
-		}
 	}
 	off := int64(0)
 	for _, r := range batch {
@@ -359,12 +356,7 @@ func (s *Store) putSlab(ctx context.Context, key string, meta ObjectMeta, oldPat
 	s.puts.Add(1)
 	s.slabPuts.Add(1)
 	s.bytesIn.Add(res.ref.Size)
-	mt := s.m()
-	mt.recordObjectBytes("put", res.ref.Size)
-	if mt != nil {
-		mt.bytesIn.Add(res.ref.Size)
-		mt.slabPuts.Inc()
-	}
+	s.m().recordObjectBytes("put", res.ref.Size)
 	return meta, nil
 }
 
@@ -414,9 +406,6 @@ func (s *Store) scrubSlab(ctx context.Context, key string) (healed []int, reclai
 		s.dropMetaCache(key)
 		s.removeFiles(s.shardPaths(key, meta))
 		s.slabsReclaimed.Add(1)
-		if mt := s.m(); mt != nil {
-			mt.slabsReclaimed.Inc()
-		}
 		return nil, true, nil
 	}
 	healed, err = shardfile.ScrubPaths(s.shardPaths(key, meta), meta.Manifest, s.fileOpts(ctx))

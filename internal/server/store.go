@@ -202,6 +202,13 @@ func (s *Store) Close() {
 	s.front.Close()
 }
 
+// SetMetrics attaches the observability bundle: the families every
+// backend registers, plus the store's slab and orphan counters.
+func (s *Store) SetMetrics(m *Metrics) {
+	s.front.SetMetrics(m)
+	m.registerStore(s)
+}
+
 // Config returns the store's configuration.
 func (s *Store) Config() StoreConfig { return s.cfg }
 

@@ -3,7 +3,6 @@ package shardfile
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -176,30 +175,17 @@ func eachInstantiation(t *testing.T, f func(t *testing.T, s shardSet)) {
 // shard bytes matching the golden SHA-256 digests — carrying stripe sums
 // only.
 func TestEngineGoldenManifest(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "v2_checksums_manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden Manifest
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
+	_, golden, sums := loadGolden(t)
 	raw := goldenPayload()
 	eachInstantiation(t, func(t *testing.T, s shardSet) {
 		m, err := s.write(bytes.NewReader(raw), int64(len(raw)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Version != ManifestV2 || !m.StripeVerified() || m.Checksums != nil {
-			t.Fatalf("manifest version=%d stripe-verified=%v checksums=%d; want v2, stripe sums only",
-				m.Version, m.StripeVerified(), len(m.Checksums))
+		if !reflect.DeepEqual(m, golden) {
+			t.Fatalf("manifest differs from the golden one beyond dropping checksums:\n got %+v\nwant %+v", m, golden)
 		}
-		want := golden
-		want.Checksums = nil
-		if !reflect.DeepEqual(m, want) {
-			t.Fatalf("manifest differs from the golden one beyond dropping checksums:\n got %+v\nwant %+v", m, want)
-		}
-		for i, sum := range golden.Checksums {
+		for i, sum := range sums {
 			if shardSum(s.shard(t, i)) != sum {
 				t.Errorf("shard %d is not byte-identical to the one the golden manifest was written for", i)
 			}
@@ -305,7 +291,6 @@ func TestEngineRepair(t *testing.T) {
 		name   string
 		lose   []int
 		rot    []cell
-		v1     bool  // downgrade the manifest to whole-shard SHA-256 first
 		tamper []int // shards whose manifest checksum is falsified
 		cancel bool
 		healed []int
@@ -320,9 +305,7 @@ func TestEngineRepair(t *testing.T) {
 			errs: []error{gemmec.ErrTooFewShards, gemmec.ErrCorruptShard}},
 		{name: "r+1 shards missing", lose: []int{0, 1, 2}, errs: []error{gemmec.ErrTooFewShards}},
 		{name: "cancel mid-repair", lose: []int{3}, cancel: true, errs: []error{context.Canceled}},
-		{name: "v1 healed through the open-time pre-verify", v1: true, lose: []int{0}, rot: []cell{{3, 1}}, healed: []int{0, 3}},
 		{name: "rebuilt unit fails its manifest sum", lose: []int{2}, tamper: []int{2}, errs: []error{gemmec.ErrCorruptShard}},
-		{name: "v1 rebuilt shard fails its SHA-256", v1: true, lose: []int{2}, tamper: []int{2}, errs: []error{gemmec.ErrCorruptShard}},
 	}
 	raw := make([]byte, 4*tk*tunit-9) // 4 stripes
 	for i := range raw {
@@ -339,22 +322,8 @@ func TestEngineRepair(t *testing.T) {
 				for i := range orig {
 					orig[i] = append([]byte(nil), s.shard(t, i)...)
 				}
-				if c.v1 {
-					if _, ok := s.(*fileSet); !ok {
-						t.Skip("v1 sets exist only as files")
-					}
-					m.Version, m.StripeSums = 0, nil
-					m.Checksums = make([]string, tk+tr)
-					for i := range orig {
-						m.Checksums[i] = shardSum(orig[i])
-					}
-				}
 				for _, i := range c.tamper {
-					if c.v1 {
-						m.Checksums[i] = shardSum(nil)
-					} else {
-						m.StripeSums[i][1] ^= 1
-					}
+					m.StripeSums[i][1] ^= 1
 				}
 				for _, r := range c.rot {
 					s.rot(t, r.shard, r.stripe)

@@ -64,7 +64,8 @@ func scrubDir(dir string) ([]int, error) {
 	return ScrubPaths(DirPaths(dir, m.K+m.R), m, Opts{})
 }
 
-// shardSum is the hex SHA-256 legacy v1 manifests record per shard.
+// shardSum is the hex SHA-256 the old whole-shard (v1) format recorded per
+// shard.
 func shardSum(data []byte) string {
 	s := sha256.Sum256(data)
 	return hex.EncodeToString(s[:])

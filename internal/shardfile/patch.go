@@ -26,8 +26,8 @@ import (
 // writes on recovery.
 
 // ErrPatchUnsupported reports that a shard set cannot be patched in
-// place — legacy v1 manifest, packed slab, missing or rotten units —
-// and the caller should fall back to a full read-modify-write.
+// place — packed slab, missing, short or rotten units — and the caller
+// should fall back to a full read-modify-write.
 var ErrPatchUnsupported = errors.New("shardfile: shard set not patchable in place")
 
 // ShardWrite is one contiguous write into one shard file: Data bytes at
@@ -44,9 +44,8 @@ type ShardWrite struct {
 // replaying the list is idempotent.
 type Patch struct {
 	// Manifest is the post-patch manifest: FileSize/Stripes grown for
-	// appends, StripeSums updated for every touched (shard, stripe) cell,
-	// and any whole-shard Checksums an older build recorded dropped (no
-	// v2 path reads them, and the patch has just made them wrong).
+	// appends and StripeSums updated for every touched (shard, stripe)
+	// cell.
 	Manifest Manifest
 	// Writes are the shard-file writes, in apply order.
 	Writes []ShardWrite
@@ -68,17 +67,14 @@ func (p *Patch) WriteBytes() int64 { return p.DataBytes + p.ParityBytes }
 // the touched stripes (and only the units the update actually needs:
 // partially overwritten data units and, for existing stripes, the r
 // parity units), each read unit verified against its stripe sum first.
-// Any condition that prevents a safe in-place patch — v1 manifest, slab
-// set, unreadable or rotten units — fails with an error wrapping
+// Any condition that prevents a safe in-place patch — slab set,
+// unreadable or rotten units — fails with an error wrapping
 // ErrPatchUnsupported so callers can fall back to read-modify-write.
 //
 // PlanPatch only reads; nothing is written until ApplyPatch.
 func PlanPatch(paths []string, m Manifest, off int64, data []byte, opt Opts) (*Patch, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if !m.StripeVerified() {
-		return nil, fmt.Errorf("%w: manifest has no stripe sums (v1)", ErrPatchUnsupported)
 	}
 	if m.Slab != nil {
 		return nil, fmt.Errorf("%w: packed slab members are read-modify-write", ErrPatchUnsupported)
@@ -176,18 +172,9 @@ func PlanPatch(paths []string, m Manifest, off int64, data []byte, opt Opts) (*P
 			p.addWrite(m.K+j, s, unit, parity[int64(j)*unit:int64(j+1)*unit], &p.ParityBytes)
 		}
 	}
-	p.Manifest.Stripes = m.Stripes
-	if grown := int(s1 + 1); grown > p.Manifest.Stripes {
-		p.Manifest.Stripes = grown
-		for i := range p.Manifest.StripeSums {
-			// Appended stripes' sums were filled by addWrite in order; pad
-			// is unnecessary but assert the invariant held.
-			if len(p.Manifest.StripeSums[i]) != p.Manifest.Stripes {
-				return nil, fmt.Errorf("shardfile: shard %d has %d stripe sums after growth to %d stripes",
-					i, len(p.Manifest.StripeSums[i]), p.Manifest.Stripes)
-			}
-		}
-	}
+	// Appended stripes' sums were filled by addWrite in order; Validate
+	// asserts every shard's column reaches the grown stripe count.
+	p.Manifest.Stripes = max(m.Stripes, int(s1+1))
 	if err := p.Manifest.Validate(); err != nil {
 		return nil, err
 	}
@@ -209,11 +196,10 @@ func (p *Patch) addWrite(shard int, stripe, unit int64, b []byte, acct *int64) {
 }
 
 // clonePatchedManifest deep-copies m's stripe sums (the patch mutates
-// them cell by cell) and resets the fields a patch invalidates.
+// them cell by cell) and sets the grown payload size.
 func clonePatchedManifest(m Manifest, newSize int64) Manifest {
 	out := m
 	out.FileSize = newSize
-	out.Checksums = nil
 	out.StripeSums = make([][]uint32, len(m.StripeSums))
 	for i, sums := range m.StripeSums {
 		out.StripeSums[i] = append([]uint32(nil), sums...)
@@ -234,8 +220,8 @@ type patchReader struct {
 // readUnits reads shards [first, first+n) of stripe s into dst (n
 // contiguous units) and verifies each against the manifest. A missing
 // shard, short read or CRC mismatch wraps ErrPatchUnsupported — the
-// caller cannot patch what it cannot trust — plus ecerr.ErrCorruptShard
-// for the verification failures.
+// caller cannot patch what it cannot trust — plus the classified error
+// (ecerr.ErrShardTruncated, ecerr.ErrCorruptShard) for the last two.
 func (r *patchReader) readUnits(s int64, first, n int, dst []byte) error {
 	if r.files == nil {
 		r.files = make([]vfs.File, len(r.paths))
@@ -260,9 +246,8 @@ func (r *patchReader) readUnits(s int64, first, n int, dst []byte) error {
 			return fmt.Errorf("%w: shard %d stripe %d short: %w (%w)",
 				ErrPatchUnsupported, shard, s, err, ecerr.ErrShardTruncated)
 		}
-		if crc32.Checksum(buf, castagnoli) != r.m.StripeSums[shard][s] {
-			return fmt.Errorf("%w: shard %d stripe %d fails CRC32C (%w)",
-				ErrPatchUnsupported, shard, s, ecerr.ErrCorruptShard)
+		if err := r.m.VerifyUnit(shard, s, buf); err != nil {
+			return fmt.Errorf("%w: %w", ErrPatchUnsupported, err)
 		}
 	}
 	return nil

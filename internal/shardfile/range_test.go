@@ -234,10 +234,9 @@ func TestPatchMatchesReencode(t *testing.T) {
 	_ = patchReencodeCheck(t, dir, raw, int64(len(raw))-1, patch(0))        // empty patch
 }
 
-// TestPatchUnsupportedFallbacks: the conditions PlanPatch must refuse —
-// packed slabs and v1 manifests — fail with ErrPatchUnsupported so the
-// caller can fall back to read-modify-write, and offsets beyond EOF are
-// plain errors.
+// TestPatchUnsupportedFallbacks: a packed slab — which PlanPatch must
+// refuse — fails with ErrPatchUnsupported so the caller can fall back to
+// read-modify-write, and offsets beyond EOF are plain errors.
 func TestPatchUnsupportedFallbacks(t *testing.T) {
 	dir, m, _ := slabTestSet(t, []int{100, 200})
 	if _, err := PlanPatch(DirPaths(dir, m.K+m.R), m, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
@@ -249,14 +248,6 @@ func TestPatchUnsupportedFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := m2
-	v1.Version = 1
-	v1.StripeSums = nil
-	v1.Checksums = nil
-	if _, err := PlanPatch(DirPaths(dir2, m2.K+m2.R), v1, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
-		t.Fatalf("v1 PlanPatch err = %v, want ErrPatchUnsupported", err)
-	}
-
 	if _, err := PlanPatch(DirPaths(dir2, m2.K+m2.R), m2, m2.FileSize+1, []byte("x"), Opts{}); err == nil {
 		t.Fatal("PlanPatch past EOF succeeded")
 	}

@@ -2,15 +2,11 @@ package shardfile
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 
 	"gemmec"
-	"gemmec/internal/ecerr"
 	"gemmec/internal/vfs"
 )
 
@@ -18,10 +14,10 @@ import (
 // reading every shard the open-time probe found usable — the full plan.
 // Per stripe it reads one unit from each usable source into a stripe
 // buffer (pooled when opt.Source is set), checks it against the manifest's
-// CRC32C, and hands visit the k+r cells: cells[i] is shard i's unit, a
-// slice of raw (the whole stripe, data units first), emptied — length 0,
-// capacity kept, which tells Reconstruct to rebuild it in place — where
-// it cannot be trusted. A unit failing its checksum empties that cell
+// CRC32C (Manifest.VerifyUnit), and hands visit the k+r cells: cells[i]
+// is shard i's unit, a slice of raw (the whole stripe, data units first),
+// emptied — length 0, capacity kept, which tells Reconstruct to rebuild it
+// in place — where it cannot be trusted. A unit failing its checksum empties that cell
 // only; a read error or short read drops the shard for the rest of the
 // walk, as decode's demotion does; either marks the shard unusable. A
 // stripe with more than r empty cells fails the walk (see tooFew), and
@@ -60,7 +56,7 @@ func (sr *StreamReader) walk(visit func(stripe int, raw []byte, cells [][]byte) 
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 					sr.corrupt = appendShard(sr.corrupt, i) // shorter than the manifest promises
 				}
-			} else if m.StripeVerified() && !VerifyUnitSum(m, i, s, cell) {
+			} else if m.VerifyUnit(i, int64(s), cell) != nil {
 				sr.unusable = appendShard(sr.unusable, i)
 				sr.corrupt = appendShard(sr.corrupt, i)
 			} else {
@@ -106,8 +102,7 @@ func (sr *StreamReader) Scan() ([]int, error) {
 // nothing is to be written) and streams each to its writer whole: per
 // stripe a target's own unit is passed through when it verifies and
 // reconstructed when it does not. A reconstructed unit that disagrees with
-// its manifest sum — for a legacy v1 manifest, a rebuilt shard that
-// disagrees with its SHA-256 — fails the repair rather than being written.
+// its manifest sum fails the repair rather than being written.
 // Each writer gets a pooled bufio layer, flushed before return. After an
 // error nothing written is fit to keep; committing or discarding the
 // sinks is the caller's job.
@@ -121,16 +116,12 @@ func (sr *StreamReader) RepairTo(ws []io.Writer) error {
 		return err
 	}
 	bws := make([]*bufio.Writer, len(ws))
-	v1sums := make([]hash.Hash, len(ws))
 	for t, w := range ws {
 		if w == nil {
 			continue
 		}
 		bws[t] = getBufWriter(w)
 		defer putBufWriter(bws[t])
-		if !m.StripeVerified() && m.Checksums != nil {
-			v1sums[t] = sha256.New()
-		}
 	}
 	rebuilt := make([]int, 0, len(ws))
 	err = sr.walk(func(s int, _ []byte, cells [][]byte) error {
@@ -146,9 +137,8 @@ func (sr *StreamReader) RepairTo(ws []io.Writer) error {
 			}
 		}
 		for _, t := range rebuilt {
-			if m.StripeVerified() && !VerifyUnitSum(m, t, s, cells[t]) {
-				return fmt.Errorf("shardfile: rebuilt shard %d stripe %d fails its manifest checksum (manifest corrupt?): %w",
-					t, s, ecerr.ErrCorruptShard)
+			if err := m.VerifyUnit(t, int64(s), cells[t]); err != nil {
+				return fmt.Errorf("shardfile: rebuilt unit fails its manifest checksum (manifest corrupt?): %w", err)
 			}
 		}
 		for t, bw := range bws {
@@ -158,22 +148,15 @@ func (sr *StreamReader) RepairTo(ws []io.Writer) error {
 			if _, err := bw.Write(cells[t]); err != nil {
 				return err
 			}
-			if v1sums[t] != nil {
-				v1sums[t].Write(cells[t])
-			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for t, bw := range bws {
+	for _, bw := range bws {
 		if bw == nil {
 			continue
-		}
-		if v1sums[t] != nil && hex.EncodeToString(v1sums[t].Sum(nil)) != m.Checksums[t] {
-			return fmt.Errorf("shardfile: rebuilt shard %d fails its manifest checksum (manifest corrupt?): %w",
-				t, ecerr.ErrCorruptShard)
 		}
 		if err := bw.Flush(); err != nil {
 			return err
@@ -218,12 +201,10 @@ func Verify(dir string) error {
 }
 
 // ScrubPaths detects shard corruption by checksum and heals it: any shard
-// file that does not match the manifest (per-stripe CRC32C for v2
-// manifests, whole-shard SHA-256 for v1, plus any missing or wrong-length
-// shard) is rebuilt from the surviving shards and rewritten; it returns
-// the shard indices that were healed. Checksum failures in the returned
-// errors wrap ecerr.ErrCorruptShard. v1 manifests written before checksums
-// were recorded can only have missing shards rebuilt.
+// file with a unit that fails its manifest CRC32C, plus any missing or
+// wrong-length shard, is rebuilt from the surviving shards and rewritten;
+// it returns the shard indices that were healed. Checksum failures in the
+// returned errors wrap ecerr.ErrCorruptShard.
 //
 // It is the file instantiation of the repair core: one pass scans for
 // damage, and only a damaged set is opened again and repaired — into
@@ -232,9 +213,9 @@ func Verify(dir string) error {
 // half-rebuilt shard and a failed or canceled scrub leaves every shard
 // file as it was. Memory is one stripe, whatever the object's size.
 //
-// For v2 manifests the ≤ r erasure budget applies per stripe rather than
-// per shard: a set where more than r shards each carry some rot still
-// heals as long as no single stripe lost more than r units.
+// The ≤ r erasure budget applies per stripe rather than per shard: a set
+// where more than r shards each carry some rot still heals as long as no
+// single stripe lost more than r units.
 func ScrubPaths(paths []string, m Manifest, opt Opts) ([]int, error) {
 	// Scrub reads are unguarded: a disk that answers late is slow, not
 	// damaged (see ecerr.ErrShardStall), and must not be rewritten.

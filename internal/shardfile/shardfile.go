@@ -20,14 +20,13 @@ import (
 // ManifestName is the metadata file written next to the shards.
 const ManifestName = "manifest.json"
 
-// ManifestV2 is the current manifest format: it records a CRC32C per
-// UnitSize unit of every shard, computed during the (single) encode pass,
-// and nothing else about the shard bytes. Stripe sums are what make reads
-// single-pass and stripe-granular: a reader verifies each unit as it
-// decodes it instead of hashing whole shards up front, and a scrubber
-// localizes rot to the stripe instead of condemning the shard. v1
-// manifests (Version 0, whole-shard SHA-256 only) remain readable and
-// scrubable forever; all writers emit v2.
+// ManifestV2 is the manifest format: it records a CRC32C per UnitSize unit
+// of every shard, computed during the (single) encode pass, and nothing
+// else about the shard bytes. Stripe sums are what make reads single-pass
+// and stripe-granular: a reader verifies each unit as it decodes it
+// instead of hashing whole shards up front, and a scrubber localizes rot
+// to the stripe instead of condemning the shard. It is the only version
+// Validate accepts, so no path ever serves a unit it has not checked.
 const ManifestV2 = 2
 
 // castagnoli is the CRC32C table shared by every stripe-sum computation.
@@ -35,24 +34,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Manifest describes an encoded shard set.
 type Manifest struct {
-	// Version is the manifest format version: 0 (legacy v1, whole-shard
-	// checksums only) or ManifestV2.
+	// Version is the manifest format version, always ManifestV2.
 	Version  int   `json:"version,omitempty"`
 	K        int   `json:"k"`
 	R        int   `json:"r"`
 	UnitSize int   `json:"unit_size"`
 	FileSize int64 `json:"file_size"`
 	Stripes  int   `json:"stripes"`
-	// Checksums (v1) holds the hex SHA-256 of each shard file — the legacy
-	// format's only integrity record, still verified when a v1 manifest is
-	// opened or scrubbed. No writer emits it any more; v2 manifests from
-	// older builds may carry it and v2 code paths ignore it.
-	Checksums []string `json:"checksums,omitempty"`
-	// StripeSums (v2) holds the CRC32C of every UnitSize unit:
+	// StripeSums holds the CRC32C of every UnitSize unit:
 	// StripeSums[shard][stripe] covers shard bytes
 	// [stripe*UnitSize, (stripe+1)*UnitSize).
 	StripeSums [][]uint32 `json:"stripe_sums,omitempty"`
-	// Slab (v2, optional) marks a packed-stripe shard set: the encoded
+	// Slab (optional) marks a packed-stripe shard set: the encoded
 	// payload is the concatenation of many small member objects, each
 	// described by one entry. Packing tiny objects into one shared stripe
 	// amortizes the per-object encode setup, stripe padding and shard-file
@@ -84,12 +77,12 @@ func (m Manifest) FindSlabEntry(key string) (SlabEntry, bool) {
 	return SlabEntry{}, false
 }
 
-// StripeVerified reports whether the manifest carries per-stripe unit
-// checksums — the v2 single-pass read path.
-func (m Manifest) StripeVerified() bool { return m.Version >= ManifestV2 && m.StripeSums != nil }
-
-// Validate checks manifest sanity.
+// Validate checks manifest sanity: a v2 manifest with a full stripe-sum
+// table and a geometry that holds its payload.
 func (m Manifest) Validate() error {
+	if m.Version != ManifestV2 {
+		return fmt.Errorf("shardfile: manifest version %d: only v%d manifests are readable", m.Version, ManifestV2)
+	}
 	if m.K <= 0 || m.R <= 0 || m.UnitSize <= 0 || m.Stripes <= 0 || m.FileSize < 0 {
 		return fmt.Errorf("shardfile: invalid manifest %+v", m)
 	}
@@ -97,20 +90,12 @@ func (m Manifest) Validate() error {
 		return fmt.Errorf("shardfile: manifest stripes cannot hold file (%d < %d)",
 			int64(m.Stripes)*int64(m.K)*int64(m.UnitSize), m.FileSize)
 	}
-	if m.Checksums != nil && len(m.Checksums) != m.K+m.R {
-		return fmt.Errorf("shardfile: %d checksums for %d shards", len(m.Checksums), m.K+m.R)
+	if len(m.StripeSums) != m.K+m.R {
+		return fmt.Errorf("shardfile: stripe sums for %d shards, want %d", len(m.StripeSums), m.K+m.R)
 	}
-	if m.Version >= ManifestV2 && m.StripeSums == nil {
-		return fmt.Errorf("shardfile: v%d manifest without stripe sums", m.Version)
-	}
-	if m.StripeSums != nil {
-		if len(m.StripeSums) != m.K+m.R {
-			return fmt.Errorf("shardfile: stripe sums for %d shards, want %d", len(m.StripeSums), m.K+m.R)
-		}
-		for i, sums := range m.StripeSums {
-			if len(sums) != m.Stripes {
-				return fmt.Errorf("shardfile: shard %d has %d stripe sums for %d stripes", i, len(sums), m.Stripes)
-			}
+	for i, sums := range m.StripeSums {
+		if len(sums) != m.Stripes {
+			return fmt.Errorf("shardfile: shard %d has %d stripe sums for %d stripes", i, len(sums), m.Stripes)
 		}
 	}
 	off := int64(0)

@@ -3,10 +3,13 @@ package shardfile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gemmec"
 )
 
 const (
@@ -247,17 +250,15 @@ func TestScrubTooMuchRot(t *testing.T) {
 }
 
 // TestManifestChecksums: the manifest a writer emits records exactly one
-// checksum per unit — no whole-shard digest — every unit on disk matches
-// its sum, a flipped byte fails exactly its own unit, and Validate rejects
-// a wrong-shaped sum table (and a wrong-length legacy checksum list).
+// checksum per unit, every unit on disk matches its sum, a flipped byte
+// fails exactly its own unit (as corruption), a stripe past the table
+// fails as truncation, and Validate rejects a wrong-shaped sum table and
+// every version but v2.
 func TestManifestChecksums(t *testing.T) {
 	dir, _ := writeStreamTestFile(t, tk*tunit*2+5)
 	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.Checksums != nil {
-		t.Fatalf("writer emitted %d whole-shard checksums; v2 records stripe sums only", len(m.Checksums))
 	}
 	if len(m.StripeSums) != tk+tr {
 		t.Fatalf("stripe sums for %d shards, want %d", len(m.StripeSums), tk+tr)
@@ -270,9 +271,13 @@ func TestManifestChecksums(t *testing.T) {
 	}
 	data[tunit+9] ^= 1 // shard 3, stripe 1
 	for s := 0; s < m.Stripes; s++ {
-		if ok := VerifyUnitSum(m, 3, s, data[s*tunit:(s+1)*tunit]); ok != (s != 1) {
-			t.Errorf("flipped byte in stripe 1: VerifyUnitSum(stripe %d) = %v", s, ok)
+		err := m.VerifyUnit(3, int64(s), data[s*tunit:(s+1)*tunit])
+		if (err == nil) != (s != 1) || (err != nil && !errors.Is(err, gemmec.ErrCorruptShard)) {
+			t.Errorf("flipped byte in stripe 1: VerifyUnit(stripe %d) = %v", s, err)
 		}
+	}
+	if err := m.VerifyUnit(3, int64(m.Stripes), data[:tunit]); !errors.Is(err, gemmec.ErrShardTruncated) {
+		t.Errorf("VerifyUnit past the sum table = %v, want ErrShardTruncated", err)
 	}
 
 	bad := m
@@ -280,10 +285,12 @@ func TestManifestChecksums(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("wrong stripe-sum shard count accepted")
 	}
-	bad = m
-	bad.Checksums = make([]string, 2)
-	if err := bad.Validate(); err == nil {
-		t.Error("wrong checksum count accepted")
+	for _, v := range []int{0, 1, 3} {
+		bad = m
+		bad.Version = v
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d: only v2", v)) {
+			t.Errorf("version %d manifest: Validate = %v, want the version named and refused", v, err)
+		}
 	}
 }
 
@@ -300,7 +307,7 @@ func verifyEveryUnit(t *testing.T, dir string, m Manifest) {
 			t.Fatalf("shard %d is %d bytes, want %d", i, len(data), m.Stripes*m.UnitSize)
 		}
 		for s := 0; s < m.Stripes; s++ {
-			if !VerifyUnitSum(m, i, s, data[s*m.UnitSize:(s+1)*m.UnitSize]) {
+			if m.VerifyUnit(i, int64(s), data[s*m.UnitSize:(s+1)*m.UnitSize]) != nil {
 				t.Errorf("shard %d stripe %d fails its stripe sum on a clean set", i, s)
 			}
 		}
@@ -310,9 +317,9 @@ func verifyEveryUnit(t *testing.T, dir string, m Manifest) {
 func TestManifestValidation(t *testing.T) {
 	for _, bad := range []Manifest{
 		{},
-		{K: 4, R: 2, UnitSize: 0, Stripes: 1},
-		{K: 4, R: 2, UnitSize: 64, Stripes: 1, FileSize: -1},
-		{K: 4, R: 2, UnitSize: 64, Stripes: 1, FileSize: 10 << 20},
+		{Version: ManifestV2, K: 4, R: 2, UnitSize: 0, Stripes: 1},
+		{Version: ManifestV2, K: 4, R: 2, UnitSize: 64, Stripes: 1, FileSize: -1},
+		{Version: ManifestV2, K: 4, R: 2, UnitSize: 64, Stripes: 1, FileSize: 10 << 20},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("manifest %+v accepted", bad)

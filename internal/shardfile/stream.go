@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"sync"
@@ -362,10 +359,9 @@ type ShardOpener func(shard int, from, to int64) (io.ReadCloser, error)
 // opens, reads and checksums only the data units inside its window, and
 // the first fault on one of them — open error, short read, stall, CRC
 // mismatch — brings in the rest of the stripe and the parity, demotes the
-// faulty shard and reconstructs around it (pipeline.Shards). For v2
-// (stripe-checksummed) manifests every unit that is read is verified
-// against its CRC32C as it enters the stripe ring, so every byte returned
-// has been checked.
+// faulty shard and reconstructs around it (pipeline.Shards). Every unit
+// that is read is verified against its CRC32C as it enters the stripe
+// ring (Manifest.VerifyUnit), so every byte returned has been checked.
 //
 // Unusable()/Degraded() reflect what is known at the time of the call:
 // what the open-time probe of all k+r shards found, immediately, and
@@ -478,29 +474,13 @@ func (sr *StreamReader) source(i int, from, to int64) (io.Reader, error) {
 	return s.br, nil
 }
 
-// VerifyUnit checks a unit against the manifest's CRC32C stripe sums as
-// the decode pipeline gathers it (gemmec.UnitVerifier). The clean path
-// allocates nothing — one table-driven CRC per unit, no hashing state —
-// which is what keeps steady-state decoding inside the allocation guard.
-func (sr *StreamReader) VerifyUnit(shard int, stripe int64, unit []byte) error {
-	sums := sr.m.StripeSums[shard]
-	if stripe >= int64(len(sums)) {
-		return fmt.Errorf("shardfile: shard %d stripe %d beyond manifest's %d stripes: %w (%w)",
-			shard, stripe, len(sums), ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
-	}
-	if crc32.Checksum(unit, castagnoli) != sums[stripe] {
-		return fmt.Errorf("shardfile: shard %d stripe %d fails CRC32C: %w", shard, stripe, ecerr.ErrCorruptShard)
-	}
-	return nil
-}
-
 // Decode streams the payload window the reader was opened for to dst,
 // rebuilding the unusable shards' data units on the fly (its int argument
-// is ignored — see WriteStreamPaths). For v2 manifests every unit is
-// verified against its stripe checksum as it is read — the single pass
-// both checks and decodes — and a shard that fails mid-stream (mismatch,
-// truncation, read error) is demoted to erased and reconstructed around
-// for the remaining stripes; see Demoted. It may be called at most once;
+// is ignored — see WriteStreamPaths). Every unit is verified against its
+// stripe checksum as it is read — the single pass both checks and
+// decodes — and a shard that fails mid-stream (mismatch, truncation, read
+// error) is demoted to erased and reconstructed around for the remaining
+// stripes; see Demoted. It may be called at most once;
 // Close must still be called after.
 //
 // The decode observes the Opts the reader was opened with: a canceled
@@ -516,11 +496,8 @@ func (sr *StreamReader) Decode(dst io.Writer, _ int) (gemmec.StreamStats, error)
 	}
 	out := getBufWriter(dst)
 	defer putBufWriter(out)
-	opts := append(sr.opt.streamOpts(m.K, m.R, m.UnitSize),
-		gemmec.WithStreamStats(&st), gemmec.WithStreamContext(sr.opt.context()))
-	if m.StripeVerified() {
-		opts = append(opts, gemmec.WithStreamVerifier(sr))
-	}
+	opts := append(sr.opt.streamOpts(m.K, m.R, m.UnitSize), gemmec.WithStreamStats(&st),
+		gemmec.WithStreamContext(sr.opt.context()), gemmec.WithStreamVerifier(&sr.m))
 	sp := obs.StartSpan(sr.opt.context(), "shardfile.decode")
 	err = code.DecodeShards(pipeline.Shards{Plan: sr.plan, Lost: sr.lost, Open: sr.source}, out, opts...)
 	sp.SetArg(st.Stripes)
@@ -644,16 +621,14 @@ func OpenStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 // only if a fault escalates the plan. Content verification is deferred to
 // Decode — each byte is read exactly once, and the first payload byte
 // costs the window's first units of I/O instead of a whole-object hashing
-// barrier. For legacy v1 manifests recording whole-shard checksums, each
-// present shard is still SHA-256-verified up front, in parallel (one
-// goroutine per shard).
+// barrier.
 //
-// Shards that are missing, truncated, or (v1) checksum-corrupt are
-// treated as erased; if fewer than k usable shards remain the returned
-// error wraps gemmec.ErrTooFewShards (and gemmec.ErrCorruptShard when
-// verification failures contributed), so callers classify "disk lied" vs
-// "disk lost" with errors.Is. opt is remembered as for OpenStreams; its
-// FS is where the shards are opened.
+// Shards that are missing or truncated are treated as erased; if fewer
+// than k usable shards remain the returned error wraps
+// gemmec.ErrTooFewShards (and gemmec.ErrCorruptShard when truncation
+// contributed), so callers classify "disk lied" vs "disk lost" with
+// errors.Is. opt is remembered as for OpenStreams; its FS is where the
+// shards are opened.
 func OpenRangePaths(paths []string, m Manifest, off, length int64, opt Opts) (*StreamReader, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -708,18 +683,12 @@ func openPaths(paths []string, m Manifest, plan ReadPlan, opt Opts) (sr *StreamR
 		}
 		return f, nil
 	}
-	// Legacy v1 manifests still pay the whole-shard SHA-256 pre-read, on
-	// every present shard, planned or not.
-	v1 := !m.StripeVerified() && m.Checksums != nil
 	want := int64(m.Stripes) * unit
 	srcs := make([]io.ReadCloser, n)
 	flags := make([]bool, 2*n)
 	lost, corruptAt := flags[:n:n], flags[n:]
 	for i := range paths {
 		from, to := plan.Interval(i)
-		if v1 {
-			from = 0 // hashed whole first; verifyV1 seeks it to its interval after
-		}
 		f, err := openAt(i, from)
 		if err != nil {
 			lost[i] = true // missing
@@ -735,59 +704,11 @@ func openPaths(paths []string, m Manifest, plan ReadPlan, opt Opts) (sr *StreamR
 		case fi.Size() != want:
 			lost[i], corruptAt[i] = true, true
 			f.Close()
-		case v1 || from < to:
+		case from < to:
 			srcs[i] = f
 		default:
 			f.Close() // present; nothing planned to read from it
 		}
 	}
-	if v1 {
-		if err := verifyV1(srcs, m, plan, lost, corruptAt); err != nil {
-			closeAll(srcs)
-			return nil, err
-		}
-	}
 	return newStreamReader(m, plan, srcs, lost, corruptAt, open, opt)
-}
-
-// verifyV1 is the open-time integrity pass of a legacy v1 manifest: every
-// open shard file is hashed whole and compared with the manifest's
-// SHA-256, concurrently, so the open costs one shard's scan time, not k+r
-// of them. A shard that fails is closed and marked lost and corrupt; one
-// that passes is rewound to where the plan reads it, or closed when the
-// plan does not.
-func verifyV1(srcs []io.ReadCloser, m Manifest, plan ReadPlan, lost, corruptAt []bool) error {
-	errs := make([]error, len(srcs))
-	var wg sync.WaitGroup
-	for i, c := range srcs {
-		if c == nil {
-			continue
-		}
-		wg.Add(1)
-		// Each goroutine owns only its slot of errs/lost/corruptAt.
-		go func(i int, f io.ReadSeeker) {
-			defer wg.Done()
-			h := sha256.New()
-			if _, errs[i] = io.Copy(h, f); errs[i] != nil {
-				return
-			}
-			if hex.EncodeToString(h.Sum(nil)) != m.Checksums[i] {
-				lost[i], corruptAt[i] = true, true
-				return
-			}
-			from, _ := plan.Interval(i)
-			_, errs[i] = f.Seek(from*int64(m.UnitSize), io.SeekStart)
-		}(i, c.(vfs.File))
-	}
-	wg.Wait()
-	for i, c := range srcs {
-		if errs[i] != nil {
-			return errs[i]
-		}
-		if from, to := plan.Interval(i); c != nil && (lost[i] || from == to) {
-			c.Close()
-			srcs[i] = nil
-		}
-	}
-	return nil
 }

@@ -2,9 +2,13 @@ package shardfile
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gemmec"
@@ -192,9 +196,6 @@ func TestV2OpenSkipsPreRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.StripeVerified() {
-		t.Fatal("WriteStream did not emit a stripe-verified (v2) manifest")
-	}
 	corruptShardByte(t, dir, 2, int64(tunit)+13) // stripe 1 of shard 2
 	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 	if err != nil {
@@ -298,74 +299,77 @@ func TestTooManyDemotionsFails(t *testing.T) {
 	}
 }
 
-// downgradeToV1 rewrites dir's manifest as a legacy v1 one: whole-shard
-// SHA-256 over the shard files as they are now, no stripe sums. No writer
-// produces these any more, so v1 fixtures build their own.
-func downgradeToV1(t *testing.T, dir string) Manifest {
-	t.Helper()
+// TestV1ManifestRefused: a v1-format manifest — whole-shard SHA-256 only,
+// or no checksum at all — fails closed on every entry point with the error
+// that names its version: nothing is decoded, and a rotten shard under it
+// is neither served nor rewritten.
+func TestV1ManifestRefused(t *testing.T) {
+	dir, _ := writeStreamTestFile(t, tk*tunit*2+9)
 	m, err := LoadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Version = 0
-	m.StripeSums = nil
-	m.Checksums = make([]string, m.K+m.R)
-	for i := range m.Checksums {
-		data, err := os.ReadFile(ShardPath(dir, i))
-		if err != nil {
+	corruptShardByte(t, dir, 3, 7)
+	paths := DirPaths(dir, m.K+m.R)
+	found := make([][]byte, len(paths))
+	sums := make([]string, len(paths))
+	for i, p := range paths {
+		if found[i], err = os.ReadFile(p); err != nil {
 			t.Fatal(err)
 		}
-		m.Checksums[i] = shardSum(data)
+		sums[i] = shardSum(found[i])
 	}
-	if err := SaveManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
+	for _, c := range []struct {
+		name    string
+		version int
+		sums    []string
+	}{{"sha256 only", 0, sums}, {"no checksum", 1, nil}} {
+		t.Run(c.name, func(t *testing.T) {
+			v1 := struct {
+				Manifest
+				Checksums []string `json:"checksums,omitempty"`
+			}{m, c.sums}
+			v1.Version, v1.StripeSums = c.version, nil
+			raw, err := json.Marshal(v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var parsed Manifest // what a reader that skipped Validate would hold
+			if err := json.Unmarshal(raw, &parsed); err != nil {
+				t.Fatal(err)
+			}
+			refused := func(what string, err error) {
+				t.Helper()
+				want := fmt.Sprintf("manifest version %d: only v2 manifests are readable", c.version)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s under a v1-format manifest: err = %v, want %q", what, err, want)
+				}
+			}
+			_, err = LoadManifest(dir)
+			refused("LoadManifest", err)
+			sr, err := OpenStreamPaths(paths, parsed, Opts{})
+			if sr != nil {
+				sr.Close()
+			}
+			refused("OpenStreamPaths", err)
+			_, err = ScrubPaths(paths, parsed, Opts{})
+			refused("ScrubPaths", err)
+			_, err = PlanPatch(paths, parsed, 0, []byte("x"), Opts{})
+			refused("PlanPatch", err)
+			refused("Verify", Verify(dir))
 
-// Legacy v1 manifests (whole-shard SHA-256, no stripe sums) must keep
-// working forever: the open pre-verifies (in parallel), catches rot before
-// the first byte, and the decode reconstructs; scrub heals them too.
-func TestV1ManifestBackCompat(t *testing.T) {
-	dir, raw := writeStreamTestFile(t, tk*tunit*2+9)
-	m := downgradeToV1(t, dir)
-	corruptShardByte(t, dir, 3, 7)
-	sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sr.Degraded() {
-		sr.Close()
-		t.Fatal("v1 open did not pre-verify shard content")
-	}
-	if c := sr.Corrupt(); len(c) != 1 || c[0] != 3 {
-		sr.Close()
-		t.Fatalf("Corrupt = %v, want [3]", c)
-	}
-	var buf bytes.Buffer
-	if _, err := sr.Decode(&buf, 0); err != nil {
-		sr.Close()
-		t.Fatal(err)
-	}
-	sr.Close()
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatal("content mismatch on v1 degraded read")
-	}
-	if len(sr.Demoted()) != 0 {
-		t.Errorf("v1 decode demoted %v; rot was handled at open", sr.Demoted())
-	}
-
-	// v1 scrub: whole-shard granularity, heals in place.
-	healed, err := ScrubPaths(DirPaths(dir, m.K+m.R), m, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(healed) != 1 || healed[0] != 3 {
-		t.Fatalf("healed = %v, want [3]", healed)
-	}
-	got, bad, err := readStreamBack(dir)
-	if err != nil || len(bad) != 0 || !bytes.Equal(got, raw) {
-		t.Fatalf("v1 set wrong after scrub: bad=%v err=%v", bad, err)
+			for i, p := range paths {
+				if got, err := os.ReadFile(p); err != nil || !bytes.Equal(got, found[i]) {
+					t.Errorf("shard %d changed under a refused v1-format manifest (err %v)", i, err)
+				}
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != len(paths)+1 {
+				t.Errorf("%d files beside the set, want only the %d shards and the manifest", len(ents), len(paths))
+			}
+		})
 	}
 }
 

@@ -1,6 +1,11 @@
 package shardfile
 
-import "hash/crc32"
+import (
+	"fmt"
+	"hash/crc32"
+
+	"gemmec/internal/ecerr"
+)
 
 // shardSummer accumulates one shard stream's manifest checksums — the
 // CRC32C of each UnitSize window — as the bytes flow past: the stripe-sum
@@ -33,8 +38,20 @@ func (w *shardSummer) add(p []byte) {
 	}
 }
 
-// VerifyUnitSum checks one unit against m's recorded CRC32C — what the
-// repair walk applies to every unit it reads and every unit it rebuilds.
-func VerifyUnitSum(m Manifest, shard int, stripe int, unit []byte) bool {
-	return crc32.Checksum(unit, castagnoli) == m.StripeSums[shard][stripe]
+// VerifyUnit checks one unit against its manifest CRC32C — the package's
+// one integrity check, run by the decode pipeline on every unit it gathers
+// (m is its gemmec.UnitVerifier), by the repair walk on every unit it
+// reads or rebuilds and by the patch planner on every old unit. A stripe
+// past the sum table fails with ErrShardTruncated, a mismatch with
+// ErrCorruptShard. The clean path allocates nothing.
+func (m *Manifest) VerifyUnit(shard int, stripe int64, unit []byte) error {
+	sums := m.StripeSums[shard]
+	if stripe >= int64(len(sums)) {
+		return fmt.Errorf("shardfile: shard %d stripe %d beyond manifest's %d stripes: %w (%w)",
+			shard, stripe, len(sums), ecerr.ErrShardTruncated, ecerr.ErrCorruptShard)
+	}
+	if crc32.Checksum(unit, castagnoli) != sums[stripe] {
+		return fmt.Errorf("shardfile: shard %d stripe %d fails CRC32C: %w", shard, stripe, ecerr.ErrCorruptShard)
+	}
+	return nil
 }

@@ -17,8 +17,9 @@ import (
 )
 
 // File is the per-file surface shard I/O needs: sequential reads and
-// writes, Seek (the v1 verify-then-rewind pass), and Stat for length
-// checks. *os.File satisfies it.
+// writes, Seek (a read plan opens each shard at its first planned stripe;
+// a patch rewrites stripes in place), and Stat for length checks.
+// *os.File satisfies it.
 type File interface {
 	io.Reader
 	io.Writer
