@@ -27,6 +27,24 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify is one stripe of a verify walk (shardfile.Verify calls
+// Verify once per stripe): recompute parity, compare. It must report 0
+// allocs/op — the recomputed parity comes from a pooled scratch stripe.
+func BenchmarkVerify(b *testing.B) {
+	e, data, parity := benchEngine(b)
+	if err := e.Encode(data, parity); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, err := e.Verify(data, parity); err != nil || !ok {
+			b.Fatalf("verify = %v, %v", ok, err)
+		}
+	}
+}
+
 func BenchmarkReconstructTwo(b *testing.B) {
 	e, data, parity := benchEngine(b)
 	if err := e.Encode(data, parity); err != nil {

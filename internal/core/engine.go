@@ -13,6 +13,7 @@
 package core
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"sort"
@@ -96,8 +97,8 @@ type Engine struct {
 
 	maxDecoders int // decoder-LRU bound; Options.MaxCachedDecoders or default
 
-	// recScratch pools reconstruct's contiguous kernel operands: one
-	// (k+r)*unitSize []byte per in-flight call.
+	// recScratch pools the contiguous kernel operands of reconstruct and
+	// Verify: one (k+r)*unitSize []byte per in-flight call.
 	recScratch sync.Pool
 
 	mu         sync.Mutex
@@ -490,21 +491,20 @@ func (e *Engine) EncodeUnits(data [][]byte, parity []byte, scratch []byte) ([]by
 	return scratch, e.Encode(scratch, parity)
 }
 
-// Verify recomputes parity from data and reports whether it matches.
+// Verify recomputes parity from data and reports whether it matches. The
+// recomputed parity lands in a pooled scratch stripe (recScratch), so a
+// stripe-by-stripe verify walk allocates nothing per stripe.
 func (e *Engine) Verify(data, parity []byte) (bool, error) {
 	if err := e.layout.CheckParity(parity); err != nil {
 		return false, err
 	}
-	fresh := make([]byte, e.layout.ParityLen())
+	sp := e.recScratch.Get().(*[]byte)
+	defer e.recScratch.Put(sp)
+	fresh := (*sp)[:e.layout.ParityLen()]
 	if err := e.Encode(data, fresh); err != nil {
 		return false, err
 	}
-	for i := range fresh {
-		if fresh[i] != parity[i] {
-			return false, nil
-		}
-	}
-	return true, nil
+	return bytes.Equal(fresh, parity), nil
 }
 
 // Reconstruct rebuilds every lost unit in place. units holds the k data

@@ -66,9 +66,12 @@ type Rule struct {
 	Prob float64
 	// Count caps how many times the rule fires; 0 is unlimited.
 	Count int
-	// Err is the error to inject; nil selects ErrInjected.
+	// Err is the error to inject; nil selects ErrInjected, except on a
+	// rule whose only fault is Latency.
 	Err error
-	// Latency delays the operation before it proceeds (or fails).
+	// Latency delays the operation before it proceeds (or fails). A rule
+	// with Latency and no other fault kind only delays: the operation
+	// then proceeds normally — a slow disk, not a broken one.
 	Latency time.Duration
 	// Stall blocks the operation until ReleaseStalls; the operation then
 	// proceeds normally. This is the "disk that stopped answering" fault
@@ -177,6 +180,9 @@ func (f *FS) fire(op Op, name string) *ruleState {
 func (f *FS) apply(r *ruleState) error {
 	if r.Latency > 0 {
 		time.Sleep(r.Latency)
+		if r.Err == nil && !r.Stall && r.TornAfter == 0 {
+			return nil // a slow operation, not a failed one
+		}
 	}
 	if r.Stall {
 		<-f.stallC
@@ -276,11 +282,17 @@ func (f *FS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return f.inner.WriteFile(name, data, perm)
 }
 
-// faultFile applies read/write rules to per-file traffic.
+// faultFile applies read/write rules to per-file traffic. Write and
+// WriteAt share one set of write rules — without the WriteAt override the
+// embedded file would promote an unfaulted one — and TornAfter counts the
+// bytes written through either, so a positioned encode tears like a
+// sequential one.
 type faultFile struct {
 	vfs.File
-	fs      *FS
-	name    string
+	fs   *FS
+	name string
+
+	mu      sync.Mutex // serializes writes; guards written
 	written int64
 }
 
@@ -294,24 +306,38 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	if r := ff.fs.fire(OpWrite, ff.name); r != nil {
+	return ff.write(p, ff.File.Write)
+}
+
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	return ff.write(p, func(b []byte) (int, error) { return ff.File.WriteAt(b, off) })
+}
+
+// write applies the write rules to one write of p, which do performs.
+// Writes to one file are serialized, so a tear lands at one byte count
+// however many goroutines write.
+func (ff *faultFile) write(p []byte, do func([]byte) (int, error)) (int, error) {
+	r := ff.fs.fire(OpWrite, ff.name)
+	if r != nil {
 		if err := ff.fs.apply(r); err != nil {
 			return 0, err
 		}
-		if r.TornAfter > 0 {
-			if ff.written >= r.TornAfter {
-				return 0, fmt.Errorf("%w: torn write to %s at byte %d",
-					ErrInjected, ff.name, ff.written)
-			}
-			if remain := r.TornAfter - ff.written; int64(len(p)) > remain {
-				n, _ := ff.File.Write(p[:remain])
-				ff.written += int64(n)
-				return n, fmt.Errorf("%w: torn write to %s after %d bytes",
-					ErrInjected, ff.name, ff.written)
-			}
+	}
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	if r != nil && r.TornAfter > 0 {
+		if ff.written >= r.TornAfter {
+			return 0, fmt.Errorf("%w: torn write to %s at byte %d",
+				ErrInjected, ff.name, ff.written)
+		}
+		if remain := r.TornAfter - ff.written; int64(len(p)) > remain {
+			n, _ := do(p[:remain])
+			ff.written += int64(n)
+			return n, fmt.Errorf("%w: torn write to %s after %d bytes",
+				ErrInjected, ff.name, ff.written)
 		}
 	}
-	n, err := ff.File.Write(p)
+	n, err := do(p)
 	ff.written += int64(n)
 	return n, err
 }

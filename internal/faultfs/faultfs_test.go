@@ -121,6 +121,55 @@ func TestTornStreamWrite(t *testing.T) {
 	}
 }
 
+// WriteAt is a write like any other: an Err rule fails it, Latency delays
+// it, and TornAfter counts positioned bytes with sequential ones, landing
+// the fragment at the write's own offset.
+func TestWriteAtObeysWriteRules(t *testing.T) {
+	dir := t.TempDir()
+	boom := errors.New("boom")
+	fs := New(vfs.OS, 1,
+		Rule{Op: OpWrite, Pattern: "err", Err: boom},
+		Rule{Op: OpWrite, Pattern: "slow", Latency: 30 * time.Millisecond},
+		Rule{Op: OpWrite, Pattern: "torn", TornAfter: 6})
+	open := func(name string) vfs.File {
+		t.Helper()
+		f, err := fs.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+
+	if n, err := open("err").WriteAt([]byte("abc"), 3); n != 0 || !errors.Is(err, boom) {
+		t.Fatalf("WriteAt under an Err rule = (%d, %v), want (0, boom)", n, err)
+	}
+	start := time.Now()
+	if _, err := open("slow").WriteAt([]byte("abc"), 3); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 30*time.Millisecond {
+		t.Fatalf("latency rule delayed WriteAt only %v", d)
+	}
+
+	f := open("torn")
+	if n, err := f.WriteAt([]byte("wxyz"), 4); n != 4 || err != nil {
+		t.Fatalf("WriteAt inside the budget = (%d, %v)", n, err)
+	}
+	if n, err := f.WriteAt([]byte("abcd"), 0); n != 2 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("torn WriteAt = (%d, %v), want (2, ErrInjected)", n, err)
+	}
+	if n, err := f.Write([]byte("q")); n != 0 || !errors.Is(err, ErrInjected) {
+		t.Fatalf("write past tear = (%d, %v), want (0, ErrInjected)", n, err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "torn")); err != nil || string(got) != "ab\x00\x00wxyz" {
+		t.Fatalf("on-disk after torn WriteAt = %q, %v", got, err)
+	}
+	if got := fs.Injected(OpWrite); got != 5 {
+		t.Fatalf("Injected(OpWrite) = %d, want 5", got)
+	}
+}
+
 func TestStallBlocksUntilRelease(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "x")

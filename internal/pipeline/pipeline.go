@@ -12,7 +12,12 @@
 //	         stripe order
 //
 // Encode instantiates it with "read the source and pad / Encode / scatter
-// to the k+r shard writers". Decode runs the same ring in reverse, over a
+// to the k+r shard writers". Where the scatter happens depends on the
+// sinks: writers that only take bytes in order are written by the in-order
+// drain, one stripe at a time; sinks that all take a unit at its stripe
+// (UnitWriter) are written by the kernel task that coded the stripe, so
+// the stripe is finished where it is coded and the drain only counts it.
+// Decode runs the same ring in reverse, over a
 // read plan (Plan, Shards): fill gathers the units the plan names — for a
 // clean read, the data units inside the requested window and nothing else
 // — opening each shard the first time it is read, optionally verifying
@@ -91,6 +96,19 @@ type UnitVerifier interface {
 	VerifyUnit(shard int, stripe int64, unit []byte) error
 }
 
+// UnitWriter is a shard sink that takes each unit at its stripe's place
+// instead of in stream order — a file written with pwrite, say. When every
+// shard writer of an Encode implements it, the kernel stage calls
+// WriteUnit with the stripe's k+r units right after coding them —
+// concurrently, from the scheduler's workers, in any stripe order — and
+// the in-order drain writes nothing. Implementations must be safe for
+// concurrent calls and must not retain unit. A sink that only knows how to
+// append (a pipe, a buffer, an O_APPEND file, one positioned past a
+// header) does not implement it and keeps the in-order drain.
+type UnitWriter interface {
+	WriteUnit(stripe int64, unit []byte) error
+}
+
 // Config is what one pipeline run is handed.
 type Config struct {
 	// Sched, when non-nil, is the shared scheduler the kernel stage
@@ -121,7 +139,10 @@ type Config struct {
 // Stats reports what one pipeline run did and where it waited. The stall
 // times attribute the bottleneck: a stream dominated by ReadStall or
 // WriteStall is I/O-bound; one dominated by EncodeStall is compute-bound
-// and benefits from a larger pool.
+// and benefits from a larger pool. An encode into UnitWriter sinks writes
+// its shards inside the kernel stage, so their write time shows up in
+// EncodeStall (the in-order writer waits for it), and WriteStall is close
+// to zero.
 type Stats struct {
 	// Stripes is the number of full stripes pushed through the kernel.
 	Stripes int64
@@ -140,7 +161,7 @@ type Stats struct {
 	ReadStall time.Duration
 	// EncodeStall is time the in-order writer waited for the next stripe
 	// to come out of the kernel stage (inline: kernel time itself) —
-	// compute bound.
+	// compute bound, plus the shard writes of UnitWriter sinks.
 	EncodeStall time.Duration
 	// WriteStall is time blocked writing the output side — output I/O
 	// bound.
@@ -412,12 +433,29 @@ func (l *loop) deliver(s *slot) {
 }
 
 // encoder is Encode's set of stages: read the source and pad, Encode,
-// scatter the stripe to the shard writers.
+// scatter the stripe to the shard writers — in the kernel task when they
+// are UnitWriters, in the in-order drain otherwise.
 type encoder struct {
 	c      Codec
 	src    io.Reader
 	shards []io.Writer
-	total  int64 // payload bytes read so far; the reader stage's
+	units  []UnitWriter // the shards as UnitWriters, nil unless every one is
+	total  int64        // payload bytes read so far; the reader stage's
+}
+
+// unitWriters returns shards as UnitWriters when every one of them is, and
+// nil otherwise.
+func unitWriters(shards []io.Writer) []UnitWriter {
+	for _, w := range shards {
+		if _, ok := w.(UnitWriter); !ok {
+			return nil
+		}
+	}
+	units := make([]UnitWriter, len(shards))
+	for i, w := range shards {
+		units[i] = w.(UnitWriter)
+	}
+	return units
 }
 
 func (e *encoder) fill(s *slot, _ int64, stall *time.Duration) (bool, error) {
@@ -439,15 +477,26 @@ func (e *encoder) fill(s *slot, _ int64, stall *time.Duration) (bool, error) {
 }
 
 func (e *encoder) kernel(s *slot) error {
-	raw, split := s.buf.Raw(), e.c.K()*e.c.UnitSize()
-	return e.c.Encode(raw[:split], raw[split:split+e.c.R()*e.c.UnitSize()])
+	raw, unit := s.buf.Raw(), e.c.UnitSize()
+	split := e.c.K() * unit
+	if err := e.c.Encode(raw[:split], raw[split:split+e.c.R()*unit]); err != nil {
+		return err
+	}
+	for i, w := range e.units {
+		if err := w.WriteUnit(s.seq, raw[i*unit:(i+1)*unit]); err != nil {
+			return fmt.Errorf("gemmec: write shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 func (e *encoder) drain(s *slot) (int64, error) {
 	raw, unit := s.buf.Raw(), e.c.UnitSize()
-	for i, w := range e.shards {
-		if _, err := w.Write(raw[i*unit : (i+1)*unit]); err != nil {
-			return 0, fmt.Errorf("gemmec: write shard %d: %w", i, err)
+	if e.units == nil { // else the kernel task wrote the stripe
+		for i, w := range e.shards {
+			if _, err := w.Write(raw[i*unit : (i+1)*unit]); err != nil {
+				return 0, fmt.Errorf("gemmec: write shard %d: %w", i, err)
+			}
 		}
 	}
 	return int64(len(e.shards) * unit), nil
@@ -457,7 +506,8 @@ func (e *encoder) drain(s *slot) (int64, error) {
 // returns the payload byte count. The caller must have validated shards
 // (length k+r, no nils); this is rechecked cheaply here because the bench
 // harness calls the package directly. It runs queued on cfg.Sched when
-// there is one, inline otherwise.
+// there is one, inline otherwise. When every shard writer is a UnitWriter
+// the kernel stage writes the units; otherwise the in-order drain does.
 func Encode(c Codec, src io.Reader, shards []io.Writer, cfg Config) (int64, Stats, error) {
 	cfg, err := norm(c, cfg)
 	if err != nil {
@@ -470,7 +520,7 @@ func Encode(c Codec, src io.Reader, shards []io.Writer, cfg Config) (int64, Stat
 		return 0, Stats{}, ctxErr(cfg.Ctx)
 	}
 	start := time.Now()
-	e := &encoder{c: c, src: src, shards: shards}
+	e := &encoder{c: c, src: src, shards: shards, units: unitWriters(shards)}
 	st, err := run(c, cfg, 0, cfg.Sched == nil, e)
 	st.BytesIn = e.total
 	st.Elapsed = time.Since(start)

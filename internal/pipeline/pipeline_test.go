@@ -233,6 +233,99 @@ func TestEncodeFailurePaths(t *testing.T) {
 	}
 }
 
+// unitSink is a UnitWriter over an in-memory shard: it records each unit
+// at its stripe, and counts the in-order writes it is handed as well.
+type unitSink struct {
+	unit int
+	mu   sync.Mutex
+	buf  []byte
+	fail int64 // WriteUnit of this stripe fails; -1 never
+	// writes counts Write calls; units, WriteUnit calls.
+	writes, units int
+}
+
+func (u *unitSink) WriteUnit(stripe int64, p []byte) error {
+	if stripe == u.fail {
+		return errors.New("disk full")
+	}
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.units++
+	if end := int(stripe+1) * u.unit; end > len(u.buf) {
+		u.buf = append(u.buf, make([]byte, end-len(u.buf))...)
+	}
+	copy(u.buf[int(stripe)*u.unit:], p)
+	return nil
+}
+
+func (u *unitSink) Write(p []byte) (int, error) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.writes++
+	u.buf = append(u.buf, p...)
+	return len(p), nil
+}
+
+// TestUnitWritersWrittenByKernel: when every shard writer is a UnitWriter
+// the kernel tasks write the units — out of stripe order under jitter —
+// and the in-order drain writes nothing, yet every shard comes out
+// byte-identical to the streamed encode; one writer that is not a
+// UnitWriter keeps the whole encode on the in-order drain; and a failing
+// WriteUnit fails the stream.
+func TestUnitWritersWrittenByKernel(t *testing.T) {
+	c := newXorCodec(4, 2, 64)
+	const stripes = 24
+	src := payload(11, (stripes-1)*c.k*c.unit+17)
+	wantSinks, wantWriters := sinkSet(6)
+	if _, _, err := Encode(c, bytes.NewReader(src), wantWriters, withWorkers(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c.jitter = 200 * time.Microsecond
+	sinks := func(fail int64) ([]*unitSink, []io.Writer) {
+		us := make([]*unitSink, 6)
+		ws := make([]io.Writer, 6)
+		for i := range us {
+			us[i] = &unitSink{unit: c.unit, fail: -1}
+			ws[i] = us[i]
+		}
+		us[3].fail = fail
+		return us, ws
+	}
+	for _, workers := range []int{1, 4} {
+		us, ws := sinks(-1)
+		n, st, err := Encode(c, bytes.NewReader(src), ws, withWorkers(t, workers))
+		if err != nil || n != int64(len(src)) || st.Stripes != stripes || st.BytesOut != int64(6*stripes*c.unit) {
+			t.Fatalf("workers=%d: n=%d stats=%+v err=%v", workers, n, st, err)
+		}
+		for i, u := range us {
+			if u.writes != 0 || u.units != stripes || !bytes.Equal(u.buf, wantSinks[i].Bytes()) {
+				t.Fatalf("workers=%d shard %d: %d writes, %d units, identical=%v; want 0, %d, true",
+					workers, i, u.writes, u.units, bytes.Equal(u.buf, wantSinks[i].Bytes()), stripes)
+			}
+		}
+
+		us, ws = sinks(-1)
+		var plain bytes.Buffer
+		ws[5] = &plain
+		if _, _, err := Encode(c, bytes.NewReader(src), ws, withWorkers(t, workers)); err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range us[:5] {
+			if u.units != 0 || !bytes.Equal(u.buf, wantSinks[i].Bytes()) {
+				t.Fatalf("workers=%d shard %d: a mixed sink set wrote %d units by stripe", workers, i, u.units)
+			}
+		}
+		if !bytes.Equal(plain.Bytes(), wantSinks[5].Bytes()) {
+			t.Fatalf("workers=%d: the plain writer of a mixed set differs", workers)
+		}
+
+		_, ws = sinks(7)
+		if _, _, err := Encode(c, bytes.NewReader(src), ws, withWorkers(t, workers)); err == nil {
+			t.Fatalf("workers=%d: failing WriteUnit swallowed", workers)
+		}
+	}
+}
+
 // TestDecodeTruncated: a shard stream shorter than size errors out.
 func TestDecodeTruncated(t *testing.T) {
 	c := newXorCodec(3, 1, 16)

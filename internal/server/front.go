@@ -108,9 +108,11 @@ type storage interface {
 	// to be held until the decode is done.
 	openWindow(ctx context.Context, key string, meta ObjectMeta, off, n int64) (*shardfile.StreamReader, *keyLock, error)
 	// commit encodes src (size bytes, -1 unknown) as the generation after
-	// prev (prev.Gen == 0: there is none), commits it, reclaims prev's
-	// shards and accounts the put.
-	commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error)
+	// prev (prev.Gen == 0: there is none), commits it and accounts the put.
+	// It returns prev's reclaim — the removal of the shards the commit
+	// superseded — for the front to run once the caller has its answer,
+	// or nil when there is nothing to remove.
+	commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, func(), error)
 	// patchInPlace writes data at payload offset off into old's shards
 	// without a new generation, or declines by returning PatchStats with
 	// InPlace false and Fallback naming why.
@@ -145,6 +147,9 @@ type front struct {
 	sched     *gemmec.Scheduler
 	ownSched  bool
 	closeOnce sync.Once
+	// reclaims counts the superseded generations still being removed after
+	// their overwrite returned; Close waits for them.
+	reclaims sync.WaitGroup
 
 	keyLocks
 
@@ -191,10 +196,11 @@ func (f *front) start(b storage, k, r, unit int, sched *gemmec.Scheduler, worker
 	return nil
 }
 
-// Close stops the tuner (persisting its cache) and, when the front built
-// it, the shared scheduler. Idempotent.
+// Close waits for in-flight reclaims, then stops the tuner (persisting its
+// cache) and, when the front built it, the shared scheduler. Idempotent.
 func (f *front) Close() {
 	f.closeOnce.Do(func() {
+		f.reclaims.Wait()
 		if f.tuner != nil {
 			f.tuner.Stop() // waits out an in-flight retune, saves the cache
 		}
@@ -259,6 +265,26 @@ func (f *front) lock(ctx context.Context, name string, write bool) (string, *key
 	}
 	sp.End(nil)
 	return key, l, nil
+}
+
+// unlockAfter releases a write lock once reclaim — the removal of the
+// generation a commit superseded — has run, without making the caller
+// wait for it: the removal runs on its own goroutine, which owns the lock
+// until it is done. Every later operation on the key, and the orphan
+// sweep, takes that lock first, so none of them sees the old generation;
+// only the request that committed is answered sooner. A nil reclaim
+// unlocks at once.
+func (f *front) unlockAfter(l *keyLock, reclaim func()) {
+	if reclaim == nil {
+		l.Unlock()
+		return
+	}
+	f.reclaims.Add(1)
+	go func() {
+		defer f.reclaims.Done()
+		reclaim()
+		l.Unlock()
+	}()
 }
 
 // live returns key's current metadata, a tombstone reading as not found.
@@ -370,7 +396,8 @@ func (f *front) Stat(name string) (ObjectMeta, error) {
 // new generation's shards live where the old generation's cannot, the
 // metadata commit is the single commit point, and the old shards are
 // reclaimed only after it lands — so at every instant the object is fully
-// the old version or fully the new one.
+// the old version or fully the new one. The reclaim runs after Put
+// returns, under the key's write lock (see unlockAfter).
 //
 // ctx bounds the whole write: when it dies (client disconnect, request
 // deadline, server drain) the encode stops between stripes, the
@@ -381,7 +408,8 @@ func (f *front) Put(ctx context.Context, name string, src io.Reader, size int64)
 	if err != nil {
 		return ObjectMeta{}, gemmec.StreamStats{}, err
 	}
-	defer l.Unlock()
+	var reclaim func()
+	defer func() { f.unlockAfter(l, reclaim) }()
 	prev, err := f.b.current(ctx, key)
 	if errors.Is(err, ErrObjectNotFound) {
 		prev, err = ObjectMeta{}, nil
@@ -393,7 +421,8 @@ func (f *front) Put(ctx context.Context, name string, src io.Reader, size int64)
 		// corrupt object, and a cluster may heal for a retry.
 		return ObjectMeta{}, gemmec.StreamStats{}, fmt.Errorf("server: cannot establish current generation for %s: %w", name, err)
 	}
-	return f.b.commit(ctx, key, name, prev, src, size)
+	meta, st, reclaim, err := f.b.commit(ctx, key, name, prev, src, size)
+	return meta, st, err
 }
 
 // Patch splices data into object name at payload byte off; off == -1
@@ -409,7 +438,8 @@ func (f *front) Patch(ctx context.Context, name string, data []byte, off int64) 
 	if err != nil {
 		return ObjectMeta{}, PatchStats{}, err
 	}
-	defer l.Unlock()
+	var reclaim func()
+	defer func() { f.unlockAfter(l, reclaim) }()
 	old, err := f.live(ctx, key, name)
 	if err != nil {
 		return ObjectMeta{}, PatchStats{}, err
@@ -446,7 +476,7 @@ func (f *front) Patch(ctx context.Context, name string, data []byte, off int64) 
 			_, err = sr.Decode(w, 0)
 			return err
 		})
-		meta, _, err = f.b.commit(ctx, key, name, old, src, newSize)
+		meta, _, reclaim, err = f.b.commit(ctx, key, name, old, src, newSize)
 		stop()
 		if err != nil {
 			return ObjectMeta{}, ps, err

@@ -306,8 +306,9 @@ func (g *Gateway) broadcastMeta(ctx context.Context, key string, doc, prev Objec
 
 // dropShards deletes shards idx of generation gen of key from the members
 // placement names — every delete at once, under a fresh bounded context
-// (the request's is often dead by now), joined before returning so a
-// finished request leaves no stray behind it. It is how every abandoned,
+// (the request's is often dead by now), joined before returning, so
+// whoever holds the key's lock across the call (a failed PUT, or an
+// overwrite's reclaim) leaves no stray behind it. It is how every abandoned,
 // superseded or deleted generation goes; failures are logged, and the
 // tombstone reaper collects what is missed.
 func (g *Gateway) dropShards(key string, gen uint64, placement []int, idx []int) {
@@ -339,12 +340,13 @@ func (g *Gateway) dropShards(key string, gen uint64, placement []int, idx []int)
 // and no metadata changes, so a failed PUT leaves the object exactly as
 // it was. The generation is one past prev's, tombstones included, so
 // delete/recreate keeps counting upward and no old replica can outrank a
-// newly committed generation.
-func (g *Gateway) commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error) {
+// newly committed generation. prev's shards are dropped by the returned
+// reclaim.
+func (g *Gateway) commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, func(), error) {
 	n := g.cfg.K + g.cfg.R
 	placement, err := g.cfg.Ring.Placement(key, n)
 	if err != nil {
-		return ObjectMeta{}, gemmec.StreamStats{}, err
+		return ObjectMeta{}, gemmec.StreamStats{}, nil, err
 	}
 	meta := ObjectMeta{Name: name, Gen: prev.Gen + 1, Placement: placement}
 	gen := uint64(meta.Gen)
@@ -409,15 +411,16 @@ func (g *Gateway) commit(ctx context.Context, key, name string, prev ObjectMeta,
 	}
 	if err != nil {
 		g.dropShards(key, gen, placement, acked)
-		return ObjectMeta{}, st, err
-	}
-	// Committed. The previous generation's shards are garbage now (a
-	// tombstone predecessor has none, only a generation number).
-	if prev.Gen > 0 && !prev.Deleted {
-		g.dropShards(key, uint64(prev.Gen), prev.Placement, every(len(prev.Placement)))
+		return ObjectMeta{}, st, nil, err
 	}
 	g.recordPut(st, m.FileSize)
-	return meta, st, nil
+	// Committed. The previous generation's shards are garbage now (a
+	// tombstone predecessor has none, only a generation number).
+	var reclaim func()
+	if prev.Gen > 0 && !prev.Deleted {
+		reclaim = func() { g.dropShards(key, uint64(prev.Gen), prev.Placement, every(len(prev.Placement))) }
+	}
+	return meta, st, reclaim, nil
 }
 
 // fanOut is the gateway's shard fan-out, shared by PUT and repair: fill

@@ -433,14 +433,15 @@ func (s *Store) openWindow(ctx context.Context, key string, meta ObjectMeta, off
 
 // commit implements storage: the new generation's shards go to paths no
 // other generation can occupy, the metadata rename is the single commit
-// point, and prev's shards are removed only after it lands — so at every
-// instant the object is fully the old version or fully the new one, for
-// concurrent readers and across crashes alike. A placement that still
-// fits the geometry is reused; otherwise the next rotation slot is taken.
-func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, error) {
+// point, and prev's shards are removed only after it lands — by the
+// returned reclaim — so at every instant the object is fully the old
+// version or fully the new one, for concurrent readers and across crashes
+// alike. A placement that still fits the geometry is reused; otherwise the
+// next rotation slot is taken.
+func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, func(), error) {
 	var st gemmec.StreamStats
 	if err := s.ensureDirs(); err != nil {
-		return ObjectMeta{}, st, err
+		return ObjectMeta{}, st, nil, err
 	}
 	meta := ObjectMeta{Name: name, Gen: prev.Gen + 1}
 	oldPaths := s.shardPaths(key, prev)
@@ -454,14 +455,14 @@ func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, s
 	if s.slab != nil && size >= 0 && size <= s.cfg.SlabThreshold {
 		data := make([]byte, size)
 		if _, err := io.ReadFull(src, data); err != nil {
-			return ObjectMeta{}, st, fmt.Errorf("server: reading object body: %w", err)
+			return ObjectMeta{}, st, nil, fmt.Errorf("server: reading object body: %w", err)
 		}
 		meta.Placement = nil // members have no shard set of their own
 		packed, err := s.putSlab(ctx, key, meta, oldPaths, data)
 		if err == nil {
 			s.clearPatchJournal(key)
 		}
-		return packed, st, err
+		return packed, st, nil, err
 	}
 	if meta.Placement == nil {
 		meta.Placement = s.placement()
@@ -471,14 +472,14 @@ func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, s
 		s.cfg.K, s.cfg.R, s.cfg.UnitSize, 0, s.fileOpts(ctx))
 	if err != nil {
 		s.removeFiles(paths)
-		return ObjectMeta{}, st, err
+		return ObjectMeta{}, st, nil, err
 	}
 	if cerr := ctxErr(ctx); cerr != nil {
 		// The request died between the final stripe and the commit point.
 		// Committing would hand a canceled request a success nobody reads;
 		// honor the documented contract — a canceled Put leaves no trace.
 		s.removeFiles(paths)
-		return ObjectMeta{}, st, cerr
+		return ObjectMeta{}, st, nil, cerr
 	}
 	meta.Manifest = m
 	csp := obs.StartSpan(ctx, "meta.commit")
@@ -486,15 +487,18 @@ func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, s
 	csp.End(err)
 	if err != nil {
 		s.removeFiles(paths)
-		return ObjectMeta{}, st, err
+		return ObjectMeta{}, st, nil, err
 	}
-	// Committed: the previous generation's shards are garbage now, and any
-	// stranded patch journal targets a generation that no longer exists.
-	// Best effort — anything a crash strands here is swept by the scrubber.
+	// Committed: any stranded patch journal targets a generation that no
+	// longer exists, and the previous generation's shards are garbage now.
+	// Best effort — anything a crash strands is swept by the scrubber.
 	s.clearPatchJournal(key)
-	s.removeFiles(oldPaths)
 	s.recordPut(st, m.FileSize)
-	return meta, st, nil
+	var reclaim func()
+	if len(oldPaths) > 0 {
+		reclaim = func() { s.removeFiles(oldPaths) }
+	}
+	return meta, st, reclaim, nil
 }
 
 // removeFiles best-effort removes a shard path set (through the store's

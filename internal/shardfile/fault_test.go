@@ -194,23 +194,42 @@ func TestScrubPathsCanceled(t *testing.T) {
 	}
 }
 
-// Torn tmp-file writes during an encode must fail the write and leave no
-// committed shards: the .tmp never survives a failed stream.
+// A failed tmp-file write during an encode — torn or erroring, on the
+// buffered in-order path of small units or the positioned path of
+// unit-sized ones, partway through the object — must fail the write and
+// leave nothing: no committed shard, and no .tmp left behind.
 func TestWriteStreamPathsTornWriteAborts(t *testing.T) {
-	dir, paths := faultPaths(t)
-	ffs := faultfs.New(vfs.OS, 1,
-		faultfs.Rule{Op: faultfs.OpWrite, Pattern: "shard_001.tmp", TornAfter: funit})
-	data := make([]byte, 4*fk*funit)
-	_, _, err := WriteStreamPaths(paths, bytes.NewReader(data), int64(len(data)),
-		fk, fr, funit, 0, Opts{FS: ffs})
-	if !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("torn write err = %v, want ErrInjected", err)
+	const big = streamBufSize // positioned: kernel tasks WriteAt their units
+	full := errors.New("disk full")
+	cases := []struct {
+		name string
+		unit int
+		rule faultfs.Rule
+		want error
+	}{
+		{"torn, buffered", funit, faultfs.Rule{Op: faultfs.OpWrite, Pattern: "shard_001.tmp", TornAfter: funit}, faultfs.ErrInjected},
+		{"error, positioned", big, faultfs.Rule{Op: faultfs.OpWrite, Pattern: "shard_002.tmp", Err: full}, full},
+		{"torn mid-object, positioned", big, faultfs.Rule{Op: faultfs.OpWrite, Pattern: "shard_004.tmp", TornAfter: 2*big + 100}, faultfs.ErrInjected},
 	}
-	ents, rerr := os.ReadDir(dir)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	for _, e := range ents {
-		t.Errorf("failed write left %s behind", e.Name())
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				dir, paths := faultPaths(t)
+				ffs := faultfs.New(vfs.OS, 1, c.rule)
+				data := make([]byte, 4*fk*c.unit)
+				_, _, err := WriteStreamPaths(paths, bytes.NewReader(data), int64(len(data)),
+					fk, fr, c.unit, 0, withWorkers(Opts{FS: ffs}, workers))
+				if !errors.Is(err, c.want) {
+					t.Fatalf("failed write err = %v, want %v", err, c.want)
+				}
+				ents, rerr := os.ReadDir(dir)
+				if rerr != nil {
+					t.Fatal(rerr)
+				}
+				for _, e := range ents {
+					t.Errorf("failed write left %s behind", e.Name())
+				}
+			})
+		}
 	}
 }

@@ -2,9 +2,12 @@ package shardfile
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,18 +15,19 @@ import (
 	"gemmec/internal/vfs"
 )
 
-// shapeFS records the size of every Read and Write that reaches a shard
-// file, keyed by shard path — what the bufio layers above it let through.
+// shapeFS records the size of every Read, Write and WriteAt that reaches a
+// shard file, keyed by shard path — what the bufio layers above it let through.
 type shapeFS struct {
 	vfs.FS
 	mu        sync.Mutex
 	reads     map[string][]int // bytes asked for, per call
-	writes    map[string][]int
+	writes    map[string][]int // Write and WriteAt alike
+	writeAts  map[string]int   // how many of writes were WriteAt
 	readBytes int64
 }
 
 func newShapeFS() *shapeFS {
-	return &shapeFS{FS: vfs.OS, reads: map[string][]int{}, writes: map[string][]int{}}
+	return &shapeFS{FS: vfs.OS, reads: map[string][]int{}, writes: map[string][]int{}, writeAts: map[string]int{}}
 }
 
 type shapeFile struct {
@@ -52,10 +56,24 @@ func (f *shapeFile) Read(p []byte) (int, error) {
 }
 
 func (f *shapeFile) Write(p []byte) (int, error) {
-	f.fs.mu.Lock()
-	f.fs.writes[f.path] = append(f.fs.writes[f.path], len(p))
-	f.fs.mu.Unlock()
+	f.fs.wrote(f.path, len(p), false)
 	return f.File.Write(p)
+}
+
+// WriteAt counts as a write too: unit-sized encodes write each unit at its
+// stripe's offset from the kernel task that coded it.
+func (f *shapeFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.wrote(f.path, len(p), true)
+	return f.File.WriteAt(p, off)
+}
+
+func (fs *shapeFS) wrote(path string, n int, at bool) {
+	fs.mu.Lock()
+	fs.writes[path] = append(fs.writes[path], n)
+	if at {
+		fs.writeAts[path]++
+	}
+	fs.mu.Unlock()
 }
 
 func (fs *shapeFS) bytesRead() int64 {
@@ -156,6 +174,59 @@ func TestSmallUnitsStillCoalesced(t *testing.T) {
 		}
 		if n := len(fs.reads[p]); n > limit {
 			t.Errorf("%s: %d reads for %d bytes; want <= %d", filepath.Base(p), n, shardBytes, limit)
+		}
+	}
+}
+
+// TestPositionedEncodeMatchesStreamed: a unit-sized file encode, whose
+// kernel tasks write each unit at its stripe's offset, is indistinguishable
+// from the streamed encode into in-order writers — byte-identical shards
+// and an identical Manifest, stripe sums included — for empty, tiny,
+// stripe-edge and many-stripe payloads, of known or unknown size, queued
+// or inline. The counting filesystem proves the positioned path ran: every
+// shard-file write is a whole-unit WriteAt, one per stripe.
+func TestPositionedEncodeMatchesStreamed(t *testing.T) {
+	const unit = streamBufSize
+	stripe := tk * unit
+	for _, size := range []int{0, 1, stripe, stripe + 1, 16*stripe + 7} {
+		raw := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(raw)
+		for _, declared := range []int64{int64(size), -1} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("size=%d/declared=%d/workers=%d", size, declared, workers), func(t *testing.T) {
+					bufs := make([]bytes.Buffer, tk+tr)
+					ws := make([]io.Writer, tk+tr)
+					for i := range bufs {
+						ws[i] = &bufs[i]
+					}
+					want, _, err := WriteStreamTo(ws, bytes.NewReader(raw), declared, tk, tr, unit, withWorkers(Opts{}, workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					paths := DirPaths(t.TempDir(), tk+tr)
+					fs := newShapeFS()
+					got, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), declared, tk, tr, unit, 0, withWorkers(Opts{FS: fs}, workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("positioned manifest %+v, streamed %+v", got, want)
+					}
+					for i, p := range paths {
+						b, err := os.ReadFile(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(b, bufs[i].Bytes()) {
+							t.Fatalf("shard %d: positioned file differs from the streamed shard", i)
+						}
+						if n := fs.writeAts[p]; n != want.Stripes || len(fs.writes[p]) != n {
+							t.Errorf("shard %d: %d WriteAts of %d writes for %d stripes; want one WriteAt per stripe",
+								i, n, len(fs.writes[p]), want.Stripes)
+						}
+					}
+				})
+			}
 		}
 	}
 }

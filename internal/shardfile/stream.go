@@ -43,7 +43,9 @@ import (
 // reaches the file, socket or pipe uncopied — one syscall per unit —
 // while the buffer still coalesces small units (a 4 KiB-unit shard stream
 // costs one syscall per 16 units, not one each). The size of the I/O
-// picks the path; nothing else does.
+// picks the path; nothing else does. The same threshold picks how a
+// shard file is written: units that would pass through bufio anyway are
+// written by the kernel task that coded them (see WriteStreamPaths).
 const streamBufSize = gemmec.DefaultUnitSize / 2
 
 // Opts carries the cross-cutting knobs of the engine's entry points:
@@ -182,7 +184,15 @@ func putBufReader(br *bufio.Reader) {
 	bufReaderPool.Put(br)
 }
 
-// shardSink is one shard's write fan-out: the gathered equivalent of
+// sink is one shard's encode sink: the shard writer and its stripe
+// summer. finish flushes what the sink buffers and returns the shard's
+// Manifest.StripeSums column.
+type sink interface {
+	io.Writer
+	finish() ([]uint32, error)
+}
+
+// shardSink is the in-order sink: the gathered equivalent of
 // io.MultiWriter(bufio, shardSummer). Each pipeline write lands in both
 // consumers from a single method body — no interface dispatch loop, no
 // per-call multiWriter allocation — and only the sink write can fail (the
@@ -200,6 +210,31 @@ func (s *shardSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+func (s *shardSink) finish() ([]uint32, error) { return s.sum.sums, s.w.Flush() }
+
+// unitSink is the positioned sink: a pipeline.UnitWriter over a shard file
+// this package created. The kernel task that coded a stripe hands it the
+// shard's unit, and it sums the unit and writes it at the stripe's offset
+// — no buffer, no in-order writer, several stripes at once.
+type unitSink struct {
+	f   io.WriterAt
+	sum shardSummer
+}
+
+func (s *unitSink) WriteUnit(stripe int64, unit []byte) error {
+	s.sum.put(stripe, unit)
+	_, err := s.f.WriteAt(unit, stripe*int64(len(unit)))
+	return err
+}
+
+// Write makes the sink the io.Writer the pipeline's shard slice holds; the
+// pipeline writes a UnitWriter through WriteUnit only.
+func (s *unitSink) Write([]byte) (int, error) {
+	return 0, errors.New("shardfile: a positioned shard sink takes whole units only")
+}
+
+func (s *unitSink) finish() ([]uint32, error) { return s.sum.sums, nil }
+
 // WriteStreamTo is the encode core: it streams src through the stripe
 // loop into the k+r shard writers ws — files, pipes to peers, anything —
 // and returns the manifest describing the set. Each writer gets a pooled
@@ -210,79 +245,73 @@ func (s *shardSink) Write(p []byte) (int, error) {
 // (e.g. a chunked HTTP upload). An empty source still yields one all-zero
 // stripe. A canceled opt.Ctx aborts the encode between stripes.
 func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize int, opt Opts) (Manifest, gemmec.StreamStats, error) {
+	bufs := make([]shardSink, len(ws))
+	sinks := make([]sink, len(ws))
+	for i, w := range ws {
+		bufs[i] = shardSink{w: getBufWriter(w), sum: newSummer(k, unitSize, size)}
+		sinks[i] = &bufs[i]
+	}
+	defer func() {
+		for i := range bufs {
+			putBufWriter(bufs[i].w)
+		}
+	}()
+	return encode(sinks, src, size, k, r, unitSize, opt)
+}
+
+// encode runs the stripe loop from src into sinks and assembles the
+// manifest: WriteStreamTo's contract, over sinks of either kind.
+func encode(sinks []sink, src io.Reader, size int64, k, r, unitSize int, opt Opts) (Manifest, gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}
-	if len(ws) != k+r {
-		return m, st, fmt.Errorf("shardfile: %d shard writers for k+r=%d", len(ws), k+r)
+	if len(sinks) != k+r {
+		return m, st, fmt.Errorf("shardfile: %d shard writers for k+r=%d", len(sinks), k+r)
 	}
 	code, err := opt.code(k, r, unitSize)
 	if err != nil {
 		return m, st, err
 	}
-	// Known size means known stripe count: size the per-shard stripe-sum
-	// slices up front so the summers never grow mid-stream.
-	sumCap := 1
-	if size > 0 {
-		stripeBytes := int64(k) * int64(unitSize)
-		sumCap = int((size + stripeBytes - 1) / stripeBytes)
+	writers := make([]io.Writer, len(sinks))
+	for i, s := range sinks {
+		writers[i] = s
 	}
-	sinks := make([]shardSink, k+r)
-	writers := make([]io.Writer, k+r)
-	for i, w := range ws {
-		sinks[i] = shardSink{
-			w:   getBufWriter(w),
-			sum: shardSummer{unit: unitSize, sums: make([]uint32, 0, sumCap)},
-		}
-		writers[i] = &sinks[i]
-	}
-	defer func() {
-		for i := range sinks {
-			putBufWriter(sinks[i].w)
-		}
-	}()
-
+	sp := obs.StartSpan(opt.context(), "shardfile.encode")
+	in := getBufReader(src)
+	defer putBufReader(in)
 	// An empty object still gets one (all-zero) stripe, so every shard set
-	// has at least one: feed a zero stripe when the source is known empty.
-	if size == 0 {
-		src = bytes.NewReader(make([]byte, code.DataSize()))
+	// has at least one: a source known or found to be empty is encoded as
+	// one zero stripe, whose bytes are padding, not payload.
+	empty := size == 0
+	if size < 0 {
+		_, err := in.Peek(1)
+		empty = err == io.EOF
+	}
+	if empty {
+		in.Reset(bytes.NewReader(make([]byte, code.DataSize())))
 	}
 	encOpts := append(opt.streamOpts(k, r, unitSize),
 		gemmec.WithStreamStats(&st), gemmec.WithStreamContext(opt.context()))
-	in := getBufReader(src)
-	sp := obs.StartSpan(opt.context(), "shardfile.encode")
 	n, err := code.EncodeStream(in, writers, encOpts...)
 	sp.SetArg(st.Stripes)
 	sp.Stalls(st.ReadStall, st.EncodeStall, st.WriteStall)
 	sp.End(err)
-	putBufReader(in)
 	if err != nil {
 		return m, st, err
 	}
-	if size > 0 && n != size {
+	if empty {
+		n = 0
+	}
+	if size >= 0 && n != size {
 		return m, st, fmt.Errorf("shardfile: source is %d bytes, expected %d", n, size)
 	}
-	if size < 0 {
-		m.FileSize = n
-	}
+	m.FileSize = n
 	m.Stripes = int(st.Stripes)
-	if m.Stripes == 0 {
-		// Unknown-size source that turned out empty: emit the all-zero
-		// stripe now (zero data implies zero parity for a linear code).
-		zero := make([]byte, unitSize)
-		for i := range writers {
-			if _, err := writers[i].Write(zero); err != nil {
-				return m, st, err
-			}
-		}
-		m.Stripes = 1
-	}
 	m.Version = ManifestV2
 	m.StripeSums = make([][]uint32, k+r)
-	for i := range sinks {
-		if err := sinks[i].w.Flush(); err != nil {
+	for i, s := range sinks {
+		if m.StripeSums[i], err = s.finish(); err != nil {
 			return m, st, err
 		}
-		m.StripeSums[i] = sinks[i].sum.sums
 	}
 	return m, st, m.Validate()
 }
@@ -296,6 +325,14 @@ func WriteStreamTo(ws []io.Writer, src io.Reader, size int64, k, r, unitSize int
 // readers never observe a half-written shard; on any failure — a canceled
 // opt.Ctx (client disconnect, deadline, drain) included — every temporary
 // file is removed: a failed write leaves nothing behind.
+//
+// The size of the I/O picks the write path, as it picks the bufio one
+// (streamBufSize): units at least streamBufSize long are written by the
+// kernel task that coded them, each at its stripe's offset in the fresh
+// temporary file (unitSink), so a stripe is finished where it is coded;
+// smaller units go through WriteStreamTo's buffered in-order writer, which
+// coalesces them. The shard bytes and the manifest are the same either
+// way.
 //
 // The int after unitSize is ignored. It was a per-call worker count; the
 // frozen benchmark/ladder.go still passes one here and to
@@ -311,9 +348,19 @@ func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize,
 	for i := range all {
 		all[i] = i
 	}
-	err := writeShardFiles(opt.fs(), paths, all, func(ws []io.Writer) error {
+	err := writeShardFiles(opt.fs(), paths, all, func(files []io.Writer) error {
 		var err error
-		m, st, err = WriteStreamTo(ws, src, size, k, r, unitSize, opt)
+		if unitSize < streamBufSize {
+			m, st, err = WriteStreamTo(files, src, size, k, r, unitSize, opt)
+			return err
+		}
+		units := make([]unitSink, len(files))
+		sinks := make([]sink, len(files))
+		for i, f := range files {
+			units[i] = unitSink{f: f.(vfs.File), sum: newSummer(k, unitSize, size)}
+			sinks[i] = &units[i]
+		}
+		m, st, err = encode(sinks, src, size, k, r, unitSize, opt)
 		return err
 	})
 	return m, st, err

@@ -16,13 +16,15 @@ import (
 	"os"
 )
 
-// File is the per-file surface shard I/O needs: sequential reads and
-// writes, Seek (a read plan opens each shard at its first planned stripe;
-// a patch rewrites stripes in place), and Stat for length checks.
-// *os.File satisfies it.
+// File is the per-file surface shard I/O needs: reads and writes at the
+// file position, Seek (a read plan opens each shard at its first planned
+// stripe; a patch rewrites stripes in place), WriteAt (an encode's kernel
+// tasks write each finished unit at its stripe's offset, several at once,
+// in any order), and Stat for length checks. *os.File satisfies it.
 type File interface {
 	io.Reader
 	io.Writer
+	io.WriterAt
 	io.Seeker
 	io.Closer
 	Stat() (os.FileInfo, error)

@@ -19,13 +19,19 @@ import (
 // kernel (§5's integration argument) is never idle behind serial I/O;
 // without one the call runs inline on the caller's goroutine. Shard
 // output is byte-identical either way: the writer drains stripes in
-// sequence order.
+// sequence order — or, when every shard writer is a UnitWriter, the
+// kernel stage writes each unit at its stripe as soon as it is coded.
 
 // StreamStats reports what one stream call did and where it waited; see
 // the field docs for how to read the stall times. Request it with
 // WithStreamStats. Demoted lists the shards DecodeStream stopped trusting
 // mid-stream (see WithStreamVerifier).
 type StreamStats = pipeline.Stats
+
+// UnitWriter is a shard writer that takes each unit at its stripe's place
+// (a file written with pwrite, say); see EncodeStream. WriteUnit is called
+// concurrently, in any stripe order, and must not retain unit.
+type UnitWriter = pipeline.UnitWriter
 
 // UnitVerifier checks one shard unit as the decode reader gathers it; see
 // WithStreamVerifier. Returning a non-nil error demotes the shard to
@@ -147,6 +153,16 @@ func (cfg streamConfig) pipeline() pipeline.Config {
 // shard output is byte-identical to the inline path. Share ring buffers
 // across calls with WithStreamPool, bound the call with WithStreamContext,
 // and observe it with WithStreamStats.
+//
+// Shard writers are written in stripe order, one stripe at a time, by one
+// goroutine — unless every one of them is a UnitWriter. Then the kernel
+// task that coded stripe s calls WriteUnit(s, unit) on each shard — on
+// the scheduler's workers, in any stripe order, or on the caller's
+// goroutine when the call runs inline — and nothing is written in order;
+// the shard contents are the same. The write time then lands in
+// StreamStats.EncodeStall, and WriteStall is close to zero. A plain
+// *os.File is written in order: it has no WriteUnit, and one opened with
+// O_APPEND or positioned past a header could not honor a stripe's offset.
 func (c *Code) EncodeStream(src io.Reader, shards []io.Writer, opts ...StreamOption) (int64, error) {
 	k, r := c.K(), c.R()
 	if len(shards) != k+r {
