@@ -110,27 +110,24 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Machine-readable bench trajectory: the serving path's PUT/GET latency
-# percentiles clean vs degraded through the full daemon stack
-# (BENCH_server.json) and the heavy-traffic open-loop run — sustained RPS,
+# Machine-readable result of the one measurement the closed-loop ladder
+# does not make: the heavy-traffic open-loop run — sustained RPS,
 # small/large tails, shed count, goroutine bound (BENCH_load.json).
-# BENCH_ARGS="-quick" shrinks both for smoke runs. Shard-set decode, range
-# and patch numbers and the networked cluster's gateway latency, rebuild
-# MB/s and repair amplification come from the ladder (`bash
-# benchmark/run.sh --trace 1`: shardfile.read_mbps, .range_ms, .patch_ms,
-# gateway.put_mbps, .get_mbps, .rebuild_mbps, .repair_amplification).
+# BENCH_ARGS="-quick" shrinks it for smoke runs. Every other serving-path
+# number (PUT/GET/degraded-GET latency and throughput, shard-set decode,
+# range and patch, the networked cluster's gateway latency, rebuild MB/s
+# and repair amplification, tracing overhead) comes from the ladder
+# (`bash benchmark/run.sh --trace 1`: the end-to-end metrics and the
+# store.*, http.*, shardfile.*, gateway.* and trace.overhead_frac rungs).
 bench-json:
-	$(GO) run ./cmd/ecbench -exp server-json -json BENCH_server.json $(BENCH_ARGS)
 	$(GO) run ./cmd/ecbench -exp load-json -json BENCH_load.json $(BENCH_ARGS)
 
-# Smoke pass over every bench-json experiment at the quick profile: the
-# gate is that each experiment RUNS to completion (including the tuner
-# retune-and-swap inside server-json), not what numbers it prints. Output
-# lands in a throwaway directory so checked-in BENCH_*.json stay the
-# paper-scale results from `make bench-json`.
+# Smoke pass over the bench-json experiment at the quick profile: the gate
+# is that it RUNS to completion, not what numbers it prints. Output lands
+# in a throwaway directory so the checked-in BENCH_load.json stays the
+# full-scale result from `make bench-json`.
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
-	$(GO) run ./cmd/ecbench -exp server-json -quick -json .bench-smoke/server.json
 	$(GO) run ./cmd/ecbench -exp load-json -quick -json .bench-smoke/load.json
 	rm -rf .bench-smoke
 

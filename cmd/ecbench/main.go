@@ -33,7 +33,7 @@ func main() {
 		trials  = flag.Int("trials", -1, "override autotune trials (0 = pretuned default schedule)")
 		samples = flag.Int("latency-samples", 0, "override latency sample count")
 		seed    = flag.Int64("seed", 0, "override workload/tuning seed")
-		jsonOut = flag.String("json", "", "also write machine-readable results to this file (the *-json experiments)")
+		jsonOut = flag.String("json", "", "also write machine-readable results to this file (load-json)")
 	)
 	flag.Parse()
 

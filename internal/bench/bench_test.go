@@ -101,7 +101,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	want := []string{"ablate", "accel", "block", "cluster", "cpu", "decode", "f2", "latency", "load-json", "loc", "lrc", "memcpy", "ones", "raid6", "reffect", "server", "server-json", "stream", "tune", "update", "workload", "wsweep"}
+	want := []string{"ablate", "accel", "block", "cluster", "cpu", "decode", "f2", "latency", "load-json", "loc", "lrc", "memcpy", "ones", "raid6", "reffect", "tune", "update", "workload", "wsweep"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs=%v want %v", ids, want)
 	}

@@ -136,11 +136,6 @@ func Latencies(n int, f func() error) ([]time.Duration, error) {
 	return out, nil
 }
 
-// sortDurations sorts samples in place, the form Percentile expects.
-func sortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-}
-
 // Percentile returns the p-th percentile (0..100) of sorted durations.
 func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {

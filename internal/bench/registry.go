@@ -22,9 +22,8 @@ type Config struct {
 	LatencySamples int
 	// Seed for workload data and tuning.
 	Seed int64
-	// JSONPath, when non-empty, makes the JSON-emitting experiments
-	// (server-json, load-json) also write their results to
-	// this file.
+	// JSONPath, when non-empty, makes the JSON-emitting experiment
+	// (load-json) also write its results to this file.
 	JSONPath string
 }
 
