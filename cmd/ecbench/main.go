@@ -32,7 +32,7 @@ func main() {
 		minTime = flag.Duration("mintime", 0, "override per-measurement wall budget")
 		trials  = flag.Int("trials", -1, "override autotune trials (0 = pretuned default schedule)")
 		samples = flag.Int("latency-samples", 0, "override latency sample count")
-		seed    = flag.Int64("seed", 0, "override workload/tuning seed")
+		seed    = flag.Int64("seed", 0, "override workload seed")
 		jsonOut = flag.String("json", "", "also write machine-readable results to this file (load-json)")
 	)
 	flag.Parse()

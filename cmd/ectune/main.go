@@ -7,7 +7,10 @@
 // Usage:
 //
 //	ectune -k 10 -r 4 -unit 131072 -trials 200 -cache tune.json
-//	ectune -k 10 -r 4 -strategy random -v
+//	ectune -k 10 -r 4 -trials 20 -v
+//
+// The search measures the trials schedules nearest core.DefaultParams,
+// nearest first; a budget at or above the space's size is the full grid.
 package main
 
 import (
@@ -18,34 +21,23 @@ import (
 
 	"gemmec/internal/autotune"
 	"gemmec/internal/bitmatrix"
+	"gemmec/internal/core"
 	"gemmec/internal/gf"
 	"gemmec/internal/matrix"
 )
 
 func main() {
 	var (
-		k        = flag.Int("k", 10, "data units")
-		r        = flag.Int("r", 4, "parity units")
-		w        = flag.Int("w", 8, "field word size")
-		unit     = flag.Int("unit", 128<<10, "unit size in bytes")
-		trials   = flag.Int("trials", 100, "measurement trials")
-		strategy = flag.String("strategy", "evolutionary", "search strategy: random | evolutionary | grid")
-		cacheP   = flag.String("cache", "", "tuning cache JSON file to update")
-		logP     = flag.String("log", "", "write the full trial history as a JSON-lines tuning log")
-		seed     = flag.Int64("seed", 1, "search seed")
-		verbose  = flag.Bool("v", false, "print every trial")
+		k       = flag.Int("k", 10, "data units")
+		r       = flag.Int("r", 4, "parity units")
+		w       = flag.Int("w", 8, "field word size")
+		unit    = flag.Int("unit", 128<<10, "unit size in bytes")
+		trials  = flag.Int("trials", 100, "measurement trials")
+		cacheP  = flag.String("cache", "", "tuning cache JSON file to update")
+		logP    = flag.String("log", "", "write the full trial history as a JSON-lines tuning log")
+		verbose = flag.Bool("v", false, "print every trial")
 	)
 	flag.Parse()
-
-	strat := map[string]autotune.Strategy{
-		"random":       autotune.StrategyRandom,
-		"evolutionary": autotune.StrategyEvolutionary,
-		"grid":         autotune.StrategyGrid,
-	}
-	st, ok := strat[*strategy]
-	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
 
 	layout, err := bitmatrix.NewLayout(*k, *r, *w, *unit)
 	if err != nil {
@@ -62,15 +54,15 @@ func main() {
 	bm := bitmatrix.FromGF(coding)
 	m, kDim, n := layout.ParityPlanes(), layout.DataPlanes(), layout.PlaneSize/8
 
-	tuner, err := autotune.NewTuner(m, kDim, n, bm.At, *seed)
+	tuner, err := autotune.NewTuner(m, kDim, n, bm.At)
 	if err != nil {
 		fatal(err)
 	}
 	space := tuner.Space()
-	fmt.Printf("tuning k=%d r=%d w=%d unit=%d: GEMM %dx%dx%d, space of %d schedules, %d trials (%s)\n",
-		*k, *r, *w, *unit, m, kDim, n, space.Size(), *trials, *strategy)
+	fmt.Printf("tuning k=%d r=%d w=%d unit=%d: GEMM %dx%dx%d, space of %d schedules, %d trials\n",
+		*k, *r, *w, *unit, m, kDim, n, space.Size(), *trials)
 
-	res, err := tuner.Tune(st, *trials)
+	res, err := tuner.Tune(core.DefaultParams(space), *trials)
 	if err != nil {
 		fatal(err)
 	}

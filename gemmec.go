@@ -107,7 +107,6 @@ type config struct {
 	tuneTrials   int
 	cacheFile    string
 	workers      int
-	seed         int64
 	decoderCache int
 }
 
@@ -199,14 +198,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithSeed fixes the autotuner's random seed for reproducible tuning.
-func WithSeed(seed int64) Option {
-	return func(c *config) error {
-		c.seed = seed
-		return nil
-	}
-}
-
 // WithDecoderCache bounds how many compiled per-erasure-pattern decode
 // kernels the code keeps resident (LRU past the bound). The default of 16
 // covers every single- and double-erasure pattern of common geometries;
@@ -250,9 +241,7 @@ func New(k, r int, opts ...Option) (*Code, error) {
 		W:                 cfg.w,
 		Construction:      cfg.construction,
 		TuneTrials:        cfg.tuneTrials,
-		TuneStrategy:      autotune.StrategyEvolutionary,
 		Workers:           cfg.workers,
-		Seed:              cfg.seed,
 		MaxCachedDecoders: cfg.decoderCache,
 	}
 	if cfg.schedule != nil {

@@ -180,11 +180,11 @@ func TestScheduleRoundTripAndPinning(t *testing.T) {
 
 func TestAutotuneWithCacheFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tune.json")
-	c1, err := New(4, 2, WithUnitSize(4096), WithAutotune(5), WithTuningCache(path), WithSeed(7))
+	c1, err := New(4, 2, WithUnitSize(4096), WithAutotune(5), WithTuningCache(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := New(4, 2, WithUnitSize(4096), WithAutotune(5), WithTuningCache(path), WithSeed(8))
+	c2, err := New(4, 2, WithUnitSize(4096), WithAutotune(5), WithTuningCache(path))
 	if err != nil {
 		t.Fatal(err)
 	}

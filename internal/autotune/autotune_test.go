@@ -46,20 +46,8 @@ func TestSpaceConstruction(t *testing.T) {
 
 func TestSpaceSamplingLegal(t *testing.T) {
 	s, _ := NewSpace(32, 80, 2048)
-	rng := rand.New(rand.NewSource(1))
-	p := s.Default()
-	if !s.Contains(p) {
+	if !s.Contains(s.Default()) {
 		t.Fatal("default point not in space")
-	}
-	for trial := 0; trial < 200; trial++ {
-		p = s.Random(rng)
-		if !s.Contains(p) {
-			t.Fatalf("random point %v not in space", p)
-		}
-		p = s.Mutate(rng, p)
-		if !s.Contains(p) {
-			t.Fatalf("mutated point %v not in space", p)
-		}
 	}
 	for _, p := range s.All() {
 		if !s.Contains(p) {
@@ -79,9 +67,7 @@ func TestNearestTransfersSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		p := big.Random(rng)
+	for _, p := range big.All() {
 		q := small.Nearest(p)
 		if !small.Contains(q) {
 			t.Fatalf("Nearest(%v) = %v not in target space", p, q)
@@ -89,8 +75,9 @@ func TestNearestTransfersSchedules(t *testing.T) {
 		if _, err := Compile(32, 80, 512, q); err != nil {
 			t.Fatalf("transferred point %v does not compile: %v", q, err)
 		}
-		back := big.Nearest(small.Random(rng))
-		if !big.Contains(back) {
+	}
+	for _, p := range small.All() {
+		if back := big.Nearest(p); !big.Contains(back) {
 			t.Fatalf("reverse transfer %v not legal", back)
 		}
 	}
@@ -112,9 +99,7 @@ func TestNearestTransfersSchedules(t *testing.T) {
 func TestCompileRealizesParams(t *testing.T) {
 	m, k, n := 32, 80, 2048
 	s, _ := NewSpace(m, k, n)
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		p := s.Random(rng)
+	for _, p := range s.All() {
 		comp, err := Compile(m, k, n, p)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -177,8 +162,8 @@ func TestCompiledKernelsAgree(t *testing.T) {
 }
 
 // TestEverySpaceMemberCompiles pins the space/compiler contract on any
-// core count: whatever All, Random and Mutate can produce, Contains
-// admits and Compile accepts. MaxWorkers is set by hand so the
+// core count: whatever All can produce, Contains admits and Compile
+// accepts. MaxWorkers is set by hand so the
 // multi-core shape of the space is covered on a one-CPU box too.
 func TestEverySpaceMemberCompiles(t *testing.T) {
 	m, k, n := 16, 32, 512
@@ -200,19 +185,6 @@ func TestEverySpaceMemberCompiles(t *testing.T) {
 				t.Fatalf("MaxWorkers=%d: %v: %v", workers, p, err)
 			}
 		}
-		rng := rand.New(rand.NewSource(int64(workers)))
-		p := s.Default()
-		for trial := 0; trial < 200; trial++ {
-			for _, q := range []Params{s.Random(rng), s.Mutate(rng, p)} {
-				if !s.Contains(q) {
-					t.Fatalf("MaxWorkers=%d: sampled point %v not in space", workers, q)
-				}
-				if _, err := Compile(m, k, n, q); err != nil {
-					t.Fatalf("MaxWorkers=%d: %v: %v", workers, q, err)
-				}
-				p = q
-			}
-		}
 		bad := Params{BlockWords: n, Fanin: 1, RowsOuter: true, Parallel: te.ParallelBlocks, Workers: 2}
 		if s.Contains(bad) {
 			t.Errorf("MaxWorkers=%d: whole-row block-parallel point %v admitted", workers, bad)
@@ -223,96 +195,141 @@ func TestEverySpaceMemberCompiles(t *testing.T) {
 	}
 }
 
+// TestTunerStrategies checks the result contract of the one search: the
+// budget is spent, the best is a legal point with a real time, and the
+// best-so-far curve never rises.
 func TestTunerStrategies(t *testing.T) {
 	m, k, n := 16, 32, 1024
-	for _, strat := range []Strategy{StrategyRandom, StrategyEvolutionary, StrategyGrid} {
-		tu, err := NewTuner(m, k, n, testMask, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tu.Warmup, tu.Repeats = 0, 1 // fast test
-		res, err := tu.Tune(strat, 12)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
-		}
-		if len(res.History) == 0 || len(res.History) > 12 {
-			t.Fatalf("%v: %d trials", strat, len(res.History))
-		}
-		if res.BestTime <= 0 || res.BestTime == time.Duration(math.MaxInt64) {
-			t.Fatalf("%v: no best time", strat)
-		}
-		if !tu.Space().Contains(res.Best) {
-			t.Fatalf("%v: best %v not in space", strat, res.Best)
-		}
-		// BestSoFar must be non-increasing.
-		prev := time.Duration(math.MaxInt64)
-		for i, tr := range res.History {
-			if tr.BestSoFar > prev {
-				t.Fatalf("%v: BestSoFar increased at trial %d", strat, i)
-			}
-			prev = tr.BestSoFar
-		}
-		if strat.String() == "" {
-			t.Error("strategy string empty")
-		}
-	}
-	tu, _ := NewTuner(m, k, n, testMask, 7)
-	if _, err := tu.Tune(StrategyRandom, 0); err == nil {
-		t.Error("zero trials accepted")
-	}
-	if _, err := tu.Tune(Strategy(99), 5); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestTunerDedupes(t *testing.T) {
-	m, k, n := 8, 16, 256
-	tu, err := NewTuner(m, k, n, testMask, 1)
+	tu, err := NewTuner(m, k, n, testMask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu.Warmup, tu.Repeats = 0, 1
-	seen := map[Params]int{}
-	tu.measureHook = func(p Params, _ time.Duration) { seen[p]++ }
-	if _, err := tu.Tune(StrategyEvolutionary, 30); err != nil {
+	res, err := tu.Tune(tu.Space().Default(), 12)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for p, count := range seen {
-		if count > 1 {
-			t.Errorf("point %v measured %d times", p, count)
+	if len(res.History) != 12 {
+		t.Fatalf("%d trials, want 12", len(res.History))
+	}
+	if res.BestTime <= 0 || res.BestTime == time.Duration(math.MaxInt64) {
+		t.Fatal("no best time")
+	}
+	if !tu.Space().Contains(res.Best) {
+		t.Fatalf("best %v not in space", res.Best)
+	}
+	// BestSoFar must be non-increasing.
+	prev := time.Duration(math.MaxInt64)
+	for i, tr := range res.History {
+		if tr.BestSoFar > prev {
+			t.Fatalf("BestSoFar increased at trial %d", i)
+		}
+		prev = tr.BestSoFar
+	}
+}
+
+// TestNearestFirstOrder pins the search order on the full multi-core
+// space: every point exactly once, from first, and the distance from it
+// never falling — so every one-knob neighbour precedes any two-knob point.
+func TestNearestFirstOrder(t *testing.T) {
+	s, err := NewSpace(32, 80, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MaxWorkers = 4
+	all := s.All()
+	for _, from := range []Params{all[0], all[len(all)/2], all[len(all)-1]} {
+		order := s.nearestFirst(from)
+		if len(order) != len(all) {
+			t.Fatalf("order has %d points, space %d", len(order), len(all))
+		}
+		if order[0] != from {
+			t.Fatalf("order starts at %v, want %v", order[0], from)
+		}
+		seen := map[Params]bool{}
+		for i, p := range order {
+			if seen[p] {
+				t.Fatalf("%v visited twice", p)
+			}
+			seen[p] = true
+			if i > 0 && knobsApart(p, from) < knobsApart(order[i-1], from) {
+				t.Fatalf("from %v: %v (%d knobs) after %v (%d knobs)", from,
+					p, knobsApart(p, from), order[i-1], knobsApart(order[i-1], from))
+			}
+		}
+		if knobsApart(order[1], from) != 1 {
+			t.Errorf("from %v: second point %v is not a one-knob neighbour", from, order[1])
+		}
+	}
+	// The parallel axis and its workers are one knob.
+	a := Params{BlockWords: 64, Fanin: 2, Parallel: te.ParallelRows, Workers: 2}
+	b := a
+	b.Parallel, b.Workers = te.ParallelBlocks, 4
+	if got := knobsApart(a, b); got != 1 {
+		t.Errorf("axis+workers change counts %d knobs, want 1", got)
+	}
+}
+
+// TestTuneSearch: trial 1 is the start point, the trials follow the
+// nearest-first order, a budget at or above Size visits each point of
+// All() exactly once, and two runs visit the same sequence.
+func TestTuneSearch(t *testing.T) {
+	m, k, n := 8, 16, 256
+	tu, err := NewTuner(m, k, n, testMask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tu.SerialOnly()
+	s := tu.Space()
+	from := s.All()[s.Size()/2]
+	full, err := tu.Tune(from, s.Size()+5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.History[0].Params != from {
+		t.Fatalf("trial 1 is %v, want the start point %v", full.History[0].Params, from)
+	}
+	if len(full.History) != s.Size() {
+		t.Fatalf("%d trials on a %d-point space", len(full.History), s.Size())
+	}
+	order := s.nearestFirst(from)
+	visits := map[Params]int{}
+	for i, tr := range full.History {
+		visits[tr.Params]++
+		if tr.Params != order[i] {
+			t.Fatalf("trial %d is %v, want %v in nearest-first order", i+1, tr.Params, order[i])
+		}
+	}
+	for _, p := range s.All() {
+		if visits[p] != 1 {
+			t.Errorf("%v visited %d times, want 1", p, visits[p])
+		}
+	}
+
+	again, err := tu.Tune(from, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range again.History {
+		if tr.Params != full.History[i].Params {
+			t.Fatalf("trial %d: second run visits %v, first %v", i+1, tr.Params, full.History[i].Params)
 		}
 	}
 }
 
-func TestCostModelLearnsOrdering(t *testing.T) {
-	// Train on a synthetic objective strongly determined by one feature and
-	// check the model ranks unseen points consistently.
-	cm := NewCostModel()
-	rng := rand.New(rand.NewSource(4))
-	s, _ := NewSpace(32, 80, 4096)
-	objective := func(p Params) float64 {
-		// Pretend cost grows with passes (low fanin) — feature 3.
-		return math.Log(float64(40/p.Fanin) + 1)
+func TestTuneRefuses(t *testing.T) {
+	tu, err := NewTuner(8, 16, 256, testMask)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 400; i++ {
-		p := s.Random(rng)
-		cm.Update(Featurize(p, 32, 80, 4096), objective(p))
+	from := tu.Space().Default()
+	for _, trials := range []int{0, -1} {
+		if _, err := tu.Tune(from, trials); err == nil {
+			t.Errorf("%d trials accepted", trials)
+		}
 	}
-	if cm.Observations() != 400 {
-		t.Fatal("observation count wrong")
-	}
-	lo := Params{BlockWords: 512, Fanin: 8, RowsOuter: true, Parallel: te.ParallelNone, Workers: 1}
-	hi := Params{BlockWords: 512, Fanin: 1, RowsOuter: true, Parallel: te.ParallelNone, Workers: 1}
-	if cm.Predict(Featurize(lo, 32, 80, 4096)) >= cm.Predict(Featurize(hi, 32, 80, 4096)) {
-		t.Error("model failed to learn fanin ordering")
-	}
-}
-
-func TestCostModelUntrainedIsNeutral(t *testing.T) {
-	cm := NewCostModel()
-	p := Params{BlockWords: 64, Fanin: 2, Workers: 1}
-	if got := cm.Predict(Featurize(p, 8, 8, 64)); got != 0 {
-		t.Errorf("untrained prediction %v, want 0", got)
+	illegal := Params{BlockWords: 7, Fanin: 3, Workers: 1}
+	if _, err := tu.Tune(illegal, 5); err == nil {
+		t.Errorf("illegal start point %v accepted", illegal)
 	}
 }
 
@@ -326,12 +343,11 @@ func TestGBps(t *testing.T) {
 }
 
 func TestTuningLogRoundTrip(t *testing.T) {
-	tu, err := NewTuner(8, 16, 256, testMask, 5)
+	tu, err := NewTuner(8, 16, 256, testMask)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu.Warmup, tu.Repeats = 0, 1
-	res, err := tu.Tune(StrategyRandom, 8)
+	res, err := tu.Tune(tu.Space().Default(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

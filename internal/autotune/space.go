@@ -1,14 +1,14 @@
 // Package autotune searches the te schedule space for fast erasure-coding
 // kernels, standing in for TVM's learning-based AutoScheduler (Ansor) that
-// the paper's prototype tunes with (§6.1, 20 000 trials). The moving parts
-// mirror Ansor's: a parameterized schedule space, candidate generation by
-// random sampling and mutation of good schedules, a learned cost model
-// trained online from measurements, and a measured leaderboard.
+// the paper's prototype tunes with (§6.1, 20 000 trials). Ansor needs a
+// learned cost model because its space is too large to measure; this one
+// has a few hundred points at most, so the tuner measures them directly,
+// nearest-first from the schedule it starts at, and a large enough budget
+// is the whole grid.
 package autotune
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 
 	"gemmec/internal/te"
@@ -67,7 +67,7 @@ func NewSpace(m, k, n int) (Space, error) {
 // splitColumns reports whether a blockWords tile leaves a split column
 // axis. Block-parallel schedules run over that axis, so whole-row tiles
 // (BlockWords == N) are legal only serial or row-parallel — the one rule
-// All, Random, Mutate, Contains, Nearest and Size share with Compile.
+// All, Contains, Nearest and Size share with Compile.
 func (s Space) splitColumns(blockWords int) bool { return blockWords < s.N }
 
 // legalAxis degrades block-parallel to row-parallel on a whole-row tile.
@@ -105,57 +105,6 @@ func (s Space) Contains(p Params) bool {
 // fusion, serial) — what a naive lowering would do.
 func (s Space) Default() Params {
 	return Params{BlockWords: s.N, Fanin: 1, RowsOuter: true, Parallel: te.ParallelNone, Workers: 1}
-}
-
-// Random samples a uniform point of the space.
-func (s Space) Random(rng *rand.Rand) Params {
-	p := Params{
-		BlockWords: s.Blocks[rng.Intn(len(s.Blocks))],
-		Fanin:      s.Fanins[rng.Intn(len(s.Fanins))],
-		RowsOuter:  rng.Intn(2) == 0,
-		Staged:     rng.Intn(2) == 0,
-		Parallel:   te.ParallelNone,
-		Workers:    1,
-	}
-	if s.MaxWorkers > 1 {
-		switch rng.Intn(3) {
-		case 0:
-			p.Parallel = te.ParallelRows
-		case 1:
-			p.Parallel = te.ParallelBlocks
-		}
-		if p.Parallel != te.ParallelNone {
-			p.Workers = 2 + rng.Intn(s.MaxWorkers-1)
-			if p.Workers > s.MaxWorkers {
-				p.Workers = s.MaxWorkers
-			}
-		}
-		p.Parallel = s.legalAxis(p)
-	}
-	return p
-}
-
-// Mutate returns a neighbor of p with one knob changed — the evolutionary
-// search's mutation operator.
-func (s Space) Mutate(rng *rand.Rand, p Params) Params {
-	q := p
-	switch rng.Intn(5) {
-	case 0:
-		q.BlockWords = s.Blocks[rng.Intn(len(s.Blocks))]
-	case 1:
-		q.Fanin = s.Fanins[rng.Intn(len(s.Fanins))]
-	case 2:
-		q.RowsOuter = !q.RowsOuter
-	case 3:
-		q.Staged = !q.Staged
-	case 4:
-		if s.MaxWorkers > 1 {
-			r := s.Random(rng)
-			q.Parallel, q.Workers = r.Parallel, r.Workers
-		}
-	}
-	q.Parallel = s.legalAxis(q)
-	return q
 }
 
 // Nearest maps an arbitrary parameter point onto the closest legal point of

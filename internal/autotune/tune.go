@@ -6,39 +6,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
+	"sort"
 	"time"
 
 	"gemmec/internal/te"
 )
-
-// Strategy selects the search algorithm.
-type Strategy int
-
-const (
-	// StrategyRandom measures uniformly sampled points.
-	StrategyRandom Strategy = iota
-	// StrategyEvolutionary keeps a population of the best measured points,
-	// proposes mutations plus random restarts, ranks proposals with the
-	// learned cost model, and measures only the most promising — the shape
-	// of Ansor's evolutionary search (§6.1's Autoscheduler).
-	StrategyEvolutionary
-	// StrategyGrid measures every point of the space in order.
-	StrategyGrid
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyRandom:
-		return "random"
-	case StrategyEvolutionary:
-		return "evolutionary"
-	case StrategyGrid:
-		return "grid"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
 
 // Trial records one measured schedule.
 type Trial struct {
@@ -58,7 +30,7 @@ type Result struct {
 
 // WriteLog streams the full trial history as JSON lines — the analogue of a
 // TVM tuning log, which records every measured schedule rather than only
-// the winner so later analyses (and cost-model training) can replay it.
+// the winner so later analyses can replay it.
 func (r *Result) WriteLog(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, t := range r.History {
@@ -103,6 +75,14 @@ func GBps(bytes int, d time.Duration) float64 {
 	return float64(bytes) / d.Seconds() / 1e9
 }
 
+// Measurement controls: each trial is the minimum of repeats runs after
+// warmup runs (minimum-of-N is the standard noise-robust estimator for
+// microbenchmarks).
+const (
+	warmup  = 1
+	repeats = 3
+)
+
 // Tuner searches the schedule space for one problem instance. The mask
 // (generator selection lists) is part of the instance: real tuning runs use
 // the actual code's bitmatrix, so measured times reflect its XOR density.
@@ -110,39 +90,16 @@ type Tuner struct {
 	M, K, N int
 	space   Space
 	mask    func(i, j int) bool
-	rng     *rand.Rand
-
-	// Measurement controls.
-	Warmup  int
-	Repeats int
-
-	// Evolutionary controls.
-	Population  int
-	Mutations   int
-	RandomFrac  float64
-	model       *CostModel
-	measureHook func(p Params, d time.Duration) // tests observe measurements
 }
 
 // NewTuner builds a tuner for an M x K x N problem whose generator bit
 // (i, j) is given by mask.
-func NewTuner(m, k, n int, mask func(i, j int) bool, seed int64) (*Tuner, error) {
+func NewTuner(m, k, n int, mask func(i, j int) bool) (*Tuner, error) {
 	space, err := NewSpace(m, k, n)
 	if err != nil {
 		return nil, err
 	}
-	return &Tuner{
-		M: m, K: k, N: n,
-		space:      space,
-		mask:       mask,
-		rng:        rand.New(rand.NewSource(seed)),
-		Warmup:     1,
-		Repeats:    3,
-		Population: 8,
-		Mutations:  4,
-		RandomFrac: 0.2,
-		model:      NewCostModel(),
-	}, nil
+	return &Tuner{M: m, K: k, N: n, space: space, mask: mask}, nil
 }
 
 // Space returns the tuner's search space.
@@ -155,9 +112,9 @@ func (t *Tuner) Space() Space { return t.space }
 // oversubscribe the pool it runs on.
 func (t *Tuner) SerialOnly() { t.space.MaxWorkers = 1 }
 
-// measure compiles and times one parameter point, returning the minimum of
-// Repeats runs after Warmup runs (minimum-of-N is the standard
-// noise-robust estimator for microbenchmarks).
+// measure compiles and times one parameter point. The B operand gets a
+// fixed fill: XOR time does not depend on the data values, only on the
+// bytes being real, touched memory.
 func (t *Tuner) measure(p Params) (time.Duration, error) {
 	comp, err := Compile(t.M, t.K, t.N, p)
 	if err != nil {
@@ -168,16 +125,18 @@ func (t *Tuner) measure(p Params) (time.Duration, error) {
 		return 0, err
 	}
 	bBuf := te.NewBuffer(comp.B)
-	t.rng.Read(bBuf)
+	for i := range bBuf {
+		bBuf[i] = byte(i)
+	}
 	bind := te.Bindings{comp.A: aBuf, comp.B: bBuf, comp.C: te.NewBuffer(comp.C)}
 
-	for w := 0; w < t.Warmup; w++ {
+	for w := 0; w < warmup; w++ {
 		if err := comp.Kernel.Exec(bind); err != nil {
 			return 0, err
 		}
 	}
 	best := time.Duration(math.MaxInt64)
-	for r := 0; r < t.Repeats; r++ {
+	for r := 0; r < repeats; r++ {
 		start := time.Now()
 		if err := comp.Kernel.Exec(bind); err != nil {
 			return 0, err
@@ -186,141 +145,64 @@ func (t *Tuner) measure(p Params) (time.Duration, error) {
 			best = d
 		}
 	}
-	if t.measureHook != nil {
-		t.measureHook(p, best)
-	}
 	return best, nil
 }
 
-// Tune runs up to trials measurements with the given strategy and returns
-// the best point found plus the full history.
-func (t *Tuner) Tune(strategy Strategy, trials int) (*Result, error) {
+// knobsApart counts the schedule knobs on which a and b differ: block,
+// fanin, traversal order, staging, and the parallel axis together with
+// its worker count.
+func knobsApart(a, b Params) int {
+	n := 0
+	for _, differ := range []bool{
+		a.BlockWords != b.BlockWords,
+		a.Fanin != b.Fanin,
+		a.RowsOuter != b.RowsOuter,
+		a.Staged != b.Staged,
+		a.Parallel != b.Parallel || a.Workers != b.Workers,
+	} {
+		if differ {
+			n++
+		}
+	}
+	return n
+}
+
+// nearestFirst returns every point of the space, stably sorted by how many
+// knobs differ from from: from itself, then its one-knob neighbours, and
+// so on out to the far corners of the grid.
+func (s Space) nearestFirst(from Params) []Params {
+	all := s.All()
+	sort.SliceStable(all, func(i, j int) bool {
+		return knobsApart(all[i], from) < knobsApart(all[j], from)
+	})
+	return all
+}
+
+// Tune measures the first min(trials, Size) points of the space in
+// nearest-first order from from — a legal point, usually the schedule
+// already live — and returns the fastest plus the full history. Trial 1
+// is from itself, so the result never measured slower than the start; a
+// budget at or above Size is the full grid. The search has no randomness:
+// the same shape and the same from give the same trial sequence.
+func (t *Tuner) Tune(from Params, trials int) (*Result, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("autotune: trials must be positive")
 	}
+	if !t.space.Contains(from) {
+		return nil, fmt.Errorf("autotune: start schedule %v is not in the space", from)
+	}
 	res := &Result{BestTime: time.Duration(math.MaxInt64)}
-	seen := map[Params]bool{}
-
-	record := func(p Params, d time.Duration) {
+	order := t.space.nearestFirst(from)
+	for _, p := range order[:min(trials, len(order))] {
+		d, err := t.measure(p)
+		if err != nil {
+			return nil, err
+		}
 		if d < res.BestTime {
 			res.BestTime = d
 			res.Best = p
 		}
 		res.History = append(res.History, Trial{Params: p, Elapsed: d, BestSoFar: res.BestTime})
 	}
-
-	measureNew := func(p Params) error {
-		if seen[p] {
-			return nil
-		}
-		seen[p] = true
-		d, err := t.measure(p)
-		if err != nil {
-			return err
-		}
-		record(p, d)
-		t.model.Update(Featurize(p, t.M, t.K, t.N), math.Log(d.Seconds()))
-		return nil
-	}
-
-	switch strategy {
-	case StrategyGrid:
-		for _, p := range t.space.All() {
-			if len(res.History) >= trials {
-				break
-			}
-			if err := measureNew(p); err != nil {
-				return nil, err
-			}
-		}
-	case StrategyRandom:
-		// Always include the default point so the curve starts from the
-		// naive schedule.
-		if err := measureNew(t.space.Default()); err != nil {
-			return nil, err
-		}
-		for attempts := 0; len(res.History) < trials && attempts < trials*20; attempts++ {
-			if err := measureNew(t.space.Random(t.rng)); err != nil {
-				return nil, err
-			}
-		}
-	case StrategyEvolutionary:
-		if err := measureNew(t.space.Default()); err != nil {
-			return nil, err
-		}
-		// Seed with random points.
-		for len(res.History) < min(t.Population, trials) {
-			if err := measureNew(t.space.Random(t.rng)); err != nil {
-				return nil, err
-			}
-		}
-		for len(res.History) < trials {
-			// Propose candidates: mutations of the population's elite plus
-			// fresh random points.
-			elite := topK(res.History, t.Population)
-			var cands []Params
-			for _, e := range elite {
-				for m := 0; m < t.Mutations; m++ {
-					cands = append(cands, t.space.Mutate(t.rng, e.Params))
-				}
-			}
-			nRandom := int(float64(len(cands)+1) * t.RandomFrac)
-			for i := 0; i < nRandom+1; i++ {
-				cands = append(cands, t.space.Random(t.rng))
-			}
-			// Rank by predicted cost and measure the most promising unseen one.
-			best, ok := t.bestPredicted(cands, seen)
-			if !ok {
-				best = t.space.Random(t.rng)
-				if seen[best] {
-					break // space exhausted
-				}
-			}
-			if err := measureNew(best); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("autotune: unknown strategy %d", strategy)
-	}
-	if len(res.History) == 0 {
-		return nil, fmt.Errorf("autotune: no trials executed")
-	}
 	return res, nil
-}
-
-func (t *Tuner) bestPredicted(cands []Params, seen map[Params]bool) (Params, bool) {
-	bestScore := math.Inf(1)
-	var best Params
-	found := false
-	for _, p := range cands {
-		if seen[p] || !t.space.Contains(p) {
-			continue
-		}
-		score := t.model.Predict(Featurize(p, t.M, t.K, t.N))
-		if score < bestScore {
-			bestScore, best, found = score, p, true
-		}
-	}
-	return best, found
-}
-
-func topK(hist []Trial, k int) []Trial {
-	sorted := append([]Trial(nil), hist...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j-1].Elapsed > sorted[j].Elapsed; j-- {
-			sorted[j-1], sorted[j] = sorted[j], sorted[j-1]
-		}
-	}
-	if len(sorted) > k {
-		sorted = sorted[:k]
-	}
-	return sorted
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

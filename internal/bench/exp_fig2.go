@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"gemmec/internal/autotune"
 	"gemmec/internal/core"
 	"gemmec/internal/isal"
 	"gemmec/internal/uezato"
@@ -40,12 +39,7 @@ func newEngine(k, r int, cfg Config) (*core.Engine, error) {
 // newEngineW is newEngine with explicit word and unit sizes, for the sweeps
 // that vary them.
 func newEngineW(k, r, w, unitSize int, cfg Config) (*core.Engine, error) {
-	return core.New(k, r, unitSize, core.Options{
-		W:            w,
-		TuneTrials:   cfg.TuneTrials,
-		TuneStrategy: autotune.StrategyEvolutionary,
-		Seed:         cfg.Seed,
-	})
+	return core.New(k, r, unitSize, core.Options{W: w, TuneTrials: cfg.TuneTrials})
 }
 
 // measureFig2Point measures the encode throughput of all three libraries on

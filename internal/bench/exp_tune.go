@@ -18,7 +18,7 @@ func init() {
 	register(Experiment{
 		ID:    "tune",
 		Paper: "§6.1 measurement setup (Autoscheduler, 20 000 trials) + §8 plans",
-		Title: "Autotuning convergence: best-found throughput vs trials, random vs guided search",
+		Title: "Autotuning: nearest-first search regret vs the full grid at 1-40 trials",
 		Run:   runTune,
 	})
 	register(Experiment{
@@ -94,68 +94,65 @@ func problemShape(k, r, w, unit int) (m, kDim, n int, bm *bitmatrix.BitMatrix, e
 	return l.ParityPlanes(), l.DataPlanes(), l.PlaneSize / 8, bitmatrix.FromGF(coding), nil
 }
 
+// runTune prices the one search: per shape it measures the full grid
+// nearest-first from DefaultParams, takes the best of the first 1, 10, 20
+// and 40 trials as the pick a search with that budget makes (the order is
+// fixed, so a shorter search is a prefix of the full one), and re-times
+// every pick interleaved against the grid optimum.
 func runTune(w io.Writer, cfg Config) error {
-	k, r := 10, 4
-	trials := cfg.TuneTrials
-	if trials < 10 {
-		trials = 10
-	}
-	m, kDim, n, bm, err := problemShape(k, r, 8, cfg.UnitSize)
-	if err != nil {
-		return err
-	}
-	bytesPerOp := k * cfg.UnitSize
-
-	t := NewTable(fmt.Sprintf("Tuning convergence (k=10, r=4, w=8, %d trials)", trials),
-		"trial", "random best GB/s", "guided best GB/s")
-
-	run := func(strategy autotune.Strategy, seed int64) (*autotune.Result, error) {
-		tuner, err := autotune.NewTuner(m, kDim, n, bm.At, seed)
+	t := NewTable("Nearest-first search regret against the full grid (w=8)",
+		"k", "r", "trials", "pick", "GB/s", "regret")
+	for _, shape := range [][2]int{{4, 2}, {10, 4}} {
+		k, r := shape[0], shape[1]
+		m, kDim, n, bm, err := problemShape(k, r, 8, cfg.UnitSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return tuner.Tune(strategy, trials)
-	}
-	randomRes, err := run(autotune.StrategyRandom, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	guidedRes, err := run(autotune.StrategyEvolutionary, cfg.Seed)
-	if err != nil {
-		return err
-	}
+		tuner, err := autotune.NewTuner(m, kDim, n, bm.At)
+		if err != nil {
+			return err
+		}
+		space := tuner.Space()
+		start := time.Now()
+		res, err := tuner.Tune(core.DefaultParams(space), space.Size())
+		if err != nil {
+			return err
+		}
+		t.Note("(%d,%d): %d-point grid measured in %v", k, r, space.Size(), time.Since(start).Round(time.Millisecond))
 
-	points := len(randomRes.History)
-	if len(guidedRes.History) < points {
-		points = len(guidedRes.History)
+		labels := []string{"grid"}
+		picks := []autotune.Params{res.Best}
+		for _, budget := range []int{1, 10, 20, 40} {
+			best := res.History[0]
+			for _, tr := range res.History[:min(budget, len(res.History))] {
+				if tr.Elapsed < best.Elapsed {
+					best = tr
+				}
+			}
+			labels = append(labels, fmt.Sprint(budget))
+			picks = append(picks, best.Params)
+		}
+		data := RandomBytes(cfg.Seed, k*cfg.UnitSize)
+		parity := make([]byte, r*cfg.UnitSize)
+		alts := make([]Alt, len(picks))
+		for i := range picks {
+			e, err := core.New(k, r, cfg.UnitSize, core.Options{Params: &picks[i]})
+			if err != nil {
+				return err
+			}
+			alts[i] = Alt{Name: labels[i], Bytes: k * cfg.UnitSize, F: func() error { return e.Encode(data, parity) }}
+		}
+		ms, err := Compare(time.Duration(len(alts))*cfg.MinTime, alts)
+		if err != nil {
+			return err
+		}
+		for i, meas := range ms {
+			t.AddF(k, r, labels[i], picks[i], meas.GBps(), fmt.Sprintf("%+.1f%%", 100*(1-meas.GBps()/ms[0].GBps())))
+		}
 	}
-	step := points / 10
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < points; i += step {
-		t.AddF(i+1,
-			GBpsFromTrial(bytesPerOp, randomRes.History[i].BestSoFar),
-			GBpsFromTrial(bytesPerOp, guidedRes.History[i].BestSoFar))
-	}
-	t.AddF(points,
-		GBpsFromTrial(bytesPerOp, randomRes.History[points-1].BestSoFar),
-		GBpsFromTrial(bytesPerOp, guidedRes.History[points-1].BestSoFar))
-	t.Note("random best: %v   guided best: %v", randomRes.Best, guidedRes.Best)
-	t.Note("paper tunes with TVM's learning-based Autoscheduler for 20 000 trials; this space is ~%d points", func() int {
-		s, _ := autotune.NewSpace(m, kDim, n)
-		return s.Size()
-	}())
+	t.Note("trials 1 is DefaultParams; regret is the share of the grid optimum's throughput a pick gives up, re-timed interleaved")
+	t.Note("paper tunes with TVM's learning-based Autoscheduler for 20 000 trials; this space is small enough to enumerate")
 	return t.Fprint(w)
-}
-
-// GBpsFromTrial converts a tuner-reported duration to GB/s.
-func GBpsFromTrial(bytesPerOp int, d interface{ Seconds() float64 }) float64 {
-	s := d.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return float64(bytesPerOp) / s / 1e9
 }
 
 func runAblate(w io.Writer, cfg Config) error {

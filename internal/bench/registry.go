@@ -20,7 +20,7 @@ type Config struct {
 	TuneTrials int
 	// LatencySamples for the E-LAT distribution.
 	LatencySamples int
-	// Seed for workload data and tuning.
+	// Seed for workload data.
 	Seed int64
 	// JSONPath, when non-empty, makes the JSON-emitting experiment
 	// (load-json) also write its results to this file.

@@ -55,17 +55,14 @@ type Options struct {
 	Construction Construction
 	// Params pins an explicit schedule, skipping tuning and cache.
 	Params *autotune.Params
-	// TuneTrials > 0 runs the autotuner at construction when neither Params
-	// nor a cache hit provides a schedule.
+	// TuneTrials > 0 runs the autotuner at construction, nearest-first from
+	// DefaultParams, when neither Params nor a cache hit provides a
+	// schedule.
 	TuneTrials int
-	// TuneStrategy selects the tuner's search algorithm.
-	TuneStrategy autotune.Strategy
 	// Cache, when set, is consulted before tuning and updated after.
 	Cache *autotune.Cache
 	// Workers overrides goroutine count for parallel schedules.
 	Workers int
-	// Seed makes tuning deterministic; 0 uses a fixed default.
-	Seed int64
 	// MaxCachedDecoders bounds the per-engine compiled-decoder LRU.
 	// 0 selects DefaultMaxCachedDecoders (16).
 	MaxCachedDecoders int
@@ -279,15 +276,11 @@ func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, e
 		}
 	}
 	if opts.TuneTrials > 0 {
-		seed := opts.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		tuner, err := autotune.NewTuner(m, kDim, n, e.bm.At, seed)
+		tuner, err := autotune.NewTuner(m, kDim, n, e.bm.At)
 		if err != nil {
 			return autotune.Params{}, err
 		}
-		res, err := tuner.Tune(opts.TuneStrategy, opts.TuneTrials)
+		res, err := tuner.Tune(DefaultParams(space), opts.TuneTrials)
 		if err != nil {
 			return autotune.Params{}, err
 		}
@@ -332,15 +325,11 @@ func (e *Engine) Reschedule(p autotune.Params) error {
 func (e *Engine) Generation() int64 { return e.generation.Load() }
 
 // NewTuner returns an autotuner for this engine's encode shape and
-// bitmatrix, seeded deterministically (seed 0 selects a fixed default).
-// The serving loop uses it to search schedules offline and feed the best
-// back through Reschedule.
-func (e *Engine) NewTuner(seed int64) (*autotune.Tuner, error) {
-	if seed == 0 {
-		seed = 1
-	}
+// bitmatrix. The serving loop uses it to search schedules offline and feed
+// the best back through Reschedule.
+func (e *Engine) NewTuner() (*autotune.Tuner, error) {
 	m, kDim, n := e.shape()
-	return autotune.NewTuner(m, kDim, n, e.bm.At, seed)
+	return autotune.NewTuner(m, kDim, n, e.bm.At)
 }
 
 // TuneKey returns the autotune cache key for this engine's shape at the
@@ -360,8 +349,9 @@ func (e *Engine) TuneKey(workers int) string {
 // run the tuner: cache-tiled column blocks around 4 KB, 8-way reduction
 // fusion when the geometry allows, tiles-outer traversal so source tiles
 // are reused across all parity rows while they are cache-resident. These
-// are the optimizations §4.2 predicts an ML compiler discovers, and the
-// autotuner does converge onto this neighborhood (see experiment E-TUNE).
+// are the optimizations §4.2 predicts an ML compiler discovers; the
+// full-grid optimum sits in this neighborhood (see experiment E-TUNE), so
+// construction-time tuning starts its nearest-first search here.
 func DefaultParams(s autotune.Space) autotune.Params {
 	p := s.Default()
 	// Largest block <= 512 words (4 KB) dividing N.

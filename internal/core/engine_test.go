@@ -419,7 +419,7 @@ func TestExplicitParamsAndAccessors(t *testing.T) {
 
 func TestTunedConstructionAndCache(t *testing.T) {
 	cache := autotune.NewCache()
-	e := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6, TuneStrategy: autotune.StrategyRandom, Cache: cache, Seed: 42})
+	e := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6, Cache: cache})
 	if e.TuneResult() == nil || len(e.TuneResult().History) == 0 {
 		t.Fatal("tuning history missing")
 	}
@@ -427,7 +427,7 @@ func TestTunedConstructionAndCache(t *testing.T) {
 		t.Fatalf("cache has %d entries, want 1", cache.Len())
 	}
 	// Second engine with same geometry must hit the cache, not re-tune.
-	e2 := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6, Cache: cache, Seed: 43})
+	e2 := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6, Cache: cache})
 	if e2.TuneResult() != nil {
 		t.Error("cache hit should skip tuning")
 	}
@@ -453,7 +453,7 @@ func TestTunedConstructionAndCache(t *testing.T) {
 func TestScheduleTransferAcrossUnitSizes(t *testing.T) {
 	cache := autotune.NewCache()
 	// Tune at 8 KiB units.
-	e1 := mustEngine(t, 4, 2, 8192, Options{TuneTrials: 5, TuneStrategy: autotune.StrategyRandom, Cache: cache, Seed: 3})
+	e1 := mustEngine(t, 4, 2, 8192, Options{TuneTrials: 5, Cache: cache})
 	if e1.TuneResult() == nil {
 		t.Fatal("first engine did not tune")
 	}

@@ -80,13 +80,21 @@ func (e *Engine) UpdateParity(parity []byte, u int, oldUnit, newUnit []byte) err
 	if err != nil {
 		return err
 	}
-	// delta = old ^ new, then parity ^= G_u * delta.
-	delta := make([]byte, e.unitSize)
+	// delta = old ^ new, then parity ^= G_u * delta. Both operands come
+	// from the reconstruct scratch pool: (r+1) units fit in its (k+r).
+	sp := e.recScratch.Get().(*[]byte)
+	defer e.recScratch.Put(sp)
+	delta := (*sp)[:e.unitSize]
 	copy(delta, oldUnit)
 	gf.XorRegion(delta, newUnit)
+	return up.addTo(parity, delta, (*sp)[e.unitSize:e.unitSize+len(parity)])
+}
 
-	pd := make([]byte, e.layout.ParityLen())
-	if err := up.comp.Kernel.ExecBufs(up.aBuf, te.Buffer(delta), te.Buffer(pd)); err != nil {
+// addTo computes parity ^= G_u * unit through the column-block kernel,
+// staging the product in pd. The kernel overwrites pd, so pooled scratch
+// needs no clearing.
+func (up *updater) addTo(parity, unit, pd []byte) error {
+	if err := up.comp.Kernel.ExecBufs(up.aBuf, te.Buffer(unit), te.Buffer(pd)); err != nil {
 		return err
 	}
 	gf.XorRegion(parity, pd)
@@ -112,12 +120,9 @@ func (e *Engine) AccumulateParity(parity []byte, u int, unit []byte) error {
 	if err != nil {
 		return err
 	}
-	pd := make([]byte, e.layout.ParityLen())
-	if err := up.comp.Kernel.ExecBufs(up.aBuf, te.Buffer(unit), te.Buffer(pd)); err != nil {
-		return err
-	}
-	gf.XorRegion(parity, pd)
-	return nil
+	sp := e.recScratch.Get().(*[]byte)
+	defer e.recScratch.Put(sp)
+	return up.addTo(parity, unit, (*sp)[:len(parity)])
 }
 
 // CachedUpdaters returns how many per-unit update kernels are compiled.

@@ -127,3 +127,35 @@ func TestUpdaterCacheReuse(t *testing.T) {
 		t.Errorf("cache=%d want 1", e.CachedUpdaters())
 	}
 }
+
+// TestUpdateParitySteadyStateAllocs: once a unit's update kernel is
+// compiled, UpdateParity and AccumulateParity stage their operands in the
+// engine's pooled scratch and allocate nothing per call.
+func TestUpdateParitySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	k, r, unit := 6, 3, 1024
+	e := mustEngine(t, k, r, unit, Options{})
+	rng := rand.New(rand.NewSource(32))
+	oldUnit := make([]byte, unit)
+	newUnit := make([]byte, unit)
+	rng.Read(oldUnit)
+	rng.Read(newUnit)
+	parity := make([]byte, r*unit)
+	for name, call := range map[string]func() error{
+		"UpdateParity":     func() error { return e.UpdateParity(parity, 2, oldUnit, newUnit) },
+		"AccumulateParity": func() error { return e.AccumulateParity(parity, 2, newUnit) },
+	} {
+		if err := call(); err != nil { // compiles the kernel, fills the pool
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}

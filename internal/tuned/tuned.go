@@ -60,9 +60,6 @@ type Config struct {
 	// IdleFor reports how long the serving scheduler has been idle (0 =
 	// busy right now). Nil means "always idle" — only sensible in tests.
 	IdleFor func() time.Duration
-	// Seed makes the schedule search deterministic; each retune offsets it
-	// by the run count so repeated tunes of one shape explore differently.
-	Seed int64
 	// Logf, when non-nil, receives one line per retune and per error.
 	Logf func(format string, args ...any)
 }
@@ -411,8 +408,8 @@ func (t *Tuner) next() *entry {
 }
 
 // tune runs one bounded retune for the entry and records its telemetry.
-// The seed varies with the run count so repeated tunes of one shape do
-// not replay the same search.
+// Each retune searches outward from the live schedule, so repeated tunes
+// of one shape climb from where the last one left off.
 func (t *Tuner) tune(e *entry) {
 	// Labeled with the geometry so a CPU profile during a retune shows
 	// which shape's search burned the time.
@@ -422,11 +419,7 @@ func (t *Tuner) tune(e *entry) {
 }
 
 func (t *Tuner) tuneLabeled(e *entry) {
-	seed := t.cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rep, err := e.code.Retune(t.cfg.Trials, seed+t.runs.Load())
+	rep, err := e.code.Retune(t.cfg.Trials)
 	t.trials.Add(int64(rep.Trials))
 	if err != nil {
 		if t.cfg.Logf != nil {

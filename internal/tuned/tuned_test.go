@@ -73,7 +73,6 @@ func TestTunerTunesHottestShapeAndPersists(t *testing.T) {
 		MinIdle:   time.Nanosecond,
 		Interval:  time.Millisecond,
 		IdleFor:   func() time.Duration { return time.Hour },
-		Seed:      3,
 		Logf:      t.Logf,
 	})
 	if _, err := r.StreamCode(4, 2, 4096); err != nil {

@@ -10,8 +10,8 @@ import (
 
 // RetuneReport summarizes one serving-loop retune: what the search found,
 // whether the live executor was swapped, and the predicted-vs-measured
-// throughput that tells an operator whether the tuner's cost model held up
-// on the serving machine.
+// throughput that tells an operator whether the tuner's scratch timing
+// held up on the live executor.
 type RetuneReport struct {
 	// Trials is how many schedule points the search measured.
 	Trials int
@@ -40,26 +40,30 @@ var tuneFileMu sync.Mutex
 // hot-swaps the compiled executor when the search beats the live schedule.
 // The search is restricted to serial schedules — in a daemon the stripe
 // scheduler owns parallelism, and a kernel spawning its own goroutines
-// would allocate per stripe and oversubscribe the pool. In-flight
+// would allocate per stripe and oversubscribe the pool. It measures the
+// trials points nearest the live schedule, the live one first, so it never
+// installs a schedule that measured slower than the live one, and repeated
+// retunes climb from where the last one left off. In-flight
 // Encode/Decode streams are unaffected: stripes that already loaded the
 // old executor finish on it, subsequent stripes use the new one.
 //
 // When the code was built with WithTuningCache, the result is persisted to
 // the same file so the next boot starts from it. Concurrent Retune calls
 // on one Code serialize; the data path never blocks on them.
-func (c *Code) Retune(trials int, seed int64) (RetuneReport, error) {
+func (c *Code) Retune(trials int) (RetuneReport, error) {
 	if trials <= 0 {
 		return RetuneReport{}, errors.New("gemmec: retune trials must be positive")
 	}
 	c.retuneMu.Lock()
 	defer c.retuneMu.Unlock()
 
-	tuner, err := c.eng.NewTuner(seed)
+	tuner, err := c.eng.NewTuner()
 	if err != nil {
 		return RetuneReport{}, err
 	}
 	tuner.SerialOnly()
-	res, err := tuner.Tune(autotune.StrategyEvolutionary, trials)
+	live := c.eng.Params()
+	res, err := tuner.Tune(tuner.Space().Nearest(live), trials)
 	if err != nil {
 		return RetuneReport{}, err
 	}
@@ -72,11 +76,10 @@ func (c *Code) Retune(trials int, seed int64) (RetuneReport, error) {
 	// that reached the live path (what an operator wants to see move), and
 	// Swapped distinguishes "schedule changed" from "search re-confirmed
 	// the live one". The compile is idle-window work and costs ~ms.
-	old := c.eng.Params()
 	if err := c.eng.Reschedule(res.Best); err != nil {
 		return rep, err
 	}
-	rep.Swapped = res.Best != old
+	rep.Swapped = res.Best != live
 	rep.Generation = c.eng.Generation()
 	rep.MeasuredGBps = autotune.GBps(c.DataSize(), c.measureEncode(3))
 	c.lastTune = res

@@ -23,10 +23,10 @@ func TestRetuneSwapsAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Retune(0, 1); err == nil {
-		t.Error("Retune(0, ...) accepted a non-positive trial budget")
+	if _, err := c.Retune(0); err == nil {
+		t.Error("Retune(0) accepted a non-positive trial budget")
 	}
-	rep, err := c.Retune(6, 1)
+	rep, err := c.Retune(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +63,23 @@ func TestRetuneSwapsAndPersists(t *testing.T) {
 	// SaveTuning (the shutdown hook) must be a harmless re-save.
 	if err := c.SaveTuning(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetuneStartsFromLive: a retune's first trial is the live schedule,
+// so a one-trial retune re-confirms it and reports no swap.
+func TestRetuneStartsFromLive(t *testing.T) {
+	c := newSmall(t, 4, 2)
+	live := c.Schedule()
+	rep, err := c.Retune(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fromParams(c.lastTune.History[0].Params); got != live {
+		t.Errorf("first trial %+v, want the live schedule %+v", got, live)
+	}
+	if rep.Swapped || rep.Best != live || c.Schedule() != live {
+		t.Errorf("live schedule won but retune reports swapped=%v best=%+v (live %+v)", rep.Swapped, rep.Best, live)
 	}
 }
 
