@@ -140,8 +140,11 @@ bench-smoke:
 # server.Open/NewGateway/OpenPeerStore/NewPeerAPI/NewLocalTransport,
 # server.Backend/ObjectStream/RangedStream/RangeOpener/Patcher,
 # server.Config/StoreConfig/GatewayConfig, server.NewHandler/
-# NewBackendHandler/NewMetrics. Its harness tests run here so a change that
-# breaks that surface fails CI, not the perf gate.
+# NewBackendHandler/NewMetrics, tuned.NewRegistry/Config, core.New/Options/
+# Engine.Shape/Params/CodingMatrix/ReadDecoderCacheCounters, autotune.Compile,
+# te.NewBuffer/PackMask, bitmatrix.FromGF and obs.NewRecorder/
+# RecorderConfig. Its harness tests run here so a change that breaks that
+# surface fails CI, not the perf gate.
 ladder-smoke:
 	cd benchmark && $(GO) test ./...
 

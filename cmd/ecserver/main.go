@@ -31,7 +31,7 @@
 // walkthrough lives in the README's Cluster section. Both modes run the
 // same serving path; they differ in the backend behind it and the
 // /internal/ mount. A flag only one mode honours (-nodes, -slab-*,
-// -shard-read-timeout, -tune-*, -decoder-cache for a single node;
+// -shard-read-timeout for a single node;
 // -peer-id, -cluster-secret, -write-quorum, -rebuild-node for a cluster)
 // set explicitly in the other mode is an error (exit 2).
 //
@@ -83,8 +83,7 @@ type backend interface {
 var clusterOnly = map[string]bool{
 	"peer-id": true, "cluster-secret": true, "write-quorum": true, "rebuild-node": true,
 	"nodes": false, "slab-threshold": false, "slab-window": false, "slab-max-bytes": false,
-	"shard-read-timeout": false, "tune-cache": false, "tune-trials": false, "tune-idle": false,
-	"decoder-cache": false,
+	"shard-read-timeout": false,
 }
 
 func main() {
@@ -124,14 +123,6 @@ func main() {
 		"reject PUT bodies larger than this many bytes with 413 (0 = unlimited)")
 	shardReadTimeout := flag.Duration("shard-read-timeout", 0,
 		"per-shard read deadline during GETs: a shard stalling past this is demoted and the read completes degraded (0 disables)")
-	tuneCache := flag.String("tune-cache", "",
-		"autotuner cache file: learned kernel schedules are loaded at boot and persisted after every background retune and on shutdown (empty = in-memory only)")
-	tuneTrials := flag.Int("tune-trials", 16,
-		"schedule-search budget per background retune of a hot stripe geometry (0 disables the serving-loop autotuner)")
-	tuneIdle := flag.Duration("tune-idle", 0,
-		"how long the encode/decode scheduler must sit idle before a background retune may start (0 = 100ms)")
-	decoderCache := flag.Int("decoder-cache", 0,
-		"max compiled decoders cached per code, LRU-evicted (0 = library default of 16)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 10*time.Second,
 		"how long a connection may take to send its request headers (slowloris guard; 0 disables)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute,
@@ -225,16 +216,12 @@ func main() {
 			Root: *root, Nodes: *nodes, K: *k, R: *r, UnitSize: *unit,
 			Workers: *workers, MaxStreams: *maxQueue,
 			SlabThreshold: *slabThreshold, SlabWindow: *slabWindow, SlabMaxBytes: *slabMaxBytes,
-			ShardReadTimeout: *shardReadTimeout, DecoderCache: *decoderCache,
-			TuneCache: *tuneCache, TuneTrials: *tuneTrials, TuneIdle: *tuneIdle,
+			ShardReadTimeout: *shardReadTimeout,
 		})
 		if err != nil {
 			logger.Fatalf("ecserver: %v", err)
 		}
 		b = store
-		if *tuneTrials > 0 {
-			logger.Printf("ecserver: serving-loop autotuner on (trials=%d, cache=%q)", *tuneTrials, *tuneCache)
-		}
 		logger.Printf("ecserver: serving %s on %s (k=%d r=%d unit=%d, %d node dirs)",
 			*root, *addr, *k, *r, *unit, *nodes)
 	}

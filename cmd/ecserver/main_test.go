@@ -28,12 +28,13 @@ func build(t *testing.T) string {
 
 // TestFlagsOfTheOtherModeAreRefused: a flag the chosen mode does not
 // honour, set explicitly, stops ecserver with exit 2 and a message naming
-// it — it is never silently ignored. Defaults (-tune-trials 16,
-// -write-quorum 1) trip nothing.
+// it — it is never silently ignored. Defaults (-write-quorum 1) trip
+// nothing. The message must be the mode check's, not the flag package's
+// "flag provided but not defined", which also exits 2 naming the flag.
 func TestFlagsOfTheOtherModeAreRefused(t *testing.T) {
 	bin := build(t)
 	for _, args := range [][]string{
-		{"-peers", "0=http://127.0.0.1:1", "-peer-id", "0", "-tune-trials", "8"},
+		{"-peers", "0=http://127.0.0.1:1", "-peer-id", "0", "-slab-threshold", "4096"},
 		{"-root", t.TempDir(), "-write-quorum", "2"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -41,8 +42,8 @@ func TestFlagsOfTheOtherModeAreRefused(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Fatalf("ecserver %v: err=%v, want exit 2\n%s", args, err, out)
 		}
-		if flag := args[len(args)-2]; !strings.Contains(string(out), flag) {
-			t.Errorf("ecserver %v: message does not name %s:\n%s", args, flag, out)
+		if flag := args[len(args)-2]; !strings.Contains(string(out), flag) || !strings.Contains(string(out), "not honoured in") {
+			t.Errorf("ecserver %v: message does not refuse %s for the mode:\n%s", args, flag, out)
 		}
 	}
 }

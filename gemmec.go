@@ -107,7 +107,6 @@ type config struct {
 	tuneTrials   int
 	cacheFile    string
 	workers      int
-	decoderCache int
 }
 
 // Option configures New.
@@ -198,35 +197,11 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithDecoderCache bounds how many compiled per-erasure-pattern decode
-// kernels the code keeps resident (LRU past the bound). The default of 16
-// covers every single- and double-erasure pattern of common geometries;
-// wide-geometry or multi-tenant servers can raise it to avoid recompiling
-// churning failure sets.
-func WithDecoderCache(n int) Option {
-	return func(c *config) error {
-		if n <= 0 {
-			return errors.New("gemmec: decoder cache bound must be positive")
-		}
-		c.decoderCache = n
-		return nil
-	}
-}
-
 // Code is a systematic (k+r, k) erasure code with a compiled GEMM kernel.
-// It is safe for concurrent use, including hot-swapping the kernel schedule
-// (Retune, ApplySchedule) while Encode/Decode traffic is in flight.
+// Its schedule is fixed at New; it is safe for concurrent use.
 type Code struct {
 	eng     *core.Engine
 	scratch sync.Pool // *[]byte stripes for the sharded APIs
-
-	// Tuning-cache coordinates remembered from New so Retune and SaveTuning
-	// can persist what they learn to the same file New would load at boot.
-	cacheFile string
-	cacheKey  string
-
-	retuneMu sync.Mutex       // serializes Retune/SaveTuning, not the data path
-	lastTune *autotune.Result // most recent Retune search, for SaveTuning
 }
 
 // New builds a code for k data units and r parity units.
@@ -238,11 +213,10 @@ func New(k, r int, opts ...Option) (*Code, error) {
 		}
 	}
 	eopts := core.Options{
-		W:                 cfg.w,
-		Construction:      cfg.construction,
-		TuneTrials:        cfg.tuneTrials,
-		Workers:           cfg.workers,
-		MaxCachedDecoders: cfg.decoderCache,
+		W:            cfg.w,
+		Construction: cfg.construction,
+		TuneTrials:   cfg.tuneTrials,
+		Workers:      cfg.workers,
 	}
 	if cfg.schedule != nil {
 		p, err := cfg.schedule.toParams()
@@ -269,7 +243,7 @@ func New(k, r int, opts ...Option) (*Code, error) {
 			return nil, err
 		}
 	}
-	return &Code{eng: eng, cacheFile: cfg.cacheFile, cacheKey: eng.TuneKey(cfg.workers)}, nil
+	return &Code{eng: eng}, nil
 }
 
 // K returns the number of data units.

@@ -278,7 +278,7 @@ func TestTuneSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu.SerialOnly()
+	tu.space.MaxWorkers = 1 // serial schedules only: a small space to enumerate in full
 	s := tu.Space()
 	from := s.All()[s.Size()/2]
 	full, err := tu.Tune(from, s.Size()+5)

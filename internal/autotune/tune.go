@@ -105,13 +105,6 @@ func NewTuner(m, k, n int, mask func(i, j int) bool) (*Tuner, error) {
 // Space returns the tuner's search space.
 func (t *Tuner) Space() Space { return t.space }
 
-// SerialOnly restricts the search to serial schedules (no parallel axis,
-// Workers = 1). The serving-loop autotuner uses it because the daemon's
-// parallelism lives in the shared stripe scheduler: a kernel that spawns
-// its own goroutines per execution would both allocate per stripe and
-// oversubscribe the pool it runs on.
-func (t *Tuner) SerialOnly() { t.space.MaxWorkers = 1 }
-
 // measure compiles and times one parameter point. The B operand gets a
 // fixed fill: XOR time does not depend on the data values, only on the
 // bytes being real, touched memory.

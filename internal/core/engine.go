@@ -63,9 +63,6 @@ type Options struct {
 	Cache *autotune.Cache
 	// Workers overrides goroutine count for parallel schedules.
 	Workers int
-	// MaxCachedDecoders bounds the per-engine compiled-decoder LRU.
-	// 0 selects DefaultMaxCachedDecoders (16).
-	MaxCachedDecoders int
 }
 
 // Engine encodes and reconstructs one (k, r, w, unitSize) configuration.
@@ -81,18 +78,7 @@ type Engine struct {
 	gen      *matrix.Matrix
 	bm       *bitmatrix.BitMatrix
 	tuneRes  *autotune.Result // non-nil when construction tuned
-	workers  int              // Options.Workers as given (0 = default)
-
-	// enc is the live compiled encode executor. It is swapped atomically by
-	// Reschedule — the generation scheme the serving-loop autotuner relies
-	// on: in-flight Encode calls that already loaded the pointer finish on
-	// the old executor (its kernel, packed mask and schedule travel
-	// together), while the next stripe picks up the new one. generation
-	// counts completed swaps.
-	enc        atomic.Pointer[encoder]
-	generation atomic.Int64
-
-	maxDecoders int // decoder-LRU bound; Options.MaxCachedDecoders or default
+	enc      *encoder         // the compiled encode executor, fixed at New
 
 	// recScratch pools the contiguous kernel operands of reconstruct and
 	// Verify: one (k+r)*unitSize []byte per in-flight call.
@@ -106,22 +92,19 @@ type Engine struct {
 
 // encoder bundles one compiled encode executor with the operands that only
 // make sense together: the kernel, the packed bitmatrix it was prebound to,
-// and the schedule it realizes. Engine.enc swaps whole encoders atomically
-// so a half-updated (kernel from one schedule, params from another) state
-// is unrepresentable.
+// and the schedule it realizes.
 type encoder struct {
 	comp   *autotune.Compiled
 	aBuf   te.Buffer
 	params autotune.Params
 }
 
-// DefaultMaxCachedDecoders bounds the per-engine decoder cache when
-// Options.MaxCachedDecoders is zero. Each entry pins a compiled kernel plus
-// a packed bitmatrix operand, and the number of distinct erasure patterns
-// is combinatorial in k and r, so an unbounded map is a memory leak on
-// long-lived engines that see churning failure sets. 16 covers every
-// single- and double-erasure pattern of common geometries; colder patterns
-// recompile on re-entry (LRU eviction).
+// DefaultMaxCachedDecoders bounds the per-engine decoder cache. Each entry
+// pins a compiled kernel plus a packed bitmatrix operand, and the number of
+// distinct erasure patterns is combinatorial in k and r, so an unbounded
+// map is a memory leak on long-lived engines that see churning failure
+// sets. 16 covers every single- and double-erasure pattern of common
+// geometries; colder patterns recompile on re-entry (LRU eviction).
 const DefaultMaxCachedDecoders = 16
 
 type decoder struct {
@@ -189,16 +172,11 @@ func New(k, r, unitSize int, opts Options) (*Engine, error) {
 		gen:      gen,
 		bm:       bitmatrix.FromGF(coding),
 		decoders: map[string]*list.Element{},
-		workers:  opts.Workers,
 	}
 	e.decoderLRU = list.New()
 	e.recScratch.New = func() any {
 		b := make([]byte, (k+r)*unitSize)
 		return &b
-	}
-	e.maxDecoders = opts.MaxCachedDecoders
-	if e.maxDecoders <= 0 {
-		e.maxDecoders = DefaultMaxCachedDecoders
 	}
 
 	m, kDim, n := l.ParityPlanes(), l.DataPlanes(), l.PlaneSize/8
@@ -206,44 +184,30 @@ func New(k, r, unitSize int, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.install(params); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// install compiles params into a fresh encoder (kernel + packed mask) and
-// publishes it as the live executor. Used at construction and by
-// Reschedule; everything heavy happens before the single atomic store.
-func (e *Engine) install(params autotune.Params) error {
-	m, kDim, n := e.shape()
 	comp, err := autotune.Compile(m, kDim, n, params)
 	if err != nil {
-		return fmt.Errorf("core: compile encode kernel: %w", err)
+		return nil, fmt.Errorf("core: compile encode kernel: %w", err)
 	}
-	if e.workers > 0 {
-		comp.Kernel.SetWorkers(e.workers)
+	if opts.Workers > 0 {
+		comp.Kernel.SetWorkers(opts.Workers)
 	}
 	aBuf := te.NewBuffer(comp.A)
 	if err := te.PackMask(aBuf, m, kDim, e.bm.At); err != nil {
-		return err
+		return nil, err
 	}
 	if err := comp.Kernel.PrebindMask(aBuf); err != nil {
-		return err
+		return nil, err
 	}
-	e.enc.Store(&encoder{comp: comp, aBuf: aBuf, params: params})
-	return nil
+	e.enc = &encoder{comp: comp, aBuf: aBuf, params: params}
+	return e, nil
 }
 
-// shape returns the encode GEMM dimensions (parity planes x data planes x
-// words per plane).
-func (e *Engine) shape() (m, kDim, n int) {
+// Shape returns the encode GEMM dimensions (parity planes x data planes x
+// words per plane), for tuning-cache keys and tuner construction outside
+// the package.
+func (e *Engine) Shape() (m, kDim, n int) {
 	return e.layout.ParityPlanes(), e.layout.DataPlanes(), e.layout.PlaneSize / 8
 }
-
-// Shape exposes the encode GEMM dimensions for tuning-cache keys and
-// tuner construction outside the package.
-func (e *Engine) Shape() (m, kDim, n int) { return e.shape() }
 
 // resolveParams picks the schedule: explicit > cache > tuned > default.
 func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, error) {
@@ -296,55 +260,6 @@ func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, e
 	return DefaultParams(space), nil
 }
 
-// Reschedule hot-swaps the compiled encode executor to p, which must be a
-// legal schedule for the engine's shape. The swap is a single atomic
-// pointer store: concurrent Encode calls that already loaded the old
-// executor finish on it unharmed, subsequent calls use the new one, and no
-// caller ever observes a half-built state. Cached decoders stay valid — a
-// schedule changes only how fast the GEMM runs, never what it computes —
-// but new decode compiles pick up the new schedule. Returns with the
-// generation counter bumped on success.
-func (e *Engine) Reschedule(p autotune.Params) error {
-	m, kDim, n := e.shape()
-	space, err := autotune.NewSpace(m, kDim, n)
-	if err != nil {
-		return err
-	}
-	if !space.Contains(p) {
-		return fmt.Errorf("core: schedule %v is not legal for shape %dx%dx%d", p, m, kDim, n)
-	}
-	if err := e.install(p); err != nil {
-		return err
-	}
-	e.generation.Add(1)
-	return nil
-}
-
-// Generation returns how many times the encode executor has been hot-
-// swapped since construction (0 = still on the construction-time schedule).
-func (e *Engine) Generation() int64 { return e.generation.Load() }
-
-// NewTuner returns an autotuner for this engine's encode shape and
-// bitmatrix. The serving loop uses it to search schedules offline and feed
-// the best back through Reschedule.
-func (e *Engine) NewTuner() (*autotune.Tuner, error) {
-	m, kDim, n := e.shape()
-	return autotune.NewTuner(m, kDim, n, e.bm.At)
-}
-
-// TuneKey returns the autotune cache key for this engine's shape at the
-// given worker budget (0 = the space's MaxWorkers, matching what New
-// consults at construction).
-func (e *Engine) TuneKey(workers int) string {
-	m, kDim, n := e.shape()
-	if workers <= 0 {
-		if space, err := autotune.NewSpace(m, kDim, n); err == nil {
-			workers = space.MaxWorkers
-		}
-	}
-	return autotune.Key(m, kDim, n, workers)
-}
-
 // DefaultParams is the pretuned schedule shipped for machines that have not
 // run the tuner: cache-tiled column blocks around 4 KB, 8-way reduction
 // fusion when the geometry allows, tiles-outer traversal so source tiles
@@ -384,8 +299,8 @@ func (e *Engine) W() int { return e.w }
 // UnitSize returns the configured unit size in bytes.
 func (e *Engine) UnitSize() int { return e.unitSize }
 
-// Params returns the schedule of the live encode executor.
-func (e *Engine) Params() autotune.Params { return e.enc.Load().params }
+// Params returns the schedule of the encode executor.
+func (e *Engine) Params() autotune.Params { return e.enc.params }
 
 // TuneResult returns the tuning history when construction autotuned, else
 // nil.
@@ -453,10 +368,7 @@ func (e *Engine) Encode(data, parity []byte) error {
 	if err := e.layout.CheckParity(parity); err != nil {
 		return err
 	}
-	// One atomic load pins this stripe to a coherent (kernel, mask,
-	// schedule) triple even if a Reschedule lands mid-stream.
-	enc := e.enc.Load()
-	return enc.comp.Kernel.ExecBufs(enc.aBuf, te.Buffer(data), te.Buffer(parity))
+	return e.enc.comp.Kernel.ExecBufs(e.enc.aBuf, te.Buffer(data), te.Buffer(parity))
 }
 
 // EncodeUnits encodes from k scattered unit buffers by first gathering them
@@ -569,12 +481,12 @@ func (e *Engine) reconstruct(units [][]byte, dataOnly bool) error {
 
 // decoderFor returns (building and caching as needed) the compiled decode
 // kernel for an erasure pattern. The cache is a bounded LRU of
-// MaxCachedDecoders entries, and matrix inversion + kernel compilation run
-// outside the engine lock: a miss never stalls concurrent hits on other
-// patterns (a decoding stream must not freeze because a second stream
-// just hit a novel failure set). Two goroutines missing on the same
-// pattern may both compile; the first to insert wins and the loser's
-// compile is discarded — wasted work, but bounded and lock-free.
+// DefaultMaxCachedDecoders entries, and matrix inversion + kernel
+// compilation run outside the engine lock: a miss never stalls concurrent
+// hits on other patterns (a decoding stream must not freeze because a
+// second stream just hit a novel failure set). Two goroutines missing on
+// the same pattern may both compile; the first to insert wins and the
+// loser's compile is discarded — wasted work, but bounded and lock-free.
 func (e *Engine) decoderFor(survivors, lost []int) (*decoder, error) {
 	key := patternKey(survivors, lost)
 	e.mu.Lock()
@@ -629,7 +541,7 @@ func (e *Engine) decoderFor(survivors, lost []int) (*decoder, error) {
 		return el.Value.(*decoderEntry).d, nil
 	}
 	e.decoders[key] = e.decoderLRU.PushFront(&decoderEntry{key: key, d: d})
-	for e.decoderLRU.Len() > e.maxDecoders {
+	for e.decoderLRU.Len() > DefaultMaxCachedDecoders {
 		old := e.decoderLRU.Back()
 		e.decoderLRU.Remove(old)
 		delete(e.decoders, old.Value.(*decoderEntry).key)
@@ -664,16 +576,13 @@ func ReadDecoderCacheCounters() DecoderCacheCounters {
 }
 
 // CachedDecoders returns how many erasure patterns currently have compiled
-// decoders resident (at most MaxCachedDecoders; LRU-evicted patterns are
-// not counted).
+// decoders resident (at most DefaultMaxCachedDecoders; LRU-evicted
+// patterns are not counted).
 func (e *Engine) CachedDecoders() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.decoders)
 }
-
-// MaxCachedDecoders returns the engine's decoder-cache bound.
-func (e *Engine) MaxCachedDecoders() int { return e.maxDecoders }
 
 func patternKey(survivors, lost []int) string {
 	s := append([]int(nil), survivors...)

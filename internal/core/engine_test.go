@@ -530,51 +530,3 @@ func TestDefaultParams(t *testing.T) {
 		t.Error("default should be tiles-outer")
 	}
 }
-
-// TestDecoderCacheConfigurableBound: Options.MaxCachedDecoders overrides
-// the LRU bound, and the default stays pinned at 16.
-func TestDecoderCacheConfigurableBound(t *testing.T) {
-	if DefaultMaxCachedDecoders != 16 {
-		t.Fatalf("DefaultMaxCachedDecoders = %d, want 16", DefaultMaxCachedDecoders)
-	}
-	k, r, unit := 5, 3, 512
-	e := mustEngine(t, k, r, unit, Options{MaxCachedDecoders: 3})
-	if got := e.MaxCachedDecoders(); got != 3 {
-		t.Fatalf("MaxCachedDecoders() = %d, want 3", got)
-	}
-	rng := rand.New(rand.NewSource(31))
-	data := make([]byte, k*unit)
-	rng.Read(data)
-	parity := make([]byte, r*unit)
-	if err := e.Encode(data, parity); err != nil {
-		t.Fatal(err)
-	}
-	n := k + r
-	orig := make([][]byte, n)
-	for i := 0; i < k; i++ {
-		orig[i] = data[i*unit : (i+1)*unit]
-	}
-	for i := 0; i < r; i++ {
-		orig[k+i] = parity[i*unit : (i+1)*unit]
-	}
-	for mask := 1; mask <= n; mask++ { // n distinct single-erasure patterns
-		units := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			if i != mask-1 {
-				units[i] = append([]byte(nil), orig[i]...)
-			}
-		}
-		if err := e.Reconstruct(units); err != nil {
-			t.Fatalf("erasure %d: %v", mask-1, err)
-		}
-		if !bytes.Equal(units[mask-1], orig[mask-1]) {
-			t.Fatalf("erasure %d: wrong bytes after reconstruct", mask-1)
-		}
-		if c := e.CachedDecoders(); c > 3 {
-			t.Fatalf("decoder cache grew to %d, configured bound is 3", c)
-		}
-	}
-	if c := e.CachedDecoders(); c != 3 {
-		t.Errorf("decoder cache holds %d after %d patterns, want full bound 3", c, n)
-	}
-}

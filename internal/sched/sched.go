@@ -95,7 +95,6 @@ type Scheduler struct {
 	queued   int        // tasks queued across all streams
 	admitted int        // admission slots in use
 	shed     int64      // Admit calls refused
-	lastBusy time.Time  // last moment work was queued, admitted or finished
 	closed   bool
 
 	wg sync.WaitGroup
@@ -106,7 +105,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = min(runtime.GOMAXPROCS(0), 8)
 	}
-	s := &Scheduler{cfg: cfg, lastBusy: time.Now()}
+	s := &Scheduler{cfg: cfg}
 	s.work = sync.NewCond(&s.mu)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -144,20 +143,6 @@ func (s *Scheduler) Shed() int64 {
 	return s.shed
 }
 
-// IdleFor reports how long the scheduler has been idle: zero while any
-// task is queued or any admission slot is held, otherwise the time since
-// the last task finished (or the last admission was released). The
-// serving-loop autotuner gates its background trials on this — tuning
-// only runs in windows where it cannot steal cycles from live traffic.
-func (s *Scheduler) IdleFor() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.queued > 0 || s.admitted > 0 {
-		return 0
-	}
-	return time.Since(s.lastBusy)
-}
-
 // Admit reserves one admission slot, failing fast with ErrOverloaded when
 // all MaxStreams slots are taken. Pair every successful Admit with exactly
 // one Release. With MaxStreams 0 it always succeeds.
@@ -170,7 +155,6 @@ func (s *Scheduler) Admit() error {
 			ErrOverloaded, s.admitted, s.queued)
 	}
 	s.admitted++
-	s.lastBusy = time.Now()
 	return nil
 }
 
@@ -181,7 +165,6 @@ func (s *Scheduler) Release() {
 	if s.admitted > 0 {
 		s.admitted--
 	}
-	s.lastBusy = time.Now()
 }
 
 // NewQueue registers a new stream queue on the pool.
@@ -214,7 +197,6 @@ func (q *Queue) Submit(fn func()) {
 		s.mu.Unlock()
 		return
 	}
-	now := time.Now()
 	if q.head > 0 && len(q.tasks) == cap(q.tasks) {
 		// Compact the consumed head instead of growing: a long stream that
 		// never fully drains its queue would otherwise reallocate the
@@ -225,10 +207,9 @@ func (q *Queue) Submit(fn func()) {
 		q.tasks = q.tasks[:n]
 		q.head = 0
 	}
-	q.tasks = append(q.tasks, task{fn: fn, enq: now})
+	q.tasks = append(q.tasks, task{fn: fn, enq: time.Now()})
 	q.pending++
 	s.queued++
-	s.lastBusy = now
 	if !q.inRing {
 		s.ring = append(s.ring, q)
 		q.inRing = true
@@ -324,7 +305,6 @@ func (s *Scheduler) run() {
 		t.fn()
 		s.mu.Lock()
 		q.pending--
-		s.lastBusy = time.Now()
 		if q.pending == 0 {
 			q.done.Broadcast()
 		}

@@ -15,7 +15,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gemmec"
 	"gemmec/internal/peer"
+	"gemmec/internal/tuned"
 	"gemmec/internal/vfs"
 )
 
@@ -285,8 +287,9 @@ func TestBackendsShareRepair(t *testing.T) {
 // same request sequence — put, get, range get, read-modify-write patch,
 // delete, get after delete, scrub — returns the same bytes and errors from
 // either, leaves the same shared /statusz counters, and registers the same
-// shared /metricsz families; and on each backend every counter both
-// documents report reads the same in both.
+// shared /metricsz families; on each backend every counter both documents
+// report reads the same in both; and both serve the schedule the ladder
+// measures, gemmec.New's default, serial.
 func TestBackendsShareFront(t *testing.T) {
 	ctx := context.Background()
 	// Packed into a slab, a Store object is patched by read-modify-write,
@@ -296,6 +299,11 @@ func TestBackendsShareFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
+	gw := newFaultCluster(t, 6, 4, 2, 1, tunit).gw
+	ladder, err := gemmec.New(4, 2, gemmec.WithUnitSize(tunit))
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := randBytes(79, 3*4*tunit+77)
 	splice := randBytes(80, 300)
 	const spliceAt = 1000
@@ -312,7 +320,15 @@ func TestBackendsShareFront(t *testing.T) {
 			SetMetrics(*Metrics)
 			Stats() Stats
 		}
-	}{{"store", store}, {"gateway", newFaultCluster(t, 6, 4, 2, 1, tunit).gw}} {
+		codes *tuned.Registry
+	}{{"store", store, store.codes}, {"gateway", gw, gw.codes}} {
+		served, err := c.codes.StreamCode(4, 2, tunit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := served.Schedule(); got != ladder.Schedule() || got.Parallel != "" {
+			t.Errorf("%s: serves schedule %+v, want the default %+v with no parallel axis", c.name, got, ladder.Schedule())
+		}
 		m := NewMetrics(nil)
 		c.b.SetMetrics(m)
 		ts := httptest.NewServer(NewBackendHandler(c.b, Config{Metrics: m}))
@@ -390,7 +406,7 @@ func TestBackendsShareFront(t *testing.T) {
 		families[c.name] = map[string]bool{}
 		for sample := range samples {
 			fam, _, _ := strings.Cut(sample, "{")
-			if fam == "gemmec_objects" || strings.HasPrefix(fam, "gemmec_sched_") || strings.HasPrefix(fam, "gemmec_tuner_shape_") {
+			if fam == "gemmec_objects" || strings.HasPrefix(fam, "gemmec_sched_") {
 				families[c.name][fam] = true
 			}
 		}
@@ -398,7 +414,7 @@ func TestBackendsShareFront(t *testing.T) {
 	if stats["store"] != stats["gateway"] {
 		t.Errorf("shared counters differ:\n store   %+v\n gateway %+v", stats["store"], stats["gateway"])
 	}
-	if !reflect.DeepEqual(families["store"], families["gateway"]) || !families["gateway"]["gemmec_tuner_shape_requests_total"] {
-		t.Errorf("shared /metricsz families differ or lack the shape table:\n store   %v\n gateway %v", families["store"], families["gateway"])
+	if !reflect.DeepEqual(families["store"], families["gateway"]) || !families["gateway"]["gemmec_sched_workers"] {
+		t.Errorf("shared /metricsz families differ or lack the scheduler gauges:\n store   %v\n gateway %v", families["store"], families["gateway"])
 	}
 }

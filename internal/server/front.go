@@ -134,18 +134,11 @@ type front struct {
 	b storage
 
 	k, r, unit int
-	// code is the geometry's compiled code, shared through codes, which
-	// also pools stripe buffers per geometry (shardfile.Opts.Source) and
-	// feeds the background tuner its hot-shape traffic counts.
-	code  *gemmec.Code
+	// codes shares one compiled code and one stripe-buffer pool per
+	// geometry with every request (shardfile.Opts.Source).
 	codes *tuned.Registry
-	// tuner is the background tune-measure-swap loop, nil unless the
-	// registry was configured with trials.
-	tuner *tuned.Tuner
-	// sched is the shared encode/decode pool; ownSched records whether the
-	// front built it (and Close must stop it) or the caller handed it in.
+	// sched is the shared encode/decode pool.
 	sched     *gemmec.Scheduler
-	ownSched  bool
 	closeOnce sync.Once
 	// reclaims counts the superseded generations still being removed after
 	// their overwrite returned; Close waits for them.
@@ -169,57 +162,33 @@ type front struct {
 	metrics atomic.Pointer[Metrics]
 }
 
-// start builds the front over b: the shared scheduler (sized by workers
-// and maxStreams unless sched is handed in), the code registry with the
-// geometry's code compiled, and the tuner tc asks for. Pair with Close,
-// also when start fails.
-func (f *front) start(b storage, k, r, unit int, sched *gemmec.Scheduler, workers, maxStreams int, tc tuned.Config) error {
+// start builds the front over b: the shared scheduler, sized by workers
+// and maxStreams, and the code registry with the geometry's code compiled.
+// Pair with Close, also when start fails.
+func (f *front) start(b storage, k, r, unit, workers, maxStreams int) error {
 	f.b, f.k, f.r, f.unit = b, k, r, unit
-	f.sched, f.ownSched = sched, sched == nil
-	if f.ownSched {
-		f.sched = gemmec.NewScheduler(gemmec.SchedulerConfig{
-			Workers:    workers,
-			MaxStreams: maxStreams,
-			OnWait:     func(d time.Duration) { f.m().ObserveSchedWait(d) },
-		})
-	}
-	// The tuner gates on the scheduler's idle window so trials never
-	// compete with live stripe work.
-	tc.IdleFor = f.sched.IdleFor
-	f.codes = tuned.NewRegistry(tc)
-	code, err := f.codes.Code(k, r, unit)
-	if err != nil {
-		return err
-	}
-	f.code = code
-	f.tuner = tuned.StartTuner(f.codes)
-	return nil
+	f.sched = gemmec.NewScheduler(gemmec.SchedulerConfig{
+		Workers:    workers,
+		MaxStreams: maxStreams,
+		OnWait:     func(d time.Duration) { f.m().ObserveSchedWait(d) },
+	})
+	f.codes = tuned.NewRegistry(tuned.Config{})
+	_, err := f.codes.StreamCode(k, r, unit)
+	return err
 }
 
-// Close waits for in-flight reclaims, then stops the tuner (persisting its
-// cache) and, when the front built it, the shared scheduler. Idempotent.
+// Close waits for in-flight reclaims, then stops the shared scheduler.
+// Idempotent.
 func (f *front) Close() {
 	f.closeOnce.Do(func() {
 		f.reclaims.Wait()
-		if f.tuner != nil {
-			f.tuner.Stop() // waits out an in-flight retune, saves the cache
-		}
-		if f.ownSched {
-			f.sched.Close()
-		}
+		f.sched.Close()
 	})
 }
 
 // Scheduler returns the shared encode/decode pool — the HTTP layer's
 // admission gate.
 func (f *front) Scheduler() *gemmec.Scheduler { return f.sched }
-
-// Tuner returns the background serving-loop autotuner, nil unless one was
-// configured (StoreConfig.TuneTrials > 0).
-func (f *front) Tuner() *tuned.Tuner { return f.tuner }
-
-// Codes returns the shared per-geometry code registry.
-func (f *front) Codes() *tuned.Registry { return f.codes }
 
 // m returns the attached metrics bundle, nil until SetMetrics. Every
 // *Metrics method is nil-receiver safe; only direct counter field access
@@ -597,10 +566,6 @@ type Stats struct {
 	DataShards     int   `json:"k"`
 	ParityShards   int   `json:"r"`
 	StreamWorkers  int   `json:"stream_workers"`
-	// TunerRuns / TunerGenerations are the background autotuner's completed
-	// retunes and installed executor generations (0 when the tuner is off).
-	TunerRuns        int64 `json:"tuner_runs"`
-	TunerGenerations int64 `json:"tuner_generations"`
 
 	// Single node: node directories, slab packing, orphan reclamation.
 	NodeDirs       int   `json:"nodes,omitempty"`
@@ -661,10 +626,6 @@ func (f *front) Counters() Stats {
 		DataShards:     f.k,
 		ParityShards:   f.r,
 		StreamWorkers:  f.sched.Workers(),
-	}
-	if f.tuner != nil {
-		ts := f.tuner.Stats()
-		st.TunerRuns, st.TunerGenerations = ts.Runs, ts.Generations
 	}
 	f.b.describe(&st)
 	return st

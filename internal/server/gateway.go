@@ -18,7 +18,6 @@ import (
 	"gemmec/internal/obs"
 	"gemmec/internal/peer"
 	"gemmec/internal/shardfile"
-	"gemmec/internal/tuned"
 )
 
 // ErrWriteQuorum reports a PUT that could not land k+q shard acks: the
@@ -47,14 +46,12 @@ type GatewayConfig struct {
 	K, R int
 	// UnitSize is the shard unit size (0 selects gemmec.DefaultUnitSize).
 	UnitSize int
-	// Workers sizes the shared encode/decode scheduler when Sched is nil
-	// (0 selects gemmec.NewScheduler's default).
+	// Workers sizes the shared encode/decode scheduler (0 selects
+	// gemmec.NewScheduler's default).
 	Workers int
 	// MaxStreams bounds concurrently admitted streaming requests (0
 	// disables shedding) — the same admission contract Store has.
 	MaxStreams int
-	// Sched, when non-nil, is an externally owned scheduler to share.
-	Sched *gemmec.Scheduler
 	// WriteQuorum is q in the commit rule "k+q shard acks": a PUT commits
 	// once k+q of its k+r shard uploads acked and abandons the generation
 	// otherwise. Clamped to [0, R]; 0 keeps only decodability, R demands
@@ -104,7 +101,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	cfg.WriteQuorum = min(max(cfg.WriteQuorum, 0), cfg.R)
 	g := &Gateway{cfg: cfg, quorum: cfg.K + cfg.WriteQuorum}
-	if err := g.start(g, cfg.K, cfg.R, cfg.UnitSize, cfg.Sched, cfg.Workers, cfg.MaxStreams, tuned.Config{}); err != nil {
+	if err := g.start(g, cfg.K, cfg.R, cfg.UnitSize, cfg.Workers, cfg.MaxStreams); err != nil {
 		g.Close()
 		return nil, err
 	}

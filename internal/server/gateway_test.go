@@ -967,7 +967,7 @@ func TestGatewayAdmissionShedding(t *testing.T) {
 	}
 	t.Cleanup(lc.Close)
 	c := &httpCluster{gw: lc.Gateway, stores: lc.Stores}
-	c.api = httptest.NewServer(NewBackendHandler(c.gw, Config{Logf: t.Logf, RetryAfter: 7}))
+	c.api = httptest.NewServer(NewBackendHandler(c.gw, Config{Logf: t.Logf}))
 	t.Cleanup(c.api.Close)
 
 	// Park a PUT in the only admission slot: its body never finishes until
@@ -1005,8 +1005,8 @@ func TestGatewayAdmissionShedding(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusTooManyRequests {
-			if ra := resp.Header.Get("Retry-After"); ra != "7" {
-				t.Fatalf("Retry-After = %q, want 7", ra)
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Fatalf("Retry-After = %q, want 1", ra)
 			}
 			break
 		}

@@ -118,15 +118,17 @@ type Config struct {
 	// aborts the encode and removes the temporary shard generation — an
 	// over-limit upload never leaves partial state. Zero means unlimited.
 	MaxObjectSize int64
-	// MaxPatchSize rejects PATCH bodies larger than it with 413. PATCH
-	// bodies are buffered whole (the stripe planner needs the full splice
-	// before it touches a shard), so this bound is always enforced; 0
-	// selects 8 MiB. A splice bigger than this should be a PUT anyway.
-	MaxPatchSize int64
-	// RetryAfter is the Retry-After header value, in seconds, on shed
-	// (429) responses. 0 selects 1.
-	RetryAfter int
 }
+
+// maxPatchSize bounds PATCH bodies; a larger one is refused with 413.
+// PATCH bodies are buffered whole (the stripe planner needs the full
+// splice before it touches a shard), so the bound is always enforced. A
+// splice bigger than this should be a PUT anyway.
+const maxPatchSize = 8 << 20
+
+// retryAfter is the Retry-After header value, in seconds, on shed (429)
+// responses.
+const retryAfter = "1"
 
 // NewHandler serves store over HTTP. It is NewBackendHandler fixed to
 // the local single-node Store — the signature every pre-cluster caller
@@ -159,14 +161,6 @@ func NewBackendHandler(backend Backend, cfg Config) http.Handler {
 		slowReq:    cfg.SlowRequestThreshold,
 		reqTimeout: cfg.RequestTimeout,
 		maxObject:  cfg.MaxObjectSize,
-		maxPatch:   cfg.MaxPatchSize,
-		retryAfter: cfg.RetryAfter,
-	}
-	if h.retryAfter <= 0 {
-		h.retryAfter = 1
-	}
-	if h.maxPatch <= 0 {
-		h.maxPatch = 8 << 20
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /o/{name...}", h.wrap("put", true, h.put))
@@ -199,8 +193,6 @@ type handler struct {
 	slowReq    time.Duration
 	reqTimeout time.Duration
 	maxObject  int64
-	maxPatch   int64
-	retryAfter int
 }
 
 // instrumented wraps the ResponseWriter to observe what the handler did:
@@ -392,7 +384,7 @@ func (h *handler) wrap(op string, gated bool, fn http.HandlerFunc) http.HandlerF
 			err := sc.Admit()
 			asp.End(err)
 			if err != nil {
-				iw.Header().Set("Retry-After", strconv.Itoa(h.retryAfter))
+				iw.Header().Set("Retry-After", retryAfter)
 				// The admission error's detail (admitted-stream and queue
 				// counts) is server-internal state — operators read it off
 				// /statusz and /metricsz; clients get a stable, opaque
@@ -779,15 +771,15 @@ func (h *handler) patch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if r.ContentLength > h.maxPatch {
-		h.fail(w, r, &http.MaxBytesError{Limit: h.maxPatch})
+	if r.ContentLength > maxPatchSize {
+		h.fail(w, r, &http.MaxBytesError{Limit: maxPatchSize})
 		return
 	}
 	// The splice is buffered whole: the stripe planner reads old units
 	// and XOR-patches parity before any byte lands, so it needs the full
 	// window up front. MaxBytesReader turns an over-limit chunked body
 	// into a 413 before the store is touched.
-	data, err := io.ReadAll(&tornBodyGuard{r: http.MaxBytesReader(w, r.Body, h.maxPatch)})
+	data, err := io.ReadAll(&tornBodyGuard{r: http.MaxBytesReader(w, r.Body, maxPatchSize)})
 	if err != nil {
 		h.fail(w, r, err)
 		return

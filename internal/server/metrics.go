@@ -149,12 +149,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 func load(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
 
 // register adds the scrape-time families every backend has: the front's
-// /statusz counters, the object count, scheduler occupancy, the code
-// registry's per-shape hot-shape table (gemmec_tuner_shape_requests_total,
-// _generation, _predicted_gbps, _measured_gbps — one labeled series per
-// geometry, appearing as shapes do) and, when a background tuner runs,
-// its cumulative totals (skipped otherwise, so scrapes don't advertise a
-// loop that isn't running). Called once per backend, by SetMetrics.
+// /statusz counters, the object count and scheduler occupancy. Called
+// once per backend, by SetMetrics.
 func (m *Metrics) register(f *front) {
 	if m == nil {
 		return
@@ -195,26 +191,6 @@ func (m *Metrics) register(f *front) {
 	m.Registry.GaugeFunc("gemmec_sched_workers",
 		"Workers in the shared encode/decode pool.",
 		func() float64 { return float64(sc.Workers()) })
-	f.codes.AttachObs(m.Registry)
-	t := f.tuner
-	if t == nil {
-		return
-	}
-	m.Registry.CounterFunc("gemmec_tuner_runs_total",
-		"Completed background retunes (tune-measure-swap cycles).",
-		func() float64 { return float64(t.Runs()) })
-	m.Registry.CounterFunc("gemmec_tuner_generations_total",
-		"Executor generations installed into the live path, summed over geometries.",
-		func() float64 { return float64(t.Generations()) })
-	m.Registry.CounterFunc("gemmec_tuner_swaps_total",
-		"Retunes whose winning schedule differed from the live one.",
-		func() float64 { return float64(t.Swaps()) })
-	m.Registry.CounterFunc("gemmec_tuner_trials_total",
-		"Schedule points measured across all background retunes.",
-		func() float64 { return float64(t.Trials()) })
-	m.Registry.CounterFunc("gemmec_tuner_skipped_busy_total",
-		"Tuner ticks that found the scheduler busy and stood down.",
-		func() float64 { return float64(t.SkippedBusy()) })
 }
 
 // registerStore adds the families only a single node has: slab packing

@@ -261,7 +261,7 @@ func TestHTTPPatch(t *testing.T) {
 // and unknown objects are 404.
 func TestHTTPPatchErrors(t *testing.T) {
 	s := newTestStore(t)
-	ts := httptest.NewServer(NewHandler(s, Config{Logf: t.Logf, MaxPatchSize: 1024}))
+	ts := httptest.NewServer(NewHandler(s, Config{Logf: t.Logf}))
 	t.Cleanup(ts.Close)
 	mustPut(t, s, "obj", randBytes(17, 2*tk*tunit))
 
@@ -303,7 +303,8 @@ func TestHTTPPatchErrors(t *testing.T) {
 	if got := send(map[string]string{"X-Gemmec-Append": "true"}, b, "ghost"); got != http.StatusNotFound {
 		t.Fatalf("PATCH missing object: %d, want 404", got)
 	}
-	if got := send(map[string]string{"Content-Range": "bytes 0-2047/*"}, randBytes(1, 2048), "obj"); got != http.StatusRequestEntityTooLarge {
+	over := maxPatchSize + 1
+	if got := send(map[string]string{"Content-Range": fmt.Sprintf("bytes 0-%d/*", over-1)}, make([]byte, over), "obj"); got != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized PATCH: %d, want 413", got)
 	}
 }

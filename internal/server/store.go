@@ -31,7 +31,6 @@ import (
 	"gemmec"
 	"gemmec/internal/obs"
 	"gemmec/internal/shardfile"
-	"gemmec/internal/tuned"
 	"gemmec/internal/vfs"
 )
 
@@ -57,10 +56,6 @@ type StoreConfig struct {
 	// past it, admission fails with gemmec.ErrOverloaded and the HTTP
 	// layer sheds the request (429 + Retry-After). 0 disables shedding.
 	MaxStreams int
-	// Sched, when non-nil, is an externally owned scheduler to use
-	// instead of building one from Workers/MaxStreams (several stores in
-	// one process can share a pool). The store will not Close it.
-	Sched *gemmec.Scheduler
 	// SlabThreshold, when positive, turns on the small-object fast path:
 	// PUTs of known size at or below it are packed — group-committed —
 	// into one shared "slab" shard set instead of paying a full stripe,
@@ -83,23 +78,6 @@ type StoreConfig struct {
 	// (cause "stall") and the object is served degraded instead of the
 	// request hanging on a dead disk. Zero disables the guard.
 	ShardReadTimeout time.Duration
-	// DecoderCache bounds each code's compiled-decoder LRU (0 selects the
-	// library default of gemmec/internal/core.DefaultMaxCachedDecoders).
-	DecoderCache int
-	// TuneCache, when non-empty, is the autotuner cache file: learned
-	// schedules are loaded from it at open and persisted back after every
-	// background retune and on Close, so restarts keep their tuning.
-	TuneCache string
-	// TuneTrials is the per-retune schedule-search budget of the background
-	// serving-loop autotuner. 0 disables the tuner entirely (the default,
-	// so embedders opt in; cmd/ecserver enables it).
-	TuneTrials int
-	// TuneIdle is how long the store's scheduler must sit idle before a
-	// background retune may start (0 selects 100ms).
-	TuneIdle time.Duration
-	// TuneInterval is the tuner's poll cadence (0 selects 1s). Exposed
-	// mainly so tests and benches can tighten the loop.
-	TuneInterval time.Duration
 }
 
 // Store is the single-node backend: object metadata in meta/, each
@@ -139,9 +117,8 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store rooted at cfg.Root. The
-// store owns background machinery — the shared scheduler (unless
-// cfg.Sched was supplied), the tuner and the slab writer — so pair every
-// Open with a Close.
+// store owns background machinery — the shared scheduler and the slab
+// writer — so pair every Open with a Close.
 func Open(cfg StoreConfig) (*Store, error) {
 	if cfg.UnitSize == 0 {
 		cfg.UnitSize = gemmec.DefaultUnitSize
@@ -155,13 +132,7 @@ func Open(cfg StoreConfig) (*Store, error) {
 		pendingSlabs: map[string]struct{}{},
 		metaCache:    map[string]metaCacheEntry{},
 	}
-	err := s.start(s, cfg.K, cfg.R, cfg.UnitSize, cfg.Sched, cfg.Workers, cfg.MaxStreams, tuned.Config{
-		TuneCache:    cfg.TuneCache,
-		DecoderCache: cfg.DecoderCache,
-		Trials:       cfg.TuneTrials,
-		MinIdle:      cfg.TuneIdle,
-		Interval:     cfg.TuneInterval,
-	})
+	err := s.start(s, cfg.K, cfg.R, cfg.UnitSize, cfg.Workers, cfg.MaxStreams)
 	if err == nil {
 		err = s.ensureDirs()
 	}
@@ -193,8 +164,8 @@ func Open(cfg StoreConfig) (*Store, error) {
 }
 
 // Close stops the store's background machinery: the slab writer (any
-// pending batch is committed first), then the tuner and, when Open built
-// it, the shared scheduler. Idempotent.
+// pending batch is committed first), then the shared scheduler.
+// Idempotent.
 func (s *Store) Close() {
 	if s.slab != nil {
 		s.slab.stop()

@@ -3,16 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"gemmec"
 	"gemmec/internal/shardfile"
@@ -190,180 +183,3 @@ func TestRepairBytesPerObject(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestHotSwapRaceDrill hammers concurrent PUTs and GETs while the
-// executor is hot-swapped between generations, asserting every response
-// is byte-identical to what was stored and no stream fails. Run under
-// `make race-hot` this is the tuner-swap memory-model drill: one atomic
-// pointer store per swap, in-flight stripes finish on the old executor.
-func TestHotSwapRaceDrill(t *testing.T) {
-	s := newTestStore(t)
-	payload := randBytes(42, 8*tk*tunit+137)
-	mustPut(t, s, "swap.bin", payload)
-
-	const swaps = 8
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var failures atomic.Int64
-	var wg sync.WaitGroup
-	defer func() { // also reached via t.Fatal: halt traffic before cleanup
-		stopOnce.Do(func() { close(stop) })
-		wg.Wait()
-	}()
-	for g := 0; g < 3; g++ { // readers of a fixed object
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf bytes.Buffer
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				buf.Reset()
-				if _, _, err := s.Get(context.Background(), "swap.bin", &buf); err != nil {
-					failures.Add(1)
-					t.Errorf("get during swap: %v", err)
-					return
-				}
-				if !bytes.Equal(buf.Bytes(), payload) {
-					failures.Add(1)
-					t.Error("get during swap returned wrong bytes")
-					return
-				}
-			}
-		}()
-	}
-	for g := 0; g < 2; g++ { // writers, each immediately verifying its write
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			name := fmt.Sprintf("swap-w%d.bin", g)
-			var buf bytes.Buffer
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				body := randBytes(int64(100*g+i), 3*tk*tunit+g)
-				if _, _, err := s.Put(context.Background(), name, bytes.NewReader(body), int64(len(body))); err != nil {
-					failures.Add(1)
-					t.Errorf("put during swap: %v", err)
-					return
-				}
-				buf.Reset()
-				if _, _, err := s.Get(context.Background(), name, &buf); err != nil {
-					failures.Add(1)
-					t.Errorf("read-back during swap: %v", err)
-					return
-				}
-				if !bytes.Equal(buf.Bytes(), body) {
-					failures.Add(1)
-					t.Error("read-back during swap returned wrong bytes")
-					return
-				}
-			}
-		}(g)
-	}
-
-	// Both legal for the test geometry (unit 512 → 8-word planes, kDim 24).
-	schedules := []gemmec.Schedule{
-		{BlockBytes: 64, Fanin: 2},
-		{BlockBytes: 64, Fanin: 4, Staged: true, TilesOuter: true},
-	}
-	base := s.code.Generation()
-	for i := 0; i < swaps; i++ {
-		if err := s.code.ApplySchedule(schedules[i%len(schedules)]); err != nil {
-			t.Fatalf("swap %d: %v", i, err)
-		}
-		time.Sleep(3 * time.Millisecond) // let traffic straddle the generation
-	}
-	stopOnce.Do(func() { close(stop) })
-	wg.Wait()
-	if got := s.code.Generation() - base; got != swaps {
-		t.Errorf("generation advanced by %d, want %d", got, swaps)
-	}
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d requests failed across %d hot swaps", n, swaps)
-	}
-}
-
-// TestStoreBackgroundTuner: a store opened with tuning enabled retunes
-// its hot geometry off live traffic, surfaces the generation in Stats and
-// /metricsz, and persists the learned schedule to the cache file across
-// Close — the serving-loop autotuner end to end.
-func TestStoreBackgroundTuner(t *testing.T) {
-	cacheFile := filepath.Join(t.TempDir(), "tune.json")
-	s, err := Open(StoreConfig{
-		Root:         t.TempDir(),
-		Nodes:        tnode,
-		K:            tk,
-		R:            tr,
-		UnitSize:     tunit,
-		Workers:      2,
-		TuneCache:    cacheFile,
-		TuneTrials:   3,
-		TuneIdle:     time.Millisecond,
-		TuneInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Tuner() == nil {
-		t.Fatal("tuner not started with TuneTrials > 0")
-	}
-	metrics := NewMetrics(nil)
-	s.SetMetrics(metrics)
-
-	mustPut(t, s, "hot.bin", randBytes(5, 6*tk*tunit)) // traffic for the tuner to key on
-	deadline := time.Now().Add(15 * time.Second)
-	for s.Tuner().Runs() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background tuner never retuned the hot geometry")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st := s.Stats()
-	if st.TunerRuns < 1 || st.TunerGenerations < 1 {
-		t.Fatalf("stats report tuner_runs=%d tuner_generations=%d, want both >= 1",
-			st.TunerRuns, st.TunerGenerations)
-	}
-	// Traffic still serves correctly on the swapped executor.
-	got, unusable := mustGet(t, s, "hot.bin")
-	if len(unusable) != 0 || !bytes.Equal(got, randBytes(5, 6*tk*tunit)) {
-		t.Fatal("object corrupted after background retune")
-	}
-
-	rec := httptest.NewRecorder()
-	metrics.Registry.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricsz", nil))
-	text := rec.Body.String()
-	for _, fam := range []string{
-		"gemmec_tuner_runs_total", "gemmec_tuner_generations_total", "gemmec_tuner_trials_total",
-		"gemmec_tuner_skipped_busy_total", "gemmec_tuner_shape_requests_total",
-		"gemmec_tuner_shape_predicted_gbps", "gemmec_tuner_shape_measured_gbps",
-	} {
-		if !strings.Contains(text, fam) {
-			t.Errorf("family %s missing from /metricsz", fam)
-		}
-	}
-
-	s.Close() // stops the tuner and persists the cache
-	if fi, err := os.Stat(cacheFile); err != nil || fi.Size() == 0 {
-		t.Fatalf("tuning cache not persisted on close: %v", err)
-	}
-}
-
-// TestStoreTunerOffByDefault: embedders that don't opt in get no
-// background loop and no tuner metric families.
-func TestStoreTunerOffByDefault(t *testing.T) {
-	s := newTestStore(t)
-	if s.Tuner() != nil {
-		t.Fatal("tuner running without TuneTrials")
-	}
-	if st := s.Stats(); st.TunerRuns != 0 || st.TunerGenerations != 0 {
-		t.Fatalf("tuner stats nonzero with tuner off: %+v", st)
-	}
-}

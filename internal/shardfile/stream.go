@@ -78,8 +78,7 @@ type Opts struct {
 	// compiled *gemmec.Code and the stripe-buffer pool for (k, r, unitSize).
 	// Without it every call compiles a fresh code and allocates a fresh
 	// ring — correct, but the per-request constant a server wants amortized
-	// to zero. internal/tuned's Registry is the serving implementation; it
-	// also makes the codes hot-swappable by the background autotuner.
+	// to zero. internal/tuned's Registry is the serving implementation.
 	Source CodeSource
 }
 

@@ -86,12 +86,6 @@ func (s *Scheduler) Admitted() int { return s.s.Admitted() }
 // Shed returns how many Admit calls have been refused since construction.
 func (s *Scheduler) Shed() int64 { return s.s.Shed() }
 
-// IdleFor reports how long the pool has been idle: zero while any stripe
-// task is queued or any admission slot is held, otherwise the time since
-// work last finished. Background maintenance (the serving-loop autotuner)
-// gates on this so it never competes with live traffic.
-func (s *Scheduler) IdleFor() time.Duration { return s.s.IdleFor() }
-
 // WithStreamScheduler runs the stream's kernel stage on the shared pool
 // instead of inline on the caller's goroutine, overlapped with a reader
 // and an in-order writer. The stream creates one FIFO queue on the pool
