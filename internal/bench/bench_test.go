@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -101,7 +102,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	want := []string{"ablate", "accel", "block", "cluster", "cpu", "decode", "f2", "latency", "load-json", "loc", "lrc", "memcpy", "ones", "raid6", "reffect", "tune", "update", "workload", "wsweep"}
+	want := []string{"ablate", "block", "cpu", "decode", "f2", "latency", "load-json", "loc", "lrc", "memcpy", "ones", "raid6", "reffect", "tune", "update", "workload", "wsweep"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs=%v want %v", ids, want)
 	}
@@ -122,6 +123,44 @@ func TestRegistry(t *testing.T) {
 	for _, e := range All() {
 		if e.Title == "" || e.Paper == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
+		}
+	}
+}
+
+// TestSummaryMatchesRegistry keeps EXPERIMENTS.md's Summary table honest:
+// every registered experiment has a row, and every row stands on a
+// measurement — either a registered experiment or, where its cells say
+// so, the ladder benchmark. A deleted experiment cannot leave its row behind.
+func TestSummaryMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, summary, ok := strings.Cut(string(doc), "\n## Summary\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Summary section")
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(summary, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		id := strings.TrimSpace(cells[1])
+		if id == "ID" || strings.Trim(id, "-") == "" {
+			continue // header and separator
+		}
+		rows[id] = true
+		if _, err := Lookup(id); err != nil && !strings.Contains(strings.Join(cells[2:], "|"), "ladder") {
+			t.Errorf("Summary row %q is neither a registered experiment nor a ladder measurement", id)
+		}
+	}
+	for _, id := range IDs() {
+		if !rows[id] {
+			t.Errorf("experiment %q has no Summary row", id)
 		}
 	}
 }

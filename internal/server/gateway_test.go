@@ -735,7 +735,7 @@ func newFaultCluster(t *testing.T, n, k, r, q, unit int) *faultCluster {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
-	return &faultCluster{gw: lc.Gateway, stores: lc.Stores, faults: lc.Faults}
+	return &faultCluster{gw: lc.Gateway, stores: lc.Stores, faults: lc.faults}
 }
 
 // assertNoTrace asserts a failed write left nothing anywhere: no

@@ -12,14 +12,14 @@ import (
 // LocalCluster is a whole cluster in one process: a Gateway over n
 // members, each a PeerStore directory under root reached through a
 // FaultTransport-wrapped local transport. It is the shipping Gateway,
-// PeerStore and placement with only the socket left out — what the
-// experiments, the trace replayer, the objectstore example and the
+// PeerStore and placement with only the socket left out — what
+// E-WORKLOAD, the trace replayer, the objectstore example and the
 // deterministic fault tests drive (the wire itself is covered by the
 // httptest-peer tests and the ladder's cluster_large workload).
 type LocalCluster struct {
 	Gateway *Gateway
 	Stores  []*PeerStore           // by member ID
-	Faults  []*peer.FaultTransport // by member ID
+	faults  []*peer.FaultTransport // by member ID
 }
 
 // NewLocalCluster assembles n members under root. cfg supplies geometry,
@@ -35,7 +35,7 @@ func NewLocalCluster(root string, n int, cfg GatewayConfig) (*LocalCluster, erro
 		}
 		ft := peer.NewFaultTransport(NewLocalTransport(ps))
 		c.Stores = append(c.Stores, ps)
-		c.Faults = append(c.Faults, ft)
+		c.faults = append(c.faults, ft)
 		cfg.Transports[i] = ft
 		members[i] = peer.Member{ID: i, Addr: fmt.Sprintf("http://member-%d", i)}
 	}
@@ -56,10 +56,10 @@ func (c *LocalCluster) Close() { c.Gateway.Close() }
 // Fail partitions member id: every call to it fails as unreachable until
 // Rebuild brings it back. What it stores stays on disk.
 func (c *LocalCluster) Fail(id int) error {
-	if id < 0 || id >= len(c.Faults) {
+	if id < 0 || id >= len(c.faults) {
 		return fmt.Errorf("server: member %d not in the cluster", id)
 	}
-	c.Faults[id].Partition()
+	c.faults[id].Partition()
 	return nil
 }
 
@@ -74,6 +74,6 @@ func (c *LocalCluster) Rebuild(ctx context.Context, id int) (RebuildStats, error
 	if err := os.RemoveAll(c.Stores[id].root); err != nil {
 		return RebuildStats{}, err
 	}
-	c.Faults[id].Heal()
+	c.faults[id].Heal()
 	return c.Gateway.RebuildNode(ctx, id)
 }

@@ -335,8 +335,8 @@ func encode(sinks []sink, src io.Reader, size int64, k, r, unitSize int, opt Opt
 //
 // The int after unitSize is ignored. It was a per-call worker count; the
 // frozen benchmark/ladder.go still passes one here and to
-// StreamReader.Decode and DecodeRange, and the next [benchmark] PR drops
-// all three (ROADMAP item 4). Workers come from opt.Sched.
+// StreamReader.Decode and DecodeRange until the next change to the
+// frozen benchmark/ module drops all three. Workers come from opt.Sched.
 func WriteStreamPaths(paths []string, src io.Reader, size int64, k, r, unitSize, _ int, opt Opts) (Manifest, gemmec.StreamStats, error) {
 	var st gemmec.StreamStats
 	m := Manifest{K: k, R: r, UnitSize: unitSize, FileSize: size}
