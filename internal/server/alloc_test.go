@@ -60,6 +60,29 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSlabMemberGetAllocs: a packed member's GET is a windowed decode of
+// its slab — one metadata-cache hit each for member and slab, the shard
+// paths, the open of the one file the window reads and a stat of each of
+// the others — so it allocates a small constant. The limit is about 1.5x
+// the measured count.
+func TestSlabMemberGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	s := newSlabStore(t, 64<<10)
+	ctx := context.Background()
+	mustPut(t, s, "member", randBytes(41, 4<<10))
+	get := func() {
+		if _, _, err := s.Get(ctx, "member", discardWriter{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get() // warm the metadata cache and the pools
+	if n := testing.AllocsPerRun(50, get); n > 76 {
+		t.Errorf("slab member GET allocates %.0f times, want <= 76", n)
+	}
+}
+
 // TestGatewayBytesPerRequest: the gateway runs on the shared shardfile
 // engine — pooled bufio layers, one compiled code and one stripe ring per
 // geometry — so a request allocates little beyond what the transports

@@ -31,7 +31,11 @@ import (
 // into place), then records itself as a window into the slab via
 // ObjectMeta.Slab. Reads resolve the ref and open the slab over the
 // member's byte range only (shardfile.OpenRangePaths), so a member GET
-// reads the data units the member lives in, not the slab.
+// reads the data units the member lives in, not the slab. Slabs are coded
+// in slabUnit units whatever StoreConfig.UnitSize says, so a member of at
+// most 4 KiB that starts on a 4 KiB boundary (every member, when all are
+// 4 KiB) costs one 4 KiB unit of I/O and CRC work, not a 128 KiB one; a
+// larger member reads every 4 KiB unit it spans.
 //
 // Slabs are immutable: every flush allocates a fresh "slab_<n>" key
 // (non-hex, so slabs never appear in the object catalog). Deleting or
@@ -39,13 +43,19 @@ import (
 // keeps the dead bytes until the scrubber observes that no live member
 // references it and reclaims the whole slab (store.scrubSlab). A freshly
 // flushed slab is pinned (Store.pendingSlabs) until every batch member
-// has committed its member metadata, so the scrubber cannot reclaim a
-// slab in the window between the slab commit and the first references.
+// has settled, so the scrubber cannot reclaim a slab in the window
+// between the slab commit and the first references.
 //
 // Lock order is member → slab, everywhere: a member read holds the member
 // lock, then takes the slab's read lock. The flusher locks only the fresh
 // slab key it just allocated — never a member lock — so a PUT blocked in
 // the flusher while holding its member lock cannot deadlock.
+
+// slabUnit is the unit size slabs are coded in: the page size, the
+// granule a member read is served in. The slab's manifest records it, so
+// slabs coded in other units (StoreConfig.UnitSize, before slabs had their
+// own) still read.
+const slabUnit = 4 << 10
 
 // errStoreClosed reports an operation against a store whose background
 // machinery has been stopped.
@@ -58,15 +68,17 @@ type slabResult struct {
 }
 
 // slabReq is one small object waiting to be packed. done is buffered so
-// the flusher never blocks on an abandoned waiter. settled is closed by
-// the waiter on every exit from putSlab after a successful submit —
-// member metadata committed, commit failed, or request abandoned — and
-// gates the unpinning of the slab (see flushBatch).
+// the flusher never blocks on an abandoned waiter. settled and slab are
+// guarded by the store's mu: settled is set by settleSlab on every exit
+// from putSlab after a successful submit — member metadata committed,
+// commit failed, or request abandoned — and slab names the pin the member
+// holds a reference on, once the flusher has counted it (see pinSlab).
 type slabReq struct {
 	key     string
 	data    []byte
 	done    chan slabResult
-	settled chan struct{}
+	settled bool
+	slab    string
 }
 
 // slabWriter is the store's group-commit engine: one goroutine, one
@@ -188,7 +200,7 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 	// member metadata pointing at deleted shards and acknowledge lost
 	// data. The pin makes scrubSlab skip the slab until every batch member
 	// has settled.
-	s.pinSlab(key)
+	s.pinSlab(key, batch...)
 	l := s.lockKey(key)
 	err := func() error {
 		defer l.Unlock()
@@ -198,7 +210,7 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 		meta := ObjectMeta{Name: key, Gen: 1, Placement: s.placement()}
 		paths := s.shardPaths(key, meta)
 		m, _, err := shardfile.WriteStreamPaths(paths, bytes.NewReader(payload), int64(len(payload)),
-			s.cfg.K, s.cfg.R, s.cfg.UnitSize, 0, s.fileOpts(context.Background()))
+			s.cfg.K, s.cfg.R, slabUnit, 0, s.fileOpts(context.Background()))
 		if err != nil {
 			s.removeFiles(paths)
 			return err
@@ -221,6 +233,12 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 	if err == nil {
 		s.slabFlushes.Add(1)
 	}
+	// Drop the flusher's own reference before answering: from here the pin
+	// lasts exactly as long as some member has not settled — including
+	// members that abandoned the batch on cancellation, whose windows stay
+	// dead until a later sweep reclaims the slab — so it is gone by the
+	// time the batch's last PUT returns.
+	s.unpinSlab(key)
 	off := int64(0)
 	for _, r := range batch {
 		res := slabResult{err: err}
@@ -230,38 +248,49 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 		off += int64(len(r.data))
 		r.done <- res
 	}
-	if err != nil {
-		// Nothing committed: the key never became visible, so unpin now.
-		s.unpinSlab(key)
-		return
-	}
-	// Lift the pin only once every waiter has settled — including waiters
-	// that abandoned the batch on cancellation (their settled channel is
-	// closed by putSlab's defer, and their window simply stays dead until
-	// a later sweep reclaims it). Done off the flusher goroutine so a slow
-	// member commit never stalls the next batch.
-	go func() {
-		for _, r := range batch {
-			<-r.settled
-		}
-		s.unpinSlab(key)
-	}()
 }
 
-// pinSlab marks key ineligible for scrub reclamation (see flushBatch).
-func (s *Store) pinSlab(key string) {
+// pinSlab marks key ineligible for scrub reclamation (see flushBatch): it
+// takes one reference on key's pin for the caller, released by unpinSlab,
+// and one for each member of batch that has not settled yet, released by
+// settleSlab. The last release lifts the pin. Slab keys are never reused
+// (slabSeq is monotonic and restarts resume past the highest committed
+// key), so a lifted pin never returns.
+func (s *Store) pinSlab(key string, batch ...*slabReq) {
 	s.mu.Lock()
-	s.pendingSlabs[key] = struct{}{}
+	s.pendingSlabs[key]++
+	for _, r := range batch {
+		if !r.settled {
+			r.slab = key
+			s.pendingSlabs[key]++
+		}
+	}
 	s.mu.Unlock()
 }
 
-// unpinSlab lifts the pin; slab keys are never reused (slabSeq is
-// monotonic and restarts resume past the highest committed key), so a
-// key unpins exactly once and can never be re-pinned.
+// unpinSlab releases the caller's reference on key's pin.
 func (s *Store) unpinSlab(key string) {
 	s.mu.Lock()
-	delete(s.pendingSlabs, key)
+	s.releasePin(key)
 	s.mu.Unlock()
+}
+
+// settleSlab records that r's PUT is done with its batch and releases the
+// reference it holds on the slab's pin, if the flusher counted it.
+func (s *Store) settleSlab(r *slabReq) {
+	s.mu.Lock()
+	r.settled = true
+	if r.slab != "" {
+		s.releasePin(r.slab)
+	}
+	s.mu.Unlock()
+}
+
+// releasePin drops one reference on key's pin. Called with mu held.
+func (s *Store) releasePin(key string) {
+	if s.pendingSlabs[key]--; s.pendingSlabs[key] <= 0 {
+		delete(s.pendingSlabs, key)
+	}
 }
 
 // slabPinned reports whether key's batch is still settling.
@@ -320,14 +349,14 @@ func (s *Store) listSlabKeys() []string {
 // generation and oldPaths the previous generation's shard files, exactly
 // like the direct path.
 func (s *Store) putSlab(ctx context.Context, key string, meta ObjectMeta, oldPaths []string, data []byte) (ObjectMeta, error) {
-	req := &slabReq{key: key, data: data, done: make(chan slabResult, 1), settled: make(chan struct{})}
+	req := &slabReq{key: key, data: data, done: make(chan slabResult, 1)}
 	if err := s.slab.submit(ctx, req); err != nil {
 		return ObjectMeta{}, err
 	}
 	// Once submitted, the flusher pins the batch's slab until every member
-	// settles; signal ours on every exit path — member metadata committed,
+	// settles; settle ours on every exit path — member metadata committed,
 	// commit failed, or request abandoned below.
-	defer close(req.settled)
+	defer s.settleSlab(req)
 	var res slabResult
 	select {
 	case res = <-req.done:

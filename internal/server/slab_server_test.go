@@ -12,10 +12,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gemmec/internal/shardfile"
+	"gemmec/internal/vfs"
 )
 
 // newSlabStore opens a store with the small-object packing path enabled.
@@ -654,5 +656,173 @@ func TestReservedSlabKeysHidden(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /o/%s = %d, want 404 (reserved keys are not client objects)", slabKey, gresp.StatusCode)
+	}
+}
+
+// readCountFS counts the shard bytes read through it. It forwards Stat,
+// so a read plan's probe takes the one-stat path it takes on vfs.OS.
+type readCountFS struct {
+	vfs.FS
+	n atomic.Int64
+}
+
+func (fs *readCountFS) Open(name string) (vfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return readCountFile{File: f, n: &fs.n}, nil
+}
+
+func (fs *readCountFS) Stat(name string) (os.FileInfo, error) { return vfs.Stat(fs.FS, name) }
+
+type readCountFile struct {
+	vfs.File
+	n *atomic.Int64
+}
+
+func (f readCountFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.n.Add(int64(n))
+	return n, err
+}
+
+// TestSlabMemberReadsItsUnit: slabs are coded in slabUnit units whatever
+// UnitSize the store codes its own objects in, and the slab's manifest
+// says so; a clean GET of a 4 KiB member then reads the one unit it lives
+// in, not a 128 KiB one.
+func TestSlabMemberReadsItsUnit(t *testing.T) {
+	fs := &readCountFS{FS: vfs.OS}
+	s, err := Open(StoreConfig{
+		Root: t.TempDir(), Nodes: tnode, K: tk, R: tr, UnitSize: 128 << 10, Workers: 2,
+		SlabThreshold: 64 << 10, SlabWindow: 20 * time.Millisecond, FS: fs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	const members, size = 8, 4 << 10
+	var wg sync.WaitGroup
+	for i := 0; i < members; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			data := randBytes(int64(200+i), size)
+			if _, _, err := s.Put(context.Background(), fmt.Sprintf("m-%d", i), bytes.NewReader(data), size); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i := 0; i < members; i++ {
+		name := fmt.Sprintf("m-%d", i)
+		meta, err := s.Stat(name)
+		if err != nil || meta.Slab == nil {
+			t.Fatalf("%s: not packed (err=%v)", name, err)
+		}
+		slabMeta, err := s.loadMeta(meta.Slab.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slabMeta.Manifest.UnitSize; got != slabUnit {
+			t.Errorf("slab %s coded in %d-byte units, want %d", meta.Slab.Key, got, slabUnit)
+		}
+		fs.n.Store(0)
+		got, bad := mustGet(t, s, name)
+		if !bytes.Equal(got, randBytes(int64(200+i), size)) || len(bad) != 0 {
+			t.Fatalf("%s: content mismatch (unusable %v)", name, bad)
+		}
+		if n := fs.n.Load(); n > slabUnit {
+			t.Errorf("%s: a clean %d-byte member GET read %d shard bytes, want at most one %d-byte unit",
+				name, size, n, slabUnit)
+		}
+	}
+}
+
+// TestSlabsInOtherUnitsStillRead: the unit size is the slab manifest's,
+// not the store's, so a slab coded in the store's UnitSize — as every slab
+// was before slabs had a unit of their own — serves its members
+// byte-identically, healthy and degraded.
+func TestSlabsInOtherUnitsStillRead(t *testing.T) {
+	s := newSlabStore(t, 64<<10)
+	ctx := context.Background()
+	a, b := randBytes(51, 3000), randBytes(52, 5000)
+	payload := append(append([]byte{}, a...), b...)
+	const key = "slab_1000"
+	meta := ObjectMeta{Name: key, Gen: 1, Placement: s.placement()}
+	paths := s.shardPaths(key, meta)
+	m, _, err := shardfile.WriteStreamPaths(paths, bytes.NewReader(payload), int64(len(payload)),
+		tk, tr, tunit, 0, s.fileOpts(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Slab = []shardfile.SlabEntry{{Name: objKey("a"), Offset: 0, Size: 3000}, {Name: objKey("b"), Offset: 3000, Size: 5000}}
+	meta.Manifest = m
+	if err := s.saveMeta(key, meta); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"a", "b"} {
+		e := m.Slab[i]
+		if err := s.saveMeta(e.Name, ObjectMeta{Name: name, Gen: 1, Slab: &SlabRef{Key: key, Offset: e.Offset, Size: e.Size}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func() {
+		t.Helper()
+		for name, want := range map[string][]byte{"a": a, "b": b} {
+			if got, _ := mustGet(t, s, name); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %d bytes back from a %d-byte-unit slab, content mismatch", name, len(got), tunit)
+			}
+		}
+	}
+	check()
+	if err := os.Remove(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	check()
+}
+
+// TestSlabUnpinnedWhenBatchReturns: a slab's pin lasts while some member
+// of its batch has not settled, and no longer — once every PUT of a batch
+// has returned, a scrub may already reclaim or heal the slab.
+func TestSlabUnpinnedWhenBatchReturns(t *testing.T) {
+	s := newSlabStore(t, 1024)
+	ctx := context.Background()
+	for round := 0; round < 4; round++ {
+		var wg sync.WaitGroup
+		names := make([]string, 6)
+		for i := range names {
+			names[i] = fmt.Sprintf("pin-%d-%d", round, i)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				data := randBytes(int64(round*10+i), 100)
+				if _, _, err := s.Put(ctx, names[i], bytes.NewReader(data), int64(len(data))); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for _, name := range names {
+			meta, err := s.Stat(name)
+			if err != nil || meta.Slab == nil {
+				t.Fatalf("%s: not packed (err=%v)", name, err)
+			}
+			if s.slabPinned(meta.Slab.Key) {
+				t.Fatalf("round %d: slab %s still pinned after every PUT of its batch returned", round, meta.Slab.Key)
+			}
+		}
+	}
+	s.mu.Lock()
+	left := len(s.pendingSlabs)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d slab pins outlived their batches", left)
 	}
 }

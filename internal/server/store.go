@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,10 @@ type StoreConfig struct {
 	Nodes int
 	// K and R are the code geometry: K data shards, R parity shards.
 	K, R int
-	// UnitSize is the shard unit size in bytes per stripe (0 selects
-	// gemmec.DefaultUnitSize).
+	// UnitSize is the shard unit size in bytes per stripe of objects
+	// stored in their own shard set, the ones above SlabThreshold (0
+	// selects gemmec.DefaultUnitSize). Slabs are coded in 4 KiB units,
+	// the granule a packed member is read in.
 	UnitSize int
 	// Workers sizes the store's shared encode/decode scheduler: the ONE
 	// bounded pool of kernel goroutines every request's stripe work runs
@@ -103,13 +106,20 @@ type Store struct {
 	// process writes or removes a meta file, and self-invalidating against
 	// out-of-band edits via the stat check.
 	metaCache map[string]metaCacheEntry
-	// pendingSlabs pins freshly flushed slabs (guarded by mu): a slab key
-	// is pinned before its metadata commits and unpinned only after every
-	// batch member has settled — committed its own member metadata or
-	// abandoned the request — so the scrubber never mistakes "references
-	// still in flight" for "no live references" and reclaims a slab whose
-	// PUTs are about to be acknowledged.
-	pendingSlabs map[string]struct{}
+	// pendingSlabs pins freshly flushed slabs (guarded by mu), counting
+	// references: a slab key is pinned before its metadata commits and
+	// unpinned only after every batch member has settled — committed its
+	// own member metadata or abandoned the request — so the scrubber never
+	// mistakes "references still in flight" for "no live references" and
+	// reclaims a slab whose PUTs are about to be acknowledged.
+	pendingSlabs map[string]int
+
+	// nodeDirs, metaDirPath and shardSuffixes (one per shard index of the
+	// store's geometry) are built once at Open, so a request's shard and
+	// metadata paths are plain concatenations.
+	nodeDirs      []string
+	metaDirPath   string
+	shardSuffixes []string
 
 	orphansRemoved        atomic.Int64
 	slabPuts, slabFlushes atomic.Int64
@@ -129,8 +139,15 @@ func Open(cfg StoreConfig) (*Store, error) {
 	}
 	s := &Store{
 		cfg:          cfg,
-		pendingSlabs: map[string]struct{}{},
+		pendingSlabs: map[string]int{},
 		metaCache:    map[string]metaCacheEntry{},
+		metaDirPath:  filepath.Join(cfg.Root, "meta"),
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		s.nodeDirs = append(s.nodeDirs, nodeDirName(cfg.Root, i))
+	}
+	for i := 0; i < cfg.K+cfg.R; i++ {
+		s.shardSuffixes = append(s.shardSuffixes, shardSuffixName(i))
 	}
 	err := s.start(s, cfg.K, cfg.R, cfg.UnitSize, cfg.Workers, cfg.MaxStreams)
 	if err == nil {
@@ -195,14 +212,38 @@ func (s *Store) ensureDirs() error {
 	return os.MkdirAll(s.metaDir(), 0o755)
 }
 
-func (s *Store) nodeDir(i int) string {
-	return filepath.Join(s.cfg.Root, fmt.Sprintf("node_%03d", i))
+const pathSep = string(filepath.Separator)
+
+// nodeDirName spells node directory i, node_<i>, under root.
+func nodeDirName(root string, i int) string {
+	return filepath.Join(root, fmt.Sprintf("node_%03d", i))
 }
 
-func (s *Store) metaDir() string { return filepath.Join(s.cfg.Root, "meta") }
+// shardSuffixName spells the name suffix of shard i, .shard_<i>.
+func shardSuffixName(i int) string { return fmt.Sprintf(".shard_%03d", i) }
+
+// nodeDir is node directory i, from the names Open spelled; an index
+// outside the store's own (metadata written under another configuration)
+// is spelled afresh.
+func (s *Store) nodeDir(i int) string {
+	if i >= 0 && i < len(s.nodeDirs) {
+		return s.nodeDirs[i]
+	}
+	return nodeDirName(s.cfg.Root, i)
+}
+
+// shardSuffix is shard i's name suffix, from the names Open spelled.
+func (s *Store) shardSuffix(i int) string {
+	if i < len(s.shardSuffixes) {
+		return s.shardSuffixes[i]
+	}
+	return shardSuffixName(i)
+}
+
+func (s *Store) metaDir() string { return s.metaDirPath }
 
 func (s *Store) metaPath(key string) string {
-	return filepath.Join(s.metaDir(), key+".json")
+	return s.metaDirPath + pathSep + key + ".json"
 }
 
 // shardPaths lays out meta's shards: shard i of object key lives at
@@ -210,8 +251,9 @@ func (s *Store) metaPath(key string) string {
 // keeps every write's shard set at paths no other generation can occupy.
 func (s *Store) shardPaths(key string, meta ObjectMeta) []string {
 	paths := make([]string, len(meta.Placement))
+	gen := strconv.FormatInt(meta.Gen, 10)
 	for i, node := range meta.Placement {
-		paths[i] = filepath.Join(s.nodeDir(node), fmt.Sprintf("%s.g%d.shard_%03d", key, meta.Gen, i))
+		paths[i] = s.nodeDir(node) + pathSep + key + ".g" + gen + s.shardSuffix(i)
 	}
 	return paths
 }

@@ -307,3 +307,101 @@ func TestReadPlanIOShape(t *testing.T) {
 		t.Errorf("a window on a missing shard read %d bytes, want exactly k=%d units (%d)", got, tk, tk*tunit)
 	}
 }
+
+// statShapeFS counts the opens and stats that reach shard files. Unlike
+// shapeFS it implements vfs.StatFS, so the probe of a shard the plan does
+// not read is one Stat instead of an open, a stat and a close.
+type statShapeFS struct {
+	vfs.FS
+	mu           sync.Mutex
+	opens, stats map[string]int
+}
+
+func newStatShapeFS() *statShapeFS {
+	return &statShapeFS{FS: vfs.OS, opens: map[string]int{}, stats: map[string]int{}}
+}
+
+func (fs *statShapeFS) Open(name string) (vfs.File, error) {
+	fs.mu.Lock()
+	fs.opens[name]++
+	fs.mu.Unlock()
+	return fs.FS.Open(name)
+}
+
+func (fs *statShapeFS) Stat(name string) (os.FileInfo, error) {
+	fs.mu.Lock()
+	fs.stats[name]++
+	fs.mu.Unlock()
+	return vfs.Stat(fs.FS, name)
+}
+
+// TestReadPlanProbeStats: through a filesystem that can stat, the open of
+// a clean one-unit window opens the one file it reads and stats each of
+// the other k+r-1 once, and the stat alone still finds what the probe
+// always found: a missing unread shard is unusable and a truncated one
+// corrupt, before a byte is read.
+func TestReadPlanProbeStats(t *testing.T) {
+	const stripes = 8
+	raw := make([]byte, stripes*tk*tunit)
+	rand.New(rand.NewSource(6)).Read(raw)
+	paths := DirPaths(t.TempDir(), tk+tr)
+	m, _, err := WriteStreamPaths(paths, bytes.NewReader(raw), int64(len(raw)), tk, tr, tunit, 0, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A window inside shard 2's unit of stripe 3.
+	off, n := int64(3*tk*tunit+2*tunit+5), int64(100)
+	open := func() (*statShapeFS, *StreamReader) {
+		t.Helper()
+		fs := newStatShapeFS()
+		sr, err := OpenRangePaths(paths, m, off, n, Opts{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sr.Close() })
+		return fs, sr
+	}
+
+	fs, sr := open()
+	if len(fs.opens) != 1 || fs.opens[paths[2]] != 1 {
+		t.Errorf("clean one-unit window opened %v, want shard 2 once", fs.opens)
+	}
+	if len(fs.stats) != tk+tr-1 || fs.stats[paths[2]] != 0 {
+		t.Errorf("clean one-unit window stat-ed %v, want each of the other %d shards once", fs.stats, tk+tr-1)
+	}
+	for p, c := range fs.stats {
+		if c != 1 {
+			t.Errorf("%s stat-ed %d times, want once", filepath.Base(p), c)
+		}
+	}
+	var out bytes.Buffer
+	if _, err := sr.Decode(&out, 0); err != nil || !bytes.Equal(out.Bytes(), raw[off:off+n]) {
+		t.Fatalf("clean window: %d bytes back, err=%v", out.Len(), err)
+	}
+	if len(fs.opens) != 1 || sr.Degraded() {
+		t.Errorf("clean decode opened %v (degraded %v), want shard 2 only", fs.opens, sr.Degraded())
+	}
+
+	// Lose data shard 0 and truncate parity shard 5: neither is read by the
+	// plan, and the stats alone must report both at open.
+	if err := os.Remove(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(paths[5], tunit); err != nil {
+		t.Fatal(err)
+	}
+	fs, sr = open()
+	if got := sr.Unusable(); !reflect.DeepEqual(got, []int{0, 5}) {
+		t.Errorf("missing shard 0, truncated shard 5: Unusable()=%v at open, want [0 5]", got)
+	}
+	if got := sr.Corrupt(); !reflect.DeepEqual(got, []int{5}) {
+		t.Errorf("truncated shard 5: Corrupt()=%v at open, want [5]", got)
+	}
+	if len(fs.opens) != 1 || fs.stats[paths[0]] != 1 || fs.stats[paths[5]] != 1 {
+		t.Errorf("degraded open: opens %v, stats %v; want shard 2 opened and the rest stat-ed", fs.opens, fs.stats)
+	}
+	out.Reset()
+	if _, err := sr.Decode(&out, 0); err != nil || !bytes.Equal(out.Bytes(), raw[off:off+n]) {
+		t.Fatalf("window with unread shards lost: %d bytes back, err=%v", out.Len(), err)
+	}
+}

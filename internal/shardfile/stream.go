@@ -29,12 +29,12 @@ import (
 // verification, demotion bookkeeping, the ≤ r erasures-per-stripe repair
 // contract. Two instantiations feed it. WriteStreamPaths/OpenRangePaths/
 // ScrubPaths put a shard file at an explicit path per unit (temp +
-// rename; open + stat, seek where the plan reads), so a caller can spread
-// the k+r shards of one object across separate "node" directories —
-// eccli's single directory and internal/server's Store. The cluster
-// Gateway hands the cores its per-peer upload pipes, and a probe of its
-// peers plus a way to fetch a shard interval. Both produce and accept the
-// same manifests.
+// rename; open, stat and seek where the plan reads, one stat elsewhere),
+// so a caller can spread the k+r shards of one object across separate
+// "node" directories — eccli's single directory and internal/server's
+// Store. The cluster Gateway hands the cores its per-peer upload pipes,
+// and a probe of its peers plus a way to fetch a shard interval. Both
+// produce and accept the same manifests.
 
 // streamBufSize is the size of every bufio layer on the streaming paths:
 // half the default unit. The pipeline moves whole units (shard side) and
@@ -661,13 +661,13 @@ func OpenStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 // the shard files of one manifest to read payload bytes [off, off+length)
 // — the whole object, a ranged GET's window, or one member of a packed
 // (slab) shard set, whose SlabEntry gives the window. Every one of the
-// k+r files is probed for existence and length (an open and a stat, no
-// reads); the ones the window's plan reads stay open, seeked to the first
-// stripe it reads of them, and the rest are closed again, to be reopened
-// only if a fault escalates the plan. Content verification is deferred to
-// Decode — each byte is read exactly once, and the first payload byte
-// costs the window's first units of I/O instead of a whole-object hashing
-// barrier.
+// k+r files is probed for existence and length, with no reads: the ones
+// the window's plan reads are opened, stat-ed and seeked to the first
+// stripe it reads of them; the rest get one stat (vfs.Stat) and are
+// opened only if a fault escalates the plan. Content verification is
+// deferred to Decode — each byte is read exactly once, and the first
+// payload byte costs the window's first units of I/O instead of a
+// whole-object hashing barrier.
 //
 // Shards that are missing or truncated are treated as erased; if fewer
 // than k usable shards remain the returned error wraps
@@ -735,6 +735,18 @@ func openPaths(paths []string, m Manifest, plan ReadPlan, opt Opts) (sr *StreamR
 	lost, corruptAt := flags[:n:n], flags[n:]
 	for i := range paths {
 		from, to := plan.Interval(i)
+		if from >= to {
+			// Nothing planned to read from it: one stat, and an open only
+			// if a fault escalates the plan.
+			fi, err := vfs.Stat(fsys, paths[i])
+			switch {
+			case err != nil:
+				lost[i] = true // missing
+			case fi.Size() != want:
+				lost[i], corruptAt[i] = true, true
+			}
+			continue
+		}
 		f, err := openAt(i, from)
 		if err != nil {
 			lost[i] = true // missing
@@ -746,15 +758,12 @@ func openPaths(paths []string, m Manifest, plan ReadPlan, opt Opts) (sr *StreamR
 			closeAll(srcs)
 			return nil, err
 		}
-		switch {
-		case fi.Size() != want:
+		if fi.Size() != want {
 			lost[i], corruptAt[i] = true, true
 			f.Close()
-		case from < to:
-			srcs[i] = f
-		default:
-			f.Close() // present; nothing planned to read from it
+			continue
 		}
+		srcs[i] = f
 	}
 	return newStreamReader(m, plan, srcs, lost, corruptAt, open, opt)
 }

@@ -1,5 +1,5 @@
 // Package vfs is the minimal filesystem seam the shard I/O paths go
-// through: just enough surface (open, create, rename, remove, whole-file
+// through: just enough surface (open, create, rename, remove, stat, whole-file
 // read/write) for internal/shardfile to stream shard sets and for
 // internal/faultfs to inject faults underneath it in tests. It sits at the
 // bottom of the dependency graph — no gemmec imports — so both the
@@ -54,6 +54,28 @@ type FS interface {
 	WriteFile(name string, data []byte, perm os.FileMode) error
 }
 
+// StatFS is the optional interface of an FS that can report a file's
+// size without opening it. A read plan probes every shard it does not read
+// for presence and length only; without StatFS that probe is an open, a
+// stat and a close.
+type StatFS interface {
+	Stat(name string) (os.FileInfo, error)
+}
+
+// Stat returns the named file's FileInfo: one stat when fsys implements
+// StatFS, Open + Stat + Close otherwise.
+func Stat(fsys FS, name string) (os.FileInfo, error) {
+	if sfs, ok := fsys.(StatFS); ok {
+		return sfs.Stat(name)
+	}
+	f, err := fsys.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return f.Stat()
+}
+
 // OS is the real filesystem.
 var OS FS = osFS{}
 
@@ -65,8 +87,9 @@ func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) Rename(oldpath, newpath string) error {
 	return os.Rename(oldpath, newpath)
 }
-func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Remove(name string) error              { return os.Remove(name) }
+func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
+func (osFS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
 func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
