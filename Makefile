@@ -48,11 +48,13 @@ race:
 # The packages with real lock/goroutine traffic (the daemon's concurrent
 # PUT/GET/scrub paths, the stripe loop and the scheduler it queues on, the
 # shard-file encode whose kernel tasks write units and stripe sums from
-# several workers at once, and the root package's stream tests, which
-# drive that loop through the public API in both modes) get a -race pass
-# on every CI run; `make race` remains the full-tree version.
+# several workers at once, the kernel whose parallel schedules write the
+# caller's unit slices from several goroutines, the engine's shared
+# decoder cache, and the root package's stream tests, which drive that
+# loop through the public API in both modes) get a -race pass on every CI
+# run; `make race` remains the full-tree version.
 race-hot:
-	$(GO) test -race ./internal/server ./internal/pipeline ./internal/sched ./internal/tuned ./internal/shardfile
+	$(GO) test -race ./internal/server ./internal/pipeline ./internal/sched ./internal/tuned ./internal/shardfile ./internal/te ./internal/core
 	$(GO) test -race -run 'Stream|Scheduler' .
 
 # Short seeded fault/cancellation stress: the faultfs-driven tests (injected

@@ -171,7 +171,8 @@ func BenchmarkDecodeStream(b *testing.B) {
 }
 
 // BenchmarkMemcpy is the §5 experiment: contiguous encode vs
-// gather-then-encode vs jerasure's pointer API.
+// gather-then-encode vs encoding the scattered units by reference vs
+// jerasure's pointer API.
 func BenchmarkMemcpy(b *testing.B) {
 	k, r := 10, 4
 	eng := newBenchEngine(b, k, r)
@@ -192,10 +193,24 @@ func BenchmarkMemcpy(b *testing.B) {
 	})
 	b.Run("gather-then-encode", func(b *testing.B) {
 		b.SetBytes(int64(k * benchUnit))
-		var scratch []byte
-		var err error
+		scratch := make([]byte, k*benchUnit)
 		for i := 0; i < b.N; i++ {
-			if scratch, err = eng.EncodeUnits(units, parity, scratch); err != nil {
+			for u, d := range units {
+				copy(scratch[u*benchUnit:], d)
+			}
+			if err := eng.Encode(scratch, parity); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("by-reference", func(b *testing.B) {
+		b.SetBytes(int64(k * benchUnit))
+		shards := append(append([][]byte(nil), units...), make([][]byte, r)...)
+		for i := k; i < k+r; i++ {
+			shards[i] = make([]byte, benchUnit)
+		}
+		for i := 0; i < b.N; i++ {
+			if err := eng.EncodeShards(shards); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,13 +46,13 @@ func main() {
 		cluster[i] = &node{id: i, alive: true}
 	}
 
-	// The checkpoint coordinator assembles partitions into a contiguous
-	// stripe as they stream in — the §5 integration pattern.
-	assembler, err := code.NewStripeBuffer()
-	if err != nil {
-		log.Fatal(err)
+	// The checkpoint coordinator encodes the partitions where they lie:
+	// the kernel reads each trainer's buffer and writes the parity
+	// partitions, with no assembly into a contiguous stripe first.
+	shards := make([][]byte, trainers+spares)
+	for i := trainers; i < len(shards); i++ {
+		shards[i] = make([]byte, partitionSize)
 	}
-	parity := make([]byte, code.ParitySize())
 
 	for epoch := 1; epoch <= epochs; epoch++ {
 		// "Train": every trainer mutates its partition.
@@ -62,19 +62,10 @@ func main() {
 			rng.Read(truth[i])
 		}
 
-		// Checkpoint: partitions arrive at the coordinator out of order.
-		assembler.Reset()
+		// Checkpoint: encode the partitions in place.
 		start := time.Now()
-		for _, i := range rng.Perm(trainers) {
-			if err := assembler.Put(i, truth[i]); err != nil {
-				log.Fatal(err)
-			}
-		}
-		stripe, err := assembler.Bytes()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := code.Encode(stripe, parity); err != nil {
+		copy(shards, truth)
+		if err := code.EncodeShards(shards); err != nil {
 			log.Fatal(err)
 		}
 		encodeTime := time.Since(start)
@@ -86,7 +77,7 @@ func main() {
 		}
 		for i := 0; i < spares; i++ {
 			n := cluster[trainers+i]
-			n.part = append(n.part[:0], parity[i*partitionSize:(i+1)*partitionSize]...)
+			n.part = append(n.part[:0], shards[trainers+i]...)
 			n.alive = true
 		}
 		gb := float64(code.DataSize()) / 1e9

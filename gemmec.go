@@ -13,16 +13,16 @@
 //	err = code.Encode(data, parity)
 //
 // Units are fixed-size (default 128 KiB, the paper's evaluation size); the
-// data stripe holds the k units back to back. For chunk-at-a-time arrival,
-// use NewStripeBuffer, which implements the contiguous-assembly pattern of
-// §5 of the paper. To rebuild lost units, pass all k+r units with nil for
-// the losses to Reconstruct.
+// data stripe holds the k units back to back. Units that live in separate
+// allocations need no assembly into a stripe (the copy §5 of the paper
+// charges GEMM-based coders for): EncodeShards reads and writes them where
+// they lie. To rebuild lost units, pass all k+r units with nil for the
+// losses to Reconstruct.
 package gemmec
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"gemmec/internal/autotune"
 	"gemmec/internal/core"
@@ -200,8 +200,7 @@ func WithWorkers(n int) Option {
 // Code is a systematic (k+r, k) erasure code with a compiled GEMM kernel.
 // Its schedule is fixed at New; it is safe for concurrent use.
 type Code struct {
-	eng     *core.Engine
-	scratch sync.Pool // *[]byte stripes for the sharded APIs
+	eng *core.Engine
 }
 
 // New builds a code for k data units and r parity units.
@@ -279,46 +278,16 @@ func (c *Code) Encode(data, parity []byte) error { return c.eng.Encode(data, par
 // Verify recomputes parity and reports whether it matches.
 func (c *Code) Verify(data, parity []byte) (bool, error) { return c.eng.Verify(data, parity) }
 
-// EncodeShards encodes when units live in separate allocations: data is
-// gathered into an internal contiguous stripe first (the copy §5 of the
-// paper quantifies), parity is computed contiguously and scattered back to
-// shards[k:]. shards must hold k+r slices of UnitSize bytes.
-func (c *Code) EncodeShards(shards [][]byte) error {
-	k, r, unit := c.K(), c.R(), c.UnitSize()
-	if len(shards) != k+r {
-		return fmt.Errorf("%w: %d shards, want k+r=%d", ErrShardCount, len(shards), k+r)
-	}
-	for i, s := range shards {
-		if len(s) != unit {
-			return fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(s), unit)
-		}
-	}
-	buf := c.getScratch()
-	defer c.scratch.Put(buf)
-	stripeBuf := (*buf)[:c.DataSize()]
-	parityBuf := (*buf)[c.DataSize() : c.DataSize()+c.ParitySize()]
-	for i := 0; i < k; i++ {
-		copy(stripeBuf[i*unit:], shards[i])
-	}
-	if err := c.eng.Encode(stripeBuf, parityBuf); err != nil {
-		return err
-	}
-	for i := 0; i < r; i++ {
-		copy(shards[k+i], parityBuf[i*unit:(i+1)*unit])
-	}
-	return nil
-}
-
-func (c *Code) getScratch() *[]byte {
-	if v := c.scratch.Get(); v != nil {
-		return v.(*[]byte)
-	}
-	b := make([]byte, c.DataSize()+c.ParitySize())
-	return &b
-}
+// EncodeShards encodes when units live in separate allocations: shards
+// holds the k data units followed by the r parity units, each UnitSize
+// bytes. The kernel reads the data units and writes the parity units in
+// place; nothing is gathered into a stripe or copied back out.
+func (c *Code) EncodeShards(shards [][]byte) error { return c.eng.EncodeShards(shards) }
 
 // Reconstruct rebuilds every nil shard in place. shards holds the k data
-// units followed by the r parity units; at least k must be non-nil.
+// units followed by the r parity units; at least k must be non-nil. A lost
+// shard given as a zero-length slice with UnitSize capacity is rebuilt
+// into that capacity instead of a fresh allocation.
 func (c *Code) Reconstruct(shards [][]byte) error { return c.eng.Reconstruct(shards) }
 
 // AccumulateParity adds data unit u's contribution to a zeroed parity
@@ -340,20 +309,6 @@ func (c *Code) UpdateParity(parity []byte, u int, oldUnit, newUnit []byte) error
 	return c.eng.UpdateParity(parity, u, oldUnit, newUnit)
 }
 
-// StripeBuffer accumulates k chunks into a contiguous data stripe; see
-// internal/stripe for the §5 rationale.
-type StripeBuffer = stripe.Buffer
-
-// StripePool recycles StripeBuffers.
+// StripePool recycles the stripe buffers of the streaming pipeline; see
+// NewStreamPool and WithStreamPool.
 type StripePool = stripe.Pool
-
-// NewStripeBuffer returns a stripe assembler matching this code's geometry.
-func (c *Code) NewStripeBuffer() (*StripeBuffer, error) {
-	return stripe.NewBuffer(c.K(), c.UnitSize())
-}
-
-// NewStripePool returns a pool of stripe buffers matching this code's
-// geometry.
-func (c *Code) NewStripePool() (*StripePool, error) {
-	return stripe.NewPool(c.K(), c.UnitSize())
-}

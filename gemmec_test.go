@@ -204,55 +204,6 @@ func TestLoweredIRPublic(t *testing.T) {
 	}
 }
 
-func TestStripeBufferIntegration(t *testing.T) {
-	c := newSmall(t, 3, 2)
-	sb, err := c.NewStripeBuffer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	chunks := make([][]byte, 3)
-	for i := range chunks {
-		chunks[i] = make([]byte, c.UnitSize())
-		rng.Read(chunks[i])
-	}
-	// Chunks arrive out of order, as from concurrent writers.
-	for _, i := range []int{2, 0, 1} {
-		if err := sb.Put(i, chunks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := sb.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parity := make([]byte, c.ParitySize())
-	if err := c.Encode(data, parity); err != nil {
-		t.Fatal(err)
-	}
-	// Cross-check against direct assembly.
-	direct := bytes.Join(chunks, nil)
-	p2 := make([]byte, c.ParitySize())
-	if err := c.Encode(direct, p2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(parity, p2) {
-		t.Error("stripe-assembled encode differs")
-	}
-
-	pool, err := c.NewStripePool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.Put(b); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUpdateParityPublic(t *testing.T) {
 	c := newSmall(t, 5, 2)
 	rng := rand.New(rand.NewSource(6))

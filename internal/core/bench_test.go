@@ -67,6 +67,34 @@ func BenchmarkReconstructTwo(b *testing.B) {
 	}
 }
 
+// BenchmarkReconstructDataOne is a degraded read's stripe: one lost data
+// unit, rebuilt into capacity the caller supplies (as the streaming
+// pipeline hands over its ring buffer), parity left alone.
+func BenchmarkReconstructDataOne(b *testing.B) {
+	e, data, parity := benchEngine(b)
+	if err := e.Encode(data, parity); err != nil {
+		b.Fatal(err)
+	}
+	unit := e.UnitSize()
+	lost := make([]byte, unit)
+	units := make([][]byte, e.K()+e.R())
+	b.ReportAllocs()
+	b.SetBytes(int64(unit))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for u := 0; u < e.K(); u++ {
+			units[u] = data[u*unit : (u+1)*unit]
+		}
+		for u := 0; u < e.R(); u++ {
+			units[e.K()+u] = parity[u*unit : (u+1)*unit]
+		}
+		units[0] = lost[:0]
+		if err := e.ReconstructData(units); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkUpdateParity(b *testing.B) {
 	e, data, parity := benchEngine(b)
 	if err := e.Encode(data, parity); err != nil {

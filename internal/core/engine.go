@@ -9,15 +9,17 @@
 // contiguous data stripe of a (k, r, w) code — k units of unitSize bytes,
 // each unit split into w packets — read as a (k*w) x (unitSize/w/8)
 // row-major word matrix IS the GEMM's B operand, and the parity stripe is
-// C. Encoding therefore binds the caller's buffers directly to the kernel.
+// C. The kernel reads the same matrix from a table of separate units just
+// as well (te.Kernel.ExecUnits), so every entry point binds the caller's
+// buffers to the kernel where they lie: contiguous stripes, scattered
+// shards, the survivors of a reconstruction and the capacity the lost
+// units are rebuilt into.
 package core
 
 import (
 	"bytes"
 	"container/list"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -80,12 +82,12 @@ type Engine struct {
 	tuneRes  *autotune.Result // non-nil when construction tuned
 	enc      *encoder         // the compiled encode executor, fixed at New
 
-	// recScratch pools the contiguous kernel operands of reconstruct and
-	// Verify: one (k+r)*unitSize []byte per in-flight call.
-	recScratch sync.Pool
+	// scratch pools the per-call state of reconstruct, Verify and
+	// UpdateParity (*opScratch), so none of them allocates in steady state.
+	scratch sync.Pool
 
 	mu         sync.Mutex
-	decoders   map[string]*list.Element // pattern key -> LRU element (*decoderEntry)
+	decoders   map[string]*list.Element // patternKey -> LRU element (*decoderEntry)
 	decoderLRU *list.List               // front = most recently used
 	updaters   map[int]*updater
 }
@@ -110,8 +112,6 @@ const DefaultMaxCachedDecoders = 16
 type decoder struct {
 	comp *autotune.Compiled
 	aBuf te.Buffer
-	lost []int
-	surv []int
 }
 
 // decoderEntry is what decoderLRU elements hold: the decoder plus its key,
@@ -174,9 +174,13 @@ func New(k, r, unitSize int, opts Options) (*Engine, error) {
 		decoders: map[string]*list.Element{},
 	}
 	e.decoderLRU = list.New()
-	e.recScratch.New = func() any {
-		b := make([]byte, (k+r)*unitSize)
-		return &b
+	e.scratch.New = func() any {
+		return &opScratch{
+			surv: make([]int, 0, k+r),
+			lost: make([]int, 0, k+r),
+			b:    make([][]byte, 0, k),
+			c:    make([][]byte, 0, r),
+		}
 	}
 
 	m, kDim, n := l.ParityPlanes(), l.DataPlanes(), l.PlaneSize/8
@@ -371,42 +375,50 @@ func (e *Engine) Encode(data, parity []byte) error {
 	return e.enc.comp.Kernel.ExecBufs(e.enc.aBuf, te.Buffer(data), te.Buffer(parity))
 }
 
-// EncodeUnits encodes from k scattered unit buffers by first gathering them
-// into an internal contiguous stripe (the integration path §5 of the paper
-// describes, whose copy cost experiment E-MEMCPY measures), then encoding.
-// The scratch stripe is returned for reuse; pass nil on first call.
-func (e *Engine) EncodeUnits(data [][]byte, parity []byte, scratch []byte) ([]byte, error) {
-	if len(data) != e.k {
-		return scratch, fmt.Errorf("%w: %d data units, want k=%d", ErrShardCount, len(data), e.k)
+// EncodeShards computes the r parity units from the k data units where
+// they lie: shards holds the k data units followed by the r parity units,
+// each unitSize bytes and each its own allocation if the caller likes. The
+// kernel reads the data units and writes the parity units in place.
+func (e *Engine) EncodeShards(shards [][]byte) error {
+	if len(shards) != e.k+e.r {
+		return fmt.Errorf("%w: %d shards, want k+r=%d", ErrShardCount, len(shards), e.k+e.r)
 	}
-	need := e.layout.DataLen()
-	if cap(scratch) < need {
-		scratch = make([]byte, need)
-	}
-	scratch = scratch[:need]
-	for u, d := range data {
-		if len(d) != e.unitSize {
-			return scratch, fmt.Errorf("%w: data unit %d has %d bytes, want %d", ErrShardSize, u, len(d), e.unitSize)
+	for i, s := range shards {
+		if len(s) != e.unitSize {
+			return fmt.Errorf("%w: shard %d has %d bytes, want %d", ErrShardSize, i, len(s), e.unitSize)
 		}
-		gf.CopyRegion(scratch[u*e.unitSize:(u+1)*e.unitSize], d)
 	}
-	return scratch, e.Encode(scratch, parity)
+	return e.enc.comp.Kernel.ExecUnits(e.enc.aBuf, shards[:e.k], shards[e.k:], false)
+}
+
+// opScratch is one in-flight call's working set: reconstruct's survivor
+// and lost index lists, the unit tables it hands the kernel and the
+// decoder-cache key it builds; Verify's recomputed parity stripe and
+// UpdateParity's delta unit, each allocated on its first use.
+type opScratch struct {
+	surv, lost []int
+	b, c       [][]byte
+	key        []byte
+	parity     []byte
+	delta      []byte
 }
 
 // Verify recomputes parity from data and reports whether it matches. The
-// recomputed parity lands in a pooled scratch stripe (recScratch), so a
-// stripe-by-stripe verify walk allocates nothing per stripe.
+// recomputed parity lands in a pooled r-unit stripe, so a stripe-by-stripe
+// verify walk allocates nothing per stripe.
 func (e *Engine) Verify(data, parity []byte) (bool, error) {
 	if err := e.layout.CheckParity(parity); err != nil {
 		return false, err
 	}
-	sp := e.recScratch.Get().(*[]byte)
-	defer e.recScratch.Put(sp)
-	fresh := (*sp)[:e.layout.ParityLen()]
-	if err := e.Encode(data, fresh); err != nil {
+	sc := e.scratch.Get().(*opScratch)
+	defer e.scratch.Put(sc)
+	if sc.parity == nil {
+		sc.parity = make([]byte, e.layout.ParityLen())
+	}
+	if err := e.Encode(data, sc.parity); err != nil {
 		return false, err
 	}
-	return bytes.Equal(fresh, parity), nil
+	return bytes.Equal(sc.parity, parity), nil
 }
 
 // Reconstruct rebuilds every lost unit in place. units holds the k data
@@ -414,12 +426,15 @@ func (e *Engine) Verify(data, parity []byte) (bool, error) {
 // the engine's unit size. A lost unit is any empty entry: nil is rebuilt
 // into a fresh allocation, a zero-length slice with unitSize capacity is
 // rebuilt into that capacity — how a stripe-by-stripe repair walk keeps
-// its memory at one stripe buffer.
+// its memory at one stripe buffer. That capacity must not overlap a
+// survivor.
 //
 // Reconstruction runs through the same compiled-GEMM machinery as encoding:
 // the decode bitmatrix (inverted survivor generator times the lost rows) is
-// compiled once per erasure pattern and cached, so steady-state repair of a
-// recurring failure mode costs one kernel execution.
+// compiled once per erasure pattern and cached, and the kernel reads the
+// first k survivors and writes the lost units where they lie, so
+// steady-state repair of a recurring failure mode costs one kernel
+// execution and, when the caller supplies the capacity, no allocation.
 func (e *Engine) Reconstruct(units [][]byte) error {
 	return e.reconstruct(units, false)
 }
@@ -435,7 +450,9 @@ func (e *Engine) reconstruct(units [][]byte, dataOnly bool) error {
 	if len(units) != e.k+e.r {
 		return fmt.Errorf("%w: %d units, want k+r=%d", ErrShardCount, len(units), e.k+e.r)
 	}
-	var survivors, lost []int
+	sc := e.scratch.Get().(*opScratch)
+	defer e.scratch.Put(sc)
+	surv, lost := sc.surv[:0], sc.lost[:0]
 	for i, u := range units {
 		if len(u) == 0 {
 			if !dataOnly || i < e.k {
@@ -446,37 +463,38 @@ func (e *Engine) reconstruct(units [][]byte, dataOnly bool) error {
 		if len(u) != e.unitSize {
 			return fmt.Errorf("%w: unit %d has %d bytes, want %d", ErrShardSize, i, len(u), e.unitSize)
 		}
-		survivors = append(survivors, i)
+		surv = append(surv, i)
 	}
 	if len(lost) == 0 {
 		return nil
 	}
-	if len(survivors) < e.k {
-		return fmt.Errorf("%w: %d survivors for k=%d", ErrTooFewShards, len(survivors), e.k)
+	if len(surv) < e.k {
+		return fmt.Errorf("%w: %d survivors for k=%d", ErrTooFewShards, len(surv), e.k)
 	}
-	survivors = survivors[:e.k]
+	surv = surv[:e.k]
 
-	dec, err := e.decoderFor(survivors, lost)
+	sc.key = patternKey(sc.key, e.k+e.r, surv, lost)
+	dec, err := e.decoderFor(sc.key, surv, lost)
 	if err != nil {
 		return err
 	}
 
-	// Gather survivors into a contiguous stripe (B operand); the kernel
-	// writes the lost units contiguously after it (len(lost) <= r here).
-	sp := e.recScratch.Get().(*[]byte)
-	defer e.recScratch.Put(sp)
-	in := (*sp)[:e.k*e.unitSize]
-	out := (*sp)[len(in) : len(in)+len(lost)*e.unitSize]
-	for i, s := range survivors {
-		gf.CopyRegion(in[i*e.unitSize:(i+1)*e.unitSize], units[s])
+	// B is the survivors, C the lost units' own capacity.
+	b, c := sc.b[:0], sc.c[:0]
+	for _, s := range surv {
+		b = append(b, units[s])
 	}
-	if err := dec.comp.Kernel.ExecBufs(dec.aBuf, te.Buffer(in), te.Buffer(out)); err != nil {
-		return err
+	for _, u := range lost {
+		if cap(units[u]) < e.unitSize {
+			units[u] = make([]byte, e.unitSize)
+		}
+		units[u] = units[u][:e.unitSize]
+		c = append(c, units[u])
 	}
-	for i, u := range lost {
-		units[u] = append(units[u][:0], out[i*e.unitSize:(i+1)*e.unitSize]...)
-	}
-	return nil
+	err = dec.comp.Kernel.ExecUnits(dec.aBuf, b, c, false)
+	clear(b) // the pooled tables must not pin the caller's units
+	clear(c)
+	return err
 }
 
 // decoderFor returns (building and caching as needed) the compiled decode
@@ -487,10 +505,9 @@ func (e *Engine) reconstruct(units [][]byte, dataOnly bool) error {
 // second stream just hit a novel failure set). Two goroutines missing on
 // the same pattern may both compile; the first to insert wins and the
 // loser's compile is discarded — wasted work, but bounded and lock-free.
-func (e *Engine) decoderFor(survivors, lost []int) (*decoder, error) {
-	key := patternKey(survivors, lost)
+func (e *Engine) decoderFor(key []byte, survivors, lost []int) (*decoder, error) {
 	e.mu.Lock()
-	if el, ok := e.decoders[key]; ok {
+	if el, ok := e.decoders[string(key)]; ok {
 		e.decoderLRU.MoveToFront(el)
 		d := el.Value.(*decoderEntry).d
 		e.mu.Unlock()
@@ -531,16 +548,17 @@ func (e *Engine) decoderFor(survivors, lost []int) (*decoder, error) {
 	if err := comp.Kernel.PrebindMask(aBuf); err != nil {
 		return nil, err
 	}
-	d := &decoder{comp: comp, aBuf: aBuf, lost: append([]int(nil), lost...), surv: append([]int(nil), survivors...)}
+	d := &decoder{comp: comp, aBuf: aBuf}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if el, ok := e.decoders[key]; ok {
+	if el, ok := e.decoders[string(key)]; ok {
 		// Raced with another compile of the same pattern; keep theirs.
 		e.decoderLRU.MoveToFront(el)
 		return el.Value.(*decoderEntry).d, nil
 	}
-	e.decoders[key] = e.decoderLRU.PushFront(&decoderEntry{key: key, d: d})
+	ks := string(key)
+	e.decoders[ks] = e.decoderLRU.PushFront(&decoderEntry{key: ks, d: d})
 	for e.decoderLRU.Len() > DefaultMaxCachedDecoders {
 		old := e.decoderLRU.Back()
 		e.decoderLRU.Remove(old)
@@ -584,17 +602,17 @@ func (e *Engine) CachedDecoders() int {
 	return len(e.decoders)
 }
 
-func patternKey(survivors, lost []int) string {
-	s := append([]int(nil), survivors...)
-	l := append([]int(nil), lost...)
-	sort.Ints(s)
-	sort.Ints(l)
-	var b strings.Builder
-	for _, v := range s {
-		fmt.Fprintf(&b, "s%d,", v)
+// patternKey writes an erasure pattern's decoder-cache key into buf: the
+// survivor bitmask over the n units, then the lost bitmask. Looking it up
+// as string(key) allocates nothing, so a cache hit costs no garbage.
+func patternKey(buf []byte, n int, survivors, lost []int) []byte {
+	nb := (n + 7) / 8
+	buf = append(buf[:0], make([]byte, 2*nb)...)
+	for _, s := range survivors {
+		buf[s/8] |= 1 << (s % 8)
 	}
-	for _, v := range l {
-		fmt.Fprintf(&b, "l%d,", v)
+	for _, l := range lost {
+		buf[nb+l/8] |= 1 << (l % 8)
 	}
-	return b.String()
+	return buf
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -363,39 +364,35 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
-func TestEncodeUnitsMatchesContiguous(t *testing.T) {
+func TestEncodeShardsMatchesContiguous(t *testing.T) {
 	k, r, unit := 6, 2, 1024
 	e := mustEngine(t, k, r, unit, Options{})
 	rng := rand.New(rand.NewSource(5))
-	units := make([][]byte, k)
+	shards := make([][]byte, k+r)
 	contig := make([]byte, k*unit)
-	for i := range units {
-		units[i] = make([]byte, unit)
-		rng.Read(units[i])
-		copy(contig[i*unit:], units[i])
+	for i := range shards {
+		shards[i] = make([]byte, unit)
+		if i < k {
+			rng.Read(shards[i])
+			copy(contig[i*unit:], shards[i])
+		}
 	}
-	p1 := make([]byte, r*unit)
-	p2 := make([]byte, r*unit)
-	if err := e.Encode(contig, p1); err != nil {
+	parity := make([]byte, r*unit)
+	if err := e.Encode(contig, parity); err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := e.EncodeUnits(units, p2, nil)
-	if err != nil {
+	if err := e.EncodeShards(shards); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p1, p2) {
+	if !bytes.Equal(parity, bytes.Join(shards[k:], nil)) {
 		t.Fatal("scattered and contiguous encode disagree")
 	}
-	// Reuse scratch.
-	if _, err := e.EncodeUnits(units, p2, scratch); err != nil {
-		t.Fatal(err)
+	if err := e.EncodeShards(shards[:3]); !errors.Is(err, ErrShardCount) {
+		t.Errorf("wrong shard count: %v, want ErrShardCount", err)
 	}
-	if _, err := e.EncodeUnits(units[:3], p2, scratch); err == nil {
-		t.Error("wrong unit count accepted")
-	}
-	units[0] = units[0][:100]
-	if _, err := e.EncodeUnits(units, p2, scratch); err == nil {
-		t.Error("wrong unit size accepted")
+	shards[k] = shards[k][:100]
+	if err := e.EncodeShards(shards); !errors.Is(err, ErrShardSize) {
+		t.Errorf("wrong shard size: %v, want ErrShardSize", err)
 	}
 }
 

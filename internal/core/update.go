@@ -10,10 +10,12 @@ import (
 
 // Incremental parity update: when a single data unit changes, linearity
 // gives parity' = parity XOR G_u * (old XOR new), where G_u is the
-// generator's column block for unit u. Updating costs O(r) unit-sized GEMMs
+// generator's column block for unit u. Updating costs one unit-sized GEMM
 // on one unit of input instead of re-encoding all k units — the standard
 // small-write optimization of parity-coded storage (RAID-5's read-modify-
-// write), expressed here through the same compiled-kernel machinery.
+// write), expressed here through the same compiled-kernel machinery, in
+// the kernel's accumulate mode: the product is added into the parity
+// stripe where it lies, with no product buffer.
 
 // updater is the compiled column-block kernel for one data unit.
 type updater struct {
@@ -62,6 +64,13 @@ func (e *Engine) updaterFor(u int) (*updater, error) {
 	return up, nil
 }
 
+// addTo computes parity ^= G_u * unit: one accumulating kernel pass over
+// the caller's buffers.
+func (up *updater) addTo(parity, unit []byte) error {
+	b, c := [1][]byte{unit}, [1][]byte{parity}
+	return up.comp.Kernel.ExecUnits(up.aBuf, b[:], c[:], true)
+}
+
 // UpdateParity adjusts the parity stripe in place for a change of data unit
 // u from oldUnit to newUnit, without touching the other k-1 units. oldUnit
 // and newUnit must each be unitSize bytes; parity must be the full parity
@@ -80,25 +89,15 @@ func (e *Engine) UpdateParity(parity []byte, u int, oldUnit, newUnit []byte) err
 	if err != nil {
 		return err
 	}
-	// delta = old ^ new, then parity ^= G_u * delta. Both operands come
-	// from the reconstruct scratch pool: (r+1) units fit in its (k+r).
-	sp := e.recScratch.Get().(*[]byte)
-	defer e.recScratch.Put(sp)
-	delta := (*sp)[:e.unitSize]
-	copy(delta, oldUnit)
-	gf.XorRegion(delta, newUnit)
-	return up.addTo(parity, delta, (*sp)[e.unitSize:e.unitSize+len(parity)])
-}
-
-// addTo computes parity ^= G_u * unit through the column-block kernel,
-// staging the product in pd. The kernel overwrites pd, so pooled scratch
-// needs no clearing.
-func (up *updater) addTo(parity, unit, pd []byte) error {
-	if err := up.comp.Kernel.ExecBufs(up.aBuf, te.Buffer(unit), te.Buffer(pd)); err != nil {
-		return err
+	// delta = old ^ new in a pooled unit, then parity ^= G_u * delta.
+	sc := e.scratch.Get().(*opScratch)
+	defer e.scratch.Put(sc)
+	if sc.delta == nil {
+		sc.delta = make([]byte, e.unitSize)
 	}
-	gf.XorRegion(parity, pd)
-	return nil
+	gf.CopyRegion(sc.delta, oldUnit)
+	gf.XorRegion(sc.delta, newUnit)
+	return up.addTo(parity, sc.delta)
 }
 
 // AccumulateParity adds data unit u's contribution to the parity stripe:
@@ -120,9 +119,7 @@ func (e *Engine) AccumulateParity(parity []byte, u int, unit []byte) error {
 	if err != nil {
 		return err
 	}
-	sp := e.recScratch.Get().(*[]byte)
-	defer e.recScratch.Put(sp)
-	return up.addTo(parity, unit, (*sp)[:len(parity)])
+	return up.addTo(parity, unit)
 }
 
 // CachedUpdaters returns how many per-unit update kernels are compiled.

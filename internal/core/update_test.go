@@ -128,9 +128,9 @@ func TestUpdaterCacheReuse(t *testing.T) {
 	}
 }
 
-// TestUpdateParitySteadyStateAllocs: once a unit's update kernel is
-// compiled, UpdateParity and AccumulateParity stage their operands in the
-// engine's pooled scratch and allocate nothing per call.
+// TestUpdateParitySteadyStateAllocs: once a unit's update kernels are
+// compiled, UpdateParity and AccumulateParity run on the caller's buffers
+// and allocate nothing per call.
 func TestUpdateParitySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -155,6 +155,50 @@ func TestUpdateParitySteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestReconstructSteadyStateAllocs: once an erasure pattern's decoder is
+// cached, a Reconstruct whose lost units come with their capacity reads
+// the survivors and writes the lost units in place and allocates nothing,
+// for the full and the data-only rebuild alike.
+func TestReconstructSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	k, r, unit := 6, 3, 1024
+	e := mustEngine(t, k, r, unit, Options{})
+	rng := rand.New(rand.NewSource(33))
+	data := make([]byte, k*unit)
+	rng.Read(data)
+	parity := make([]byte, r*unit)
+	if err := e.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	stripe := append(data, parity...)
+	lostBuf := make([]byte, 2*unit)
+	units := make([][]byte, k+r)
+	for name, call := range map[string]func([][]byte) error{
+		"Reconstruct":     e.Reconstruct,
+		"ReconstructData": e.ReconstructData,
+	} {
+		rebuild := func() {
+			for i := range units {
+				units[i] = stripe[i*unit : (i+1)*unit]
+			}
+			units[1] = lostBuf[:0:unit]                // a data unit
+			units[k+1] = lostBuf[unit : unit : 2*unit] // a parity unit
+			if err := call(units); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rebuild() // compiles and caches the decoder
+		if !bytes.Equal(units[1], stripe[unit:2*unit]) {
+			t.Fatalf("%s rebuilt data unit 1 wrong", name)
+		}
+		if allocs := testing.AllocsPerRun(50, rebuild); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
 		}
 	}

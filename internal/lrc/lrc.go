@@ -166,6 +166,7 @@ func (c *Coder) Encode(data, parity []byte) error {
 
 // EncodeShards encodes k+l+g equal-size shards in place: data in
 // shards[:k], locals written to shards[k:k+l], globals to shards[k+l:].
+// The kernel reads and writes the shards where they lie.
 func (c *Coder) EncodeShards(shards [][]byte) error {
 	if len(shards) != c.N() {
 		return fmt.Errorf("lrc: %d shards, want %d", len(shards), c.N())
@@ -175,18 +176,7 @@ func (c *Coder) EncodeShards(shards [][]byte) error {
 			return fmt.Errorf("lrc: shard %d has %d bytes, want %d", i, len(s), c.unitSize)
 		}
 	}
-	data := make([]byte, c.k*c.unitSize)
-	for i := 0; i < c.k; i++ {
-		copy(data[i*c.unitSize:], shards[i])
-	}
-	parity := make([]byte, (c.l+c.g)*c.unitSize)
-	if err := c.Encode(data, parity); err != nil {
-		return err
-	}
-	for i := 0; i < c.l+c.g; i++ {
-		copy(shards[c.k+i], parity[i*c.unitSize:(i+1)*c.unitSize])
-	}
-	return nil
+	return c.comp.Kernel.ExecUnits(c.aBuf, shards[:c.k], shards[c.k:], false)
 }
 
 // RepairPlan describes how a single lost unit will be repaired.

@@ -74,7 +74,10 @@ var readLabelCtx = func() context.Context {
 }()
 
 // Codec is the coding subset the pipeline drives. The public *gemmec.Code
-// satisfies it.
+// satisfies it. ReconstructData rebuilds every empty data unit of its
+// k+r-unit table — an empty entry means lost — into that entry's capacity
+// when it has unitSize, so decode hands it the slot's own buffer and
+// rebuilds each unit in the ring.
 type Codec interface {
 	K() int
 	R() int
@@ -848,11 +851,19 @@ func (d *demoter) fill(s *slot, stripe int64, stall *time.Duration) (last bool, 
 	return stripe+1 >= d.plan.End, nil
 }
 
-// kernel reconstructs the stripe's missing data units. Only stripes with
-// one the window wants pay for it; the rest pass straight through.
+// kernel reconstructs the stripe's missing data units into their own
+// place in the slot's buffer, so a rebuilt stripe allocates nothing. Only
+// stripes with one the window wants pay for it; the rest pass straight
+// through.
 func (d *demoter) kernel(s *slot) error {
 	if !s.rebuild {
 		return nil
+	}
+	raw := s.buf.Raw()
+	for i := 0; i < d.k; i++ {
+		if s.work[i] == nil {
+			s.work[i] = raw[i*d.unit : i*d.unit : (i+1)*d.unit]
+		}
 	}
 	return d.c.ReconstructData(s.work)
 }

@@ -81,7 +81,7 @@ func (c *xorCodec) ReconstructData(units [][]byte) error {
 	c.sleep()
 	lost := -1
 	for i := 0; i < c.k; i++ {
-		if units[i] == nil {
+		if len(units[i]) == 0 {
 			if lost >= 0 {
 				return fmt.Errorf("xorCodec: can only rebuild one data unit")
 			}
@@ -92,11 +92,14 @@ func (c *xorCodec) ReconstructData(units [][]byte) error {
 		return nil
 	}
 	p0 := units[c.k]
-	if p0 == nil {
+	if len(p0) == 0 {
 		return fmt.Errorf("xorCodec: parity 0 lost too")
 	}
-	out := make([]byte, c.unit)
-	copy(out, p0)
+	out := units[lost][:0]
+	if cap(out) < c.unit {
+		out = make([]byte, c.unit)
+	}
+	out = append(out, p0...)
 	for i := 0; i < c.k; i++ {
 		if i == lost {
 			continue

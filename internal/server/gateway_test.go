@@ -36,6 +36,15 @@ type httpCluster struct {
 
 func newHTTPCluster(t *testing.T, n, k, r, q, unit int, hcfg Config) *httpCluster {
 	t.Helper()
+	return newHTTPClusterCooldown(t, 10*time.Millisecond, n, k, r, q, unit, hcfg)
+}
+
+// newHTTPClusterCooldown is newHTTPCluster with the peer clients' down
+// cooldown chosen: how long a member that failed a request stays reported
+// unhealthy. The default is short, so tests that kill and revive members
+// see them back quickly.
+func newHTTPClusterCooldown(t *testing.T, cooldown time.Duration, n, k, r, q, unit int, hcfg Config) *httpCluster {
+	t.Helper()
 	c := &httpCluster{}
 	members := make([]peer.Member, n)
 	for i := 0; i < n; i++ {
@@ -56,7 +65,7 @@ func newHTTPCluster(t *testing.T, n, k, r, q, unit int, hcfg Config) *httpCluste
 	transports := map[int]peer.Transport{0: NewLocalTransport(c.stores[0])}
 	for i := 1; i < n; i++ {
 		cl := peer.NewClient(members[i], peer.ClientConfig{
-			Secret: testClusterSecret, OpTimeout: 2 * time.Second, DownCooldown: 10 * time.Millisecond,
+			Secret: testClusterSecret, OpTimeout: 2 * time.Second, DownCooldown: cooldown,
 		})
 		t.Cleanup(cl.Close)
 		transports[i] = cl

@@ -152,8 +152,10 @@ func TestClusterTracePropagation(t *testing.T) {
 // TestClusterPeerMetrics: each HTTP peer client feeds member-labeled
 // request/latency/down-transition series through its Observer, visible
 // on /metricsz, and StatusSnapshot reports the same per-peer tallies.
+// The dead member must still read as down when the status is taken, so
+// its cooldown outlasts the test.
 func TestClusterPeerMetrics(t *testing.T) {
-	c := newHTTPCluster(t, 3, 2, 1, 1, 1024, Config{Logf: t.Logf})
+	c := newHTTPClusterCooldown(t, time.Minute, 3, 2, 1, 1, 1024, Config{Logf: t.Logf})
 	m := NewMetrics(nil)
 	c.gw.SetMetrics(m)
 	c.put(t, "obj", randBytes(9, 50_000))

@@ -1,9 +1,7 @@
-// Package stripe manages contiguous stripe buffers, implementing the
-// integration pattern §5 of the paper prescribes for GEMM-shaped coders:
-// the encoder owns a contiguous allocation sized for k chunks; incoming
-// chunks are copied to their unit offset as they arrive (the storage system
-// must copy anyway, to own the memory); once all k chunks have arrived the
-// whole region is handed to the kernel with no further copies.
+// Package stripe recycles the contiguous stripe buffers of the streaming
+// pipeline: one allocation of k fixed-size units per buffer (k here is
+// however many units a buffer holds — the pipeline's hold k+r), handed out
+// and taken back by a Pool so steady-state streaming allocates nothing.
 package stripe
 
 import (
@@ -11,13 +9,11 @@ import (
 	"sync"
 )
 
-// Buffer accumulates k fixed-size chunks into one contiguous allocation.
+// Buffer is one contiguous allocation of k units of unitSize bytes.
 type Buffer struct {
 	k        int
 	unitSize int
 	buf      []byte
-	arrived  []bool
-	n        int
 }
 
 // NewBuffer allocates a stripe buffer for k units of unitSize bytes.
@@ -25,85 +21,13 @@ func NewBuffer(k, unitSize int) (*Buffer, error) {
 	if k <= 0 || unitSize <= 0 {
 		return nil, fmt.Errorf("stripe: invalid geometry k=%d unit=%d", k, unitSize)
 	}
-	return &Buffer{
-		k:        k,
-		unitSize: unitSize,
-		buf:      make([]byte, k*unitSize),
-		arrived:  make([]bool, k),
-	}, nil
+	return &Buffer{k: k, unitSize: unitSize, buf: make([]byte, k*unitSize)}, nil
 }
 
-// K returns the number of units the buffer holds.
-func (b *Buffer) K() int { return b.k }
-
-// UnitSize returns the unit size in bytes.
-func (b *Buffer) UnitSize() int { return b.unitSize }
-
-// Put copies chunk into unit slot i. It fails if i is out of range, the
-// chunk has the wrong size, or the slot is already filled.
-func (b *Buffer) Put(i int, chunk []byte) error {
-	if i < 0 || i >= b.k {
-		return fmt.Errorf("stripe: unit %d out of range [0,%d)", i, b.k)
-	}
-	if len(chunk) != b.unitSize {
-		return fmt.Errorf("stripe: chunk for unit %d has %d bytes, want %d", i, len(chunk), b.unitSize)
-	}
-	if b.arrived[i] {
-		return fmt.Errorf("stripe: unit %d already filled", i)
-	}
-	copy(b.buf[i*b.unitSize:], chunk)
-	b.arrived[i] = true
-	b.n++
-	return nil
-}
-
-// Complete reports whether all k units have arrived.
-func (b *Buffer) Complete() bool { return b.n == b.k }
-
-// Missing returns the indices of units not yet received.
-func (b *Buffer) Missing() []int {
-	var m []int
-	for i, a := range b.arrived {
-		if !a {
-			m = append(m, i)
-		}
-	}
-	return m
-}
-
-// Bytes returns the contiguous stripe. It fails until the stripe is
-// complete, preventing encoding over garbage.
-func (b *Buffer) Bytes() ([]byte, error) {
-	if !b.Complete() {
-		return nil, fmt.Errorf("stripe: %d of %d units missing", b.k-b.n, b.k)
-	}
-	return b.buf, nil
-}
-
-// Raw returns the whole backing allocation without a completeness check.
-// It exists for owners that fill the buffer directly (the streaming
-// pipeline reads stripes straight off the wire into it) rather than
-// through Put's per-unit arrival tracking; such callers are responsible
-// for knowing which bytes are valid.
+// Raw returns the whole backing allocation. Its owner fills it directly
+// (the streaming pipeline reads stripes straight off the wire into it)
+// and is responsible for knowing which bytes are valid.
 func (b *Buffer) Raw() []byte { return b.buf }
-
-// Unit returns the slice backing unit i (filled or not).
-func (b *Buffer) Unit(i int) ([]byte, error) {
-	if i < 0 || i >= b.k {
-		return nil, fmt.Errorf("stripe: unit %d out of range [0,%d)", i, b.k)
-	}
-	return b.buf[i*b.unitSize : (i+1)*b.unitSize], nil
-}
-
-// Reset clears arrival state so the allocation can be reused for the next
-// stripe. Contents are not zeroed; every byte is overwritten by Put before
-// Bytes can succeed.
-func (b *Buffer) Reset() {
-	for i := range b.arrived {
-		b.arrived[i] = false
-	}
-	b.n = 0
-}
 
 // Pool recycles stripe buffers across stripes, as a long-running encoder
 // would to avoid allocator pressure.
@@ -128,14 +52,14 @@ func (p *Pool) K() int { return p.k }
 // UnitSize returns the unit size of the pool's buffers in bytes.
 func (p *Pool) UnitSize() int { return p.unitSize }
 
-// Get returns a reset buffer, reusing a released one when available.
+// Get returns a buffer, reusing a released one when available. A reused
+// buffer holds whatever its last user left in it.
 func (p *Pool) Get() (*Buffer, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
 		p.free = p.free[:n-1]
-		b.Reset()
 		return b, nil
 	}
 	p.allocated++

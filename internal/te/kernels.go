@@ -2,6 +2,7 @@ package te
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"gemmec/internal/gf"
@@ -43,14 +44,33 @@ func (k *Kernel) Exec(bind Bindings) error {
 }
 
 // ExecBufs is Exec without the Bindings map: the operand buffers are passed
-// positionally (generator mask, data, output). Hot paths that run one
-// kernel per stripe use it to keep steady-state encoding allocation-light.
+// positionally (generator mask, data, output). It is ExecUnits with B and
+// C each one unit that holds all of its rows.
 func (k *Kernel) ExecBufs(aBuf, bBuf, cBuf Buffer) error {
-	if len(aBuf) != k.a.Bytes() || len(bBuf) != k.b.Bytes() || len(cBuf) != k.c.Bytes() {
-		return fmt.Errorf("te: buffer sizes %d/%d/%d, want %d/%d/%d",
-			len(aBuf), len(bBuf), len(cBuf), k.a.Bytes(), k.b.Bytes(), k.c.Bytes())
-	}
+	b, c := [1][]byte{bBuf}, [1][]byte{cBuf}
+	return k.ExecUnits(aBuf, b[:], c[:], false)
+}
+
+// ExecUnits runs the kernel on B and C given as tables of equal-sized
+// units rather than one buffer each. B's K rows are split evenly over
+// len(b) units: with w = K/len(b), row kk of B is plane kk%w of unit kk/w,
+// and C's M rows are split over len(c) units the same way. The units are
+// read and written where they lie, so a coder hands the caller's shards
+// straight in: no gather into a contiguous stripe, no copy out of one.
+//
+// With accumulate set the product is added into C (C ^= A·B, BLAS's
+// beta = 1) instead of overwriting it. C must not overlap B.
+func (k *Kernel) ExecUnits(aBuf Buffer, b, c [][]byte, accumulate bool) error {
 	cfg := k.cfg
+	if len(aBuf) != k.a.Bytes() {
+		return fmt.Errorf("te: mask buffer %d bytes, want %d", len(aBuf), k.a.Bytes())
+	}
+	if err := checkUnits("B", b, cfg.K, cfg.N*8); err != nil {
+		return err
+	}
+	if err := checkUnits("C", c, cfg.M, cfg.N*8); err != nil {
+		return err
+	}
 
 	var rowOnes [][]int
 	if k.preRows != nil && len(aBuf) == k.preLen && &aBuf[0] == k.preMask {
@@ -63,64 +83,104 @@ func (k *Kernel) ExecBufs(aBuf, bBuf, cBuf Buffer) error {
 		}
 	}
 
-	ar := execArgs{
-		rowOnes:  rowOnes,
-		bBuf:     bBuf,
-		cBuf:     cBuf,
-		nBlocks:  (cfg.N + cfg.BlockWords - 1) / cfg.BlockWords,
-		rowBytes: cfg.N * 8,
-	}
-
-	workers := cfg.Workers
 	switch cfg.Parallel {
-	case ParallelRows:
-		parallelRanges(cfg.M, workers, func(lo, hi int) { k.runRange(ar, lo, hi, true) })
-	case ParallelBlocks:
-		parallelRanges(ar.nBlocks, workers, func(lo, hi int) { k.runRange(ar, lo, hi, false) })
-	default:
-		if cfg.RowsOuter {
-			k.runRange(ar, 0, cfg.M, true)
+	case ParallelRows, ParallelBlocks:
+		// The range goroutines get copies of the tables: handing them the
+		// caller's would move those to the heap on the serial path too.
+		ar := k.args(rowOnes, slices.Clone(b), slices.Clone(c), accumulate)
+		if cfg.Parallel == ParallelRows {
+			parallelRanges(cfg.M, cfg.Workers, func(lo, hi int) { k.runRange(&ar, lo, hi, true) })
 		} else {
-			k.runRange(ar, 0, ar.nBlocks, false)
+			parallelRanges(ar.nBlocks, cfg.Workers, func(lo, hi int) { k.runRange(&ar, lo, hi, false) })
+		}
+	default:
+		ar := k.args(rowOnes, b, c, accumulate)
+		if cfg.RowsOuter {
+			k.runRange(&ar, 0, cfg.M, true)
+		} else {
+			k.runRange(&ar, 0, ar.nBlocks, false)
 		}
 	}
 	return nil
 }
 
-// execArgs carries one ExecBufs call's resolved operands into the tile
-// loops. Passed by value so the serial path stays on the stack.
-type execArgs struct {
-	rowOnes  [][]int
-	bBuf     Buffer
-	cBuf     Buffer
-	nBlocks  int
-	rowBytes int
+// checkUnits validates an operand table: a nonzero number of units that
+// divides the operand's rows, each exactly its share of rows long.
+func checkUnits(name string, t [][]byte, rows, rowBytes int) error {
+	if len(t) == 0 || rows%len(t) != 0 {
+		return fmt.Errorf("te: %s split over %d units, want a divisor of its %d rows", name, len(t), rows)
+	}
+	want := rows / len(t) * rowBytes
+	for i, u := range t {
+		if len(u) != want {
+			return fmt.Errorf("te: %s unit %d is %d bytes, want %d", name, i, len(u), want)
+		}
+	}
+	return nil
 }
 
-// execState is the mutable per-range scratch: the source-slice table and,
-// under Staged (cache_write), the tile accumulator. States are pooled on
-// the kernel so steady-state execution is allocation-free; each concurrent
+// execArgs carries one call's resolved operands into the tile loops. Only
+// the parallel path takes its address in a closure, so a serial call
+// keeps it on the stack.
+type execArgs struct {
+	rowOnes    [][]int
+	b, c       [][]byte
+	nBlocks    int
+	accumulate bool
+}
+
+func (k *Kernel) args(rowOnes [][]int, b, c [][]byte, accumulate bool) execArgs {
+	return execArgs{
+		rowOnes:    rowOnes,
+		b:          b,
+		c:          c,
+		nBlocks:    (k.cfg.N + k.cfg.BlockWords - 1) / k.cfg.BlockWords,
+		accumulate: accumulate,
+	}
+}
+
+// execState is the mutable per-range scratch: every row of B and of C
+// resolved to its slice of a unit, the source-slice table and, under
+// Staged (cache_write), the tile accumulator. States are pooled on the
+// kernel so steady-state execution is allocation-free; each concurrent
 // range borrows its own, keeping the kernel goroutine-safe.
 type execState struct {
-	srcs    [][]byte
-	scratch []byte
+	bRows, cRows [][]byte
+	srcs         [][]byte
+	scratch      []byte
 }
 
 func (k *Kernel) getState() *execState {
 	if v := k.statePool.Get(); v != nil {
 		return v.(*execState)
 	}
-	st := &execState{srcs: make([][]byte, 0, k.cfg.K)}
+	st := &execState{
+		bRows: make([][]byte, k.cfg.K),
+		cRows: make([][]byte, k.cfg.M),
+		srcs:  make([][]byte, 0, k.cfg.K),
+	}
 	if k.cfg.Staged {
 		st.scratch = make([]byte, k.cfg.BlockWords*8)
 	}
 	return st
 }
 
+// splitRows points rows[i] at row i of a table whose units each hold
+// len(rows)/len(t) rows: row i is plane i%per of unit i/per.
+func splitRows(rows, t [][]byte, rowBytes int) {
+	per := len(rows) / len(t)
+	for i := range rows {
+		p := i % per * rowBytes
+		rows[i] = t[i/per][p : p+rowBytes]
+	}
+}
+
 // runRange executes one contiguous slice of the outer loop axis (rows when
 // overRows, word-axis blocks otherwise) with pooled scratch.
-func (k *Kernel) runRange(ar execArgs, lo, hi int, overRows bool) {
+func (k *Kernel) runRange(ar *execArgs, lo, hi int, overRows bool) {
 	st := k.getState()
+	splitRows(st.bRows, ar.b, k.cfg.N*8)
+	splitRows(st.cRows, ar.c, k.cfg.N*8)
 	if overRows {
 		for row := lo; row < hi; row++ {
 			for blk := 0; blk < ar.nBlocks; blk++ {
@@ -137,33 +197,38 @@ func (k *Kernel) runRange(ar execArgs, lo, hi int, overRows bool) {
 	k.statePool.Put(st)
 }
 
-// tile computes C[row, blk*BlockWords : ...] from its sources. With Staged
-// (cache_write), the tile accumulates in st.scratch and is written back
-// once.
-func (k *Kernel) tile(ar execArgs, st *execState, row, blk int) {
-	cfg := k.cfg
+// tile computes C[row, blk*BlockWords : ...] from its sources, adding to
+// what C holds under accumulate. With Staged (cache_write), the tile
+// accumulates in st.scratch and is written back once.
+func (k *Kernel) tile(ar *execArgs, st *execState, row, blk int) {
+	cfg := &k.cfg
 	off := blk * cfg.BlockWords * 8
-	end := off + cfg.BlockWords*8
-	if end > ar.rowBytes {
-		end = ar.rowBytes
-	}
-	dst := ar.cBuf[row*ar.rowBytes+off : row*ar.rowBytes+end]
+	end := min(off+cfg.BlockWords*8, cfg.N*8)
+	dst := st.cRows[row][off:end]
 	ones := ar.rowOnes[row]
 	if len(ones) == 0 {
-		clear(dst)
+		if !ar.accumulate {
+			clear(dst)
+		}
 		return
 	}
 	srcs := st.srcs[:0]
 	for _, kk := range ones {
-		srcs = append(srcs, ar.bBuf[kk*ar.rowBytes+off:kk*ar.rowBytes+end])
+		srcs = append(srcs, st.bRows[kk][off:end])
 	}
 	st.srcs = srcs // persist any growth beyond the initial K capacity
 	acc := dst
 	if st.scratch != nil {
 		acc = st.scratch[:end-off]
+		if ar.accumulate {
+			gf.CopyRegion(acc, dst)
+		}
 	}
-	gf.CopyRegion(acc, srcs[0])
-	gf.XorRegions(acc, srcs[1:], cfg.Fanin)
+	if !ar.accumulate {
+		gf.CopyRegion(acc, srcs[0])
+		srcs = srcs[1:]
+	}
+	gf.XorRegions(acc, srcs, cfg.Fanin)
 	if st.scratch != nil {
 		gf.CopyRegion(dst, acc)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
@@ -442,7 +443,8 @@ func TestStreamVerifierDemotion(t *testing.T) {
 // TestDecodeStreamSteadyStateAllocs is the decode-side twin of
 // TestStreamSteadyStateAllocs: with a shared pool, steady-state verified
 // decoding (CRC per unit included) holds zero per-stripe allocations,
-// inline and queued alike.
+// inline and queued alike — and so does a degraded decode, where a lost
+// data shard is rebuilt on every stripe, in the ring's own buffer.
 func TestDecodeStreamSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -465,29 +467,36 @@ func TestDecodeStreamSteadyStateAllocs(t *testing.T) {
 		raw[i] = bytes.NewReader(nil)
 		readers[i] = raw[i]
 	}
+	degraded := slices.Clone(readers)
+	degraded[1] = nil // a lost data shard: every stripe rebuilds unit 1
 	smallV, largeV := newCRCVerifier(smallSums), newCRCVerifier(largeSums)
 	for _, workers := range []int{1, 2} {
-		mode := StreamWorkers(t, workers)
-		run := func(shards [][]byte, size int64, v *crcVerifier) float64 {
-			opts := []StreamOption{mode, WithStreamPool(pool), WithStreamVerifier(v)}
-			return testing.AllocsPerRun(20, func() {
-				for i := range raw {
-					raw[i].Reset(shards[i])
-				}
-				if err := c.DecodeStream(readers, io.Discard, size, opts...); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		run(smallShards, int64(len(smallSrc)), smallV) // warm pools
-		a4 := run(smallShards, int64(len(smallSrc)), smallV)
-		a64 := run(largeShards, int64(len(largeSrc)), largeV)
-		if perStripe := (a64 - a4) / 60; perStripe > 0.05 {
-			t.Fatalf("workers=%d: steady-state verified decode allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)",
-				workers, perStripe, a4, a64)
-		}
-		if workers == 1 && a4 > 8 {
-			t.Fatalf("per-call decode setup allocates %.0f, want a small constant", a4)
+		for _, in := range []struct {
+			name    string
+			readers []io.Reader
+		}{{"clean", readers}, {"degraded", degraded}} {
+			mode := StreamWorkers(t, workers)
+			run := func(shards [][]byte, size int64, v *crcVerifier) float64 {
+				opts := []StreamOption{mode, WithStreamPool(pool), WithStreamVerifier(v)}
+				return testing.AllocsPerRun(20, func() {
+					for i := range raw {
+						raw[i].Reset(shards[i])
+					}
+					if err := c.DecodeStream(in.readers, io.Discard, size, opts...); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			run(smallShards, int64(len(smallSrc)), smallV) // warm pools
+			a4 := run(smallShards, int64(len(smallSrc)), smallV)
+			a64 := run(largeShards, int64(len(largeSrc)), largeV)
+			if perStripe := (a64 - a4) / 60; perStripe > 0.05 {
+				t.Fatalf("workers=%d %s: steady-state verified decode allocates %.2f/stripe (4 stripes: %.0f allocs, 64 stripes: %.0f)",
+					workers, in.name, perStripe, a4, a64)
+			}
+			if workers == 1 && in.name == "clean" && a4 > 8 {
+				t.Fatalf("per-call decode setup allocates %.0f, want a small constant", a4)
+			}
 		}
 	}
 }
