@@ -83,11 +83,14 @@ stress-load:
 # over real peer HTTP, and rebuild-to-empty-node byte-identity — plus the
 # admission-control 429 guarantee in gateway mode, and the seeded trace
 # replays (internal/trace: put/get/range/delete under member churn on the
-# Gateway and on the Store, every read checked against a shadow copy).
+# Gateway and on the Store, every read checked against a shadow copy) —
+# and the PeerStore's recycled shard files: a reader opened before its
+# shard's delete reads the old bytes to the end, and racing uploads into
+# pooled files still end with one first-writer winner.
 # Fault injection is deterministic (FaultTransport rules, seeded
 # payloads), so a failure here replays locally byte for byte.
 stress-cluster:
-	$(GO) test -race -count=2 -run 'TestCluster|TestQuorum|TestTorn|TestGateway|TestPeerAPIAuth|TestFault|TestPlacement|TestDelete|TestReadMeta|TestPutShard|TestReplay' \
+	$(GO) test -race -count=2 -run 'TestCluster|TestQuorum|TestTorn|TestGateway|TestPeerAPIAuth|TestPeerStore|TestFault|TestPlacement|TestDelete|TestReadMeta|TestPutShard|TestReplay' \
 		./internal/server ./internal/peer ./internal/trace
 
 # Observability drill under -race: the flight recorder's concurrent

@@ -229,6 +229,9 @@ func main() {
 
 	metrics := server.NewMetrics(nil)
 	b.SetMetrics(metrics)
+	if ps != nil {
+		metrics.RegisterPeerStore(ps)
+	}
 	obs.RegisterBuildInfo(metrics.Registry, append(labels,
 		obs.L("k", strconv.Itoa(*k)), obs.L("r", strconv.Itoa(*r)), obs.L("unit", strconv.Itoa(*unit)))...)
 	tracer := obs.NewRecorder(obs.RecorderConfig{

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os/exec"
@@ -115,5 +116,99 @@ func TestSingleNodeServesAndDrains(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ecserver: exiting") {
 		t.Error("no exit line after the drain")
+	}
+}
+
+// TestClusterMemberExportsPeerStoreMetrics starts a two-member cluster
+// (k=1, r=1: one shard on each member), overwrites one object through
+// member 0 and scrapes member 0's /metricsz: its shard store's counters
+// are there, and the overwritten generation's shard waits in the pool.
+func TestClusterMemberExportsPeerStoreMetrics(t *testing.T) {
+	bin := build(t)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, ln.Addr().String())
+		ln.Close()
+	}
+	peers := fmt.Sprintf("0=http://%s,1=http://%s", addrs[0], addrs[1])
+	for i, addr := range addrs {
+		var out strings.Builder
+		cmd := exec.Command(bin, "-addr", addr, "-root", t.TempDir(), "-peers", peers,
+			"-peer-id", fmt.Sprint(i), "-cluster-secret", "s3", "-k", "1", "-r", "1",
+			"-unit", "4096", "-scrub-interval", "1h", "-access-log=false")
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			cmd.Process.Signal(syscall.SIGTERM)
+			if err := cmd.Wait(); err != nil {
+				t.Errorf("member exit after SIGTERM: %v\n%s", err, out.String())
+			}
+		})
+	}
+	for _, addr := range addrs {
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			resp, err := http.Get("http://" + addr + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: /healthz never answered 200 (last err %v)", addr, err)
+			}
+		}
+	}
+	base := "http://" + addrs[0]
+	for _, body := range []string{strings.Repeat("a", 10_000), strings.Repeat("b", 10_000)} {
+		req, err := http.NewRequest(http.MethodPut, base+"/o/ckpt", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT: %s", resp.Status)
+		}
+	}
+	// The superseded generation is reclaimed after the 201.
+	var metrics string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		resp, err := http.Get(base + "/metricsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics = string(b)
+		if strings.Contains(metrics, "\ngemmec_peerstore_pooled_files 1\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("member 0 never reported one pooled file:\n%s", metrics)
+		}
+	}
+	for _, want := range []string{
+		"\ngemmec_peerstore_shard_puts_total 2\n",
+		"\ngemmec_peerstore_pooled_bytes ",
+		"\ngemmec_peerstore_shard_bytes_in_total ",
+		"\ngemmec_peerstore_shard_gets_total ",
+		"\ngemmec_peerstore_shard_bytes_out_total ",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metricsz lacks %q", strings.TrimSpace(want))
+		}
 	}
 }

@@ -258,6 +258,30 @@ func (m *Metrics) registerCluster(g *Gateway) {
 	}
 }
 
+// RegisterPeerStore adds a cluster member's shard-store families: the
+// shard traffic other members sent and fetched, and the superseded shard
+// files its pool holds for the next upload (files, and the disk they
+// hold). cmd/ecserver registers its own member's store.
+func (m *Metrics) RegisterPeerStore(ps *PeerStore) {
+	if m == nil {
+		return
+	}
+	m.Registry.CounterFunc("gemmec_peerstore_shard_puts_total",
+		"Shard uploads this member stored.", load(&ps.shardPuts))
+	m.Registry.CounterFunc("gemmec_peerstore_shard_gets_total",
+		"Shard reads this member served.", load(&ps.shardGets))
+	m.Registry.CounterFunc("gemmec_peerstore_shard_bytes_in_total",
+		"Shard bytes this member stored.", load(&ps.bytesIn))
+	m.Registry.CounterFunc("gemmec_peerstore_shard_bytes_out_total",
+		"Shard bytes this member served.", load(&ps.bytesOut))
+	m.Registry.GaugeFunc("gemmec_peerstore_pooled_files",
+		"Superseded shard files held for the next upload to overwrite.",
+		func() float64 { return float64(ps.Stats().PooledFiles) })
+	m.Registry.GaugeFunc("gemmec_peerstore_pooled_bytes",
+		"Disk bytes held by the pooled shard files.",
+		func() float64 { return float64(ps.Stats().PooledBytes) })
+}
+
 // peerCode renders a peer attempt's status for the code label; 0 means
 // the request never got an HTTP status (dial/transport failure).
 func peerCode(code int) string {

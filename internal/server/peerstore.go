@@ -3,13 +3,16 @@ package server
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"gemmec/internal/peer"
@@ -28,29 +31,53 @@ import (
 // shard file either exists whole or not at all. Keys are validated as
 // hex strings before touching the filesystem, which both rejects path
 // traversal and keeps the namespace aligned with Store.objKey.
+//
+// An overwrite's superseded shard files are recycled, not unlinked: they
+// wait in a small pool (root/free) and the next shard upload is written
+// into one of them, so its fsync overwrites blocks that are already
+// allocated instead of paying for allocation and its journal commit.
 type PeerStore struct {
 	root string
+
+	// mu guards the recycling state: the pool, the open readers of each
+	// shard path (a held file is never recycled), and the concurrent shard
+	// writes whose high-water mark caps the pool.
+	mu                  sync.Mutex
+	pool                []pooledFile
+	readers             map[string]int
+	writing, writesPeak int
+	seq                 atomic.Uint64 // names pool files and recycled temps
 
 	shardPuts, shardGets atomic.Int64
 	bytesIn, bytesOut    atomic.Int64
 }
 
+// pooledFile is one recycled shard file waiting under root/free.
+type pooledFile struct {
+	path string
+	size int64
+}
+
 // OpenPeerStore opens (creating if necessary) the peer shard store
 // rooted at root. Shards live under root/shards, metadata replicas under
-// root/clustermeta.
+// root/clustermeta, recycled shard files under root/free — which is
+// emptied here: a previous process's pool is nobody's data.
 func OpenPeerStore(root string) (*PeerStore, error) {
-	ps := &PeerStore{root: root}
-	if err := os.MkdirAll(ps.shardDir(), 0o755); err != nil {
+	ps := &PeerStore{root: root, readers: map[string]int{}}
+	if err := os.RemoveAll(ps.freeDir()); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(ps.metaDir(), 0o755); err != nil {
-		return nil, err
+	for _, dir := range []string{ps.shardDir(), ps.metaDir(), ps.freeDir()} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
 	}
 	return ps, nil
 }
 
 func (ps *PeerStore) shardDir() string { return filepath.Join(ps.root, "shards") }
 func (ps *PeerStore) metaDir() string  { return filepath.Join(ps.root, "clustermeta") }
+func (ps *PeerStore) freeDir() string  { return filepath.Join(ps.root, "free") }
 
 func (ps *PeerStore) shardPath(key string, gen uint64, idx int) string {
 	return filepath.Join(ps.shardDir(), fmt.Sprintf("%s.g%d.shard_%03d", key, gen, idx))
@@ -124,12 +151,16 @@ func (ps *PeerStore) putShard(key string, gen uint64, idx int, body io.Reader, r
 		// the authoritative race-free check.
 		return 0, fmt.Errorf("%w: %s gen %d shard %d", peer.ErrShardExists, key, gen, idx)
 	}
-	f, err := os.CreateTemp(ps.shardDir(), filepath.Base(dst)+".tmp*")
+	f, recycled, err := ps.createTemp(dst)
 	if err != nil {
 		return 0, err
 	}
+	defer ps.endWrite()
 	tmp := f.Name()
 	n, err := io.Copy(f, body)
+	if err == nil && recycled {
+		err = f.Truncate(n) // a longer superseded shard leaves no tail
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -159,33 +190,115 @@ func (ps *PeerStore) putShard(key string, gen uint64, idx int, body io.Reader, r
 	return n, nil
 }
 
-// GetShard opens one shard for reading.
-func (ps *PeerStore) GetShard(key string, gen uint64, idx int) (io.ReadCloser, int64, error) {
+// createTemp counts one more shard write in flight (endWrite ends it) and
+// opens its unique temp file beside dst: a pooled file renamed there and
+// opened without truncation, so the upload overwrites allocated blocks,
+// or else a fresh one. recycled tells the caller to truncate to what it
+// wrote.
+func (ps *PeerStore) createTemp(dst string) (f *os.File, recycled bool, err error) {
+	ps.mu.Lock()
+	ps.writing++
+	ps.writesPeak = max(ps.writesPeak, ps.writing)
+	var pf pooledFile
+	if n := len(ps.pool); n > 0 {
+		pf, ps.pool = ps.pool[n-1], ps.pool[:n-1]
+	}
+	ps.mu.Unlock()
+	if pf.path != "" {
+		tmp := fmt.Sprintf("%s.tmp-r%d", dst, ps.seq.Add(1))
+		if err := os.Rename(pf.path, tmp); err == nil {
+			if f, err := os.OpenFile(tmp, os.O_WRONLY, 0); err == nil {
+				return f, true, nil
+			}
+			os.Remove(tmp)
+		} else {
+			os.Remove(pf.path)
+		}
+	}
+	f, err = os.CreateTemp(ps.shardDir(), filepath.Base(dst)+".tmp*")
+	if err != nil {
+		ps.endWrite()
+	}
+	return f, false, err
+}
+
+func (ps *PeerStore) endWrite() {
+	ps.mu.Lock()
+	ps.writing--
+	ps.mu.Unlock()
+}
+
+// openShard opens one shard for a reader and reports its size. The
+// reader is counted, so that DeleteShard never recycles a file someone
+// still reads, until the returned file's Close: the count is taken
+// before the open, so a delete either moved the file away first (the
+// open fails as not found) or sees the reader and unlinks.
+func (ps *PeerStore) openShard(key string, gen uint64, idx int) (*heldFile, int64, error) {
 	if err := validPeerKey(key); err != nil {
 		return nil, 0, err
 	}
-	f, err := os.Open(ps.shardPath(key, gen, idx))
+	path := ps.shardPath(key, gen, idx)
+	ps.mu.Lock()
+	ps.readers[path]++
+	ps.mu.Unlock()
+	f, err := os.Open(path)
 	if err != nil {
+		ps.release(path)
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, 0, peer.ErrShardNotFound
 		}
 		return nil, 0, err
 	}
+	h := &heldFile{File: f, ps: ps, path: path}
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
+		h.Close()
+		return nil, 0, err
+	}
+	return h, fi.Size(), nil
+}
+
+func (ps *PeerStore) release(path string) {
+	ps.mu.Lock()
+	if ps.readers[path]--; ps.readers[path] <= 0 {
+		delete(ps.readers, path)
+	}
+	ps.mu.Unlock()
+}
+
+// heldFile is an opened shard whose Close also releases its reader count.
+type heldFile struct {
+	*os.File
+	ps     *PeerStore
+	path   string
+	closed atomic.Bool
+}
+
+func (h *heldFile) Close() error {
+	if h.closed.Swap(true) {
+		return os.ErrClosed
+	}
+	err := h.File.Close()
+	h.ps.release(h.path)
+	return err
+}
+
+// GetShard opens one shard for reading.
+func (ps *PeerStore) GetShard(key string, gen uint64, idx int) (io.ReadCloser, int64, error) {
+	h, size, err := ps.openShard(key, gen, idx)
+	if err != nil {
 		return nil, 0, err
 	}
 	ps.shardGets.Add(1)
-	ps.bytesOut.Add(fi.Size())
-	return f, fi.Size(), nil
+	ps.bytesOut.Add(size)
+	return h, size, nil
 }
 
 // rangeFile is an opened shard window: a LimitReader over a seeked file
 // that still closes the file underneath.
 type rangeFile struct {
 	io.Reader
-	f *os.File
+	f *heldFile
 }
 
 func (r *rangeFile) Close() error { return r.f.Close() }
@@ -197,37 +310,22 @@ func (r *rangeFile) Close() error { return r.f.Close() }
 // size. Only the window's bytes are read from disk: the file is seeked,
 // never scanned.
 func (ps *PeerStore) GetShardRange(key string, gen uint64, idx int, off, length int64) (io.ReadCloser, int64, error) {
-	if err := validPeerKey(key); err != nil {
-		return nil, 0, err
-	}
 	if off < 0 || length < 0 {
 		return nil, 0, fmt.Errorf("%w: negative shard range", ErrBadObjectName)
 	}
-	f, err := os.Open(ps.shardPath(key, gen, idx))
+	h, size, err := ps.openShard(key, gen, idx)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, peer.ErrShardNotFound
-		}
 		return nil, 0, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	if off > fi.Size() {
-		off = fi.Size()
-	}
-	if length > fi.Size()-off {
-		length = fi.Size() - off
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
+	off = min(off, size)
+	length = min(length, size-off)
+	if _, err := h.Seek(off, io.SeekStart); err != nil {
+		h.Close()
 		return nil, 0, err
 	}
 	ps.shardGets.Add(1)
 	ps.bytesOut.Add(length)
-	return &rangeFile{Reader: io.LimitReader(f, length), f: f}, length, nil
+	return &rangeFile{Reader: io.LimitReader(h.File, length), f: h}, length, nil
 }
 
 // StatShard reports one shard's size.
@@ -246,15 +344,65 @@ func (ps *PeerStore) StatShard(key string, gen uint64, idx int) (int64, error) {
 }
 
 // DeleteShard removes one shard generation; missing is not an error.
+// When this member's own metadata replica is live at a newer generation
+// — the overwrite's reclaim of the generation it replaced — the file is
+// recycled into the pool instead (see recycle). Every other delete (a
+// tombstone's, a failed write's rollback, a shard with no replica)
+// unlinks, so it frees the disk.
 func (ps *PeerStore) DeleteShard(key string, gen uint64, idx int) error {
 	if err := validPeerKey(key); err != nil {
 		return err
 	}
-	err := os.Remove(ps.shardPath(key, gen, idx))
+	path := ps.shardPath(key, gen, idx)
+	if ps.superseded(key, gen) && ps.recycle(path) {
+		return nil
+	}
+	err := os.Remove(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	return nil
+}
+
+// superseded reports whether this member's metadata replica of key is a
+// live document at a generation newer than gen.
+func (ps *PeerStore) superseded(key string, gen uint64) bool {
+	raw, err := os.ReadFile(ps.metaPath(key))
+	if err != nil {
+		return false
+	}
+	var doc struct {
+		Gen     int64 `json:"gen"`
+		Deleted bool  `json:"deleted"`
+	}
+	if json.Unmarshal(raw, &doc) != nil || doc.Deleted || doc.Gen <= 0 {
+		return false
+	}
+	return uint64(doc.Gen) > gen
+}
+
+// recycle moves the shard file at path into the pool and reports whether
+// it did. It declines while a reader holds the file (its bytes must stay
+// what the reader opened) and while the pool already holds as many files
+// as the most shard writes this store has had in flight at once: traffic,
+// not a setting, sizes the pool, so shard moves cannot fill the disk with
+// it. The caller unlinks whatever recycle declines.
+func (ps *PeerStore) recycle(path string) bool {
+	fi, err := os.Lstat(path)
+	if err != nil {
+		return false
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.readers[path] > 0 || len(ps.pool) >= ps.writesPeak {
+		return false
+	}
+	free := filepath.Join(ps.freeDir(), strconv.FormatUint(ps.seq.Add(1), 10))
+	if os.Rename(path, free) != nil {
+		return false
+	}
+	ps.pool = append(ps.pool, pooledFile{path: free, size: fi.Size()})
+	return true
 }
 
 // DeleteObject removes every shard of every generation of key plus the
@@ -362,16 +510,27 @@ type PeerStoreStats struct {
 	ShardGets int64 `json:"shard_gets"`
 	BytesIn   int64 `json:"shard_bytes_in"`
 	BytesOut  int64 `json:"shard_bytes_out"`
+	// PooledFiles and PooledBytes are the superseded shard files waiting
+	// under root/free for the next upload, and the disk they hold.
+	PooledFiles int64 `json:"pooled_files"`
+	PooledBytes int64 `json:"pooled_bytes"`
 }
 
 // Stats snapshots the peer store's counters.
 func (ps *PeerStore) Stats() PeerStoreStats {
-	return PeerStoreStats{
+	st := PeerStoreStats{
 		ShardPuts: ps.shardPuts.Load(),
 		ShardGets: ps.shardGets.Load(),
 		BytesIn:   ps.bytesIn.Load(),
 		BytesOut:  ps.bytesOut.Load(),
 	}
+	ps.mu.Lock()
+	st.PooledFiles = int64(len(ps.pool))
+	for _, pf := range ps.pool {
+		st.PooledBytes += pf.size
+	}
+	ps.mu.Unlock()
+	return st
 }
 
 // localTransport adapts a PeerStore into a peer.Transport so a gateway

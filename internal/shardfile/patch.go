@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"gemmec/internal/ecerr"
+	"gemmec/internal/gf"
 	"gemmec/internal/vfs"
 )
 
@@ -110,8 +111,10 @@ func PlanPatch(paths []string, m Manifest, off int64, data []byte, opt Opts) (*P
 	rd := patchReader{paths: paths, m: m, fsys: opt.fs()}
 	defer rd.Close()
 
-	stripeBuf := make([]byte, code.DataSize())
-	parity := make([]byte, code.ParitySize())
+	// Every buffer a write's Data points at is allocated for it and
+	// handed over (addWrite keeps it, uncopied); only delta, which no
+	// write keeps, is reused across units and stripes.
+	var delta []byte
 	for s := s0; s <= s1; s++ {
 		if err := opt.ctxErr(); err != nil {
 			return nil, err
@@ -129,47 +132,49 @@ func PlanPatch(paths []string, m Manifest, off int64, data []byte, opt Opts) (*P
 		fresh := s >= int64(m.Stripes)                      // appended stripe: nothing on disk yet
 		full := lo == s*stripeBytes && hi-lo == stripeBytes // every unit fully overwritten
 
+		parity := make([]byte, code.ParitySize())
 		switch {
 		case fresh, full:
 			// No old units needed: assemble the whole data stripe (zeros
 			// outside the patch window) and encode it outright.
-			clear(stripeBuf)
+			stripeBuf := make([]byte, code.DataSize())
 			copy(stripeBuf[lo-s*stripeBytes:], data[lo-off:hi-off])
 			if err := code.Encode(stripeBuf, parity); err != nil {
 				return nil, err
 			}
 			for u := 0; u < m.K; u++ {
-				p.addWrite(u, s, unit, stripeBuf[int64(u)*unit:int64(u+1)*unit], &p.DataBytes)
+				p.addWrite(u, s, unit, stripeBuf[int64(u)*unit:int64(u+1)*unit:int64(u+1)*unit], &p.DataBytes)
 			}
 		default:
-			// Partial stripe: splice into the touched units and XOR-patch
-			// the parity from the per-unit deltas.
+			// Partial stripe: splice into the touched units and patch the
+			// parity with each unit's delta — old XOR new, zero outside
+			// the window — since by linearity parity' = parity + G_u*delta.
 			if err := rd.readUnits(s, m.K, m.R, parity); err != nil {
 				return nil, err
 			}
+			if delta == nil {
+				delta = make([]byte, unit)
+			}
 			for u := u0; u <= u1; u++ {
-				oldUnit := make([]byte, unit)
-				if err := rd.readUnits(s, u, 1, oldUnit); err != nil {
+				newUnit := make([]byte, unit)
+				if err := rd.readUnits(s, u, 1, newUnit); err != nil {
 					return nil, err
 				}
-				newUnit := make([]byte, unit)
-				copy(newUnit, oldUnit)
-				ulo, uhi := s*stripeBytes+int64(u)*unit, s*stripeBytes+int64(u+1)*unit
-				if lo > ulo {
-					ulo = lo
-				}
-				if hi < uhi {
-					uhi = hi
-				}
-				copy(newUnit[ulo-(s*stripeBytes+int64(u)*unit):], data[ulo-off:uhi-off])
-				if err := code.UpdateParity(parity, u, oldUnit, newUnit); err != nil {
+				base := s*stripeBytes + int64(u)*unit
+				ulo, uhi := max(lo, base), min(hi, base+unit)
+				win, patch := newUnit[ulo-base:uhi-base], data[ulo-off:uhi-off]
+				clear(delta)
+				copy(delta[ulo-base:], win)
+				gf.XorRegion(delta[ulo-base:uhi-base], patch)
+				copy(win, patch)
+				if err := code.AccumulateParity(parity, u, delta); err != nil {
 					return nil, err
 				}
 				p.addWrite(u, s, unit, newUnit, &p.DataBytes)
 			}
 		}
 		for j := 0; j < m.R; j++ {
-			p.addWrite(m.K+j, s, unit, parity[int64(j)*unit:int64(j+1)*unit], &p.ParityBytes)
+			p.addWrite(m.K+j, s, unit, parity[int64(j)*unit:int64(j+1)*unit:int64(j+1)*unit], &p.ParityBytes)
 		}
 	}
 	// Appended stripes' sums were filled by addWrite in order; Validate
@@ -182,10 +187,9 @@ func PlanPatch(paths []string, m Manifest, off int64, data []byte, opt Opts) (*P
 }
 
 // addWrite records one unit write and folds its CRC into the manifest.
+// The write keeps b: the caller must not touch it again.
 func (p *Patch) addWrite(shard int, stripe, unit int64, b []byte, acct *int64) {
-	buf := make([]byte, len(b))
-	copy(buf, b)
-	p.Writes = append(p.Writes, ShardWrite{Shard: shard, Off: stripe * unit, Data: buf})
+	p.Writes = append(p.Writes, ShardWrite{Shard: shard, Off: stripe * unit, Data: b})
 	*acct += int64(len(b))
 	sums := p.Manifest.StripeSums[shard]
 	for int64(len(sums)) <= stripe {

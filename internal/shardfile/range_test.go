@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
 	"gemmec"
@@ -232,6 +233,57 @@ func TestPatchMatchesReencode(t *testing.T) {
 	raw = patchReencodeCheck(t, dir, raw, int64(size)-5, patch(300))        // grow past the tail
 	raw = patchReencodeCheck(t, dir, raw, int64(len(raw)), patch(tunit+13)) // pure append
 	_ = patchReencodeCheck(t, dir, raw, int64(len(raw))-1, patch(0))        // empty patch
+}
+
+// oneCode is a CodeSource serving one prebuilt code, so a measurement
+// of PlanPatch does not count building it.
+type oneCode struct{ c *gemmec.Code }
+
+func (s oneCode) StreamCode(k, r, unitSize int) (*gemmec.Code, error) { return s.c, nil }
+func (s oneCode) StreamPool(k, r, unitSize int) (*gemmec.StripePool, error) {
+	return nil, nil
+}
+
+// TestPatchAllocatesOnlyWhatItWrites: a 1 KiB patch inside one data unit
+// of a (4, 2) set with 128 KiB units allocates the units it writes — the
+// new data unit and the r parity units — and one scratch unit for the
+// delta: r+2 units, plus a few KiB of manifest and plan, where planning
+// once allocated a whole data stripe and a copy of every write (11
+// units).
+func TestPatchAllocatesOnlyWhatItWrites(t *testing.T) {
+	const k, r, unit = 4, 2, 128 << 10
+	dir := t.TempDir()
+	raw := make([]byte, 2*k*unit)
+	rand.New(rand.NewSource(3)).Read(raw)
+	m, _, err := writeStreamDir(dir, bytes.NewReader(raw), int64(len(raw)), k, r, unit, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := gemmec.New(k, r, gemmec.WithUnitSize(unit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, opt := DirPaths(dir, k+r), Opts{Source: oneCode{code}}
+	data := bytes.Repeat([]byte{0xa5}, 1024)
+	off := int64(k*unit + unit + 100) // inside stripe 1's data unit 1
+	if _, err := PlanPatch(paths, m, off, data, opt); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := PlanPatch(paths, m, off, data, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := int64(after.TotalAlloc-before.TotalAlloc)/runs, int64((r+2)*unit+4<<10)
+	t.Logf("PlanPatch: %d bytes allocated per 1 KiB interior patch", got)
+	if got > limit {
+		t.Fatalf("PlanPatch allocates %d bytes per 1 KiB interior patch, want at most %d (r+2 units of %d, plus 4 KiB)",
+			got, limit, unit)
+	}
 }
 
 // TestPatchUnsupportedFallbacks: a packed slab — which PlanPatch must
