@@ -144,15 +144,16 @@ bench:
 bench-json:
 	$(GO) run ./cmd/ecbench -exp load-json -json BENCH_load.json $(BENCH_ARGS)
 
-# Smoke pass over the bench-json experiment and the E-TUNE search-vs-grid
-# table at the quick profile: the gate is that they RUN to completion, not
-# what numbers they print. Output lands in a throwaway directory so the
-# checked-in BENCH_load.json stays the full-scale result from
-# `make bench-json`.
+# Smoke pass over the bench-json experiment, the E-TUNE search-vs-grid
+# table at the quick profile and the ectune CLI users pin schedules from:
+# the gate is that they RUN to completion, not what numbers they print.
+# Output lands in a throwaway directory so the checked-in BENCH_load.json
+# stays the full-scale result from `make bench-json`.
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
 	$(GO) run ./cmd/ecbench -exp load-json -quick -json .bench-smoke/load.json
 	$(GO) run ./cmd/ecbench -exp tune -quick
+	$(GO) run ./cmd/ectune -k 4 -r 2 -unit 4096 -trials 3 -log .bench-smoke/tune.jsonl
 	rm -rf .bench-smoke
 
 # The ladder benchmark (benchmark/) is its own module compiled against this

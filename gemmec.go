@@ -100,55 +100,22 @@ func fromParams(p autotune.Params) Schedule {
 }
 
 type config struct {
-	unitSize     int
-	w            int
-	construction core.Construction
-	schedule     *Schedule
-	tuneTrials   int
-	cacheFile    string
-	workers      int
+	unitSize   int
+	schedule   *Schedule
+	tuneTrials int
 }
 
 // Option configures New.
 type Option func(*config) error
 
 // WithUnitSize sets the unit size in bytes; it must be a positive multiple
-// of 8*w.
+// of 64 (8*w for the w = 8 field).
 func WithUnitSize(n int) Option {
 	return func(c *config) error {
 		if n <= 0 {
 			return errors.New("gemmec: unit size must be positive")
 		}
 		c.unitSize = n
-		return nil
-	}
-}
-
-// WithWordSize sets the Galois field word size w (4, 8 or 16; default 8).
-func WithWordSize(w int) Option {
-	return func(c *config) error {
-		c.w = w
-		return nil
-	}
-}
-
-// WithConstruction selects the generator family: "cauchy-good" (default),
-// "cauchy", "cauchy-best" (ones-minimizing generator search) or
-// "vandermonde".
-func WithConstruction(name string) Option {
-	return func(c *config) error {
-		switch name {
-		case "cauchy-good":
-			c.construction = core.ConstructionCauchyGood
-		case "cauchy":
-			c.construction = core.ConstructionCauchy
-		case "cauchy-best":
-			c.construction = core.ConstructionCauchyBest
-		case "vandermonde":
-			c.construction = core.ConstructionVandermonde
-		default:
-			return fmt.Errorf("gemmec: unknown construction %q", name)
-		}
 		return nil
 	}
 }
@@ -162,37 +129,13 @@ func WithSchedule(s Schedule) Option {
 }
 
 // WithAutotune runs the schedule autotuner for the given number of trials
-// at construction time (unless a tuning-cache hit already covers this
-// geometry).
+// at construction time, unless WithSchedule pins a schedule.
 func WithAutotune(trials int) Option {
 	return func(c *config) error {
 		if trials <= 0 {
 			return errors.New("gemmec: autotune trials must be positive")
 		}
 		c.tuneTrials = trials
-		return nil
-	}
-}
-
-// WithTuningCache persists and reuses tuned schedules in a JSON file, the
-// equivalent of a TVM tuning log.
-func WithTuningCache(path string) Option {
-	return func(c *config) error {
-		if path == "" {
-			return errors.New("gemmec: tuning cache path empty")
-		}
-		c.cacheFile = path
-		return nil
-	}
-}
-
-// WithWorkers caps the goroutines parallel schedules use.
-func WithWorkers(n int) Option {
-	return func(c *config) error {
-		if n <= 0 {
-			return errors.New("gemmec: workers must be positive")
-		}
-		c.workers = n
 		return nil
 	}
 }
@@ -205,18 +148,13 @@ type Code struct {
 
 // New builds a code for k data units and r parity units.
 func New(k, r int, opts ...Option) (*Code, error) {
-	cfg := config{unitSize: DefaultUnitSize, w: 8}
+	cfg := config{unitSize: DefaultUnitSize}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	eopts := core.Options{
-		W:            cfg.w,
-		Construction: cfg.construction,
-		TuneTrials:   cfg.tuneTrials,
-		Workers:      cfg.workers,
-	}
+	eopts := core.Options{TuneTrials: cfg.tuneTrials}
 	if cfg.schedule != nil {
 		p, err := cfg.schedule.toParams()
 		if err != nil {
@@ -224,23 +162,9 @@ func New(k, r int, opts ...Option) (*Code, error) {
 		}
 		eopts.Params = &p
 	}
-	var cache *autotune.Cache
-	if cfg.cacheFile != "" {
-		var err error
-		cache, err = autotune.LoadCache(cfg.cacheFile)
-		if err != nil {
-			return nil, err
-		}
-		eopts.Cache = cache
-	}
 	eng, err := core.New(k, r, cfg.unitSize, eopts)
 	if err != nil {
 		return nil, err
-	}
-	if cache != nil && eng.TuneResult() != nil {
-		if err := cache.Save(cfg.cacheFile); err != nil {
-			return nil, err
-		}
 	}
 	return &Code{eng: eng}, nil
 }
@@ -263,8 +187,7 @@ func (c *Code) DataSize() int { return c.eng.K() * c.eng.UnitSize() }
 // ParitySize returns the contiguous parity stripe size, r*UnitSize.
 func (c *Code) ParitySize() int { return c.eng.R() * c.eng.UnitSize() }
 
-// Schedule returns the kernel schedule in use (tuned, cached, pinned or
-// default).
+// Schedule returns the kernel schedule in use (pinned, tuned or default).
 func (c *Code) Schedule() Schedule { return fromParams(c.eng.Params()) }
 
 // LoweredIR returns the compiled kernel's loop IR as text, for inspecting

@@ -3,7 +3,6 @@ package gemmec
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -108,54 +107,97 @@ func TestEncodeShardsMatchesContiguous(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	for name, opt := range map[string]Option{
-		"unit0":     WithUnitSize(0),
-		"badcons":   WithConstruction("nope"),
-		"trials0":   WithAutotune(0),
-		"cache\"\"": WithTuningCache(""),
-		"workers0":  WithWorkers(0),
+		"unit0":   WithUnitSize(0),
+		"trials0": WithAutotune(0),
 	} {
 		if _, err := New(4, 2, opt); err == nil {
 			t.Errorf("option %s accepted", name)
 		}
-	}
-	if _, err := New(4, 2, WithUnitSize(4096), WithWordSize(7)); err == nil {
-		t.Error("unsupported w accepted (unit not multiple of 8w)")
 	}
 	if _, err := New(300, 2, WithUnitSize(4096)); err == nil {
 		t.Error("k+r beyond field accepted")
 	}
 }
 
-func TestWordSizes(t *testing.T) {
-	for _, w := range []int{4, 8, 16} {
-		c, err := New(4, 2, WithWordSize(w), WithUnitSize(8*w*16))
+// TestGridRoundTrip sweeps a grid of geometries through encode -> verify ->
+// erase-r -> reconstruct, the public API's blanket soundness test. Every
+// construction is swept the same way by core's TestConstructions.
+func TestGridRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for _, kr := range [][2]int{{2, 1}, {3, 2}, {5, 2}, {6, 3}, {10, 4}} {
+		k, r := kr[0], kr[1]
+		c, err := New(k, r, WithUnitSize(1024))
 		if err != nil {
-			t.Fatalf("w=%d: %v", w, err)
-		}
-		if c.W() != w {
-			t.Errorf("W()=%d want %d", c.W(), w)
+			t.Fatalf("k=%d r=%d: %v", k, r, err)
 		}
 		data := make([]byte, c.DataSize())
-		rand.New(rand.NewSource(int64(w))).Read(data)
+		rng.Read(data)
 		parity := make([]byte, c.ParitySize())
 		if err := c.Encode(data, parity); err != nil {
 			t.Fatal(err)
 		}
-		shards := make([][]byte, 6)
+		ok, err := c.Verify(data, parity)
+		if err != nil || !ok {
+			t.Fatalf("k=%d r=%d: verify failed", k, r)
+		}
+
 		unit := c.UnitSize()
-		for i := 0; i < 4; i++ {
-			shards[i] = data[i*unit : (i+1)*unit]
+		shards := make([][]byte, k+r)
+		for i := 0; i < k; i++ {
+			shards[i] = append([]byte(nil), data[i*unit:(i+1)*unit]...)
 		}
-		shards[4] = nil
-		shards[5] = parity[unit:]
-		// Lost data unit 4? shards[4] is parity0 slot: we lose parity 0 and
-		// keep the rest; reconstruct and compare.
+		for i := 0; i < r; i++ {
+			shards[k+i] = append([]byte(nil), parity[i*unit:(i+1)*unit]...)
+		}
+		orig := make([][]byte, len(shards))
+		copy(orig, shards)
+		for _, i := range rng.Perm(k + r)[:r] {
+			shards[i] = nil
+		}
 		if err := c.Reconstruct(shards); err != nil {
-			t.Fatal(err)
+			t.Fatalf("k=%d r=%d: %v", k, r, err)
 		}
-		if !bytes.Equal(shards[4], parity[:unit]) {
-			t.Errorf("w=%d: parity reconstruction wrong", w)
+		for i := range shards {
+			if !bytes.Equal(shards[i], orig[i]) {
+				t.Fatalf("k=%d r=%d: shard %d wrong", k, r, i)
+			}
 		}
+	}
+}
+
+// TestWordSizes pins the one word size the public API builds: every code is
+// over GF(2^8), so W reports 8, a unit size that is not a multiple of
+// 8*w = 64 bytes is rejected, and a lost parity unit is rebuilt. Codes at
+// w = 4 and 16 are covered by core's TestEncodeMatchesReference.
+func TestWordSizes(t *testing.T) {
+	const w = 8
+	if _, err := New(4, 2, WithUnitSize(8*w*16+w)); err == nil {
+		t.Error("unit size not a multiple of 8*w accepted")
+	}
+	c, err := New(4, 2, WithUnitSize(8*w*16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.W() != w {
+		t.Errorf("W()=%d want %d", c.W(), w)
+	}
+	data := make([]byte, c.DataSize())
+	rand.New(rand.NewSource(w)).Read(data)
+	parity := make([]byte, c.ParitySize())
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]byte, 6)
+	unit := c.UnitSize()
+	for i := 0; i < 4; i++ {
+		shards[i] = data[i*unit : (i+1)*unit]
+	}
+	shards[5] = parity[unit:]
+	if err := c.Reconstruct(shards); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shards[4], parity[:unit]) {
+		t.Error("parity reconstruction wrong")
 	}
 }
 
@@ -175,21 +217,6 @@ func TestScheduleRoundTripAndPinning(t *testing.T) {
 	}
 	if _, err := New(8, 2, WithUnitSize(4096), WithSchedule(Schedule{BlockBytes: 1000, Fanin: 3, Workers: 1})); err == nil {
 		t.Error("illegal schedule accepted")
-	}
-}
-
-func TestAutotuneWithCacheFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tune.json")
-	c1, err := New(4, 2, WithUnitSize(4096), WithAutotune(5), WithTuningCache(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := New(4, 2, WithUnitSize(4096), WithAutotune(5), WithTuningCache(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Schedule() != c2.Schedule() {
-		t.Error("second construction did not reuse cached schedule")
 	}
 }
 
@@ -239,3 +266,52 @@ func TestAccessors(t *testing.T) {
 		t.Error("sizes wrong")
 	}
 }
+
+// TestConcurrentCodeUse drives one Code from several goroutines; run under
+// -race to validate the documented concurrency contract of the public API.
+func TestConcurrentCodeUse(t *testing.T) {
+	c, err := New(4, 2, WithUnitSize(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			rng := rand.New(rand.NewSource(int64(g)))
+			data := make([]byte, c.DataSize())
+			rng.Read(data)
+			parity := make([]byte, c.ParitySize())
+			for iter := 0; iter < 5; iter++ {
+				if err := c.Encode(data, parity); err != nil {
+					done <- err
+					return
+				}
+				shards := make([][]byte, 6)
+				unit := c.UnitSize()
+				for i := 0; i < 4; i++ {
+					shards[i] = data[i*unit : (i+1)*unit]
+				}
+				shards[4] = nil
+				shards[5] = parity[unit:]
+				if err := c.Reconstruct(shards); err != nil {
+					done <- err
+					return
+				}
+				if !bytes.Equal(shards[4], parity[:unit]) {
+					done <- errMismatch{}
+					return
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+type errMismatch struct{}
+
+func (errMismatch) Error() string { return "reconstructed parity mismatch" }

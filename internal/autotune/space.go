@@ -67,16 +67,8 @@ func NewSpace(m, k, n int) (Space, error) {
 // splitColumns reports whether a blockWords tile leaves a split column
 // axis. Block-parallel schedules run over that axis, so whole-row tiles
 // (BlockWords == N) are legal only serial or row-parallel — the one rule
-// All, Contains, Nearest and Size share with Compile.
+// All, Contains and Size share with Compile.
 func (s Space) splitColumns(blockWords int) bool { return blockWords < s.N }
-
-// legalAxis degrades block-parallel to row-parallel on a whole-row tile.
-func (s Space) legalAxis(p Params) te.ParallelAxis {
-	if p.Parallel == te.ParallelBlocks && !s.splitColumns(p.BlockWords) {
-		return te.ParallelRows
-	}
-	return p.Parallel
-}
 
 // Contains reports whether p is a legal point of the space.
 func (s Space) Contains(p Params) bool {
@@ -95,7 +87,7 @@ func (s Space) Contains(p Params) bool {
 	if p.Parallel == te.ParallelNone && p.Workers != 1 {
 		return false
 	}
-	if p.Parallel != s.legalAxis(p) {
+	if p.Parallel == te.ParallelBlocks && !s.splitColumns(p.BlockWords) {
 		return false
 	}
 	return okBlock && okFanin && p.Workers >= 1 && p.Workers <= s.MaxWorkers
@@ -105,51 +97,6 @@ func (s Space) Contains(p Params) bool {
 // fusion, serial) — what a naive lowering would do.
 func (s Space) Default() Params {
 	return Params{BlockWords: s.N, Fanin: 1, RowsOuter: true, Parallel: te.ParallelNone, Workers: 1}
-}
-
-// Nearest maps an arbitrary parameter point onto the closest legal point of
-// this space. Storage systems use it to transfer a schedule tuned for one
-// stripe geometry to a similar one (same machine, different unit size)
-// without retuning — the analogue of applying a TVM tuning log entry to a
-// neighboring shape.
-func (s Space) Nearest(p Params) Params {
-	out := p
-	// Block: nearest candidate in log-space.
-	best, bestDiff := s.Blocks[0], 1<<62
-	for _, b := range s.Blocks {
-		d := b - p.BlockWords
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDiff {
-			best, bestDiff = b, d
-		}
-	}
-	out.BlockWords = best
-	// Fanin: largest legal fanin not exceeding the requested one.
-	out.Fanin = 1
-	for _, f := range s.Fanins {
-		if f <= p.Fanin && f > out.Fanin {
-			out.Fanin = f
-		}
-	}
-	// Workers / parallel axis.
-	if out.Workers > s.MaxWorkers {
-		out.Workers = s.MaxWorkers
-	}
-	if out.Workers < 1 {
-		out.Workers = 1
-	}
-	if s.MaxWorkers == 1 {
-		out.Parallel = te.ParallelNone
-	}
-	out.Parallel = s.legalAxis(out)
-	if out.Parallel == te.ParallelNone {
-		out.Workers = 1
-	} else if out.Workers == 1 {
-		out.Parallel = te.ParallelNone
-	}
-	return out
 }
 
 // Size returns the number of points in the space (for grid enumeration and

@@ -2,7 +2,6 @@ package autotune
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,31 +38,6 @@ func (r *Result) WriteLog(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadLog parses a JSON-lines tuning log back into trial history and
-// recomputes the best entry.
-func ReadLog(rd io.Reader) (*Result, error) {
-	dec := json.NewDecoder(rd)
-	res := &Result{BestTime: time.Duration(math.MaxInt64)}
-	for {
-		var t Trial
-		if err := dec.Decode(&t); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("autotune: read log: %w", err)
-		}
-		res.History = append(res.History, t)
-		if t.Elapsed > 0 && t.Elapsed < res.BestTime {
-			res.BestTime = t.Elapsed
-			res.Best = t.Params
-		}
-	}
-	if len(res.History) == 0 {
-		return nil, errors.New("autotune: empty tuning log")
-	}
-	return res, nil
 }
 
 // GBps converts a per-call duration into encode throughput given the bytes

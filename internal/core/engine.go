@@ -55,16 +55,11 @@ type Options struct {
 	W int
 	// Construction selects the generator matrix family.
 	Construction Construction
-	// Params pins an explicit schedule, skipping tuning and cache.
+	// Params pins an explicit schedule, skipping tuning.
 	Params *autotune.Params
 	// TuneTrials > 0 runs the autotuner at construction, nearest-first from
-	// DefaultParams, when neither Params nor a cache hit provides a
-	// schedule.
+	// DefaultParams, when Params does not pin a schedule.
 	TuneTrials int
-	// Cache, when set, is consulted before tuning and updated after.
-	Cache *autotune.Cache
-	// Workers overrides goroutine count for parallel schedules.
-	Workers int
 }
 
 // Engine encodes and reconstructs one (k, r, w, unitSize) configuration.
@@ -192,9 +187,6 @@ func New(k, r, unitSize int, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compile encode kernel: %w", err)
 	}
-	if opts.Workers > 0 {
-		comp.Kernel.SetWorkers(opts.Workers)
-	}
 	aBuf := te.NewBuffer(comp.A)
 	if err := te.PackMask(aBuf, m, kDim, e.bm.At); err != nil {
 		return nil, err
@@ -207,13 +199,12 @@ func New(k, r, unitSize int, opts Options) (*Engine, error) {
 }
 
 // Shape returns the encode GEMM dimensions (parity planes x data planes x
-// words per plane), for tuning-cache keys and tuner construction outside
-// the package.
+// words per plane), for tuner construction outside the package.
 func (e *Engine) Shape() (m, kDim, n int) {
 	return e.layout.ParityPlanes(), e.layout.DataPlanes(), e.layout.PlaneSize / 8
 }
 
-// resolveParams picks the schedule: explicit > cache > tuned > default.
+// resolveParams picks the schedule: explicit > tuned > default.
 func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, error) {
 	space, err := autotune.NewSpace(m, kDim, n)
 	if err != nil {
@@ -225,24 +216,6 @@ func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, e
 		}
 		return *opts.Params, nil
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = space.MaxWorkers
-	}
-	key := autotune.Key(m, kDim, n, workers)
-	if opts.Cache != nil {
-		if rec, ok := opts.Cache.Get(key); ok && space.Contains(rec.Params) {
-			return rec.Params, nil
-		}
-	}
-	if opts.TuneTrials <= 0 && opts.Cache != nil {
-		// No budget to tune: transfer the nearest tuned shape if one exists.
-		if rec, ok := opts.Cache.NearestShape(m, kDim, n); ok {
-			if p := space.Nearest(rec.Params); space.Contains(p) {
-				return p, nil
-			}
-		}
-	}
 	if opts.TuneTrials > 0 {
 		tuner, err := autotune.NewTuner(m, kDim, n, e.bm.At)
 		if err != nil {
@@ -253,12 +226,6 @@ func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, e
 			return autotune.Params{}, err
 		}
 		e.tuneRes = res
-		if opts.Cache != nil {
-			opts.Cache.Put(key, autotune.Record{
-				M: m, K: kDim, N: n,
-				Params: res.Best, Elapsed: res.BestTime, Trials: len(res.History),
-			})
-		}
 		return res.Best, nil
 	}
 	return DefaultParams(space), nil

@@ -40,6 +40,25 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if !bytes.Equal(parity, want) {
 			t.Fatalf("k=%d r=%d w=%d: engine parity differs from reference", cfg.k, cfg.r, cfg.w)
 		}
+		if e.W() != cfg.w {
+			t.Errorf("W()=%d want %d", e.W(), cfg.w)
+		}
+		// Lose the first r units and rebuild them.
+		units := make([][]byte, cfg.k+cfg.r)
+		for i := cfg.r; i < cfg.k; i++ {
+			units[i] = data[i*unit : (i+1)*unit]
+		}
+		for i := 0; i < cfg.r; i++ {
+			units[cfg.k+i] = parity[i*unit : (i+1)*unit]
+		}
+		if err := e.Reconstruct(units); err != nil {
+			t.Fatalf("k=%d r=%d w=%d reconstruct: %v", cfg.k, cfg.r, cfg.w, err)
+		}
+		for i := 0; i < cfg.r; i++ {
+			if !bytes.Equal(units[i], data[i*unit:(i+1)*unit]) {
+				t.Fatalf("k=%d r=%d w=%d: unit %d wrong", cfg.k, cfg.r, cfg.w, i)
+			}
+		}
 	}
 }
 
@@ -110,18 +129,43 @@ func TestTinyWordSizes(t *testing.T) {
 	}
 }
 
+// TestConstructions sweeps every generator family over a grid of
+// geometries through encode -> verify -> erase r -> reconstruct.
 func TestConstructions(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
 	for _, c := range []Construction{ConstructionCauchyGood, ConstructionCauchy, ConstructionVandermonde, ConstructionCauchyBest} {
-		e := mustEngine(t, 6, 3, 1024, Options{Construction: c})
-		data := make([]byte, e.Layout().DataLen())
-		rand.New(rand.NewSource(int64(c))).Read(data)
-		parity := make([]byte, e.Layout().ParityLen())
-		if err := e.Encode(data, parity); err != nil {
-			t.Fatalf("construction %d: %v", c, err)
-		}
-		ok, err := e.Verify(data, parity)
-		if err != nil || !ok {
-			t.Fatalf("construction %d: verify failed (ok=%v err=%v)", c, ok, err)
+		for _, kr := range [][2]int{{2, 1}, {3, 2}, {5, 2}, {6, 3}, {10, 4}} {
+			k, r, unit := kr[0], kr[1], 1024
+			e := mustEngine(t, k, r, unit, Options{Construction: c})
+			data := make([]byte, k*unit)
+			rng.Read(data)
+			parity := make([]byte, r*unit)
+			if err := e.Encode(data, parity); err != nil {
+				t.Fatalf("construction %d k=%d r=%d: %v", c, k, r, err)
+			}
+			ok, err := e.Verify(data, parity)
+			if err != nil || !ok {
+				t.Fatalf("construction %d k=%d r=%d: verify failed (ok=%v err=%v)", c, k, r, ok, err)
+			}
+			orig := make([][]byte, k+r)
+			for i := 0; i < k; i++ {
+				orig[i] = data[i*unit : (i+1)*unit]
+			}
+			for i := 0; i < r; i++ {
+				orig[k+i] = parity[i*unit : (i+1)*unit]
+			}
+			units := append([][]byte(nil), orig...)
+			for _, i := range rng.Perm(k + r)[:r] {
+				units[i] = nil
+			}
+			if err := e.Reconstruct(units); err != nil {
+				t.Fatalf("construction %d k=%d r=%d: %v", c, k, r, err)
+			}
+			for i := range units {
+				if !bytes.Equal(units[i], orig[i]) {
+					t.Fatalf("construction %d k=%d r=%d: unit %d wrong", c, k, r, i)
+				}
+			}
 		}
 	}
 	if _, err := New(6, 3, 1024, Options{Construction: Construction(77)}); err == nil {
@@ -414,82 +458,36 @@ func TestExplicitParamsAndAccessors(t *testing.T) {
 	}
 }
 
-func TestTunedConstructionAndCache(t *testing.T) {
-	cache := autotune.NewCache()
-	e := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6, Cache: cache})
-	if e.TuneResult() == nil || len(e.TuneResult().History) == 0 {
+// TestTunedConstruction: a tuning budget at New yields a trial history,
+// and the tuned schedule only trades speed — its parity is byte-identical
+// to a DefaultParams engine's.
+func TestTunedConstruction(t *testing.T) {
+	tuned := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6})
+	if tuned.TuneResult() == nil || len(tuned.TuneResult().History) == 0 {
 		t.Fatal("tuning history missing")
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", cache.Len())
-	}
-	// Second engine with same geometry must hit the cache, not re-tune.
-	e2 := mustEngine(t, 4, 2, 2048, Options{TuneTrials: 6, Cache: cache})
-	if e2.TuneResult() != nil {
-		t.Error("cache hit should skip tuning")
-	}
-	if e2.Params() != e.Params() {
-		t.Error("cached params differ from tuned params")
-	}
-	// Both engines must encode identically.
-	data := make([]byte, e.Layout().DataLen())
-	rand.New(rand.NewSource(9)).Read(data)
-	p1 := make([]byte, e.Layout().ParityLen())
-	p2 := make([]byte, e.Layout().ParityLen())
-	if err := e.Encode(data, p1); err != nil {
+	def := mustEngine(t, 4, 2, 2048, Options{})
+	m, kDim, n := def.Shape()
+	space, err := autotune.NewSpace(m, kDim, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Encode(data, p2); err != nil {
+	if def.Params() != DefaultParams(space) {
+		t.Fatalf("untuned engine runs %v, want DefaultParams %v", def.Params(), DefaultParams(space))
+	}
+	data := make([]byte, def.Layout().DataLen())
+	rand.New(rand.NewSource(9)).Read(data)
+	p1 := make([]byte, def.Layout().ParityLen())
+	p2 := make([]byte, def.Layout().ParityLen())
+	if err := tuned.Encode(data, p1); err != nil {
+		t.Fatal(err)
+	}
+	if err := def.Encode(data, p2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(p1, p2) {
-		t.Error("tuned and cached engines disagree")
+		t.Error("tuned and default engines disagree")
 	}
-}
-
-func TestScheduleTransferAcrossUnitSizes(t *testing.T) {
-	cache := autotune.NewCache()
-	// Tune at 8 KiB units.
-	e1 := mustEngine(t, 4, 2, 8192, Options{TuneTrials: 5, Cache: cache})
-	if e1.TuneResult() == nil {
-		t.Fatal("first engine did not tune")
-	}
-	// Build at 32 KiB units with no tuning budget: must transfer, not fall
-	// back to the generic default, and must not tune.
-	e2 := mustEngine(t, 4, 2, 32768, Options{Cache: cache})
-	if e2.TuneResult() != nil {
-		t.Fatal("transfer path tuned")
-	}
-	// The transferred schedule keeps the tuned fanin (legal in both spaces).
-	if e2.Params().Fanin != e1.Params().Fanin {
-		t.Errorf("fanin not transferred: %d vs %d", e2.Params().Fanin, e1.Params().Fanin)
-	}
-	// And it must encode correctly.
-	data := make([]byte, e2.Layout().DataLen())
-	rand.New(rand.NewSource(4)).Read(data)
-	parity := make([]byte, e2.Layout().ParityLen())
-	if err := e2.Encode(data, parity); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := e2.Verify(data, parity)
-	if err != nil || !ok {
-		t.Fatal("transferred engine encodes wrong")
-	}
-	// A different (k, r) shape must NOT transfer (different M, K).
-	e3 := mustEngine(t, 6, 3, 32768, Options{Cache: cache})
-	if e3.Params() != DefaultParamsFor(e3) {
-		t.Log("note: e3 used", e3.Params(), "— acceptable as long as it is the default")
-	}
-}
-
-// DefaultParamsFor recomputes what the engine's default schedule would be,
-// for assertions.
-func DefaultParamsFor(e *Engine) autotune.Params {
-	space, err := autotune.NewSpace(e.Layout().ParityPlanes(), e.Layout().DataPlanes(), e.Layout().PlaneSize/8)
-	if err != nil {
-		panic(err)
-	}
-	return DefaultParams(space)
 }
 
 func TestLoweredIR(t *testing.T) {

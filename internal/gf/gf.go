@@ -10,7 +10,7 @@
 // coefficients of a polynomial over GF(2); addition is bitwise XOR. Each
 // field is constructed from a fixed primitive polynomial (see poly.go), so
 // element representations are stable across processes — a property the
-// tuning cache and on-disk stripe formats rely on.
+// on-disk stripe formats rely on.
 package gf
 
 import (
