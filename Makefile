@@ -69,13 +69,14 @@ stress-fault:
 # fairness/shutdown paths, admission-control 429s, slab pack/unpack through
 # degraded reads and scrub, slow-GET vs PUT starvation, and the bounded
 # goroutine guarantee. Deterministic inputs, so failures replay locally.
-# The slab pack/unpin drills then run 200 times without -race: a slab pin
-# that outlives its batch's last PUT loses a run in hundreds, which two
-# runs rarely catch.
+# The slab pack/unpin/reclaim drills then run 200 times without -race: a
+# slab pin that outlives its batch's last PUT, or a sweep that reclaims a
+# slab whose members are still committing, loses a run in hundreds, which
+# two runs rarely catch.
 stress-load:
 	$(GO) test -race -count=2 -run 'Sched|Queue|Admission|Slab|Starve|BoundedGoroutines|Scheduler|Overload' \
 		./internal/sched ./internal/server .
-	$(GO) test -count=200 -run 'TestSlabPackUnpack|TestSlabUnpinnedWhenBatchReturns' ./internal/server
+	$(GO) test -count=200 -run 'TestSlabPackUnpack|TestSlabUnpinnedWhenBatchReturns|TestSlabReclaimRace' ./internal/server
 
 # Seeded multi-peer cluster drill under -race: quorum writes abandoned
 # cleanly across a partition fired mid-PUT (no committed metadata, no

@@ -10,6 +10,7 @@ package autotune
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"gemmec/internal/te"
 )
@@ -67,31 +68,30 @@ func NewSpace(m, k, n int) (Space, error) {
 // splitColumns reports whether a blockWords tile leaves a split column
 // axis. Block-parallel schedules run over that axis, so whole-row tiles
 // (BlockWords == N) are legal only serial or row-parallel — the one rule
-// All, Contains and Size share with Compile.
+// All, Check and Size share with Compile.
 func (s Space) splitColumns(blockWords int) bool { return blockWords < s.N }
 
-// Contains reports whether p is a legal point of the space.
-func (s Space) Contains(p Params) bool {
-	okBlock := false
-	for _, b := range s.Blocks {
-		if b == p.BlockWords {
-			okBlock = true
-		}
+// Check reports why p is not a legal point of the space, naming the
+// setting and the values it may take, or nil if it is one.
+func (s Space) Check(p Params) error {
+	switch {
+	case !slices.Contains(s.Blocks, p.BlockWords):
+		return fmt.Errorf("autotune: block=%dw not in %v", p.BlockWords, s.Blocks)
+	case !slices.Contains(s.Fanins, p.Fanin):
+		return fmt.Errorf("autotune: fanin=%d not in %v", p.Fanin, s.Fanins)
+	case p.Parallel == te.ParallelNone && p.Workers != 1:
+		return fmt.Errorf("autotune: parallel=%v runs workers=1, not %d", p.Parallel, p.Workers)
+	case p.Workers < 1 || p.Workers > s.MaxWorkers:
+		return fmt.Errorf("autotune: workers=%d outside 1..%d (GOMAXPROCS)", p.Workers, s.MaxWorkers)
+	case p.Parallel == te.ParallelBlocks && !s.splitColumns(p.BlockWords):
+		return fmt.Errorf("autotune: parallel=%v needs a split column axis, and block=%dw is the whole row", p.Parallel, p.BlockWords)
 	}
-	okFanin := false
-	for _, f := range s.Fanins {
-		if f == p.Fanin {
-			okFanin = true
-		}
-	}
-	if p.Parallel == te.ParallelNone && p.Workers != 1 {
-		return false
-	}
-	if p.Parallel == te.ParallelBlocks && !s.splitColumns(p.BlockWords) {
-		return false
-	}
-	return okBlock && okFanin && p.Workers >= 1 && p.Workers <= s.MaxWorkers
+	return nil
 }
+
+// Contains reports whether p is a legal point of the space: Check's
+// yes/no form.
+func (s Space) Contains(p Params) bool { return s.Check(p) == nil }
 
 // Default returns a sensible untuned starting point (whole-row tiles, no
 // fusion, serial) — what a naive lowering would do.

@@ -211,8 +211,8 @@ func (e *Engine) resolveParams(m, kDim, n int, opts Options) (autotune.Params, e
 		return autotune.Params{}, err
 	}
 	if opts.Params != nil {
-		if !space.Contains(*opts.Params) {
-			return autotune.Params{}, fmt.Errorf("core: schedule %v is not legal for shape %dx%dx%d", *opts.Params, m, kDim, n)
+		if err := space.Check(*opts.Params); err != nil {
+			return autotune.Params{}, fmt.Errorf("core: schedule %v is not legal for shape %dx%dx%d: %w", *opts.Params, m, kDim, n, err)
 		}
 		return *opts.Params, nil
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -455,6 +457,29 @@ func TestExplicitParamsAndAccessors(t *testing.T) {
 	bad := autotune.Params{BlockWords: 7, Fanin: 3, Workers: 1}
 	if _, err := New(8, 2, 4096, Options{Params: &bad}); err == nil {
 		t.Error("illegal params accepted")
+	}
+}
+
+// TestRefusedScheduleNamesTheSetting: a pinned schedule the space refuses
+// says which setting is out of bounds and what it may be. Workers one past
+// GOMAXPROCS is refused on any machine.
+func TestRefusedScheduleNamesTheSetting(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		p    autotune.Params
+		want string
+	}{
+		{autotune.Params{BlockWords: 64, Fanin: 4, Parallel: te.ParallelRows, Workers: procs + 1},
+			fmt.Sprintf("workers=%d outside 1..%d (GOMAXPROCS)", procs+1, procs)},
+		{autotune.Params{BlockWords: 64, Fanin: 3, Workers: 1}, "fanin=3 not in [1 2 4 8]"},
+		{autotune.Params{BlockWords: 64, Fanin: 4, Workers: 2}, "parallel=none runs workers=1, not 2"},
+		{autotune.Params{BlockWords: 64, Fanin: 4, Parallel: te.ParallelBlocks, Workers: 1},
+			"parallel=blocks needs a split column axis"},
+	} {
+		_, err := New(8, 2, 4096, Options{Params: &tc.p})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("schedule %v: err = %v, want it to name %q", tc.p, err, tc.want)
+		}
 	}
 }
 

@@ -376,11 +376,10 @@ func (c *Client) GetShard(ctx context.Context, key string, gen uint64, idx int) 
 }
 
 // GetShardRange opens bytes [off, off+length) of a shard via an HTTP
-// Range request. A peer that answers 206 ships exactly the window it
-// serves; a peer that answers 200 (range-unaware) ships the whole
-// shard, and the returned body discards the prefix and stops after
-// length bytes so the caller sees the window either way. Not retried,
-// for the same reason as GetShard.
+// Range request. The peer answers 206 with exactly the window it serves;
+// any other success — a 200 shipping the whole shard — fails the fetch,
+// so the caller demotes the shard like any other it could not fetch. Not
+// retried, for the same reason as GetShard.
 func (c *Client) GetShardRange(ctx context.Context, key string, gen uint64, idx int, off, length int64) (io.ReadCloser, int64, error) {
 	if off < 0 || length <= 0 {
 		return nil, 0, fmt.Errorf("peer: bad shard range [off=%d,len=%d)", off, length)
@@ -394,56 +393,12 @@ func (c *Client) GetShardRange(ctx context.Context, key string, gen uint64, idx 
 	if err != nil {
 		return nil, 0, err
 	}
-	if resp.StatusCode == http.StatusPartialContent {
-		return resp.Body, resp.ContentLength, nil
+	if resp.StatusCode != http.StatusPartialContent {
+		resp.Body.Close()
+		return nil, 0, fmt.Errorf("peer: %s answered a shard range request with http %d, not 206", c.member.Addr, resp.StatusCode)
 	}
-	// Range-unaware peer: full body. Trim it to the window client-side —
-	// the prefix is discarded lazily on first read — so correctness never
-	// depends on the peer's Range support, only efficiency does.
-	size := length
-	if resp.ContentLength >= 0 {
-		size = resp.ContentLength - off
-		if size < 0 {
-			size = 0
-		}
-		if size > length {
-			size = length
-		}
-	}
-	return &rangeBody{body: resp.Body, skip: off, remain: length}, size, nil
+	return resp.Body, resp.ContentLength, nil
 }
-
-// rangeBody adapts a whole-shard response body into a byte window: the
-// first skip bytes are discarded, and reads stop after remain bytes. A
-// body shorter than the skip prefix reads as empty — the shard is
-// shorter than the requested window and the caller already learned that
-// from the size return.
-type rangeBody struct {
-	body   io.ReadCloser
-	skip   int64
-	remain int64
-}
-
-func (b *rangeBody) Read(p []byte) (int, error) {
-	if b.skip > 0 {
-		if _, err := io.CopyN(io.Discard, b.body, b.skip); err != nil {
-			b.skip = 0
-			return 0, err
-		}
-		b.skip = 0
-	}
-	if b.remain <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > b.remain {
-		p = p[:b.remain]
-	}
-	n, err := b.body.Read(p)
-	b.remain -= int64(n)
-	return n, err
-}
-
-func (b *rangeBody) Close() error { return b.body.Close() }
 
 // StatShard reports a shard's size via HEAD.
 func (c *Client) StatShard(ctx context.Context, key string, gen uint64, idx int) (int64, error) {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -336,5 +337,48 @@ func TestCanceledRequestIsNotAPeerFailure(t *testing.T) {
 	if c.Failures() == 0 || c.Healthy() || c.DownTransitions() != 1 {
 		t.Fatalf("refused connection not counted: failures=%d healthy=%v down_transitions=%d",
 			c.Failures(), c.Healthy(), c.DownTransitions())
+	}
+}
+
+// TestRangeIgnoredFailsTheFetch: a peer that answers a shard range
+// request with the whole shard (200, not 206) fails the fetch, so the
+// gateway demotes the shard instead of trusting a body it did not ask
+// for; a 206 passes the window through.
+func TestRangeIgnoredFailsTheFetch(t *testing.T) {
+	shard := []byte("0123456789abcdef")
+	var whole atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("Range") != "bytes=4-7" {
+			t.Errorf("Range = %q, want bytes=4-7", r.Header.Get("Range"))
+		}
+		if !whole.Load() {
+			w.Header().Set("Content-Range", "bytes 4-7/16")
+			w.WriteHeader(http.StatusPartialContent)
+			w.Write(shard[4:8])
+			return
+		}
+		w.Write(shard)
+	}))
+	defer srv.Close()
+	c := NewClient(Member{ID: 1, Addr: srv.URL}, ClientConfig{Secret: "s", OpTimeout: 5 * time.Second})
+	defer c.Close()
+	ctx := context.Background()
+
+	body, size, err := c.GetShardRange(ctx, "6b", 1, 0, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(body)
+	body.Close()
+	if string(got) != "4567" || size != 4 {
+		t.Fatalf("206 window = %q (size %d), want \"4567\" (size 4)", got, size)
+	}
+
+	whole.Store(true)
+	if body, _, err := c.GetShardRange(ctx, "6b", 1, 0, 4, 4); err == nil || !strings.Contains(err.Error(), "http 200") {
+		if body != nil {
+			body.Close()
+		}
+		t.Fatalf("200 answer to a range request: err = %v, want a failed fetch naming http 200", err)
 	}
 }

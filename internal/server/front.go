@@ -69,6 +69,29 @@ func (m ObjectMeta) Size() int64 {
 	return m.Manifest.FileSize
 }
 
+// validate checks a metadata document before anything uses it: a
+// tombstone passes as is, a packed member needs a well-formed slab ref,
+// and anything else a valid manifest placed on exactly k+r shards.
+func (m ObjectMeta) validate() error {
+	switch {
+	case m.Deleted:
+		return nil
+	case m.Slab != nil:
+		if m.Slab.Key == "" || m.Slab.Offset < 0 || m.Slab.Size < 0 {
+			return fmt.Errorf("server: metadata for %s has invalid slab ref %+v", m.Name, *m.Slab)
+		}
+		return nil
+	}
+	if err := m.Manifest.Validate(); err != nil {
+		return err
+	}
+	if len(m.Placement) != m.Manifest.K+m.Manifest.R {
+		return fmt.Errorf("server: metadata for %s places %d shards, manifest wants %d",
+			m.Name, len(m.Placement), m.Manifest.K+m.Manifest.R)
+	}
+	return nil
+}
+
 // SlabRef locates one packed object inside its slab.
 type SlabRef struct {
 	// Key is the slab's store key (a reserved non-hex name, so slabs are

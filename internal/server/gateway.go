@@ -144,22 +144,14 @@ func every(n int) []int {
 }
 
 // parseMetaReplica decodes and sanity-checks one member's metadata
-// replica. Tombstones carry no manifest or placement, so only live
-// documents get the geometry checks.
+// replica.
 func parseMetaReplica(key string, id int, raw []byte) (ObjectMeta, error) {
 	var meta ObjectMeta
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		return ObjectMeta{}, fmt.Errorf("server: corrupt metadata replica for %s on member %d: %w", key, id, err)
 	}
-	if meta.Deleted {
-		return meta, nil
-	}
-	if err := meta.Manifest.Validate(); err != nil {
+	if err := meta.validate(); err != nil {
 		return ObjectMeta{}, err
-	}
-	if len(meta.Placement) != meta.Manifest.K+meta.Manifest.R {
-		return ObjectMeta{}, fmt.Errorf("server: metadata for %s places %d shards, manifest wants %d",
-			key, len(meta.Placement), meta.Manifest.K+meta.Manifest.R)
 	}
 	return meta, nil
 }
@@ -521,7 +513,7 @@ func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, plan shardfil
 			lost[i] = true
 			if tr := g.transport(meta.Placement[i]); tr != nil {
 				size, err := tr.StatShard(ctx, key, gen, i)
-				lost[i] = err != nil || size != int64(m.Stripes)*unit
+				lost[i] = err != nil || size != m.ShardSize()
 			}
 		}(i)
 	}
@@ -890,7 +882,7 @@ func (g *Gateway) rebuildNode(ctx context.Context, id int) (RebuildStats, error)
 				return st, fmt.Errorf("server: pushing metadata for %s to member %d: %w", meta.Name, id, err)
 			}
 		}
-		want := int64(meta.Manifest.Stripes) * int64(meta.Manifest.UnitSize)
+		want := meta.Manifest.ShardSize()
 		var targets []int
 		for i, member := range meta.Placement {
 			if member != id {
@@ -934,7 +926,7 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
 	n := m.K + m.R
-	want := int64(m.Stripes) * int64(m.UnitSize)
+	want := m.ShardSize()
 	// Healthy members first so a flapping peer doesn't stall the rebuild.
 	bodies := make([]io.ReadCloser, n)
 	opened := 0
@@ -986,7 +978,7 @@ func (g *Gateway) rebuildObjectShards(ctx context.Context, meta ObjectMeta, targ
 func (g *Gateway) repairShards(ctx context.Context, meta ObjectMeta, targets []int, sr *shardfile.StreamReader) error {
 	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
-	want := int64(m.Stripes) * int64(m.UnitSize)
+	want := m.ShardSize()
 	upErrs, err := fanOut(m.K+m.R, targets,
 		func(t int, body io.Reader) error {
 			tr := g.transport(meta.Placement[t])

@@ -238,27 +238,23 @@ func (s *Store) replayPatch(key string, rec patchJournal) error {
 	return nil
 }
 
-// recoverPatches scans the metadata directory for stranded patch journals
-// and rolls each forward (or discards it when stale). Runs at store open —
-// before any request can observe a half-applied patch — and at the start
-// of every scrub sweep. Returns how many journals were replayed.
-func (s *Store) recoverPatches(ctx context.Context) int {
-	ents, err := os.ReadDir(s.metaDir())
-	if err != nil {
-		return 0
+// recoverPatches rolls forward (or discards, when stale) every patch
+// journal in cat, and removes cat's temp files: a metadata or journal
+// temp file that was never renamed was never durable, so the write that
+// left it failed before its commit point. Each key is handled under its
+// write lock, which every writer of its metadata holds, so no write in
+// flight loses its temp file. Runs at store open — before any request can
+// observe a half-applied patch — and at the start of every scrub sweep.
+// Returns how many journals were replayed.
+func (s *Store) recoverPatches(ctx context.Context, cat catalog) int {
+	for _, file := range cat.tmps {
+		key, _, _ := strings.Cut(file, ".")
+		l := s.lockKey(key)
+		os.Remove(filepath.Join(s.metaDir(), file))
+		l.Unlock()
 	}
 	replayed := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".patch.tmp") {
-			// Never renamed, so never durable: the patch that wrote it
-			// failed before its commit protocol began.
-			os.Remove(filepath.Join(s.metaDir(), e.Name()))
-			continue
-		}
-		key, ok := strings.CutSuffix(e.Name(), ".patch")
-		if !ok {
-			continue
-		}
+	for _, key := range cat.journals {
 		if ctx.Err() != nil {
 			break
 		}
@@ -284,7 +280,7 @@ func (s *Store) replayJournal(key string) bool {
 		return false
 	}
 	var rec patchJournal
-	if err := json.Unmarshal(b, &rec); err != nil || rec.Meta.Manifest.Validate() != nil {
+	if err := json.Unmarshal(b, &rec); err != nil || rec.Meta.validate() != nil {
 		os.Remove(jp)
 		return false
 	}

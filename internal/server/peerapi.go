@@ -168,9 +168,9 @@ func (a *peerAPI) getShard(w http.ResponseWriter, r *http.Request) {
 	}
 	// A Range header narrows the transfer to the requested shard window —
 	// the wire behind ranged object reads, where a gateway fetches only
-	// the stripes covering the client's byte range. An unparseable Range
-	// falls back to the full shard (the client trims the window itself),
-	// so correctness never depends on this path.
+	// the stripes covering the client's byte range. The client sends only
+	// well-formed bytes=a-b ranges and fails any answer but a 206; an
+	// unparseable Range gets the full shard, as HTTP prescribes.
 	if off, length, ok := parseRangeHeader(r.Header.Get("Range")); ok && r.Method != http.MethodHead {
 		a.getShardRange(w, r, key, gen, idx, off, length)
 		return

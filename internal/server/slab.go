@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -38,13 +37,15 @@ import (
 // larger member reads every 4 KiB unit it spans.
 //
 // Slabs are immutable: every flush allocates a fresh "slab_<n>" key
-// (non-hex, so slabs never appear in the object catalog). Deleting or
-// overwriting a member only rewrites the member's metadata; the slab
-// keeps the dead bytes until the scrubber observes that no live member
-// references it and reclaims the whole slab (store.scrubSlab). A freshly
-// flushed slab is pinned (Store.pendingSlabs) until every batch member
-// has settled, so the scrubber cannot reclaim a slab in the window
-// between the slab commit and the first references.
+// (non-hex, so slabs never appear in the object catalog). Which members a
+// slab holds is recorded only in the members' own metadata; the slab's
+// manifest is an ordinary one. Deleting or overwriting a member only
+// rewrites the member's metadata; the slab keeps the dead bytes until a
+// scrub sweep's walk of the catalog finds no member referring to it and
+// reclaims the whole slab (Store.sweep). A freshly flushed slab is pinned
+// (Store.pendingSlabs) until every batch member has settled, so the
+// sweep cannot reclaim a slab in the window between the slab commit and
+// the first references.
 //
 // Lock order is member → slab, everywhere: a member read holds the member
 // lock, then takes the slab's read lock. The flusher locks only the fresh
@@ -192,15 +193,14 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 	for _, r := range batch {
 		payload = append(payload, r.data...)
 	}
-	key := fmt.Sprintf("slab_%d", s.slabSeq.Add(1))
 	// Pin the slab before its metadata can become visible on disk: between
 	// the slab commit below and each waiter's own member-metadata commit
 	// (putSlab, after hearing back), a scrub sweep would see a slab with
 	// zero live references and reclaim it — then the PUTs would commit
 	// member metadata pointing at deleted shards and acknowledge lost
-	// data. The pin makes scrubSlab skip the slab until every batch member
+	// data. The pin keeps the sweep off the slab until every batch member
 	// has settled.
-	s.pinSlab(key, batch...)
+	key := s.newSlab(batch)
 	l := s.lockKey(key)
 	err := func() error {
 		defer l.Unlock()
@@ -214,14 +214,6 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 		if err != nil {
 			s.removeFiles(paths)
 			return err
-		}
-		// Record the member windows in the slab's own manifest too: the
-		// scrubber walks them to decide liveness, and they make a slab
-		// self-describing on disk.
-		off := int64(0)
-		for _, r := range batch {
-			m.Slab = append(m.Slab, shardfile.SlabEntry{Name: r.key, Offset: off, Size: int64(len(r.data))})
-			off += int64(len(r.data))
 		}
 		meta.Manifest = m
 		if err := s.saveMeta(key, meta); err != nil {
@@ -250,14 +242,19 @@ func (w *slabWriter) flushBatch(batch []*slabReq) {
 	}
 }
 
-// pinSlab marks key ineligible for scrub reclamation (see flushBatch): it
-// takes one reference on key's pin for the caller, released by unpinSlab,
-// and one for each member of batch that has not settled yet, released by
-// settleSlab. The last release lifts the pin. Slab keys are never reused
-// (slabSeq is monotonic and restarts resume past the highest committed
-// key), so a lifted pin never returns.
-func (s *Store) pinSlab(key string, batch ...*slabReq) {
+// newSlab allocates the next slab key and pins it against scrub
+// reclamation (see flushBatch), in one step under mu: a sweep reads
+// slabSeq and the pins together, so it never sees a slab number it
+// counts as allocated without the pin that goes with it. The pin takes
+// one reference for the caller, released by unpinSlab, and one for each
+// member of batch that has not settled yet, released by settleSlab. The
+// last release lifts the pin. Slab keys are never reused (restarts resume
+// past the highest committed number), so a lifted pin never returns.
+func (s *Store) newSlab(batch []*slabReq) string {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.slabSeq++
+	key := "slab_" + strconv.FormatInt(s.slabSeq, 10)
 	s.pendingSlabs[key]++
 	for _, r := range batch {
 		if !r.settled {
@@ -265,7 +262,7 @@ func (s *Store) pinSlab(key string, batch ...*slabReq) {
 			s.pendingSlabs[key]++
 		}
 	}
-	s.mu.Unlock()
+	return key
 }
 
 // unpinSlab releases the caller's reference on key's pin.
@@ -293,54 +290,14 @@ func (s *Store) releasePin(key string) {
 	}
 }
 
-// slabPinned reports whether key's batch is still settling.
-func (s *Store) slabPinned(key string) bool {
-	s.mu.Lock()
-	_, ok := s.pendingSlabs[key]
-	s.mu.Unlock()
-	return ok
-}
-
-// maxSlabSeq scans the metadata directory for the highest committed slab
-// number, so restarts keep allocating fresh keys instead of colliding
-// with surviving slabs.
-func (s *Store) maxSlabSeq() int64 {
-	ents, err := os.ReadDir(s.metaDir())
-	if err != nil {
-		return 0
+// slabNumber parses a slab key, slab_<n>.
+func slabNumber(key string) (int64, bool) {
+	num, ok := strings.CutPrefix(key, "slab_")
+	if !ok {
+		return 0, false
 	}
-	var max int64
-	for _, e := range ents {
-		key, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok {
-			continue
-		}
-		num, ok := strings.CutPrefix(key, "slab_")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseInt(num, 10, 64); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// listSlabKeys returns the committed slab keys, unordered.
-func (s *Store) listSlabKeys() []string {
-	ents, err := os.ReadDir(s.metaDir())
-	if err != nil {
-		return nil
-	}
-	var keys []string
-	for _, e := range ents {
-		key, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || !strings.HasPrefix(key, "slab_") {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	return keys
+	n, err := strconv.ParseInt(num, 10, 64)
+	return n, err == nil
 }
 
 // putSlab is Put's small-object fast path: pack data into the next slab
@@ -390,57 +347,32 @@ func (s *Store) putSlab(ctx context.Context, key string, meta ObjectMeta, oldPat
 }
 
 // scrubSlab verifies one slab's shards, healing damage in place like any
-// object — unless no live member references it anymore, in which case the
-// whole slab (metadata + shards) is reclaimed. Member metadata is read
-// WITHOUT member locks: saveMeta commits by atomic rename, so a lockless
-// read sees a complete old or new version, and taking member locks here
-// would invert the member→slab lock order a packed GET relies on.
-// Reclaimed reports whether the slab was removed.
-func (s *Store) scrubSlab(ctx context.Context, key string) (healed []int, reclaimed bool, err error) {
-	if s.slabPinned(key) {
-		// Freshly flushed: the batch's PUTs have not all committed their
-		// member metadata yet, so "no live references" here would be
-		// indistinguishable from "references still in flight" — reclaiming
-		// would delete shards the PUTs are about to acknowledge. Skip the
-		// whole slab; the next sweep sees it settled.
-		return nil, false, nil
-	}
+// object's, and returns their paths — or, when the sweep found it dead,
+// reclaims the whole slab (metadata, then shards). A concurrent packed
+// GET cannot be using a dead slab: it would hold its member's lock, and
+// the sweep's walk took that lock after it and found the member referring
+// elsewhere, or gone.
+func (s *Store) scrubSlab(ctx context.Context, key string, dead bool) (paths []string, healed []int, err error) {
 	l := s.lockKey(key)
 	defer l.Unlock()
 	meta, err := s.loadMeta(key)
 	if err != nil {
-		if errors.Is(err, ErrObjectNotFound) {
-			return nil, false, nil
-		}
-		return nil, false, err
+		return nil, nil, err
 	}
-	live := false
-	for _, e := range meta.Manifest.Slab {
-		mm, err := s.loadMeta(e.Name)
-		if err == nil && mm.Slab != nil && mm.Slab.Key == key {
-			live = true
-			break
-		}
-	}
-	if !live {
-		// Every window is dead (members deleted or overwritten): the slab
-		// is pure garbage. A concurrent packed GET cannot be using it —
-		// it would hold its member's lock, making that member's metadata
-		// (which we just read) still point here. An in-flight packed PUT
-		// cannot be about to reference it either: its batch's slab stays
-		// pinned (checked above) until every member metadata has committed.
+	paths = s.shardPaths(key, meta)
+	if dead {
 		if err := os.Remove(s.metaPath(key)); err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		s.dropMetaCache(key)
-		s.removeFiles(s.shardPaths(key, meta))
+		s.removeFiles(paths)
 		s.slabsReclaimed.Add(1)
-		return nil, true, nil
+		return nil, nil, nil
 	}
-	healed, err = shardfile.ScrubPaths(s.shardPaths(key, meta), meta.Manifest, s.fileOpts(ctx))
+	healed, err = shardfile.ScrubPaths(paths, meta.Manifest, s.fileOpts(ctx))
 	if err != nil {
-		return nil, false, err
+		return paths, nil, err
 	}
 	s.shardsHealed.Add(int64(len(healed)))
-	return healed, false, nil
+	return paths, healed, nil
 }

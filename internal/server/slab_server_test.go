@@ -40,6 +40,14 @@ func newSlabStore(t *testing.T, threshold int64) *Store {
 	return s
 }
 
+// slabPinned reports whether key's batch is still settling.
+func (s *Store) slabPinned(key string) bool {
+	s.mu.Lock()
+	_, ok := s.pendingSlabs[key]
+	s.mu.Unlock()
+	return ok
+}
+
 // assertStripeSumsOnly fails unless m is what every writer commits: a
 // valid v2 manifest with a per-unit CRC32C for every shard and stripe.
 func assertStripeSumsOnly(t *testing.T, what string, m shardfile.Manifest) {
@@ -225,16 +233,18 @@ func TestScrubSkipsPinnedSlab(t *testing.T) {
 	if err := s.Delete(ctx, "member"); err != nil {
 		t.Fatal(err)
 	}
-	s.pinSlab(key)
-	if _, reclaimed, err := s.scrubSlab(ctx, key); err != nil || reclaimed {
-		t.Fatalf("scrub of pinned slab: reclaimed=%v err=%v", reclaimed, err)
+	s.mu.Lock()
+	s.pendingSlabs[key]++
+	s.mu.Unlock()
+	if rep := s.ScrubAll(ctx); rep.SlabsReclaimed != 0 || len(rep.Errors) != 0 {
+		t.Fatalf("sweep over pinned slab: reclaimed %d, errors %v", rep.SlabsReclaimed, rep.Errors)
 	}
 	if _, err := os.Stat(s.metaPath(key)); err != nil {
 		t.Fatalf("pinned slab metadata gone: %v", err)
 	}
 	s.unpinSlab(key)
-	if _, reclaimed, err := s.scrubSlab(ctx, key); err != nil || !reclaimed {
-		t.Fatalf("scrub of settled dead slab: reclaimed=%v err=%v", reclaimed, err)
+	if rep := s.ScrubAll(ctx); rep.SlabsReclaimed != 1 || len(rep.Errors) != 0 {
+		t.Fatalf("sweep over settled dead slab: reclaimed %d, errors %v", rep.SlabsReclaimed, rep.Errors)
 	}
 }
 
@@ -759,14 +769,12 @@ func TestSlabsInOtherUnitsStillRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Slab = []shardfile.SlabEntry{{Name: objKey("a"), Offset: 0, Size: 3000}, {Name: objKey("b"), Offset: 3000, Size: 5000}}
 	meta.Manifest = m
 	if err := s.saveMeta(key, meta); err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range []string{"a", "b"} {
-		e := m.Slab[i]
-		if err := s.saveMeta(e.Name, ObjectMeta{Name: name, Gen: 1, Slab: &SlabRef{Key: key, Offset: e.Offset, Size: e.Size}}); err != nil {
+	for name, ref := range map[string]SlabRef{"a": {Key: key, Offset: 0, Size: 3000}, "b": {Key: key, Offset: 3000, Size: 5000}} {
+		if err := s.saveMeta(objKey(name), ObjectMeta{Name: name, Gen: 1, Slab: &ref}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -824,5 +832,246 @@ func TestSlabUnpinnedWhenBatchReturns(t *testing.T) {
 	s.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d slab pins outlived their batches", left)
+	}
+}
+
+// TestSlabReclaimRace races small PUTs and deletes against back-to-back
+// sweeps, so slabs are flushed, settle and die while a sweep reads the
+// slab allocator, lists meta/ and walks the members. A sweep may reclaim
+// only slabs no member can still come to refer to: every acknowledged
+// member must read back byte-identical afterwards, and once no member
+// refers to any slab, a later sweep must reclaim every one of them.
+func TestSlabReclaimRace(t *testing.T) {
+	s := newSlabStore(t, 1024)
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	var sweeps sync.WaitGroup
+	sweeps.Add(1)
+	go func() {
+		defer sweeps.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if rep := s.ScrubAll(ctx); len(rep.Errors) != 0 {
+					t.Errorf("sweep during the race: %v", rep.Errors)
+				}
+			}
+		}
+	}()
+
+	const writers, puts = 4, 20
+	name := func(w, i int) string { return fmt.Sprintf("reclaim-%d-%d", w, i) }
+	data := func(w, i int) []byte { return randBytes(int64(w*1000+i), 32+i) }
+	deleted := func(i int) bool { return i%3 == 1 }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				b := data(w, i)
+				if _, _, err := s.Put(ctx, name(w, i), bytes.NewReader(b), int64(len(b))); err != nil {
+					t.Errorf("put %s: %v", name(w, i), err)
+					return
+				}
+				// Kill a member as soon as its successor lands, so slabs
+				// die while later ones are still settling.
+				if i > 0 && deleted(i-1) {
+					if err := s.Delete(ctx, name(w, i-1)); err != nil {
+						t.Errorf("delete %s: %v", name(w, i-1), err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	sweeps.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < puts; i++ {
+			if deleted(i) && i < puts-1 {
+				continue
+			}
+			if got, _ := mustGet(t, s, name(w, i)); !bytes.Equal(got, data(w, i)) {
+				t.Fatalf("%s: content mismatch after the reclaim race", name(w, i))
+			}
+			if err := s.Delete(ctx, name(w, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rep := s.ScrubAll(ctx); len(rep.Errors) != 0 {
+		t.Fatalf("final sweep: %v", rep.Errors)
+	}
+	cat, err := s.readCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cat.slabs) != 0 {
+		t.Fatalf("%d dead slabs survived a sweep with no member left: %v", len(cat.slabs), cat.slabs)
+	}
+	if got, want := s.Stats().SlabsReclaimed, s.Stats().SlabFlushes; got != want {
+		t.Fatalf("reclaimed %d slabs of %d flushed", got, want)
+	}
+}
+
+// TestSweepLeavesSlabsPastItsSnapshot freezes the other half of the
+// flush race TestSlabReclaimRace runs: a slab committed after the sweep
+// read the slab allocator, whose members have not committed yet. It has
+// no pin the sweep saw and no member referring to it, so only its number
+// — past what the allocator had handed out — keeps the sweep off it. Once
+// the allocator has counted it, a later sweep reclaims it.
+func TestSweepLeavesSlabsPastItsSnapshot(t *testing.T) {
+	s := newSlabStore(t, 1024)
+	ctx := context.Background()
+	mustPut(t, s, "member", []byte("settled"))
+	s.mu.Lock()
+	key := fmt.Sprintf("slab_%d", s.slabSeq+1)
+	s.mu.Unlock()
+	payload := randBytes(71, 500)
+	meta := ObjectMeta{Name: key, Gen: 1, Placement: s.placement()}
+	m, _, err := shardfile.WriteStreamPaths(s.shardPaths(key, meta), bytes.NewReader(payload), int64(len(payload)),
+		tk, tr, slabUnit, 0, s.fileOpts(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta.Manifest = m
+	if err := s.saveMeta(key, meta); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.ScrubAll(ctx); rep.SlabsReclaimed != 0 || len(rep.Errors) != 0 {
+		t.Fatalf("sweep reclaimed %d slabs (errors %v); %s is past the allocator", rep.SlabsReclaimed, rep.Errors, key)
+	}
+	if _, err := os.Stat(s.metaPath(key)); err != nil {
+		t.Fatalf("slab past the allocator reclaimed: %v", err)
+	}
+	if got := s.newSlab(nil); got != key {
+		t.Fatalf("allocator handed out %s, want %s", got, key)
+	}
+	s.unpinSlab(key)
+	if rep := s.ScrubAll(ctx); rep.SlabsReclaimed != 1 || len(rep.Errors) != 0 {
+		t.Fatalf("sweep after the allocator counted %s reclaimed %d slabs (errors %v), want 1", key, rep.SlabsReclaimed, rep.Errors)
+	}
+}
+
+// TestSlabWithMemberListStillServes: a slab whose metadata still carries
+// the member list older stores wrote into slab manifests ("slab": [{name,
+// offset, size}], since dropped) opens, serves its members byte-identical,
+// healthy and degraded, and is reclaimed once no member refers to it.
+func TestSlabWithMemberListStillServes(t *testing.T) {
+	cfg := StoreConfig{Root: t.TempDir(), Nodes: tnode, K: tk, R: tr, UnitSize: tunit, Workers: 2,
+		SlabThreshold: 1024, SlabWindow: 50 * time.Millisecond}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	members := map[string][]byte{"old-a": randBytes(61, 300), "old-b": randBytes(62, 700)}
+	var wg sync.WaitGroup
+	for name, b := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := s.Put(ctx, name, bytes.NewReader(b), int64(len(b))); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Rewrite the slab's metadata file as the older format had it: the
+	// manifest lists each member's key and window.
+	refs := map[string]*SlabRef{}
+	for name := range members {
+		var m ObjectMeta
+		b, err := os.ReadFile(s.metaPath(objKey(name)))
+		if err == nil {
+			err = json.Unmarshal(b, &m)
+		}
+		if err != nil || m.Slab == nil {
+			t.Fatalf("%s: not packed (err=%v)", name, err)
+		}
+		refs[name] = m.Slab
+	}
+	key := refs["old-a"].Key
+	if refs["old-b"].Key != key {
+		t.Fatalf("members landed in two slabs, %s and %s", key, refs["old-b"].Key)
+	}
+	var doc map[string]any
+	b, err := os.ReadFile(s.metaPath(key))
+	if err == nil {
+		err = json.Unmarshal(b, &doc)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []any
+	for name, ref := range refs {
+		list = append(list, map[string]any{"name": objKey(name), "offset": ref.Offset, "size": ref.Size})
+	}
+	doc["manifest"].(map[string]any)["slab"] = list
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"slab":[{`)) {
+		t.Fatalf("rewritten slab metadata carries no member list: %s", b)
+	}
+	if err := os.WriteFile(s.metaPath(key), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	check := func() {
+		t.Helper()
+		for name, want := range members {
+			if got, _ := mustGet(t, s, name); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %d bytes back from an old-format slab, content mismatch", name, len(got))
+			}
+		}
+	}
+	check()
+	slabMeta, err := s.loadMeta(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.shardPaths(key, slabMeta)[0]); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if rep := s.ScrubAll(ctx); rep.SlabsReclaimed != 0 || len(rep.Healed[key]) != 1 {
+		t.Fatalf("sweep with live members: reclaimed %d, healed %v", rep.SlabsReclaimed, rep.Healed)
+	}
+	check()
+
+	for name := range members {
+		if err := s.Delete(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep := s.ScrubAll(ctx); rep.SlabsReclaimed != 1 {
+		t.Fatalf("sweep after every member's delete reclaimed %d slabs, want 1", rep.SlabsReclaimed)
+	}
+	if _, err := os.Stat(s.metaPath(key)); !os.IsNotExist(err) {
+		t.Fatalf("old-format slab metadata survived reclamation (err=%v)", err)
+	}
+	for _, p := range s.shardPaths(key, slabMeta) {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("old-format slab shard %s survived reclamation (err=%v)", p, err)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -92,12 +93,11 @@ type Store struct {
 	cfg StoreConfig
 
 	// slab is the small-object group-commit writer, nil unless
-	// SlabThreshold > 0. slabSeq allocates slab keys.
-	slab    *slabWriter
-	slabSeq atomic.Int64
+	// SlabThreshold > 0.
+	slab *slabWriter
 
 	// The front's keyLocks.mu also guards the small state below (rot,
-	// metaCache, pendingSlabs).
+	// metaCache, slabSeq, pendingSlabs).
 	rot int // rotating placement offset
 	// metaCache holds parsed object metadata keyed by store key, validated
 	// against the meta file's (size, mtime) on every hit, so steady-state
@@ -106,12 +106,15 @@ type Store struct {
 	// process writes or removes a meta file, and self-invalidating against
 	// out-of-band edits via the stat check.
 	metaCache map[string]metaCacheEntry
-	// pendingSlabs pins freshly flushed slabs (guarded by mu), counting
-	// references: a slab key is pinned before its metadata commits and
-	// unpinned only after every batch member has settled — committed its
-	// own member metadata or abandoned the request — so the scrubber never
-	// mistakes "references still in flight" for "no live references" and
-	// reclaims a slab whose PUTs are about to be acknowledged.
+	// slabSeq is the highest slab number allocated, slab keys being
+	// slab_<n>. pendingSlabs pins freshly flushed slabs, counting
+	// references: a slab key is allocated and pinned in one step before
+	// its metadata commits, and unpinned only after every batch member has
+	// settled — committed its own member metadata or abandoned the request
+	// — so the scrubber never mistakes "references still in flight" for
+	// "no live references" and reclaims a slab whose PUTs are about to be
+	// acknowledged (see sweep).
+	slabSeq      int64
 	pendingSlabs map[string]int
 
 	// nodeDirs, metaDirPath and shardSuffixes (one per shard index of the
@@ -153,20 +156,22 @@ func Open(cfg StoreConfig) (*Store, error) {
 	if err == nil {
 		err = s.ensureDirs()
 	}
-	var names []string
+	var cat catalog
 	if err == nil {
-		names, err = s.List()
+		cat, err = s.readCatalog()
 	}
 	if err != nil {
 		s.Close()
 		return nil, err
 	}
 	// Start the placement rotation where the existing population left off,
-	// so restarts keep spreading load instead of re-piling on node 0.
-	s.rot = len(names) % cfg.Nodes
+	// so restarts keep spreading load instead of re-piling on node 0, and
+	// number new slabs past the highest committed one.
+	s.rot = len(cat.names) % cfg.Nodes
+	s.slabSeq = cat.maxSlab
 	// Roll forward any patch journal a crash stranded, before a single
 	// request can observe the half-applied stripes it describes.
-	s.recoverPatches(context.Background())
+	s.recoverPatches(context.Background(), cat)
 	if cfg.SlabThreshold > 0 {
 		if s.cfg.SlabWindow <= 0 {
 			s.cfg.SlabWindow = 2 * time.Millisecond
@@ -174,7 +179,6 @@ func Open(cfg StoreConfig) (*Store, error) {
 		if s.cfg.SlabMaxBytes <= 0 {
 			s.cfg.SlabMaxBytes = 4 << 20
 		}
-		s.slabSeq.Store(s.maxSlabSeq())
 		s.slab = startSlabWriter(s)
 	}
 	return s, nil
@@ -329,21 +333,8 @@ func (s *Store) loadMeta(key string) (ObjectMeta, error) {
 	if err := json.Unmarshal(b, &meta); err != nil {
 		return meta, fmt.Errorf("server: corrupt metadata for %s: %w", key, err)
 	}
-	if meta.Slab != nil {
-		// Packed member: no shard set of its own, just a window into a
-		// slab. The slab's metadata is validated when it is loaded.
-		if meta.Slab.Key == "" || meta.Slab.Offset < 0 || meta.Slab.Size < 0 {
-			return meta, fmt.Errorf("server: metadata for %s has invalid slab ref %+v", key, *meta.Slab)
-		}
-		s.cacheMeta(key, meta, fi)
-		return meta, nil
-	}
-	if err := meta.Manifest.Validate(); err != nil {
+	if err := meta.validate(); err != nil {
 		return meta, err
-	}
-	if len(meta.Placement) != meta.Manifest.K+meta.Manifest.R {
-		return meta, fmt.Errorf("server: metadata for %s places %d shards, manifest wants %d",
-			key, len(meta.Placement), meta.Manifest.K+meta.Manifest.R)
 	}
 	// Cache only fully validated metadata, keyed by the pre-read stat: if
 	// the file is replaced between the stat and the read we cache the new
@@ -574,54 +565,76 @@ func (s *Store) removeKeyShards(key string) {
 	}
 }
 
-// List returns the stored object names, sorted.
-func (s *Store) List() ([]string, error) {
+// catalog is one listing of meta/, sorted by what each file is. Every
+// reader of that directory — Open, List, StatAll and the scrub sweep —
+// takes its view from readCatalog.
+type catalog struct {
+	// names are the stored object names (their hex keys decoded), sorted.
+	names []string
+	// slabs are the committed slab keys, maxSlab the highest slab number
+	// among them.
+	slabs   []string
+	maxSlab int64
+	// journals are the keys with a patch journal; tmps the file names of
+	// metadata and journal temp files, which a commit renames away.
+	journals []string
+	tmps     []string
+}
+
+// readCatalog lists meta/ once. A missing directory is an empty catalog.
+func (s *Store) readCatalog() (catalog, error) {
+	var c catalog
 	ents, err := os.ReadDir(s.metaDir())
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
+			return c, nil
 		}
-		return nil, err
+		return c, err
 	}
-	var names []string
 	for _, e := range ents {
-		key, ok := strings.CutSuffix(e.Name(), ".json")
+		file := e.Name()
+		if strings.HasSuffix(file, ".tmp") {
+			c.tmps = append(c.tmps, file)
+			continue
+		}
+		if key, ok := strings.CutSuffix(file, ".patch"); ok {
+			c.journals = append(c.journals, key)
+			continue
+		}
+		key, ok := strings.CutSuffix(file, ".json")
 		if !ok {
 			continue
 		}
-		raw, err := hex.DecodeString(key)
-		if err != nil {
-			continue
+		if n, ok := slabNumber(key); ok {
+			c.slabs = append(c.slabs, key)
+			c.maxSlab = max(c.maxSlab, n)
+		} else if raw, err := hex.DecodeString(key); err == nil {
+			c.names = append(c.names, string(raw))
 		}
-		names = append(names, string(raw))
 	}
-	sort.Strings(names)
-	return names, nil
+	sort.Strings(c.names)
+	return c, nil
+}
+
+// List returns the stored object names, sorted.
+func (s *Store) List() ([]string, error) {
+	c, err := s.readCatalog()
+	return c.names, err
 }
 
 // StatAll returns the metadata of every stored object in one pass over
-// meta/ — one ReadDir plus one metadata load per object, sorted by name.
-// The /objects handler uses it instead of List-then-Stat-per-name, which
-// walked the directory and re-derived each key a second time. Objects
-// whose metadata is missing (deleted mid-walk) or fails to load are
-// skipped: a broken object should spoil scrubs, not listings.
+// meta/ — one listing plus one metadata load per object, in name order.
+// The /objects handler uses it instead of List-then-Stat-per-name.
+// Objects whose metadata is missing (deleted mid-walk) or fails to load
+// are skipped: a broken object should spoil scrubs, not listings.
 func (s *Store) StatAll() ([]ObjectMeta, error) {
-	ents, err := os.ReadDir(s.metaDir())
+	c, err := s.readCatalog()
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
 		return nil, err
 	}
-	metas := make([]ObjectMeta, 0, len(ents))
-	for _, e := range ents {
-		key, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok {
-			continue
-		}
-		if _, err := hex.DecodeString(key); err != nil {
-			continue
-		}
+	metas := make([]ObjectMeta, 0, len(c.names))
+	for _, name := range c.names {
+		key := objKey(name)
 		l := s.rlockKey(key)
 		meta, err := s.loadMeta(key)
 		l.RUnlock()
@@ -630,7 +643,6 @@ func (s *Store) StatAll() ([]ObjectMeta, error) {
 		}
 		metas = append(metas, meta)
 	}
-	sort.Slice(metas, func(i, j int) bool { return metas[i].Name < metas[j].Name })
 	return metas, nil
 }
 
@@ -646,83 +658,128 @@ func (s *Store) ScrubObject(ctx context.Context, name string) ([]int, error) {
 		return nil, err
 	}
 	defer l.Unlock()
+	_, healed, err := s.scrubLocked(ctx, key)
+	return healed, err
+}
+
+// scrubLocked is ScrubObject under key's write lock, which the caller
+// holds. It also returns the metadata it loaded (zero if that failed).
+func (s *Store) scrubLocked(ctx context.Context, key string) (ObjectMeta, []int, error) {
 	meta, err := s.loadMeta(key)
 	if err != nil {
-		return nil, err
+		return ObjectMeta{}, nil, err
 	}
 	if meta.Slab != nil {
 		// Packed members have no shard set of their own; the slab pass
 		// scrubs (and if dead, reclaims) the backing slab.
-		return nil, nil
+		return meta, nil, nil
 	}
 	if err := s.ensureDirs(); err != nil {
-		return nil, err
+		return meta, nil, err
 	}
 	healed, err := shardfile.ScrubPaths(s.shardPaths(key, meta), meta.Manifest, s.fileOpts(ctx))
 	if err != nil {
-		return nil, err
+		return meta, nil, err
 	}
 	s.shardsHealed.Add(int64(len(healed)))
-	return healed, nil
+	return meta, healed, nil
 }
 
-// sweep implements storage: every object and every slab is verified unit
-// by unit and healed in place, stranded patch journals are rolled
-// forward, and shard files no metadata refers to are reclaimed.
+// sweep implements storage as one walk of the catalog: stranded patch
+// journals are rolled forward, every object and every slab is verified
+// unit by unit and healed in place, dead slabs are reclaimed, and shard
+// files no metadata refers to are removed. Each object's metadata is
+// loaded once, under its lock, and that one load tells the later passes
+// which slab a packed member refers to and which shard files are live.
+//
+// A slab is dead when no member the walk visited refers to it, its
+// number is at most slabSeq as read before the listing, and it was not
+// pinned at that read. Those two bounds make "no member visited refers
+// to it" mean "no member refers to it": a member releases its slab's pin
+// only after its own metadata commit, so every member of an older,
+// unpinned slab was on disk when meta/ was listed, and slabs never gain
+// members after their batch. A slab flushed later, or still settling,
+// waits for the next sweep.
 func (s *Store) sweep(ctx context.Context) (rep ScrubReport) {
-	// Patch journals first: a stranded journal means some object's shard
-	// files may hold half-applied stripes whose sums the committed
-	// manifest does not describe; rolling it forward before the per-object
-	// pass keeps the scrub from "healing" a patch mid-flight.
-	rep.PatchesRecovered = s.recoverPatches(ctx)
-	names, err := s.List()
+	s.mu.Lock()
+	seq, pinned := s.slabSeq, maps.Clone(s.pendingSlabs)
+	s.mu.Unlock()
+	cat, err := s.readCatalog()
 	if err != nil {
 		rep.record("<catalog>", nil, err)
 		return rep
 	}
-	for _, name := range names {
+	// Patch journals first: a stranded journal means some object's shard
+	// files may hold half-applied stripes whose sums the committed
+	// manifest does not describe; rolling it forward before the per-object
+	// pass keeps the scrub from "healing" a patch mid-flight.
+	rep.PatchesRecovered = s.recoverPatches(ctx, cat)
+	live := map[string]bool{}     // shard paths of the objects and slabs visited
+	referred := map[string]bool{} // slabs some visited member refers to
+	for _, name := range cat.names {
 		if ctx.Err() != nil {
-			break
+			return rep
+		}
+		key := objKey(name)
+		l := s.lockKey(key)
+		meta, healed, err := s.scrubLocked(ctx, key)
+		l.Unlock()
+		if errors.Is(err, ErrObjectNotFound) {
+			continue // deleted since the listing
 		}
 		rep.Objects++
-		healed, err := s.ScrubObject(ctx, name)
+		if meta.Slab != nil {
+			referred[meta.Slab.Key] = true
+		}
+		for _, p := range s.shardPaths(key, meta) {
+			live[p] = true
+		}
 		if rep.record(name, healed, err) {
-			break
+			return rep
 		}
 	}
-	// Slab pass: heal damaged slabs like any object, and reclaim the ones
-	// no live member references anymore (the only way dead packed bytes
-	// leave the disk — slabs are immutable, member deletes just unlink).
-	for _, key := range s.listSlabKeys() {
+	for _, key := range cat.slabs {
 		if ctx.Err() != nil {
-			break
+			return rep
+		}
+		n, _ := slabNumber(key)
+		_, pin := pinned[key]
+		dead := n <= seq && !pin && !referred[key]
+		paths, healed, err := s.scrubSlab(ctx, key, dead)
+		if errors.Is(err, ErrObjectNotFound) {
+			continue
 		}
 		rep.Objects++
-		healed, reclaimed, err := s.scrubSlab(ctx, key)
-		if reclaimed {
+		if dead && err == nil {
 			rep.SlabsReclaimed++
 		}
+		for _, p := range paths {
+			live[p] = true
+		}
 		if rep.record(key, healed, err) {
-			break
+			return rep
 		}
 	}
 	if ctx.Err() == nil {
-		rep.OrphansRemoved = s.sweepOrphans(ctx)
+		rep.OrphansRemoved = s.sweepOrphans(ctx, live)
 	}
 	return rep
 }
 
 // sweepOrphans reclaims shard files no committed metadata refers to:
 // generations superseded by an overwrite, shards stranded by a crash
-// between shard writes and the metadata commit, and stale temp files. Each
-// key is examined under its write lock, so an in-flight Put's uncommitted
-// generation is never mistaken for garbage. Keys whose metadata exists but
-// fails to load are skipped entirely — their files may be the only
-// surviving copy of a repairable object.
-func (s *Store) sweepOrphans(ctx context.Context) int {
+// between shard writes and the metadata commit, and stale temp files.
+// Files in live (the sweep's walk saw their metadata) are skipped; every
+// other key is examined under its write lock against its metadata as it
+// is now, so an in-flight Put's uncommitted generation — or one committed
+// since the walk — is never mistaken for garbage. Keys whose metadata
+// exists but fails to load are skipped entirely — their files may be the
+// only surviving copy of a repairable object.
+func (s *Store) sweepOrphans(ctx context.Context, live map[string]bool) int {
 	byKey := map[string][]string{}
 	for i := 0; i < s.cfg.Nodes; i++ {
-		ents, err := os.ReadDir(s.nodeDir(i))
+		dir := s.nodeDir(i)
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			continue
 		}
@@ -731,7 +788,9 @@ func (s *Store) sweepOrphans(ctx context.Context) int {
 			if !ok || !strings.HasPrefix(rest, "g") || !strings.Contains(rest, "shard_") {
 				continue // not one of our shard files
 			}
-			byKey[key] = append(byKey[key], filepath.Join(s.nodeDir(i), e.Name()))
+			if p := dir + pathSep + e.Name(); !live[p] {
+				byKey[key] = append(byKey[key], p)
+			}
 		}
 	}
 	removed := 0

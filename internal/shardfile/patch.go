@@ -27,7 +27,7 @@ import (
 // writes on recovery.
 
 // ErrPatchUnsupported reports that a shard set cannot be patched in
-// place — packed slab, missing, short or rotten units — and the caller
+// place — missing, short or rotten units — and the caller
 // should fall back to a full read-modify-write.
 var ErrPatchUnsupported = errors.New("shardfile: shard set not patchable in place")
 
@@ -68,17 +68,14 @@ func (p *Patch) WriteBytes() int64 { return p.DataBytes + p.ParityBytes }
 // the touched stripes (and only the units the update actually needs:
 // partially overwritten data units and, for existing stripes, the r
 // parity units), each read unit verified against its stripe sum first.
-// Any condition that prevents a safe in-place patch — slab set,
-// unreadable or rotten units — fails with an error wrapping
+// Any condition that prevents a safe in-place patch — unreadable or
+// rotten units — fails with an error wrapping
 // ErrPatchUnsupported so callers can fall back to read-modify-write.
 //
 // PlanPatch only reads; nothing is written until ApplyPatch.
 func PlanPatch(paths []string, m Manifest, off int64, data []byte, opt Opts) (*Patch, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if m.Slab != nil {
-		return nil, fmt.Errorf("%w: packed slab members are read-modify-write", ErrPatchUnsupported)
 	}
 	if len(paths) != m.K+m.R {
 		return nil, fmt.Errorf("shardfile: %d shard paths for k+r=%d", len(paths), m.K+m.R)

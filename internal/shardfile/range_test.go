@@ -286,13 +286,22 @@ func TestPatchAllocatesOnlyWhatItWrites(t *testing.T) {
 	}
 }
 
-// TestPatchUnsupportedFallbacks: a packed slab — which PlanPatch must
-// refuse — fails with ErrPatchUnsupported so the caller can fall back to
-// read-modify-write, and offsets beyond EOF are plain errors.
+// TestPatchUnsupportedFallbacks: a shard set missing a unit the patch
+// must read fails with ErrPatchUnsupported so the caller can fall back to
+// read-modify-write, and offsets beyond EOF are plain errors. (Packed
+// slab members are refused a level up, by the server: their manifest is
+// an ordinary one.)
 func TestPatchUnsupportedFallbacks(t *testing.T) {
-	dir, m, _ := slabTestSet(t, []int{100, 200})
-	if _, err := PlanPatch(DirPaths(dir, m.K+m.R), m, 0, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
-		t.Fatalf("slab PlanPatch err = %v, want ErrPatchUnsupported", err)
+	dir, _ := writeStreamTestFile(t, tk*tunit)
+	m, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(ShardPath(dir, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PlanPatch(DirPaths(dir, m.K+m.R), m, 1, []byte("x"), Opts{}); !errors.Is(err, ErrPatchUnsupported) {
+		t.Fatalf("missing-shard PlanPatch err = %v, want ErrPatchUnsupported", err)
 	}
 
 	dir2, _ := writeStreamTestFile(t, tk*tunit)

@@ -45,37 +45,11 @@ type Manifest struct {
 	// StripeSums[shard][stripe] covers shard bytes
 	// [stripe*UnitSize, (stripe+1)*UnitSize).
 	StripeSums [][]uint32 `json:"stripe_sums,omitempty"`
-	// Slab (optional) marks a packed-stripe shard set: the encoded
-	// payload is the concatenation of many small member objects, each
-	// described by one entry. Packing tiny objects into one shared stripe
-	// amortizes the per-object encode setup, stripe padding and shard-file
-	// count that dominate small-object cost — the batching move ML serving
-	// stacks make. Entries are laid out back to back in payload order; a
-	// member is read by decoding its [Offset, Offset+Size) window of the
-	// payload. Non-slab manifests leave it nil.
-	Slab []SlabEntry `json:"slab,omitempty"`
 }
 
-// SlabEntry locates one member object inside a packed (slab) shard set's
-// payload.
-type SlabEntry struct {
-	// Name is the member's object key.
-	Name string `json:"name"`
-	// Offset is the member's first payload byte.
-	Offset int64 `json:"offset"`
-	// Size is the member's length in bytes.
-	Size int64 `json:"size"`
-}
-
-// FindSlabEntry returns the slab member named key and whether it exists.
-func (m Manifest) FindSlabEntry(key string) (SlabEntry, bool) {
-	for _, e := range m.Slab {
-		if e.Name == key {
-			return e, true
-		}
-	}
-	return SlabEntry{}, false
-}
+// ShardSize is the length of every shard file of the set: one unit per
+// stripe.
+func (m Manifest) ShardSize() int64 { return int64(m.Stripes) * int64(m.UnitSize) }
 
 // Validate checks manifest sanity: a v2 manifest with a full stripe-sum
 // table and a geometry that holds its payload.
@@ -97,17 +71,6 @@ func (m Manifest) Validate() error {
 		if len(sums) != m.Stripes {
 			return fmt.Errorf("shardfile: shard %d has %d stripe sums for %d stripes", i, len(sums), m.Stripes)
 		}
-	}
-	off := int64(0)
-	for i, e := range m.Slab {
-		if e.Name == "" || e.Size < 0 || e.Offset != off {
-			return fmt.Errorf("shardfile: slab entry %d (%q off=%d size=%d) not contiguous from %d",
-				i, e.Name, e.Offset, e.Size, off)
-		}
-		off += e.Size
-	}
-	if m.Slab != nil && off != m.FileSize {
-		return fmt.Errorf("shardfile: slab entries cover %d bytes, payload is %d", off, m.FileSize)
 	}
 	return nil
 }

@@ -9,20 +9,27 @@ import (
 	"gemmec"
 )
 
+// slabMember is one member's window in a packed shard set's payload.
+type slabMember struct {
+	name         string
+	offset, size int64
+}
+
 // slabTestSet packs members into one shard set and returns its directory,
-// manifest, and the member payloads by name.
-func slabTestSet(t *testing.T, sizes []int) (string, Manifest, map[string][]byte) {
+// manifest, the member windows in payload order and the member payloads by
+// name.
+func slabTestSet(t *testing.T, sizes []int) (string, Manifest, []slabMember, map[string][]byte) {
 	t.Helper()
 	dir := t.TempDir()
 	var payload []byte
-	var entries []SlabEntry
+	var entries []slabMember
 	members := map[string][]byte{}
 	rng := rand.New(rand.NewSource(42))
 	for i, sz := range sizes {
 		b := make([]byte, sz)
 		rng.Read(b)
 		name := string(rune('a' + i))
-		entries = append(entries, SlabEntry{Name: name, Offset: int64(len(payload)), Size: int64(sz)})
+		entries = append(entries, slabMember{name: name, offset: int64(len(payload)), size: int64(sz)})
 		members[name] = b
 		payload = append(payload, b...)
 	}
@@ -30,38 +37,34 @@ func slabTestSet(t *testing.T, sizes []int) (string, Manifest, map[string][]byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Slab = entries
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if err := SaveManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	return dir, m, members
+	return dir, m, entries, members
 }
 
 // TestSlabMemberRoundTrip: every member of a packed shard set reads back
 // exactly through the DecodeRange window, healthy and degraded alike.
 func TestSlabMemberRoundTrip(t *testing.T) {
 	sizes := []int{100, 1, tunit, tk*tunit + 33, 0, 4096}
-	dir, m, members := slabTestSet(t, sizes)
+	dir, m, entries, members := slabTestSet(t, sizes)
 
 	check := func() {
 		t.Helper()
-		for _, e := range m.Slab {
+		for _, e := range entries {
 			sr, err := OpenStreamPaths(DirPaths(dir, m.K+m.R), m, withWorkers(Opts{}, 2))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if _, err := sr.DecodeRange(&buf, 0, e.Offset, e.Size); err != nil {
+			if _, err := sr.DecodeRange(&buf, 0, e.offset, e.size); err != nil {
 				sr.Close()
-				t.Fatalf("member %q: %v", e.Name, err)
+				t.Fatalf("member %q: %v", e.name, err)
 			}
 			sr.Close()
-			if !bytes.Equal(buf.Bytes(), members[e.Name]) {
+			if !bytes.Equal(buf.Bytes(), members[e.name]) {
 				t.Fatalf("member %q: got %d bytes, want %d, content mismatch",
-					e.Name, buf.Len(), len(members[e.Name]))
+					e.name, buf.Len(), len(members[e.name]))
 			}
 		}
 	}
@@ -85,47 +88,6 @@ func TestSlabMemberRoundTrip(t *testing.T) {
 		t.Fatalf("Scrub healed %v, want shards 0 and %d", healed, tk)
 	}
 	check()
-}
-
-// TestSlabManifestValidate: slab entries must tile the payload exactly.
-func TestSlabManifestValidate(t *testing.T) {
-	base := Manifest{Version: ManifestV2, K: tk, R: tr, UnitSize: tunit, FileSize: 10, Stripes: 1,
-		StripeSums: func() [][]uint32 {
-			s := make([][]uint32, tk+tr)
-			for i := range s {
-				s[i] = make([]uint32, 1)
-			}
-			return s
-		}()}
-	good := base
-	good.Slab = []SlabEntry{{Name: "a", Offset: 0, Size: 4}, {Name: "b", Offset: 4, Size: 6}}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for name, slab := range map[string][]SlabEntry{
-		"gap":       {{Name: "a", Offset: 0, Size: 4}, {Name: "b", Offset: 5, Size: 5}},
-		"short":     {{Name: "a", Offset: 0, Size: 4}},
-		"unnamed":   {{Name: "", Offset: 0, Size: 10}},
-		"negative":  {{Name: "a", Offset: 0, Size: -1}},
-		"misplaced": {{Name: "a", Offset: 1, Size: 9}},
-	} {
-		bad := base
-		bad.Slab = slab
-		if err := bad.Validate(); err == nil {
-			t.Errorf("%s slab validated", name)
-		}
-	}
-}
-
-// TestSlabFindEntry: lookup by member name.
-func TestSlabFindEntry(t *testing.T) {
-	m := Manifest{Slab: []SlabEntry{{Name: "a", Offset: 0, Size: 4}}}
-	if e, ok := m.FindSlabEntry("a"); !ok || e.Size != 4 {
-		t.Fatalf("FindSlabEntry(a) = %+v, %v", e, ok)
-	}
-	if _, ok := m.FindSlabEntry("zz"); ok {
-		t.Fatal("FindSlabEntry(zz) found a phantom member")
-	}
 }
 
 // TestDecodeRangeBounds: windows outside the payload are rejected.

@@ -660,7 +660,7 @@ func OpenStreamPaths(paths []string, m Manifest, opt Opts) (*StreamReader, error
 // OpenRangePaths is the file instantiation of the decode core: it opens
 // the shard files of one manifest to read payload bytes [off, off+length)
 // — the whole object, a ranged GET's window, or one member of a packed
-// (slab) shard set, whose SlabEntry gives the window. Every one of the
+// (slab) shard set. Every one of the
 // k+r files is probed for existence and length, with no reads: the ones
 // the window's plan reads are opened, stat-ed and seeked to the first
 // stripe it reads of them; the rest get one stat (vfs.Stat) and are
@@ -729,7 +729,7 @@ func openPaths(paths []string, m Manifest, plan ReadPlan, opt Opts) (sr *StreamR
 		}
 		return f, nil
 	}
-	want := int64(m.Stripes) * unit
+	want := m.ShardSize()
 	srcs := make([]io.ReadCloser, n)
 	flags := make([]bool, 2*n)
 	lost, corruptAt := flags[:n:n], flags[n:]
