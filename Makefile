@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt nodeprecated norefs test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench bench-json bench-smoke ladder-smoke loc ci
+.PHONY: all build vet cross fmt nodeprecated norefs test race race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench bench-json bench-smoke ladder-smoke loc ci
 
 all: build
 
@@ -12,6 +12,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Build tags keep the writeback hint (sync_file_range) to the Linux
+# targets whose syscall package has it; the tree must still build where
+# it is a no-op: macOS, and 32-bit arm Linux.
+cross:
+	GOOS=darwin $(GO) build ./...
+	GOOS=linux GOARCH=arm $(GO) build ./...
 
 # gofmt must have nothing to say about the tree (benchmark/ is a separate
 # module, frozen to all but [benchmark] PRs).
@@ -87,7 +94,9 @@ stress-load:
 # Gateway and on the Store, every read checked against a shadow copy) —
 # and the PeerStore's recycled shard files: a reader opened before its
 # shard's delete reads the old bytes to the end, and racing uploads into
-# pooled files still end with one first-writer winner.
+# pooled files still end with one first-writer winner, and an upload's
+# writeback windows are queued while it streams, ahead of the unchanged
+# file fsync → link → directory fsync.
 # Fault injection is deterministic (FaultTransport rules, seeded
 # payloads), so a failure here replays locally byte for byte.
 stress-cluster:
@@ -183,4 +192,4 @@ loc:
 # TestDecodeStreamSteadyStateAllocs and the full-server
 # TestServerSteadyStateAllocs) run as part of `test`, so `ci` gates on the
 # encode, verified-decode and daemon PUT/GET paths staying allocation-free.
-ci: build vet fmt nodeprecated norefs test race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench-smoke ladder-smoke
+ci: build vet cross fmt nodeprecated norefs test race-hot stress-fault stress-load stress-cluster stress-obs stress-range fuzz-smoke bench-smoke ladder-smoke

@@ -188,6 +188,19 @@ func (a *peerAPI) getShard(w http.ResponseWriter, r *http.Request) {
 	defer body.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	sendShard(w, body)
+}
+
+// sendShard writes a GetShard body as the response. net/http's ReadFrom
+// hands the bare *os.File under it to the connection's sendfile, so the
+// bytes never pass through user space; io.Copy would not, because
+// (*os.File).WriteTo wraps the file before the response sees it.
+func sendShard(w http.ResponseWriter, body io.Reader) {
+	rf, ok := w.(io.ReaderFrom)
+	if h, held := body.(*heldFile); ok && held {
+		rf.ReadFrom(h.File) //nolint:errcheck // receiver gone; nothing to do
+		return
+	}
 	io.Copy(w, body) //nolint:errcheck // receiver gone; nothing to do
 }
 

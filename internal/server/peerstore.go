@@ -50,6 +50,12 @@ type PeerStore struct {
 
 	shardPuts, shardGets atomic.Int64
 	bytesIn, bytesOut    atomic.Int64
+
+	// writeback and fsync are startWriteback and (*os.File).Sync, the two
+	// calls by which a write reaches the disk; tests wrap them to see in
+	// what order an upload's windows, fsyncs and names land.
+	writeback func(f *os.File, off, n int64)
+	fsync     func(f *os.File) error
 }
 
 // pooledFile is one recycled shard file waiting under root/free.
@@ -63,7 +69,8 @@ type pooledFile struct {
 // root/clustermeta, recycled shard files under root/free — which is
 // emptied here: a previous process's pool is nobody's data.
 func OpenPeerStore(root string) (*PeerStore, error) {
-	ps := &PeerStore{root: root, readers: map[string]int{}}
+	ps := &PeerStore{root: root, readers: map[string]int{},
+		writeback: startWriteback, fsync: (*os.File).Sync}
 	if err := os.RemoveAll(ps.freeDir()); err != nil {
 		return nil, err
 	}
@@ -103,12 +110,12 @@ func validPeerKey(key string) error {
 // syncDir fsyncs a directory so a just-committed rename/link inside it
 // survives power loss — without it an acked shard upload could vanish in
 // a crash, silently voiding the quorum's durability accounting.
-func syncDir(dir string) error {
+func (ps *PeerStore) syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = ps.fsync(d)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
@@ -122,7 +129,10 @@ func syncDir(dir string) error {
 // existing (key, gen, idx) rejects with peer.ErrShardExists, so two
 // gateways racing the same generation land two disjoint whole-shard
 // sets instead of interleaving bytes in one file. Each upload streams
-// into its own unique temp file for the same reason.
+// into its own unique temp file for the same reason. While the body
+// still streams, every writebackWindow of it already written is queued
+// for writeback, so the closing fsync — which still gates the ack —
+// waits only for the tail and what the device has not finished.
 func (ps *PeerStore) PutShard(key string, gen uint64, idx int, body io.Reader) (int64, error) {
 	return ps.putShard(key, gen, idx, body, false)
 }
@@ -157,12 +167,14 @@ func (ps *PeerStore) putShard(key string, gen uint64, idx int, body io.Reader, r
 	}
 	defer ps.endWrite()
 	tmp := f.Name()
-	n, err := io.Copy(f, body)
+	buf := copyBufs.Get().(*[]byte)
+	n, err := io.CopyBuffer(&writebackWriter{f: f, queue: ps.writeback}, body, *buf)
+	copyBufs.Put(buf)
 	if err == nil && recycled {
 		err = f.Truncate(n) // a longer superseded shard leaves no tail
 	}
 	if err == nil {
-		err = f.Sync()
+		err = ps.fsync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -182,12 +194,45 @@ func (ps *PeerStore) putShard(key string, gen uint64, idx int, body io.Reader, r
 	if err != nil {
 		return 0, err
 	}
-	if err := syncDir(ps.shardDir()); err != nil {
+	if err := ps.syncDir(ps.shardDir()); err != nil {
 		return 0, err
 	}
 	ps.shardPuts.Add(1)
 	ps.bytesIn.Add(n)
 	return n, nil
+}
+
+// copyBufs holds putShard's copy buffers, io.Copy's size: without them
+// every shard upload allocates its own.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// writebackWindow is how much of an upload putShard writes before it
+// queues that stretch for writeback: a constant, not a setting — a 2 MiB
+// shard is four windows.
+const writebackWindow = 512 << 10
+
+// writebackWriter writes an upload into its temp file from offset 0 and,
+// each time another writebackWindow of it has been written, queues that
+// window for writeback without waiting. The windows are contiguous and
+// disjoint; the open tail, less than a window, is left to the fsync.
+type writebackWriter struct {
+	f       *os.File
+	queue   func(f *os.File, off, n int64)
+	written int64 // bytes written to f
+	queued  int64 // bytes [0, queued) queued for writeback
+}
+
+func (w *writebackWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.written += int64(n)
+	for w.written-w.queued >= writebackWindow {
+		w.queue(w.f, w.queued, writebackWindow)
+		w.queued += writebackWindow
+	}
+	return n, err
 }
 
 // createTemp counts one more shard write in flight (endWrite ends it) and
@@ -443,7 +488,7 @@ func (ps *PeerStore) PutMeta(key string, meta []byte) error {
 	tmp := f.Name()
 	_, err = f.Write(meta)
 	if err == nil {
-		err = f.Sync()
+		err = ps.fsync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -455,7 +500,7 @@ func (ps *PeerStore) PutMeta(key string, meta []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(ps.metaDir())
+	return ps.syncDir(ps.metaDir())
 }
 
 // GetMeta fetches the metadata replica for key.

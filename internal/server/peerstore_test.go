@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -269,20 +270,23 @@ func TestPeerStorePoolCappedByConcurrentWrites(t *testing.T) {
 }
 
 // TestPeerStorePooledFileTruncated: an upload into a pooled file longer
-// than itself leaves no tail of the old shard.
+// than itself, queued for writeback in windows, leaves no tail of the old
+// shard.
 func TestPeerStorePooledFileTruncated(t *testing.T) {
 	ps, err := OpenPeerStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	poolOne(t, ps, 10_000)
-	want := randBytes(2, 3000)
-	if _, err := ps.PutShard(psKey, 2, 0, bytes.NewReader(want)); err != nil {
+	poolOne(t, ps, 3*writebackWindow)
+	log := recordDisk(t, ps, psKey, 2, 0)
+	want := randBytes(2, writebackWindow+700)
+	if _, err := ps.PutShard(psKey, 2, 0, readerOnly{bytes.NewReader(want)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := ps.Stats().PooledFiles; n != 0 {
 		t.Fatalf("upload left the pool at %d files, want it to take the pooled one", n)
 	}
+	checkWindows(t, windows(*log), int64(len(want)))
 	got, size := readShard(t, ps, psKey, 2, 0)
 	if size != int64(len(want)) || !bytes.Equal(got, want) {
 		t.Fatalf("GetShard = %d bytes (reported %d), want the %d written", len(got), size, len(want))
@@ -540,30 +544,315 @@ func TestPeerStoreMetrics(t *testing.T) {
 // by shard: put generation n, write the replica at n, delete n−1. Under
 // "fresh" the replica is a tombstone, so the delete unlinks and every
 // upload allocates a new file; under "superseded" it is live, so the
-// delete pools the file and the next upload overwrites its blocks.
+// delete pools the file and the next upload overwrites its blocks. The
+// "x6" cases upload six shards at once, a cluster PUT's k+r fsyncs landing
+// together, each body arriving in copy-buffer reads as from the wire;
+// "x6-fsync-only" queues no writeback windows, so the pair prices the
+// windows alone.
 func BenchmarkPeerStoreOverwrite(b *testing.B) {
 	body := randBytes(1, 2<<20)
 	for _, tc := range []struct {
-		name    string
-		deleted bool
-	}{{"fresh", true}, {"superseded", false}} {
+		name      string
+		deleted   bool
+		shards    int
+		writeback bool
+	}{
+		{"fresh", true, 1, true},
+		{"superseded", false, 1, true},
+		{"superseded-x6", false, 6, true},
+		{"superseded-x6-fsync-only", false, 6, false},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			ps, err := OpenPeerStore(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(body)))
+			if !tc.writeback {
+				ps.writeback = func(*os.File, int64, int64) {}
+			}
+			errs := make([]error, tc.shards)
+			b.SetBytes(int64(tc.shards * len(body)))
 			b.ResetTimer()
 			for i := 1; i <= b.N; i++ {
 				gen := uint64(i)
-				if _, err := ps.PutShard(psKey, gen, 0, bytes.NewReader(body)); err != nil {
+				var wg sync.WaitGroup
+				for idx := range tc.shards {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, errs[idx] = ps.PutShard(psKey, gen, idx, readerOnly{bytes.NewReader(body)})
+					}()
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
 					b.Fatal(err)
 				}
 				putReplica(b, ps, psKey, int64(gen), tc.deleted)
-				if err := ps.DeleteShard(psKey, gen-1, 0); err != nil {
-					b.Fatal(err)
+				for idx := range tc.shards {
+					if err := ps.DeleteShard(psKey, gen-1, idx); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
 	}
+}
+
+// readerOnly hides every method of its reader but Read, as an upload's
+// HTTP body does: io.CopyBuffer then copies through its buffer.
+type readerOnly struct{ io.Reader }
+
+// diskEvent is one call an upload made toward the disk: a writeback
+// window [off, off+n), or an fsync of the file or directory synced.
+type diskEvent struct {
+	off, n int64
+	synced string // base name of what was fsynced; "" for a window
+	shard  int64  // the shard's size under its name at the fsync, -1 if absent
+}
+
+// recordDisk makes ps log, in order, the writeback windows and fsyncs
+// its uploads to (key, gen, idx) make, and still makes each call. A
+// window must be issued on a file that is still open and must start
+// where the last one ended, or the test fails on the spot.
+func recordDisk(t *testing.T, ps *PeerStore, key string, gen uint64, idx int) *[]diskEvent {
+	var log []diskEvent
+	var next int64
+	writeback, syncFile := ps.writeback, ps.fsync
+	ps.writeback = func(f *os.File, off, n int64) {
+		if _, err := f.Stat(); err != nil {
+			t.Fatalf("window [%d, +%d) issued on a closed file: %v", off, n, err)
+		}
+		if off != next || n != writebackWindow {
+			t.Fatalf("window [%d, +%d) issued, want [%d, +%d)", off, n, next, writebackWindow)
+		}
+		next += n
+		log = append(log, diskEvent{off: off, n: n})
+		writeback(f, off, n)
+	}
+	ps.fsync = func(f *os.File) error {
+		size, err := ps.StatShard(key, gen, idx)
+		if err != nil {
+			size = -1
+		}
+		log = append(log, diskEvent{synced: filepath.Base(f.Name()), shard: size})
+		return syncFile(f)
+	}
+	return &log
+}
+
+// windows returns the writeback windows among log's events.
+func windows(log []diskEvent) []diskEvent {
+	var w []diskEvent
+	for _, e := range log {
+		if e.synced == "" {
+			w = append(w, e)
+		}
+	}
+	return w
+}
+
+// checkWindows fails unless windows tile [0, k·writebackWindow) in order,
+// k = written / writebackWindow: every written byte but the open tail,
+// which is shorter than a window.
+func checkWindows(t *testing.T, windows []diskEvent, written int64) {
+	t.Helper()
+	if want := written / writebackWindow; int64(len(windows)) != want {
+		t.Fatalf("%d bytes written queued %d windows, want %d", written, len(windows), want)
+	}
+	for i, w := range windows {
+		if off := int64(i) * writebackWindow; w.off != off || w.n != writebackWindow {
+			t.Fatalf("window %d is [%d, +%d), want [%d, +%d)", i, w.off, w.n, off, writebackWindow)
+		}
+	}
+}
+
+// TestPeerStoreWritebackWindows: whatever sizes an upload arrives in, the
+// windows its writer queues are contiguous, do not overlap, and cover
+// every written byte except the open tail.
+func TestPeerStoreWritebackWindows(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "upload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var queued []diskEvent
+	w := &writebackWriter{f: f, queue: func(_ *os.File, off, n int64) {
+		if len(queued) > 64 {
+			t.Fatalf("runaway writer: %d windows queued", len(queued))
+		}
+		queued = append(queued, diskEvent{off: off, n: n})
+	}}
+	var written int64
+	write := func(size int) {
+		t.Helper()
+		n, err := w.Write(make([]byte, size))
+		if err != nil || n != size {
+			t.Fatalf("Write(%d bytes) = %d, %v", size, n, err)
+		}
+		written += int64(n)
+		checkWindows(t, queued, written)
+	}
+	for _, size := range []int{1, 4095, 32 << 10, writebackWindow - 1, 1, writebackWindow,
+		3*writebackWindow + 17, 0, 100_000} {
+		write(size)
+	}
+	write(writebackWindow - int(written%writebackWindow)) // ends on a window boundary
+	if fi, err := f.Stat(); err != nil || fi.Size() != written {
+		t.Fatalf("file holds %v bytes (%v), want %d", fi.Size(), err, written)
+	}
+}
+
+// TestPutShardWritebackThenFsyncThenLink: an upload queues its windows
+// while it streams, and its ack path is what it was: fsync of the temp
+// file while the shard's name still shows nothing new, then the link (or
+// the rename of a repair), then the fsync of shards/, all before the
+// call returns.
+func TestPutShardWritebackThenFsyncThenLink(t *testing.T) {
+	for _, replace := range []bool{false, true} {
+		ps, err := OpenPeerStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		put, old := ps.PutShard, int64(-1)
+		if replace {
+			put, old = ps.ReplaceShard, 100
+			if _, err := ps.PutShard(psKey, 1, 0, bytes.NewReader(randBytes(1, int(old)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log := recordDisk(t, ps, psKey, 1, 0)
+		body := randBytes(2, 2*writebackWindow+5000)
+		if _, err := put(psKey, 1, 0, readerOnly{bytes.NewReader(body)}); err != nil {
+			t.Fatal(err)
+		}
+		checkWindows(t, windows(*log), int64(len(body)))
+		if len(*log) != 4 {
+			t.Fatalf("replace=%v: disk calls %+v, want two windows and two fsyncs", replace, *log)
+		}
+		if e := (*log)[2]; !strings.Contains(e.synced, ".tmp") || e.shard != old {
+			t.Fatalf("replace=%v: third call %+v, want the temp file's fsync with the shard at %d bytes", replace, e, old)
+		}
+		if e := (*log)[3]; e.synced != "shards" || e.shard != int64(len(body)) {
+			t.Fatalf("replace=%v: last call %+v, want the fsync of shards/ after the new shard is linked", replace, e)
+		}
+		if got, _ := readShard(t, ps, psKey, 1, 0); !bytes.Equal(got, body) {
+			t.Fatalf("replace=%v: shard does not read back", replace)
+		}
+		noTemps(t, ps)
+	}
+}
+
+// TestPutShardWritebackOneLargeWrite: a body that arrives as one write —
+// a bytes.Reader copies itself through WriteTo — is queued in windows
+// too.
+func TestPutShardWritebackOneLargeWrite(t *testing.T) {
+	ps, err := OpenPeerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := recordDisk(t, ps, psKey, 1, 0)
+	body := randBytes(3, 4*writebackWindow+100)
+	if _, err := ps.PutShard(psKey, 1, 0, bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	checkWindows(t, windows(*log), int64(len(body)))
+	if got, _ := readShard(t, ps, psKey, 1, 0); !bytes.Equal(got, body) {
+		t.Fatal("shard does not read back")
+	}
+}
+
+// TestPutShardTornIssuesNoWindowAfterError: a torn upload has queued the
+// windows it wrote and none after its body failed, is never fsynced, and
+// leaves neither a shard nor a temp file.
+func TestPutShardTornIssuesNoWindowAfterError(t *testing.T) {
+	ps, err := OpenPeerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := recordDisk(t, ps, psKey, 1, 0)
+	delivered := 2*writebackWindow + 1000
+	if _, err := ps.PutShard(psKey, 1, 0, &tornReader{bytes.NewReader(randBytes(4, delivered))}); err == nil {
+		t.Fatal("torn upload succeeded")
+	}
+	checkWindows(t, windows(*log), int64(delivered))
+	if len(*log) != 2 {
+		t.Fatalf("torn upload made disk calls %+v, want its two windows only", *log)
+	}
+	if _, err := ps.StatShard(psKey, 1, 0); !errors.Is(err, peer.ErrShardNotFound) {
+		t.Fatalf("torn upload left a shard: %v", err)
+	}
+	noTemps(t, ps)
+}
+
+// TestPutShardCopyBufferPooled: an upload copied through putShard's
+// buffer — a body without WriteTo, as on the wire — takes the buffer
+// from the pool instead of allocating its own.
+func TestPutShardCopyBufferPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	ps, err := OpenPeerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := randBytes(6, writebackWindow+1000)
+	rd := bytes.NewReader(nil)
+	put := func() {
+		rd.Reset(body)
+		if _, err := ps.PutShard(psKey, 1, 0, readerOnly{rd}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.DeleteShard(psKey, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, put)
+	runtime.ReadMemStats(&after)
+	perUpload := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("PutShard+DeleteShard: %.0f allocs, %d bytes per upload", allocs, perUpload)
+	if buf := uint64(len(*copyBufs.Get().(*[]byte))); perUpload >= buf {
+		t.Fatalf("an upload allocates %d bytes, at least its %d-byte copy buffer", perUpload, buf)
+	}
+}
+
+// TestPeerAPIShardGetSendsFile: a whole-shard GET hands the shard's
+// *os.File itself to the response's ReadFrom, the path to sendfile.
+func TestPeerAPIShardGetSendsFile(t *testing.T) {
+	ps, err := OpenPeerStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := randBytes(7, 100_000)
+	if _, err := ps.PutShard(psKey, 1, 0, bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	rec := &readFromRecorder{ResponseRecorder: httptest.NewRecorder()}
+	NewPeerAPI(ps, "", nil).ServeHTTP(rec, httptest.NewRequest("GET", "/internal/shard/"+psKey+"/1/0", nil))
+	if _, ok := rec.src.(*os.File); !ok {
+		t.Fatalf("ReadFrom got a %T, want the *os.File", rec.src)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), body) {
+		t.Fatal("GET served different bytes")
+	}
+	ps.mu.Lock()
+	held := len(ps.readers)
+	ps.mu.Unlock()
+	if held != 0 {
+		t.Fatal("the served shard is still counted as read")
+	}
+}
+
+// readFromRecorder is a ResponseRecorder with net/http's ReadFrom,
+// remembering what it was handed.
+type readFromRecorder struct {
+	*httptest.ResponseRecorder
+	src io.Reader
+}
+
+func (r *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
+	r.src = src
+	return io.Copy(r.ResponseRecorder, src)
 }
