@@ -14,11 +14,13 @@ vet:
 	$(GO) vet ./...
 
 # Build tags keep the writeback hint (sync_file_range) to the Linux
-# targets whose syscall package has it; the tree must still build where
-# it is a no-op: macOS, and 32-bit arm Linux.
+# targets whose syscall package has it, and the bench harness's CPU clock
+# to getrusage (Unix) or GetProcessTimes (Windows); the tree must still
+# build where they differ: macOS, 32-bit arm Linux and Windows.
 cross:
 	GOOS=darwin $(GO) build ./...
 	GOOS=linux GOARCH=arm $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 # gofmt must have nothing to say about the tree (benchmark/ is a separate
 # module, frozen to all but [benchmark] PRs).
@@ -88,7 +90,9 @@ stress-load:
 # Seeded multi-peer cluster drill under -race: quorum writes abandoned
 # cleanly across a partition fired mid-PUT (no committed metadata, no
 # orphaned shards), slow/torn peers demoted mid-stream, degraded reads
-# over real peer HTTP, and rebuild-to-empty-node byte-identity — plus the
+# over real peer HTTP, majority metadata reads (n/2+1 asks, one more per
+# silent member, stale replicas outranked), clean reads that ask no
+# member they do not read, and rebuild-to-empty-node byte-identity — plus the
 # admission-control 429 guarantee in gateway mode, and the seeded trace
 # replays (internal/trace: put/get/range/delete under member churn on the
 # Gateway and on the Store, every read checked against a shadow copy) —

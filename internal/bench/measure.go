@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"syscall"
 	"time"
 )
 
@@ -45,16 +44,6 @@ func (m Measurement) CPUPerGB() float64 {
 		return 0
 	}
 	return m.CPU.Seconds() / totalGB
-}
-
-func cpuNow() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	user := time.Duration(ru.Utime.Sec)*time.Second + time.Duration(ru.Utime.Usec)*time.Microsecond
-	sys := time.Duration(ru.Stime.Sec)*time.Second + time.Duration(ru.Stime.Usec)*time.Microsecond
-	return user + sys
 }
 
 // Measure times f: a warmup call, then repeated calls until minTime wall

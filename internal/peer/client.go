@@ -224,11 +224,9 @@ func (c *Client) metaURL(key string) string {
 // remote PeerAPI can attach its own child spans, merged back here from
 // the response) and reports (op, status, latency) to the Observer.
 //
-// Exception: get_meta records no span. The gateway's majority metadata
-// read returns at quorum with straggler GetMeta goroutines still in
-// flight, which would race span recording against the pooled trace's
-// recycling; the gateway wraps the whole quorum read in one synchronous
-// span instead.
+// Exception: get_meta records no span. The gateway wraps its whole
+// majority metadata read in one span instead, so a trace shows the
+// metadata phase as one bar however many members the read asked.
 func (c *Client) do(req *http.Request, op string) (*http.Response, error) {
 	req.Header.Set(SecretHeader, c.cfg.Secret)
 	var sp obs.Span
@@ -241,10 +239,10 @@ func (c *Client) do(req *http.Request, op string) (*http.Response, error) {
 	start := time.Now()
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		// A caller that hung up — a majority read returning with its
-		// stragglers in flight, a client disconnect — says nothing about the
-		// peer. Only cancellation is excused: an expired deadline (doRetry's
-		// per-attempt OpTimeout included) is the peer being too slow.
+		// A caller that hung up — a client disconnect, a request canceled
+		// by its owner — says nothing about the peer. Only cancellation is
+		// excused: an expired deadline (doRetry's per-attempt OpTimeout
+		// included) is the peer being too slow.
 		callerGone := errors.Is(req.Context().Err(), context.Canceled)
 		if !callerGone {
 			c.markDown()

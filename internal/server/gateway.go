@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,8 +40,7 @@ type GatewayConfig struct {
 	// one; the gateway's own member should be a local transport (direct
 	// PeerStore access, no loopback socket).
 	Transports map[int]peer.Transport
-	// SelfID is this gateway's own member ID — the first stop for
-	// metadata reads.
+	// SelfID is this gateway's own member ID, as /statusz reports it.
 	SelfID int
 	// K and R are the code geometry; Ring must have at least K+R members.
 	K, R int
@@ -156,34 +156,57 @@ func parseMetaReplica(key string, id int, raw []byte) (ObjectMeta, error) {
 	return meta, nil
 }
 
+// metaOrder lists the ring's members in the order a metadata read of key
+// asks them: the key's ring order, so different keys' reads start on
+// different members, with the members the transports report healthy
+// ahead of the rest.
+func (g *Gateway) metaOrder(key string) []int {
+	ring, _ := g.cfg.Ring.Placement(key, g.cfg.Ring.Len()) // n = Len cannot fail
+	order := ring[:0]
+	var down []int
+	for _, id := range ring {
+		if g.healthy(id) {
+			order = append(order, id)
+		} else {
+			down = append(down, id)
+		}
+	}
+	return append(order, down...)
+}
+
 // readMetaRaw fetches and parses the freshest metadata replica for key
-// visible to a member majority: all members are queried in parallel, and
-// the highest generation among a responding majority wins. The majority
-// is what makes the freshness argument sound — a metadata commit is
-// acked (durably) by a majority, any two majorities intersect, so the
+// visible to a member majority: it asks need = n/2+1 members in parallel,
+// in metaOrder, and every ask that ends without an answer — an error
+// other than a conclusive not-found — goes on to the next member. The
+// highest generation among the answering majority wins. The majority is
+// what makes the freshness argument sound — a metadata commit is acked
+// (durably) by a majority, any two majorities intersect, so the
 // responders always include at least one replica of the latest committed
 // generation. A gateway that was down during commits therefore cannot
-// serve its own stale replica. Tombstoned objects are returned as-is;
-// callers decide whether a tombstone means "not found" (reads) or "the
-// current generation" (writes).
+// serve its own stale replica. Every ask is joined before the read
+// returns. Tombstoned objects are returned as-is; callers decide whether a
+// tombstone means "not found" (reads) or "the current generation"
+// (writes).
 func (g *Gateway) readMetaRaw(ctx context.Context, key string) ([]byte, ObjectMeta, error) {
-	members := g.cfg.Ring.Members()
+	order := g.metaOrder(key)
 	type reply struct {
 		id  int
 		raw []byte
 		err error
 	}
-	ch := make(chan reply, len(members))
-	for _, m := range members {
-		go func(id int) {
-			tr := g.transport(id)
-			if tr == nil {
-				ch <- reply{id: id, err: fmt.Errorf("%w: no transport for member %d", peer.ErrUnavailable, id)}
-				return
-			}
-			raw, err := tr.GetMeta(ctx, key)
+	ch := make(chan reply, len(order)) // each member is asked at most once
+	asked := 0
+	ask := func() {
+		id := order[asked]
+		asked++
+		go func() {
+			raw, err := g.transport(id).GetMeta(ctx, key)
 			ch <- reply{id: id, raw: raw, err: err}
-		}(m.ID)
+		}()
+	}
+	need := len(order)/2 + 1
+	for asked < need {
+		ask()
 	}
 	var (
 		bestRaw   []byte
@@ -192,28 +215,33 @@ func (g *Gateway) readMetaRaw(ctx context.Context, key string) ([]byte, ObjectMe
 		lastErr   error
 		responded int
 	)
-	need := len(members)/2 + 1
-	for i := 0; i < len(members) && responded < need; i++ {
+	// Outstanding asks plus answers stay at need until the members run
+	// out, so once need have answered nothing is left in flight.
+	for pending := need; pending > 0; pending-- {
 		r := <-ch
-		if r.err != nil {
-			if errors.Is(r.err, peer.ErrMetaNotFound) {
-				responded++ // a definitive "I hold nothing" counts
-			} else {
-				lastErr = r.err
+		switch {
+		case errors.Is(r.err, peer.ErrMetaNotFound):
+			responded++ // a definitive "I hold nothing" counts
+		case r.err != nil:
+			lastErr = r.err
+			if asked < len(order) {
+				ask()
+				pending++
 			}
-			continue
-		}
-		meta, err := parseMetaReplica(key, r.id, r.raw)
-		if err != nil {
-			// The member answered; its replica is just rotten. It counts
-			// toward the majority but contributes no document.
+		case found && bytes.Equal(r.raw, bestRaw):
+			responded++ // the document already parsed: replicas carry the same bytes
+		default:
 			responded++
-			lastErr = err
-			continue
-		}
-		responded++
-		if !found || meta.Gen > bestMeta.Gen {
-			bestRaw, bestMeta, found = r.raw, meta, true
+			meta, err := parseMetaReplica(key, r.id, r.raw)
+			if err != nil {
+				// The member answered; its replica is just rotten. It counts
+				// toward the majority but contributes no document.
+				lastErr = err
+				continue
+			}
+			if !found || meta.Gen > bestMeta.Gen {
+				bestRaw, bestMeta, found = r.raw, meta, true
+			}
 		}
 	}
 	if responded < need {
@@ -221,7 +249,7 @@ func (g *Gateway) readMetaRaw(ctx context.Context, key string) ([]byte, ObjectMe
 			lastErr = peer.ErrUnavailable
 		}
 		return nil, ObjectMeta{}, fmt.Errorf("server: metadata for %s readable on only %d of %d members (need majority): %w",
-			key, responded, len(members), lastErr)
+			key, responded, len(order), lastErr)
 	}
 	if !found {
 		return nil, ObjectMeta{}, ErrObjectNotFound
@@ -231,9 +259,9 @@ func (g *Gateway) readMetaRaw(ctx context.Context, key string) ([]byte, ObjectMe
 
 // current implements storage: a majority read of the metadata replicas.
 func (g *Gateway) current(ctx context.Context, key string) (ObjectMeta, error) {
-	// One synchronous span for the whole majority read; peer.Client
-	// deliberately records nothing for get_meta (its straggler goroutines
-	// outlive this call — see readMetaRaw).
+	// One span for the whole majority read, which joins every GetMeta it
+	// sent before returning; peer.Client records no span of its own for
+	// get_meta, so the metadata phase is this one bar.
 	sp := obs.StartSpan(ctx, "meta.read")
 	_, meta, err := g.readMetaRaw(ctx, key)
 	sp.End(nil)
@@ -456,15 +484,17 @@ func (g *Gateway) openWindow(ctx context.Context, _ string, meta ObjectMeta, off
 }
 
 // openShards opens meta's shards for the reads plan makes: the peer
-// instantiation of the shardfile read plan. Every placed member is asked
-// in parallel — for the stripes of its shard the plan reads (one
-// GetShardRange, or the plain whole-shard transfer), or, when the plan
-// reads nothing of it, for the shard's length only (StatShard: no bytes)
-// — so all k+r are probed and only the window's data units cross the
-// wire. Members that are down, missing the shard, or serving the wrong
-// length are marked lost; if fewer than k are usable the error wraps
-// gemmec.ErrTooFewShards. A shard the probe only statted is fetched later,
-// from the stripe where a fault escalated the plan, by the same fetch.
+// instantiation of the shardfile read plan. The members whose shards the
+// plan reads are asked in parallel for those stripes (one GetShardRange,
+// or the plain whole-shard transfer), so only the window's data units
+// cross the wire; a member that is down, missing the shard or serving the
+// wrong length is marked lost. A clean open asks the other members
+// nothing: their shards stay present and unopened, and the same fetch
+// brings one in from the stripe where a later fault escalates the plan.
+// An open that lost a planned shard starts escalated, so it asks the rest
+// for their shard's length (StatShard: no bytes) before returning — it
+// knows its survivors, and when fewer than k are usable the error wraps
+// gemmec.ErrTooFewShards before anything is served.
 func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, plan shardfile.ReadPlan) (*shardfile.StreamReader, error) {
 	key, gen := objKey(meta.Name), uint64(meta.Gen)
 	m := meta.Manifest
@@ -496,28 +526,39 @@ func (g *Gateway) openShards(ctx context.Context, meta ObjectMeta, plan shardfil
 	}
 	bodies := make([]io.ReadCloser, n)
 	lost := make([]bool, n)
-	// Covers the parallel probe; the per-peer get_shard / stat_shard child
-	// spans (joined by wg.Wait below) show who was slow to answer.
+	// Covers the parallel fetches and stats; the per-peer get_shard /
+	// stat_shard child spans (joined by wg.Wait below) show who was slow
+	// to answer.
 	osp := obs.StartSpan(ctx, "gw.open")
 	var wg sync.WaitGroup
 	for i := range bodies {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if from, to := plan.Interval(i); from < to {
+		if from, to := plan.Interval(i); from < to {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
 				var err error
 				bodies[i], err = fetch(i, from, to)
 				lost[i] = err != nil
-				return
-			}
-			lost[i] = true
-			if tr := g.transport(meta.Placement[i]); tr != nil {
-				size, err := tr.StatShard(ctx, key, gen, i)
-				lost[i] = err != nil || size != m.ShardSize()
-			}
-		}(i)
+			}(i)
+		}
 	}
 	wg.Wait()
+	if slices.Contains(lost, true) {
+		for i := range bodies {
+			if from, to := plan.Interval(i); from >= to {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					lost[i] = true
+					if tr := g.transport(meta.Placement[i]); tr != nil {
+						size, err := tr.StatShard(ctx, key, gen, i)
+						lost[i] = err != nil || size != m.ShardSize()
+					}
+				}(i)
+			}
+		}
+		wg.Wait()
+	}
 	osp.End(nil)
 	return shardfile.OpenStreams(m, plan, bodies, lost, fetch, g.streamOpts(ctx))
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"gemmec"
 	"gemmec/internal/peer"
 )
 
@@ -191,36 +192,97 @@ func TestClusterDegradedReadAfterPeerLoss(t *testing.T) {
 	}
 }
 
-// TestClusterDegradedReadDeadPeer kills a peer's HTTP server outright —
-// connection refused, not just missing files — and the gateway must
-// still serve the object.
+// TestClusterDegradedReadDeadPeer kills peers' HTTP servers outright —
+// connection refused, not just missing files — and the gateway must still
+// serve the object byte-identical. The object is placed so that neither
+// member killed is the gateway's own: first the member holding parity
+// shard 3, which a clean read never touches (not even for metadata: it
+// is fourth in the key's ring order and a majority is three), so the
+// headers say clean and it sees no request at all; then the one holding
+// data shard 0, whose loss the read plan needs to route around, so the
+// open starts escalated and the header says degraded.
 func TestClusterDegradedReadDeadPeer(t *testing.T) {
-	c := newHTTPCluster(t, 4, 2, 2, 0, 1024, Config{Logf: t.Logf})
-	want := randBytes(3, 80_000)
-	c.put(t, "obj", want)
-
-	c.peers[3].Close() // the process is gone, not just its disk
-
-	got, resp := c.get(t, "obj")
-	if !bytes.Equal(got, want) {
-		t.Fatal("read with a dead peer returned wrong bytes")
+	const n, k, r = 5, 2, 2
+	c := newHTTPCluster(t, n, k, r, 0, 1024, Config{Logf: t.Logf})
+	name := ""
+	var placement []int
+	for i := 0; name == ""; i++ {
+		cand := fmt.Sprintf("obj-%d", i)
+		p, err := c.gw.cfg.Ring.Placement(objKey(cand), k+r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p[0] != 0 && p[3] != 0 {
+			name, placement = cand, p
+		}
 	}
-	// Degradation depends on whether the dead member held one of this
-	// object's shards; either way the bytes must be right. If it did, the
-	// header must say so.
-	key := hex.EncodeToString([]byte("obj"))
-	_, meta, err := c.gw.readMetaRaw(context.Background(), key)
+	want := randBytes(3, 80_000)
+	c.put(t, name, want)
+	parity, data := placement[3], placement[0]
+
+	c.peers[parity].Close() // the process is gone, not just its disk
+	cl := c.gw.transport(parity).(*peer.Client)
+	before := cl.Requests()
+	got, resp := c.get(t, name)
+	if !bytes.Equal(got, want) {
+		t.Fatal("read with a dead parity member returned wrong bytes")
+	}
+	if h := resp.Header.Get("X-Gemmec-Degraded"); h != "false" || resp.Header.Get("X-Gemmec-Reconstructed") != "" {
+		t.Fatalf("clean read reports a lost shard it does not read: X-Gemmec-Degraded %q, X-Gemmec-Reconstructed %q",
+			h, resp.Header.Get("X-Gemmec-Reconstructed"))
+	}
+	if got := cl.Requests() - before; got != 0 {
+		t.Fatalf("clean read sent %d requests to the dead parity member, want 0", got)
+	}
+
+	c.peers[data].Close()
+	got, resp = c.get(t, name)
+	if !bytes.Equal(got, want) {
+		t.Fatal("read with a dead data member returned wrong bytes")
+	}
+	if h := resp.Header.Get("X-Gemmec-Degraded"); h != "true" {
+		t.Fatalf("read missing data shard 0 marked X-Gemmec-Degraded %q, want true", h)
+	}
+	if h := resp.Header.Get("X-Gemmec-Reconstructed"); h != "0 3" {
+		t.Fatalf("escalated open reports X-Gemmec-Reconstructed %q, want \"0 3\" (both dead members' shards)", h)
+	}
+}
+
+// TestGatewayTooFewShardsBeforeHeaders: an open that loses a planned
+// shard asks the rest before returning, so with more than r shards gone
+// a GET answers 503 (gemmec.ErrTooFewShards) before any body byte, as it
+// did when every open probed every member.
+func TestGatewayTooFewShardsBeforeHeaders(t *testing.T) {
+	const k, r = 4, 2
+	c := newFaultCluster(t, k+r, k, r, 1, 1024)
+	want := randBytes(226, 20_000)
+	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(want), int64(len(want))); err != nil {
+		t.Fatal(err)
+	}
+	_, meta, err := c.gw.readMetaRaw(context.Background(), objKey("obj"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	holds := false
-	for _, m := range meta.Placement {
-		if m == 3 {
-			holds = true
+	// Shard 0, which every whole read plans, and both parity shards: the
+	// metadata majority is intact, three shards survive.
+	for _, i := range []int{0, 4, 5} {
+		if err := c.stores[meta.Placement[i]].WipeShards(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if holds && resp.Header.Get("X-Gemmec-Degraded") != "true" {
-		t.Fatal("read missing a dead member's shard not marked degraded")
+	if _, err := c.gw.Open(context.Background(), "obj"); !errors.Is(err, gemmec.ErrTooFewShards) {
+		t.Fatalf("open with r+1 shards lost = %v, want ErrTooFewShards", err)
+	}
+	ts := httptest.NewServer(NewBackendHandler(c.gw, Config{Logf: t.Logf}))
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/o/obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusServiceUnavailable || bytes.Contains(body, want[:64]) {
+		t.Fatalf("GET with r+1 shards lost: %s, %d body bytes; want 503 and no object bytes", resp.Status, len(body))
 	}
 }
 
@@ -593,6 +655,155 @@ func TestReadMetaMajorityOverStaleSelf(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatal("stale self replica won over the majority")
+	}
+}
+
+// metaCalls sums the GetMeta calls every member's transport saw.
+func (c *faultCluster) metaCalls() int {
+	n := 0
+	for _, f := range c.faults {
+		n += f.Calls(peer.OpGetMeta)
+	}
+	return n
+}
+
+// TestReadMetaAsksMajority: a metadata read asks need = n/2+1 members and
+// no more — through readMetaRaw and through a GET's open — and each member
+// that does not answer costs exactly one more ask. With fewer than need
+// members reachable the read fails with the majority error once every
+// member has been asked.
+func TestReadMetaAsksMajority(t *testing.T) {
+	const n, need = 6, 4
+	c := newFaultCluster(t, n, 4, 2, 1, 1024)
+	want := randBytes(222, 10_000)
+	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(want), int64(len(want))); err != nil {
+		t.Fatal(err)
+	}
+	key := objKey("obj")
+	order := c.gw.metaOrder(key)
+
+	before := c.metaCalls()
+	o, err := c.gw.Open(context.Background(), "obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	if got := c.metaCalls() - before; got != need {
+		t.Fatalf("healthy GET open made %d GetMeta calls, want need=%d", got, need)
+	}
+
+	for failed := 1; failed <= n-need; failed++ {
+		c.faults[order[failed-1]].Partition()
+		before := c.metaCalls()
+		_, meta, err := c.gw.readMetaRaw(context.Background(), key)
+		if err != nil || meta.Gen != 1 {
+			t.Fatalf("%d members down: gen %d, err %v", failed, meta.Gen, err)
+		}
+		if got := c.metaCalls() - before; got != need+failed {
+			t.Fatalf("%d members down: %d GetMeta calls, want %d", failed, got, need+failed)
+		}
+	}
+
+	c.faults[order[n-need]].Partition() // n-need+1 down: no majority left
+	before = c.metaCalls()
+	_, _, err = c.gw.readMetaRaw(context.Background(), key)
+	if !errors.Is(err, peer.ErrUnavailable) || !strings.Contains(err.Error(), "need majority") {
+		t.Fatalf("read with %d of %d members reachable = %v, want the majority error", need-1, n, err)
+	}
+	if got := c.metaCalls() - before; got != n {
+		t.Fatalf("failed majority read made %d GetMeta calls, want every member (%d)", got, n)
+	}
+}
+
+// healthHint overrides a transport's health hint.
+type healthHint struct {
+	peer.Transport
+	healthy bool
+}
+
+func (h healthHint) Healthy() bool { return h.healthy }
+
+// TestReadMetaAsksHealthyFirst: a member its transport reports unhealthy
+// is asked only after every healthy one, whatever its ring position; the
+// healthy members answer the majority, and it sees no call.
+func TestReadMetaAsksHealthyFirst(t *testing.T) {
+	const n = 6
+	c := newFaultCluster(t, n, 4, 2, 1, 1024)
+	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(randBytes(223, 5_000)), 5_000); err != nil {
+		t.Fatal(err)
+	}
+	key := objKey("obj")
+	first := c.gw.metaOrder(key)[0]
+	transports := make(map[int]peer.Transport, n)
+	for id, f := range c.faults {
+		transports[id] = healthHint{f, id != first}
+	}
+	gw, err := NewGateway(GatewayConfig{Ring: c.gw.cfg.Ring, Transports: transports, K: 4, R: 2, UnitSize: 1024, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	if order := gw.metaOrder(key); order[len(order)-1] != first {
+		t.Fatalf("meta order %v does not put unhealthy member %d last", order, first)
+	}
+	before := c.faults[first].Calls(peer.OpGetMeta)
+	if _, meta, err := gw.readMetaRaw(context.Background(), key); err != nil || meta.Gen != 1 {
+		t.Fatalf("read = gen %d, %v", meta.Gen, err)
+	}
+	if got := c.faults[first].Calls(peer.OpGetMeta) - before; got != 0 {
+		t.Fatalf("unhealthy member %d asked %d times while healthy members answered", first, got)
+	}
+}
+
+// TestReadMetaStaleInsideMajority: the asked majority holds a stale and
+// a rotten replica, and they answer first; the commit majority
+// intersects it, so the fresh generation still wins — a reply that
+// differs from the best so far is parsed, and a rotten one counts
+// without supplying a document.
+func TestReadMetaStaleInsideMajority(t *testing.T) {
+	const n, need = 6, 4
+	c := newFaultCluster(t, n, 4, 2, 1, 1024)
+	key := objKey("obj")
+	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(randBytes(224, 10_000)), 10_000); err != nil {
+		t.Fatal(err)
+	}
+	order := c.gw.metaOrder(key)
+	staleRaw, err := c.stores[order[0]].GetMeta(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(randBytes(225, 10_000)), 10_000); err != nil {
+		t.Fatal(err)
+	}
+	// Two stale members: the other four still form the commit majority.
+	for _, tc := range []struct {
+		name   string
+		second []byte
+	}{
+		{"two stale", staleRaw},
+		{"stale and rotten", []byte("{not json")},
+	} {
+		if err := c.stores[order[0]].PutMeta(key, staleRaw); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.stores[order[1]].PutMeta(key, tc.second); err != nil {
+			t.Fatal(err)
+		}
+		// The fresh members of the asked majority answer last.
+		for _, id := range order[2:need] {
+			c.faults[id].AddRule(peer.FaultRule{Op: peer.OpGetMeta, Delay: 20 * time.Millisecond})
+		}
+		before := c.metaCalls()
+		_, meta, err := c.gw.readMetaRaw(context.Background(), key)
+		if err != nil || meta.Gen != 2 {
+			t.Fatalf("%s: majority read = gen %d, %v; want gen 2", tc.name, meta.Gen, err)
+		}
+		if got := c.metaCalls() - before; got != need {
+			t.Fatalf("%s: %d GetMeta calls, want need=%d", tc.name, got, need)
+		}
+		for _, f := range c.faults {
+			f.RemoveRules()
+		}
 	}
 }
 
@@ -1060,12 +1271,14 @@ func TestGatewayStatusSnapshot(t *testing.T) {
 }
 
 // TestGatewayReadPlan: a cluster GET moves only what it returns. Counted
-// at the transports: a clean tail-range GET fetches bytes from one member
-// and only stats the other k+r-1; a clean whole GET pulls the k data
-// bodies and stats the r parity shards; and a planned member dying
-// mid-body still yields byte-identical data, with the demotion reported
-// in the X-Gemmec-Degraded trailer (the header, sent before the fault,
-// says clean).
+// at the transports: a clean tail-range GET fetches one window from the
+// one member holding it, a clean whole GET pulls the k data bodies, one
+// from each data member, and neither asks any other member anything — no
+// StatShard. A planned member dying mid-body still yields byte-identical
+// data, with the demotion reported in the X-Gemmec-Degraded trailer (the
+// header, sent before the fault, says clean), and the escalation brings
+// in exactly the first parity shard by the same fetch, still with no
+// stat.
 func TestGatewayReadPlan(t *testing.T) {
 	const k, r, unit = 4, 2, 1024
 	c := newFaultCluster(t, k+r, k, r, 1, unit)
@@ -1073,25 +1286,26 @@ func TestGatewayReadPlan(t *testing.T) {
 	if _, _, err := c.gw.Put(context.Background(), "obj", bytes.NewReader(want), int64(len(want))); err != nil {
 		t.Fatal(err)
 	}
-	// delta runs get and reports the shard fetches it made, how many
-	// members they went to, and the shard stats.
-	delta := func(get func()) (gets, getMembers, stats int) {
-		before := make([][2]int, len(c.faults))
-		for i, f := range c.faults {
-			before[i] = [2]int{f.Calls(peer.OpGetShard), f.Calls(peer.OpStatShard)}
+	_, meta, err := c.gw.readMetaRaw(context.Background(), objKey("obj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// delta runs get and reports the shard fetches it made of each shard
+	// index (through the member placement gives it) and the shard stats.
+	delta := func(get func()) (gets [k + r]int, stats int) {
+		var before [k + r][2]int
+		for i, id := range meta.Placement {
+			before[i] = [2]int{c.faults[id].Calls(peer.OpGetShard), c.faults[id].Calls(peer.OpStatShard)}
 		}
 		get()
-		for i, f := range c.faults {
-			if n := f.Calls(peer.OpGetShard) - before[i][0]; n > 0 {
-				gets += n
-				getMembers++
-			}
-			stats += f.Calls(peer.OpStatShard) - before[i][1]
+		for i, id := range meta.Placement {
+			gets[i] = c.faults[id].Calls(peer.OpGetShard) - before[i][0]
+			stats += c.faults[id].Calls(peer.OpStatShard) - before[i][1]
 		}
-		return gets, getMembers, stats
+		return gets, stats
 	}
 
-	gets, members, stats := delta(func() {
+	gets, stats := delta(func() {
 		o, err := c.gw.OpenRange(context.Background(), "obj", -1, 100) // the final 100 bytes: one unit
 		if err != nil {
 			t.Fatal(err)
@@ -1102,11 +1316,13 @@ func TestGatewayReadPlan(t *testing.T) {
 			t.Fatalf("tail-range GET: %d bytes, err=%v", buf.Len(), err)
 		}
 	})
-	if gets != 1 || members != 1 || stats != k+r-1 {
-		t.Errorf("clean tail-range GET: %d shard fetches from %d members and %d stats, want 1 from 1 and %d", gets, members, stats, k+r-1)
+	// The last stripe carries 4*unit-300 payload bytes, so its final 100
+	// sit in data shard 3.
+	if gets != [k + r]int{0, 0, 0, 1, 0, 0} || stats != 0 {
+		t.Errorf("clean tail-range GET: shard fetches %v and %d stats, want one of shard 3 and none", gets, stats)
 	}
 
-	gets, members, stats = delta(func() {
+	gets, stats = delta(func() {
 		o, err := c.gw.Open(context.Background(), "obj")
 		if err != nil {
 			t.Fatal(err)
@@ -1117,33 +1333,37 @@ func TestGatewayReadPlan(t *testing.T) {
 			t.Fatalf("whole GET: %d bytes, err=%v", buf.Len(), err)
 		}
 	})
-	if gets != k || members != k || stats != r {
-		t.Errorf("clean whole GET: %d shard fetches from %d members and %d stats, want k=%d from %d and r=%d", gets, members, stats, k, k, r)
+	if gets != [k + r]int{1, 1, 1, 1, 0, 0} || stats != 0 {
+		t.Errorf("clean whole GET: shard fetches %v and %d stats, want one of each data shard and none", gets, stats)
 	}
 
-	_, meta, err := c.gw.readMetaRaw(context.Background(), objKey("obj"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	c.faults[meta.Placement[1]].AddRule(peer.FaultRule{Op: peer.OpGetShard, TornAfter: 5 * unit})
 	ts := httptest.NewServer(NewBackendHandler(c.gw, Config{Logf: t.Logf}))
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/o/obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Gemmec-Degraded"); got != "false" {
-		t.Errorf("header X-Gemmec-Degraded = %q, want false: the member died after the headers", got)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || !bytes.Equal(body, want) {
-		t.Fatalf("GET with a planned member dying mid-body: %d bytes, err=%v", len(body), err)
-	}
-	if got := resp.Trailer.Get("X-Gemmec-Degraded"); got != "true" {
-		t.Errorf("trailer X-Gemmec-Degraded = %q, want true", got)
-	}
-	if got := resp.Trailer.Get("X-Gemmec-Reconstructed"); got != "1" {
-		t.Errorf("trailer X-Gemmec-Reconstructed = %q, want \"1\"", got)
+	gets, stats = delta(func() {
+		resp, err := ts.Client().Get(ts.URL + "/o/obj")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if got := resp.Header.Get("X-Gemmec-Degraded"); got != "false" {
+			t.Errorf("header X-Gemmec-Degraded = %q, want false: the member died after the headers", got)
+		}
+		if got := resp.Header.Get("X-Gemmec-Reconstructed"); got != "" {
+			t.Errorf("header X-Gemmec-Reconstructed = %q, want none", got)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || !bytes.Equal(body, want) {
+			t.Fatalf("GET with a planned member dying mid-body: %d bytes, err=%v", len(body), err)
+		}
+		if got := resp.Trailer.Get("X-Gemmec-Degraded"); got != "true" {
+			t.Errorf("trailer X-Gemmec-Degraded = %q, want true", got)
+		}
+		if got := resp.Trailer.Get("X-Gemmec-Reconstructed"); got != "1" {
+			t.Errorf("trailer X-Gemmec-Reconstructed = %q, want \"1\"", got)
+		}
+	})
+	if gets != [k + r]int{1, 1, 1, 1, 1, 0} || stats != 0 {
+		t.Errorf("GET demoting shard 1 mid-body: shard fetches %v and %d stats, want one of each data shard, one of shard 4 and none", gets, stats)
 	}
 }

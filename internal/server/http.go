@@ -49,8 +49,14 @@ const statusClientClosedRequest = 499
 //	X-Gemmec-Degraded: true
 //	X-Gemmec-Reconstructed: 0 5
 //
-// The headers carry what was known at open time (missing shards, wrong
-// lengths). Checksum verification runs inside the decode itself, so a
+// The headers carry what was known at open time, which differs by
+// backend. A Store stats every shard file, so its headers name every
+// missing or short shard. A Gateway asks only the members whose shards
+// the read plan reads, so a clean cluster read's headers do not report a
+// lost shard it never touches (the scrub does); once a planned fetch
+// fails, the open asks every other member too, and the headers name
+// every shard it found gone. Checksum verification runs inside the
+// decode itself, so a
 // shard can also be demoted after the headers are gone; GET bodies
 // therefore stream chunked (object size in X-Gemmec-Size; HEAD still
 // reports Content-Length) and the same two

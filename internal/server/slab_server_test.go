@@ -1075,3 +1075,57 @@ func TestSlabWithMemberListStillServes(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabOverwriteDropsPatchJournal: a packed PUT over an object with its
+// own shard set removes a patch journal stranded for that set, while a
+// packed PUT over a packed member has no journal to clear and touches
+// none; and a packed PUT still recreates a wiped node directory, through
+// the slab flusher.
+func TestSlabOverwriteDropsPatchJournal(t *testing.T) {
+	s := newSlabStore(t, 1024)
+	key := objKey("obj")
+	journal := s.patchJournalPath(key)
+	strand := func() {
+		t.Helper()
+		for _, p := range []string{journal, journal + ".tmp"} {
+			if err := os.WriteFile(p, []byte("stranded by a crash"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exists := func(p string) bool {
+		_, err := os.Stat(p)
+		return err == nil
+	}
+
+	if meta := mustPut(t, s, "obj", randBytes(160, 4*tk*tunit)); meta.Slab != nil {
+		t.Fatal("large object packed into a slab")
+	}
+	strand()
+	if meta := mustPut(t, s, "obj", randBytes(161, 100)); meta.Slab == nil {
+		t.Fatal("small overwrite not packed")
+	}
+	if exists(journal) || exists(journal+".tmp") {
+		t.Fatal("packed overwrite of a shard set left its patch journal behind")
+	}
+
+	// A packed member has no journal of its own: the next packed PUT makes
+	// no journal call, so a file planted at the journal path survives it.
+	strand()
+	if err := os.RemoveAll(s.nodeDir(0)); err != nil {
+		t.Fatal(err)
+	}
+	want := randBytes(162, 200)
+	if meta := mustPut(t, s, "obj", want); meta.Slab == nil {
+		t.Fatal("small overwrite not packed")
+	}
+	if !exists(journal) || !exists(journal+".tmp") {
+		t.Fatal("packed overwrite of a packed member made a journal call")
+	}
+	if !exists(s.nodeDir(0)) {
+		t.Fatal("packed PUT did not recreate the wiped node directory")
+	}
+	if got, _ := mustGet(t, s, "obj"); !bytes.Equal(got, want) {
+		t.Fatal("packed overwrite returned wrong bytes")
+	}
+}

@@ -444,9 +444,6 @@ func (s *Store) openWindow(ctx context.Context, key string, meta ObjectMeta, off
 // next rotation slot is taken.
 func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, src io.Reader, size int64) (ObjectMeta, gemmec.StreamStats, func(), error) {
 	var st gemmec.StreamStats
-	if err := s.ensureDirs(); err != nil {
-		return ObjectMeta{}, st, nil, err
-	}
 	meta := ObjectMeta{Name: name, Gen: prev.Gen + 1}
 	oldPaths := s.shardPaths(key, prev)
 	if s.placementUsable(prev.Placement) {
@@ -456,6 +453,7 @@ func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, s
 	// group-committed into a shared slab instead of its own shard set. The
 	// PUT still blocks until the batch is durably committed; only the cost
 	// structure changes (one shard set per batch instead of per object).
+	// The slab flusher (re)creates the directories it writes into.
 	if s.slab != nil && size >= 0 && size <= s.cfg.SlabThreshold {
 		data := make([]byte, size)
 		if _, err := io.ReadFull(src, data); err != nil {
@@ -463,10 +461,17 @@ func (s *Store) commit(ctx context.Context, key, name string, prev ObjectMeta, s
 		}
 		meta.Placement = nil // members have no shard set of their own
 		packed, err := s.putSlab(ctx, key, meta, oldPaths, data)
-		if err == nil {
+		// A patch journal only ever targets a generation with its own
+		// shard set (patchInPlace declines packed members); any other
+		// stranded journal is one replayJournal discards, as the object
+		// is now packed.
+		if err == nil && len(oldPaths) > 0 {
 			s.clearPatchJournal(key)
 		}
 		return packed, st, nil, err
+	}
+	if err := s.ensureDirs(); err != nil {
+		return ObjectMeta{}, st, nil, err
 	}
 	if meta.Placement == nil {
 		meta.Placement = s.placement()
